@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race alloccheck chaosshort chaos bench benchall trace scale edge elastic tenant
+.PHONY: tier1 vet build test race alloccheck chaosshort benchcheck chaos bench benchall trace scale edge elastic tenant
 
-tier1: vet build race alloccheck chaosshort
+tier1: vet build race alloccheck chaosshort benchcheck
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,13 @@ alloccheck:
 # under the race detector — part of the tier-1 gate.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
+
+# The benchmark is its own module (bench/go.mod replaces videocloud => ../),
+# so the root ./... patterns never compile it: vet and short-test it here so
+# an internal/ API change that breaks bench/sut.go fails the gate instead of
+# the next benchmark run.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full chaos soak with the recovery report: per-fault-class detection
 # latency and MTTR land in BENCH_recovery.json for comparison across PRs.

@@ -40,7 +40,7 @@ func main() {
 	admin := flag.String("admin", "admin", "admin account name")
 	adminPass := flag.String("admin-pass", "admin", "admin account password")
 	transcodeWorkers := flag.Int("transcode-workers", 0,
-		"async conversion pool size (0 = convert uploads inline)")
+		"upload conversion pool size (0 = default of 1)")
 	frontends := flag.Int("frontends", 1,
 		"web-server replicas behind the ingress balancer (1 = no ingress)")
 	dbShards := flag.Int("dbshards", 1,
@@ -323,4 +323,5 @@ func seedCatalog(vc *core.VideoCloud, n int) {
 		}
 		fmt.Printf("seeded /watch/%d  %q\n", id, titles[i].title)
 	}
+	vc.DrainTranscodes() // the catalog is playable before the listener opens
 }

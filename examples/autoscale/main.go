@@ -1,7 +1,8 @@
 // Auto-scaling walkthrough (the paper's conclusion + its reference [28]):
 // a streaming fleet tracks a day of video-on-demand load. Demand follows a
-// diurnal wave with Zipf title popularity; the auto-scaler re-evaluates
-// every 5 virtual minutes and grows or shrinks the fleet one VM at a time.
+// diurnal wave with Zipf title popularity; the elastic controller
+// re-evaluates every 5 virtual minutes, boots VMs toward the demand-implied
+// fleet size and drains them gracefully when load falls.
 // The whole day runs in well under a second of wall time on the
 // discrete-event clock.
 package main
@@ -37,12 +38,18 @@ func main() {
 	fmt.Printf("evening sample: %d sessions in 10 min; first watches title #%d\n\n",
 		len(sessions), sessions[0].Video)
 
-	scaler := nebula.NewAutoScaler(cloud, nebula.Template{
-		Name: "streamer", VCPUs: 2, MemoryBytes: 2 * gb, DiskBytes: 10 * gb,
-		Image: "streamer", Workload: &virt.StreamingServer{StreamRate: 8 << 20},
-	}, 1, 10)
-	scaler.InstanceCapacity = 2 // stream-units one VM absorbs
-	scaler.Metric = demand.Rate
+	scaler, err := nebula.NewElasticController(cloud, nebula.ElasticOptions{
+		Template: nebula.Template{
+			Name: "streamer", VCPUs: 2, MemoryBytes: 2 * gb, DiskBytes: 10 * gb,
+			Image: "streamer", Workload: &virt.StreamingServer{StreamRate: 8 << 20},
+		},
+		Min: 1, Max: 10,
+		InstanceCapacity: 2, // stream-units one VM absorbs
+		Signal:           demand.Rate,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := scaler.Start(5 * time.Minute); err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +72,6 @@ func main() {
 		fmt.Printf("%4dh  %4.1f  %5d  %4.2f  %s\n",
 			int(s.At.Hours()), s.Load, s.Instances, s.Util, bar)
 	}
-	fmt.Printf("\nscale-out events: %d, scale-in events: %d\n",
-		cloud.Metrics().Counter("autoscale_out").Value(),
-		cloud.Metrics().Counter("autoscale_in").Value())
+	st := scaler.Stats()
+	fmt.Printf("\nscale-out events: %d, scale-in events: %d\n", st.ScaleOuts, st.ScaleIns)
 }

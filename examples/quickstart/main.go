@@ -39,7 +39,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nuploaded video %d (%d KB source)\n", id, len(data)>>10)
+	fmt.Printf("\nuploaded video %d (%d KB source), converting...\n", id, len(data)>>10)
+	vc.Site().DrainTranscodes() // the upload returns at once; wait for the farm to publish it
 
 	// Search finds it.
 	hits := vc.Site().Index().Search("first cloud", 5)

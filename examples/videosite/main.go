@@ -77,6 +77,7 @@ func main() {
 	resp.Body.Close()
 	watchPath := resp.Request.URL.Path
 	fmt.Printf("uploaded -> %s\n", watchPath)
+	vc.Site().DrainTranscodes() // the POST returns at once; wait for the farm to publish
 
 	fmt.Println("\n== Figure 18: search 'nobody' ==")
 	resp, err = browser.Get(srv.URL + "/search?q=nobody")

@@ -65,8 +65,8 @@ type Config struct {
 	Target video.Spec
 	// AdminUser/AdminPassword seed the site's administrator account.
 	AdminUser, AdminPassword string
-	// TranscodeWorkers sizes the site's asynchronous conversion pool; zero
-	// keeps uploads synchronous (see web.Config.TranscodeWorkers).
+	// TranscodeWorkers sizes the site's upload conversion pool (default 1;
+	// see web.Config.TranscodeWorkers).
 	TranscodeWorkers int
 	// TranscodeQueueCap bounds the async transcode intake queue.
 	TranscodeQueueCap int
@@ -691,7 +691,7 @@ func (vc *VideoCloud) recoveryStatus() RecoveryStatus {
 }
 
 // DrainTranscodes waits for every queued upload conversion to finish on
-// every frontend (no-op for synchronous sites).
+// every frontend.
 func (vc *VideoCloud) DrainTranscodes() {
 	for _, s := range vc.sites {
 		s.DrainTranscodes()

@@ -101,10 +101,19 @@ func (s *session) uploadDirect(vc *VideoCloud, title string, seconds int, seed u
 	return s.uploadAs(vc, nil, title, seconds, seed)
 }
 
-// uploadAs uploads on behalf of a tenant (nil = the default tenant): the
-// context carries the tenant identity exactly as the web middleware would
-// attach it for a Bearer-token request.
+// uploadAs uploads on behalf of a tenant (nil = the default tenant) and
+// waits for the conversion, so the caller sees the published video.
 func (s *session) uploadAs(vc *VideoCloud, ten *tenant.Tenant, title string, seconds int, seed uint64) int64 {
+	s.t.Helper()
+	id := s.enqueueAs(vc, ten, title, seconds, seed)
+	vc.DrainTranscodes()
+	return id
+}
+
+// enqueueAs is uploadAs without the wait (the row is still "processing"):
+// the context carries the tenant identity exactly as the web middleware
+// would attach it for a Bearer-token request.
+func (s *session) enqueueAs(vc *VideoCloud, ten *tenant.Tenant, title string, seconds int, seed uint64) int64 {
 	s.t.Helper()
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 64_000}
 	data, err := video.Generate(src, seconds, seed)

@@ -78,7 +78,7 @@ func TestElasticChaos(t *testing.T) {
 	s.loginAdmin()
 	var ids []int64
 	for i := 0; i < uploads; i++ {
-		ids = append(ids, s.uploadDirect(vc, fmt.Sprintf("flash clip %d", i), seconds, uint64(200+i)))
+		ids = append(ids, s.enqueueAs(vc, nil, fmt.Sprintf("flash clip %d", i), seconds, uint64(200+i)))
 	}
 	driveUntil(t, vc, 30*time.Second, "first elastic scale-out", func() bool {
 		return vc.Cloud().Metrics().Counter("elastic_scale_out").Value() >= 1

@@ -1,9 +1,6 @@
 package edge
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // Allocation regression gate for the edge-cache hit path (make tier1 runs
 // this via the alloccheck target). The invariant matches the PR 6 streaming
@@ -39,16 +36,7 @@ func TestAllocWarmEdgeHitZeroCopy(t *testing.T) {
 	for i := 0; i < 8; i++ { // warm up: grow the slice header once
 		hit()
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const iters = 512
-	for i := 0; i < iters; i++ {
-		hit()
-	}
-	runtime.ReadMemStats(&after)
-	perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters
-	if perOp > 0 {
-		t.Fatalf("warm edge hit allocates %d B/op; want 0", perOp)
+	if got := testing.AllocsPerRun(512, hit); got != 0 {
+		t.Fatalf("warm edge hit allocates %v times/op; want 0", got)
 	}
 }

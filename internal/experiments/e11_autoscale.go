@@ -15,12 +15,12 @@ import (
 // conclusion promises and its reference [28] (cloud bandwidth auto-scaling
 // for VoD) formalizes. Offered demand follows a diurnal wave (trough 2,
 // peak 16 concurrent-stream units at 21:00); each streaming VM absorbs 2
-// units; the scaler evaluates every 5 virtual minutes.
+// units; the elastic controller evaluates every 5 virtual minutes.
 //
 // Expected shape: the fleet tracks the wave (small overnight, largest
 // around the evening peak), per-instance utilization stays inside the
-// scaler's band for the vast majority of samples after warm-up, and the
-// fleet returns to the floor after the peak.
+// controller's hysteresis band for the vast majority of samples after
+// warm-up, and the fleet returns to the floor after the peak.
 func E11AutoScaling() *metrics.Table {
 	t := metrics.NewTable("E11 — auto-scaled streaming fleet over a VoD day",
 		"window", "avg_load", "avg_fleet", "max_fleet", "util_in_band_pct")
@@ -34,12 +34,22 @@ func E11AutoScaling() *metrics.Table {
 		panic(err)
 	}
 	demand := workload.Diurnal{Base: 2, PeakFactor: 8, PeakHour: 21}
-	scaler := nebula.NewAutoScaler(cloud, nebula.Template{
-		Name: "streamer", VCPUs: 2, MemoryBytes: 2 * gb, DiskBytes: 10 * gb,
-		Image: "streamer-image", Workload: &virt.StreamingServer{StreamRate: 8 << 20},
-	}, 1, 10)
-	scaler.InstanceCapacity = 2
-	scaler.Metric = demand.Rate
+	// The hysteresis band is named here (the controller's defaults) because
+	// the in-band shape check below reads the same two numbers.
+	const hiLoad, loLoad = 0.8, 0.3
+	scaler, err := nebula.NewElasticController(cloud, nebula.ElasticOptions{
+		Template: nebula.Template{
+			Name: "streamer", VCPUs: 2, MemoryBytes: 2 * gb, DiskBytes: 10 * gb,
+			Image: "streamer-image", Workload: &virt.StreamingServer{StreamRate: 8 << 20},
+		},
+		Min: 1, Max: 10,
+		InstanceCapacity: 2,
+		HiLoad:           hiLoad, LoLoad: loLoad,
+		Signal: demand.Rate,
+	})
+	if err != nil {
+		panic(err)
+	}
 	if err := scaler.Start(5 * time.Minute); err != nil {
 		panic(err)
 	}
@@ -74,9 +84,7 @@ func E11AutoScaling() *metrics.Table {
 			if s.Instances > maxFleet {
 				maxFleet = s.Instances
 			}
-			// The band extends one instance of slack below LoLoad:
-			// the discrete fleet cannot sit exactly on the threshold.
-			if s.Util <= scaler.HiLoad && s.Util >= scaler.LoLoad*0.5 {
+			if s.Util <= hiLoad && s.Util >= loLoad {
 				inBand++
 			}
 		}

@@ -45,6 +45,7 @@ func E13CriticalPath() *metrics.Table {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
+	defer site.Close()
 	c, srv := browserFor(site)
 	defer srv.Close()
 
@@ -58,8 +59,9 @@ func E13CriticalPath() *metrics.Table {
 	resp = mustPost(c, srv.URL+"/login", map[string][]string{"username": {"tracy"}, "password": {"pw"}})
 	check(resp.StatusCode == 200, "E13: login failed")
 
-	// One traced upload over HTTP (the middleware's root span wraps the
-	// inline conversion, storage, and publish).
+	// One traced upload over HTTP (the queued conversion, storage, and
+	// publish are children of the middleware's root span and hold the trace
+	// open until the worker finishes).
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 300_000}
 	data, gerr := video.Generate(src, 120, 2013)
 	check(gerr == nil, "E13: generate: %v", gerr)

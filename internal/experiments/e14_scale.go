@@ -86,6 +86,7 @@ func newScaleFleet(frontends, catalog int) *scaleFleet {
 		}
 		f.ids = append(f.ids, id)
 	}
+	primary.DrainTranscodes()
 
 	var h http.Handler = primary
 	if frontends > 1 {
@@ -218,6 +219,7 @@ func runFlashCrowd(f *scaleFleet, viewers int) FlashRow {
 	if err := <-uploads; err != nil {
 		panic(fmt.Sprintf("experiments: flash-crowd upload: %v", err))
 	}
+	f.sites[0].DrainTranscodes() // each publish is one invalidation; count them all
 	return FlashRow{
 		HomeRequests:  rep.Home.Count,
 		Errors:        rep.Errors,

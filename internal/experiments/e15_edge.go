@@ -119,6 +119,7 @@ func newEdgeFleet(frontends, catalog int) *edgeFleet {
 		}
 		f.ids = append(f.ids, id)
 	}
+	primary.DrainTranscodes()
 
 	backends := make([]http.Handler, len(f.sites))
 	for i, s := range f.sites {

@@ -71,6 +71,7 @@ func E9EndToEnd() *metrics.Table {
 	if err != nil {
 		panic(err)
 	}
+	defer site.Close()
 	c, srv := browserFor(site)
 	defer srv.Close()
 
@@ -104,6 +105,7 @@ func E9EndToEnd() *metrics.Table {
 		check(aerr == nil, "E9: no alice row")
 		id, uerr := site.ProcessUpload(context.Background(), alice["id"].(int64), "Nobody music video", "pop dance cover", data)
 		check(uerr == nil, "E9: upload: %v", uerr)
+		site.DrainTranscodes()
 		videoID = id
 		speedup := site.Metrics().Histogram("conversion_speedup").Mean()
 		check(speedup > 1, "E9: parallel conversion speedup %.2f <= 1", speedup)
@@ -149,6 +151,7 @@ func E10FullStack() *metrics.Table {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: boot: %v", err))
 	}
+	defer vc.Close()
 	st := vc.Status()
 	check(len(st.VMs) == 5, "E10: %d VMs", len(st.VMs))
 	for _, vm := range st.VMs {
@@ -164,6 +167,7 @@ func E10FullStack() *metrics.Table {
 	data, _ := video.Generate(src, 60, 7)
 	id, err := vc.Site().ProcessUpload(context.Background(), 1, "Full stack stream", "served from VM-hosted HDFS", data)
 	check(err == nil, "E10: upload: %v", err)
+	vc.DrainTranscodes()
 	t.AddRow("upload", "converted on data VMs, stored in VM-hosted HDFS")
 
 	res, err := vc.ReindexMR()

@@ -45,6 +45,7 @@ func E9bConcurrentLoad() *metrics.Table {
 	if err != nil {
 		panic(err)
 	}
+	defer site.Close()
 	// Seed a small catalog as the admin (user id 1).
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000}
 	var ids []int64
@@ -60,6 +61,7 @@ func E9bConcurrentLoad() *metrics.Table {
 		}
 		ids = append(ids, id)
 	}
+	site.DrainTranscodes()
 	srv := newLocalServer(site)
 	defer srv.close()
 

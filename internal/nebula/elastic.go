@@ -1,6 +1,7 @@
 package nebula
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -26,9 +27,6 @@ import (
 //     taking work, finishes what it has (bounded by Drain.Deadline, past
 //     which OnExpire requeues the remainder), and only then terminates.
 //     Scale-out reclaims draining instances before booting new ones.
-//
-// It replaces the single-metric AutoScaler for fleet management; the old
-// scaler remains for simple one-signal uses and now drains on scale-down too.
 type ElasticController struct {
 	cloud *Cloud
 	opts  ElasticOptions
@@ -110,6 +108,9 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 	o.Drain = o.Drain.withDefaults()
 	return o
 }
+
+// ErrScalerConfig reports invalid controller parameters.
+var ErrScalerConfig = errors.New("nebula: invalid elastic-controller configuration")
 
 func (o ElasticOptions) validate() error {
 	if o.Min < 0 || o.Max < o.Min || o.Max == 0 {

@@ -18,6 +18,13 @@ func stateSeq(rec *VMRecord) string {
 	return strings.Join(seq, ",")
 }
 
+func streamerTemplate() Template {
+	tpl := webTemplate("streamer")
+	tpl.VCPUs = 1
+	tpl.MemoryBytes = 1 * gb
+	return tpl
+}
+
 // Graceful retirement: the instance stops taking work, finishes what it has,
 // and only then shuts down — never a kill with work in flight.
 func TestDrainCompletesInFlightThenShutsDown(t *testing.T) {
@@ -187,57 +194,6 @@ func TestDrainExpiresOnHostFailure(t *testing.T) {
 	}
 	if c.Metrics().Counter("drain_deadline_expired").Value() != 1 {
 		t.Fatal("host-failure expiry not counted")
-	}
-}
-
-// Regression for the old AutoScaler behaviour: scale-down used to Shutdown
-// instances outright. It must now drain them — every retired instance shows
-// a draining phase before shutdown.
-func TestAutoScalerDrainsBeforeRetiring(t *testing.T) {
-	c := testCloud(t, 8, Options{})
-	metric := func(now time.Duration) float64 {
-		if now < 2*time.Hour {
-			return 6
-		}
-		return 1
-	}
-	a := NewAutoScaler(c, streamerTemplate(), 1, 8)
-	a.Metric = metric
-	inflight := map[string]int{}
-	a.Drain = DrainOptions{
-		InFlight: func(name string) int {
-			if inflight[name] > 0 {
-				inflight[name]--
-				return inflight[name] + 1
-			}
-			return 0
-		},
-	}
-	if err := a.Start(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(4 * time.Hour)
-	a.Stop()
-	c.WaitIdle()
-
-	reg := c.Metrics()
-	in := reg.Counter("autoscale_in").Value()
-	if in == 0 {
-		t.Fatal("no scale-in happened")
-	}
-	if got := reg.Counter("drains_started").Value(); got != in {
-		t.Fatalf("drains_started = %d, autoscale_in = %d: scale-down bypassed the drain path", got, in)
-	}
-	// No retired instance may skip the draining phase.
-	for id := 1; id < 64; id++ {
-		rec, err := c.VM(id)
-		if err != nil {
-			break
-		}
-		seq := stateSeq(rec)
-		if strings.Contains(seq, "shutdown") && !strings.Contains(seq, "draining,shutdown") {
-			t.Fatalf("vm %d was killed without draining: %s", id, seq)
-		}
 	}
 }
 
@@ -414,6 +370,30 @@ func TestElasticReclaimsDrainingOnSpike(t *testing.T) {
 	}
 	if !reclaimedTwice {
 		t.Fatal("no instance re-joined service after reclaim")
+	}
+}
+
+// Hysteresis: demand that keeps utilization inside the (LoLoad, HiLoad) band
+// moves the fleet in neither direction.
+func TestElasticSteadyDemandHolds(t *testing.T) {
+	c := testCloud(t, 8, Options{})
+	e, err := NewElasticController(c, ElasticOptions{
+		Template: streamerTemplate(),
+		Min:      3, Max: 8,
+		Signal: func(time.Duration) float64 { return 2.0 }, // util 2/3 at the floor
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Hour)
+	st := e.Stats()
+	e.Stop()
+	c.WaitIdle()
+	if st.Instances != 3 || st.ScaleOuts != 0 || st.ScaleIns != 0 {
+		t.Fatalf("steady in-band demand moved the fleet: %+v", st)
 	}
 }
 

@@ -32,17 +32,14 @@ type fqFlow[T any] struct {
 // service interleaves proportionally to weight no matter how deep one
 // flow's backlog runs.
 //
-// Backpressure is two-tier, preserving the legacy single-operator
-// contract while isolating weighted tenants:
-//
-//   - The legacy flow (weight <= 0, from unauthenticated/default traffic)
-//     is never throttled: when the queue is full its Push blocks, exactly
-//     like the plain channel it replaces.
-//   - A weighted flow whose own backlog has reached its fair share of the
-//     queue capacity gets an immediate ThrottleError (mapped to HTTP 429 +
-//     Retry-After) instead of being allowed to crowd out other flows; a
-//     weighted flow under its share blocks only when the queue is globally
-//     full of under-share work.
+// Backpressure is one contract for every flow, the default tenant's
+// included: a flow whose own backlog has reached its fair share of the
+// queue capacity gets an immediate ThrottleError (mapped to HTTP 429 +
+// Retry-After) instead of being allowed to crowd out other flows; a flow
+// under its share blocks only when the queue is globally full of other
+// flows' under-share work. With no other flow backlogged the share is the
+// whole capacity, so a lone flow is throttled exactly when the queue is
+// full.
 type FairQueue[T any] struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
@@ -57,9 +54,6 @@ type FairQueue[T any] struct {
 	throttles int64
 }
 
-// legacyFlow is the internal flow name for weight<=0 pushes.
-const legacyFlow = "\x00legacy"
-
 // NewFairQueue builds a fair queue holding at most capacity items.
 func NewFairQueue[T any](capacity int) *FairQueue[T] {
 	if capacity < 1 {
@@ -73,12 +67,12 @@ func NewFairQueue[T any](capacity int) *FairQueue[T] {
 
 // Push enqueues item on the named flow. cost is the item's service cost in
 // arbitrary consistent units (e.g. source video seconds); larger costs push
-// the flow's next turn further out. See the type comment for the blocking
-// vs throttling contract. Returns ErrQueueClosed after Close.
+// the flow's next turn further out. weight and cost are floored at 1. See
+// the type comment for the blocking vs throttling contract. Returns
+// ErrQueueClosed after Close.
 func (q *FairQueue[T]) Push(flowName string, weight int, cost float64, item T) error {
-	legacy := weight <= 0
-	if legacy {
-		flowName, weight = legacyFlow, 1
+	if weight < 1 {
+		weight = 1
 	}
 	if cost <= 0 {
 		cost = 1
@@ -90,7 +84,7 @@ func (q *FairQueue[T]) Push(flowName string, weight int, cost float64, item T) e
 			return ErrQueueClosed
 		}
 		f := q.flows[flowName]
-		if !legacy && f != nil && len(f.entries) >= q.shareLocked(flowName, weight) {
+		if f != nil && len(f.entries) >= q.shareLocked(flowName, weight) {
 			q.throttles++
 			return &ThrottleError{
 				Flow:       flowName,
@@ -122,7 +116,7 @@ func (q *FairQueue[T]) Push(flowName string, weight int, cost float64, item T) e
 	return nil
 }
 
-// shareLocked computes a weighted flow's fair share of the queue capacity:
+// shareLocked computes a flow's fair share of the queue capacity:
 // capacity * weight / (total weight of currently backlogged flows,
 // counting the pusher once), floored at 1 so every tenant can always have
 // at least one job queued.
@@ -173,7 +167,7 @@ func (q *FairQueue[T]) Pop() (item T, ok bool) {
 	head := best.entries[0]
 	copy(best.entries, best.entries[1:])
 	best.entries = best.entries[:len(best.entries)-1]
-	if len(best.entries) == 0 && best.name != legacyFlow {
+	if len(best.entries) == 0 {
 		// Idle flows are pruned so long-lived queues do not accumulate
 		// per-tenant state; lastFinish restarts from virt on return,
 		// which SFQ tolerates (virt only moves forward).
@@ -214,8 +208,7 @@ func (q *FairQueue[T]) Full() bool {
 	return q.size >= q.capacity
 }
 
-// Backlog returns the named flow's queued-item count ("" or weight<=0
-// flows live under the legacy flow).
+// Backlog returns the named flow's queued-item count.
 func (q *FairQueue[T]) Backlog(flowName string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

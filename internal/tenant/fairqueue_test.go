@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,30 +111,88 @@ func TestFairQueueCostAware(t *testing.T) {
 	}
 }
 
-// TestFairQueueLegacyBlocksNeverThrottles pins the backwards-compat
-// contract: the weight<=0 legacy flow blocks on a full queue (like the
-// plain channel it replaced) and is never refused.
-func TestFairQueueLegacyBlocksNeverThrottles(t *testing.T) {
-	q := NewFairQueue[int](1)
-	if err := q.Push("", 0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	unblocked := make(chan error, 1)
-	go func() { unblocked <- q.Push("", 0, 1, 2) }()
-	select {
-	case err := <-unblocked:
-		t.Fatalf("legacy push did not block on full queue: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if _, ok := q.Pop(); !ok {
-		t.Fatal("pop failed")
-	}
-	if err := <-unblocked; err != nil {
-		t.Fatalf("unblocked push: %v", err)
-	}
-	if q.Throttles() != 0 {
-		t.Fatalf("legacy flow throttled %d times", q.Throttles())
-	}
+// TestFairQueueDefaultFlowIsOrdinary pins the single admission contract: the
+// default tenant's flow is throttled, pruned and blocked by exactly the
+// rules every other flow follows, and a non-positive weight is weight 1.
+func TestFairQueueDefaultFlowIsOrdinary(t *testing.T) {
+	t.Run("throttled at its share", func(t *testing.T) {
+		q := NewFairQueue[int](2)
+		for i := 0; i < 2; i++ {
+			if err := q.Push(DefaultName, 1, 1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Alone in the queue its share is the whole capacity: the push that
+		// used to block forever is refused at once with the typed error.
+		err := q.Push(DefaultName, 1, 1, 2)
+		var te *ThrottleError
+		if !errors.As(err, &te) || te.Flow != DefaultName || te.Backlog != 2 || te.Share != 2 || te.RetryAfter <= 0 {
+			t.Fatalf("push at share: err = %v (%+v)", err, te)
+		}
+		if q.Throttles() != 1 || q.Len() != 2 {
+			t.Fatalf("throttles = %d, len = %d", q.Throttles(), q.Len())
+		}
+	})
+	t.Run("pruned when idle", func(t *testing.T) {
+		q := NewFairQueue[int](2)
+		q.Push(DefaultName, 1, 1, 1)
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("pop failed")
+		}
+		q.mu.Lock()
+		flows := len(q.flows)
+		q.mu.Unlock()
+		if flows != 0 {
+			t.Fatalf("%d flows kept after the default flow went idle", flows)
+		}
+	})
+	t.Run("blocks under share on a full queue", func(t *testing.T) {
+		q := NewFairQueue[int](2)
+		q.Push("bulk", 1, 1, 1)
+		q.Push("bulk", 1, 1, 2) // bulk alone: share 2, queue now globally full
+		unblocked := make(chan error, 1)
+		go func() { unblocked <- q.Push(DefaultName, 1, 1, 3) }()
+		select {
+		case err := <-unblocked:
+			t.Fatalf("under-share push did not block on a full queue: %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("pop failed")
+		}
+		if err := <-unblocked; err != nil {
+			t.Fatalf("unblocked push: %v", err)
+		}
+		if q.Throttles() != 0 || q.Backlog(DefaultName) != 1 {
+			t.Fatalf("throttles = %d, default backlog = %d", q.Throttles(), q.Backlog(DefaultName))
+		}
+	})
+	t.Run("weight 0 is weight 1", func(t *testing.T) {
+		// Two equal-cost backlogs, one pushed with weight 0 and one with
+		// weight 1, share a cap-4 queue 2/2 and are served alternately.
+		q := NewFairQueue[string](4)
+		for i := 0; i < 2; i++ {
+			if err := q.Push("zero", 0, 1, "zero"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if err := q.Push("one", 1, 1, "one"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := q.Push("zero", 0, 1, "zero"); !errors.Is(err, ErrThrottled) {
+			t.Fatalf("weight-0 flow past its half of the queue: %v", err)
+		}
+		var order []string
+		for i := 0; i < 4; i++ {
+			it, _ := q.Pop()
+			order = append(order, it)
+		}
+		if got := strings.Join(order, ","); got != "one,zero,one,zero" {
+			t.Fatalf("service order = %s, want strict alternation", got)
+		}
+	})
 }
 
 // TestFairQueueThrottlesOverShare pins tenant isolation: a weighted flow
@@ -185,7 +244,7 @@ func TestFairQueueCloseSemantics(t *testing.T) {
 	q.Push("a", 1, 1, 1)
 	q.Push("a", 1, 1, 2)
 	blocked := make(chan error, 1)
-	go func() { blocked <- q.Push("", 0, 1, 3) }() // legacy, blocks on full
+	go func() { blocked <- q.Push("b", 1, 1, 3) }() // under share, blocks on full
 	time.Sleep(20 * time.Millisecond)
 	q.Close()
 	if err := <-blocked; !errors.Is(err, ErrQueueClosed) {
@@ -211,7 +270,7 @@ func TestFairQueueCloseSemantics(t *testing.T) {
 func TestFairQueueConcurrent(t *testing.T) {
 	q := NewFairQueue[int](8)
 	const perFlow = 200
-	flows := []string{"", "a", "b", "c"} // "" = legacy
+	flows := []string{DefaultName, "a", "b", "c"}
 	var pushWG sync.WaitGroup
 	var pushed, throttled sync.Map
 	var pushedCount, throttledCount int64
@@ -220,14 +279,10 @@ func TestFairQueueConcurrent(t *testing.T) {
 		pushWG.Add(1)
 		go func(fi int, flow string) {
 			defer pushWG.Done()
-			weight := 1
-			if flow == "" {
-				weight = 0
-			}
 			for i := 0; i < perFlow; i++ {
 				id := fi*perFlow + i
 				for {
-					err := q.Push(flow, weight, 1, id)
+					err := q.Push(flow, 1, 1, id)
 					if err == nil {
 						pushed.Store(id, true)
 						mu.Lock()

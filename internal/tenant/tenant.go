@@ -24,8 +24,8 @@ import (
 )
 
 // DefaultName is the implicit tenant every unauthenticated request and
-// legacy caller runs as. It is created by NewRegistry with no quota limits
-// and legacy queue semantics (blocking backpressure, never throttled).
+// session caller runs as. It is created by NewRegistry with no quota limits
+// and weight 1; in the transcode queue it is a flow like any other.
 const DefaultName = "default"
 
 // maxTenants bounds the registry so per-tenant metric label cardinality is

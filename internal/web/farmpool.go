@@ -237,9 +237,5 @@ func (s *Site) FarmNodes() []FarmNodeStat {
 // TranscodeLoad is the elasticity signal: jobs waiting in the intake queue
 // plus conversions executing right now (uploads and live pushes alike).
 func (s *Site) TranscodeLoad() int {
-	load := s.pool.activeConversions()
-	if q := s.queue; q != nil {
-		load += q.fq.Len()
-	}
-	return load
+	return s.pool.activeConversions() + s.queue.fq.Len()
 }

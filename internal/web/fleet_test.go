@@ -44,12 +44,14 @@ func newFleet(t testing.TB, n, shards int) []*Site {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(primary.Close)
 	sites := []*Site{primary}
 	for i := 1; i < n; i++ {
 		rep, rerr := NewReplica(cfg, primary)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
+		t.Cleanup(rep.Close)
 		sites = append(sites, rep)
 	}
 	return sites
@@ -66,6 +68,7 @@ func uploadTestVideo(t testing.TB, s *Site, title string, seed uint64) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.DrainTranscodes()
 	return id
 }
 

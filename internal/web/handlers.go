@@ -326,13 +326,14 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 // the FUSE mount into HDFS, and index it for search. Exposed so experiments
 // can drive uploads without HTTP multipart overhead.
 //
-// With TranscodeWorkers configured the conversion happens asynchronously:
-// the call returns the video id as soon as the row (status "processing") is
-// queued, and the pool flips it to "ready" when playable. Without workers
-// the conversion runs inline and a failed upload leaves no row behind.
+// The conversion happens asynchronously: the call returns the video id as
+// soon as the row (status "processing") is queued, and the transcode pool
+// flips it to "ready" when playable or to "failed" if the conversion fails.
+// A tenant over its fair share of the queue is refused with a
+// tenant.ThrottleError and leaves no row behind.
 //
-// ctx carries the request's trace span (and cancellation for the synchronous
-// path); the farm, store, and queue spans all become children of it.
+// ctx carries the request's trace span; the queue, farm, and store spans all
+// become children of it.
 func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, description string, data []byte) (int64, error) {
 	psp := trace.FromContext(ctx).StartChild("video.probe")
 	info, err := video.Probe(data)
@@ -369,24 +370,16 @@ func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, descr
 	isp.End()
 	trace.FromContext(ctx).AnnotateInt("video_id", id)
 	s.noteVideoTenant(id, adm.ten.Name())
-	if s.queue != nil {
-		if qerr := s.enqueueTranscode(ctx, transcodeJob{
-			videoID: id, title: title, description: description,
-			data: data, enqueued: time.Now(), adm: adm,
-		}); qerr != nil {
-			// Throttled or shut down: no one will ever convert the row, so
-			// remove it and return the reservations.
-			s.db.Delete("videos", id)
-			s.noteVideoTenant(id, "")
-			adm.release()
-			return 0, qerr
-		}
-		return id, nil
-	}
-	if err := s.transcodeAndPublish(ctx, id, title, description, data, adm); err != nil {
+	if qerr := s.enqueueTranscode(ctx, transcodeJob{
+		videoID: id, title: title, description: description,
+		data: data, enqueued: time.Now(), adm: adm,
+	}); qerr != nil {
+		// Throttled or shut down: no one will ever convert the row, so
+		// remove it and return the reservations.
 		s.db.Delete("videos", id)
 		s.noteVideoTenant(id, "")
-		return 0, err
+		adm.release()
+		return 0, qerr
 	}
 	return id, nil
 }

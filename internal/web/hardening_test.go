@@ -77,6 +77,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	site.DrainTranscodes()
 
 	const loops = 6
 	// Pre-render the upload payloads: test helpers must not Fatal from

@@ -3,8 +3,10 @@ package web
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRouteMetricsRecorded drives the main routes and checks that the
@@ -18,6 +20,11 @@ func TestRouteMetricsRecorded(t *testing.T) {
 	b.get("/")
 	b.get("/search?q=metrics")
 	b.get(strings.Replace(watch, "/watch/", "/stream/", 1))
+	// A response can reach the client before the middleware's deferred
+	// bookkeeping has run; wait for the last request to leave the site.
+	for deadline := time.Now().Add(5 * time.Second); site.inflightNow.Load() != 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 
 	stats := map[string]RouteStats{}
 	for _, rs := range site.RouteStats() {

@@ -31,10 +31,14 @@ const (
 	statusEnded      = "ended"
 )
 
-// defaultTranscodeQueueCap bounds the async intake when the config leaves
-// TranscodeQueueCap zero. A full queue blocks uploaders (backpressure)
+// defaultTranscodeWorkers and defaultTranscodeQueueCap size the pool when
+// the config leaves TranscodeWorkers / TranscodeQueueCap zero. The queue is
+// bounded: a full one refuses or blocks uploaders (see tenant.FairQueue)
 // instead of dropping jobs or growing without bound.
-const defaultTranscodeQueueCap = 64
+const (
+	defaultTranscodeWorkers  = 1
+	defaultTranscodeQueueCap = 64
+)
 
 // transcodeJob is one upload waiting for farm conversion. ctx is the queue's
 // base context re-parented with the uploading request's trace span, so the
@@ -57,15 +61,14 @@ type transcodeJob struct {
 // Intake is a weighted start-time-fair queue: each tenant is a flow, so a
 // bulk tenant's backlog interleaves with — instead of running ahead of —
 // everyone else's, and a flow over its fair share is throttled with a
-// typed error (429) rather than crowding the queue. The default tenant
-// keeps the legacy contract: blocking backpressure, never throttled.
+// typed error (429) rather than crowding the queue.
 type transcodeQueue struct {
 	fq       *tenant.FairQueue[transcodeJob]
 	nworkers int
 	baseCtx  context.Context // cancelled by Close after the drain
 	cancel   context.CancelFunc
-	mu       sync.Mutex // guards closed and admission into pending
-	closed   bool       // set by Close; enqueueTranscode fails fast after
+	mu       sync.Mutex     // guards closed and admission into pending
+	closed   bool           // set by Close; enqueueTranscode fails fast after
 	pending  sync.WaitGroup // jobs accepted but not yet published/failed
 	workers  sync.WaitGroup // worker goroutines
 	stop     sync.Once
@@ -75,12 +78,10 @@ type transcodeQueue struct {
 	failed    atomic.Int64
 }
 
-// startTranscoders launches the async conversion pool. workers == 0 keeps
-// the site in synchronous mode (ProcessUpload converts inline before
-// returning), the behaviour every pre-queue caller relies on.
+// startTranscoders launches the conversion pool every upload goes through.
 func (s *Site) startTranscoders(workers, queueCap int) {
 	if workers == 0 {
-		return
+		workers = defaultTranscodeWorkers
 	}
 	if queueCap <= 0 {
 		queueCap = defaultTranscodeQueueCap
@@ -106,12 +107,13 @@ func (s *Site) startTranscoders(workers, queueCap int) {
 // errSiteClosed rejects uploads that race Site.Close.
 var errSiteClosed = errors.New("web: site is shut down, not accepting uploads")
 
-// enqueueTranscode hands an upload to the pool. When the queue is full the
-// send blocks — upload handlers slow down rather than the queue growing
-// unboundedly — and the stall is counted in transcode_backpressure. After
-// Close it returns errSiteClosed instead of sending: admission into the
-// pending group happens under the queue mutex, so Close can wait out every
-// accepted sender before it closes the channel.
+// enqueueTranscode hands an upload to the pool. A tenant whose backlog has
+// reached its fair share is refused with a tenant.ThrottleError; an
+// under-share push into a full queue blocks — upload handlers slow down
+// rather than the queue growing unboundedly — and the stall is counted in
+// transcode_backpressure. After Close it returns errSiteClosed instead of
+// sending: admission into the pending group happens under the queue mutex,
+// so Close can wait out every accepted sender before it closes the queue.
 func (s *Site) enqueueTranscode(ctx context.Context, job transcodeJob) error {
 	q := s.queue
 	q.mu.Lock()
@@ -122,38 +124,28 @@ func (s *Site) enqueueTranscode(ctx context.Context, job transcodeJob) error {
 	q.pending.Add(1)
 	q.mu.Unlock()
 	// The job runs on the queue's lifetime but keeps the request's span
-	// linkage: the worker's spans land in the uploading request's trace. The
-	// Hold keeps the trace from flushing between the HTTP response and the
-	// worker dequeuing the job; runTranscodeJob releases it.
-	job.ctx = trace.Reparent(q.baseCtx, ctx)
-	if job.adm == nil {
-		job.adm = &admission{}
-	}
-	// Reparent drops context values, so the tenant identity is re-attached
-	// explicitly: the worker's HDFS writes must still attribute to the
-	// uploading tenant.
-	if job.adm.ten != nil {
-		job.ctx = tenant.WithContext(job.ctx, job.adm.ten, tenant.RoleWriter)
-	}
+	// linkage: the worker's spans land in the uploading request's trace.
+	// Reparent drops context values, so the tenant identity (admitUpload
+	// always names one) is re-attached explicitly: the worker's HDFS writes
+	// must still attribute to the uploading tenant. The Hold keeps the trace
+	// from flushing between the HTTP response and the worker dequeuing the
+	// job; runTranscodeJob releases it.
+	ten := job.adm.ten
+	job.ctx = tenant.WithContext(trace.Reparent(q.baseCtx, ctx), ten, tenant.RoleWriter)
 	trace.FromContext(job.ctx).Hold()
-	// Weighted tenants are distinct fair-queue flows with the job's source
-	// seconds as its cost; the default tenant is the legacy flow (weight 0:
-	// blocking backpressure, never throttled).
-	flow, weight := "", 0
-	if ten := job.adm.ten; ten != nil && !ten.IsDefault() {
-		flow, weight = ten.Name(), ten.Weight()
-	}
 	if q.fq.Full() {
 		s.reg.Counter("transcode_backpressure").Inc()
-		trace.FromContext(ctx).Annotate("backpressure", "intake queue full, send blocked")
+		trace.FromContext(ctx).Annotate("backpressure", "intake queue full")
 	}
-	if perr := q.fq.Push(flow, weight, job.adm.srcSecs, job); perr != nil {
+	// Every tenant, the default one included, is its own fair-queue flow
+	// with the job's source seconds as its cost.
+	if perr := q.fq.Push(ten.Name(), ten.Weight(), job.adm.srcSecs, job); perr != nil {
 		trace.FromContext(job.ctx).Release()
 		q.pending.Done()
 		if errors.Is(perr, tenant.ErrThrottled) {
-			job.adm.ten.CountThrottle()
+			ten.CountThrottle()
 			s.reg.Counter("transcode_throttled").Inc()
-			s.tenantCounter("throttles", flow).Inc()
+			s.tenantCounter("throttles", ten.Name()).Inc()
 			return perr
 		}
 		return errSiteClosed
@@ -204,11 +196,12 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 // status=ready, search index, recent-list invalidation, metrics.
 //
 // Quota/ledger contract (adm): on any failure every reservation is released
-// here — callers only remove the row. On success the byte reservation is
-// corrected to the exact stored size BEFORE the first write (so the tenant's
-// reservation always covers what HDFS actually holds: overshoot is
-// impossible by construction) and kept as the tenant's stored usage; the
-// ledger gets exactly one bytes_stored and one transcode_seconds event.
+// here — the caller only marks the row failed. On success the byte
+// reservation is corrected to the exact stored size BEFORE the first write
+// (so the tenant's reservation always covers what HDFS actually holds:
+// overshoot is impossible by construction) and kept as the tenant's stored
+// usage; the ledger gets exactly one bytes_stored and one transcode_seconds
+// event.
 func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, description string, data []byte, adm *admission) error {
 	specs := append([]video.Spec{s.target}, s.renditions...)
 	results, err := s.convertPooled(ctx, data, specs)
@@ -289,14 +282,17 @@ func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, descrip
 	if adm.ten != nil {
 		row["tenant"] = adm.ten.Name()
 	}
+	// Index before the row flips to ready: a title that streams must already
+	// be searchable.
+	s.Index().Add(search.Document{ID: id, Title: title, Body: description})
 	if uerr := s.db.Update("videos", id, row); uerr != nil {
 		psp.SetError(uerr)
 		psp.End()
+		s.Index().Remove(id)
 		unstore()
 		adm.release()
 		return uerr
 	}
-	s.Index().Add(search.Document{ID: id, Title: title, Body: description})
 	s.invalidateRecent()
 	psp.End()
 	// Publish succeeded: meter usage exactly once. The byte reservation is
@@ -341,24 +337,17 @@ func (s *Site) convertPooled(ctx context.Context, data []byte, specs []video.Spe
 
 // DrainTranscodes blocks until every job accepted so far has been published
 // or marked failed. Experiments and tests call it to observe the steady
-// state; a synchronous site returns immediately.
-func (s *Site) DrainTranscodes() {
-	if s.queue != nil {
-		s.queue.pending.Wait()
-	}
-}
+// state.
+func (s *Site) DrainTranscodes() { s.queue.pending.Wait() }
 
 // Close shuts the transcode pool down after draining queued jobs. Uploads
 // that race Close fail fast with an error instead of pushing into a closed
 // queue: Close marks the queue closed first, waits for every already
 // accepted job (including pushers still blocked on a full queue — workers
 // keep draining until the fair queue closes), and only then closes it.
-// It is idempotent and a no-op for a synchronous site.
+// It is idempotent.
 func (s *Site) Close() {
 	q := s.queue
-	if q == nil {
-		return
-	}
 	q.stop.Do(func() {
 		q.mu.Lock()
 		q.closed = true
@@ -370,12 +359,12 @@ func (s *Site) Close() {
 	})
 }
 
-// TranscodeStats summarises the async conversion pool for dashboards
+// TranscodeStats summarises the conversion pool for dashboards
 // (core.Status carries it).
 type TranscodeStats struct {
-	// Workers is the pool size; 0 means the site converts synchronously.
+	// Workers is the pool size.
 	Workers int
-	// QueueCap is the intake bound; sends past it block the uploader.
+	// QueueCap is the intake bound; pushes past it are throttled or block.
 	QueueCap int
 	// QueueDepth is the number of jobs waiting right now.
 	QueueDepth int
@@ -404,7 +393,15 @@ type TranscodeStats struct {
 // TranscodeStats reports the pool's current state.
 func (s *Site) TranscodeStats() TranscodeStats {
 	wait := s.reg.Histogram("transcode_wait_seconds").Snapshot()
+	q := s.queue
 	st := TranscodeStats{
+		Workers:         q.nworkers,
+		QueueCap:        q.fq.Cap(),
+		QueueDepth:      q.fq.Len(),
+		Enqueued:        q.enqueued.Load(),
+		Completed:       q.completed.Load(),
+		Failed:          q.failed.Load(),
+		Throttled:       q.fq.Throttles(),
 		WaitSeconds:     wait.Mean,
 		WaitP99Seconds:  wait.P99,
 		WallSeconds:     s.reg.Histogram("conversion_wall_seconds").Mean(),
@@ -412,14 +409,5 @@ func (s *Site) TranscodeStats() TranscodeStats {
 		Requeues:        s.reg.Counter("transcode_requeues").Value(),
 	}
 	st.Nodes, st.ActiveConversions = s.pool.snapshot()
-	if q := s.queue; q != nil {
-		st.Workers = q.nworkers
-		st.QueueCap = q.fq.Cap()
-		st.QueueDepth = q.fq.Len()
-		st.Enqueued = q.enqueued.Load()
-		st.Completed = q.completed.Load()
-		st.Failed = q.failed.Load()
-		st.Throttled = q.fq.Throttles()
-	}
 	return st
 }

@@ -152,84 +152,124 @@ func TestAsyncUploadFailureMarksRow(t *testing.T) {
 
 // TestConcurrentUploadsThroughSharedPool drives many simultaneous uploads
 // through one worker pool; run under -race (make tier1) it gates the
-// queue's synchronization. Every upload must come out ready.
+// queue's synchronization. Every upload returns a "processing" id and comes
+// out ready once the pool drains. TranscodeWorkers 0 is not a separate mode:
+// it is the default pool of one worker, and converts the same way.
 func TestConcurrentUploadsThroughSharedPool(t *testing.T) {
-	site := asyncSite(t, 3, 4, nil)
 	const uploads = 8
-	ids := make([]int64, uploads)
-	var wg sync.WaitGroup
-	for i := 0; i < uploads; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id, err := site.ProcessUpload(context.Background(), site.AdminID(),
-				fmt.Sprintf("clip %d", i), "concurrent", testUploadMedia(t, 8+2*i, uint64(i+1)))
-			if err != nil {
-				t.Error(err)
-				return
+	for _, tc := range []struct{ configured, workers int }{{0, 1}, {3, 3}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.configured), func(t *testing.T) {
+			gate := make(chan struct{})
+			site := asyncSite(t, tc.configured, uploads, func(string, int) error {
+				<-gate // no conversion finishes before every upload has returned
+				return nil
+			})
+			ids := make([]int64, uploads)
+			var wg sync.WaitGroup
+			for i := 0; i < uploads; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					id, err := site.ProcessUpload(context.Background(), site.AdminID(),
+						fmt.Sprintf("clip %d", i), "concurrent", testUploadMedia(t, 8+2*i, uint64(i+1)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ids[i] = id
+				}(i)
 			}
-			ids[i] = id
-		}(i)
-	}
-	wg.Wait()
-	site.DrainTranscodes()
-	for i, id := range ids {
-		if id == 0 {
-			continue // upload already reported its error
-		}
-		if got := videoStatus(t, site, id); got != statusReady {
-			t.Fatalf("upload %d: status %q, want ready", i, got)
-		}
-	}
-	if st := site.TranscodeStats(); st.Enqueued != uploads || st.Completed != uploads {
-		t.Fatalf("stats = %+v", st)
+			wg.Wait()
+			for i, id := range ids {
+				if id == 0 {
+					continue // upload already reported its error
+				}
+				if got := videoStatus(t, site, id); got != statusProcessing {
+					t.Errorf("upload %d: status %q right after upload, want processing", i, got)
+				}
+			}
+			close(gate)
+			site.DrainTranscodes()
+			for i, id := range ids {
+				if id == 0 {
+					continue
+				}
+				if got := videoStatus(t, site, id); got != statusReady {
+					t.Fatalf("upload %d: status %q, want ready", i, got)
+				}
+			}
+			st := site.TranscodeStats()
+			if st.Workers != tc.workers || st.Enqueued != uploads || st.Completed != uploads || st.Failed != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }
 
-// TestQueueBackpressure fills a cap-1 queue behind a blocked worker and
-// checks the overflowing upload blocks (and is counted) instead of being
-// dropped: all three uploads still convert.
-func TestQueueBackpressure(t *testing.T) {
+// TestFullQueueThrottlesSessionUpload fills a cap-1 queue behind a parked
+// worker, then uploads once more from the same logged-in session (the default
+// tenant, alone in the queue, so its fair share is the whole capacity): the
+// POST must answer 429 + Retry-After at once instead of blocking the
+// handler, and must leave no orphan row and no leaked reservation. Once the
+// pool drains the same upload is accepted.
+func TestFullQueueThrottlesSessionUpload(t *testing.T) {
 	gate := make(chan struct{})
 	var openOnce sync.Once
 	open := func() { openOnce.Do(func() { close(gate) }) }
 	defer open()
-	var hold sync.Once
+	started := make(chan struct{})
+	var startOnce sync.Once
 	site := asyncSite(t, 1, 1, func(string, int) error {
-		hold.Do(func() { <-gate }) // first task parks the only worker
+		startOnce.Do(func() { close(started) })
+		<-gate
 		return nil
 	})
+	b := newBrowser(t, site)
+	b.registerAndLogin("dave", "pw")
 
 	first, err := site.ProcessUpload(context.Background(), site.AdminID(), "first", "", testUploadMedia(t, 8, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := site.ProcessUpload(context.Background(), site.AdminID(), "second", "", testUploadMedia(t, 8, 22)); err != nil {
-		t.Fatal(err) // fills the single queue slot
+	<-started // the only worker holds the first job; the second fills the one slot
+	second, err := site.ProcessUpload(context.Background(), site.AdminID(), "second", "", testUploadMedia(t, 8, 22))
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan int64)
-	go func() {
-		id, uerr := site.ProcessUpload(context.Background(), site.AdminID(), "third", "", testUploadMedia(t, 8, 23))
-		if uerr != nil {
-			t.Error(uerr)
-		}
-		done <- id
-	}()
-	select {
-	case <-done:
-		t.Fatal("third upload returned although the queue was full")
-	default:
+	rowsBefore, _ := site.db.Count("videos")
+	heldBefore := site.tenants.Default().Reservations()
+
+	resp := b.postUpload("third", "", 8, 23)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("upload into a full queue: status %d, want 429", resp.StatusCode)
 	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	if rows, _ := site.db.Count("videos"); rows != rowsBefore {
+		t.Fatalf("throttled upload left a row: %d -> %d", rowsBefore, rows)
+	}
+	if held := site.tenants.Default().Reservations(); held.StorageBytes != heldBefore.StorageBytes ||
+		held.TranscodeWindowSecs != heldBefore.TranscodeWindowSecs {
+		t.Fatalf("throttled upload leaked a reservation: %+v -> %+v", heldBefore, held)
+	}
+	st := site.TranscodeStats()
+	if st.Throttled != 1 || st.Enqueued != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if site.Metrics().Counter("transcode_backpressure").Value() == 0 {
+		t.Fatal("full-queue push not counted as backpressure")
+	}
+
 	open()
-	third := <-done
 	site.DrainTranscodes()
-	for _, id := range []int64{first, third} {
+	for _, id := range []int64{first, second} {
 		if got := videoStatus(t, site, id); got != statusReady {
 			t.Fatalf("video %d: status %q after drain", id, got)
 		}
 	}
-	if site.Metrics().Counter("transcode_backpressure").Value() == 0 {
-		t.Fatal("backpressure stall not counted")
+	if resp := b.postUpload("third", "", 8, 23); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retry after drain: status %d", resp.StatusCode)
 	}
 }
 
@@ -256,40 +296,6 @@ func TestTranscodeConfigValidation(t *testing.T) {
 	}
 	if _, err := New(base); err != nil {
 		t.Fatalf("zero transcode config rejected: %v", err)
-	}
-}
-
-// TestSyncModeUnchanged pins the compatibility contract: without
-// TranscodeWorkers, ProcessUpload converts inline, the row comes out ready,
-// and a failed conversion leaves no row behind.
-func TestSyncModeUnchanged(t *testing.T) {
-	site, _ := newSite(t)
-	id, err := site.ProcessUpload(context.Background(), site.AdminID(), "inline", "", testUploadMedia(t, 10, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := videoStatus(t, site, id); got != statusReady {
-		t.Fatalf("sync upload status = %q, want ready immediately", got)
-	}
-	if st := site.TranscodeStats(); st.Workers != 0 || st.Enqueued != 0 {
-		t.Fatalf("sync site reports pool activity: %+v", st)
-	}
-	site.Close()           // no-op without a pool
-	site.DrainTranscodes() // likewise
-
-	// A conversion failure must not leave a phantom row.
-	mismatched, err := video.Generate(video.Spec{
-		Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 3, BitrateBps: 80_000,
-	}, 9, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, _ := site.db.Count("videos")
-	if _, err := site.ProcessUpload(context.Background(), site.AdminID(), "bad cadence", "", mismatched); err == nil {
-		t.Fatal("mismatched GOP cadence converted")
-	}
-	if after, _ := site.db.Count("videos"); after != before {
-		t.Fatalf("failed sync upload left a row: %d -> %d", before, after)
 	}
 }
 
@@ -360,36 +366,107 @@ func TestZeroGOPUploadRejected(t *testing.T) {
 // TestPartialStoreFailureCleansUp blocks the rendition path with a directory
 // so the second store write fails after the main file landed: the publish
 // must best-effort remove what it already wrote instead of orphaning
-// videos/<id>*.vcf in HDFS.
+// videos/<id>*.vcf in HDFS, and the row the uploader already holds must end
+// up failed, unsearchable, with its reservations returned.
 func TestPartialStoreFailureCleansUp(t *testing.T) {
-	cluster := hdfs.NewCluster(4, 256*1024)
-	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, err := New(Config{
-		Store:         mount,
-		Farm:          video.Farm{Nodes: []string{"dn0", "dn1"}},
-		Target:        video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000},
-		Renditions:    []video.Spec{{Codec: video.H264, Res: video.R360p, FPS: 30, GOPSeconds: 2, BitrateBps: 50_000}},
-		AdminUser:     "admin",
-		AdminPassword: "secret",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	site := asyncSite(t, 1, 4, nil)
 	// The first video row gets id 1; a directory at its 360p rendition path
 	// makes that WriteFile fail after videos/1.vcf has been stored.
-	if err := mount.Mkdir("videos/1-360p.vcf"); err != nil {
+	if err := site.store.Mkdir("videos/1-360p.vcf"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := site.ProcessUpload(context.Background(), site.AdminID(), "partial", "", testUploadMedia(t, 8, 61)); err == nil {
-		t.Fatal("upload with a blocked rendition path succeeded")
+	id, err := site.ProcessUpload(context.Background(), site.AdminID(), "partial", "", testUploadMedia(t, 8, 61))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mount.Exists("videos/1.vcf") {
+	site.DrainTranscodes()
+	if got := videoStatus(t, site, id); got != statusFailed {
+		t.Fatalf("upload with a blocked rendition path: status %q, want failed", got)
+	}
+	if site.store.Exists("videos/1.vcf") {
 		t.Fatal("main file orphaned in HDFS after partial store failure")
 	}
-	if n, _ := site.db.Count("videos"); n != 0 {
-		t.Fatalf("failed sync upload left %d rows", n)
+	if hits := site.Index().Search("partial", 5); len(hits) != 0 {
+		t.Fatalf("failed upload is searchable: %v", hits)
+	}
+	if held := site.tenants.Default().Reservations(); held.StorageBytes != 0 {
+		t.Fatalf("failed upload still holds %d reserved bytes", held.StorageBytes)
+	}
+}
+
+// publishOrderDB wraps the metadata store (the Config.DB seam) to observe
+// the instant a video row is written status=ready.
+type publishOrderDB struct {
+	videodb.Store
+	t         *testing.T
+	site      *Site
+	query     string
+	readyErr  error // returned from the status=ready Update when set
+	readySeen int
+}
+
+func (d *publishOrderDB) Update(table string, id int64, changes videodb.Row) error {
+	if table == "videos" && changes["status"] == statusReady {
+		d.readySeen++
+		if hits := d.site.Index().Search(d.query, 5); len(hits) != 1 || hits[0].Doc != id {
+			d.t.Errorf("video %d written status=ready before it is searchable (hits %v)", id, hits)
+		}
+		if d.readyErr != nil {
+			return d.readyErr
+		}
+	}
+	return d.Store.Update(table, id, changes)
+}
+
+// TestPublishIndexesBeforeReady is the publish-order regression: a title
+// must be in the search index by the time its row says ready (it used to be
+// streamable-but-unsearchable for a scheduling quantum), and a publish whose
+// row update fails must take the title back out of the index.
+func TestPublishIndexesBeforeReady(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		readyErr   error
+		wantStatus string
+		wantHits   int
+	}{
+		{"published", nil, statusReady, 1},
+		{"row update fails", errors.New("shard down"), statusFailed, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := hdfs.NewCluster(4, 256*1024)
+			mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := &publishOrderDB{Store: videodb.New(), t: t, query: "zanzibar", readyErr: tc.readyErr}
+			site, err := New(Config{
+				Store:  mount,
+				DB:     db,
+				Farm:   video.Farm{Nodes: []string{"dn0", "dn1"}},
+				Target: video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(site.Close)
+			db.site = site
+			id, err := site.ProcessUpload(context.Background(), site.AdminID(), "Zanzibar sunrise", "", testUploadMedia(t, 8, 71))
+			if err != nil {
+				t.Fatal(err)
+			}
+			site.DrainTranscodes()
+			if db.readySeen != 1 {
+				t.Fatalf("status=ready written %d times, want 1", db.readySeen)
+			}
+			if got := videoStatus(t, site, id); got != tc.wantStatus {
+				t.Fatalf("status = %q, want %q", got, tc.wantStatus)
+			}
+			if hits := site.Index().Search(db.query, 5); len(hits) != tc.wantHits {
+				t.Fatalf("search after drain: %d hits, want %d", len(hits), tc.wantHits)
+			}
+			if tc.readyErr != nil && mount.Exists(fmt.Sprintf("videos/%d.vcf", id)) {
+				t.Fatal("failed publish left its file in HDFS")
+			}
+		})
 	}
 }

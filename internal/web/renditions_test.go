@@ -31,6 +31,7 @@ func multiQualitySite(t *testing.T) *Site {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(site.Close)
 	return site
 }
 

@@ -50,14 +50,14 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; excess load is
 	// shed with 503. Zero selects a default of 256.
 	MaxInFlight int
-	// TranscodeWorkers sizes the asynchronous conversion pool. Zero keeps
-	// uploads synchronous (ProcessUpload converts before returning);
-	// positive values make uploads return immediately with status
-	// "processing" while the pool converts in the background. Negative is
-	// rejected.
+	// TranscodeWorkers sizes the conversion pool (default 1): uploads return
+	// immediately with status "processing" while the pool converts in the
+	// background. Negative is rejected.
 	TranscodeWorkers int
-	// TranscodeQueueCap bounds the async intake queue (default 64). A full
-	// queue blocks uploaders — backpressure, not unbounded buffering.
+	// TranscodeQueueCap bounds the intake queue (default 64). A tenant whose
+	// backlog reaches its fair share is told to retry (429); one under its
+	// share blocks while the queue is full — backpressure, not unbounded
+	// buffering.
 	TranscodeQueueCap int
 	// BreakerThreshold trips the HDFS read breaker after this many
 	// consecutive storage failures on the streaming path (default 5);
@@ -159,8 +159,7 @@ type Site struct {
 	segSeconds int
 	liveTTL    time.Duration
 
-	// queue is the async transcode pool (queue.go); nil in synchronous
-	// mode.
+	// queue is the transcode pool every upload converts on (queue.go).
 	queue *transcodeQueue
 
 	// hdfsBreaker fails streaming fast while the store is down

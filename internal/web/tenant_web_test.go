@@ -36,6 +36,7 @@ func newTenantSite(t testing.TB, reg *tenant.Registry) *Site {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(site.Close)
 	return site
 }
 

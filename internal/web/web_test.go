@@ -20,9 +20,10 @@ import (
 
 // browser is a cookie-keeping test client (a user's web browser).
 type browser struct {
-	t   *testing.T
-	c   *http.Client
-	srv *httptest.Server
+	t    *testing.T
+	c    *http.Client
+	srv  *httptest.Server
+	site *Site
 }
 
 func newSite(t testing.TB) (*Site, *hdfs.Cluster) {
@@ -43,6 +44,7 @@ func newSite(t testing.TB) (*Site, *hdfs.Cluster) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(site.Close)
 	return site, cluster
 }
 
@@ -51,7 +53,7 @@ func newBrowser(t *testing.T, site *Site) *browser {
 	srv := httptest.NewServer(site)
 	t.Cleanup(srv.Close)
 	jar, _ := cookiejar.New(nil)
-	return &browser{t: t, c: &http.Client{Jar: jar}, srv: srv}
+	return &browser{t: t, c: &http.Client{Jar: jar}, srv: srv, site: site}
 }
 
 func (b *browser) get(path string) (*http.Response, string) {
@@ -99,8 +101,9 @@ func (b *browser) registerAndLogin(user, pass string) {
 	}
 }
 
-// upload posts a generated media file.
-func (b *browser) upload(title, desc string, seconds int, seed uint64) string {
+// postUpload posts a generated media file and returns the final response
+// (redirects followed, body drained).
+func (b *browser) postUpload(title, desc string, seconds int, seed uint64) *http.Response {
 	b.t.Helper()
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 64_000}
 	data, err := video.Generate(src, seconds, seed)
@@ -120,8 +123,16 @@ func (b *browser) upload(title, desc string, seconds int, seed uint64) string {
 	if err != nil {
 		b.t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// upload posts a generated media file and waits for its conversion, so the
+// caller sees the published video.
+func (b *browser) upload(title, desc string, seconds int, seed uint64) string {
+	b.t.Helper()
+	resp := b.postUpload(title, desc, seconds, seed)
 	if resp.StatusCode != 200 {
 		b.t.Fatalf("upload status %d", resp.StatusCode)
 	}
@@ -130,6 +141,7 @@ func (b *browser) upload(title, desc string, seconds int, seed uint64) string {
 	if !strings.HasPrefix(loc, "/watch/") {
 		b.t.Fatalf("upload landed on %s", loc)
 	}
+	b.site.DrainTranscodes()
 	return loc
 }
 
