@@ -184,7 +184,9 @@ func logRouteDashboard(vc *core.VideoCloud) {
 			h.ReadLatency.P99*1000, h.WriteLatency.P99*1000)
 	}
 	if h.CacheHits > 0 || h.CacheFills > 0 {
-		log.Printf("blockcache hit/miss/wait=%d/%d/%d fill=%d evict=%d resident=%dMB entries=%d refs=%d",
+		// Every count on this line is in extents (2 MiB slices of a
+		// block), the unit the shared cache fills, pins and evicts.
+		log.Printf("blockcache hit/miss/wait=%d/%d/%d fill=%d evict=%d resident=%dMB extents=%d refs=%d",
 			h.CacheHits, h.CacheMisses, h.CacheWaits, h.CacheFills, h.CacheEvictions,
 			h.CacheBytes>>20, h.CacheEntries, h.CacheRefs)
 	}

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -103,5 +104,64 @@ func TestAllocCachedStreamZeroCopy(t *testing.T) {
 	// internals, nothing within orders of magnitude of the window.
 	if perOp > 256 {
 		t.Fatalf("cached AppendRangeSlices allocates %d B/op for a %d B window; want ~0", perOp, window)
+	}
+}
+
+// TestAllocWarmExtentWindow gates the per-extent cost of the zero-copy path:
+// a warm window that spans two extents resolves to two views of cached data
+// with no allocation at all.
+func TestAllocWarmExtentWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const block = 4 * extentSize
+	c := NewCluster(2, block)
+	c.SetBlockCacheCapacity(0)
+	cl := c.Client("")
+	if err := cl.WriteFile("/v", payload(2*block, 43), 2); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Open("/v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const off, window = extentSize / 2, extentSize // second half of extent 0, first half of extent 1
+	views, err := r.AppendRangeSlices(nil, off, window)
+	if err != nil || len(views) != 2 {
+		t.Fatalf("warm-up window: %d views, err %v; want 2 views", len(views), err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		views, err = r.AppendRangeSlices(views[:0], off, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm two-extent window allocates %.1f times per op; want 0", allocs)
+	}
+}
+
+// TestAllocOrderReplicas gates replica ranking, which runs once per replica
+// fetch — per cold extent on the serving path: ranking a block's (at most
+// three) replicas into the caller's scratch space allocates at most once.
+func TestAllocOrderReplicas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	c := NewCluster(3, testBlock)
+	cl := c.Client("dn2")
+	c.inflightFor("dn0").Add(3)
+	locs := []string{"dn0", "dn1", "dn2"}
+	var order [stackReplicas]string
+	var got []string
+	allocs := testing.AllocsPerRun(200, func() {
+		got = cl.orderReplicas(order[:0], locs)
+	})
+	if fmt.Sprint(got) != "[dn2 dn1 dn0]" || fmt.Sprint(locs) != "[dn0 dn1 dn2]" {
+		t.Fatalf("ranked %v from %v; want [dn2 dn1 dn0] (local, then least loaded) and the input untouched", got, locs)
+	}
+	if allocs > 1 {
+		t.Fatalf("orderReplicas allocates %.1f times per op; want <= 1", allocs)
 	}
 }

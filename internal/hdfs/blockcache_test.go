@@ -39,7 +39,7 @@ func TestReadAtShortCachedBlockDetected(t *testing.T) {
 	// Poison the cache: block 0 resident with only 600 of its 1024 bytes.
 	const short = 600
 	bc := c.BlockCache()
-	e, source, err := bc.GetOrFill(blocks[0].ID, func() ([]byte, error) {
+	e, source, err := bc.GetOrFill(blocks[0].ID, 0, func() ([]byte, error) {
 		return append([]byte(nil), data[:short]...), nil
 	})
 	if err != nil || source != "fill" {
@@ -132,49 +132,43 @@ func TestConcurrentReadersShareSingleFill(t *testing.T) {
 	waitRefsZero(t, bc)
 }
 
-// TestEvictionSparesInUseSlices runs the cache at a one-block budget while
-// a reader holds zero-copy slices of block 0: the evictor must shed only
-// unpinned blocks, the handed-out slice must stay byte-correct through the
-// churn, and closing the reader must release every reference.
+// TestEvictionSparesInUseSlices runs the cache at a one-extent budget while
+// a reader holds zero-copy slices of extent 0: the evictor must shed only
+// unpinned extents — of the same block and of the next — the handed-out
+// slice must stay byte-correct through the churn, and closing the reader
+// must release every reference.
 func TestEvictionSparesInUseSlices(t *testing.T) {
-	const block = 1024
-	const blocks = 4
-	c, cl, data := newCachedCluster(t, block, blocks*block, 2, block)
+	const block = 4 * extentSize
+	c, cl, data := newCachedCluster(t, block, 2*block, 2, extentSize)
 	bc := c.BlockCache()
 
 	r, err := cl.Open("/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices, err := r.RangeSlices(100, 700) // pins block 0
+	slices, err := r.RangeSlices(100, 700) // pins extent 0 of block 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Churn the rest of the file through the one-block budget.
-	buf := make([]byte, block)
+	// Churn the rest of the file through the one-extent budget.
+	buf := make([]byte, extentSize)
 	for round := 0; round < 3; round++ {
-		for bi := 1; bi < blocks; bi++ {
-			if _, err := r.ReadAt(buf, int64(bi*block)); err != nil {
+		for x := 1; x < 8; x++ {
+			if _, err := r.ReadAt(buf, int64(x*extentSize)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	st := c.Stats()
 	if st.CacheEvictions == 0 {
-		t.Fatalf("no evictions under a one-block budget (stats %+v)", st)
+		t.Fatalf("no evictions under a one-extent budget (stats %+v)", st)
 	}
-	var got []byte
-	for _, sl := range slices {
-		got = append(got, sl...)
-	}
-	if !bytes.Equal(got, data[100:800]) {
+	if !bytes.Equal(joinViews(slices), data[100:800]) {
 		t.Fatal("pinned slice content changed while the cache evicted around it")
 	}
-	// The pinned block survived residency; refs drain on close.
-	if ent, ok := bc.acquire(r.blocks[0].ID); !ok {
-		t.Fatal("pinned block 0 was evicted while referenced")
-	} else {
-		ent.Release()
+	// The pinned extent survived residency; refs drain on close.
+	if bc.firstAbsent(r.blocks[0].ID, 0, 1) != 1 {
+		t.Fatal("pinned extent 0 was evicted while referenced")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -182,24 +176,42 @@ func TestEvictionSparesInUseSlices(t *testing.T) {
 	waitRefsZero(t, bc)
 }
 
-// TestDeleteInvalidatesCache checks file deletion detaches the file's
-// blocks from the cache so a recreated path can never serve stale bytes.
+// TestDeleteInvalidatesCache checks file deletion detaches every extent of
+// the file's blocks from the cache — and nothing else — so a recreated path
+// can never serve stale bytes.
 func TestDeleteInvalidatesCache(t *testing.T) {
-	const block = 1024
-	c, cl, _ := newCachedCluster(t, block, 2*block, 2, 0)
-	if _, err := cl.ReadFile("/f"); err != nil {
+	const block = 2 * extentSize
+	c, cl, _ := newCachedCluster(t, block, 2*block+1000, 2, 0)
+	if err := cl.WriteFile("/other", payload(block, 10), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadFile("/other"); err != nil {
 		t.Fatal(err)
 	}
 	bc := c.BlockCache()
-	if bc.Entries() == 0 {
-		t.Fatal("read did not populate the cache")
+	entries, resident := bc.Entries(), bc.Bytes()
+	r, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RangeSlices(extentSize-10, extentSize+20); err != nil { // pins three extents
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadFile("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.Entries() - entries; got != 5 {
+		t.Fatalf("reading a 5-extent file made %d extents resident", got)
 	}
 	if err := c.Delete("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if n := bc.Entries(); n != 0 {
-		t.Fatalf("%d cache entries survive deletion", n)
+	if bc.Entries() != entries || bc.Bytes() != resident {
+		t.Fatalf("after deletion %d entries / %d bytes resident, want the %d / %d of the other file",
+			bc.Entries(), bc.Bytes(), entries, resident)
 	}
+	r.Close()
+	waitRefsZero(t, bc)
 	next := payload(2*block, 11)
 	if err := cl.WriteFile("/f", next, 2); err != nil {
 		t.Fatal(err)

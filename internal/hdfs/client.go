@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,53 +247,57 @@ func (c *Client) writeFileSpan(path string, data []byte, replication int, sp *tr
 	return w.Close()
 }
 
-// orderReplicas ranks a block's candidate replicas by the selection
-// policy: the client's own node first (zero-hop locality), then ascending
-// in-flight read count per datanode, ties keeping the NameNode's order.
-// The decision taken for the top pick is counted in the cluster registry
-// (replica_select_local / _least_loaded / _first).
-func (c *Client) orderReplicas(locs []string) []string {
+// stackReplicas sizes the on-stack scratch replica ranking works in: blocks
+// carry at most three replicas in every shipped configuration, so ranking
+// allocates nothing; more replicas spill to the heap and still rank right.
+const stackReplicas = 4
+
+// orderReplicas appends a block's candidate replicas to dst ranked by the
+// selection policy: the client's own node first (zero-hop locality), then
+// ascending in-flight read count per datanode, ties keeping the NameNode's
+// order. locs is left untouched (readers share it). The decision taken for
+// the top pick is counted in the cluster registry (replica_select_local /
+// _least_loaded / _first).
+func (c *Client) orderReplicas(dst, locs []string) []string {
 	if len(locs) == 0 {
-		return locs
+		return dst
 	}
-	if len(locs) == 1 {
-		c.cluster.reg.Counter(c.pickCounter(locs[0], locs, nil)).Inc()
-		return locs
+	out := append(dst, locs...)
+	// Snapshot load counts so the ranking stays consistent even while other
+	// readers change them.
+	var loadBuf [stackReplicas]int64
+	load := loadBuf[:0]
+	for _, l := range locs {
+		load = append(load, c.cluster.InflightReads(l))
 	}
-	// Snapshot load counts so the sort comparator stays consistent even
-	// while other readers change them.
-	load := make(map[string]int64, len(locs))
-	rank := make(map[string]int, len(locs))
-	for i, l := range locs {
-		load[l] = c.cluster.InflightReads(l)
-		rank[l] = i
-	}
-	out := make([]string, len(locs))
-	copy(out, locs)
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := out[i] == c.localNode, out[j] == c.localNode
-		if c.localNode != "" && li != lj {
-			return li
+	firstLoad := load[0]
+	// Stable insertion sort on (local, load): an element moves up only past
+	// a strictly worse one, so ties keep the NameNode's rank.
+	ranked := out[len(dst):]
+	for i := 1; i < len(ranked); i++ {
+		for j := i; j > 0 && c.ranksBefore(ranked[j], load[j], ranked[j-1], load[j-1]); j-- {
+			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
+			load[j], load[j-1] = load[j-1], load[j]
 		}
-		if load[out[i]] != load[out[j]] {
-			return load[out[i]] < load[out[j]]
-		}
-		return rank[out[i]] < rank[out[j]]
-	})
-	c.cluster.reg.Counter(c.pickCounter(out[0], locs, load)).Inc()
+	}
+	switch pick := ranked[0]; {
+	case c.localNode != "" && pick == c.localNode:
+		c.cluster.reg.Counter("replica_select_local").Inc()
+	case pick != locs[0] && load[0] < firstLoad:
+		c.cluster.reg.Counter("replica_select_least_loaded").Inc()
+	default:
+		c.cluster.reg.Counter("replica_select_first").Inc()
+	}
 	return out
 }
 
-// pickCounter names the policy metric matching the chosen first replica.
-func (c *Client) pickCounter(pick string, locs []string, load map[string]int64) string {
-	switch {
-	case c.localNode != "" && pick == c.localNode:
-		return "replica_select_local"
-	case pick != locs[0] && load != nil && load[pick] < load[locs[0]]:
-		return "replica_select_least_loaded"
-	default:
-		return "replica_select_first"
+// ranksBefore reports whether replica a (with in-flight load la) is a
+// strictly better pick than b.
+func (c *Client) ranksBefore(a string, la int64, b string, lb int64) bool {
+	if al, bl := a == c.localNode, b == c.localNode; c.localNode != "" && al != bl {
+		return al
 	}
+	return la < lb
 }
 
 // fetchWithFailover is the one replica-iteration path shared by whole-block
@@ -335,7 +338,8 @@ func (c *Client) fetchIntoFailover(parent *trace.Span, readahead string, info Bl
 	}
 	start := time.Now()
 	var lastErr error = fmt.Errorf("%w: block %d has no live replicas", ErrAllReplicasFailed, info.ID)
-	for i, loc := range c.orderReplicas(info.Locations) {
+	var order [stackReplicas]string
+	for i, loc := range c.orderReplicas(order[:0], info.Locations) {
 		dn := c.cluster.DataNode(loc)
 		if dn == nil {
 			continue
@@ -383,35 +387,51 @@ func (c *Client) fetchRangeInto(parent *trace.Span, readahead string, info Block
 	})
 }
 
-// readBlock fetches one whole block, failing over across replicas.
-func (c *Client) readBlock(parent *trace.Span, info BlockInfo) ([]byte, error) {
-	return c.fetchWithFailover(parent, "", info, func(dn *DataNode) ([]byte, error) {
-		return dn.Read(info.ID)
+// extent returns a referenced shared-cache entry for extent x of a block,
+// filling it single-flight when absent: one chunk-verified DataNode.ReadRange
+// of just that extent under the usual replica failover. It is the only way
+// bytes enter the cache. The caller must Release the entry.
+func (c *Client) extent(parent *trace.Span, readahead string, bc *BlockCache, info BlockInfo, x int64) (*CacheEntry, error) {
+	e, source, err := bc.GetOrFill(info.ID, x, func() ([]byte, error) {
+		return c.fetchWithFailover(parent, readahead, info, func(dn *DataNode) ([]byte, error) {
+			return dn.ReadRange(info.ID, x*extentSize, extentSize)
+		})
 	})
+	if err != nil {
+		return nil, err
+	}
+	if source != "fill" && parent.Recording() {
+		// Fills already emit an annotated hdfs.read_block span from the
+		// replica fetch; hits and single-flight joins record a cheap span
+		// so traces attribute the window to the cache.
+		if sp := parent.StartChild("hdfs.read_block"); sp != nil {
+			sp.AnnotateInt("block", int64(info.ID))
+			sp.AnnotateInt("extent", x)
+			sp.Annotate("cache", source)
+			sp.End()
+		}
+	}
+	return e, nil
 }
 
 // blockInto lands one whole block in dst (len(dst) = block length). With
-// the shared cache enabled the block is served from — or filled into — the
-// cache, so a re-read of a hot file is a single copy with no checksum pass;
-// otherwise the replica verifies its whole-block CRC and copies straight
-// into dst.
+// the shared cache enabled the block's extents are served from — or filled
+// into — the cache, so a re-read of a hot file is a single copy with no
+// checksum pass; otherwise the replica verifies its whole-block CRC and
+// copies straight into dst.
 func (c *Client) blockInto(parent *trace.Span, info BlockInfo, dst []byte) (int, error) {
 	if bc := c.cluster.BlockCache(); bc != nil {
-		e, source, err := bc.GetOrFill(info.ID, func() ([]byte, error) {
-			return c.fetchWithFailover(parent, "cache_fill", info, func(dn *DataNode) ([]byte, error) {
-				return dn.Read(info.ID)
-			})
-		})
-		if err != nil {
-			return 0, err
-		}
-		n := copy(dst, e.data)
-		e.Release()
-		if source != "fill" && parent.Recording() {
-			if sp := parent.StartChild("hdfs.read_block"); sp != nil {
-				sp.AnnotateInt("block", int64(info.ID))
-				sp.Annotate("cache", source)
-				sp.End()
+		n := 0
+		for x := int64(0); n < len(dst); x++ {
+			e, err := c.extent(parent, "cache_fill", bc, info, x)
+			if err != nil {
+				return n, err
+			}
+			m := copy(dst[n:], e.data)
+			e.Release()
+			n += m
+			if m < extentSize {
+				break // last (or short) extent; the caller checks the total
 			}
 		}
 		return n, nil

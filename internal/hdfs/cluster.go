@@ -28,7 +28,7 @@ type Cluster struct {
 	readConc  atomic.Int64 // 0 = auto (GOMAXPROCS capped at 8)
 	writeConc atomic.Int64 // 0 = auto (all pipeline targets at once)
 
-	// cache, when non-nil, is the shared refcounted block cache readers
+	// cache, when non-nil, is the shared refcounted extent cache readers
 	// serve from (SetBlockCacheCapacity). Off by default so corruption
 	// tests exercise the replica path; the core stack enables it.
 	cache atomic.Pointer[BlockCache]
@@ -373,20 +373,23 @@ type Stats struct {
 	ReplicaFirst       int64
 	ReplicaFailovers   int64
 
-	// Shared block cache effectiveness: block requests served from the
-	// resident cache, requests that ran a replica fetch, requests that
-	// joined another caller's in-flight fetch (single-flight), entries
-	// shed by the budget, and the live resident/pin state.
-	CacheHits        int64
-	CacheMisses      int64
-	CacheWaits       int64
-	CacheFills       int64
-	CacheEvictions   int64
-	CacheBytes       int64
-	CacheEntries     int64
-	CacheRefs        int64
+	// Shared block cache effectiveness, counted in extents (the cache's
+	// unit, a fixed slice of a block): extent lookups served from the
+	// resident cache, lookups that ran a replica range fetch, lookups that
+	// joined another caller's in-flight fetch (single-flight), extents
+	// shed by the budget, and the live resident/pin state. A lookup counts
+	// only when it serves bytes; prefetch residency checks do not.
+	CacheHits      int64
+	CacheMisses    int64
+	CacheWaits     int64
+	CacheFills     int64
+	CacheEvictions int64
+	CacheBytes     int64
+	CacheEntries   int64
+	CacheRefs      int64
 
-	// Per-block-operation latency distributions, in seconds.
+	// Latency distributions, in seconds: per replica fetch (an extent
+	// fill, a range window or a whole block) and per block write.
 	ReadLatency  metrics.Snapshot
 	WriteLatency metrics.Snapshot
 }

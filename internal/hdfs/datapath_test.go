@@ -86,7 +86,7 @@ func TestParallelWriteByteIdentity(t *testing.T) {
 func TestReplicaSelectionLocalFirst(t *testing.T) {
 	c := NewCluster(3, testBlock)
 	cl := c.Client("dn1")
-	got := cl.orderReplicas([]string{"dn0", "dn1", "dn2"})
+	got := cl.orderReplicas(nil, []string{"dn0", "dn1", "dn2"})
 	if got[0] != "dn1" {
 		t.Fatalf("order = %v, want client-local dn1 first", got)
 	}
@@ -100,7 +100,7 @@ func TestReplicaSelectionLeastLoaded(t *testing.T) {
 	cl := c.Client("")
 	c.inflightFor("dn0").Add(5)
 	defer c.inflightFor("dn0").Add(-5)
-	got := cl.orderReplicas([]string{"dn0", "dn1", "dn2"})
+	got := cl.orderReplicas(nil, []string{"dn0", "dn1", "dn2"})
 	if got[0] == "dn0" {
 		t.Fatalf("order = %v, want the loaded dn0 demoted", got)
 	}
@@ -113,7 +113,7 @@ func TestReplicaSelectionLeastLoaded(t *testing.T) {
 	// With equal load the NameNode's order is kept.
 	c.inflightFor("dn0").Add(-5)
 	defer c.inflightFor("dn0").Add(5)
-	got = cl.orderReplicas([]string{"dn2", "dn0", "dn1"})
+	got = cl.orderReplicas(nil, []string{"dn2", "dn0", "dn1"})
 	if fmt.Sprint(got) != "[dn2 dn0 dn1]" {
 		t.Fatalf("tie order = %v, want NameNode order preserved", got)
 	}

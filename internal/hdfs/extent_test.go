@@ -1,0 +1,263 @@
+package hdfs
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// The extent contract: the shared cache holds extentSize slices of a block,
+// each filled by one chunk-verified range read, and every read API sees the
+// same bytes as before whatever the block, extent and checksum-chunk
+// geometry.
+
+// joinViews flattens the views AppendRangeSlices returned.
+func joinViews(views [][]byte) []byte {
+	var out []byte
+	for _, v := range views {
+		out = append(out, v...)
+	}
+	return out
+}
+
+// TestExtentWindowsByteIdentical drives seeded random (off, len) windows
+// through ReadAt and AppendRangeSlices on a file whose blocks end in a short
+// extent and whose last block is short, for checksum chunks smaller than,
+// equal to a fraction of, and larger than an extent: every window must equal
+// the source, and ReadFile must return the whole source.
+func TestExtentWindowsByteIdentical(t *testing.T) {
+	const block = 2*extentSize + 96<<10 // three extents per block, the last one short
+	const size = 3*block + extentSize + 1000
+	for _, chunk := range []int64{4 << 10, 64 << 10, 1 << 20} {
+		t.Run(fmt.Sprintf("chunk%dK", chunk>>10), func(t *testing.T) {
+			c := NewCluster(3, block)
+			c.SetChunkSize(chunk)
+			c.SetBlockCacheCapacity(3 * extentSize) // evicts throughout
+			cl := c.Client("")
+			data := payload(size, chunk)
+			if err := cl.WriteFile("/f", data, 2); err != nil {
+				t.Fatal(err)
+			}
+			r, err := cl.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(chunk))
+			edges := []int64{0, extentSize, block - 1, block, 2 * block, 3 * block, 3*block + extentSize, size - 1}
+			var views [][]byte
+			for i := 0; i < 400; i++ {
+				off := rng.Int63n(size)
+				if i%4 == 0 { // hug an extent, block or file edge
+					off = edges[rng.Intn(len(edges))] - rng.Int63n(3)
+					if off < 0 {
+						off = 0
+					}
+				}
+				length := rng.Int63n(2*extentSize + 2)
+				if i%16 == 0 {
+					length = rng.Int63n(2 * block)
+				}
+				want := data[off:min(off+length, size)]
+
+				buf := make([]byte, length)
+				n, err := r.ReadAt(buf, off)
+				if n != len(want) || !bytes.Equal(buf[:n], want) {
+					t.Fatalf("ReadAt(%d, %d): %d bytes, want %d identical ones", off, length, n, len(want))
+				}
+				if full := int64(n) == length; (full && err != nil) || (!full && err != io.EOF) {
+					t.Fatalf("ReadAt(%d, %d) err = %v", off, length, err)
+				}
+				views, err = r.AppendRangeSlices(views[:0], off, length)
+				if err != nil {
+					t.Fatalf("AppendRangeSlices(%d, %d): %v", off, length, err)
+				}
+				if !bytes.Equal(joinViews(views), want) {
+					t.Fatalf("AppendRangeSlices(%d, %d) returned wrong bytes", off, length)
+				}
+				if i%50 == 0 {
+					// Drop the pins so the three-extent budget keeps evicting.
+					r.Close()
+					if r, err = cl.Open("/f"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			r.Close()
+			got, err := cl.ReadFile("/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("ReadFile through the extent cache: err=%v, identical=%v", err, bytes.Equal(got, data))
+			}
+			if st := c.Stats(); st.CacheEvictions == 0 || st.CorruptReported != 0 {
+				t.Fatalf("stats %+v: want evictions under a three-extent budget and no corruption reports", st)
+			}
+			waitRefsZero(t, c.BlockCache())
+		})
+	}
+}
+
+// TestExtentFillFailsOverOnCorruptChunk corrupts one checksum chunk of the
+// first replica: the fill of the extent holding it must detect it, report
+// the replica and fail over, serving the right bytes — while a sibling extent
+// of the same block, which does not overlap the corrupt chunk, is still
+// filled from that first replica.
+func TestExtentFillFailsOverOnCorruptChunk(t *testing.T) {
+	const block = 4 * extentSize
+	c, cl, data := newCachedCluster(t, block, block, 2, 0)
+	blocks, err := cl.BlockLocations("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := blocks[0].Locations[0]
+	corruptOff := int64(2*extentSize + DefaultChunkSize + 100) // extent 2, its second chunk
+	if err := c.DataNode(bad).CorruptAt(blocks[0].ID, corruptOff); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	counter := func(name string) int64 { return c.Metrics().Counter(name).Value() }
+
+	// The window sits in a clean chunk of extent 2, but the fill verifies
+	// every chunk of the extent it caches.
+	off := int64(2 * extentSize)
+	views, err := r.RangeSlices(off, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(joinViews(views), data[off:off+4096]) {
+		t.Fatal("failed-over extent fill served wrong bytes")
+	}
+	if counter("corrupt_replicas_reported") != 1 || counter("replica_failovers") != 1 {
+		t.Fatalf("corrupt reported = %d, failovers = %d; want 1 and 1",
+			counter("corrupt_replicas_reported"), counter("replica_failovers"))
+	}
+	// Extent 1 shares no chunk with the corruption: the reader's replica
+	// list still leads with the bad node, and it serves the fill.
+	buf := make([]byte, extentSize)
+	if _, err := r.ReadAt(buf, extentSize); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data[extentSize:2*extentSize]) {
+		t.Fatal("sibling extent served wrong bytes")
+	}
+	if counter("corrupt_replicas_reported") != 1 || counter("replica_failovers") != 1 {
+		t.Fatalf("sibling extent fill failed over too (reported %d, failovers %d)",
+			counter("corrupt_replicas_reported"), counter("replica_failovers"))
+	}
+	if st := c.Stats(); st.CacheFills != 2 {
+		t.Fatalf("fills = %d, want one per extent touched (2)", st.CacheFills)
+	}
+}
+
+// TestConcurrentReadersOfOneColdExtentFillOnce releases N readers onto the
+// same absent extent at once: exactly one runs the replica fetch.
+func TestConcurrentReadersOfOneColdExtentFillOnce(t *testing.T) {
+	const block = 4 * extentSize
+	c, cl, data := newCachedCluster(t, block, block, 2, 0)
+	const readers = 8
+	off := int64(extentSize + 1234)
+	start := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := cl.Open("/f")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer r.Close()
+			<-start
+			buf := make([]byte, 4096)
+			if _, err := r.ReadAt(buf, off); err != nil {
+				errs <- err
+			} else if !bytes.Equal(buf, data[off:off+4096]) {
+				errs <- fmt.Errorf("reader saw wrong bytes")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.CacheFills != 1 || st.CacheMisses != 1 {
+		t.Fatalf("fills = %d, misses = %d for %d readers of one cold extent; want 1 and 1",
+			st.CacheFills, st.CacheMisses, readers)
+	}
+	if st.CacheHits+st.CacheWaits != readers-1 {
+		t.Fatalf("hits %d + waits %d, want the other %d readers", st.CacheHits, st.CacheWaits, readers-1)
+	}
+	waitRefsZero(t, c.BlockCache())
+}
+
+// TestReadAmplificationGate is the deterministic form of the vod-cold
+// finding: seeded 64 KiB-aligned 256 KiB seeks over 48 blocks of 4 MiB
+// against a 16 MiB cache (so nearly every window misses) must pull at most
+// 9 bytes from DataNodes per byte served: a window costs the one or two
+// 2 MiB extents it overlaps. Whole-block fills pulled ~16.
+func TestReadAmplificationGate(t *testing.T) {
+	const (
+		block   = 4 << 20
+		blocks  = 48
+		window  = 256 << 10
+		align   = 64 << 10
+		windows = 500
+	)
+	c := NewCluster(2, block)
+	c.SetBlockCacheCapacity(16 << 20)
+	cl := c.Client("")
+	// One block of payload written 48 times: the cache keys by block ID, so
+	// repeating content changes nothing and the test holds 4 MiB, not 192.
+	pattern := payload(block, 77)
+	w, err := cl.Create("/v", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < blocks; i++ {
+		if _, err := w.Write(pattern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	before := c.Stats().BytesRead
+	var served int64
+	var views [][]byte
+	for i := 0; i < windows; i++ {
+		// A reader per window, as the site opens one per request.
+		r, err := cl.Open("/v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := rng.Int63n((blocks*block-window)/align+1) * align
+		views, err = r.AppendRangeSlices(views[:0], off, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := joinViews(views)
+		bo := off % block
+		want := append(append([]byte(nil), pattern[bo:min(bo+window, block)]...), pattern[:max(bo+window-block, 0)]...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("window %d at %d returned wrong bytes", i, off)
+		}
+		served += int64(len(got))
+		r.Close()
+	}
+	amp := float64(c.Stats().BytesRead-before) / float64(served)
+	t.Logf("read amplification %.2f (%d windows, %d MiB served)", amp, windows, served>>20)
+	if amp > 9 {
+		t.Fatalf("read amplification %.2f bytes read per byte served; want <= 9", amp)
+	}
+}

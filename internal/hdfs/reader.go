@@ -14,11 +14,16 @@ import (
 // and the seekable-playback path of the video site (HTTP Range requests).
 //
 // With the cluster's shared block cache enabled (the serving configuration),
-// block windows are served by slicing the cache's immutable copy: the first
-// reader of a block runs one single-flight replica fetch and every
-// concurrent and later reader shares the result. AppendRangeSlices exposes
-// those views directly — zero data copies between the cache and the HTTP
-// response — with the reader holding a reference per block until Close.
+// windows are served by slicing the cache's immutable extents (fixed
+// extentSize slices of a block): the first reader of an extent runs one
+// single-flight, chunk-verified range fetch of just that extent and every
+// concurrent and later reader shares the result, so a cold seek reads and
+// verifies the extents its window overlaps, not the block around them.
+// AppendRangeSlices exposes those views directly — zero data copies between
+// the cache and the HTTP response, one view per extent touched — with the
+// reader holding a reference per extent until Close. A fill verifies the
+// checksum chunks its extent overlaps; corruption elsewhere in the block is
+// caught by the fill (or whole-block read) that next overlaps it.
 //
 // Without the cache, sequential Reads get per-reader readahead: once a read
 // touches the tail of a block, the next block is prefetched in the
@@ -46,8 +51,8 @@ type Reader struct {
 	span *trace.Span
 
 	mu       sync.Mutex
-	cache    map[int]*raEntry      // block index -> readahead slot (≤2 entries)
-	retained map[BlockID]*CacheEntry // shared-cache refs backing handed-out slices
+	cache    map[int]*raEntry          // block index -> readahead slot (≤2 entries)
+	retained map[extentKey]*CacheEntry // shared-cache refs backing handed-out slices
 	closed   bool
 }
 
@@ -166,8 +171,9 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 
 // AppendRangeSlices appends immutable views covering [off, off+length) of
 // the file to dst and returns it — the zero-copy serving path. With the
-// shared block cache the views alias cached block data (references held
-// until Close); without it each view is a freshly fetched window buffer.
+// shared block cache the views alias cached extents, one view per extent the
+// window touches (references held until Close); without it each view is a
+// freshly fetched window buffer.
 // A short block yields io.ErrUnexpectedEOF, an offset at or past EOF
 // io.EOF; length is clamped to the file end.
 func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
@@ -190,15 +196,14 @@ func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, e
 		if rem := r.blocks[bi].Length - bo; want > rem {
 			want = rem
 		}
-		sl, err := r.blockRangeSlice(bi, bo, want)
-		if len(sl) > 0 {
-			dst = append(dst, sl)
-		}
-		n += int64(len(sl))
+		var got int64
+		var err error
+		dst, got, err = r.blockRangeSlices(dst, bi, bo, want)
+		n += got
 		if err != nil {
 			return dst, err
 		}
-		if int64(len(sl)) < want {
+		if got < want {
 			return dst, io.ErrUnexpectedEOF
 		}
 	}
@@ -242,63 +247,38 @@ func (r *Reader) localSlotData(bi int, e *raEntry) ([]byte, bool) {
 	return nil, false
 }
 
-// cacheEntry returns a referenced shared-cache entry for block bi, filling
-// it single-flight from replicas when absent. The reference is transient:
-// the caller must Release it. When the reader already retains the block
-// (slices handed out), that retained entry is reused with an extra
-// reference so mixed ReadAt/slice traffic stays cheap.
-func (r *Reader) cacheEntry(bc *BlockCache, bi int) (*CacheEntry, error) {
-	info := r.blocks[bi]
+// retainedEntry returns the entry the reader already holds for key (slices
+// handed out), or nil. The retained reference covers the caller's use of the
+// entry, so mixed ReadAt/slice traffic on a warm extent costs one lock hop.
+func (r *Reader) retainedEntry(key extentKey) *CacheEntry {
 	r.mu.Lock()
-	if e := r.retained[info.ID]; e != nil {
-		e.retain()
-		r.mu.Unlock()
-		return e, nil
-	}
+	e := r.retained[key]
 	r.mu.Unlock()
-	e, source, err := bc.GetOrFill(info.ID, func() ([]byte, error) {
-		return r.client.fetchWithFailover(r.span, "cache_fill", info, func(dn *DataNode) ([]byte, error) {
-			return dn.Read(info.ID)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if source != "fill" && r.span.Recording() {
-		// Fills already emit an annotated hdfs.read_block span from the
-		// replica fetch; hits and single-flight joins record a cheap span
-		// so traces attribute the window to the cache.
-		if hsp := r.span.StartChild("hdfs.read_block"); hsp != nil {
-			hsp.AnnotateInt("block", int64(info.ID))
-			hsp.Annotate("cache", source)
-			hsp.End()
-		}
-	}
-	return e, nil
+	return e
 }
 
 // retainEntry records e as backing handed-out slices, owning its reference
 // until Close. Reports false — caller keeps ownership — when the reader is
-// closed or already retains the block.
-func (r *Reader) retainEntry(e *CacheEntry) bool {
+// closed or already retains the extent.
+func (r *Reader) retainEntry(e *CacheEntry) (retained, closed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.retained[e.id] != nil {
-		return false
+	if r.closed || r.retained[e.key] != nil {
+		return false, r.closed
 	}
 	if r.retained == nil {
-		r.retained = make(map[BlockID]*CacheEntry)
+		r.retained = make(map[extentKey]*CacheEntry)
 	}
-	r.retained[e.id] = e
-	return true
+	r.retained[e.key] = e
+	return true, false
 }
 
 // blockRangeInto copies [bo, bo+len(dst)) of block bi into dst, serving
-// from the reader-local readahead slot, then the shared block cache
-// (single-flight fill, reference held only for the copy — a sequential
-// whole-file scan never pins more than one block), then straight from a
-// replica, verifying and copying only the checksum chunks the window
-// overlaps.
+// from the reader-local readahead slot, then the shared block cache (walking
+// the extents the window overlaps: single-flight fill, reference held only
+// for the copy — a sequential whole-file scan never pins more than one
+// extent), then straight from a replica, verifying and copying only the
+// checksum chunks the window overlaps.
 func (r *Reader) blockRangeInto(bi int, bo int64, dst []byte) (int, error) {
 	if e := r.localSlot(bi); e != nil {
 		if data, ok := r.localSlotData(bi, e); ok {
@@ -306,55 +286,110 @@ func (r *Reader) blockRangeInto(bi int, bo int64, dst []byte) (int, error) {
 		}
 	}
 	if bc := r.client.cluster.BlockCache(); bc != nil {
-		e, err := r.cacheEntry(bc, bi)
-		if err != nil {
-			return 0, err
+		info := r.blocks[bi]
+		n := 0
+		for n < len(dst) {
+			x, xo := extentOf(bo + int64(n))
+			want := extentSpan(xo, int64(len(dst)-n))
+			e := r.retainedEntry(extentKey{info.ID, x})
+			transient := e == nil
+			if transient {
+				var err error
+				if e, err = r.client.extent(r.span, "cache_fill", bc, info, x); err != nil {
+					return n, err
+				}
+			}
+			m := copyWindow(dst[n:int64(n)+want], e.data, xo)
+			if transient {
+				e.Release()
+			}
+			n += m
+			if int64(m) < want {
+				break // short extent: the caller reports io.ErrUnexpectedEOF
+			}
 		}
-		n := copyWindow(dst, e.data, bo)
-		e.Release()
 		return n, nil
 	}
 	r.client.cluster.reg.Counter("readahead_misses").Inc()
 	return r.client.fetchRangeInto(r.span, "miss", r.blocks[bi], bo, dst)
 }
 
-// blockRangeSlice returns a view of [bo, bo+want) of block bi without
-// copying when a cached copy exists (reader-local or shared); otherwise it
-// fetches exactly that window into a fresh buffer. Shared-cache views stay
-// referenced until Close.
-func (r *Reader) blockRangeSlice(bi int, bo, want int64) ([]byte, error) {
+// blockRangeSlices appends views of [bo, bo+want) of block bi to dst without
+// copying when a cached copy exists (reader-local, or one view per shared
+// cache extent the window overlaps); otherwise it fetches exactly that
+// window into a fresh buffer. It returns the bytes the views cover, short
+// only when the source holds fewer bytes than the block's recorded length.
+// Shared-cache views stay referenced until Close.
+func (r *Reader) blockRangeSlices(dst [][]byte, bi int, bo, want int64) ([][]byte, int64, error) {
 	if e := r.localSlot(bi); e != nil {
 		if data, ok := r.localSlotData(bi, e); ok {
-			return sliceWindow(data, bo, want), nil
+			sl := sliceWindow(data, bo, want)
+			return appendView(dst, sl), int64(len(sl)), nil
 		}
 	}
 	if bc := r.client.cluster.BlockCache(); bc != nil {
-		e, err := r.cacheEntry(bc, bi)
-		if err != nil {
-			return nil, err
-		}
-		sl := sliceWindow(e.data, bo, want)
-		if !r.retainEntry(e) {
-			// Closed reader (nothing would hold the reference past this
-			// call): hand back a copy instead of an unguarded view.
-			// Already-retained block: the retained reference covers the
-			// view's lifetime and this transient one is extra.
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				cp := make([]byte, len(sl))
-				copy(cp, sl)
-				sl = cp
+		info := r.blocks[bi]
+		var n int64
+		for n < want {
+			x, xo := extentOf(bo + n)
+			span := extentSpan(xo, want-n)
+			var sl []byte
+			if e := r.retainedEntry(extentKey{info.ID, x}); e != nil {
+				sl = sliceWindow(e.data, xo, span)
+			} else {
+				e, err := r.client.extent(r.span, "cache_fill", bc, info, x)
+				if err != nil {
+					return dst, n, err
+				}
+				sl = sliceWindow(e.data, xo, span)
+				if retained, closed := r.retainEntry(e); !retained {
+					// Closed reader (nothing would hold the reference past
+					// this call): hand back a copy instead of an unguarded
+					// view. Already-retained extent (a concurrent window got
+					// there first): the retained reference covers the view's
+					// lifetime and this transient one is extra.
+					if closed {
+						sl = append([]byte(nil), sl...)
+					}
+					e.Release()
+				}
 			}
-			e.Release()
+			dst = appendView(dst, sl)
+			n += int64(len(sl))
+			if int64(len(sl)) < span {
+				break // short extent
+			}
 		}
-		return sl, nil
+		return dst, n, nil
 	}
 	r.client.cluster.reg.Counter("readahead_misses").Inc()
-	return r.client.fetchWithFailover(r.span, "miss", r.blocks[bi], func(dn *DataNode) ([]byte, error) {
+	sl, err := r.client.fetchWithFailover(r.span, "miss", r.blocks[bi], func(dn *DataNode) ([]byte, error) {
 		return dn.ReadRange(r.blocks[bi].ID, bo, want)
 	})
+	if err != nil {
+		return dst, 0, err
+	}
+	return appendView(dst, sl), int64(len(sl)), nil
+}
+
+// extentOf maps a block offset to its extent index and the offset inside it.
+func extentOf(bo int64) (x, xo int64) { return bo / extentSize, bo % extentSize }
+
+// extentSpan clamps a window of want bytes starting xo into an extent to the
+// extent's end.
+func extentSpan(xo, want int64) int64 {
+	if rem := extentSize - xo; want > rem {
+		return rem
+	}
+	return want
+}
+
+// appendView appends sl to dst unless it is empty.
+func appendView(dst [][]byte, sl []byte) [][]byte {
+	if len(sl) > 0 {
+		dst = append(dst, sl)
+	}
+	return dst
 }
 
 // copyWindow copies data[bo:bo+len(dst)] into dst, clamped to len(data).
@@ -450,13 +485,15 @@ func (r *Reader) prefetch(bi int) {
 	}()
 }
 
-// prefetchShared warms block bi in the shared cache. Residency is checked
-// first so repeat triggers on the same block tail cost one lock hop; the
-// fill itself is single-flight across all readers.
+// prefetchShared warms every extent of block bi in the shared cache.
+// Residency is checked first — uncounted, it serves no bytes — so repeat
+// triggers on the same block tail cost one lock hop; each extent's fill is
+// single-flight across all readers.
 func (r *Reader) prefetchShared(bc *BlockCache, bi int) {
 	info := r.blocks[bi]
-	if e, ok := bc.acquire(info.ID); ok {
-		e.Release()
+	n := extentCount(info.Length)
+	first := bc.firstAbsent(info.ID, 0, n)
+	if first == n {
 		return
 	}
 	r.client.cluster.reg.Counter("readahead_prefetches").Inc()
@@ -465,14 +502,12 @@ func (r *Reader) prefetchShared(bc *BlockCache, bi int) {
 		psp.AnnotateInt("block", int64(info.ID))
 	}
 	go func() {
-		e, _, err := bc.GetOrFill(info.ID, func() ([]byte, error) {
-			return r.client.fetchWithFailover(psp, "prefetch", info, func(dn *DataNode) ([]byte, error) {
-				return dn.Read(info.ID)
-			})
-		})
-		if err != nil {
-			psp.SetError(err)
-		} else {
+		for x := first; x < n; x = bc.firstAbsent(info.ID, x+1, n) {
+			e, err := r.client.extent(psp, "prefetch", bc, info, x)
+			if err != nil {
+				psp.SetError(err)
+				break
+			}
 			e.Release()
 		}
 		psp.End()

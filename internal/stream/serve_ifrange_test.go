@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -147,5 +148,66 @@ func TestFallbackReasonNotSliceable(t *testing.T) {
 	resp.Body.Close()
 	if len(reasons) != 1 || reasons[0] != "not-sliceable" {
 		t.Fatalf("reasons = %v, want [not-sliceable]", reasons)
+	}
+}
+
+// brokenSlicer is content whose metadata is fine and whose bytes past
+// readable cannot be produced — an HDFS file with a block whose replicas are
+// all down.
+type brokenSlicer struct {
+	memSlicer
+	readable int64
+}
+
+func (b *brokenSlicer) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
+	if off+length > b.readable {
+		return dst, errors.New("all replicas failed")
+	}
+	return b.memSlicer.AppendRangeSlices(dst, off, length)
+}
+
+// TestSliceErrorLeavesResponseUntouched pins the order of the slice path:
+// the window is resolved before the status line, so content that cannot
+// produce it yields an error with nothing written (ServeWithFallback) or a
+// 500 (Serve) — never 206 headers and an aborted body. HEAD reads no bytes
+// and still answers from metadata.
+func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
+	content := func() *brokenSlicer {
+		return &brokenSlicer{memSlicer: memSlicer{data: payload(1000)}, readable: 500}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v", nil)
+	req.Header.Set("Range", "bytes=600-699")
+
+	rec := httptest.NewRecorder()
+	if err := ServeWithFallback(rec, req, "v.vcf", content(), nil); err == nil {
+		t.Fatal("unreadable window served without an error")
+	}
+	if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+		t.Fatalf("failed window wrote %d body bytes and headers %v; want nothing", rec.Body.Len(), rec.Header())
+	}
+
+	rec = httptest.NewRecorder()
+	Serve(rec, req, "v.vcf", content())
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Range") != "" {
+		t.Fatalf("Serve on an unreadable window: status %d, Content-Range %q; want 500 and none",
+			rec.Code, rec.Header().Get("Content-Range"))
+	}
+
+	// The readable part of the same content is served as before.
+	ok := httptest.NewRequest(http.MethodGet, "/v", nil)
+	ok.Header.Set("Range", "bytes=100-199")
+	rec = httptest.NewRecorder()
+	if err := ServeWithFallback(rec, ok, "v.vcf", content(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusPartialContent || !bytes.Equal(rec.Body.Bytes(), payload(1000)[100:200]) {
+		t.Fatalf("readable window: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+
+	head := httptest.NewRequest(http.MethodHead, "/v", nil)
+	head.Header.Set("Range", "bytes=600-699")
+	rec = httptest.NewRecorder()
+	if err := ServeWithFallback(rec, head, "v.vcf", content(), nil); err != nil || rec.Code != http.StatusPartialContent {
+		t.Fatalf("HEAD: status %d, err %v; want 206 from metadata alone", rec.Code, err)
 	}
 }

@@ -43,15 +43,26 @@ type SliceRanger interface {
 // representation — both zero-copy, per RFC 7233. Only what the slice path
 // does not speak (multi-range requests, malformed specs, plain
 // io.ReadSeeker content) falls back to the standard library's ServeContent.
+//
+// The slice path resolves the requested window before it commits to a
+// status, so storage that cannot produce the window answers 500 instead of
+// 200/206 headers and an aborted body.
 func Serve(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker) {
-	ServeWithFallback(w, r, name, content, nil)
+	if err := ServeWithFallback(w, r, name, content, nil); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // ServeWithFallback is Serve with a hook: onFallback (when non-nil) is
 // called with a short reason just before a request leaves the zero-copy
 // slice path for the copying ServeContent path, so servers can keep the
 // fallback rate visible in their stats.
-func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker, onFallback func(reason string)) {
+//
+// A non-nil error means the content could not produce the requested window
+// and nothing has been written — no status, no body, no header this
+// function set — so the caller picks the failure response (a server with a
+// storage circuit breaker answers 503 + Retry-After).
+func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker, onFallback func(reason string)) error {
 	// The paper streams H.264 in an MP4 container to Flowplayer, so the
 	// response carries the real media type (not the internal .vcf
 	// container extension).
@@ -65,10 +76,11 @@ func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, cont
 	sr, ok := content.(SliceRanger)
 	if !ok {
 		fallback("not-sliceable")
-		return
+		return nil
 	}
 	etag := w.Header().Get("ETag")
-	if etag == "" {
+	ownETag := etag == ""
+	if ownETag {
 		etag = contentETag(name, sr.Size())
 		w.Header().Set("ETag", etag)
 	}
@@ -80,9 +92,18 @@ func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, cont
 	if ir := r.Header.Get("If-Range"); ir != "" && ir != etag {
 		ignoreRange = true
 	}
-	if reason := serveSlices(w, r, sr, ignoreRange); reason != "" {
+	reason, err := serveSlices(w, r, sr, ignoreRange)
+	if err != nil {
+		w.Header().Del("Content-Type")
+		if ownETag {
+			w.Header().Del("ETag")
+		}
+		return err
+	}
+	if reason != "" {
 		fallback(reason)
 	}
+	return nil
 }
 
 // contentETag derives a strong validator from what identifies a stored
@@ -102,10 +123,11 @@ func contentETag(name string, size int64) string {
 // not speak (multi-range, malformed specs, non-bytes units) return a short
 // reason and fall back to ServeContent. ignoreRange serves the full
 // representation regardless of any Range header (the If-Range-mismatch
-// case).
-func serveSlices(w http.ResponseWriter, r *http.Request, sr SliceRanger, ignoreRange bool) string {
+// case). The window is resolved to slices before any header is set: an error
+// from the content is returned with the response untouched.
+func serveSlices(w http.ResponseWriter, r *http.Request, sr SliceRanger, ignoreRange bool) (string, error) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		return "method"
+		return "method", nil
 	}
 	size := sr.Size()
 	off, length := int64(0), size
@@ -114,39 +136,39 @@ func serveSlices(w http.ResponseWriter, r *http.Request, sr SliceRanger, ignoreR
 		var ok bool
 		off, length, ok = parseRange(spec, size)
 		if !ok {
-			return "range-spec"
+			return "range-spec", nil
 		}
 		if off < 0 {
 			// Syntactically valid but unsatisfiable (start past EOF, or
 			// any range against an empty file).
 			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
 			http.Error(w, "requested range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
-			return ""
+			return "", nil
 		}
 		status = http.StatusPartialContent
+	}
+	var slices [][]byte
+	if r.Method == http.MethodGet && length > 0 {
+		// The content's metadata may be reachable while the bytes of this
+		// window are not (a block whose every replica is down): find out
+		// while the status line can still say so.
+		var err error
+		if slices, err = sr.AppendRangeSlices(nil, off, length); err != nil {
+			return "", err
+		}
+	}
+	if status == http.StatusPartialContent {
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
 	}
 	w.Header().Set("Accept-Ranges", "bytes")
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	w.WriteHeader(status)
-	if r.Method == http.MethodHead || length == 0 {
-		return ""
-	}
-	slices, err := sr.AppendRangeSlices(nil, off, length)
-	if err != nil {
-		// Headers are on the wire; aborting the connection mid-body is the
-		// only honest signal left (ServeContent has the same failure mode).
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		return ""
-	}
 	// One vectored write: on a TCP connection net.Buffers becomes writev,
-	// handing every cached block slice to the kernel without concatenating
+	// handing every cached extent slice to the kernel without concatenating
 	// them into a response buffer.
 	bufs := net.Buffers(slices)
 	bufs.WriteTo(w)
-	return ""
+	return "", nil
 }
 
 // parseRange parses a single-range "bytes=" spec against size, returning

@@ -2,7 +2,9 @@ package web
 
 import (
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +156,63 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 	}
 	if st := site.BreakerStats(); st.State != "closed" || st.Opened != 0 {
 		t.Fatalf("breaker = %+v after missing-file requests, want closed", st)
+	}
+}
+
+// The storage check must look at the window the client asked for, not at
+// byte 0: with block 0 of a title warm in the block cache and every replica
+// of block 1 down, a Range inside block 1 is a storage failure — 503 +
+// Retry-After and a breaker failure, not 206 headers over an aborted body
+// and a breaker success.
+func TestStreamChecksTheRequestedBlock(t *testing.T) {
+	site, cluster := newSite(t)
+	cluster.SetBlockCacheCapacity(0)
+	b := newBrowser(t, site)
+	b.registerAndLogin("erin", "hunter2")
+	watch := b.upload("clip", "d", 40, 19) // ~500 KB at the test target: two 256 KiB blocks
+	id, _ := strconv.ParseInt(strings.TrimPrefix(watch, "/watch/"), 10, 64)
+	row, err := site.db.Get("videos", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := cluster.Client("").BlockLocations("/site/" + rowString(row, "path"))
+	if err != nil || len(blocks) < 2 {
+		t.Fatalf("want a title of at least two blocks, have %d (err %v)", len(blocks), err)
+	}
+	rangeGet := func(spec string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest("GET", b.srv.URL+fmt.Sprintf("/stream/%d", id), nil)
+		req.Header.Set("Range", spec)
+		resp, err := b.c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if resp := rangeGet("bytes=0-99"); resp.StatusCode != http.StatusPartialContent { // warms block 0
+		t.Fatalf("warm-up status = %d", resp.StatusCode)
+	}
+	for _, loc := range blocks[1].Locations {
+		cluster.DataNode(loc).SetDown(true)
+	}
+	inBlock1 := fmt.Sprintf("bytes=%d-%d", blocks[0].Length+100, blocks[0].Length+199)
+	errsBefore := site.Metrics().Counter("stream_storage_errors").Value()
+	for i := 0; i < defaultBreakerThreshold; i++ {
+		resp := rangeGet(inBlock1)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("attempt %d: status %d, Retry-After %q; want 503 with a hint",
+				i, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		if resp.Header.Get("Content-Range") != "" || resp.Header.Get("ETag") != "" {
+			t.Fatalf("503 carries media headers: %v", resp.Header)
+		}
+	}
+	if got := site.Metrics().Counter("stream_storage_errors").Value() - errsBefore; got != defaultBreakerThreshold {
+		t.Fatalf("stream_storage_errors rose by %d, want %d", got, defaultBreakerThreshold)
+	}
+	if st := site.BreakerStats(); st.State != "open" || st.Opened != 1 {
+		t.Fatalf("breaker = %+v, want open: each failed window is a breaker failure", st)
 	}
 }

@@ -229,10 +229,14 @@ func (s *Site) serveSegment(w http.ResponseWriter, r *http.Request, name string,
 	onFallback := func(string) { s.reg.Counter("stream_fallback_total").Inc() }
 	content := edge.NewContent(data)
 	mw := &meteredWriter{ResponseWriter: w}
+	var out http.ResponseWriter = mw
 	if s.streamPacer != nil {
-		stream.ServeWithFallback(pacedWriter{ResponseWriter: mw, p: s.streamPacer}, r, name, content, onFallback)
-	} else {
-		stream.ServeWithFallback(mw, r, name, content, onFallback)
+		out = pacedWriter{ResponseWriter: mw, p: s.streamPacer}
+	}
+	// In-memory content always resolves a window parseRange accepted.
+	if err := stream.ServeWithFallback(out, r, name, content, onFallback); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	if id, err := strconv.ParseInt(r.PathValue("id"), 10, 64); err == nil {
 		s.meterEgress(s.ownerTenant(id), mw.n)

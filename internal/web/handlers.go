@@ -486,35 +486,14 @@ func (s *Site) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rd, err := s.store.OpenSeekerCtx(ctx, path)
-	if err == nil {
-		// The reader retains a block-cache reference for every slice it
-		// hands to the response; Close releases them once the response is
-		// written so the cache can evict again.
-		defer rd.Close()
-		// Open only consults NameNode metadata; dead DataNodes surface
-		// on the first read. Probe one byte before committing to a 200.
-		var probe [1]byte
-		if _, perr := rd.ReadAt(probe[:], 0); perr != nil && perr != io.EOF {
-			err = perr
-		}
-	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// A missing file is the row's problem, not the store's:
-			// it must not trip the breaker.
-			s.hdfsBreaker.Success()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.hdfsBreaker.Failure()
-		s.reg.Counter("stream_storage_errors").Inc()
-		log.Printf("web: storage failure streaming %s (request %s): %v", path, requestIDFrom(ctx), err)
-		w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
-		http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
+		s.streamStorageFailure(w, r, path, err)
 		return
 	}
-	s.hdfsBreaker.Success()
-	s.reg.Counter("stream_requests").Inc()
+	// The reader retains a block-cache reference for every slice it hands
+	// to the response; Close releases them once the response is written so
+	// the cache can evict again.
+	defer rd.Close()
 	ssp := trace.FromContext(ctx).StartChild("stream.serve")
 	ssp.Annotate("path", path)
 	// Fallbacks off the zero-copy slice path (multi-range requests, content
@@ -523,16 +502,47 @@ func (s *Site) handleStream(w http.ResponseWriter, r *http.Request) {
 	onFallback := func(string) { s.reg.Counter("stream_fallback_total").Inc() }
 	// Egress attribution: response-body bytes are metered to the tenant
 	// that owns the video (the publisher pays for delivery).
-	mw := &meteredWriter{ResponseWriter: w}
+	mw := &meteredWriter{ResponseWriter: w, storage: s.hdfsBreaker}
+	var out http.ResponseWriter = mw
 	if s.streamPacer != nil {
 		// Meter egress through the replica's NIC-model token bucket.
-		stream.ServeWithFallback(pacedWriter{ResponseWriter: mw, p: s.streamPacer}, r, path, rd, onFallback)
-	} else {
-		stream.ServeWithFallback(mw, r, path, rd, onFallback)
+		out = pacedWriter{ResponseWriter: mw, p: s.streamPacer}
 	}
+	// Open only consults NameNode metadata; dead DataNodes surface when the
+	// requested window is read. The slice path resolves that window before
+	// it writes a status line and hands back the error with the response
+	// untouched, so a window in a block with no live replica is a storage
+	// failure the client can be told about, whatever the state of block 0.
+	// On success the breaker is told as the status line goes out (mw).
+	err = stream.ServeWithFallback(out, r, path, rd, onFallback)
+	ssp.SetError(err)
 	ssp.End()
+	if err != nil {
+		s.streamStorageFailure(w, r, path, err)
+		return
+	}
+	mw.commit()
+	s.reg.Counter("stream_requests").Inc()
 	owner, _ := row["tenant"].(string)
 	s.meterEgress(owner, mw.n)
+}
+
+// streamStorageFailure answers a /stream request whose file could not be
+// opened or whose requested window could not be read; nothing has been
+// written to w yet.
+func (s *Site) streamStorageFailure(w http.ResponseWriter, r *http.Request, path string, err error) {
+	if errors.Is(err, fs.ErrNotExist) {
+		// A missing file is the row's problem, not the store's: it must
+		// not trip the breaker.
+		s.hdfsBreaker.Success()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	s.hdfsBreaker.Failure()
+	s.reg.Counter("stream_storage_errors").Inc()
+	log.Printf("web: storage failure streaming %s (request %s): %v", path, requestIDFrom(r.Context()), err)
+	w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
+	http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
 }
 
 // ---- comments, reports, edit, delete ----

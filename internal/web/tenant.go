@@ -246,6 +246,25 @@ func (s *Site) meterEgress(tenantName string, n int64) {
 type meteredWriter struct {
 	http.ResponseWriter
 	n int64
+	// storage, when set, is the breaker guarding the store the response is
+	// read from. The serving path writes nothing until the requested window
+	// has been read, so the status line is the moment the store has proved
+	// healthy: the breaker hears of the success then, not after a slow
+	// client has drained the body.
+	storage *breaker
+}
+
+// commit reports the storage success once.
+func (m *meteredWriter) commit() {
+	if m.storage != nil {
+		m.storage.Success()
+		m.storage = nil
+	}
+}
+
+func (m *meteredWriter) WriteHeader(code int) {
+	m.commit()
+	m.ResponseWriter.WriteHeader(code)
 }
 
 func (m *meteredWriter) Write(b []byte) (int, error) {
