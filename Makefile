@@ -12,6 +12,8 @@ tier1: vet build race alloccheck chaosshort benchcheck
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -23,7 +25,7 @@ race:
 	$(GO) test -race ./...
 
 alloccheck:
-	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/
+	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced

@@ -18,30 +18,6 @@ import (
 	"videocloud/internal/metrics"
 )
 
-var runners = []struct {
-	id  string
-	fn  func() *metrics.Table
-	ref string
-}{
-	{"E1", experiments.E1LiveMigration, "Figs 8-10"},
-	{"E1b", experiments.E1bMigrationAlgorithms, "refs [20][21]"},
-	{"E1c", experiments.E1cMigrationUnderContention, "migration + service traffic"},
-	{"E2", experiments.E2ParallelTranscode, "Fig 16"},
-	{"E3", experiments.E3IndexConstruction, "§I index construction"},
-	{"E4", experiments.E4SearchVsScan, "§III search vs DB"},
-	{"E5", experiments.E5VirtOverhead, "Figs 1-2"},
-	{"E6", experiments.E6Placement, "§III-A capacity manager"},
-	{"E6b", experiments.E6bProvisioning, "§II-C shared images"},
-	{"E6c", experiments.E6cConsolidation, "§III-A economize power"},
-	{"E7", experiments.E7HDFSReplication, "Fig 11"},
-	{"E8", experiments.E8MapReduceScaling, "Fig 12"},
-	{"E8b", experiments.E8bSpeculativeExecution, "straggler ablation"},
-	{"E9", experiments.E9EndToEnd, "Figs 17-23"},
-	{"E9b", experiments.E9bConcurrentLoad, "concurrent viewers"},
-	{"E10", experiments.E10FullStack, "Figs 6,13,14"},
-	{"E11", experiments.E11AutoScaling, "VoD auto-scaling (ref [28])"},
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E2,E7); empty runs all")
 	out := flag.String("o", "", "also write the tables to this file")
@@ -55,14 +31,14 @@ func main() {
 	}
 
 	var b strings.Builder
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for _, e := range experiments.Registry {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", r.id, r.ref)
-		tbl, err := run(r.fn)
+		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Ref)
+		tbl, err := run(e.Run)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", r.id, err)
+			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		b.WriteString(tbl.String())

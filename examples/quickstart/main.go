@@ -46,12 +46,13 @@ func main() {
 	hits := vc.Site().Index().Search("first cloud", 5)
 	fmt.Printf("search 'first cloud' -> %d hit(s), top doc %d\n", len(hits), hits[0].Doc)
 
-	// Its converted bytes live as replicated HDFS blocks on the data VMs.
-	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/videos/%d.vcf", id))
+	// Its converted bytes live as replicated HDFS blocks on the data VMs, one
+	// object per delivery segment; this is the first.
+	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/segments/%d-720p-0.vcf", id))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("stored as %d HDFS block(s):\n", len(blocks))
+	fmt.Printf("segment 0 stored as %d HDFS block(s):\n", len(blocks))
 	for _, b := range blocks {
 		fmt.Printf("  block %d (%d KB) on %v\n", b.ID, b.Length>>10, b.Locations)
 	}

@@ -165,7 +165,7 @@ func TestEndToEndUploadSearchStream(t *testing.T) {
 		t.Fatalf("streamed codec = %v", info.Spec.Codec)
 	}
 	// The upload's blocks live on VM-named datanodes.
-	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/videos/%d.vcf", id))
+	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/segments/%d-720p-0.vcf", id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestDataNodeRacksArePhysicalHosts(t *testing.T) {
 	// replicas live on VMs on different physical hosts.
 	s := newSession(t, vc)
 	id := s.uploadDirect(vc, "rack aware", 20, 42)
-	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/videos/%d.vcf", id))
+	blocks, err := vc.HDFS().Client("").BlockLocations(fmt.Sprintf("/videocloud/segments/%d-720p-0.vcf", id))
 	if err != nil {
 		t.Fatal(err)
 	}

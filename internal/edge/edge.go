@@ -58,13 +58,13 @@ type Config struct {
 
 // Stats is a point-in-time snapshot of cache behaviour.
 type Stats struct {
-	Hits, Misses, Joins  uint64
-	Fills                uint64 // origin reads that completed
-	Evictions            uint64 // entries displaced for space
-	Expirations          uint64 // TTL entries that lapsed
-	AdmitRejects         uint64 // candidates colder than the LRU victim
-	Entries              int
-	UsedBytes, CapBytes  int64
+	Hits, Misses, Joins uint64
+	Fills               uint64 // origin reads that completed
+	Evictions           uint64 // entries displaced for space
+	Expirations         uint64 // TTL entries that lapsed
+	AdmitRejects        uint64 // candidates colder than the LRU victim
+	Entries             int
+	UsedBytes, CapBytes int64
 }
 
 // entry is one cached object on the intrusive LRU list.

@@ -17,15 +17,15 @@ import (
 // an imbalanced cluster to the live-migration rebalancer. Tuning below is in
 // virtual time; jobs are fractional work units (a "job" is one transcode).
 const (
-	e16Tick       = 5 * time.Second   // controller evaluation interval
-	e16SvcRate    = 0.5               // jobs/sec one farm instance completes
-	e16NodeBuf    = 2.0               // jobs an instance keeps in flight
-	e16BurstAt    = 90 * time.Minute  // flash crowd start
-	e16BurstLen   = 15 * time.Minute  // flash crowd duration
-	e16CrashAt    = 4 * time.Hour     // host crash (after the fleet settles)
-	e16TrafficEnd = 6 * time.Hour     // arrivals stop; the tail drains
-	e16Tail       = 45 * time.Minute  // post-traffic drain-down window
-	e16HiLoad     = 0.8               // hysteresis band (also the absorb gate)
+	e16Tick       = 5 * time.Second  // controller evaluation interval
+	e16SvcRate    = 0.5              // jobs/sec one farm instance completes
+	e16NodeBuf    = 2.0              // jobs an instance keeps in flight
+	e16BurstAt    = 90 * time.Minute // flash crowd start
+	e16BurstLen   = 15 * time.Minute // flash crowd duration
+	e16CrashAt    = 4 * time.Hour    // host crash (after the fleet settles)
+	e16TrafficEnd = 6 * time.Hour    // arrivals stop; the tail drains
+	e16Tail       = 45 * time.Minute // post-traffic drain-down window
+	e16HiLoad     = 0.8              // hysteresis band (also the absorb gate)
 	e16LoLoad     = 0.3
 	e16InCooldown = 10 * time.Minute // the larger cooldown = the flip window
 )

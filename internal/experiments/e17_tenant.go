@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"videocloud/internal/fusebridge"
@@ -229,29 +230,20 @@ func (r *e17Rig) waitPublished(ids []int64) {
 }
 
 // hdfsWalkBytes recomputes a tenant's durable footprint straight from
-// storage: for every video row it owns, the byte sizes of the stored
-// target, each rendition, and every delivery segment. This is the
-// independent audit the ledger's stored-bytes figure must match exactly.
+// storage: for every video row it owns, the byte sizes of every rendition's
+// segment objects (the only stored form). This is the independent audit the
+// ledger's stored-bytes figure must match exactly.
 func (r *e17Rig) hdfsWalkBytes(tenantName string) int64 {
 	rows, err := r.site.DB().Select("videos", "tenant", tenantName)
 	if err != nil {
 		panic(err)
 	}
 	client := r.cluster.Client("")
-	targetLabel := web.QualityLabel(video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 200_000})
 	var total int64
 	for _, row := range rows {
 		id, _ := row["id"].(int64)
-		if data, err := client.ReadFile(fmt.Sprintf("/site/videos/%d.vcf", id)); err == nil {
-			total += int64(len(data))
-		}
 		labels, _ := row["renditions"].(string)
-		for _, label := range splitNonEmpty(labels) {
-			if label != targetLabel {
-				if data, err := client.ReadFile(fmt.Sprintf("/site/videos/%d-%s.vcf", id, label)); err == nil {
-					total += int64(len(data))
-				}
-			}
+		for _, label := range strings.FieldsFunc(labels, func(r rune) bool { return r == ',' }) {
 			for k := 0; ; k++ {
 				data, err := client.ReadFile(fmt.Sprintf("/site/segments/%d-%s-%d.vcf", id, label, k))
 				if err != nil {
@@ -262,22 +254,6 @@ func (r *e17Rig) hdfsWalkBytes(tenantName string) int64 {
 		}
 	}
 	return total
-}
-
-// splitNonEmpty splits a comma-joined list, dropping empty elements.
-func splitNonEmpty(s string) []string {
-	var out []string
-	for start := 0; start <= len(s); {
-		end := start
-		for end < len(s) && s[end] != ',' {
-			end++
-		}
-		if end > start {
-			out = append(out, s[start:end])
-		}
-		start = end + 1
-	}
-	return out
 }
 
 // ledgerRow snapshots one tenant's reconciliation.

@@ -69,31 +69,46 @@ func check(cond bool, format string, args ...any) {
 	}
 }
 
-// All runs every experiment and returns the tables in order. It is what
-// cmd/benchcloud prints.
+// Experiment is one registered reproduction: its id (the -only key of
+// cmd/benchcloud), what in the paper or the design it reproduces, and the
+// harness, which panics on a shape violation.
+type Experiment struct {
+	ID, Ref string
+	Run     func() *metrics.Table
+}
+
+// Registry lists every experiment in report order: the one table All and
+// cmd/benchcloud both run from.
+var Registry = []Experiment{
+	{"E1", "Figs 8-10", E1LiveMigration},
+	{"E1b", "refs [20][21]", E1bMigrationAlgorithms},
+	{"E1c", "migration + service traffic", E1cMigrationUnderContention},
+	{"E2", "Fig 16", E2ParallelTranscode},
+	{"E3", "§I index construction", E3IndexConstruction},
+	{"E4", "§III search vs DB", E4SearchVsScan},
+	{"E5", "Figs 1-2", E5VirtOverhead},
+	{"E6", "§III-A capacity manager", E6Placement},
+	{"E6b", "§II-C shared images", E6bProvisioning},
+	{"E6c", "§III-A economize power", E6cConsolidation},
+	{"E7", "Fig 11", E7HDFSReplication},
+	{"E8", "Fig 12", E8MapReduceScaling},
+	{"E8b", "straggler ablation", E8bSpeculativeExecution},
+	{"E9", "Figs 17-23", E9EndToEnd},
+	{"E9b", "concurrent viewers", E9bConcurrentLoad},
+	{"E10", "Figs 6,13,14", E10FullStack},
+	{"E11", "VoD auto-scaling (ref [28])", E11AutoScaling},
+	{"E13", "traced request anatomy", E13CriticalPath},
+	{"E14", "serving fleet scale-out", E14ServingScale},
+	{"E15", "edge cache under ABR fan-out", E15EdgeDelivery},
+	{"E16", "elastic transcode fleet", E16Elasticity},
+	{"E17", "multi-tenant isolation + ledger", E17Tenancy},
+}
+
+// All runs every experiment and returns the tables in order.
 func All() []*metrics.Table {
-	return []*metrics.Table{
-		E1LiveMigration(),
-		E1bMigrationAlgorithms(),
-		E1cMigrationUnderContention(),
-		E2ParallelTranscode(),
-		E3IndexConstruction(),
-		E4SearchVsScan(),
-		E5VirtOverhead(),
-		E6Placement(),
-		E6bProvisioning(),
-		E6cConsolidation(),
-		E7HDFSReplication(),
-		E8MapReduceScaling(),
-		E8bSpeculativeExecution(),
-		E9EndToEnd(),
-		E9bConcurrentLoad(),
-		E10FullStack(),
-		E11AutoScaling(),
-		E13CriticalPath(),
-		E14ServingScale(),
-		E15EdgeDelivery(),
-		E16Elasticity(),
-		E17Tenancy(),
+	tables := make([]*metrics.Table, 0, len(Registry))
+	for _, e := range Registry {
+		tables = append(tables, e.Run())
 	}
+	return tables
 }

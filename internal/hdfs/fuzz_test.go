@@ -25,14 +25,14 @@ func FuzzReaderReadAt(f *testing.F) {
 	size := int64(len(data))
 	f.Add(int64(0), 1)
 	f.Add(int64(0), 0)
-	f.Add(int64(testBlock-1), 2)              // crosses first boundary
-	f.Add(int64(testBlock), testBlock)        // exactly the second block
-	f.Add(size-1, 1)                          // last byte
-	f.Add(size-1, 100)                        // short read + EOF
-	f.Add(size, 10)                           // at EOF
-	f.Add(size+1000, 10)                      // past EOF
-	f.Add(int64(testBlock/2), 2*testBlock)    // spans three blocks
-	f.Add(int64(2*testBlock), testBlock)      // partial final block
+	f.Add(int64(testBlock-1), 2)           // crosses first boundary
+	f.Add(int64(testBlock), testBlock)     // exactly the second block
+	f.Add(size-1, 1)                       // last byte
+	f.Add(size-1, 100)                     // short read + EOF
+	f.Add(size, 10)                        // at EOF
+	f.Add(size+1000, 10)                   // past EOF
+	f.Add(int64(testBlock/2), 2*testBlock) // spans three blocks
+	f.Add(int64(2*testBlock), testBlock)   // partial final block
 	f.Fuzz(func(t *testing.T, off int64, length int) {
 		if off < 0 || length < 0 || length > 4*testBlock {
 			t.Skip()

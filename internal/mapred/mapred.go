@@ -272,7 +272,7 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 	for i := range splits {
 		remaining[i] = &splits[i]
 	}
-	var taskSplits []*split              // parallel to res.MapTasks, for speculation
+	var taskSplits []*split               // parallel to res.MapTasks, for speculation
 	var taskOutputs []map[string][]string // parallel to res.MapTasks; merged at the barrier
 	taskID := 0
 

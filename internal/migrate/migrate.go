@@ -130,7 +130,7 @@ type Report struct {
 	Reason string
 	// Err is the typed failure cause when Success is false and a sentinel
 	// applies (e.g. ErrDeadline); nil otherwise.
-	Err error
+	Err    error
 	Rounds []RoundStat
 	// TotalBytes counts all bytes moved, including re-sent dirty pages.
 	TotalBytes int64

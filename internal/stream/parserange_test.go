@@ -17,8 +17,8 @@ func TestParseRangeTable(t *testing.T) {
 		{"bytes=500-", 500, 500, true},
 		{"bytes=-200", 800, 200, true},
 		{"bytes=999-999", 999, 1, true},
-		{"bytes=990-5000", 990, 10, true},  // end clamps to EOF
-		{"bytes=-5000", 0, 1000, true},     // suffix longer than file = whole file
+		{"bytes=990-5000", 990, 10, true}, // end clamps to EOF
+		{"bytes=-5000", 0, 1000, true},    // suffix longer than file = whole file
 		// Valid but unsatisfiable: off=-1 → 416.
 		{"bytes=1000-", -1, 0, true},
 		{"bytes=2000-3000", -1, 0, true},
@@ -31,10 +31,10 @@ func TestParseRangeTable(t *testing.T) {
 		{"bytes=", 0, 0, false},
 		{"bytes=-", 0, 0, false},
 		{"bytes=a-b", 0, 0, false},
-		{"bytes=5-2", 0, 0, false},                    // inverted
-		{"bytes=-1-5", 0, 0, false},                   // negative start
-		{"bytes=99999999999999999999-", 0, 0, false},  // overflow
-		{"bytes=-99999999999999999999", 0, 0, false},  // suffix overflow
+		{"bytes=5-2", 0, 0, false},                   // inverted
+		{"bytes=-1-5", 0, 0, false},                  // negative start
+		{"bytes=99999999999999999999-", 0, 0, false}, // overflow
+		{"bytes=-99999999999999999999", 0, 0, false}, // suffix overflow
 	}
 	for _, c := range cases {
 		off, length, ok := parseRange(c.spec, size)

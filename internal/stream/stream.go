@@ -106,9 +106,10 @@ func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, cont
 	return nil
 }
 
-// contentETag derives a strong validator from what identifies a stored
-// video's bytes: its path and size (content under videos/ and segments/ is
-// written once and never rewritten in place).
+// contentETag derives a strong validator from what identifies a served
+// representation's bytes: the name the caller gives it and its size (a
+// published rendition's segment objects are written once and never rewritten
+// in place).
 func contentETag(name string, size int64) string {
 	h := fnv.New64a()
 	io.WriteString(h, name)

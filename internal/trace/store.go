@@ -27,14 +27,14 @@ func (s SpanData) End() time.Duration { return s.Start + s.Duration }
 // Trace is one completed (or snapshot of an in-flight) trace: the root plus
 // every recorded span, sorted by start offset.
 type Trace struct {
-	TraceID  uint64     `json:"trace_id"`
-	Root     string     `json:"root"`
-	Start    time.Time  `json:"start"`
+	TraceID  uint64        `json:"trace_id"`
+	Root     string        `json:"root"`
+	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"` // envelope: last span end
-	Err      bool       `json:"err,omitempty"`
-	Open     int        `json:"open_spans,omitempty"` // >0 on in-flight snapshots
-	Dropped  int        `json:"dropped_spans,omitempty"`
-	Spans    []SpanData `json:"spans"`
+	Err      bool          `json:"err,omitempty"`
+	Open     int           `json:"open_spans,omitempty"` // >0 on in-flight snapshots
+	Dropped  int           `json:"dropped_spans,omitempty"`
+	Spans    []SpanData    `json:"spans"`
 }
 
 // RootSpan returns the root span's data, or a zero SpanData if the root has

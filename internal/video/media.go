@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -84,6 +85,12 @@ func (s Spec) validate() error {
 // gopBytes is the payload size of one GOP at this spec.
 func (s Spec) gopBytes() int64 { return s.BitrateBps / 8 * int64(s.GOPSeconds) }
 
+// gopCount is the number of GOPs covering durationSeconds of play time (the
+// last may be short).
+func gopCount(s Spec, durationSeconds int) int {
+	return (durationSeconds + s.GOPSeconds - 1) / s.GOPSeconds
+}
+
 // Info is the parsed metadata of a media file. FirstGOP is non-zero for
 // segments produced by Split, which keep their global GOP numbering so a
 // later Merge can restore the original order.
@@ -106,8 +113,8 @@ const (
 )
 
 func headerSize(i Info) int64 {
-	meta, _ := json.Marshal(i)
-	return int64(len(magic) + 4 + len(meta))
+	var buf [256]byte
+	return int64(len(appendHeader(buf[:0], i)))
 }
 
 // Errors returned by Parse.
@@ -125,7 +132,7 @@ func Generate(spec Spec, durationSeconds int, seed uint64) ([]byte, error) {
 	if durationSeconds <= 0 {
 		return nil, fmt.Errorf("video: non-positive duration %d", durationSeconds)
 	}
-	gops := (durationSeconds + spec.GOPSeconds - 1) / spec.GOPSeconds
+	gops := gopCount(spec, durationSeconds)
 	info := Info{Spec: spec, DurationSeconds: durationSeconds, GOPs: gops}
 	out := appendHeader(make([]byte, 0, info.Size()), info)
 	payload := make([]byte, spec.gopBytes())
@@ -137,10 +144,31 @@ func Generate(spec Spec, durationSeconds int, seed uint64) ([]byte, error) {
 }
 
 func appendHeader(dst []byte, info Info) []byte {
-	meta, _ := json.Marshal(info)
 	dst = append(dst, magic...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(meta)))
-	return append(dst, meta...)
+	at := len(dst)
+	dst = appendMeta(append(dst, 0, 0, 0, 0), info)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// appendMeta appends info's metadata block: byte for byte the JSON that
+// encoding/json writes for Info (Parse reads it back with that package), but
+// without its per-call allocations, because /stream derives a header per
+// request (SegmentLayout). Every writer passes a validated spec, so the codec
+// is one of the plain-ASCII constants and needs no escaping.
+func appendMeta(dst []byte, i Info) []byte {
+	dst = append(append(dst, `{"spec":{"codec":"`...), i.Spec.Codec...)
+	dst = strconv.AppendInt(append(dst, `","res":{"W":`...), int64(i.Spec.Res.W), 10)
+	dst = strconv.AppendInt(append(dst, `,"H":`...), int64(i.Spec.Res.H), 10)
+	dst = strconv.AppendInt(append(dst, `},"fps":`...), int64(i.Spec.FPS), 10)
+	dst = strconv.AppendInt(append(dst, `,"gop_seconds":`...), int64(i.Spec.GOPSeconds), 10)
+	dst = strconv.AppendInt(append(dst, `,"bitrate_bps":`...), i.Spec.BitrateBps, 10)
+	dst = strconv.AppendInt(append(dst, `},"duration_seconds":`...), int64(i.DurationSeconds), 10)
+	dst = strconv.AppendInt(append(dst, `,"gops":`...), int64(i.GOPs), 10)
+	if i.FirstGOP != 0 {
+		dst = strconv.AppendInt(append(dst, `,"first_gop":`...), int64(i.FirstGOP), 10)
+	}
+	return append(dst, '}')
 }
 
 func appendGOP(dst []byte, index uint32, payload []byte) []byte {

@@ -99,3 +99,47 @@ func Rebase(data []byte, firstGOP int) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// Layout maps the whole-file container Convert writes for one rendition onto
+// the segment objects Segments cuts from it, from numbers a catalog row and
+// the rendition ladder hold — no stored byte is read. It exists because every
+// GOP record of a rendition is the same length and a segment object is its
+// own container header followed by its run of those records, byte for byte
+// the records of the whole file: the whole file is Header followed by the
+// tail of every object in order. Live channels publish the same objects
+// (Rebase), so an ended channel has the same layout.
+type Layout struct {
+	Header []byte // the whole file's container header: its bytes [0, len(Header))
+	Size   int64  // whole-file length
+	run    int64  // the GOP records of every segment but the last
+}
+
+// SegmentLayout is the layout of a durationSeconds-long rendition at spec cut
+// into segSeconds segments.
+func SegmentLayout(spec Spec, durationSeconds, segSeconds int) (Layout, error) {
+	if err := spec.validate(); err != nil {
+		return Layout{}, err
+	}
+	per, err := validateSegmentLength(spec, segSeconds)
+	if err != nil {
+		return Layout{}, err
+	}
+	if durationSeconds <= 0 {
+		return Layout{}, fmt.Errorf("video: non-positive duration %d", durationSeconds)
+	}
+	info := Info{Spec: spec, DurationSeconds: durationSeconds, GOPs: gopCount(spec, durationSeconds)}
+	record := gopHeaderLen + spec.gopBytes()
+	l := Layout{Header: appendHeader(make([]byte, 0, 192), info), run: int64(per) * record}
+	l.Size = int64(len(l.Header)) + int64(info.GOPs)*record
+	return l, nil
+}
+
+// Locate maps whole-file offset off, len(Header) <= off < Size, to the
+// segment object holding that byte and how far before the object's end the
+// byte sits: the object's last fromEnd bytes are the whole file's from off on.
+func (l Layout) Locate(off int64) (segment int, fromEnd int64) {
+	body := off - int64(len(l.Header))
+	segment = int(body / l.run)
+	end := min(int64(segment+1)*l.run, l.Size-int64(len(l.Header)))
+	return segment, end - body
+}

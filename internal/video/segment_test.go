@@ -104,3 +104,108 @@ func TestRebaseRenumbersGOPs(t *testing.T) {
 		t.Error("Rebase accepted a negative first GOP")
 	}
 }
+
+// sliceByLayout reads [off, off+length) of the whole file the way /stream
+// does: header bytes from the layout, the rest from the tails of the segment
+// objects Locate names.
+func sliceByLayout(t *testing.T, l Layout, segs [][]byte, off, length int64) []byte {
+	t.Helper()
+	var out []byte
+	for ; length > 0 && off < l.Size; off, length = off+1, length-1 {
+		if off < int64(len(l.Header)) {
+			out = append(out, l.Header[off])
+			continue
+		}
+		k, fromEnd := l.Locate(off)
+		if k < 0 || k >= len(segs) || fromEnd <= 0 || fromEnd >= int64(len(segs[k])) {
+			t.Fatalf("Locate(%d) = segment %d, %d from its end; have %d segments", off, k, fromEnd, len(segs))
+		}
+		out = append(out, segs[k][int64(len(segs[k]))-fromEnd])
+	}
+	return out
+}
+
+// renditionAndSegments converts a generated source to a rendition whose GOP
+// records are gopBytes long and cuts it every segGOPs GOPs.
+func renditionAndSegments(t *testing.T, seconds, gopSeconds, segGOPs, gopBytes int) (Spec, []byte, [][]byte) {
+	t.Helper()
+	src := Spec{Codec: MPEG4, Res: R480p, FPS: 30, GOPSeconds: gopSeconds, BitrateBps: 8 * 16}
+	target := Spec{Codec: H264, Res: R720p, FPS: 30, GOPSeconds: gopSeconds, BitrateBps: int64(8 * gopBytes)}
+	data, err := Generate(src, seconds, uint64(seconds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Transcoder{}.Convert(data, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := Segments(res.Output, segGOPs*gopSeconds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target, res.Output, segs
+}
+
+func TestSegmentLayoutIsTheMergedContainer(t *testing.T) {
+	for _, tc := range []struct{ seconds, gopSeconds, segGOPs int }{
+		{30, 2, 2},  // 15 GOPs, short last segment
+		{16, 2, 4},  // exact multiple
+		{5, 2, 4},   // one segment, short last GOP
+		{7, 1, 1},   // one GOP per segment
+		{240, 2, 2}, // segment headers of differing lengths (first_gop 0, 8, 118)
+	} {
+		spec, whole, segs := renditionAndSegments(t, tc.seconds, tc.gopSeconds, tc.segGOPs, 24)
+		l, err := SegmentLayout(spec, tc.seconds, tc.segGOPs*tc.gopSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Size != int64(len(whole)) || !bytes.HasPrefix(whole, l.Header) {
+			t.Fatalf("%+v: layout says %d bytes behind header %q, container has %d", tc, l.Size, l.Header, len(whole))
+		}
+		if got := sliceByLayout(t, l, segs, 0, l.Size); !bytes.Equal(got, whole) {
+			t.Fatalf("%+v: segments read through the layout differ from the whole file", tc)
+		}
+	}
+	spec := Spec{Codec: H264, Res: R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000}
+	for _, bad := range []struct{ seconds, segSeconds int }{{0, 4}, {-3, 4}, {10, 3}, {10, 0}} {
+		if _, err := SegmentLayout(spec, bad.seconds, bad.segSeconds); err == nil {
+			t.Errorf("SegmentLayout(%d s, %d s segments) accepted", bad.seconds, bad.segSeconds)
+		}
+	}
+	if _, err := SegmentLayout(Spec{}, 10, 4); err == nil {
+		t.Error("SegmentLayout accepted the zero spec")
+	}
+}
+
+// FuzzSegmentLayout checks the offset mapping against a naive "merge then
+// slice" oracle over container shapes (duration, GOP cadence, segment
+// length, GOP size) and windows. `go test` runs the seeds.
+func FuzzSegmentLayout(f *testing.F) {
+	f.Add(uint8(30), uint8(2), uint8(2), uint8(24), uint16(0), uint16(200))  // header into segment 0
+	f.Add(uint8(30), uint8(2), uint8(2), uint8(24), uint16(190), uint16(80)) // across a boundary
+	f.Add(uint8(16), uint8(2), uint8(4), uint8(1), uint16(0), uint16(65535)) // whole file, exact multiple
+	f.Add(uint8(5), uint8(3), uint8(1), uint8(200), uint16(500), uint16(1))  // short last GOP
+	f.Add(uint8(255), uint8(1), uint8(1), uint8(9), uint16(3000), uint16(9)) // 255 one-GOP segments
+	f.Fuzz(func(t *testing.T, seconds, gopSeconds, segGOPs, gopBytes uint8, off, length uint16) {
+		if seconds == 0 || gopSeconds == 0 || segGOPs == 0 || gopBytes == 0 || gopSeconds > 8 {
+			t.Skip()
+		}
+		spec, _, segs := renditionAndSegments(t, int(seconds), int(gopSeconds), int(segGOPs), int(gopBytes))
+		whole, err := Merge(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := SegmentLayout(spec, int(seconds), int(segGOPs)*int(gopSeconds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Size != int64(len(whole)) {
+			t.Fatalf("Size = %d, merged container has %d", l.Size, len(whole))
+		}
+		lo := min(int(off), len(whole))
+		hi := min(lo+int(length), len(whole))
+		if got := sliceByLayout(t, l, segs, int64(off), int64(length)); !bytes.Equal(got, whole[lo:hi]) {
+			t.Fatalf("window [%d,%d) differs from the merged container", lo, hi)
+		}
+	})
+}

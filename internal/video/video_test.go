@@ -2,6 +2,8 @@ package video
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -353,5 +355,39 @@ func TestZeroGOPContainerRejected(t *testing.T) {
 	}
 	if got := partition(5, 0); got != nil {
 		t.Fatalf("partition(5, 0) = %v, want nil", got)
+	}
+}
+
+// appendMeta is a second writer of the metadata block Parse reads with
+// encoding/json: it must produce that package's bytes.
+func TestHeaderMetadataIsEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pick := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Intn(1 << 20)
+		default:
+			return rng.Intn(1 << uint(1+rng.Intn(30)))
+		}
+	}
+	codecs := []Codec{MPEG4, H264, VP8, Theora}
+	for i := 0; i < 2000; i++ {
+		info := Info{
+			Spec: Spec{Codec: codecs[i%len(codecs)], Res: Resolution{pick(), pick()}, FPS: pick(),
+				GOPSeconds: pick(), BitrateBps: int64(pick()) << uint(rng.Intn(24))},
+			DurationSeconds: pick(), GOPs: pick(), FirstGOP: pick(),
+		}
+		want, err := json.Marshal(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendMeta(nil, info); !bytes.Equal(got, want) {
+			t.Fatalf("appendMeta wrote\n%s\nencoding/json writes\n%s", got, want)
+		}
+		if got := headerSize(info); got != int64(8+len(want)) {
+			t.Fatalf("headerSize = %d, want %d", got, 8+len(want))
+		}
 	}
 }

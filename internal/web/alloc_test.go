@@ -1,0 +1,106 @@
+//go:build !race
+
+package web
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"videocloud/internal/fusebridge"
+	"videocloud/internal/hdfs"
+	"videocloud/internal/video"
+)
+
+// Allocation regression gate for the /stream hot path (make tier1 runs it via
+// the alloccheck target; the race detector inflates counts, so the file is
+// excluded under -race). The site mirrors the benchmark's fleet: 1 Mbps
+// target, 8 s (1 MB) segments, 4 MiB blocks, block cache on.
+
+// nullWriter is a ResponseWriter that keeps nothing, so the count is the
+// program's, not net/http's or the socket's.
+type nullWriter struct {
+	hdr    http.Header
+	status int
+}
+
+func (d *nullWriter) Header() http.Header         { return d.hdr }
+func (d *nullWriter) WriteHeader(c int)           { d.status = c }
+func (d *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// streamAllocsWholeFile is what this test measured for a warm 64 KiB window
+// through Site.ServeHTTP at the last commit that stored a whole-file copy of
+// every rendition and had /stream open it (the benchmark's in-process figure
+// for the same request through the ingress was 44).
+const streamAllocsWholeFile = 38
+
+func TestAllocStreamHandler(t *testing.T) {
+	cluster := hdfs.NewCluster(4, 4<<20)
+	cluster.SetBlockCacheCapacity(0)
+	mount, err := fusebridge.New(cluster.Client(""), "/site", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := New(Config{
+		Store:          mount,
+		Farm:           video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}},
+		Target:         video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000},
+		SegmentSeconds: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+	src, err := video.Generate(video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000}, 24, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := site.ProcessUpload(context.Background(), site.AdminID(), "clip", "d", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.DrainTranscodes()
+
+	const window = 64 << 10
+	const segBytes = 1_000_000 // 8 s at 1 Mbps, plus GOP framing
+	measure := func(off int64) float64 {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/stream/%d", id), nil)
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+window-1))
+		w := &nullWriter{hdr: make(http.Header)}
+		serve := func() {
+			site.ServeHTTP(w, req)
+			if w.status != http.StatusPartialContent {
+				t.Fatalf("window at %d: status %d", off, w.status)
+			}
+		}
+		serve() // warm the extent cache and the route's instruments
+		return testing.AllocsPerRun(200, serve)
+	}
+	inside := measure(2 * window)
+	straddling := measure(segBytes - window/2)
+	// What touching one more object costs: its name, the open, a view, the
+	// close.
+	open := testing.AllocsPerRun(200, func() {
+		rd, err := site.store.OpenSeekerCtx(context.Background(), segmentPath(id, "720p", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rd.AppendRangeSlices(nil, 0, window/2); err != nil {
+			t.Fatal(err)
+		}
+		rd.Close()
+	})
+	t.Logf("allocs per warm 64 KiB window: %.0f inside one segment, %.0f straddling two (one more open: %.0f; whole-file copy: %d)",
+		inside, straddling, open, streamAllocsWholeFile)
+	if inside > streamAllocsWholeFile+4 {
+		t.Errorf("a window inside one segment allocates %.0f times, want at most %d (the whole-file path's %d + 4)",
+			inside, streamAllocsWholeFile+4, streamAllocsWholeFile)
+	}
+	if straddling > inside+open {
+		t.Errorf("a window straddling two segments allocates %.0f times, want at most %.0f (one segment's %.0f + one more open's %.0f)",
+			straddling, inside+open, inside, open)
+	}
+}

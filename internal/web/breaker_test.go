@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"videocloud/internal/video"
 	"videocloud/internal/videodb"
 )
 
@@ -142,10 +143,10 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 	b.registerAndLogin("dave", "hunter2")
 	b.upload("clip", "d", 4, 17)
 
-	// Point a row at a path that does not exist in the store.
+	// Lose the object the row's stream is made of.
 	rows, _ := site.db.Scan("videos", func(videodb.Row) bool { return true })
 	id := rows[0]["id"].(int64)
-	if err := site.db.Update("videos", id, videodb.Row{"path": "videos/nope.vcf"}); err != nil {
+	if err := site.store.Remove(segmentPath(id, "720p", 0)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2*defaultBreakerThreshold; i++ {
@@ -160,24 +161,27 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 }
 
 // The storage check must look at the window the client asked for, not at
-// byte 0: with block 0 of a title warm in the block cache and every replica
-// of block 1 down, a Range inside block 1 is a storage failure — 503 +
-// Retry-After and a breaker failure, not 206 headers over an aborted body
-// and a breaker success.
+// byte 0: with the start of a title warm in the block cache and every replica
+// of a later segment object down, a Range inside that object — or one that
+// only ends in it, its first bytes coming from the warm object before — is a
+// storage failure: 503 + Retry-After and a breaker failure, not 206 headers
+// over an aborted body and a breaker success.
 func TestStreamChecksTheRequestedBlock(t *testing.T) {
 	site, cluster := newSite(t)
 	cluster.SetBlockCacheCapacity(0)
 	b := newBrowser(t, site)
 	b.registerAndLogin("erin", "hunter2")
-	watch := b.upload("clip", "d", 40, 19) // ~500 KB at the test target: two 256 KiB blocks
+	watch := b.upload("clip", "d", 40, 19) // ten 4 s segment objects of ~50 KB, one block each
 	id, _ := strconv.ParseInt(strings.TrimPrefix(watch, "/watch/"), 10, 64)
-	row, err := site.db.Get("videos", id)
+	lay, err := video.SegmentLayout(site.target, 40, site.segSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := cluster.Client("").BlockLocations("/site/" + rowString(row, "path"))
-	if err != nil || len(blocks) < 2 {
-		t.Fatalf("want a title of at least two blocks, have %d (err %v)", len(blocks), err)
+	run := (lay.Size - int64(len(lay.Header))) / 10
+	seg5 := int64(len(lay.Header)) + 5*run // whole-file offset of segment 5's first byte
+	blocks, err := cluster.Client("").BlockLocations("/site/" + segmentPath(id, "720p", 5))
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("want segment 5 in one block, have %d (err %v)", len(blocks), err)
 	}
 	rangeGet := func(spec string) *http.Response {
 		t.Helper()
@@ -191,16 +195,25 @@ func TestStreamChecksTheRequestedBlock(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
-	if resp := rangeGet("bytes=0-99"); resp.StatusCode != http.StatusPartialContent { // warms block 0
-		t.Fatalf("warm-up status = %d", resp.StatusCode)
+	// Warm segments 0 and 4: their replicas may share DataNodes with 5's.
+	for _, spec := range []string{"bytes=0-99", fmt.Sprintf("bytes=%d-%d", seg5-run, seg5-1)} {
+		if resp := rangeGet(spec); resp.StatusCode != http.StatusPartialContent {
+			t.Fatalf("warm-up %s: status = %d", spec, resp.StatusCode)
+		}
 	}
-	for _, loc := range blocks[1].Locations {
+	for _, loc := range blocks[0].Locations {
 		cluster.DataNode(loc).SetDown(true)
 	}
-	inBlock1 := fmt.Sprintf("bytes=%d-%d", blocks[0].Length+100, blocks[0].Length+199)
+	if resp := rangeGet(fmt.Sprintf("bytes=%d-%d", seg5-200, seg5-1)); resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("window ending at the boundary: status = %d, want 206 from the warm object", resp.StatusCode)
+	}
+	windows := []string{
+		fmt.Sprintf("bytes=%d-%d", seg5+100, seg5+199), // inside the dead object
+		fmt.Sprintf("bytes=%d-%d", seg5-100, seg5+99),  // straddling: only its second object is dead
+	}
 	errsBefore := site.Metrics().Counter("stream_storage_errors").Value()
 	for i := 0; i < defaultBreakerThreshold; i++ {
-		resp := rangeGet(inBlock1)
+		resp := rangeGet(windows[i%len(windows)])
 		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 			t.Fatalf("attempt %d: status %d, Retry-After %q; want 503 with a hint",
 				i, resp.StatusCode, resp.Header.Get("Retry-After"))

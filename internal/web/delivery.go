@@ -1,8 +1,10 @@
 package web
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -11,34 +13,53 @@ import (
 	"time"
 
 	"videocloud/internal/edge"
+	"videocloud/internal/fusebridge"
+	"videocloud/internal/hdfs"
 	"videocloud/internal/stream"
+	"videocloud/internal/trace"
 	"videocloud/internal/video"
 )
 
-// Segmented delivery: /playlist/{id} lists a title's renditions,
-// /playlist/{id}/{quality} lists one rendition's time-indexed segments, and
-// /segment/{id}/{quality}/{k} serves segment k's bytes. Every response is
-// served through the replica's edge cache, so under fan-out the hot titles
-// cost origin (HDFS for segments, the database for playlists) roughly one
-// read per object per frontend instead of one per viewer. Playlists are
-// cached with the live-edge TTL (they change: live channels grow, titles
-// disappear); segments are write-once and cached without one. Warm segment
-// hits go out on the same zero-copy vectored-write path as whole-file
-// streaming: cache memory → net.Buffers → socket, no per-request copy.
+// Delivery: a published rendition is stored once, as its segment objects.
+// /playlist/{id} lists a title's renditions, /playlist/{id}/{quality} lists
+// one rendition's time-indexed segments, /segment/{id}/{quality}/{k} serves
+// segment k's bytes, and /stream/{id}[?quality=] serves the whole-file
+// container those objects were cut from, assembled per window (renditionFile).
+// Playlist and segment responses are served through the replica's edge
+// cache, so under fan-out the hot titles cost origin (HDFS for segments, the
+// database for playlists) roughly one read per object per frontend instead
+// of one per viewer. Playlists are cached with the live-edge TTL (they
+// change: live channels grow, titles disappear); segments are write-once and
+// cached without one. Warm segment hits and stream windows go out on the same
+// zero-copy vectored-write path: cache memory → net.Buffers → socket, no
+// per-request copy.
 
-// A cached segment must satisfy the zero-copy serving contract.
-var _ stream.SliceRanger = (*edge.Content)(nil)
+// Cached segments and assembled renditions must satisfy the zero-copy serving
+// contract.
+var (
+	_ stream.SliceRanger = (*edge.Content)(nil)
+	_ stream.SliceRanger = (*renditionFile)(nil)
+)
 
-// segmentPath is where rendition label's segment k of a video lives in
-// HDFS. Flat names under segments/ (no per-video directory level) keep the
-// namespace layout identical to videos/.
+// segmentPath is where rendition label's segment k of a video lives in HDFS:
+// the only stored form of a rendition, and the only place its name is
+// spelled. Flat names under segments/, no per-video directory level.
 func segmentPath(id int64, label string, k int) string {
-	return fmt.Sprintf("segments/%d-%s-%d.vcf", id, label, k)
+	return "segments/" + strconv.FormatInt(id, 10) + "-" + label + "-" + strconv.Itoa(k) + ".vcf"
 }
 
-// errNotSegmented distinguishes "this row has no segment index" from a
-// missing row.
+// errNotSegmented distinguishes "this row has no stored rendition to serve"
+// (a failed conversion, a malformed row, a lost object) from a missing row.
 var errNotSegmented = errors.New("web: video has no segments published")
+
+var errStillProcessing = errors.New("web: video is still processing")
+
+// errStoreUnavailable marks failures of the store itself, which shed load
+// (503 + Retry-After) rather than 404. Every segment-object read sits behind
+// the streaming circuit breaker: while the store is down, requests fail fast
+// with this instead of stacking on a dead backend, and metadata pages keep
+// serving from the database, so the site degrades rather than collapses.
+var errStoreUnavailable = errors.New("web: video storage unavailable")
 
 // deliveryRow captures the catalog columns the delivery handlers need.
 type deliveryRow struct {
@@ -47,19 +68,22 @@ type deliveryRow struct {
 	segSeconds int64
 	segments   int64
 	live       bool
-	labels     []string
+	tenant     string
+	labels     string // the renditions column: comma-separated, target first
 }
 
-// deliveryByRequest resolves the request's {id} to a segment-servable row.
-// The error is user-facing via deliveryError.
+// deliveryByRequest resolves the request's {id} to a servable row for
+// /stream, /playlist and /segment alike. The error is user-facing via
+// deliveryError; id and live are set whenever the row exists and has left
+// processing.
 func (s *Site) deliveryByRequest(r *http.Request) (deliveryRow, error) {
 	var d deliveryRow
 	row, err := s.videoByRequest(r)
 	if err != nil {
 		return d, err
 	}
-	// Tolerant reads throughout: rows written before segmented delivery
-	// carry neither status nor segment columns and report errNotSegmented.
+	// Tolerant reads throughout: a drifted row carries neither status nor
+	// segment columns and reports errNotSegmented.
 	status, _ := row["status"].(string)
 	if status == statusProcessing {
 		return d, errStillProcessing
@@ -69,19 +93,19 @@ func (s *Site) deliveryByRequest(r *http.Request) (deliveryRow, error) {
 	d.segSeconds, _ = row["seg_seconds"].(int64)
 	d.segments, _ = row["segments"].(int64)
 	d.live = status == statusLive
-	if labels := rowString(row, "renditions"); labels != "" {
-		d.labels = strings.Split(labels, ",")
-	}
-	if d.segSeconds <= 0 || d.segments <= 0 || len(d.labels) == 0 {
+	d.tenant, _ = row["tenant"].(string)
+	d.labels = rowString(row, "renditions")
+	if d.segSeconds <= 0 || d.segments <= 0 || d.labels == "" {
 		return d, errNotSegmented
 	}
 	return d, nil
 }
 
-var errStillProcessing = errors.New("web: video is still processing")
-
 func (s *Site) deliveryError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, errStoreUnavailable):
+		w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
+		http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
 	case errors.Is(err, errStillProcessing):
 		w.Header().Set("Retry-After", "2")
 		http.Error(w, "video is still processing", http.StatusServiceUnavailable)
@@ -92,30 +116,61 @@ func (s *Site) deliveryError(w http.ResponseWriter, err error) {
 	}
 }
 
+// storeFailure tells the breaker about a segment-object read that failed
+// before anything was written to the client, and classifies it for
+// deliveryError: a missing or misshapen object is the row's problem, not the
+// store's, and must not trip the breaker.
+func (s *Site) storeFailure(r *http.Request, name string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errNotSegmented) {
+		s.hdfsBreaker.Success()
+		return errNotSegmented
+	}
+	s.hdfsBreaker.Failure()
+	s.reg.Counter("stream_storage_errors").Inc()
+	log.Printf("web: storage failure reading %s (request %s): %v", name, requestIDFrom(r.Context()), err)
+	return errStoreUnavailable
+}
+
 // specForLabel maps a stored rendition label back to its encoding spec.
 func (s *Site) specForLabel(label string) (video.Spec, bool) {
-	if label == QualityLabel(s.target) {
-		return s.target, true
-	}
-	for _, r := range s.renditions {
-		if label == QualityLabel(r) {
-			return r, true
+	for i, l := range s.labels {
+		if l == label {
+			return s.specs[i], true
 		}
 	}
 	return video.Spec{}, false
 }
 
-// handlePlaylistMaster serves /playlist/{id}: the title's rendition ladder.
-func (s *Site) handlePlaylistMaster(w http.ResponseWriter, r *http.Request) {
+// servePlaylist answers a playlist request through the edge cache; on a miss
+// build renders it from the resolved row. Playlists are cached with the
+// live-edge TTL: a live channel's omits the end marker and keeps growing, so
+// viewers discover fresh segments within LiveEdgeTTL without every poll
+// hitting the database.
+func (s *Site) servePlaylist(w http.ResponseWriter, r *http.Request, key string, build func(deliveryRow) ([]byte, error)) {
 	s.reg.Counter("edge_playlist_requests").Inc()
-	key := "pl/" + r.PathValue("id")
 	data, src, err := s.edge.GetOrFill(key, s.liveTTL, func() ([]byte, error) {
 		d, err := s.deliveryByRequest(r)
 		if err != nil {
 			return nil, err
 		}
+		return build(d)
+	})
+	if err != nil {
+		s.deliveryError(w, err)
+		return
+	}
+	if src == edge.SourceFill {
+		s.reg.Counter("edge_playlist_origin").Inc()
+	}
+	w.Header().Set("Content-Type", stream.PlaylistContentType)
+	w.Write(data)
+}
+
+// handlePlaylistMaster serves /playlist/{id}: the title's rendition ladder.
+func (s *Site) handlePlaylistMaster(w http.ResponseWriter, r *http.Request) {
+	s.servePlaylist(w, r, "pl/"+r.PathValue("id"), func(d deliveryRow) ([]byte, error) {
 		var m stream.MasterPlaylist
-		for _, label := range d.labels {
+		for _, label := range strings.Split(d.labels, ",") {
 			spec, ok := s.specForLabel(label)
 			if !ok {
 				continue // label from a config this replica doesn't know
@@ -131,31 +186,13 @@ func (s *Site) handlePlaylistMaster(w http.ResponseWriter, r *http.Request) {
 		}
 		return m.Marshal(), nil
 	})
-	if err != nil {
-		s.deliveryError(w, err)
-		return
-	}
-	if src == edge.SourceFill {
-		s.reg.Counter("edge_playlist_origin").Inc()
-	}
-	w.Header().Set("Content-Type", stream.PlaylistContentType)
-	w.Write(data)
 }
 
 // handlePlaylistMedia serves /playlist/{id}/{quality}: one rendition's
-// segment index. A live channel's playlist omits the end marker and keeps
-// growing; the TTL bounds how stale a cached copy can be, so live viewers
-// discover fresh segments within LiveEdgeTTL without every poll hitting the
-// database.
+// segment index.
 func (s *Site) handlePlaylistMedia(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("edge_playlist_requests").Inc()
 	label := r.PathValue("quality")
-	key := "pl/" + r.PathValue("id") + "/" + label
-	data, src, err := s.edge.GetOrFill(key, s.liveTTL, func() ([]byte, error) {
-		d, err := s.deliveryByRequest(r)
-		if err != nil {
-			return nil, err
-		}
+	s.servePlaylist(w, r, "pl/"+r.PathValue("id")+"/"+label, func(d deliveryRow) ([]byte, error) {
 		if !hasLabel(d.labels, label) {
 			return nil, errNotSegmented
 		}
@@ -169,22 +206,16 @@ func (s *Site) handlePlaylistMedia(w http.ResponseWriter, r *http.Request) {
 		}
 		return m.Marshal(), nil
 	})
-	if err != nil {
-		s.deliveryError(w, err)
-		return
-	}
-	if src == edge.SourceFill {
-		s.reg.Counter("edge_playlist_origin").Inc()
-	}
-	w.Header().Set("Content-Type", stream.PlaylistContentType)
-	w.Write(data)
 }
 
-func hasLabel(labels []string, label string) bool {
-	for _, l := range labels {
+// hasLabel reports whether a renditions column lists label.
+func hasLabel(labels, label string) bool {
+	for labels != "" {
+		l, rest, _ := strings.Cut(labels, ",")
 		if l == label {
 			return true
 		}
+		labels = rest
 	}
 	return false
 }
@@ -205,13 +236,6 @@ func (s *Site) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return s.readSegmentOrigin(r)
 	})
 	if err != nil {
-		var storeErr *segmentStorageError
-		if errors.As(err, &storeErr) {
-			s.reg.Counter("stream_storage_errors").Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
-			http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
-			return
-		}
 		s.deliveryError(w, err)
 		return
 	}
@@ -221,34 +245,36 @@ func (s *Site) handleSegment(w http.ResponseWriter, r *http.Request) {
 	s.serveSegment(w, r, key, data)
 }
 
-// serveSegment writes cached segment bytes on the zero-copy slice path,
-// paced through the replica's NIC model like every other media response.
-// Egress is attributed to the video owner's tenant via the per-replica
-// attribution cache, so warm edge hits stay off the database.
+// serveSegment writes cached segment bytes. Egress is attributed to the video
+// owner's tenant via the per-replica attribution cache, so warm edge hits
+// stay off the database.
 func (s *Site) serveSegment(w http.ResponseWriter, r *http.Request, name string, data []byte) {
-	onFallback := func(string) { s.reg.Counter("stream_fallback_total").Inc() }
-	content := edge.NewContent(data)
+	// In-memory content always resolves a window parseRange accepted.
+	n, err := s.serveMedia(w, r, name, edge.NewContent(data))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if id, err := strconv.ParseInt(r.PathValue("id"), 10, 64); err == nil {
+		s.meterEgress(s.ownerTenant(id), n)
+	}
+}
+
+// serveMedia writes content on the zero-copy slice path (stream.Serve),
+// paced through the replica's NIC-model token bucket, and returns the body
+// bytes written: the publisher's tenant pays for delivery. Requests the slice
+// path does not speak (multi-range) take the copying ServeContent path; the
+// counter keeps that rate visible in stats. A non-nil error means the content
+// could not produce the window and nothing has been written.
+func (s *Site) serveMedia(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker) (int64, error) {
 	mw := &meteredWriter{ResponseWriter: w}
 	var out http.ResponseWriter = mw
 	if s.streamPacer != nil {
 		out = pacedWriter{ResponseWriter: mw, p: s.streamPacer}
 	}
-	// In-memory content always resolves a window parseRange accepted.
-	if err := stream.ServeWithFallback(out, r, name, content, onFallback); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if id, err := strconv.ParseInt(r.PathValue("id"), 10, 64); err == nil {
-		s.meterEgress(s.ownerTenant(id), mw.n)
-	}
+	err := stream.ServeWithFallback(out, r, name, content, func(string) { s.reg.Counter("stream_fallback_total").Inc() })
+	return mw.n, err
 }
-
-// segmentStorageError marks origin failures that should shed load (503)
-// rather than 404.
-type segmentStorageError struct{ err error }
-
-func (e *segmentStorageError) Error() string { return e.err.Error() }
-func (e *segmentStorageError) Unwrap() error { return e.err }
 
 // readSegmentOrigin is the miss path: validate against the catalog, then
 // read the segment object from HDFS under the streaming circuit breaker.
@@ -266,22 +292,187 @@ func (s *Site) readSegmentOrigin(r *http.Request) ([]byte, error) {
 		return nil, fmt.Errorf("web: segment %q out of range: %w", r.PathValue("k"), errNotSegmented)
 	}
 	if !s.hdfsBreaker.Allow() {
-		return nil, &segmentStorageError{errors.New("web: breaker open")}
+		return nil, errStoreUnavailable
 	}
-	data, err := s.store.ReadFileCtx(r.Context(), segmentPath(d.id, label, k))
+	name := segmentPath(d.id, label, k)
+	data, err := s.store.ReadFileCtx(r.Context(), name)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// The row's problem, not the store's: don't trip the breaker.
-			s.hdfsBreaker.Success()
-			return nil, errNotSegmented
-		}
-		s.hdfsBreaker.Failure()
-		log.Printf("web: storage failure reading %s (request %s): %v",
-			segmentPath(d.id, label, k), requestIDFrom(r.Context()), err)
-		return nil, &segmentStorageError{err}
+		return nil, s.storeFailure(r, name, err)
 	}
 	s.hdfsBreaker.Success()
 	return data, nil
+}
+
+// handleStream serves /stream/{id}[?quality=label]: the rendition's whole-file
+// container with full Range support, the paper's draggable time bar.
+func (s *Site) handleStream(w http.ResponseWriter, r *http.Request) {
+	d, err := s.deliveryByRequest(r)
+	if d.live {
+		// A channel still publishing has no stable size or ETag to range
+		// over; ended, it streams like any title.
+		http.Error(w, fmt.Sprintf("segmented delivery only: use /playlist/%d", d.id), http.StatusNotFound)
+		return
+	}
+	if err == nil {
+		err = s.streamRendition(w, r, d)
+	}
+	if errors.Is(err, errNotSegmented) {
+		// A failed conversion, a malformed row or a lost object.
+		http.Error(w, "video file not available", http.StatusInternalServerError)
+	} else if err != nil {
+		s.deliveryError(w, err)
+	}
+}
+
+// streamRendition answers a /stream request for a resolved row. A non-nil
+// error means nothing has been written to w.
+func (s *Site) streamRendition(w http.ResponseWriter, r *http.Request, d deliveryRow) error {
+	// quality=<label> selects a rendition; the default is the target. (The
+	// bare URL skips FormValue, which allocates its maps to find nothing.)
+	label := s.labels[0]
+	if r.URL.RawQuery != "" {
+		if q := r.FormValue("quality"); q != "" {
+			label = q
+		}
+	}
+	spec, known := s.specForLabel(label)
+	if !known || !hasLabel(d.labels, label) {
+		http.Error(w, fmt.Sprintf("no %s rendition (have %s)", label, d.labels),
+			http.StatusNotFound)
+		return nil
+	}
+	lay, err := video.SegmentLayout(spec, int(d.duration), int(d.segSeconds))
+	if err != nil {
+		return fmt.Errorf("web: video %d: %v: %w", d.id, err, errNotSegmented)
+	}
+	// name identifies the representation to validators and traces. It is the
+	// one the whole-file copy was stored under, so a rendition's ETag is what
+	// it was when /stream read that copy.
+	suffix := ".vcf"
+	if label != s.labels[0] {
+		suffix = "-" + label + ".vcf"
+	}
+	name := "videos/" + strconv.FormatInt(d.id, 10) + suffix
+	if !s.hdfsBreaker.Allow() {
+		return errStoreUnavailable
+	}
+	ctx := r.Context()
+	f := &renditionFile{ctx: ctx, store: s.store, healthy: s.hdfsBreaker, id: d.id, label: label, lay: lay}
+	f.seq, f.open = *io.NewSectionReader(f, 0, lay.Size), f.first[:0]
+	defer f.Close() // releases the block-cache references behind the response's slices
+	ssp := trace.FromContext(ctx).StartChild("stream.serve")
+	ssp.Annotate("path", name)
+	// Opening an object only consults NameNode metadata; dead DataNodes
+	// surface when the window is read. The slice path resolves the window —
+	// every object it touches — before it writes a status line, so a window
+	// reaching a block with no live replica is a storage failure the client
+	// can be told about, whatever the state of the bytes before it.
+	n, err := s.serveMedia(w, r, name, f)
+	ssp.SetError(err)
+	ssp.End()
+	if err != nil {
+		return s.storeFailure(r, name, err)
+	}
+	s.hdfsBreaker.Success() // for responses that read nothing: HEAD, 416
+	s.reg.Counter("stream_requests").Inc()
+	s.meterEgress(d.tenant, n)
+	return nil
+}
+
+// renditionFile presents one rendition's segment objects as the whole-file
+// container they were cut from (video.Layout): the synthesized header, then
+// each object's GOP run. It opens only the objects a window touches and hands
+// back the extent-cache views their readers do, referenced until Close.
+type renditionFile struct {
+	ctx   context.Context
+	store *fusebridge.Mount
+	// healthy hears of every window resolved, before the status line goes
+	// out: a half-open probe is settled then, not after a slow client has
+	// drained the body.
+	healthy *breaker
+	id      int64
+	label   string
+	lay     video.Layout
+	seq     io.SectionReader // the whole file as a stream, over ReadAt
+	open    []openSegment
+	first   [2]openSegment // backs open: a Range window rarely touches more
+}
+
+type openSegment struct {
+	k  int
+	rd *hdfs.Reader
+}
+
+// Size is the whole file's length.
+func (f *renditionFile) Size() int64 { return f.lay.Size }
+
+// segment returns segment object k's reader, opening it on first use.
+func (f *renditionFile) segment(k int) (*hdfs.Reader, error) {
+	for _, o := range f.open {
+		if o.k == k {
+			return o.rd, nil
+		}
+	}
+	rd, err := f.store.OpenSeekerCtx(f.ctx, segmentPath(f.id, f.label, k))
+	if err != nil {
+		return nil, err
+	}
+	f.open = append(f.open, openSegment{k, rd})
+	return rd, nil
+}
+
+// AppendRangeSlices implements stream.SliceRanger with hdfs.Reader's
+// contract: views of [off, off+length) clamped to EOF, io.EOF at or past it.
+// Callers (stream's slice path, the section reader) pass off >= 0.
+func (f *renditionFile) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
+	if off >= f.lay.Size {
+		return dst, io.EOF
+	}
+	length = min(length, f.lay.Size-off)
+	if hdr := int64(len(f.lay.Header)); off < hdr {
+		n := min(length, hdr-off)
+		dst = append(dst, f.lay.Header[off:off+n])
+		off, length = off+n, length-n
+	}
+	for length > 0 {
+		k, fromEnd := f.lay.Locate(off)
+		rd, err := f.segment(k)
+		if err != nil {
+			return dst, err
+		}
+		if rd.Size() <= fromEnd {
+			return dst, fmt.Errorf("web: %s holds %d bytes, no room for its GOP run: %w",
+				segmentPath(f.id, f.label, k), rd.Size(), errNotSegmented)
+		}
+		n := min(length, fromEnd)
+		if dst, err = rd.AppendRangeSlices(dst, rd.Size()-fromEnd, n); err != nil {
+			return dst, err
+		}
+		off, length = off+n, length-n
+	}
+	f.healthy.Success()
+	return dst, nil
+}
+
+// Read and Seek serve the copying fallback (multi-range requests) through an
+// io.SectionReader over ReadAt.
+func (f *renditionFile) Read(p []byte) (int, error)                { return f.seq.Read(p) }
+func (f *renditionFile) Seek(off int64, whence int) (int64, error) { return f.seq.Seek(off, whence) }
+
+func (f *renditionFile) ReadAt(p []byte, off int64) (n int, err error) {
+	views, err := f.AppendRangeSlices(nil, off, int64(len(p)))
+	for _, v := range views {
+		n += copy(p[n:], v)
+	}
+	return n, err
+}
+
+// Close releases every opened object's cache references.
+func (f *renditionFile) Close() {
+	for _, o := range f.open {
+		o.rd.Close()
+	}
+	f.open = nil
 }
 
 // DeliveryConfig reports the segmentation parameters (experiments size

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -236,6 +237,17 @@ func TestLiveChannelLifecycle(t *testing.T) {
 	info, err := video.Probe(merged)
 	if err != nil || info.DurationSeconds != 10 {
 		t.Fatalf("merged live channel: %+v, %v (want 10s)", info, err)
+	}
+	// One layout for live and VOD: the ended channel streams as that merged
+	// container, whole and by Range across the short last segment.
+	if resp, body := b.get(fmt.Sprintf("/stream/%d", id)); resp.StatusCode != http.StatusOK || body != string(merged) {
+		t.Fatalf("ended channel /stream: status %d, %d bytes, want the %d merged bytes",
+			resp.StatusCode, len(body), len(merged))
+	}
+	tail, err := (&stream.Player{HTTP: b.c}).FetchRange(fmt.Sprintf("%s/stream/%d", b.srv.URL, id),
+		int64(len(merged))-30_000, int64(len(merged))-1)
+	if err != nil || !bytes.Equal(tail, merged[len(merged)-30_000:]) {
+		t.Fatalf("ended channel tail window: %d bytes, err %v", len(tail), err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"net/http"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"videocloud/internal/search"
-	"videocloud/internal/stream"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
@@ -431,120 +429,6 @@ func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.render(w, r, v)
 }
 
-func (s *Site) handleStream(w http.ResponseWriter, r *http.Request) {
-	row, err := s.videoByRequest(r)
-	if err != nil {
-		http.NotFound(w, r)
-		return
-	}
-	path := rowString(row, "path")
-	if path == "" {
-		// Tolerant read: rows from older binaries carry no status column.
-		status, _ := row["status"].(string)
-		if status == statusProcessing {
-			w.Header().Set("Retry-After", "2")
-			http.Error(w, "video is still processing", http.StatusServiceUnavailable)
-			return
-		}
-		// A live channel has no whole file — its content exists only as
-		// segments. Point the client at the segmented entry point.
-		if segs, _ := row["segments"].(int64); segs > 0 || status == statusLive {
-			http.Error(w, fmt.Sprintf("segmented delivery only: use /playlist/%d", rowInt(row, "id")),
-				http.StatusNotFound)
-			return
-		}
-		// A failed conversion or a malformed row: nothing to stream.
-		http.Error(w, "video file not available", http.StatusInternalServerError)
-		return
-	}
-	// quality=<label> selects a rendition; the default is the target.
-	if q := r.FormValue("quality"); q != "" && q != QualityLabel(s.target) {
-		available := strings.Split(rowString(row, "renditions"), ",")
-		found := false
-		for _, label := range available {
-			if label == q {
-				found = true
-				break
-			}
-		}
-		if !found {
-			http.Error(w, fmt.Sprintf("no %s rendition (have %s)", q, row["renditions"]),
-				http.StatusNotFound)
-			return
-		}
-		path = fmt.Sprintf("videos/%d-%s.vcf", rowInt(row, "id"), q)
-	}
-	// The HDFS read path is guarded by a circuit breaker: while the store
-	// is down, fail fast with 503 + Retry-After instead of stacking
-	// requests on a dead backend. Metadata pages keep serving from the
-	// database, so the site degrades rather than collapses.
-	ctx := r.Context()
-	if !s.hdfsBreaker.Allow() {
-		log.Printf("web: breaker open, shedding stream %s (request %s)", path, requestIDFrom(ctx))
-		w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
-		http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
-		return
-	}
-	rd, err := s.store.OpenSeekerCtx(ctx, path)
-	if err != nil {
-		s.streamStorageFailure(w, r, path, err)
-		return
-	}
-	// The reader retains a block-cache reference for every slice it hands
-	// to the response; Close releases them once the response is written so
-	// the cache can evict again.
-	defer rd.Close()
-	ssp := trace.FromContext(ctx).StartChild("stream.serve")
-	ssp.Annotate("path", path)
-	// Fallbacks off the zero-copy slice path (multi-range requests, content
-	// that can't slice) go through the copying ServeContent path; the
-	// counter keeps that rate visible in stats.
-	onFallback := func(string) { s.reg.Counter("stream_fallback_total").Inc() }
-	// Egress attribution: response-body bytes are metered to the tenant
-	// that owns the video (the publisher pays for delivery).
-	mw := &meteredWriter{ResponseWriter: w, storage: s.hdfsBreaker}
-	var out http.ResponseWriter = mw
-	if s.streamPacer != nil {
-		// Meter egress through the replica's NIC-model token bucket.
-		out = pacedWriter{ResponseWriter: mw, p: s.streamPacer}
-	}
-	// Open only consults NameNode metadata; dead DataNodes surface when the
-	// requested window is read. The slice path resolves that window before
-	// it writes a status line and hands back the error with the response
-	// untouched, so a window in a block with no live replica is a storage
-	// failure the client can be told about, whatever the state of block 0.
-	// On success the breaker is told as the status line goes out (mw).
-	err = stream.ServeWithFallback(out, r, path, rd, onFallback)
-	ssp.SetError(err)
-	ssp.End()
-	if err != nil {
-		s.streamStorageFailure(w, r, path, err)
-		return
-	}
-	mw.commit()
-	s.reg.Counter("stream_requests").Inc()
-	owner, _ := row["tenant"].(string)
-	s.meterEgress(owner, mw.n)
-}
-
-// streamStorageFailure answers a /stream request whose file could not be
-// opened or whose requested window could not be read; nothing has been
-// written to w yet.
-func (s *Site) streamStorageFailure(w http.ResponseWriter, r *http.Request, path string, err error) {
-	if errors.Is(err, fs.ErrNotExist) {
-		// A missing file is the row's problem, not the store's: it must
-		// not trip the breaker.
-		s.hdfsBreaker.Success()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.hdfsBreaker.Failure()
-	s.reg.Counter("stream_storage_errors").Inc()
-	log.Printf("web: storage failure streaming %s (request %s): %v", path, requestIDFrom(r.Context()), err)
-	w.Header().Set("Retry-After", strconv.Itoa(s.hdfsBreaker.RetryAfterSeconds()))
-	http.Error(w, "video storage temporarily unavailable", http.StatusServiceUnavailable)
-}
-
 // ---- comments, reports, edit, delete ----
 
 func (s *Site) handleComment(w http.ResponseWriter, r *http.Request) {
@@ -617,27 +501,12 @@ func (s *Site) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := rowInt(row, "id")
-	// Remove every stored object: the target file, each rendition, and all
-	// delivery segments, so the tenant's byte reservation can be returned
-	// in full.
-	if path := rowString(row, "path"); path != "" {
-		s.store.Remove(path)
-	}
-	labels := strings.Split(rowString(row, "renditions"), ",")
-	for _, label := range labels {
-		if label == "" || label == QualityLabel(s.target) {
-			continue
-		}
-		s.store.Remove(fmt.Sprintf("videos/%d-%s.vcf", id, label))
-	}
-	if segs, _ := row["segments"].(int64); segs > 0 {
-		for _, label := range labels {
-			if label == "" {
-				continue
-			}
-			for k := int64(0); k < segs; k++ {
-				s.store.Remove(segmentPath(id, label, int(k)))
-			}
+	// Remove every stored object — each rendition's segments — so the
+	// tenant's byte reservation can be returned in full.
+	segs, _ := row["segments"].(int64)
+	for _, label := range strings.Split(rowString(row, "renditions"), ",") {
+		for k := int64(0); label != "" && k < segs; k++ {
+			s.store.Remove(segmentPath(id, label, int(k)))
 		}
 	}
 	// Return the stored-byte reservation to the owning tenant and meter

@@ -26,7 +26,7 @@ func TestMalformedRowDoesNotPanic(t *testing.T) {
 		"title":            42,
 		"description":      nil,
 		"uploader_id":      "bogus",
-		"path":             3.14,
+		"segments":         3.14,
 		"duration_seconds": "ten",
 		"views":            false,
 		"reports":          "many",
@@ -52,7 +52,8 @@ func TestMalformedRowDoesNotPanic(t *testing.T) {
 		t.Fatalf("watch status = %d", resp.StatusCode)
 	}
 
-	// Streaming a row without a usable path is a clean 500, not a panic.
+	// Streaming a row without a usable segment index is a clean 500, not a
+	// panic.
 	resp, _ = b.get(fmt.Sprintf("/stream/%d", id))
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("stream status = %d, want 500", resp.StatusCode)

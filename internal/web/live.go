@@ -28,15 +28,11 @@ func (s *Site) CreateLiveChannel(ctx context.Context, uploaderID int64, title, d
 	if strings.TrimSpace(title) == "" {
 		return 0, fmt.Errorf("web: live channel needs a title")
 	}
-	labels := []string{QualityLabel(s.target)}
-	for _, r := range s.renditions {
-		labels = append(labels, QualityLabel(r))
-	}
 	id, err := s.db.Insert("videos", videodb.Row{
 		"title": title, "description": description,
 		"uploader_id": uploaderID,
 		"status":      statusLive,
-		"renditions":  strings.Join(labels, ","),
+		"renditions":  strings.Join(s.labels, ","),
 		"seg_seconds": int64(s.segSeconds),
 	})
 	if err != nil {
@@ -71,12 +67,11 @@ func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (int
 		return 0, fmt.Errorf("web: unplayable live chunk: %w", err)
 	}
 	if info.DurationSeconds <= 0 || info.DurationSeconds > s.segSeconds ||
-		info.DurationSeconds%s.target.GOPSeconds != 0 {
-		return 0, fmt.Errorf("web: live chunk is %ds; want a GOP-aligned chunk of at most %ds",
-			info.DurationSeconds, s.segSeconds)
+		info.GOPs*s.target.GOPSeconds != info.DurationSeconds {
+		return 0, fmt.Errorf("web: live chunk is %ds in %d GOPs; want a GOP-aligned chunk of at most %ds",
+			info.DurationSeconds, info.GOPs, s.segSeconds)
 	}
-	specs := append([]video.Spec{s.target}, s.renditions...)
-	results, err := s.convertPooled(ctx, chunk, specs)
+	results, err := s.convertPooled(ctx, chunk, s.specs)
 	if err != nil {
 		return 0, fmt.Errorf("web: live conversion failed: %w", err)
 	}
@@ -84,14 +79,14 @@ func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (int
 	firstGOP := int(duration) / s.target.GOPSeconds
 	k := int(segs)
 	sp := trace.FromContext(ctx).StartChild("store.live_segment")
-	for i, spec := range specs {
+	for i, label := range s.labels {
 		out, rerr := video.Rebase(results[i].Output, firstGOP)
 		if rerr != nil {
 			sp.SetError(rerr)
 			sp.End()
 			return 0, fmt.Errorf("web: renumbering live segment: %w", rerr)
 		}
-		if werr := s.store.WriteFileCtx(ctx, segmentPath(id, QualityLabel(spec), k), out); werr != nil {
+		if werr := s.store.WriteFileCtx(ctx, segmentPath(id, label, k), out); werr != nil {
 			sp.SetError(werr)
 			sp.End()
 			return 0, fmt.Errorf("web: storing live segment: %w", werr)

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -191,9 +192,10 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 }
 
 // transcodeAndPublish converts an inserted upload to the target plus every
-// rendition in ONE farm pass (single parse/split of the source), stores the
-// outputs through the FUSE mount, and publishes the row: path + renditions +
-// status=ready, search index, recent-list invalidation, metrics.
+// rendition in ONE farm pass (single parse/split of the source), stores each
+// output once — as its delivery segments (delivery.go) — through the FUSE
+// mount, and publishes the row: renditions + segment index + status=ready,
+// search index, recent-list invalidation, metrics.
 //
 // Quota/ledger contract (adm): on any failure every reservation is released
 // here — the caller only marks the row failed. On success the byte
@@ -203,42 +205,42 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 // usage; the ledger gets exactly one bytes_stored and one transcode_seconds
 // event.
 func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, description string, data []byte, adm *admission) error {
-	specs := append([]video.Spec{s.target}, s.renditions...)
-	results, err := s.convertPooled(ctx, data, specs)
+	results, err := s.convertPooled(ctx, data, s.specs)
 	if err != nil {
 		adm.release()
 		return fmt.Errorf("web: conversion failed: %w", err)
 	}
-	// Stage every output object — whole files plus the per-rendition
-	// delivery segments (delivery.go) — before writing anything, so the
-	// exact stored size is known up front.
+	// Stage every segment object before writing anything, so the exact
+	// stored size is known up front.
 	type object struct {
 		path string
 		data []byte
 	}
-	files := make([]object, 0, 2*(1+len(s.renditions)))
-	path := fmt.Sprintf("videos/%d.vcf", id)
-	files = append(files, object{path, results[0].Output})
-	labels := []string{QualityLabel(s.target)}
-	for i, spec := range s.renditions {
-		files = append(files, object{fmt.Sprintf("videos/%d-%s.vcf", id, QualityLabel(spec)), results[i+1].Output})
-		labels = append(labels, QualityLabel(spec))
-	}
+	var files []object
+	var exactBytes int64
 	segs := 0
-	for i, spec := range specs {
-		pieces, serr := video.Segments(results[i].Output, s.segSeconds)
+	for i, res := range results {
+		out, label := res.Output, s.labels[i]
+		pieces, serr := video.Segments(out, s.segSeconds)
+		if serr == nil {
+			// /stream rebuilds the container from the row's numbers alone; an
+			// upload whose header does not add up (GOP count against play
+			// time) is refused here rather than served askew.
+			var lay video.Layout
+			lay, serr = video.SegmentLayout(s.specs[i], res.Info.DurationSeconds, s.segSeconds)
+			if serr == nil && (lay.Size != int64(len(out)) || !bytes.HasPrefix(out, lay.Header)) {
+				serr = errors.New("container header is inconsistent with its content")
+			}
+		}
 		if serr != nil {
 			adm.release()
-			return fmt.Errorf("web: segmenting %s failed: %w", QualityLabel(spec), serr)
+			return fmt.Errorf("web: segmenting %s failed: %w", label, serr)
 		}
 		for k, piece := range pieces {
-			files = append(files, object{segmentPath(id, QualityLabel(spec), k), piece})
+			files = append(files, object{segmentPath(id, label, k), piece})
+			exactBytes += int64(len(piece))
 		}
 		segs = len(pieces)
-	}
-	var exactBytes int64
-	for _, f := range files {
-		exactBytes += int64(len(f.data))
 	}
 	// Correct the admission-time estimate to the exact footprint before any
 	// write. Failure here means the estimate lied low and the exact size
@@ -275,7 +277,7 @@ func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, descrip
 	ssp.End()
 	psp := trace.FromContext(ctx).StartChild("db.publish")
 	row := videodb.Row{
-		"path": path, "renditions": strings.Join(labels, ","), "status": statusReady,
+		"renditions": strings.Join(s.labels, ","), "status": statusReady,
 		"seg_seconds": int64(s.segSeconds), "segments": int64(segs),
 		"stored_bytes": exactBytes,
 	}

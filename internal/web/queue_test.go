@@ -363,16 +363,17 @@ func TestZeroGOPUploadRejected(t *testing.T) {
 	}
 }
 
-// TestPartialStoreFailureCleansUp blocks the rendition path with a directory
-// so the second store write fails after the main file landed: the publish
-// must best-effort remove what it already wrote instead of orphaning
-// videos/<id>*.vcf in HDFS, and the row the uploader already holds must end
-// up failed, unsearchable, with its reservations returned.
+// TestPartialStoreFailureCleansUp blocks a rendition's object path with a
+// directory so a later store write fails after the target's objects landed:
+// the publish must best-effort remove what it already wrote instead of
+// orphaning segments/<id>-*.vcf in HDFS, and the row the uploader already
+// holds must end up failed, unsearchable, with its reservations returned.
 func TestPartialStoreFailureCleansUp(t *testing.T) {
 	site := asyncSite(t, 1, 4, nil)
-	// The first video row gets id 1; a directory at its 360p rendition path
-	// makes that WriteFile fail after videos/1.vcf has been stored.
-	if err := site.store.Mkdir("videos/1-360p.vcf"); err != nil {
+	// The first video row gets id 1; a directory at its 360p rendition's
+	// first object makes that WriteFile fail after every 720p object has
+	// been stored.
+	if err := site.store.Mkdir(segmentPath(1, "360p", 0)); err != nil {
 		t.Fatal(err)
 	}
 	id, err := site.ProcessUpload(context.Background(), site.AdminID(), "partial", "", testUploadMedia(t, 8, 61))
@@ -383,8 +384,8 @@ func TestPartialStoreFailureCleansUp(t *testing.T) {
 	if got := videoStatus(t, site, id); got != statusFailed {
 		t.Fatalf("upload with a blocked rendition path: status %q, want failed", got)
 	}
-	if site.store.Exists("videos/1.vcf") {
-		t.Fatal("main file orphaned in HDFS after partial store failure")
+	if site.store.Exists(segmentPath(1, "720p", 0)) || site.store.Exists(segmentPath(1, "720p", 1)) {
+		t.Fatal("target objects orphaned in HDFS after partial store failure")
 	}
 	if hits := site.Index().Search("partial", 5); len(hits) != 0 {
 		t.Fatalf("failed upload is searchable: %v", hits)
@@ -464,7 +465,7 @@ func TestPublishIndexesBeforeReady(t *testing.T) {
 			if hits := site.Index().Search(db.query, 5); len(hits) != tc.wantHits {
 				t.Fatalf("search after drain: %d hits, want %d", len(hits), tc.wantHits)
 			}
-			if tc.readyErr != nil && mount.Exists(fmt.Sprintf("videos/%d.vcf", id)) {
+			if tc.readyErr != nil && mount.Exists(segmentPath(id, "720p", 0)) {
 				t.Fatal("failed publish left its file in HDFS")
 			}
 		})

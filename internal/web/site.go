@@ -133,16 +133,17 @@ type fleetState struct {
 // NewReplica share a fleetState; everything else — route metrics, hot
 // caches, transcode pool, circuit breaker, stream pacer — is per-replica.
 type Site struct {
-	state      *fleetState
-	db         videodb.Store // == state.db, cached for the hot paths
-	store      *fusebridge.Mount
-	farm       video.Farm // static config; conversions snapshot via pool
-	pool       *farmPool  // runtime node set (elastic add/drain/remove)
-	target     video.Spec
-	renditions []video.Spec
-	reg        *metrics.Registry
-	mux        *http.ServeMux
-	tracer     *trace.Tracer // nil-safe: all span operations no-op when nil
+	state  *fleetState
+	db     videodb.Store // == state.db, cached for the hot paths
+	store  *fusebridge.Mount
+	farm   video.Farm // static config; conversions snapshot via pool
+	pool   *farmPool  // runtime node set (elastic add/drain/remove)
+	target video.Spec
+	specs  []video.Spec // the ladder every upload is converted to: target, then Renditions
+	labels []string     // QualityLabel of each spec, the order a row's renditions column lists
+	reg    *metrics.Registry
+	mux    *http.ServeMux
+	tracer *trace.Tracer // nil-safe: all span operations no-op when nil
 
 	// Serving-path state (middleware.go, cache.go).
 	routeMetrics []*routeMetrics
@@ -239,7 +240,7 @@ func assemble(cfg Config, state *fleetState) *Site {
 		farm:        cfg.Farm,
 		pool:        newFarmPool(cfg.Farm),
 		target:      cfg.Target,
-		renditions:  cfg.Renditions,
+		specs:       append([]video.Spec{cfg.Target}, cfg.Renditions...),
 		reg:         metrics.NewRegistry(),
 		tracer:      cfg.Tracer,
 		streamPacer: newPacer(cfg.StreamRateBytesPerSec),
@@ -248,6 +249,9 @@ func assemble(cfg Config, state *fleetState) *Site {
 		liveTTL:     cfg.LiveEdgeTTL,
 		tenants:     state.tenants,
 		videoTenant: make(map[int64]string),
+	}
+	for _, spec := range s.specs {
+		s.labels = append(s.labels, QualityLabel(spec))
 	}
 	s.maxInFlight = int64(cfg.MaxInFlight)
 	if s.maxInFlight == 0 {
@@ -335,7 +339,6 @@ func (s *Site) createSchema() error {
 		videodb.Column{Name: "title", Type: videodb.TString},
 		videodb.Column{Name: "description", Type: videodb.TString},
 		videodb.Column{Name: "uploader_id", Type: videodb.TInt, Indexed: true},
-		videodb.Column{Name: "path", Type: videodb.TString},
 		videodb.Column{Name: "duration_seconds", Type: videodb.TInt},
 		videodb.Column{Name: "views", Type: videodb.TInt},
 		videodb.Column{Name: "reports", Type: videodb.TInt},

@@ -132,13 +132,11 @@ func (a *admission) release() {
 }
 
 // estimateStoredBytes bounds an upload's durable footprint from its source
-// size: every rendition is stored whole plus segmented (roughly 2x each),
-// with per-file header slack. The estimate is deliberately generous — it
-// is corrected down to the exact byte count before publish — so admission
-// can never under-reserve.
+// size: every rendition is stored once, as segments, with per-object header
+// slack. The estimate is corrected to the exact byte count before anything
+// is written, so what HDFS holds is never more than what is reserved.
 func (s *Site) estimateStoredBytes(srcBytes int) int64 {
-	perRendition := 2 * (int64(srcBytes) + 64<<10)
-	return perRendition * int64(1+len(s.renditions))
+	return (int64(srcBytes) + 64<<10) * int64(len(s.specs))
 }
 
 // admitUpload runs check-and-reserve quota admission for an upload by the
@@ -246,25 +244,6 @@ func (s *Site) meterEgress(tenantName string, n int64) {
 type meteredWriter struct {
 	http.ResponseWriter
 	n int64
-	// storage, when set, is the breaker guarding the store the response is
-	// read from. The serving path writes nothing until the requested window
-	// has been read, so the status line is the moment the store has proved
-	// healthy: the breaker hears of the success then, not after a slow
-	// client has drained the body.
-	storage *breaker
-}
-
-// commit reports the storage success once.
-func (m *meteredWriter) commit() {
-	if m.storage != nil {
-		m.storage.Success()
-		m.storage = nil
-	}
-}
-
-func (m *meteredWriter) WriteHeader(code int) {
-	m.commit()
-	m.ResponseWriter.WriteHeader(code)
 }
 
 func (m *meteredWriter) Write(b []byte) (int, error) {

@@ -403,7 +403,7 @@ func TestUploadsLandInHDFS(t *testing.T) {
 	b.registerAndLogin("jack", "pw")
 	watch := b.upload("Replicated", "stored in hdfs", 10, 8)
 	id := strings.TrimPrefix(watch, "/watch/")
-	blocks, err := cluster.Client("").BlockLocations(fmt.Sprintf("/site/videos/%s.vcf", id))
+	blocks, err := cluster.Client("").BlockLocations(fmt.Sprintf("/site/segments/%s-720p-0.vcf", id))
 	if err != nil {
 		t.Fatal(err)
 	}
