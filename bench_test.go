@@ -1,220 +1,38 @@
 package videocloud
 
-// One benchmark per reproduced table/figure (see DESIGN.md §4 and
-// EXPERIMENTS.md). Each wraps the corresponding experiments.E* harness —
-// which also asserts the expected qualitative shape and panics on violation
-// — and additionally reports the headline number via b.ReportMetric. Run:
+// BenchmarkExperiments runs every registered reproduction (DESIGN.md §4,
+// EXPERIMENTS.md) as a sub-benchmark named by its id; the harness asserts the
+// expected qualitative shape and panics on violation. Run:
 //
 //	go test -bench=. -benchmem
+//	go test -bench='Experiments/E2$' -benchtime=1x
 //
-// Micro-benchmarks of the hot substrate paths follow the E* wrappers.
+// Micro-benchmarks of the hot substrate paths follow.
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
 	"videocloud/internal/experiments"
 	"videocloud/internal/hdfs"
-	"videocloud/internal/metrics"
 	"videocloud/internal/search"
 	"videocloud/internal/video"
 	"videocloud/internal/videodb"
 )
 
-// cell extracts a named column's value from a table row for ReportMetric.
-// Cells may contain spaces, so columns are located by their byte offsets in
-// the padded header line rather than by whitespace splitting. A negative
-// row counts from the end (-1 = last row).
-func cell(t *metrics.Table, row int, col string) float64 {
-	lines := strings.Split(strings.TrimSpace(t.String()), "\n")
-	if len(lines) < 4 {
-		return 0
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			defer func() {
+				if r := recover(); r != nil {
+					b.Fatalf("experiment shape violation: %v", r)
+				}
+			}()
+			for i := 0; i < b.N; i++ {
+				e.Run()
+			}
+		})
 	}
-	header := lines[1]
-	start := strings.Index(header, col)
-	if start < 0 {
-		return 0
-	}
-	// The column ends where the next column's name begins (scan for the
-	// first non-space after the name's padding), or at end of line.
-	end := len(header)
-	for i := start + len(col); i < len(header)-1; i++ {
-		if header[i] == ' ' && header[i+1] != ' ' {
-			end = i + 1
-			break
-		}
-	}
-	dataLines := lines[3:]
-	if row < 0 {
-		row = len(dataLines) + row
-	}
-	if row < 0 || row >= len(dataLines) {
-		return 0
-	}
-	line := dataLines[row]
-	if start >= len(line) {
-		return 0
-	}
-	if end > len(line) {
-		end = len(line)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(line[start:end]), 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// runE executes an experiment harness b.N times, converting shape-violation
-// panics into benchmark failures.
-func runE(b *testing.B, fn func() *metrics.Table) *metrics.Table {
-	b.Helper()
-	var tbl *metrics.Table
-	defer func() {
-		if r := recover(); r != nil {
-			b.Fatalf("experiment shape violation: %v", r)
-		}
-	}()
-	for i := 0; i < b.N; i++ {
-		tbl = fn()
-	}
-	return tbl
-}
-
-// BenchmarkE1LiveMigration — Figures 8-10: pre-copy live migration sweep.
-func BenchmarkE1LiveMigration(b *testing.B) {
-	tbl := runE(b, experiments.E1LiveMigration)
-	b.ReportMetric(cell(tbl, 2, "downtime_ms"), "downtime_ms/1GB-40MBps")
-}
-
-// BenchmarkE1bMigrationAlgorithms — refs [20][21]: pre/post/stop-and-copy.
-func BenchmarkE1bMigrationAlgorithms(b *testing.B) {
-	tbl := runE(b, experiments.E1bMigrationAlgorithms)
-	b.ReportMetric(cell(tbl, 1, "downtime_ms"), "precopy_downtime_ms")
-	b.ReportMetric(cell(tbl, 0, "downtime_ms"), "stopcopy_downtime_ms")
-}
-
-// BenchmarkE1cMigrationUnderContention — migration sharing the link with
-// service traffic.
-func BenchmarkE1cMigrationUnderContention(b *testing.B) {
-	tbl := runE(b, experiments.E1cMigrationUnderContention)
-	b.ReportMetric(cell(tbl, -1, "total_s"), "total_s/3-flows")
-}
-
-// BenchmarkE6cConsolidation — §III-A "economize power" via live migration.
-func BenchmarkE6cConsolidation(b *testing.B) {
-	tbl := runE(b, experiments.E6cConsolidation)
-	b.ReportMetric(cell(tbl, -1, "empty_hosts"), "hosts_freed")
-}
-
-// BenchmarkE8bSpeculativeExecution — straggler mitigation ablation.
-func BenchmarkE8bSpeculativeExecution(b *testing.B) {
-	tbl := runE(b, experiments.E8bSpeculativeExecution)
-	b.ReportMetric(cell(tbl, 1, "job_s"), "degraded_job_s")
-	b.ReportMetric(cell(tbl, 2, "job_s"), "speculative_job_s")
-}
-
-// BenchmarkE2ParallelTranscode — Figure 16: distributed FFmpeg conversion.
-func BenchmarkE2ParallelTranscode(b *testing.B) {
-	tbl := runE(b, experiments.E2ParallelTranscode)
-	b.ReportMetric(cell(tbl, -1, "speedup"), "speedup/16-nodes")
-}
-
-// BenchmarkE3IndexConstruction — §I claim: MapReduce index build scaling.
-func BenchmarkE3IndexConstruction(b *testing.B) {
-	tbl := runE(b, experiments.E3IndexConstruction)
-	b.ReportMetric(cell(tbl, -1, "speedup"), "speedup/16-trackers")
-}
-
-// BenchmarkE4SearchVsScan — §III claim: index search vs direct DB scan.
-func BenchmarkE4SearchVsScan(b *testing.B) {
-	tbl := runE(b, experiments.E4SearchVsScan)
-	b.ReportMetric(cell(tbl, -1, "scan_over_index"), "scan_over_index/50k")
-}
-
-// BenchmarkE5VirtOverhead — Figures 1-2: full vs para virtualization.
-func BenchmarkE5VirtOverhead(b *testing.B) {
-	tbl := runE(b, experiments.E5VirtOverhead)
-	b.ReportMetric(cell(tbl, 1, "cpu_overhead_pct"), "para_cpu_pct")
-	b.ReportMetric(cell(tbl, 3, "cpu_overhead_pct"), "full_cpu_pct")
-}
-
-// BenchmarkE6Placement — §III-A: Capacity Manager policies.
-func BenchmarkE6Placement(b *testing.B) {
-	tbl := runE(b, experiments.E6Placement)
-	b.ReportMetric(cell(tbl, 0, "hosts_used"), "packing_hosts")
-	b.ReportMetric(cell(tbl, 1, "hosts_used"), "striping_hosts")
-}
-
-// BenchmarkE6bProvisioning — §II-C: COW clone vs full image copy.
-func BenchmarkE6bProvisioning(b *testing.B) {
-	tbl := runE(b, experiments.E6bProvisioning)
-	b.ReportMetric(cell(tbl, 0, "deploy_s"), "cow_deploy_s")
-	b.ReportMetric(cell(tbl, 1, "deploy_s"), "full_deploy_s")
-}
-
-// BenchmarkE7HDFSReplication — Figure 11: replication & failure repair.
-func BenchmarkE7HDFSReplication(b *testing.B) {
-	tbl := runE(b, experiments.E7HDFSReplication)
-	b.ReportMetric(cell(tbl, 2, "blocks_repaired"), "rf3_blocks_repaired")
-}
-
-// BenchmarkE8MapReduceScaling — Figure 12: job scaling + locality ablation.
-func BenchmarkE8MapReduceScaling(b *testing.B) {
-	tbl := runE(b, experiments.E8MapReduceScaling)
-	b.ReportMetric(cell(tbl, 3, "local_frac"), "local_frac/8-trackers")
-}
-
-// BenchmarkE9EndToEnd — Figures 17-23: the full user journey.
-func BenchmarkE9EndToEnd(b *testing.B) {
-	runE(b, experiments.E9EndToEnd)
-}
-
-// BenchmarkE9bConcurrentLoad — site throughput under concurrent viewers.
-func BenchmarkE9bConcurrentLoad(b *testing.B) {
-	tbl := runE(b, experiments.E9bConcurrentLoad)
-	// Row 4 is the 32-user sweep level; per-route rows follow it.
-	b.ReportMetric(cell(tbl, 4, "req_per_s"), "rps/32-users")
-}
-
-// BenchmarkE10FullStack — Figures 6/13/14 + 8-10: the whole stack with a
-// live migration mid-stream.
-func BenchmarkE10FullStack(b *testing.B) {
-	runE(b, experiments.E10FullStack)
-}
-
-// BenchmarkE11AutoScaling — a VoD day against an auto-scaled fleet.
-func BenchmarkE11AutoScaling(b *testing.B) {
-	tbl := runE(b, experiments.E11AutoScaling)
-	b.ReportMetric(cell(tbl, -1, "max_fleet"), "peak_fleet")
-}
-
-// BenchmarkE13CriticalPath — per-layer critical-path attribution of one
-// traced upload and one traced playback (the last row is the playback
-// coverage; the harness asserts ≥95% for both phases).
-func BenchmarkE13CriticalPath(b *testing.B) {
-	tbl := runE(b, experiments.E13CriticalPath)
-	b.ReportMetric(cell(tbl, -1, "share_pct"), "playback_coverage_pct")
-}
-
-// BenchmarkE14ServingScale — closed-loop Zipf load against 1/4/8 NIC-capped
-// frontends over a 4-shard metadata store, plus a flash crowd exercising the
-// single-flight home cache (rows 0-2 are the fleet sizes; the harness gates
-// >=2x at 4 and >=3x at 8 frontends with p99 within 2x of the baseline).
-func BenchmarkE14ServingScale(b *testing.B) {
-	tbl := runE(b, experiments.E14ServingScale)
-	b.ReportMetric(cell(tbl, 2, "vs_1fe"), "throughput_x/8-frontends")
-}
-
-// BenchmarkE15EdgeDelivery — segmented ABR fan-out against one persistent
-// 4-frontend fleet: the edge tier must absorb >= 90% of segment requests at
-// peak fan-out (row 2 is the 64-viewer level), and the live phase must keep
-// every viewer within a bounded lag of the newest segment.
-func BenchmarkE15EdgeDelivery(b *testing.B) {
-	tbl := runE(b, experiments.E15EdgeDelivery)
-	b.ReportMetric(cell(tbl, 2, "offload_pct"), "offload_pct/64-viewers")
 }
 
 // ---- substrate micro-benchmarks ----

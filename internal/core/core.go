@@ -31,7 +31,6 @@ import (
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
-	"videocloud/internal/videodb"
 	"videocloud/internal/virt"
 	"videocloud/internal/web"
 )
@@ -153,9 +152,8 @@ type VideoCloud struct {
 	hdfs   *hdfs.Cluster
 	engine *mapred.Engine
 	mount  *fusebridge.Mount
-	site   *web.Site
-	sites  []*web.Site
-	lb     *ingress.Balancer
+	tier   *ServingTier
+	site   *web.Site // tier.Sites[0]
 	reg    *metrics.Registry
 	healer *hdfs.Healer
 	tracer *trace.Tracer
@@ -281,9 +279,6 @@ func New(cfg Config) (*VideoCloud, error) {
 	}
 
 	// ---- SaaS: the website, converting uploads on the data VMs ----
-	// MetadataShards > 1 swaps the single embedded DB for a sharded store
-	// (per-shard latency lands in the stack registry); Frontends > 1 builds
-	// replica Sites over the shared fleet state behind an ingress balancer.
 	webCfg := web.Config{
 		Tenants:               cfg.Tenants,
 		Store:                 vc.mount,
@@ -299,31 +294,11 @@ func New(cfg Config) (*VideoCloud, error) {
 		LiveEdgeTTL:           cfg.LiveEdgeTTL,
 		Tracer:                vc.tracer,
 	}
-	if cfg.MetadataShards > 1 {
-		sdb := videodb.NewSharded(cfg.MetadataShards)
-		sdb.SetMetrics(vc.reg)
-		webCfg.DB = sdb
-	}
-	vc.site, err = web.New(webCfg)
+	vc.tier, err = NewServingTier(webCfg, cfg.Frontends, cfg.MetadataShards, vc.reg)
 	if err != nil {
 		return nil, err
 	}
-	vc.sites = []*web.Site{vc.site}
-	for i := 1; i < cfg.Frontends; i++ {
-		rep, rerr := web.NewReplica(webCfg, vc.site)
-		if rerr != nil {
-			return nil, rerr
-		}
-		vc.sites = append(vc.sites, rep)
-	}
-	if len(vc.sites) > 1 {
-		backends := make([]http.Handler, len(vc.sites))
-		for i, s := range vc.sites {
-			backends[i] = s
-		}
-		vc.lb = ingress.New(backends...)
-		vc.lb.SetMetrics(vc.reg)
-	}
+	vc.site = vc.tier.Sites[0]
 	return vc, nil
 }
 
@@ -344,20 +319,15 @@ func (vc *VideoCloud) Mount() *fusebridge.Mount { return vc.mount }
 func (vc *VideoCloud) Site() *web.Site { return vc.site }
 
 // Sites returns every web replica in the serving fleet.
-func (vc *VideoCloud) Sites() []*web.Site { return vc.sites }
+func (vc *VideoCloud) Sites() []*web.Site { return vc.tier.Sites }
 
 // Ingress returns the fleet's load balancer, nil for a single-frontend
 // deployment.
-func (vc *VideoCloud) Ingress() *ingress.Balancer { return vc.lb }
+func (vc *VideoCloud) Ingress() *ingress.Balancer { return vc.tier.Ingress }
 
 // Handler returns the serving tier as an http.Handler: the ingress balancer
 // when a fleet is deployed, the lone site otherwise.
-func (vc *VideoCloud) Handler() http.Handler {
-	if vc.lb != nil {
-		return vc.lb
-	}
-	return vc.site
-}
+func (vc *VideoCloud) Handler() http.Handler { return vc.tier.Handler() }
 
 // Metrics returns stack-level counters.
 func (vc *VideoCloud) Metrics() *metrics.Registry { return vc.reg }
@@ -639,11 +609,11 @@ func (vc *VideoCloud) Status() Status {
 		st.Heal = vc.healer.Stats()
 	}
 	st.Fleet = FleetStatus{
-		Frontends:      len(vc.sites),
+		Frontends:      len(vc.tier.Sites),
 		MetadataShards: vc.cfg.MetadataShards,
 	}
-	if vc.lb != nil {
-		st.Fleet.BackendRequests = vc.lb.Stats()
+	if lb := vc.tier.Ingress; lb != nil {
+		st.Fleet.BackendRequests = lb.Stats()
 		st.Fleet.AffineRoutes = vc.reg.Counter("ingress_affine_routes").Value()
 		st.Fleet.SpreadRoutes = vc.reg.Counter("ingress_spread_routes").Value()
 	}
@@ -657,7 +627,7 @@ func (vc *VideoCloud) Status() Status {
 // Capacity is summed too: the result reads as "the tier's cache".
 func (vc *VideoCloud) edgeStats() edge.Stats {
 	var agg edge.Stats
-	for _, s := range vc.sites {
+	for _, s := range vc.tier.Sites {
 		es := s.EdgeStats()
 		agg.Hits += es.Hits
 		agg.Misses += es.Misses
@@ -692,18 +662,12 @@ func (vc *VideoCloud) recoveryStatus() RecoveryStatus {
 
 // DrainTranscodes waits for every queued upload conversion to finish on
 // every frontend.
-func (vc *VideoCloud) DrainTranscodes() {
-	for _, s := range vc.sites {
-		s.DrainTranscodes()
-	}
-}
+func (vc *VideoCloud) DrainTranscodes() { vc.tier.DrainTranscodes() }
 
 // Close disarms self-healing and elasticity, then shuts down every
 // frontend's transcode pool after draining queued jobs.
 func (vc *VideoCloud) Close() {
 	vc.StopSelfHealing()
 	vc.StopElastic()
-	for _, s := range vc.sites {
-		s.Close()
-	}
+	vc.tier.Close()
 }

@@ -76,7 +76,7 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 		// capacity if demand still warrants it.
 		Requeue: false,
 	}
-	sites := vc.sites // immutable after New; hooks run under the cloud mutex
+	sites := vc.tier.Sites // immutable after New; hooks run under the cloud mutex
 	ctrl, err := nebula.NewElasticController(vc.cloud, nebula.ElasticOptions{
 		Template: tpl,
 		Min:      cfg.MinFarmVMs, Max: cfg.MaxFarmVMs,
@@ -212,7 +212,7 @@ func (vc *VideoCloud) elasticStatus() ElasticStatus {
 	// controller's hooks do.
 	perNode := make(map[string]*web.FarmNodeStat)
 	var order []string
-	for _, s := range vc.sites {
+	for _, s := range vc.tier.Sites {
 		ts := s.TranscodeStats()
 		st.QueueDepth += ts.QueueDepth
 		st.ActiveConversions += ts.ActiveConversions

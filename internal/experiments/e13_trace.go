@@ -10,8 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"videocloud/internal/fusebridge"
-	"videocloud/internal/hdfs"
 	"videocloud/internal/metrics"
 	"videocloud/internal/stream"
 	"videocloud/internal/trace"
@@ -30,33 +28,22 @@ func E13CriticalPath() *metrics.Table {
 	t := metrics.NewTable("E13 — traced request anatomy: per-layer critical path",
 		"phase", "layer", "self_ms", "share_pct")
 	tracer := trace.New(trace.Options{Enabled: true})
-	cluster := hdfs.NewCluster(4, 256*1024)
-	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	site, err := web.New(web.Config{
-		Store:      mount,
-		Farm:       video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}},
+	r := newRig(web.Config{
 		Target:     video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 500_000},
 		Renditions: []video.Spec{{Codec: video.H264, Res: video.R360p, FPS: 30, GOPSeconds: 2, BitrateBps: 250_000}},
 		Tracer:     tracer,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	defer site.Close()
-	c, srv := browserFor(site)
-	defer srv.Close()
+	}, 1, 1, 256<<10, 0)
+	defer r.close()
+	c := newBrowser()
 
-	resp := mustPost(c, srv.URL+"/register", map[string][]string{
+	resp := mustPost(c, r.url+"/register", map[string][]string{
 		"username": {"tracy"}, "password": {"pw"}, "email": {"t@x"},
 	})
 	link := resp.Header.Get("X-Verification-Link")
 	check(link != "", "E13: no verification link")
-	code, _ := mustGet(c, srv.URL+link)
+	code, _ := mustGet(c, r.url+link)
 	check(code == 200, "E13: verify failed (%d)", code)
-	resp = mustPost(c, srv.URL+"/login", map[string][]string{"username": {"tracy"}, "password": {"pw"}})
+	resp = mustPost(c, r.url+"/login", map[string][]string{"username": {"tracy"}, "password": {"pw"}})
 	check(resp.StatusCode == 200, "E13: login failed")
 
 	// One traced upload over HTTP (the queued conversion, storage, and
@@ -72,7 +59,7 @@ func E13CriticalPath() *metrics.Table {
 	fw, _ := mw.CreateFormFile("video", "clip.avi")
 	fw.Write(data)
 	mw.Close()
-	req, _ := http.NewRequest("POST", srv.URL+"/upload", &buf)
+	req, _ := http.NewRequest("POST", r.url+"/upload", &buf)
 	req.Header.Set("Content-Type", mw.FormDataContentType())
 	uresp, uerr := c.Do(req)
 	check(uerr == nil, "E13: upload: %v", uerr)
@@ -93,7 +80,7 @@ func E13CriticalPath() *metrics.Table {
 	// range requests; the headline breakdown is the largest one (the bulk
 	// transfer), not a header probe.
 	p := &stream.Player{HTTP: c}
-	_, perr := p.Play(fmt.Sprintf("%s/stream/%d", srv.URL, videoID), []float64{0.5}, nil)
+	_, perr := p.Play(fmt.Sprintf("%s/stream/%d", r.url, videoID), []float64{0.5}, nil)
 	check(perr == nil, "E13: playback: %v", perr)
 	pb := largestRoot(tracer, "web.stream")
 	ps := trace.Summarize(pb)

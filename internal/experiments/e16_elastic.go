@@ -30,8 +30,7 @@ const (
 	e16InCooldown = 10 * time.Minute // the larger cooldown = the flip window
 )
 
-// ElasticWindow is one observation window of the E16 run (exported for
-// BENCH_elastic.json).
+// ElasticWindow is one observation window of the E16 run.
 type ElasticWindow struct {
 	Phase    string  `json:"phase"`
 	AvgLoad  float64 `json:"avg_load"`
@@ -42,8 +41,9 @@ type ElasticWindow struct {
 	Freezes  int     `json:"freezes"`
 }
 
-// ElasticReport is the full E16 measurement set (exported for
-// BENCH_elastic.json). The job ledger is exact: every accepted job must end
+// ElasticReport is the full E16 measurement set: E16Elasticity renders and
+// gates it, and `benchcloud -only E16 -json` writes it (BENCH_elastic.json).
+// The job ledger is exact: every accepted job must end
 // in CompletedJobs — drained, expired-and-requeued, or crash-requeued work
 // included — with nothing left over.
 type ElasticReport struct {
@@ -137,8 +137,7 @@ func (r *e16Rig) requeue(name string) {
 	}
 }
 
-// runElasticity executes the E16 scenario and returns the raw measurements;
-// E16Elasticity and TestElasticBench gate them.
+// runElasticity executes the E16 scenario and returns the raw measurements.
 func runElasticity() ElasticReport {
 	cloud := nebula.New(nebula.Options{})
 	for i := 1; i <= 8; i++ {
@@ -352,16 +351,11 @@ func runElasticity() ElasticReport {
 	return rep
 }
 
-// E16Elasticity is the elasticity experiment: a diurnal transcode wave with
-// a 6x flash crowd and a host crash against the closed-loop controller, then
-// hot-host rebalancing. The gates are the PR's contract: the spike is
-// absorbed, not one accepted job is lost across all the scale-downs and the
-// crash, the fleet never thrashes (at most one direction flip per cooldown
-// window), and the rebalancer levels the cluster within its budget.
-func E16Elasticity() *metrics.Table {
+// Table renders the report as E16's table.
+func (r ElasticReport) Table() *metrics.Table {
 	t := metrics.NewTable("E16 — elastic transcode fleet: flash crowd, host crash, rebalance",
 		"phase", "avg_load", "avg_fleet", "max_fleet", "events")
-	r := runElasticity()
+	t.Report = r
 	for _, w := range r.Windows {
 		t.AddRow(w.Phase, w.AvgLoad, w.AvgFleet, w.MaxFleet,
 			fmt.Sprintf("out=%d in=%d freeze=%d", w.Outs, w.Ins, w.Freezes))
@@ -374,6 +368,18 @@ func E16Elasticity() *metrics.Table {
 		fmt.Sprintf("absorb=%.0fs flips=%d/%.0f windows thrash=%d freezes=%d", r.SpikeAbsorbSecs, r.Flips, r.FlipWindows, r.Thrash, r.Freezes))
 	t.AddRow("rebalance", "", "", "",
 		fmt.Sprintf("spread %.2f -> %.2f in %d moves / %d passes", r.SpreadBefore, r.SpreadAfter, r.RebalanceMoves, r.RebalancePasses))
+	return t
+}
+
+// E16Elasticity is the elasticity experiment: a diurnal transcode wave with
+// a 6x flash crowd and a host crash against the closed-loop controller, then
+// hot-host rebalancing. The gates are the PR's contract: the spike is
+// absorbed, not one accepted job is lost across all the scale-downs and the
+// crash, the fleet never thrashes (at most one direction flip per cooldown
+// window), and the rebalancer levels the cluster within its budget.
+func E16Elasticity() *metrics.Table {
+	r := runElasticity()
+	t := r.Table()
 
 	check(r.AcceptedJobs > 10000, "E16: only %.0f jobs offered", r.AcceptedJobs)
 	check(math.Abs(r.AcceptedJobs-r.CompletedJobs) < 1e-3 && r.LeftoverJobs < 1e-3,

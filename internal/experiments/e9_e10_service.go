@@ -5,28 +5,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/cookiejar"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"time"
 
 	"videocloud/internal/core"
-	"videocloud/internal/fusebridge"
-	"videocloud/internal/hdfs"
 	"videocloud/internal/metrics"
 	"videocloud/internal/nebula"
 	"videocloud/internal/stream"
 	"videocloud/internal/video"
 	"videocloud/internal/web"
 )
-
-// browserFor returns a cookie-keeping client against handler.
-func browserFor(handler http.Handler) (*http.Client, *httptest.Server) {
-	srv := httptest.NewServer(handler)
-	jar, _ := cookiejar.New(nil)
-	return &http.Client{Jar: jar}, srv
-}
 
 func mustPost(c *http.Client, u string, form url.Values) *http.Response {
 	resp, err := c.PostForm(u, form)
@@ -58,22 +47,11 @@ func mustGet(c *http.Client, u string) (int, string) {
 func E9EndToEnd() *metrics.Table {
 	t := metrics.NewTable("E9 — end-to-end user journey (Figs 17-23)",
 		"step", "result", "wall_ms")
-	cluster := hdfs.NewCluster(4, 1<<20)
-	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
-	if err != nil {
-		panic(err)
-	}
-	site, err := web.New(web.Config{
-		Store:  mount,
-		Farm:   video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}},
+	r := newRig(web.Config{
 		Target: video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 500_000},
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer site.Close()
-	c, srv := browserFor(site)
-	defer srv.Close()
+	}, 1, 1, 1<<20, 0)
+	defer r.close()
+	site, c := r.site, newBrowser()
 
 	step := func(name string, fn func() string) {
 		start := time.Now()
@@ -82,17 +60,17 @@ func E9EndToEnd() *metrics.Table {
 	}
 
 	step("register+verify", func() string {
-		resp := mustPost(c, srv.URL+"/register", url.Values{
+		resp := mustPost(c, r.url+"/register", url.Values{
 			"username": {"alice"}, "password": {"pw"}, "email": {"a@x"},
 		})
 		link := resp.Header.Get("X-Verification-Link")
 		check(link != "", "E9: no verification link")
-		code, _ := mustGet(c, srv.URL+link)
+		code, _ := mustGet(c, r.url+link)
 		check(code == 200, "E9: verify failed (%d)", code)
 		return "ok"
 	})
 	step("login", func() string {
-		resp := mustPost(c, srv.URL+"/login", url.Values{"username": {"alice"}, "password": {"pw"}})
+		resp := mustPost(c, r.url+"/login", url.Values{"username": {"alice"}, "password": {"pw"}})
 		check(resp.StatusCode == 200, "E9: login failed")
 		return "ok"
 	})
@@ -112,14 +90,14 @@ func E9EndToEnd() *metrics.Table {
 		return fmt.Sprintf("conversion speedup %.1fx", speedup)
 	})
 	step("search", func() string {
-		code, body := mustGet(c, srv.URL+"/search?q=nobody")
+		code, body := mustGet(c, r.url+"/search?q=nobody")
 		check(code == 200 && strings.Contains(body, "Nobody music video"), "E9: search miss")
 		return "1 hit"
 	})
 	var fetched, size int64
 	step("stream+seek", func() string {
 		p := &stream.Player{HTTP: c}
-		rep, perr := p.Play(fmt.Sprintf("%s/stream/%d", srv.URL, videoID), []float64{0.75}, nil)
+		rep, perr := p.Play(fmt.Sprintf("%s/stream/%d", r.url, videoID), []float64{0.75}, nil)
 		check(perr == nil, "E9: playback: %v", perr)
 		fetched, size = rep.BytesFetched, rep.Size
 		return fmt.Sprintf("fetched %dKB of %dKB", fetched>>10, size>>10)
@@ -160,9 +138,10 @@ func E10FullStack() *metrics.Table {
 	t.AddRow("virtual boot time", fmt.Sprintf("%.0fs for %d VMs on %d hosts",
 		st.VirtualNow.Seconds(), len(st.VMs), st.Hosts))
 
-	c, srv := browserFor(vc.Handler())
+	base, srv := serveLoopback(vc.Handler())
+	c := newBrowser()
 	defer srv.Close()
-	mustPost(c, srv.URL+"/login", url.Values{"username": {"admin"}, "password": {"admin"}})
+	mustPost(c, base+"/login", url.Values{"username": {"admin"}, "password": {"admin"}})
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 200_000}
 	data, _ := video.Generate(src, 60, 7)
 	id, err := vc.Site().ProcessUpload(context.Background(), 1, "Full stack stream", "served from VM-hosted HDFS", data)
@@ -173,11 +152,11 @@ func E10FullStack() *metrics.Table {
 	res, err := vc.ReindexMR()
 	check(err == nil, "E10: reindex: %v", err)
 	t.AddRow("MapReduce re-index", fmt.Sprintf("%d map tasks, %.1fs modelled", len(res.MapTasks), res.Duration.Seconds()))
-	_, body := mustGet(c, srv.URL+"/search?q=full+stack")
+	_, body := mustGet(c, base+"/search?q=full+stack")
 	check(strings.Contains(body, "Full stack stream"), "E10: search miss after reindex")
 
 	p := &stream.Player{HTTP: c}
-	streamURL := fmt.Sprintf("%s/stream/%d", srv.URL, id)
+	streamURL := fmt.Sprintf("%s/stream/%d", base, id)
 	if _, err := p.Play(streamURL, []float64{0.5}, nil); err != nil {
 		panic(fmt.Sprintf("experiments: pre-migration playback: %v", err))
 	}

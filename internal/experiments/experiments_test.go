@@ -1,143 +1,58 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"videocloud/internal/metrics"
-)
+// wantRows is the row count each registered experiment's table must have;
+// -1 leaves it open (E13's layers depend on what the traced requests
+// touched). An experiment registered without an entry here fails TestRegistry.
+var wantRows = map[string]int{
+	"E1":  8,
+	"E1b": 3, // stop-and-copy, pre-copy, post-copy
+	"E1c": 4,
+	"E2":  5,
+	"E3":  5,
+	"E4":  3,
+	"E5":  4,
+	"E6":  3,
+	"E6b": 2,
+	"E6c": 2,
+	"E7":  3,
+	"E8":  6, // 5 scaling points + locality-off ablation
+	"E8b": 3,
+	"E9":  11, // 5 journey steps + 6 per-route rows (home via the login redirect, register, verify, login, search, stream)
+	"E9b": 9,  // 5 concurrency levels + per-route rows (home, search, watch, stream)
+	"E10": 6,
+	"E11": 3,
+	"E13": -1,
+	"E14": 4, // 1/4/8 frontends + flash crowd
+	"E15": 4, // 4/16/64 viewers + live phase
+	"E16": 9, // 5 windows + job, drain, control, rebalance
+	"E17": 5,
+}
 
-// runExp executes an experiment, converting shape-violation panics into
-// test failures.
-func runExp(t *testing.T, name string, fn func() *metrics.Table) *metrics.Table {
-	t.Helper()
-	var tbl *metrics.Table
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s panicked: %v", name, r)
+// TestRegistry runs every registered experiment by id (`go test -run
+// 'TestRegistry/E15'`): the harness panics on a shape violation — the gates
+// live there and only there — and the table must have its title and the
+// recorded number of rows.
+func TestRegistry(t *testing.T) {
+	for _, e := range Registry {
+		t.Run(e.ID, func(t *testing.T) {
+			want, ok := wantRows[e.ID]
+			if !ok {
+				t.Fatalf("%s is registered but has no wantRows entry", e.ID)
 			}
-		}()
-		tbl = fn()
-	}()
-	if tbl == nil || tbl.Rows() == 0 {
-		t.Fatalf("%s produced no rows", name)
-	}
-	if !strings.Contains(tbl.String(), "==") {
-		t.Fatalf("%s table missing title", name)
-	}
-	return tbl
-}
-
-func TestE1LiveMigration(t *testing.T) {
-	tbl := runExp(t, "E1", E1LiveMigration)
-	if tbl.Rows() != 8 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE1bAlgorithms(t *testing.T) {
-	tbl := runExp(t, "E1b", E1bMigrationAlgorithms)
-	out := tbl.String()
-	for _, alg := range []string{"pre-copy", "post-copy", "stop-and-copy"} {
-		if !strings.Contains(out, alg) {
-			t.Fatalf("missing %s:\n%s", alg, out)
-		}
-	}
-}
-
-func TestE1cContention(t *testing.T) {
-	tbl := runExp(t, "E1c", E1cMigrationUnderContention)
-	if tbl.Rows() != 4 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE6cConsolidation(t *testing.T) {
-	tbl := runExp(t, "E6c", E6cConsolidation)
-	if tbl.Rows() != 2 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE8bSpeculative(t *testing.T) {
-	tbl := runExp(t, "E8b", E8bSpeculativeExecution)
-	if tbl.Rows() != 3 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE2ParallelTranscode(t *testing.T) {
-	tbl := runExp(t, "E2", E2ParallelTranscode)
-	if tbl.Rows() != 5 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE3IndexConstruction(t *testing.T) {
-	runExp(t, "E3", E3IndexConstruction)
-}
-
-func TestE4SearchVsScan(t *testing.T) {
-	runExp(t, "E4", E4SearchVsScan)
-}
-
-func TestE5VirtOverhead(t *testing.T) {
-	tbl := runExp(t, "E5", E5VirtOverhead)
-	if tbl.Rows() != 4 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE6Placement(t *testing.T) {
-	runExp(t, "E6", E6Placement)
-}
-
-func TestE6bProvisioning(t *testing.T) {
-	runExp(t, "E6b", E6bProvisioning)
-}
-
-func TestE7HDFSReplication(t *testing.T) {
-	tbl := runExp(t, "E7", E7HDFSReplication)
-	if tbl.Rows() != 3 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE8MapReduceScaling(t *testing.T) {
-	tbl := runExp(t, "E8", E8MapReduceScaling)
-	if tbl.Rows() != 6 { // 5 scaling points + locality-off ablation
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-}
-
-func TestE9EndToEnd(t *testing.T) {
-	tbl := runExp(t, "E9", E9EndToEnd)
-	// 5 journey steps + per-route latency rows (home via the login
-	// redirect, register, verify, login, search, stream).
-	if tbl.Rows() != 11 {
-		t.Fatalf("rows = %d\n%s", tbl.Rows(), tbl)
-	}
-}
-
-func TestE9bConcurrentLoad(t *testing.T) {
-	tbl := runExp(t, "E9b", E9bConcurrentLoad)
-	// 5 concurrency levels + per-route rows (home, search, watch, stream).
-	if tbl.Rows() != 9 {
-		t.Fatalf("rows = %d\n%s", tbl.Rows(), tbl)
-	}
-}
-
-func TestE10FullStack(t *testing.T) {
-	tbl := runExp(t, "E10", E10FullStack)
-	if tbl.Rows() != 6 {
-		t.Fatalf("rows = %d\n%s", tbl.Rows(), tbl)
-	}
-}
-
-func TestE11AutoScaling(t *testing.T) {
-	tbl := runExp(t, "E11", E11AutoScaling)
-	if tbl.Rows() != 3 {
-		t.Fatalf("rows = %d", tbl.Rows())
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s panicked: %v", e.ID, r)
+				}
+			}()
+			tbl := e.Run()
+			if tbl == nil || tbl.Rows() == 0 || tbl.Title == "" {
+				t.Fatalf("%s produced no titled rows", e.ID)
+			}
+			if want >= 0 && tbl.Rows() != want {
+				t.Fatalf("%s: %d rows, want %d\n%s", e.ID, tbl.Rows(), want, tbl)
+			}
+		})
 	}
 }

@@ -10,7 +10,10 @@ import (
 type Table struct {
 	Title   string
 	Columns []string
-	rows    [][]string
+	// Report is the measurement struct the rows were rendered from, for the
+	// producers that keep one as a JSON record (cmd/benchcloud -json).
+	Report any
+	rows   [][]string
 }
 
 // NewTable returns a table with the given title and column headers.

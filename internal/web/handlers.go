@@ -131,18 +131,13 @@ func (s *Site) handleHome(w http.ResponseWriter, r *http.Request) {
 	s.render(w, r, v)
 }
 
-// handleSearch serves /search?q=...; engine=scan selects the direct
-// database LIKE-scan baseline instead of the inverted index.
+// handleSearch serves /search?q=... from the inverted index.
 func (s *Site) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.FormValue("q")
 	v := view{Page: "home", Title: "Search", Query: q}
 	if q != "" {
 		s.reg.Counter("searches").Inc()
-		if r.FormValue("engine") == "scan" {
-			v.Hits = s.searchByScan(q)
-		} else {
-			v.Hits = s.searchByIndex(q)
-		}
+		v.Hits = s.searchByIndex(q)
 	}
 	s.render(w, r, v)
 }
@@ -164,25 +159,6 @@ func (s *Site) searchByIndex(q string) []videoView {
 		if row, err := s.db.Get("videos", hit.Doc); err == nil {
 			out = append(out, s.videoView(row))
 		}
-	}
-	return out
-}
-
-func (s *Site) searchByScan(q string) []videoView {
-	lower := strings.ToLower(q)
-	rows, _ := s.db.Scan("videos", func(r videodb.Row) bool {
-		// Tolerate drifted rows without per-row log noise.
-		title, _ := r["title"].(string)
-		desc, _ := r["description"].(string)
-		return strings.Contains(strings.ToLower(title), lower) ||
-			strings.Contains(strings.ToLower(desc), lower)
-	})
-	var out []videoView
-	for _, row := range rows {
-		if len(out) == 25 {
-			break
-		}
-		out = append(out, s.videoView(row))
 	}
 	return out
 }

@@ -58,12 +58,6 @@ func TestMalformedRowDoesNotPanic(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("stream status = %d, want 500", resp.StatusCode)
 	}
-
-	// The scan-engine search tolerates the drifted row.
-	resp, _ = b.get("/search?q=anything&engine=scan")
-	if resp.StatusCode != 200 {
-		t.Fatalf("scan search status = %d", resp.StatusCode)
-	}
 }
 
 // TestConcurrentTraffic drives simultaneous upload + search + stream +

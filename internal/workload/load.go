@@ -152,40 +152,6 @@ func RunLoad(o LoadOptions) LoadReport {
 	}
 }
 
-// RampPhase is one step of a diurnal ramp: the hour selects the wave's rate,
-// which RunRamp turns into closed-loop concurrency.
-type RampPhase struct {
-	Hour    float64
-	Viewers int
-	Report  LoadReport
-}
-
-// RunRamp walks the diurnal wave at the given hours, scaling viewer
-// concurrency in proportion to the wave's rate (peak hour = maxViewers,
-// never below 1), and runs one closed-loop measurement per phase. It models
-// a day of demand against a fixed fleet — the trace E14 and capacity
-// planning read.
-func RunRamp(o LoadOptions, d Diurnal, hours []float64, maxViewers int) []RampPhase {
-	if maxViewers < 1 || len(hours) == 0 {
-		panic(fmt.Sprintf("workload: bad ramp (max %d viewers, %d hours)", maxViewers, len(hours)))
-	}
-	peak := d.Rate(time.Duration(d.PeakHour * float64(time.Hour)))
-	out := make([]RampPhase, 0, len(hours))
-	for _, h := range hours {
-		rate := d.Rate(time.Duration(h * float64(time.Hour)))
-		viewers := int(float64(maxViewers) * rate / peak)
-		if viewers < 1 {
-			viewers = 1
-		}
-		po := o
-		po.Viewers = viewers
-		po.Seed = o.Seed + int64(h*3600)
-		phase := RampPhase{Hour: h, Viewers: viewers, Report: RunLoad(po)}
-		out = append(out, phase)
-	}
-	return out
-}
-
 // discardGet fetches url, drains the body, and returns an error on transport
 // failure or non-2xx status.
 func discardGet(client *http.Client, url, rangeHdr string) error {

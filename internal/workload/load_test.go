@@ -160,39 +160,3 @@ func TestRunLoadFlashCrowd(t *testing.T) {
 		t.Fatalf("flash video received %d of 40 stream requests", got)
 	}
 }
-
-func TestRunRampScalesViewers(t *testing.T) {
-	tier := &fakeTier{size: 1 << 20}
-	srv := httptest.NewServer(tier)
-	defer srv.Close()
-
-	d := Diurnal{Base: 2, PeakFactor: 8, PeakHour: 21}
-	phases := RunRamp(LoadOptions{
-		BaseURL:       srv.URL,
-		VideoIDs:      []int64{1, 2, 3},
-		Loops:         2,
-		ChunksPerView: 1,
-		StreamChunk:   4 << 10,
-		Seed:          1,
-	}, d, []float64{9, 15, 21}, 8)
-
-	if len(phases) != 3 {
-		t.Fatalf("%d phases, want 3", len(phases))
-	}
-	// Trough (9h, 12h off peak) gets 1 viewer, peak gets all 8,
-	// mid-afternoon lands in between.
-	if phases[0].Viewers != 1 {
-		t.Fatalf("trough ran %d viewers, want 1", phases[0].Viewers)
-	}
-	if phases[2].Viewers != 8 {
-		t.Fatalf("peak ran %d viewers, want 8", phases[2].Viewers)
-	}
-	if v := phases[1].Viewers; v <= 1 || v >= 8 {
-		t.Fatalf("mid-ramp ran %d viewers, want strictly between 1 and 8", v)
-	}
-	for _, p := range phases {
-		if p.Report.Errors != 0 {
-			t.Fatalf("phase at hour %.0f: %d errors", p.Hour, p.Report.Errors)
-		}
-	}
-}
