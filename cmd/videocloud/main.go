@@ -176,10 +176,9 @@ func logRouteDashboard(vc *core.VideoCloud) {
 	}
 	h := st.HDFS
 	if h.BytesRead > 0 || h.BytesWritten > 0 {
-		log.Printf("hdfs read=%dMB write=%dMB ra hit/miss/pre=%d/%d/%d "+
+		log.Printf("hdfs read=%dMB write=%dMB prefetch=%d "+
 			"pick local/load/first=%d/%d/%d failover=%d rd_p99=%.2fms wr_p99=%.2fms",
-			h.BytesRead>>20, h.BytesWritten>>20,
-			h.ReadaheadHits, h.ReadaheadMisses, h.ReadaheadPrefetches,
+			h.BytesRead>>20, h.BytesWritten>>20, h.ReadaheadPrefetches,
 			h.ReplicaLocal, h.ReplicaLeastLoaded, h.ReplicaFirst, h.ReplicaFailovers,
 			h.ReadLatency.P99*1000, h.WriteLatency.P99*1000)
 	}

@@ -252,9 +252,7 @@ func TestChaosSoak(t *testing.T) {
 	// The serving cache would mask the latent corruption until the block
 	// fell out of residency; evict it now (as cache pressure eventually
 	// would) so this read verifies against the corrupt replica itself.
-	if bc := vc.HDFS().BlockCache(); bc != nil {
-		bc.Invalidate(hdfs.BlockID(blkID))
-	}
+	vc.HDFS().BlockCache().Invalidate(hdfs.BlockID(blkID))
 	rctx, rsp := vc.Tracer().StartSpan(context.Background(), "soak.corrupt_read")
 	got, err := vc.HDFS().Client(corruptNode).ReadFileCtx(rctx, corruptFile.path)
 	rsp.End()

@@ -54,9 +54,8 @@ type Config struct {
 	// from Hadoop's 64 MiB to keep simulated uploads cheap; override for
 	// fidelity).
 	BlockSize int64
-	// BlockCacheBytes budgets the shared, refcounted HDFS block cache the
-	// serving hot path reads through (zero selects the HDFS default;
-	// negative disables caching so every read verifies against replicas).
+	// BlockCacheBytes budgets the shared, refcounted HDFS extent cache every
+	// read goes through (<= 0 selects hdfs.DefaultBlockCacheBytes).
 	BlockCacheBytes int64
 	// Policy is the Capacity Manager policy (default striping).
 	Policy nebula.Policy
@@ -241,10 +240,6 @@ func New(cfg Config) (*VideoCloud, error) {
 
 	// ---- PaaS: HDFS + MapReduce on the data VMs ----
 	vc.hdfs = hdfs.NewCluster(0, cfg.BlockSize)
-	// The assembled stack serves video through the shared block cache:
-	// concurrent viewers of a hot file share one replica fetch and zero
-	// per-request data copies. Standalone clusters leave it off so every
-	// read exercises replica checksums.
 	vc.hdfs.SetBlockCacheCapacity(cfg.BlockCacheBytes)
 	// Every HDFS write is attributed to the writing context's tenant in
 	// the ledger (uploads thread the tenant through web → queue → store).
@@ -527,9 +522,9 @@ type Status struct {
 	// Transcode reports the async conversion pool: workers, queue depth,
 	// job counts, queue wait, and measured wall-clock conversion time.
 	Transcode web.TranscodeStats
-	// HDFS reports the data-path counters: bytes moved, readahead
-	// hit/miss/prefetch counts, replica-selection policy decisions,
-	// failovers, and read/write latency quantiles.
+	// HDFS reports the data-path counters: bytes moved, extent-cache
+	// hit/miss/fill and prefetch counts, replica-selection policy
+	// decisions, failovers, and read/write latency quantiles.
 	HDFS hdfs.Stats
 	// Recovery reports the orchestrator's failure-detection and
 	// auto-restart activity.

@@ -37,13 +37,11 @@ type rig struct {
 
 // newRig stands the tier up. cfg says what differs between experiments
 // (target, renditions, pacing, tracer, tenants); Store and Farm are filled in
-// here. blockCache > 0 turns on the shared HDFS block cache the assembled
-// stack serves through; 0 leaves every read verifying against replicas.
+// here. blockCache budgets the HDFS extent cache (0 = the default, as in
+// core.Config.BlockCacheBytes).
 func newRig(cfg web.Config, frontends, shards int, blockSize, blockCache int64) *rig {
 	r := &rig{cluster: hdfs.NewCluster(4, blockSize)}
-	if blockCache > 0 {
-		r.cluster.SetBlockCacheCapacity(blockCache)
-	}
+	r.cluster.SetBlockCacheCapacity(blockCache)
 	var err error
 	if cfg.Store, err = fusebridge.New(r.cluster.Client(""), "/site", 2); err != nil {
 		panic(fmt.Sprintf("experiments: mount: %v", err))

@@ -181,7 +181,7 @@ func (m *Mount) OpenSeeker(name string) (*hdfs.Reader, error) {
 
 // OpenSeekerCtx is OpenSeeker linked to the trace span in ctx: block range
 // reads and prefetches through the returned reader record spans annotated
-// with readahead hits/misses under the caller's trace.
+// with the extent-cache outcome under the caller's trace.
 func (m *Mount) OpenSeekerCtx(ctx context.Context, name string) (*hdfs.Reader, error) {
 	p, err := m.abs(name)
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 
 // Allocation regression gate for the range-read hot path (make tier1 runs
 // this via the alloccheck target). The invariant: a K-byte window read out
-// of an N-byte block allocates O(K), never O(N) — the seed implementation
-// copied and re-checksummed the whole block per window, which made every
-// 256 KiB player seek cost a block-sized allocation.
+// of an N-byte block allocates O(K) at the DataNode and one extent at the
+// client, never O(N) — the seed implementation copied and re-checksummed the
+// whole block per window, which made every 256 KiB player seek cost a
+// block-sized allocation.
 
 func TestAllocReadRangeBounded(t *testing.T) {
 	if raceEnabled {
@@ -24,34 +25,46 @@ func TestAllocReadRangeBounded(t *testing.T) {
 	if err := cl.WriteFile("/big", data, 2); err != nil {
 		t.Fatal(err)
 	}
+	blocks, _ := cl.BlockLocations("/big")
+	id, dn := blocks[0].ID, c.DataNode(blocks[0].Locations[0])
 	r, err := cl.Open("/big")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, window)
-	readAt := func(i int) {
-		off := (int64(i) * 3 * window) % (block - window)
-		if _, err := r.ReadAt(buf, off); err != nil {
-			t.Fatal(err)
+	offAt := func(i int) int64 { return (int64(i) * 3 * window) % (block - window) }
+	perOp := func(iters int, op func(i int)) int64 {
+		for i := 0; i < 4; i++ { // warm up histogram sample slices etc.
+			op(i)
 		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < iters; i++ {
+			op(i)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / int64(iters)
 	}
-	for i := 0; i < 4; i++ { // warm up histogram sample slices etc.
-		readAt(i)
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const iters = 64
-	for i := 0; i < iters; i++ {
-		readAt(i)
-	}
-	runtime.ReadMemStats(&after)
-	perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters
 	// Generous ceiling: the window plus small per-fetch bookkeeping. The
 	// seed whole-block path allocated ~8 MiB per window here.
-	if perOp > window*8 {
-		t.Fatalf("ReadAt allocates %d B/op for a %d B window of a %d B block; want O(window)",
-			perOp, window, block)
+	if got := perOp(64, func(i int) {
+		if _, err := dn.ReadRange(id, offAt(i), window); err != nil {
+			t.Fatal(err)
+		}
+	}); got > window*8 {
+		t.Fatalf("DataNode.ReadRange allocates %d B/op for a %d B window of a %d B block; want O(window)",
+			got, window, block)
+	}
+	// A cold window costs the extent it lands in (plus the same slack).
+	if got := perOp(16, func(i int) {
+		c.BlockCache().Invalidate(id)
+		if _, err := r.ReadAt(buf, offAt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}); got > extentSize+window*8 {
+		t.Fatalf("cold ReadAt allocates %d B/op for a %d B window of a %d B block; want one %d B extent",
+			got, window, block, extentSize)
 	}
 }
 
@@ -68,7 +81,6 @@ func TestAllocCachedStreamZeroCopy(t *testing.T) {
 	const blocks = 4
 	const window = 256 << 10
 	c := NewCluster(2, block)
-	c.SetBlockCacheCapacity(0)
 	cl := c.Client("")
 	data := payload(blocks*block, 42)
 	if err := cl.WriteFile("/v", data, 2); err != nil {
@@ -116,7 +128,6 @@ func TestAllocWarmExtentWindow(t *testing.T) {
 	}
 	const block = 4 * extentSize
 	c := NewCluster(2, block)
-	c.SetBlockCacheCapacity(0)
 	cl := c.Client("")
 	if err := cl.WriteFile("/v", payload(2*block, 43), 2); err != nil {
 		t.Fatal(err)

@@ -2,19 +2,18 @@ package hdfs
 
 import (
 	"fmt"
-	"io"
 	"testing"
 )
 
-// Data-path benchmarks (make bench writes them to BENCH_hdfs.json with
-// -benchmem -cpu 1,4). BenchmarkReadRange tracks bytes allocated per
-// window — the chunked-checksum gate; BenchmarkReadFile's -cpu scaling
-// shows the parallel block fan-out.
+// Data-path benchmarks (make benchall). BenchmarkReadRange tracks bytes
+// allocated per window — the chunked-checksum gate; BenchmarkReadFile's -cpu
+// scaling shows the parallel block fan-out. Cold sub-benchmarks pay a replica
+// fetch per extent, warm ones are served from the resident extent cache.
 
-// BenchmarkReadRange measures a player-seek window: 64 KiB out of one
-// 8 MiB block. Only the checksum chunks overlapping the window are
-// verified and only the window is copied, so B/op tracks the window, not
-// the block.
+// BenchmarkReadRange measures what a DataNode does for a player-seek window:
+// 64 KiB out of one 8 MiB block. Only the checksum chunks overlapping the
+// window are verified and only the window is copied, so B/op tracks the
+// window, not the block.
 func BenchmarkReadRange(b *testing.B) {
 	const block = 8 << 20
 	const window = 64 << 10
@@ -23,17 +22,14 @@ func BenchmarkReadRange(b *testing.B) {
 	if err := cl.WriteFile("/big", payload(block, 1), 2); err != nil {
 		b.Fatal(err)
 	}
-	r, err := cl.Open("/big")
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, window)
+	blocks, _ := cl.BlockLocations("/big")
+	id, dn := blocks[0].ID, c.DataNode(blocks[0].Locations[0])
 	b.SetBytes(window)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (int64(i) * 1234567) % (block - window)
-		if _, err := r.ReadAt(buf, off); err != nil {
+		if _, err := dn.ReadRange(id, off, window); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,9 +38,10 @@ func BenchmarkReadRange(b *testing.B) {
 // BenchmarkReadFile reads an 8-block file whose block fetches fan out over
 // up to GOMAXPROCS workers — compare -cpu 1 vs -cpu 4 for the parallel
 // speedup. The loop reuses its destination buffer (ReadFileInto), the
-// steady-state form of repeated full-file readers: each block is CRC32
-// verified against its replica and copied exactly once, into the final
-// buffer.
+// steady-state form of repeated full-file readers. cold drops the file's
+// extents before every read, so each is chunk-verified against its replica
+// and copied into the cache and then the buffer; warm is one copy out of
+// resident verified data — no replica access, no checksum pass.
 func BenchmarkReadFile(b *testing.B) {
 	const blockSize = 4 << 20
 	const blocks = 8
@@ -54,44 +51,27 @@ func BenchmarkReadFile(b *testing.B) {
 	if err := cl.WriteFile("/f", data, 2); err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = cl.ReadFileInto("/f", buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReadFileCached is BenchmarkReadFile against the serving
-// configuration: the shared block cache enabled (as core.New runs it), so
-// after the first iteration fills the cache every block is served by one
-// copy out of resident verified data — no replica access, no checksum
-// pass.
-func BenchmarkReadFileCached(b *testing.B) {
-	const blockSize = 4 << 20
-	const blocks = 8
-	c := NewCluster(4, blockSize)
-	c.SetBlockCacheCapacity(0)
-	cl := c.Client("")
-	data := payload(blocks*blockSize, 2)
-	if err := cl.WriteFile("/f", data, 2); err != nil {
-		b.Fatal(err)
+	infos, _ := cl.BlockLocations("/f")
+	ids := make([]BlockID, len(infos))
+	for i, info := range infos {
+		ids[i] = info.ID
 	}
 	buf := make([]byte, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = cl.ReadFileInto("/f", buf)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, cold := range []bool{true, false} {
+		b.Run(map[bool]string{true: "cold", false: "warm"}[cold], func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					c.BlockCache().Invalidate(ids...)
+				}
+				var err error
+				buf, err = cl.ReadFileInto("/f", buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -116,68 +96,50 @@ func BenchmarkWriteFile(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSeek replays a Flowplayer session over a multi-block
-// file: drag the time bar to a pseudo-random offset, stream one 256 KiB
-// window (Seek + sequential Read, the http.ServeContent access pattern).
+// BenchmarkStreamSeek replays a Flowplayer session over a multi-block file:
+// drag the time bar to a pseudo-random offset and resolve one 256 KiB Range
+// window to views of cached extents (Reader.AppendRangeSlices — what
+// stream.Serve hands to the vectored response write), a reader per window as
+// the site opens one per request. cold runs against a one-extent budget, so
+// nearly every window fills the one or two extents it overlaps; warm has the
+// file resident and performs no data copy at all — B/op tracks bookkeeping,
+// not bytes.
 func BenchmarkStreamSeek(b *testing.B) {
 	const blockSize = 4 << 20
 	const blocks = 8
 	const window = 256 << 10
-	c := NewCluster(4, blockSize)
-	cl := c.Client("")
-	data := payload(blocks*blockSize, 4)
-	if err := cl.WriteFile("/v.mp4", data, 2); err != nil {
-		b.Fatal(err)
-	}
-	r, err := cl.Open("/v.mp4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, window)
-	b.SetBytes(window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (int64(i) * 7654321) % (int64(len(data)) - window)
-		if _, err := r.Seek(off, io.SeekStart); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := io.ReadFull(r, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamCached replays the zero-copy serving loop: pseudo-random
-// 256 KiB Range windows resolved to slices of shared-cache block data
-// (Reader.AppendRangeSlices — what stream.Serve hands to the vectored
-// response write). Steady state performs no data copy at all; B/op tracks
-// bookkeeping, not bytes.
-func BenchmarkStreamCached(b *testing.B) {
-	const blockSize = 4 << 20
-	const blocks = 8
-	const window = 256 << 10
-	c := NewCluster(4, blockSize)
-	c.SetBlockCacheCapacity(0)
-	cl := c.Client("")
-	data := payload(blocks*blockSize, 4)
-	if err := cl.WriteFile("/v.mp4", data, 2); err != nil {
-		b.Fatal(err)
-	}
-	r, err := cl.Open("/v.mp4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	var slices [][]byte
-	b.SetBytes(window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := (int64(i) * 7654321) % (int64(len(data)) - window)
-		slices, err = r.AppendRangeSlices(slices[:0], off, window)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, cold := range []bool{true, false} {
+		b.Run(map[bool]string{true: "cold", false: "warm"}[cold], func(b *testing.B) {
+			c := NewCluster(4, blockSize)
+			if cold {
+				c.SetBlockCacheCapacity(extentSize)
+			}
+			cl := c.Client("")
+			data := payload(blocks*blockSize, 4)
+			if err := cl.WriteFile("/v.mp4", data, 2); err != nil {
+				b.Fatal(err)
+			}
+			if !cold {
+				if _, err := cl.ReadFile("/v.mp4"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var slices [][]byte
+			b.SetBytes(window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := cl.Open("/v.mp4")
+				if err != nil {
+					b.Fatal(err)
+				}
+				off := (int64(i) * 7654321) % (int64(len(data)) - window)
+				slices, err = r.AppendRangeSlices(slices[:0], off, window)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.Close()
+			}
+		})
 	}
 }

@@ -57,14 +57,14 @@ func extentCount(blockLen int64) int64 { return (blockLen + extentSize - 1) / ex
 // share one replica fetch. The first caller fetches; later callers are
 // counted as waits and receive a reference to the same entry.
 type BlockCache struct {
-	capacity int64
-	reg      *metrics.Registry
+	reg *metrics.Registry
 
 	// pinned counts outstanding references across all entries, resident or
 	// evicted — the gauge tests use to prove readers release everything.
 	pinned atomic.Int64
 
-	mu sync.Mutex
+	mu       sync.Mutex
+	capacity int64 // resident-byte budget
 	// blocks indexes resident entries by block, then extent index (nil =
 	// not resident), so a lookup is one map probe plus a slice index and
 	// dropping a freed block touches only its own extents.
@@ -94,9 +94,7 @@ type CacheEntry struct {
 // Data returns the immutable extent bytes. Callers must hold a reference.
 func (e *CacheEntry) Data() []byte { return e.data }
 
-// Release drops one reference on e. It releases against the cache that
-// created the entry, so it stays correct even if the cluster has since
-// swapped in a different cache.
+// Release drops one reference on e.
 func (e *CacheEntry) Release() {
 	if e != nil {
 		e.owner.Release(e)
@@ -115,7 +113,7 @@ type cacheFill struct {
 }
 
 // newBlockCache builds a cache bounded to capacity resident bytes, counting
-// into the cluster registry. capacity <= 0 is rejected by the cluster layer.
+// into the cluster registry.
 func newBlockCache(capacity int64, reg *metrics.Registry) *BlockCache {
 	return &BlockCache{
 		capacity: capacity,
@@ -127,7 +125,20 @@ func newBlockCache(capacity int64, reg *metrics.Registry) *BlockCache {
 }
 
 // Capacity returns the resident-byte budget.
-func (c *BlockCache) Capacity() int64 { return c.capacity }
+func (c *BlockCache) Capacity() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.capacity
+}
+
+// setCapacity changes the resident-byte budget, shedding idle extents that
+// no longer fit.
+func (c *BlockCache) setCapacity(capacity int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.capacity = capacity
+	c.evictLocked()
+}
 
 // lookupLocked returns the resident entry for extent x of block id, or nil.
 func (c *BlockCache) lookupLocked(id BlockID, x int64) *CacheEntry {

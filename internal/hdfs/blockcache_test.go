@@ -224,3 +224,48 @@ func TestDeleteInvalidatesCache(t *testing.T) {
 		t.Fatal("recreated file served stale cached bytes")
 	}
 }
+
+// TestSetBlockCacheCapacityResizesInPlace: the cache is part of the cluster,
+// so a new budget resizes the one cache — same object, resident extents and
+// open readers' pins kept, idle extents shed down to a smaller budget — and
+// any budget <= 0 means the default, never "off".
+func TestSetBlockCacheCapacityResizesInPlace(t *testing.T) {
+	const block = 4 * extentSize
+	c, cl, data := newCachedCluster(t, block, block, 2, 0)
+	bc := c.BlockCache()
+	if bc == nil || bc.Capacity() != DefaultBlockCacheBytes {
+		t.Fatalf("a new cluster's cache = %v, want one of %d bytes", bc, DefaultBlockCacheBytes)
+	}
+	r, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := r.RangeSlices(0, 4096) // pins extent 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadFile("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if bc.Entries() != 4 {
+		t.Fatalf("%d extents resident after a whole-file read, want 4", bc.Entries())
+	}
+	c.SetBlockCacheCapacity(2 * extentSize)
+	if c.BlockCache() != bc || bc.Capacity() != 2*extentSize {
+		t.Fatal("shrinking replaced the cache or did not take")
+	}
+	if bc.Entries() != 2 || bc.firstAbsent(r.blocks[0].ID, 0, 1) != 1 {
+		t.Fatalf("%d extents resident after shrinking to two, want 2 including the pinned one", bc.Entries())
+	}
+	if !bytes.Equal(joinViews(views), data[:4096]) {
+		t.Fatal("pinned view changed under a resize")
+	}
+	for _, budget := range []int64{0, -1} {
+		c.SetBlockCacheCapacity(budget)
+		if c.BlockCache() != bc || bc.Capacity() != DefaultBlockCacheBytes {
+			t.Fatalf("SetBlockCacheCapacity(%d): capacity %d, want the default on the same cache", budget, bc.Capacity())
+		}
+	}
+	r.Close()
+	waitRefsZero(t, bc)
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,9 @@ import (
 // Block reads rank candidate replicas with a load-aware policy: the
 // client's own node first (locality), then ascending per-DataNode in-flight
 // read count, ties keeping the NameNode's order. ReadFile fans block
-// fetches out with bounded concurrency; both knobs live on Cluster.
+// fetches out with bounded concurrency; both knobs live on Cluster. Every
+// read — ReadFile, Reader.ReadAt, Reader.AppendRangeSlices — goes through the
+// cluster's extent cache.
 type Client struct {
 	cluster   *Cluster
 	localNode string
@@ -300,41 +301,19 @@ func (c *Client) ranksBefore(a string, la int64, b string, lb int64) bool {
 	return la < lb
 }
 
-// fetchWithFailover is the one replica-iteration path shared by whole-block
-// and range reads: rank replicas by the selection policy, track per-node
-// in-flight counts, fail over on any error, report corrupt replicas to the
-// NameNode (which queues repair), and record read latency. read runs
-// against a single replica. When parent records, the fetch emits an
-// hdfs.read_block span annotated with every failed replica and the eventual
-// failover; readahead ("hit"/"miss"/"prefetch") notes how the range-read
-// cache classified this fetch.
-func (c *Client) fetchWithFailover(parent *trace.Span, readahead string, info BlockInfo, read func(dn *DataNode) ([]byte, error)) ([]byte, error) {
-	var data []byte
-	_, err := c.fetchIntoFailover(parent, readahead, info, func(dn *DataNode) (int, error) {
-		d, err := read(dn)
-		if err != nil {
-			return 0, err
-		}
-		data = d
-		return len(d), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// fetchIntoFailover is the base replica-iteration loop; read reports the
-// bytes it produced (typically written into a caller-owned buffer, which is
-// why no []byte crosses this boundary — the alloc-free into-variants and
-// the allocating fetchWithFailover both compile down to it).
-func (c *Client) fetchIntoFailover(parent *trace.Span, readahead string, info BlockInfo, read func(dn *DataNode) (int, error)) (int, error) {
+// fetchExtent reads extent x of a block from a replica — the one
+// replica-iteration loop: rank replicas by the selection policy, track
+// per-node in-flight counts, fail over on any error, report corrupt replicas
+// to the NameNode (which queues repair), and record read latency. Each
+// attempt is one DataNode.ReadRange, which verifies every checksum chunk the
+// extent overlaps. When parent records, the fetch emits an hdfs.read_block
+// span annotated with every failed replica and the eventual failover;
+// readahead ("cache_fill"/"prefetch") notes what asked for the extent.
+func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInfo, x int64) ([]byte, error) {
 	sp := parent.StartChild("hdfs.read_block")
 	if sp != nil {
 		sp.AnnotateInt("block", int64(info.ID))
-		if readahead != "" {
-			sp.Annotate("readahead", readahead)
-		}
+		sp.Annotate("readahead", readahead)
 	}
 	start := time.Now()
 	var lastErr error = fmt.Errorf("%w: block %d has no live replicas", ErrAllReplicasFailed, info.ID)
@@ -346,7 +325,7 @@ func (c *Client) fetchIntoFailover(parent *trace.Span, readahead string, info Bl
 		}
 		ctr := c.cluster.inflightFor(loc)
 		ctr.Add(1)
-		n, err := read(dn)
+		data, err := dn.ReadRange(info.ID, x*extentSize, extentSize)
 		ctr.Add(-1)
 		if err == nil {
 			if i > 0 {
@@ -357,11 +336,11 @@ func (c *Client) fetchIntoFailover(parent *trace.Span, readahead string, info Bl
 			} else if sp.Recording() {
 				sp.Annotate("replica", loc)
 			}
-			c.cluster.reg.Counter("bytes_read").Add(int64(n))
+			c.cluster.reg.Counter("bytes_read").Add(int64(len(data)))
 			c.cluster.reg.Histogram("hdfs_read_seconds").
 				ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
 			sp.End()
-			return n, nil
+			return data, nil
 		}
 		if sp.Recording() {
 			sp.Annotate("replica_error", loc+": "+err.Error())
@@ -375,27 +354,15 @@ func (c *Client) fetchIntoFailover(parent *trace.Span, readahead string, info Bl
 	err := fmt.Errorf("%w: block %d: %v", ErrAllReplicasFailed, info.ID, lastErr)
 	sp.SetError(err)
 	sp.End()
-	return 0, err
-}
-
-// fetchRangeInto reads [off, off+len(dst)) of a block into dst with replica
-// failover, verifying and copying only the checksum chunks the window
-// overlaps — no intermediate buffer.
-func (c *Client) fetchRangeInto(parent *trace.Span, readahead string, info BlockInfo, off int64, dst []byte) (int, error) {
-	return c.fetchIntoFailover(parent, readahead, info, func(dn *DataNode) (int, error) {
-		return dn.ReadRangeInto(info.ID, off, dst)
-	})
+	return nil, err
 }
 
 // extent returns a referenced shared-cache entry for extent x of a block,
-// filling it single-flight when absent: one chunk-verified DataNode.ReadRange
-// of just that extent under the usual replica failover. It is the only way
-// bytes enter the cache. The caller must Release the entry.
-func (c *Client) extent(parent *trace.Span, readahead string, bc *BlockCache, info BlockInfo, x int64) (*CacheEntry, error) {
-	e, source, err := bc.GetOrFill(info.ID, x, func() ([]byte, error) {
-		return c.fetchWithFailover(parent, readahead, info, func(dn *DataNode) ([]byte, error) {
-			return dn.ReadRange(info.ID, x*extentSize, extentSize)
-		})
+// filling it single-flight when absent. It is the only way bytes reach a
+// client. The caller must Release the entry.
+func (c *Client) extent(parent *trace.Span, readahead string, info BlockInfo, x int64) (*CacheEntry, error) {
+	e, source, err := c.cluster.cache.GetOrFill(info.ID, x, func() ([]byte, error) {
+		return c.fetchExtent(parent, readahead, info, x)
 	})
 	if err != nil {
 		return nil, err
@@ -412,33 +379,6 @@ func (c *Client) extent(parent *trace.Span, readahead string, bc *BlockCache, in
 		}
 	}
 	return e, nil
-}
-
-// blockInto lands one whole block in dst (len(dst) = block length). With
-// the shared cache enabled the block's extents are served from — or filled
-// into — the cache, so a re-read of a hot file is a single copy with no
-// checksum pass; otherwise the replica verifies its whole-block CRC and
-// copies straight into dst.
-func (c *Client) blockInto(parent *trace.Span, info BlockInfo, dst []byte) (int, error) {
-	if bc := c.cluster.BlockCache(); bc != nil {
-		n := 0
-		for x := int64(0); n < len(dst); x++ {
-			e, err := c.extent(parent, "cache_fill", bc, info, x)
-			if err != nil {
-				return n, err
-			}
-			m := copy(dst[n:], e.data)
-			e.Release()
-			n += m
-			if m < extentSize {
-				break // last (or short) extent; the caller checks the total
-			}
-		}
-		return n, nil
-	}
-	return c.fetchIntoFailover(parent, "", info, func(dn *DataNode) (int, error) {
-		return dn.ReadInto(info.ID, dst)
-	})
 }
 
 // ReadFile returns the whole content of path, fetching blocks in parallel
@@ -480,46 +420,35 @@ func (c *Client) readFileInto(ctx context.Context, path string, dst []byte) ([]b
 }
 
 func (c *Client) readFileSpan(path string, dst []byte, sp *trace.Span) ([]byte, error) {
-	blocks, err := c.cluster.nn.GetBlockLocations(path)
+	r, err := c.open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(blocks) == 0 {
+	if len(r.blocks) == 0 {
 		return nil, nil
 	}
-	offsets := make([]int64, len(blocks))
-	var total int64
-	for i, b := range blocks {
-		offsets[i] = total
-		total += b.Length
-	}
+	r.span = sp
 	out := dst
-	if int64(cap(out)) < total {
-		out = make([]byte, total)
+	if int64(cap(out)) < r.size {
+		out = make([]byte, r.size)
 	}
-	out = out[:total]
-	if workers := c.cluster.readWorkers(len(blocks)); workers > 1 && len(blocks) > 1 {
-		if err := c.readBlocksParallel(sp, blocks, offsets, out, workers); err != nil {
+	out = out[:r.size]
+	if workers := c.cluster.readWorkers(len(r.blocks)); workers > 1 {
+		if err := r.readBlocksParallel(out, workers); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	for i, b := range blocks {
-		n, err := c.blockInto(sp, b, out[offsets[i]:offsets[i]+b.Length])
-		if err != nil {
-			return nil, err
-		}
-		if int64(n) < b.Length {
-			return nil, fmt.Errorf("hdfs: block %d short read: %d of %d bytes: %w",
-				b.ID, n, b.Length, io.ErrUnexpectedEOF)
-		}
+	if _, err := r.ReadAt(out, 0); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// readBlocksParallel fans block fetches out over a bounded worker pool;
-// the first error wins and stops further fetches from launching.
-func (c *Client) readBlocksParallel(sp *trace.Span, blocks []BlockInfo, offsets []int64, out []byte, workers int) error {
+// readBlocksParallel lands every block of the file at its own offset in out
+// over a bounded worker pool; the first error wins and stops further fetches
+// from launching.
+func (r *Reader) readBlocksParallel(out []byte, workers int) error {
 	var (
 		wg       sync.WaitGroup
 		sem      = make(chan struct{}, workers)
@@ -527,7 +456,7 @@ func (c *Client) readBlocksParallel(sp *trace.Span, blocks []BlockInfo, offsets 
 		mu       sync.Mutex
 		firstErr error
 	)
-	for i := range blocks {
+	for i := range r.blocks {
 		if failed.Load() {
 			break
 		}
@@ -539,13 +468,8 @@ func (c *Client) readBlocksParallel(sp *trace.Span, blocks []BlockInfo, offsets 
 			if failed.Load() {
 				return
 			}
-			b := blocks[i]
-			n, err := c.blockInto(sp, b, out[offsets[i]:offsets[i]+b.Length])
-			if err == nil && int64(n) < b.Length {
-				err = fmt.Errorf("hdfs: block %d short read: %d of %d bytes: %w",
-					b.ID, n, b.Length, io.ErrUnexpectedEOF)
-			}
-			if err != nil {
+			start := r.starts[i]
+			if _, err := r.ReadAt(out[start:start+r.blocks[i].Length], start); err != nil {
 				if failed.CompareAndSwap(false, true) {
 					mu.Lock()
 					firstErr = err
@@ -570,7 +494,7 @@ func (c *Client) Open(path string) (*Reader, error) {
 
 // OpenCtx is Open linked to the trace span in ctx: range reads and
 // prefetches through the returned Reader record hdfs.read_block spans
-// annotated with readahead hits and misses.
+// annotated with the cache outcome (hit, wait, or the filling replica).
 func (c *Client) OpenCtx(ctx context.Context, path string) (*Reader, error) {
 	sp := trace.FromContext(ctx).StartChild("hdfs.open")
 	if sp != nil {
@@ -609,7 +533,6 @@ func (c *Client) open(path string) (*Reader, error) {
 		starts: starts,
 		size:   size,
 		st:     st,
-		cache:  make(map[int]*raEntry),
 	}, nil
 }
 

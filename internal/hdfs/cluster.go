@@ -28,10 +28,10 @@ type Cluster struct {
 	readConc  atomic.Int64 // 0 = auto (GOMAXPROCS capped at 8)
 	writeConc atomic.Int64 // 0 = auto (all pipeline targets at once)
 
-	// cache, when non-nil, is the shared refcounted extent cache readers
-	// serve from (SetBlockCacheCapacity). Off by default so corruption
-	// tests exercise the replica path; the core stack enables it.
-	cache atomic.Pointer[BlockCache]
+	// cache is the shared refcounted extent cache every read is served
+	// from: built with the cluster, resized by SetBlockCacheCapacity, never
+	// nil and never replaced.
+	cache *BlockCache
 
 	// writeMeter, when set, observes every successful whole-file write on
 	// the data path (SetWriteMeter) — the usage-accounting tap: core wires
@@ -43,28 +43,24 @@ type Cluster struct {
 	inflight map[string]*atomic.Int64
 }
 
-// DefaultBlockCacheBytes is the resident budget SetBlockCacheCapacity(0)
-// selects — enough for a few hot multi-block videos at the scaled-down
-// 4 MiB block size without dominating a test process's memory.
+// DefaultBlockCacheBytes is the extent cache's resident budget until
+// SetBlockCacheCapacity says otherwise — enough for a few hot multi-block
+// videos at the scaled-down 4 MiB block size without dominating a test
+// process's memory.
 const DefaultBlockCacheBytes = 256 << 20
 
-// SetBlockCacheCapacity enables the shared block cache with a resident-byte
-// budget (0 selects DefaultBlockCacheBytes) or disables it entirely with a
-// negative value. Enabling replaces any previous cache; already-open readers
-// keep references into the old one, which stays valid until released.
+// SetBlockCacheCapacity sets the extent cache's resident-byte budget
+// (budget <= 0 selects DefaultBlockCacheBytes). Shrinking evicts idle extents
+// down to the new budget; open readers keep the extents they hold.
 func (c *Cluster) SetBlockCacheCapacity(budget int64) {
-	if budget < 0 {
-		c.cache.Store(nil)
-		return
-	}
-	if budget == 0 {
+	if budget <= 0 {
 		budget = DefaultBlockCacheBytes
 	}
-	c.cache.Store(newBlockCache(budget, c.reg))
+	c.cache.setCapacity(budget)
 }
 
-// BlockCache returns the shared block cache, or nil when disabled.
-func (c *Cluster) BlockCache() *BlockCache { return c.cache.Load() }
+// BlockCache returns the shared extent cache.
+func (c *Cluster) BlockCache() *BlockCache { return c.cache }
 
 // SetWriteMeter installs fn to observe every successful whole-file write
 // with the writer's context, the path, and the byte count; nil removes it.
@@ -86,6 +82,7 @@ func NewCluster(n int, blockSize int64) *Cluster {
 		nodes:    make(map[string]*DataNode),
 		inflight: make(map[string]*atomic.Int64),
 	}
+	c.cache = newBlockCache(DefaultBlockCacheBytes, c.reg)
 	c.chunkSize.Store(DefaultChunkSize)
 	for i := 0; i < n; i++ {
 		c.AddDataNode(fmt.Sprintf("dn%d", i))
@@ -96,8 +93,8 @@ func NewCluster(n int, blockSize int64) *Cluster {
 // NameNode returns the master.
 func (c *Cluster) NameNode() *NameNode { return c.nn }
 
-// Metrics returns cluster counters (bytes written/read, repairs, readahead
-// and replica-selection activity) and latency histograms.
+// Metrics returns cluster counters (bytes written/read, repairs, extent
+// cache, prefetch and replica-selection activity) and latency histograms.
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
 // SetChunkSize sets the checksum chunk granularity used for blocks stored
@@ -330,9 +327,7 @@ func (c *Cluster) Delete(path string) error {
 	if err != nil {
 		return err
 	}
-	if bc := c.BlockCache(); bc != nil {
-		bc.Invalidate(freed...)
-	}
+	c.cache.Invalidate(freed...)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, dn := range c.nodes {
@@ -359,10 +354,7 @@ type Stats struct {
 	BlocksReplicated int64
 	CorruptReported  int64
 
-	// Readahead effectiveness: block windows served from a reader's
-	// prefetch cache vs fetched from a replica, and prefetches launched.
-	ReadaheadHits       int64
-	ReadaheadMisses     int64
+	// Background next-block fills launched by sequential readers.
 	ReadaheadPrefetches int64
 
 	// Replica-selection policy outcomes: reads that went to the client's
@@ -388,36 +380,29 @@ type Stats struct {
 	CacheEntries   int64
 	CacheRefs      int64
 
-	// Latency distributions, in seconds: per replica fetch (an extent
-	// fill, a range window or a whole block) and per block write.
+	// Latency distributions, in seconds: per replica fetch (one extent
+	// fill) and per block write.
 	ReadLatency  metrics.Snapshot
 	WriteLatency metrics.Snapshot
 }
 
 // Stats snapshots the data-path metrics.
 func (c *Cluster) Stats() Stats {
-	var cacheBytes, cacheRefs int64
-	var cacheEntries int
-	if bc := c.BlockCache(); bc != nil {
-		cacheBytes, cacheEntries, cacheRefs = bc.Bytes(), bc.Entries(), bc.Refs()
-	}
 	return Stats{
 		CacheHits:      c.reg.Counter("blockcache_hits").Value(),
 		CacheMisses:    c.reg.Counter("blockcache_misses").Value(),
 		CacheWaits:     c.reg.Counter("blockcache_waits").Value(),
 		CacheFills:     c.reg.Counter("blockcache_fills").Value(),
 		CacheEvictions: c.reg.Counter("blockcache_evictions").Value(),
-		CacheBytes:     cacheBytes,
-		CacheEntries:   int64(cacheEntries),
-		CacheRefs:      cacheRefs,
+		CacheBytes:     c.cache.Bytes(),
+		CacheEntries:   int64(c.cache.Entries()),
+		CacheRefs:      c.cache.Refs(),
 
 		BytesRead:           c.reg.Counter("bytes_read").Value(),
 		BytesWritten:        c.reg.Counter("bytes_written").Value(),
 		BlocksWritten:       c.reg.Counter("blocks_written").Value(),
 		BlocksReplicated:    c.reg.Counter("blocks_replicated").Value(),
 		CorruptReported:     c.reg.Counter("corrupt_replicas_reported").Value(),
-		ReadaheadHits:       c.reg.Counter("readahead_hits").Value(),
-		ReadaheadMisses:     c.reg.Counter("readahead_misses").Value(),
 		ReadaheadPrefetches: c.reg.Counter("readahead_prefetches").Value(),
 		ReplicaLocal:        c.reg.Counter("replica_select_local").Value(),
 		ReplicaLeastLoaded:  c.reg.Counter("replica_select_least_loaded").Value(),

@@ -23,8 +23,8 @@ var (
 const DefaultChunkSize = 64 << 10
 
 // blockData is one stored replica: the bytes plus a checksum ladder — a
-// whole-block CRC32 backing the full-read fast path, and per-chunk CRC32s
-// backing O(range) verification for random-access windows. The chunk size
+// whole-block CRC32 backing replica transfers (Read), and per-chunk CRC32s
+// backing O(range) verification for extent fills (ReadRange). The chunk size
 // is recorded per block so a cluster-wide chunk-size change never
 // invalidates already-stored replicas.
 type blockData struct {
@@ -97,38 +97,12 @@ func (dn *DataNode) Store(id BlockID, data []byte) error {
 }
 
 // Read returns a copy of the block after verifying the whole-block
-// checksum in a single pass (the fast path for full-block transfers). A
-// checksum failure returns ErrChecksum — the trigger for the client's
-// replica failover and corruption report.
+// checksum in a single pass — the block-transfer read re-replication, the
+// healer and the balancer move replicas with. A checksum failure returns
+// ErrChecksum.
 func (dn *DataNode) Read(id BlockID) ([]byte, error) {
 	dn.mu.RLock()
 	defer dn.mu.RUnlock()
-	bd, err := dn.lockedVerified(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(bd.data))
-	copy(out, bd.data)
-	return out, nil
-}
-
-// ReadInto verifies the whole-block checksum and copies the block into dst,
-// returning the bytes copied (min of block and dst length) — Read without
-// the output allocation, for callers landing blocks at their final offset
-// in a pre-sized file buffer.
-func (dn *DataNode) ReadInto(id BlockID, dst []byte) (int, error) {
-	dn.mu.RLock()
-	defer dn.mu.RUnlock()
-	bd, err := dn.lockedVerified(id)
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, bd.data), nil
-}
-
-// lockedVerified fetches a block record and verifies its whole-block CRC;
-// callers hold dn.mu.
-func (dn *DataNode) lockedVerified(id BlockID) (*blockData, error) {
 	bd, err := dn.locked(id)
 	if err != nil {
 		return nil, err
@@ -136,72 +110,43 @@ func (dn *DataNode) lockedVerified(id BlockID) (*blockData, error) {
 	if crc32.ChecksumIEEE(bd.data) != bd.whole {
 		return nil, fmt.Errorf("%w: %d on %s", ErrChecksum, id, dn.name)
 	}
-	return bd, nil
+	out := make([]byte, len(bd.data))
+	copy(out, bd.data)
+	return out, nil
 }
 
 // ReadRange returns up to length bytes of the block starting at off,
 // verifying only the checksum chunks overlapping [off, off+length) and
-// copying only that window — O(range) work regardless of block size. It
-// backs random-access reads (streaming seeks). Corruption outside the
-// requested chunks is not detected here, exactly as in HDFS's per-chunk
-// verification; full-block reads and the next overlapping window catch it.
+// copying only that window — O(range) work regardless of block size. It is
+// the extent cache's fill, and so the only way bytes reach a client; a
+// checksum failure returns ErrChecksum — the trigger for the client's
+// replica failover and corruption report. Corruption outside the requested
+// chunks is not detected here, exactly as in HDFS's per-chunk verification;
+// whole-block reads and the next overlapping window catch it.
 func (dn *DataNode) ReadRange(id BlockID, off, length int64) ([]byte, error) {
 	if length < 0 {
 		return nil, fmt.Errorf("hdfs: negative range length %d", length)
 	}
 	dn.mu.RLock()
 	defer dn.mu.RUnlock()
-	bd, end, err := dn.lockedRange(id, off, length)
+	bd, err := dn.locked(id)
 	if err != nil {
 		return nil, err
+	}
+	size := int64(len(bd.data))
+	if off < 0 || off > size {
+		return nil, fmt.Errorf("hdfs: offset %d out of block bounds %d", off, size)
+	}
+	end := min(off+length, size)
+	for ci := off / bd.chunk; ci*bd.chunk < end; ci++ {
+		lo := ci * bd.chunk
+		if crc32.ChecksumIEEE(bd.data[lo:min(lo+bd.chunk, size)]) != bd.sums[ci] {
+			return nil, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
+		}
 	}
 	out := make([]byte, end-off)
 	copy(out, bd.data[off:end])
 	return out, nil
-}
-
-// ReadRangeInto is ReadRange landing directly in dst (the window length is
-// len(dst)) — the serving hot path's variant, which verifies the overlapped
-// checksum chunks in place and performs exactly one copy, into the caller's
-// buffer. Returns the bytes copied, short only when the window runs past
-// the block end.
-func (dn *DataNode) ReadRangeInto(id BlockID, off int64, dst []byte) (int, error) {
-	dn.mu.RLock()
-	defer dn.mu.RUnlock()
-	bd, end, err := dn.lockedRange(id, off, int64(len(dst)))
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, bd.data[off:end]), nil
-}
-
-// lockedRange validates a window against a block, verifies the checksum
-// chunks overlapping [off, off+length), and returns the record with the
-// clamped window end; callers hold dn.mu.
-func (dn *DataNode) lockedRange(id BlockID, off, length int64) (*blockData, int64, error) {
-	bd, err := dn.locked(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	size := int64(len(bd.data))
-	if off < 0 || off > size {
-		return nil, 0, fmt.Errorf("hdfs: offset %d out of block bounds %d", off, size)
-	}
-	end := off + length
-	if end > size {
-		end = size
-	}
-	for ci := off / bd.chunk; ci*bd.chunk < end; ci++ {
-		lo := ci * bd.chunk
-		hi := lo + bd.chunk
-		if hi > size {
-			hi = size
-		}
-		if crc32.ChecksumIEEE(bd.data[lo:hi]) != bd.sums[ci] {
-			return nil, 0, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
-		}
-	}
-	return bd, end, nil
 }
 
 // locked fetches a block record; callers hold dn.mu.

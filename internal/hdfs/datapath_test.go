@@ -121,62 +121,45 @@ func TestReplicaSelectionLeastLoaded(t *testing.T) {
 
 // ---- chunked checksums: corruption lands on the correct chunk ----
 
-func TestRangeReadCorruptChunkFailover(t *testing.T) {
-	const block = 4 * DefaultChunkSize // 4 chunks of 64 KiB
-	c := NewCluster(3, block)
+// TestReadRangeVerifiesOnlyOverlappedChunks pins per-chunk verification where
+// it lives, DataNode.ReadRange: a window in clean chunks of a partly corrupt
+// replica is served, a window overlapping the bad chunk is ErrChecksum, and
+// the whole-block Read still catches it. (Report + failover on top of this is
+// TestExtentFillFailsOverOnCorruptChunk.)
+func TestReadRangeVerifiesOnlyOverlappedChunks(t *testing.T) {
+	const block = 4 * DefaultChunkSize
+	c := NewCluster(1, block)
 	cl := c.Client("")
 	data := payload(block, 23)
-	if err := cl.WriteFile("/f", data, 2); err != nil {
+	if err := cl.WriteFile("/f", data, 1); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _ := cl.BlockLocations("/f")
-	bad := blocks[0].Locations[0]
+	id, dn := blocks[0].ID, c.DataNode(blocks[0].Locations[0])
 	corruptOff := int64(2*DefaultChunkSize + 100) // inside chunk 2
-	if err := c.DataNode(bad).CorruptAt(blocks[0].ID, corruptOff); err != nil {
+	if err := dn.CorruptAt(id, corruptOff); err != nil {
 		t.Fatal(err)
 	}
-	r, err := cl.Open("/f")
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range []struct{ off, length int64 }{
+		{0, 4096}, {0, 2 * DefaultChunkSize}, {3 * DefaultChunkSize, DefaultChunkSize},
+	} {
+		got, err := dn.ReadRange(id, w.off, w.length)
+		if err != nil || !bytes.Equal(got, data[w.off:w.off+w.length]) {
+			t.Fatalf("clean-chunk window [%d,+%d): err=%v, identical=%v", w.off, w.length, err, err == nil)
+		}
 	}
-	// A window in untouched chunks is served from the (partially corrupt)
-	// first replica without tripping verification — per-chunk semantics.
-	buf := make([]byte, 4096)
-	if _, err := r.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
+	for _, w := range []struct{ off, length int64 }{
+		{corruptOff - 1000, 4096}, {2*DefaultChunkSize - 1, 2}, {3*DefaultChunkSize - 1, 1}, {0, block},
+	} {
+		if _, err := dn.ReadRange(id, w.off, w.length); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("window [%d,+%d) over the corrupt chunk: err=%v, want ErrChecksum", w.off, w.length, err)
+		}
 	}
-	if !bytes.Equal(buf, data[:4096]) {
-		t.Fatal("clean-chunk window returned wrong bytes")
+	if _, err := dn.Read(id); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("whole-block Read of a corrupt replica: err=%v, want ErrChecksum", err)
 	}
 	if got := c.Metrics().Counter("corrupt_replicas_reported").Value(); got != 0 {
-		t.Fatalf("clean-chunk window reported corruption (%d)", got)
-	}
-	// A window overlapping the corrupt chunk must detect it, fail over to
-	// the healthy replica, and still return exactly the right bytes.
-	off := corruptOff - 1000
-	if _, err := r.ReadAt(buf, off); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[off:off+4096]) {
-		t.Fatal("failover window returned wrong bytes")
-	}
-	if c.Metrics().Counter("corrupt_replicas_reported").Value() == 0 {
-		t.Fatal("corrupt chunk not reported")
-	}
-	if c.Metrics().Counter("replica_failovers").Value() == 0 {
-		t.Fatal("failover not counted")
-	}
-	// The NameNode dropped the corrupt replica and repair restores RF 2
-	// off the bad node.
-	c.RepairAll()
-	blocks, _ = cl.BlockLocations("/f")
-	if len(blocks[0].Locations) != 2 {
-		t.Fatalf("locations after repair = %v", blocks[0].Locations)
-	}
-	for _, loc := range blocks[0].Locations {
-		if loc == bad {
-			t.Fatal("corrupt replica still listed")
-		}
+		t.Fatalf("DataNode reads reported corruption themselves (%d); that is the client's job", got)
 	}
 }
 
@@ -251,10 +234,14 @@ func TestWriterBufferReusedAcrossBlocks(t *testing.T) {
 
 // ---- readahead ----
 
+// TestReadaheadPipelinesSequentialReads: a sequential Read across four
+// two-extent blocks launches next-block prefetches, and between the reader
+// and its prefetches every extent is fetched from a replica exactly once.
 func TestReadaheadPipelinesSequentialReads(t *testing.T) {
-	c := NewCluster(3, testBlock)
+	const block = extentSize + 64<<10
+	c := NewCluster(3, block)
 	cl := c.Client("")
-	data := payload(4*testBlock, 26)
+	data := payload(3*block+block/2, 26)
 	if err := cl.WriteFile("/f", data, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +256,13 @@ func TestReadaheadPipelinesSequentialReads(t *testing.T) {
 	if c.Metrics().Counter("readahead_prefetches").Value() == 0 {
 		t.Fatal("sequential consumption launched no prefetch")
 	}
-	if c.Metrics().Counter("readahead_hits").Value() == 0 {
-		t.Fatal("prefetched blocks never served a read")
+	st := c.Stats()
+	if extents := int64(3*2 + 1); st.CacheFills != extents || st.BytesRead != int64(len(data)) {
+		t.Fatalf("fills = %d, bytes read = %d; want each of %d extents (%d bytes) fetched exactly once",
+			st.CacheFills, st.BytesRead, extents, len(data))
 	}
+	r.Close()
+	waitRefsZero(t, c.BlockCache())
 }
 
 func TestReadaheadNotTriggeredByRandomReadAt(t *testing.T) {

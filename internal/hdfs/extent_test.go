@@ -152,6 +152,13 @@ func TestExtentFillFailsOverOnCorruptChunk(t *testing.T) {
 	if st := c.Stats(); st.CacheFills != 2 {
 		t.Fatalf("fills = %d, want one per extent touched (2)", st.CacheFills)
 	}
+	// The NameNode dropped the reported replica; repair restores RF 2 off
+	// the bad node.
+	c.RepairAll()
+	blocks, _ = cl.BlockLocations("/f")
+	if locs := blocks[0].Locations; len(locs) != 2 || locs[0] == bad || locs[1] == bad {
+		t.Fatalf("locations after repair = %v, want 2 without %s", locs, bad)
+	}
 }
 
 // TestConcurrentReadersOfOneColdExtentFillOnce releases N readers onto the

@@ -13,24 +13,22 @@ import (
 // it backs both sequential consumption (MapReduce splits, the FUSE bridge)
 // and the seekable-playback path of the video site (HTTP Range requests).
 //
-// With the cluster's shared block cache enabled (the serving configuration),
-// windows are served by slicing the cache's immutable extents (fixed
-// extentSize slices of a block): the first reader of an extent runs one
-// single-flight, chunk-verified range fetch of just that extent and every
-// concurrent and later reader shares the result, so a cold seek reads and
-// verifies the extents its window overlaps, not the block around them.
-// AppendRangeSlices exposes those views directly — zero data copies between
-// the cache and the HTTP response, one view per extent touched — with the
-// reader holding a reference per extent until Close. A fill verifies the
-// checksum chunks its extent overlaps; corruption elsewhere in the block is
-// caught by the fill (or whole-block read) that next overlaps it.
+// Every byte comes out of the cluster's shared extent cache (fixed extentSize
+// slices of a block): the first reader of an extent runs one single-flight,
+// chunk-verified range fetch of just that extent and every concurrent and
+// later reader shares the result, so a cold seek reads and verifies the
+// extents its window overlaps, not the block around them. ReadAt copies out
+// of the extents, holding a reference only for the copy; AppendRangeSlices
+// exposes them directly — zero data copies between the cache and the HTTP
+// response, one view per extent touched — with the reader holding a
+// reference per extent until Close. A fill verifies the checksum chunks its
+// extent overlaps; corruption elsewhere in the block is caught by the fill
+// (or whole-block DataNode.Read) that next overlaps it.
 //
-// Without the cache, sequential Reads get per-reader readahead: once a read
-// touches the tail of a block, the next block is prefetched in the
-// background, so block N+1 transfers while block N is being consumed.
-// Random ReadAt windows bypass the readahead trigger and fetch — and
-// checksum-verify — only the chunks they overlap, straight into the
-// caller's buffer.
+// Sequential Reads get readahead: once a read touches the tail of a block,
+// the next block's extents are filled in the background, so block N+1
+// transfers while block N is being consumed. Random ReadAt windows bypass
+// the trigger.
 //
 // A short block — fewer bytes than the NameNode's recorded length, from a
 // truncated cache entry or replica — fails the read with
@@ -51,16 +49,8 @@ type Reader struct {
 	span *trace.Span
 
 	mu       sync.Mutex
-	cache    map[int]*raEntry          // block index -> readahead slot (≤2 entries)
-	retained map[extentKey]*CacheEntry // shared-cache refs backing handed-out slices
+	retained map[extentKey]*CacheEntry // cache refs backing handed-out slices
 	closed   bool
-}
-
-// raEntry is one readahead slot; ready closes once data/err are set.
-type raEntry struct {
-	ready chan struct{}
-	data  []byte
-	err   error
 }
 
 // readaheadTriggerDenom arms prefetch of the next block when a sequential
@@ -117,7 +107,6 @@ func (r *Reader) Close() error {
 	r.closed = true
 	retained := r.retained
 	r.retained = nil
-	r.cache = nil
 	r.mu.Unlock()
 	for _, e := range retained {
 		e.Release()
@@ -133,8 +122,8 @@ func (r *Reader) blockIndex(off int64) int {
 	})
 }
 
-// ReadAt implements io.ReaderAt, fetching only the block ranges covering
-// [off, off+len(p)). A block that comes back shorter than its recorded
+// ReadAt implements io.ReaderAt, copying [off, off+len(p)) out of the cached
+// extents covering it. A block that comes back shorter than its recorded
 // length fails with io.ErrUnexpectedEOF rather than letting the next
 // block's bytes slide into the gap.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
@@ -145,37 +134,18 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := 0
-	for bi := r.blockIndex(off); n < len(p) && bi < len(r.blocks); bi++ {
-		bo := off + int64(n) - r.starts[bi]
-		want := int64(len(p) - n)
-		if rem := r.blocks[bi].Length - bo; want > rem {
-			want = rem
-		}
-		m, err := r.blockRangeInto(bi, bo, p[n:int64(n)+want])
-		n += m
-		if err != nil {
-			return n, err
-		}
-		if int64(m) < want {
-			// The source (cache entry or replica) held fewer bytes than
-			// the NameNode recorded for this block. Advancing would
-			// misalign every subsequent byte of the response.
-			return n, io.ErrUnexpectedEOF
-		}
+	err := r.walk(off, int64(len(p)), false, func(sl []byte) { n += copy(p[n:], sl) })
+	if err == nil && n < len(p) {
+		err = io.EOF
 	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return n, err
 }
 
 // AppendRangeSlices appends immutable views covering [off, off+length) of
-// the file to dst and returns it — the zero-copy serving path. With the
-// shared block cache the views alias cached extents, one view per extent the
-// window touches (references held until Close); without it each view is a
-// freshly fetched window buffer.
-// A short block yields io.ErrUnexpectedEOF, an offset at or past EOF
-// io.EOF; length is clamped to the file end.
+// the file to dst and returns it — the zero-copy serving path. The views
+// alias cached extents, one view per extent the window touches (references
+// held until Close). A short block yields io.ErrUnexpectedEOF, an offset at
+// or past EOF io.EOF; length is clamped to the file end.
 func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
 	if off < 0 {
 		return dst, fmt.Errorf("hdfs: negative read offset %d", off)
@@ -186,28 +156,8 @@ func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, e
 	if off >= r.size {
 		return dst, io.EOF
 	}
-	if rem := r.size - off; length > rem {
-		length = rem
-	}
-	var n int64
-	for bi := r.blockIndex(off); n < length && bi < len(r.blocks); bi++ {
-		bo := off + n - r.starts[bi]
-		want := length - n
-		if rem := r.blocks[bi].Length - bo; want > rem {
-			want = rem
-		}
-		var got int64
-		var err error
-		dst, got, err = r.blockRangeSlices(dst, bi, bo, want)
-		n += got
-		if err != nil {
-			return dst, err
-		}
-		if got < want {
-			return dst, io.ErrUnexpectedEOF
-		}
-	}
-	return dst, nil
+	err := r.walk(off, length, true, func(sl []byte) { dst = append(dst, sl) })
+	return dst, err
 }
 
 // RangeSlices is AppendRangeSlices into a fresh slice set.
@@ -215,36 +165,60 @@ func (r *Reader) RangeSlices(off, length int64) ([][]byte, error) {
 	return r.AppendRangeSlices(nil, off, length)
 }
 
-// localSlot returns the reader-local readahead entry for block bi, or nil.
-func (r *Reader) localSlot(bi int) *raEntry {
-	r.mu.Lock()
-	e := r.cache[bi]
-	r.mu.Unlock()
-	return e
-}
-
-// localSlotData waits for a readahead slot and returns its data, dropping
-// the slot on fetch failure so the caller retries against live replicas.
-func (r *Reader) localSlotData(bi int, e *raEntry) ([]byte, bool) {
-	<-e.ready
-	if e.err == nil {
-		r.client.cluster.reg.Counter("readahead_hits").Inc()
-		if hsp := r.span.StartChild("hdfs.read_block"); hsp != nil {
-			hsp.AnnotateInt("block", int64(r.blocks[bi].ID))
-			hsp.Annotate("readahead", "hit")
-			hsp.End()
+// walk is the one read path: it visits, in file order, the cached extents
+// covering [off, off+length) (clamped to the file end) and hands emit each
+// one's overlap with the window. An extent the reader already retains is used
+// under that reference; any other is looked up — or filled, single-flight —
+// in the shared cache. With retain the reader keeps the new reference until
+// Close, so the emitted views outlive the call; without it the reference is
+// dropped as soon as emit returns (a sequential scan never pins more than one
+// extent). An extent holding fewer bytes than the block's recorded length
+// ends the walk with io.ErrUnexpectedEOF after its bytes are emitted.
+func (r *Reader) walk(off, length int64, retain bool, emit func(sl []byte)) error {
+	end := r.size
+	if length < end-off {
+		end = off + length
+	}
+	for bi := r.blockIndex(off); off < end; bi++ {
+		info := r.blocks[bi]
+		bo := off - r.starts[bi]
+		for stop := min(end-r.starts[bi], info.Length); bo < stop; {
+			x, xo := bo/extentSize, bo%extentSize
+			span := min(stop-bo, extentSize-xo)
+			e := r.retainedEntry(extentKey{info.ID, x})
+			held := e != nil
+			if !held {
+				var err error
+				if e, err = r.client.extent(r.span, "cache_fill", info, x); err != nil {
+					return err
+				}
+			}
+			var sl []byte
+			if xo < int64(len(e.data)) {
+				sl = e.data[xo:min(xo+span, int64(len(e.data)))]
+			}
+			if retain && !held {
+				var closed bool
+				if held, closed = r.retainEntry(e); closed {
+					// Nothing would hold the reference past this call: hand
+					// back a copy instead of an unguarded view.
+					sl = append([]byte(nil), sl...)
+				}
+			}
+			if len(sl) > 0 {
+				emit(sl)
+			}
+			if !held {
+				e.Release()
+			}
+			if int64(len(sl)) < span {
+				return io.ErrUnexpectedEOF
+			}
+			bo += span
 		}
-		return e.data, true
+		off = r.starts[bi] + bo
 	}
-	// The prefetch failed (e.g. every replica was down when it ran);
-	// drop the slot and retry synchronously, which re-ranks replicas
-	// as they are now.
-	r.mu.Lock()
-	if r.cache[bi] == e {
-		delete(r.cache, bi)
-	}
-	r.mu.Unlock()
-	return nil, false
+	return nil
 }
 
 // retainedEntry returns the entry the reader already holds for key (slices
@@ -258,8 +232,9 @@ func (r *Reader) retainedEntry(key extentKey) *CacheEntry {
 }
 
 // retainEntry records e as backing handed-out slices, owning its reference
-// until Close. Reports false — caller keeps ownership — when the reader is
-// closed or already retains the extent.
+// until Close. Reports retained false — caller keeps ownership — when the
+// reader is closed or a concurrent window already retained the extent (that
+// reference then covers the view's lifetime and this one is extra).
 func (r *Reader) retainEntry(e *CacheEntry) (retained, closed bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -271,145 +246,6 @@ func (r *Reader) retainEntry(e *CacheEntry) (retained, closed bool) {
 	}
 	r.retained[e.key] = e
 	return true, false
-}
-
-// blockRangeInto copies [bo, bo+len(dst)) of block bi into dst, serving
-// from the reader-local readahead slot, then the shared block cache (walking
-// the extents the window overlaps: single-flight fill, reference held only
-// for the copy — a sequential whole-file scan never pins more than one
-// extent), then straight from a replica, verifying and copying only the
-// checksum chunks the window overlaps.
-func (r *Reader) blockRangeInto(bi int, bo int64, dst []byte) (int, error) {
-	if e := r.localSlot(bi); e != nil {
-		if data, ok := r.localSlotData(bi, e); ok {
-			return copyWindow(dst, data, bo), nil
-		}
-	}
-	if bc := r.client.cluster.BlockCache(); bc != nil {
-		info := r.blocks[bi]
-		n := 0
-		for n < len(dst) {
-			x, xo := extentOf(bo + int64(n))
-			want := extentSpan(xo, int64(len(dst)-n))
-			e := r.retainedEntry(extentKey{info.ID, x})
-			transient := e == nil
-			if transient {
-				var err error
-				if e, err = r.client.extent(r.span, "cache_fill", bc, info, x); err != nil {
-					return n, err
-				}
-			}
-			m := copyWindow(dst[n:int64(n)+want], e.data, xo)
-			if transient {
-				e.Release()
-			}
-			n += m
-			if int64(m) < want {
-				break // short extent: the caller reports io.ErrUnexpectedEOF
-			}
-		}
-		return n, nil
-	}
-	r.client.cluster.reg.Counter("readahead_misses").Inc()
-	return r.client.fetchRangeInto(r.span, "miss", r.blocks[bi], bo, dst)
-}
-
-// blockRangeSlices appends views of [bo, bo+want) of block bi to dst without
-// copying when a cached copy exists (reader-local, or one view per shared
-// cache extent the window overlaps); otherwise it fetches exactly that
-// window into a fresh buffer. It returns the bytes the views cover, short
-// only when the source holds fewer bytes than the block's recorded length.
-// Shared-cache views stay referenced until Close.
-func (r *Reader) blockRangeSlices(dst [][]byte, bi int, bo, want int64) ([][]byte, int64, error) {
-	if e := r.localSlot(bi); e != nil {
-		if data, ok := r.localSlotData(bi, e); ok {
-			sl := sliceWindow(data, bo, want)
-			return appendView(dst, sl), int64(len(sl)), nil
-		}
-	}
-	if bc := r.client.cluster.BlockCache(); bc != nil {
-		info := r.blocks[bi]
-		var n int64
-		for n < want {
-			x, xo := extentOf(bo + n)
-			span := extentSpan(xo, want-n)
-			var sl []byte
-			if e := r.retainedEntry(extentKey{info.ID, x}); e != nil {
-				sl = sliceWindow(e.data, xo, span)
-			} else {
-				e, err := r.client.extent(r.span, "cache_fill", bc, info, x)
-				if err != nil {
-					return dst, n, err
-				}
-				sl = sliceWindow(e.data, xo, span)
-				if retained, closed := r.retainEntry(e); !retained {
-					// Closed reader (nothing would hold the reference past
-					// this call): hand back a copy instead of an unguarded
-					// view. Already-retained extent (a concurrent window got
-					// there first): the retained reference covers the view's
-					// lifetime and this transient one is extra.
-					if closed {
-						sl = append([]byte(nil), sl...)
-					}
-					e.Release()
-				}
-			}
-			dst = appendView(dst, sl)
-			n += int64(len(sl))
-			if int64(len(sl)) < span {
-				break // short extent
-			}
-		}
-		return dst, n, nil
-	}
-	r.client.cluster.reg.Counter("readahead_misses").Inc()
-	sl, err := r.client.fetchWithFailover(r.span, "miss", r.blocks[bi], func(dn *DataNode) ([]byte, error) {
-		return dn.ReadRange(r.blocks[bi].ID, bo, want)
-	})
-	if err != nil {
-		return dst, 0, err
-	}
-	return appendView(dst, sl), int64(len(sl)), nil
-}
-
-// extentOf maps a block offset to its extent index and the offset inside it.
-func extentOf(bo int64) (x, xo int64) { return bo / extentSize, bo % extentSize }
-
-// extentSpan clamps a window of want bytes starting xo into an extent to the
-// extent's end.
-func extentSpan(xo, want int64) int64 {
-	if rem := extentSize - xo; want > rem {
-		return rem
-	}
-	return want
-}
-
-// appendView appends sl to dst unless it is empty.
-func appendView(dst [][]byte, sl []byte) [][]byte {
-	if len(sl) > 0 {
-		dst = append(dst, sl)
-	}
-	return dst
-}
-
-// copyWindow copies data[bo:bo+len(dst)] into dst, clamped to len(data).
-func copyWindow(dst, data []byte, bo int64) int {
-	if bo >= int64(len(data)) {
-		return 0
-	}
-	return copy(dst, data[bo:])
-}
-
-// sliceWindow returns data[bo:bo+want], clamped to len(data).
-func sliceWindow(data []byte, bo, want int64) []byte {
-	if bo >= int64(len(data)) {
-		return nil
-	}
-	end := bo + want
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	return data[bo:end]
 }
 
 // maybePrefetch arms readahead for the block after the one a prospective
@@ -438,58 +274,12 @@ func (r *Reader) maybePrefetch(off, n int64) {
 	r.prefetch(j + 1)
 }
 
-// prefetch warms block bi in the background: into the shared cache when
-// enabled (one fill serves every reader), otherwise into the reader-local
-// slot cache, evicting slots the consumer has passed so the local cache
-// never outgrows current+next.
+// prefetch warms every extent of block bi in the shared cache. Residency is
+// checked first — uncounted, it serves no bytes — so repeat triggers on the
+// same block tail cost one lock hop; each extent's fill is single-flight
+// across all readers.
 func (r *Reader) prefetch(bi int) {
-	if bc := r.client.cluster.BlockCache(); bc != nil {
-		r.prefetchShared(bc, bi)
-		return
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	if _, ok := r.cache[bi]; ok {
-		r.mu.Unlock()
-		return
-	}
-	for k := range r.cache {
-		if k < bi-1 {
-			delete(r.cache, k)
-		}
-	}
-	if r.cache == nil {
-		r.cache = make(map[int]*raEntry)
-	}
-	e := &raEntry{ready: make(chan struct{})}
-	r.cache[bi] = e
-	r.mu.Unlock()
-	r.client.cluster.reg.Counter("readahead_prefetches").Inc()
-	info := r.blocks[bi]
-	psp := r.span.StartChild("hdfs.prefetch")
-	if psp != nil {
-		psp.AnnotateInt("block", int64(info.ID))
-	}
-	go func() {
-		e.data, e.err = r.client.fetchWithFailover(psp, "prefetch", info, func(dn *DataNode) ([]byte, error) {
-			return dn.Read(info.ID)
-		})
-		if e.err != nil {
-			psp.SetError(e.err)
-		}
-		psp.End()
-		close(e.ready)
-	}()
-}
-
-// prefetchShared warms every extent of block bi in the shared cache.
-// Residency is checked first — uncounted, it serves no bytes — so repeat
-// triggers on the same block tail cost one lock hop; each extent's fill is
-// single-flight across all readers.
-func (r *Reader) prefetchShared(bc *BlockCache, bi int) {
+	bc := r.client.cluster.cache
 	info := r.blocks[bi]
 	n := extentCount(info.Length)
 	first := bc.firstAbsent(info.ID, 0, n)
@@ -503,7 +293,7 @@ func (r *Reader) prefetchShared(bc *BlockCache, bi int) {
 	}
 	go func() {
 		for x := first; x < n; x = bc.firstAbsent(info.ID, x+1, n) {
-			e, err := r.client.extent(psp, "prefetch", bc, info, x)
+			e, err := r.client.extent(psp, "prefetch", info, x)
 			if err != nil {
 				psp.SetError(err)
 				break

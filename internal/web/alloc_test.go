@@ -38,7 +38,6 @@ const streamAllocsWholeFile = 38
 
 func TestAllocStreamHandler(t *testing.T) {
 	cluster := hdfs.NewCluster(4, 4<<20)
-	cluster.SetBlockCacheCapacity(0)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 3)
 	if err != nil {
 		t.Fatal(err)

@@ -168,7 +168,6 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 // over an aborted body and a breaker success.
 func TestStreamChecksTheRequestedBlock(t *testing.T) {
 	site, cluster := newSite(t)
-	cluster.SetBlockCacheCapacity(0)
 	b := newBrowser(t, site)
 	b.registerAndLogin("erin", "hunter2")
 	watch := b.upload("clip", "d", 40, 19) // ten 4 s segment objects of ~50 KB, one block each

@@ -476,6 +476,14 @@ func (s *Site) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeAuthzError(w, err)
 		return
 	}
+	// A processing row names neither its objects nor its stored bytes yet:
+	// deleting it now would race the worker's publish and leak both. The
+	// publish (or the failure clean-up) settles the row first.
+	if status, _ := row["status"].(string); status == statusProcessing {
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, "video is still processing", http.StatusConflict)
+		return
+	}
 	id := rowInt(row, "id")
 	// Remove every stored object — each rendition's segments — so the
 	// tenant's byte reservation can be returned in full.

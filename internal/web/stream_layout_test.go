@@ -37,7 +37,6 @@ var (
 func layoutSite(t *testing.T) (*Site, *hdfs.Cluster) {
 	t.Helper()
 	cluster := hdfs.NewCluster(len(layoutNodes), 256<<10)
-	cluster.SetBlockCacheCapacity(0)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 3)
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"videocloud/internal/fusebridge"
 	"videocloud/internal/hdfs"
 	"videocloud/internal/tenant"
 	"videocloud/internal/video"
+	"videocloud/internal/videodb"
 )
 
 // newTenantSite builds a Site wired to a shared tenant registry, mirroring
@@ -181,8 +183,9 @@ func TestWebRouteAuthMatrix(t *testing.T) {
 		t.Fatalf("globex upload after acme 429: got %d, want 303", resp.StatusCode)
 	}
 
-	// The acme writer may edit and finally delete its own video, returning
-	// the stored-byte reservation to the tenant.
+	// Once published, the acme writer may edit and finally delete its own
+	// video, returning the stored-byte reservation to the tenant.
+	site.DrainTranscodes()
 	stored := ten.Reservations().StorageBytes
 	if stored <= 0 {
 		t.Fatalf("acme stored bytes = %d, want > 0 after publish", stored)
@@ -202,6 +205,116 @@ func TestWebRouteAuthMatrix(t *testing.T) {
 	}
 	if u := reg.Ledger().Usage("acme"); u.BytesDeleted != u.BytesStored || u.BytesStored == 0 {
 		t.Fatalf("ledger stored=%v deleted=%v, want equal and non-zero", u.BytesStored, u.BytesDeleted)
+	}
+}
+
+// deleteRaceDB wraps the metadata store (the Config.DB seam) to force the
+// one interleaving in which a delete could lose a publish: the worker is held
+// at its status=ready Update, and a Delete of the row lets that Update land
+// first — after the delete handler took its snapshot of the row.
+type deleteRaceDB struct {
+	videodb.Store
+	atPublish chan struct{} // closed when the worker reaches the ready Update
+	release   chan struct{} // closed to let it proceed
+	published chan struct{} // closed when the ready Update has been applied
+	once      sync.Once
+}
+
+func (d *deleteRaceDB) unhold() { d.once.Do(func() { close(d.release) }) }
+
+func (d *deleteRaceDB) Update(table string, id int64, changes videodb.Row) error {
+	if table != "videos" || changes["status"] != statusReady {
+		return d.Store.Update(table, id, changes)
+	}
+	close(d.atPublish)
+	<-d.release
+	defer close(d.published)
+	return d.Store.Update(table, id, changes)
+}
+
+func (d *deleteRaceDB) Delete(table string, id int64) error {
+	if table == "videos" {
+		d.unhold()
+		<-d.published
+	}
+	return d.Store.Delete(table, id)
+}
+
+// TestDeleteDuringTranscodeLeaksNothing: a delete that arrives while the
+// upload's transcode is still in flight must not leave the tenant's byte
+// reservation held or the segment objects orphaned, whichever of the two
+// reaches the row first. The handler used to release and remove what its
+// pre-publish snapshot of the row named — nothing — and then drop the row the
+// worker had just published.
+func TestDeleteDuringTranscodeLeaksNothing(t *testing.T) {
+	reg := tenant.NewRegistry()
+	if _, err := reg.Create("acme", 1, tenant.Quota{}); err != nil {
+		t.Fatal(err)
+	}
+	acmeW, _ := reg.IssueToken("acme", tenant.RoleWriter)
+	cluster := hdfs.NewCluster(4, 256*1024)
+	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &deleteRaceDB{Store: videodb.New(), atPublish: make(chan struct{}),
+		release: make(chan struct{}), published: make(chan struct{})}
+	site, err := New(Config{
+		Store:   mount,
+		DB:      db,
+		Farm:    video.Farm{Nodes: []string{"dn0", "dn1"}},
+		Target:  video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000},
+		Tenants: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+	t.Cleanup(db.unhold)
+	srv := httptest.NewServer(site)
+	t.Cleanup(srv.Close)
+
+	resp := tokenUpload(t, srv, acmeW, "doomed clip", 10, 6)
+	if resp.StatusCode != 303 {
+		t.Fatalf("upload: got %d, want 303", resp.StatusCode)
+	}
+	watch := resp.Header.Get("Location")
+	<-db.atPublish // objects written, row still processing
+
+	switch resp := tokenRequest(t, srv, "POST", watch+"/delete", acmeW, nil, ""); resp.StatusCode {
+	case 303: // settled with the publish in one step
+	case 409: // refused until the publish settles: retry after it has
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("409 on a processing video carries no Retry-After")
+		}
+		db.unhold()
+		site.DrainTranscodes()
+		if resp := tokenRequest(t, srv, "POST", watch+"/delete", acmeW, nil, ""); resp.StatusCode != 303 {
+			t.Fatalf("delete after the publish settled: got %d, want 303", resp.StatusCode)
+		}
+	default:
+		t.Fatalf("delete of a processing video: got %d, want 303 or 409", resp.StatusCode)
+	}
+	site.DrainTranscodes()
+
+	if got := reg.Get("acme").Reservations().StorageBytes; got != 0 {
+		t.Errorf("acme holds %d reserved bytes after delete, want 0", got)
+	}
+	id := strings.TrimPrefix(watch, "/watch/")
+	left, err := mount.Walk("segments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range left {
+		if strings.Contains(p, "segments/"+id+"-") {
+			t.Errorf("orphaned object %s", p)
+		}
+	}
+	if u := reg.Ledger().Usage("acme"); u.BytesStored != u.BytesDeleted {
+		t.Errorf("ledger stored=%v deleted=%v, want equal", u.BytesStored, u.BytesDeleted)
+	}
+	if rows, _ := site.db.Select("videos", "title", "doomed clip"); len(rows) != 0 {
+		t.Errorf("deleted video still has %d row(s)", len(rows))
 	}
 }
 
