@@ -30,9 +30,13 @@ alloccheck:
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced
 # workload scale, plus the elastic flash-crowd-while-host-crashes case,
-# under the race detector — part of the tier-1 gate.
+# under the race detector — part of the tier-1 gate. The HDFS repair tests
+# ride along five times over: the healer is the one place in hdfs where a
+# test outcome depends on goroutine timing, so a flaky convergence test shows
+# up here rather than once a week.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
+	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),
 # so the root ./... patterns never compile it: vet and short-test it here so

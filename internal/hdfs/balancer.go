@@ -10,8 +10,9 @@ import (
 // the paper's video store needs: the balancer (Hadoop's balancer daemon),
 // which evens storage across DataNodes after growth or skewed ingest, and
 // graceful decommissioning, which drains a node's replicas before it is
-// removed — the planned-maintenance counterpart of the crash handling in
-// MarkDead.
+// removed — the planned-maintenance counterpart of MarkDead: both only make
+// a node's replicas stop counting, and the same repair loop (RepairAll, the
+// Healer) closes the deficit that appears.
 
 // ErrDecommissionIncomplete is returned when a node still holds the only
 // replica of some block.
@@ -61,7 +62,7 @@ func (nn *NameNode) usedByNode() []struct {
 		Used int64
 	}
 	for name, dn := range nn.datanodes {
-		if dn.alive && !dn.decommissioning {
+		if dn.inService() {
 			out = append(out, struct {
 				Name string
 				Used int64
@@ -77,28 +78,24 @@ func (nn *NameNode) usedByNode() []struct {
 	return out
 }
 
-// blocksOn returns the block IDs a node holds, sorted.
-func (nn *NameNode) blocksOn(name string) []BlockID {
+// movable returns the blocks on from that could move to to, sorted: to holds
+// no replica of them, and they are no longer than room — moving one must not
+// make the destination the new outlier by more than the gap it closes.
+func (nn *NameNode) movable(from, to string, room int64) []BlockID {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	dn := nn.datanodes[name]
-	if dn == nil {
+	src, dst := nn.datanodes[from], nn.datanodes[to]
+	if src == nil || dst == nil {
 		return nil
 	}
-	out := make([]BlockID, 0, len(dn.blocks))
-	for id := range dn.blocks {
-		out = append(out, id)
+	var out []BlockID
+	for id := range src.blocks {
+		if info := nn.blocks[id]; info != nil && !dst.blocks[id] && info.Length <= room {
+			out = append(out, id)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// hasReplica reports whether node holds block id in the NameNode's books.
-func (nn *NameNode) hasReplica(name string, id BlockID) bool {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	dn := nn.datanodes[name]
-	return dn != nil && dn.blocks[id]
 }
 
 // Balance moves block replicas from the most- to the least-utilized
@@ -120,31 +117,15 @@ func (c *Cluster) Balance(threshold int64) int {
 			return moves
 		}
 		moved := false
-		for _, id := range c.nn.blocksOn(hi.Name) {
-			if c.nn.hasReplica(lo.Name, id) {
-				continue
-			}
-			src, dst := c.DataNode(hi.Name), c.DataNode(lo.Name)
-			if src == nil || dst == nil {
-				break
-			}
-			data, err := src.Read(id)
-			if err != nil {
-				continue
-			}
-			// Don't overshoot: moving this block must not make the
-			// destination the new outlier by more than the gap.
-			if lo.Used+int64(len(data)) > hi.Used {
-				continue
-			}
-			if err := dst.Store(id, data); err != nil {
+		for _, id := range c.nn.movable(hi.Name, lo.Name, hi.Used-lo.Used) {
+			if _, err := c.transferBlock(id, hi.Name, lo.Name); err != nil {
 				continue
 			}
 			if err := c.nn.moveReplica(id, hi.Name, lo.Name); err != nil {
-				dst.Delete(id)
+				c.DataNode(lo.Name).Delete(id)
 				continue
 			}
-			src.Delete(id)
+			c.DataNode(hi.Name).Delete(id)
 			c.reg.Counter("blocks_rebalanced").Inc()
 			moves++
 			moved = true
@@ -157,9 +138,11 @@ func (c *Cluster) Balance(threshold int64) int {
 	return moves
 }
 
-// StartDecommission excludes a node from new placements and queues
-// re-replication (with the draining node as the copy source) for every
-// block that would otherwise drop below one live replica elsewhere.
+// StartDecommission marks a node as draining: it receives no new replicas
+// and the ones it holds stop counting toward their blocks' replication, so
+// each of them is under-replicated until the repair loop has copied it
+// elsewhere (the draining node itself may be the copy source, and it keeps
+// serving reads). Nothing is planned here.
 func (nn *NameNode) StartDecommission(name string) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -168,46 +151,12 @@ func (nn *NameNode) StartDecommission(name string) error {
 		return fmt.Errorf("hdfs: unknown datanode %q", name)
 	}
 	dn.decommissioning = true
-	ids := make([]BlockID, 0, len(dn.blocks))
-	for id := range dn.blocks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info := nn.blocks[id]
-		if info == nil {
-			continue
-		}
-		elsewhere := 0
-		exclude := map[string]bool{}
-		for _, loc := range info.Locations {
-			exclude[loc] = true
-			other := nn.datanodes[loc]
-			if loc != name && other != nil && other.alive && !other.decommissioning {
-				elsewhere++
-			}
-		}
-		// Restore the block's full target replication on the nodes
-		// that remain after this one retires.
-		missing := info.Replication - elsewhere
-		if missing < 1 && elsewhere == 0 {
-			missing = 1
-		}
-		if missing < 1 {
-			continue
-		}
-		targets := nn.chooseTargets(missing, "", exclude)
-		for _, target := range targets {
-			nn.pendingRepl = append(nn.pendingRepl, ReplicationTask{Block: id, Src: name, Dst: target})
-			exclude[target] = true
-		}
-	}
 	return nil
 }
 
-// FinishDecommission verifies every block on the node has a live replica
-// elsewhere, then retires the node (no re-replication storm — its replicas
-// were already drained).
+// FinishDecommission verifies every block on the node has an in-service
+// replica elsewhere, then retires the node (no re-replication storm — its
+// replicas were already drained).
 func (nn *NameNode) FinishDecommission(name string) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -223,14 +172,7 @@ func (nn *NameNode) FinishDecommission(name string) error {
 		if info == nil {
 			continue
 		}
-		elsewhere := 0
-		for _, loc := range info.Locations {
-			other := nn.datanodes[loc]
-			if loc != name && other != nil && other.alive && !other.decommissioning {
-				elsewhere++
-			}
-		}
-		if elsewhere == 0 {
+		if nn.replicas(info) == 0 {
 			return fmt.Errorf("%w: block %d only on %q", ErrDecommissionIncomplete, id, name)
 		}
 	}
@@ -253,8 +195,9 @@ func (nn *NameNode) FinishDecommission(name string) error {
 }
 
 // Decommission runs the full graceful-drain flow on the cluster: start,
-// copy the queued replicas, verify, retire, and finally take the node's
-// process down. It returns how many blocks were copied off the node.
+// repair until nothing more can be copied, verify, retire, and finally take
+// the node's process down. It returns the copies made while draining — the
+// node's own replicas, plus any unrelated block that was already short.
 func (c *Cluster) Decommission(name string) (int, error) {
 	if err := c.nn.StartDecommission(name); err != nil {
 		return 0, err

@@ -91,9 +91,6 @@ type CacheEntry struct {
 	elem  *list.Element // nil once evicted
 }
 
-// Data returns the immutable extent bytes. Callers must hold a reference.
-func (e *CacheEntry) Data() []byte { return e.data }
-
 // Release drops one reference on e.
 func (e *CacheEntry) Release() {
 	if e != nil {

@@ -20,9 +20,9 @@ import (
 // Block reads rank candidate replicas with a load-aware policy: the
 // client's own node first (locality), then ascending per-DataNode in-flight
 // read count, ties keeping the NameNode's order. ReadFile fans block
-// fetches out with bounded concurrency; both knobs live on Cluster. Every
-// read — ReadFile, Reader.ReadAt, Reader.AppendRangeSlices — goes through the
-// cluster's extent cache.
+// fetches out with bounded concurrency (readWorkers). Every read — ReadFile,
+// Reader.ReadAt, Reader.AppendRangeSlices — goes through the cluster's extent
+// cache.
 type Client struct {
 	cluster   *Cluster
 	localNode string
@@ -114,11 +114,10 @@ func (w *Writer) Write(p []byte) (int, error) {
 }
 
 // flushBlock runs the write pipeline for one block: allocate at the
-// NameNode, then store on the targets — concurrently by default, since each
-// in-process "forward" hop is independent, or chained sequentially when the
-// cluster's write concurrency is 1. Targets that fail are dropped; the
-// block commits with the replicas that succeeded, in pipeline order, and
-// the NameNode repairs the rest.
+// NameNode, then store on the targets — concurrently, since each in-process
+// "forward" hop is independent (a single target stores inline). Targets that
+// fail are dropped; the block commits with the replicas that succeeded, in
+// pipeline order, and repair restores the rest.
 func (w *Writer) flushBlock(data []byte) error {
 	sp := w.span.StartChild("hdfs.write_block")
 	err := w.flushBlockSpan(data, sp)
@@ -151,21 +150,16 @@ func (w *Writer) flushBlockSpan(data []byte, sp *trace.Span) error {
 		dn := c.cluster.DataNode(target)
 		ok[i] = dn != nil && dn.Store(info.ID, data) == nil
 	}
-	if workers := c.cluster.writeWorkers(len(info.Locations)); workers <= 1 {
-		for i, target := range info.Locations {
-			store(i, target)
-		}
+	if len(info.Locations) == 1 {
+		store(0, info.Locations[0])
 	} else {
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
 		for i, target := range info.Locations {
 			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, target string) {
+			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
 				store(i, target)
-			}(i, target)
+			}()
 		}
 		wg.Wait()
 	}
@@ -304,9 +298,9 @@ func (c *Client) ranksBefore(a string, la int64, b string, lb int64) bool {
 // fetchExtent reads extent x of a block from a replica — the one
 // replica-iteration loop: rank replicas by the selection policy, track
 // per-node in-flight counts, fail over on any error, report corrupt replicas
-// to the NameNode (which queues repair), and record read latency. Each
-// attempt is one DataNode.ReadRange, which verifies every checksum chunk the
-// extent overlaps. When parent records, the fetch emits an hdfs.read_block
+// to the NameNode (which drops them from the block map), and record read
+// latency. Each attempt is one DataNode.ReadRange, which verifies every
+// checksum chunk the extent overlaps. When parent records, the fetch emits an hdfs.read_block
 // span annotated with every failed replica and the eventual failover;
 // readahead ("cache_fill"/"prefetch") notes what asked for the extent.
 func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInfo, x int64) ([]byte, error) {
@@ -382,9 +376,9 @@ func (c *Client) extent(parent *trace.Span, readahead string, info BlockInfo, x 
 }
 
 // ReadFile returns the whole content of path, fetching blocks in parallel
-// with bounded concurrency (Cluster.SetReadConcurrency). The result is
-// byte-identical to a sequential read: every block lands at its own offset
-// in one pre-sized buffer.
+// with bounded concurrency (readWorkers). The result is byte-identical to a
+// sequential read: every block lands at its own offset in one pre-sized
+// buffer.
 func (c *Client) ReadFile(path string) ([]byte, error) {
 	return c.ReadFileCtx(context.Background(), path)
 }
@@ -433,7 +427,7 @@ func (c *Client) readFileSpan(path string, dst []byte, sp *trace.Span) ([]byte, 
 		out = make([]byte, r.size)
 	}
 	out = out[:r.size]
-	if workers := c.cluster.readWorkers(len(r.blocks)); workers > 1 {
+	if workers := readWorkers(len(r.blocks)); workers > 1 {
 		if err := r.readBlocksParallel(out, workers); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -17,16 +18,13 @@ import (
 // a KVM virtual machine; here the nodes are in-process objects, so the data
 // path is real and the placement decisions are identical.
 //
-// The cluster also owns the data-path tuning knobs (checksum chunk size,
-// read/write fan-out) and the per-DataNode in-flight read counts that feed
-// the client's load-aware replica selection.
+// The cluster also owns the checksum chunk size and the per-DataNode
+// in-flight read counts that feed the client's load-aware replica selection.
 type Cluster struct {
 	nn  *NameNode
 	reg *metrics.Registry
 
 	chunkSize atomic.Int64
-	readConc  atomic.Int64 // 0 = auto (GOMAXPROCS capped at 8)
-	writeConc atomic.Int64 // 0 = auto (all pipeline targets at once)
 
 	// cache is the shared refcounted extent cache every read is served
 	// from: built with the cluster, resized by SetBlockCacheCapacity, never
@@ -115,46 +113,10 @@ func (c *Cluster) SetChunkSize(sz int64) {
 // ChunkSize returns the checksum chunk granularity for new blocks.
 func (c *Cluster) ChunkSize() int64 { return c.chunkSize.Load() }
 
-// SetReadConcurrency bounds how many blocks Client.ReadFile fetches at
-// once. n <= 0 restores the default (GOMAXPROCS, capped at 8); n == 1
-// forces the strictly sequential path.
-func (c *Cluster) SetReadConcurrency(n int) { c.readConc.Store(int64(n)) }
-
-// SetWriteConcurrency bounds how many pipeline targets a block write
-// stores to at once. n <= 0 restores the default (all targets); n == 1
-// forces the sequential target chain.
-func (c *Cluster) SetWriteConcurrency(n int) { c.writeConc.Store(int64(n)) }
-
-// readWorkers resolves the effective read fan-out for a file of `blocks`
-// blocks.
-func (c *Cluster) readWorkers(blocks int) int {
-	n := int(c.readConc.Load())
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-	}
-	if n > blocks {
-		n = blocks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// writeWorkers resolves the effective write fan-out for `targets` pipeline
-// targets.
-func (c *Cluster) writeWorkers(targets int) int {
-	n := int(c.writeConc.Load())
-	if n <= 0 || n > targets {
-		n = targets
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// readWorkers is ReadFile's block fan-out for a file of `blocks` blocks:
+// one fetch per core, capped at 8 and at the block count.
+func readWorkers(blocks int) int {
+	return min(runtime.GOMAXPROCS(0), 8, blocks)
 }
 
 // inflightFor returns the in-flight read counter for a datanode, creating
@@ -246,9 +208,9 @@ func (c *Cluster) DataNode(name string) *DataNode {
 	return c.nodes[name]
 }
 
-// KillDataNode takes a node down and triggers the NameNode's failure
-// handling (as missed heartbeats would); re-replication tasks are queued
-// but not yet executed — call RepairAll or ProcessReplication.
+// KillDataNode takes a node down and declares it dead to the NameNode (as
+// missed heartbeats would). The blocks it held are under-replicated from
+// then on; RepairAll, or a running Healer, copies them back to target.
 func (c *Cluster) KillDataNode(name string) error {
 	dn := c.DataNode(name)
 	if dn == nil {
@@ -279,46 +241,70 @@ func (c *Cluster) ReviveDataNode(name string) error {
 	return nil
 }
 
-// ProcessReplication executes the queued re-replication tasks, copying
-// block bytes between datanodes, and returns how many succeeded.
-func (c *Cluster) ProcessReplication() int {
-	tasks := c.nn.TakeReplicationTasks()
-	ok := 0
-	for _, t := range tasks {
-		src, dst := c.DataNode(t.Src), c.DataNode(t.Dst)
-		if src == nil || dst == nil {
-			continue
-		}
-		data, err := src.Read(t.Block)
-		if err != nil {
-			c.reg.Counter("replication_failures").Inc()
-			continue
-		}
-		if err := dst.Store(t.Block, data); err != nil {
-			c.reg.Counter("replication_failures").Inc()
-			continue
-		}
-		if err := c.nn.BlockReceived(t.Dst, t.Block); err != nil {
-			c.reg.Counter("replication_failures").Inc()
-			continue
-		}
-		c.reg.Counter("blocks_replicated").Inc()
-		c.reg.Counter("replication_bytes").Add(int64(len(data)))
-		ok++
+// transferBlock copies block id's bytes from one datanode to another and
+// returns how many it moved. It is the only whole-block read in the cluster
+// (repair and the balancer both move replicas through it), so it is also
+// where a corrupt source is caught: the replica is reported to the NameNode
+// — as Client.fetchExtent does on the read path — and the next PlanRepair
+// picks another source.
+func (c *Cluster) transferBlock(id BlockID, from, to string) (int64, error) {
+	src, dst := c.DataNode(from), c.DataNode(to)
+	if src == nil || dst == nil {
+		return 0, fmt.Errorf("hdfs: transfer of block %d between unknown nodes %q->%q", id, from, to)
 	}
-	return ok
+	data, err := src.Read(id)
+	if err != nil {
+		if errors.Is(err, ErrChecksum) {
+			c.nn.ReportCorrupt(from, id)
+			c.reg.Counter("corrupt_replicas_reported").Inc()
+		}
+		return 0, err
+	}
+	if err := dst.Store(id, data); err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
 }
 
-// RepairAll loops ProcessReplication until the queue stays empty.
+// replicate executes one planned repair copy and records the new replica.
+func (c *Cluster) replicate(t ReplicationTask) error {
+	n, err := c.transferBlock(t.Block, t.Src, t.Dst)
+	if err == nil {
+		err = c.nn.BlockReceived(t.Dst, t.Block)
+	}
+	if err != nil {
+		c.reg.Counter("replication_failures").Inc()
+		return err
+	}
+	c.reg.Counter("blocks_replicated").Inc()
+	c.reg.Counter("replication_bytes").Add(n)
+	return nil
+}
+
+// RepairAll is the synchronous form of what the Healer does in the
+// background: scan the under-replicated blocks, plan one copy for each at
+// execution time and make it, until a pass changes nothing. It returns the
+// copies made. A copy that fails leaves its block in the next scan (this
+// call's or a later one's); a source that fails its checksum is dropped from
+// the block map, which counts as progress because the next plan reads from
+// another holder.
 func (c *Cluster) RepairAll() int {
-	total := 0
-	for {
-		n := c.ProcessReplication()
-		total += n
-		if n == 0 {
-			return total
+	copies := 0
+	for progress := true; progress; {
+		progress = false
+		for _, id := range c.nn.UnderReplicatedAll() {
+			task, _, ok := c.nn.PlanRepair(id)
+			if !ok {
+				continue
+			}
+			err := c.replicate(task)
+			if err == nil {
+				copies++
+			}
+			progress = progress || err == nil || errors.Is(err, ErrChecksum)
 		}
 	}
+	return copies
 }
 
 // Delete removes a file and reclaims its blocks on every datanode.

@@ -9,15 +9,18 @@ import (
 	"videocloud/internal/metrics"
 )
 
-// This file is the storage tier's self-healing loop. The seed code had the
-// mechanisms (MarkDead enqueues re-replication work, ProcessReplication
-// executes it) but nothing ran them: a dead DataNode sat unnoticed until an
-// operator called KillDataNode, and the repair queue waited for a manual
-// RepairAll. The Healer closes the loop the way HDFS's heartbeat monitor and
+// This file is the storage tier's self-healing loop. A replication deficit is
+// derived state: a block is under-replicated when fewer of its replicas sit
+// on in-service nodes than its file asks for (NameNode.UnderReplicatedAll),
+// whatever the cause — a dead node, a draining one, a corrupt replica dropped
+// from the block map. Cluster.RepairAll closes the deficit when called; the
+// Healer does the same in the background, the way HDFS's heartbeat monitor and
 // ReplicationMonitor do (Shvachko et al. 2010): it polls node liveness,
-// declares death after consecutive missed polls, runs bounded-concurrency
-// repair copies with per-block retry backoff, and re-absorbs rejoining
-// nodes' replicas.
+// declares death after consecutive missed polls, and each tick scans for
+// under-replicated blocks and runs bounded-concurrency repair copies with
+// per-block retry backoff — planned (NameNode.PlanRepair) and made
+// (Cluster.replicate) by the same code RepairAll uses — and re-absorbs
+// rejoining nodes' replicas.
 
 // HealerConfig tunes the background healing loop. Zero values select the
 // defaults documented per field. All times are wall clock — the storage
@@ -105,10 +108,10 @@ func (c *Cluster) StartHealer(cfg HealerConfig) *Healer {
 	return h
 }
 
-// CrashDataNode takes a node down silently — no NameNode notification, no
-// queued repair. Detection is the healer's job; this is the chaos injector's
-// DataNode-kill fault. Contrast KillDataNode, which models an operator
-// declaring the node dead.
+// CrashDataNode takes a node down silently — the NameNode is not told, so
+// nothing is under-replicated yet. Detection is the healer's job; this is the
+// chaos injector's DataNode-kill fault. Contrast KillDataNode, which models
+// an operator declaring the node dead.
 func (c *Cluster) CrashDataNode(name string) error {
 	dn := c.DataNode(name)
 	if dn == nil {
@@ -147,9 +150,9 @@ func (h *Healer) run() {
 }
 
 // pollLiveness is one detection tick: a node down for MissThreshold
-// consecutive polls is declared dead to the NameNode (which queues repair
-// work for its blocks); a node back up while the NameNode thinks it dead is
-// rejoined and its surviving replicas re-announced.
+// consecutive polls is declared dead to the NameNode (its blocks turn up in
+// the next under-replication scan); a node back up while the NameNode thinks
+// it dead is rejoined and its surviving replicas re-announced.
 func (h *Healer) pollLiveness() {
 	nn := h.c.NameNode()
 	h.c.mu.RLock()
@@ -204,21 +207,15 @@ func (h *Healer) pollLiveness() {
 	}
 }
 
-// gatherWork merges the NameNode's event-driven repair queue with a full
-// under-replication scan into the healer's deduplicated pending set. The
-// scan is what makes healing convergent: a copy that failed (or a queue
-// entry lost to a dead source) is rediscovered on the next tick.
+// gatherWork adds every under-replicated block the healer is not already
+// tracking to its pending set. The full scan is what makes healing
+// convergent: a block whose copy failed, or that ran out of attempts, is
+// found again on the next tick.
 func (h *Healer) gatherWork() {
-	nn := h.c.NameNode()
 	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, t := range nn.TakeReplicationTasks() {
-		if h.pending[t.Block] == nil {
-			h.pending[t.Block] = &repairState{firstQueued: now, nextTry: now}
-		}
-	}
-	for _, id := range nn.UnderReplicatedAll() {
+	for _, id := range h.c.NameNode().UnderReplicatedAll() {
 		if h.pending[id] == nil {
 			h.pending[id] = &repairState{firstQueued: now, nextTry: now}
 		}
@@ -255,9 +252,8 @@ func (h *Healer) dispatchRepairs() {
 	h.mu.Unlock()
 }
 
-// repairOne executes one re-replication copy, re-resolving source and
-// target at execution time (the plan a queue entry was born with may name a
-// node that has since died).
+// repairOne executes one re-replication copy, resolving source and target
+// at execution time.
 func (h *Healer) repairOne(id BlockID) {
 	defer h.wg.Done()
 	task, healthy, ok := h.c.NameNode().PlanRepair(id)
@@ -271,9 +267,7 @@ func (h *Healer) repairOne(id BlockID) {
 		h.retryLater(id, false)
 		return
 	}
-	err := h.copyBlock(task)
-	if err != nil {
-		h.c.reg.Counter("replication_failures").Inc()
+	if err := h.c.replicate(task); err != nil {
 		h.retryLater(id, true)
 		return
 	}
@@ -283,27 +277,6 @@ func (h *Healer) repairOne(id BlockID) {
 	} else {
 		h.retryLater(id, false)
 	}
-}
-
-// copyBlock moves one replica between datanodes and commits it.
-func (h *Healer) copyBlock(t ReplicationTask) error {
-	src, dst := h.c.DataNode(t.Src), h.c.DataNode(t.Dst)
-	if src == nil || dst == nil {
-		return fmt.Errorf("hdfs: repair %d: unknown node %q/%q", t.Block, t.Src, t.Dst)
-	}
-	data, err := src.Read(t.Block)
-	if err != nil {
-		return err
-	}
-	if err := dst.Store(t.Block, data); err != nil {
-		return err
-	}
-	if err := h.c.NameNode().BlockReceived(t.Dst, t.Block); err != nil {
-		return err
-	}
-	h.c.reg.Counter("blocks_replicated").Inc()
-	h.c.reg.Counter("replication_bytes").Add(int64(len(data)))
-	return nil
 }
 
 // settle removes a healed block from the pending set and records its

@@ -13,6 +13,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -45,6 +46,11 @@ type BlockInfo struct {
 	Locations []string // datanode names holding a replica
 	// Replication is the file's target replica count for this block.
 	Replication int
+
+	// badOn names the datanodes that have served a corrupt copy of this
+	// block (ReportCorrupt). Fault-recovery state: PlanRepair re-hosts on one
+	// of them only when no other target exists.
+	badOn map[string]bool
 }
 
 // FileStatus describes a namespace entry.
@@ -56,8 +62,7 @@ type FileStatus struct {
 	Blocks      int
 }
 
-// ReplicationTask instructs the cluster to copy a block between datanodes to
-// restore its replication factor.
+// ReplicationTask is one planned replica copy between datanodes (PlanRepair).
 type ReplicationTask struct {
 	Block BlockID
 	Src   string
@@ -87,8 +92,16 @@ type dnInfo struct {
 	blocks          map[BlockID]bool
 }
 
-// NameNode is the master: namespace tree, block map, datanode liveness, and
-// the replication queue. All methods are safe for concurrent use.
+// inService is the one replica-counting predicate: a node's replicas count
+// toward their blocks' replication, and the node may receive new ones, only
+// while it is alive and not draining. (A draining node still serves reads
+// and repair copies — that needs alive alone.)
+func (dn *dnInfo) inService() bool { return dn != nil && dn.alive && !dn.decommissioning }
+
+// NameNode is the master: namespace tree, block map and datanode liveness.
+// Under-replication is derived from the block map on demand
+// (UnderReplicatedAll, PlanRepair), never queued. All methods are safe for
+// concurrent use.
 type NameNode struct {
 	mu        sync.Mutex
 	blockSize int64
@@ -96,9 +109,6 @@ type NameNode struct {
 	blocks    map[BlockID]*BlockInfo
 	nextBlock BlockID
 	datanodes map[string]*dnInfo
-	// pendingRepl holds blocks needing re-replication; drained by
-	// TakeReplicationTasks.
-	pendingRepl []ReplicationTask
 }
 
 // NewNameNode returns a NameNode with the given block size (0 selects
@@ -252,7 +262,7 @@ func (nn *NameNode) chooseTargets(want int, clientNode string, exclude map[strin
 	var cands []*dnInfo
 	racks := map[string]bool{}
 	for _, dn := range nn.datanodes {
-		if dn.alive && !dn.decommissioning && !exclude[dn.name] {
+		if dn.inService() && !exclude[dn.name] {
 			cands = append(cands, dn)
 			racks[dn.rack] = true
 		}
@@ -429,14 +439,16 @@ func (nn *NameNode) FileBlocks(p string) (FileStatus, []BlockInfo, error) {
 	return st, blocks, nil
 }
 
-func (nn *NameNode) liveLocations(info *BlockInfo) []string {
-	var out []string
+// replicas counts the block's in-service replicas — the number its
+// replication target is compared with.
+func (nn *NameNode) replicas(info *BlockInfo) int {
+	n := 0
 	for _, name := range info.Locations {
-		if dn := nn.datanodes[name]; dn != nil && dn.alive {
-			out = append(out, name)
+		if nn.datanodes[name].inService() {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // Stat returns metadata for a path.
@@ -583,51 +595,15 @@ func (nn *NameNode) LiveDataNodes() []string {
 	return out
 }
 
-// MarkDead declares a datanode dead (missed heartbeats) and enqueues
-// re-replication work for every under-replicated block it held.
+// MarkDead declares a datanode dead (missed heartbeats). Its replicas stop
+// counting, so every block it held that is now short shows up in
+// UnderReplicatedAll; nothing is queued.
 func (nn *NameNode) MarkDead(name string) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	dn, ok := nn.datanodes[name]
-	if !ok || !dn.alive {
-		return
+	if dn := nn.datanodes[name]; dn != nil {
+		dn.alive = false
 	}
-	dn.alive = false
-	ids := make([]BlockID, 0, len(dn.blocks))
-	for id := range dn.blocks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		info := nn.blocks[id]
-		if info == nil {
-			continue
-		}
-		live := nn.liveLocations(info)
-		if len(live) == 0 {
-			continue // block lost; read path will surface the error
-		}
-		exclude := map[string]bool{}
-		for _, l := range info.Locations {
-			exclude[l] = true
-		}
-		targets := nn.chooseTargets(1, "", exclude)
-		if len(targets) == 0 {
-			continue
-		}
-		nn.pendingRepl = append(nn.pendingRepl, ReplicationTask{
-			Block: id, Src: live[0], Dst: targets[0],
-		})
-	}
-}
-
-// TakeReplicationTasks drains the re-replication queue.
-func (nn *NameNode) TakeReplicationTasks() []ReplicationTask {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	out := nn.pendingRepl
-	nn.pendingRepl = nil
-	return out
 }
 
 // BlockReceived records a new replica (completed re-replication copy).
@@ -653,8 +629,9 @@ func (nn *NameNode) BlockReceived(node string, id BlockID) error {
 	return nil
 }
 
-// ReportCorrupt removes a corrupt replica from the block map and, when live
-// replicas remain, queues a re-replication from one of them.
+// ReportCorrupt drops a corrupt replica from the block map — the block is
+// under-replicated from then on — and remembers that node served a bad copy
+// of it, for PlanRepair's placement.
 func (nn *NameNode) ReportCorrupt(node string, id BlockID) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -673,43 +650,31 @@ func (nn *NameNode) ReportCorrupt(node string, id BlockID) {
 		delete(dn.blocks, id)
 		dn.used -= info.Length
 	}
-	live := nn.liveLocations(info)
-	if len(live) == 0 {
-		return
+	if info.badOn == nil {
+		info.badOn = map[string]bool{}
 	}
-	exclude := map[string]bool{node: true}
-	for _, l := range info.Locations {
-		exclude[l] = true
-	}
-	targets := nn.chooseTargets(1, "", exclude)
-	if len(targets) > 0 {
-		nn.pendingRepl = append(nn.pendingRepl, ReplicationTask{Block: id, Src: live[0], Dst: targets[0]})
-	}
+	info.badOn[node] = true
 }
 
-// UnderReplicated returns blocks whose live replica count is below want.
+// UnderReplicated returns blocks with fewer than want in-service replicas.
 func (nn *NameNode) UnderReplicated(want int) []BlockID {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	var out []BlockID
-	for id, info := range nn.blocks {
-		if len(nn.liveLocations(info)) < want {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nn.underReplicated(func(*BlockInfo) int { return want })
 }
 
-// UnderReplicatedAll returns blocks whose live replica count is below their
-// own file's target replication, sorted — the healer's scan source, which
-// (unlike the pendingRepl queue) cannot lose work to a failed copy.
+// UnderReplicatedAll returns blocks with fewer in-service replicas than
+// their own file's target replication, sorted. This scan is the whole repair
+// backlog: RepairAll and the Healer both work from it, so a failed copy is
+// found again on the next scan.
 func (nn *NameNode) UnderReplicatedAll() []BlockID {
+	return nn.underReplicated(func(info *BlockInfo) int { return info.Replication })
+}
+
+func (nn *NameNode) underReplicated(want func(*BlockInfo) int) []BlockID {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	var out []BlockID
 	for id, info := range nn.blocks {
-		if len(nn.liveLocations(info)) < info.Replication {
+		if nn.replicas(info) < want(info) {
 			out = append(out, id)
 		}
 	}
@@ -725,12 +690,14 @@ func (nn *NameNode) IsAlive(name string) bool {
 	return dn != nil && dn.alive
 }
 
-// PlanRepair re-resolves one re-replication copy for id at call time:
-// a live source replica and a fresh live target excluding every current
-// location. healthy reports the block already meets its target replication
-// (nothing to do); ok reports whether a task could be planned — false with
-// healthy=false means the block is currently unrepairable (no live source,
-// or nowhere to put a copy).
+// PlanRepair resolves one re-replication copy for id at call time: the first
+// live holder as the source (a draining node qualifies) and a fresh
+// in-service target holding no replica of the block — preferring one that has
+// never served a bad copy of it, and falling back to such a node only when
+// nothing else is left (the copy overwrites the bad bytes). healthy reports
+// the block already meets its target replication (nothing to do); ok reports
+// whether a task could be planned — false with healthy=false means the block
+// is currently unrepairable (no live source, or nowhere to put a copy).
 func (nn *NameNode) PlanRepair(id BlockID) (task ReplicationTask, healthy, ok bool) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -738,20 +705,28 @@ func (nn *NameNode) PlanRepair(id BlockID) (task ReplicationTask, healthy, ok bo
 	if info == nil {
 		return ReplicationTask{}, true, false // deleted: nothing to heal
 	}
-	live := nn.liveLocations(info)
-	if len(live) >= info.Replication {
+	if nn.replicas(info) >= info.Replication {
 		return ReplicationTask{}, true, false
 	}
-	if len(live) == 0 {
+	src := ""
+	holders := map[string]bool{}
+	for _, l := range info.Locations {
+		holders[l] = true
+		if dn := nn.datanodes[l]; src == "" && dn != nil && dn.alive {
+			src = l
+		}
+	}
+	if src == "" {
 		return ReplicationTask{}, false, false // lost (until a node rejoins)
 	}
-	exclude := map[string]bool{}
-	for _, l := range info.Locations {
-		exclude[l] = true
+	clean := maps.Clone(holders)
+	maps.Copy(clean, info.badOn)
+	targets := nn.chooseTargets(1, "", clean)
+	if len(targets) == 0 {
+		targets = nn.chooseTargets(1, "", holders)
 	}
-	targets := nn.chooseTargets(1, "", exclude)
 	if len(targets) == 0 {
 		return ReplicationTask{}, false, false
 	}
-	return ReplicationTask{Block: id, Src: live[0], Dst: targets[0]}, false, true
+	return ReplicationTask{Block: id, Src: src, Dst: targets[0]}, false, true
 }

@@ -197,9 +197,6 @@ func NewEngine(cluster *hdfs.Cluster, trackers []string, cfg Config) (*Engine, e
 	return &Engine{cluster: cluster, trackers: append([]string(nil), trackers...), cfg: cfg.withDefaults()}, nil
 }
 
-// Trackers returns the tracker names.
-func (e *Engine) Trackers() []string { return append([]string(nil), e.trackers...) }
-
 // split is one map input: a block of an input file.
 type split struct {
 	path   string

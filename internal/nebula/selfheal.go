@@ -144,14 +144,6 @@ func (c *Cloud) recoveryActiveLocked(hold time.Duration) bool {
 	return false
 }
 
-// RecoveryActive reports the chaos-guard predicate under the lock — whether
-// scale decisions are currently frozen for a given hold window.
-func (c *Cloud) RecoveryActive(hold time.Duration) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recoveryActiveLocked(hold)
-}
-
 // requeueWithBackoffLocked resubmits a VM whose host died. The Nth restart
 // waits RestartBackoff·2^(N-1) (capped) before re-entering the scheduler —
 // a flapping host must not monopolize placement — and past MaxRestarts the

@@ -51,8 +51,6 @@ type Simulator struct {
 	now   time.Duration
 	seq   uint64
 	queue eventQueue
-	// Fired counts executed events; useful for run-away detection in tests.
-	fired uint64
 }
 
 // NewSimulator returns a simulator with the clock at zero.
@@ -63,9 +61,6 @@ func NewSimulator() *Simulator {
 // Now returns the current virtual time as an offset from the simulation
 // epoch.
 func (s *Simulator) Now() time.Duration { return s.now }
-
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events waiting in the queue.
 func (s *Simulator) Pending() int { return s.queue.Len() }
@@ -126,7 +121,6 @@ func (s *Simulator) Step() bool {
 			ev.canceled = false
 			heap.Push(&s.queue, ev)
 		}
-		s.fired++
 		ev.fn()
 		return true
 	}

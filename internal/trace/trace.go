@@ -172,15 +172,6 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// ContextWith returns ctx carrying sp as the current span. A nil sp returns
-// ctx unchanged.
-func ContextWith(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
 // Reparent copies the span linkage (including the not-sampled marker) from
 // `from` onto `base`. This is the async-boundary helper: a queue worker runs
 // on the queue's base context (its own cancellation lifetime) while staying

@@ -23,19 +23,12 @@ func (t Transcoder) speed() float64 {
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// transcodeGOP rewrites one GOP payload for the target spec. The output is
-// a pure deterministic function of (input payload, GOP index, target), which
-// is what makes split-convert-merge bit-identical to whole-file conversion.
-func transcodeGOP(payload []byte, index uint32, target Spec) []byte {
-	out := make([]byte, target.gopBytes())
-	transcodeGOPInto(out, payload, index, specSeed(target))
-	return out
-}
-
-// transcodeGOPInto is the allocation-free core of transcodeGOP: it rewrites
-// one GOP payload directly into dst (which must be target.gopBytes() long).
-// seed is the target's specSeed, hoisted out so a conversion hashes the spec
-// once instead of once per GOP.
+// transcodeGOPInto rewrites one GOP payload for the target spec directly into
+// dst (which must be target.gopBytes() long), allocating nothing. The output
+// is a pure deterministic function of (input payload, GOP index, target),
+// which is what makes split-convert-merge bit-identical to whole-file
+// conversion. seed is the target's specSeed, hoisted out so a conversion
+// hashes the spec once instead of once per GOP.
 func transcodeGOPInto(dst, payload []byte, index uint32, seed uint64) {
 	sig := crc64.Checksum(payload, crcTable)
 	fillPayload(dst, sig^uint64(index+1)*0xbf58476d1ce4e5b9^seed)

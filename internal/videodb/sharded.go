@@ -23,16 +23,15 @@ import (
 	"videocloud/internal/metrics"
 )
 
-// defaultFanIn bounds concurrent per-shard queries during scatter-gather.
+// fanIn bounds concurrent per-shard queries during scatter-gather.
 // Four in flight keeps tail latency low without stampeding a large shard set
 // from every request.
-const defaultFanIn = 4
+const fanIn = 4
 
 // ShardedDB routes Store operations across N DB shards. Safe for concurrent
 // use.
 type ShardedDB struct {
 	shards []Store
-	fanIn  int
 
 	// seq assigns globally unique ids per table (the shards' own
 	// auto-increment is bypassed via InsertAt).
@@ -73,7 +72,6 @@ func NewShardedFrom(shards []Store) *ShardedDB {
 	}
 	return &ShardedDB{
 		shards:     shards,
-		fanIn:      defaultFanIn,
 		seq:        make(map[string]*atomic.Int64),
 		uniqueCols: make(map[string][]string),
 	}
@@ -84,14 +82,6 @@ func (s *ShardedDB) Shards() int { return len(s.shards) }
 
 // Shard exposes shard i (experiments inspect per-shard balance).
 func (s *ShardedDB) Shard(i int) Store { return s.shards[i] }
-
-// SetFanIn bounds scatter-gather concurrency (default 4, clamped to >= 1).
-func (s *ShardedDB) SetFanIn(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.fanIn = k
-}
 
 // SetMetrics points per-shard latency histograms (videodb_shard<i>_seconds)
 // and scatter counters at reg. Call before serving traffic.
@@ -336,7 +326,7 @@ func (s *ShardedDB) scatter(fn func(i int, sh Store) ([]Row, error)) ([][]Row, e
 	}
 	results := make([][]Row, len(s.shards))
 	errs := make([]error, len(s.shards))
-	sem := make(chan struct{}, s.fanIn)
+	sem := make(chan struct{}, fanIn)
 	var wg sync.WaitGroup
 	for i := range s.shards {
 		wg.Add(1)

@@ -44,9 +44,6 @@ func (m *GuestMemory) Bytes() int64 { return int64(m.pages) * PageSize }
 // DirtyCount returns the number of pages dirtied since the last clear.
 func (m *GuestMemory) DirtyCount() int { return m.dirtyCount }
 
-// DirtyBytes returns DirtyCount in bytes.
-func (m *GuestMemory) DirtyBytes() int64 { return int64(m.dirtyCount) * PageSize }
-
 // IsDirty reports whether page p is dirty. Out-of-range pages panic.
 func (m *GuestMemory) IsDirty(p int) bool {
 	m.check(p)
