@@ -6,14 +6,20 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race alloccheck chaosshort benchcheck loc chaos bench benchall trace elastic tenant
+.PHONY: tier1 vet build test race alloccheck fuzzshort chaosshort benchcheck loc chaos bench benchall trace elastic tenant
 
-tier1: vet build race alloccheck chaosshort benchcheck loc
+tier1: vet build race alloccheck fuzzshort chaosshort benchcheck loc
 
+# Besides go vet and gofmt: pages are written by internal/web/pages.go, and
+# the template they replaced is a test oracle that must not drift back onto
+# the request path, so no non-test file may import a template package.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@interpreted=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '"(html|text)/template"' .); \
+		if [ -n "$$interpreted" ]; then \
+		echo "non-test files import a template package:"; echo "$$interpreted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -26,6 +32,13 @@ race:
 
 alloccheck:
 	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/
+
+# Ten seconds of fuzzing the page writers against the html/template oracle
+# they replaced (internal/web/pages_test.go): bodies must stay byte-identical.
+# A failing input is written under internal/web/testdata/fuzz and then fails
+# plain `go test` too.
+fuzzshort:
+	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced

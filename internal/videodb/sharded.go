@@ -312,6 +312,16 @@ func (s *ShardedDB) Update(table string, id int64, changes Row) error {
 	return err
 }
 
+// Add increments an integer column on the row's hash-owned shard, under that
+// shard's lock.
+func (s *ShardedDB) Add(table string, id int64, col string, delta int64) (int64, error) {
+	shard := s.ShardOf(id)
+	start := time.Now()
+	n, err := s.shards[shard].Add(table, id, col, delta)
+	s.observe(shard, start)
+	return n, err
+}
+
 // Delete removes the row from its hash-owned shard.
 func (s *ShardedDB) Delete(table string, id int64) error {
 	return s.owner(id).Delete(table, id)

@@ -97,6 +97,19 @@ func TestShardedUpdateDelete(t *testing.T) {
 	if err != nil || row["views"] != int64(9) {
 		t.Fatalf("after update: %v, %v", row, err)
 	}
+	// Add lands on the owner shard and agrees with a plain DB on errors.
+	if n, err := s.Add("videos", 5, "views", 3); err != nil || n != 12 {
+		t.Fatalf("Add = %d, %v, want 12", n, err)
+	}
+	if row, _ := s.Get("videos", 5); row["views"] != int64(12) {
+		t.Fatalf("after Add: %v", row)
+	}
+	if _, err := s.Add("videos", 5, "title", 1); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("Add on a string column = %v, want ErrTypeMismatch", err)
+	}
+	if _, err := s.Add("videos", 99, "views", 1); !errors.Is(err, ErrNoRow) {
+		t.Fatalf("Add on a missing row = %v, want ErrNoRow", err)
+	}
 	if err := s.Delete("videos", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +394,10 @@ func TestShardedMetrics(t *testing.T) {
 
 func TestShardedConcurrent(t *testing.T) {
 	s := shardedVideos(t, 4, 0)
+	counted, err := s.Insert("videos", Row{"title": "counted"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -396,6 +413,10 @@ func TestShardedConcurrent(t *testing.T) {
 					t.Errorf("get %d: %v", id, err)
 					return
 				}
+				if _, err := s.Add("videos", counted, "views", 1); err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
 				if i%5 == 0 {
 					if _, err := s.ScanLast("videos", 10); err != nil {
 						t.Errorf("scanlast: %v", err)
@@ -406,7 +427,11 @@ func TestShardedConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n, _ := s.Count("videos"); n != 200 {
-		t.Fatalf("Count = %d, want 200", n)
+	if n, _ := s.Count("videos"); n != 201 {
+		t.Fatalf("Count = %d, want 201", n)
+	}
+	// Every increment counted: Add is a read-modify-write under the lock.
+	if row, _ := s.Get("videos", counted); row["views"] != int64(200) {
+		t.Fatalf("views after 200 concurrent Adds = %v", row["views"])
 	}
 }

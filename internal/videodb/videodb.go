@@ -69,6 +69,7 @@ type Store interface {
 	RawPutAt(table string, id int64, row Row) error
 	Get(table string, id int64) (Row, error)
 	Update(table string, id int64, changes Row) error
+	Add(table string, id int64, col string, delta int64) (int64, error)
 	Delete(table string, id int64) error
 	Select(table, col string, value any) ([]Row, error)
 	SelectOne(table, col string, value any) (Row, error)
@@ -375,17 +376,56 @@ func (db *DB) Update(tableName string, id int64, changes Row) error {
 		}
 	}
 	for col, v := range changes {
-		if idx, ok := t.indexes[col]; ok {
-			old := row[col]
-			idx[old] = removeID(idx[old], id)
-			if len(idx[old]) == 0 {
-				delete(idx, old)
-			}
-			idx[v] = append(idx[v], id)
-		}
-		row[col] = v
+		t.set(row, id, col, v)
 	}
 	return nil
+}
+
+// set stores v in one column of a stored row, moving id between the column's
+// index buckets. Caller holds the write lock and has validated v.
+func (t *table) set(row Row, id int64, col string, v any) {
+	if idx, ok := t.indexes[col]; ok {
+		old := row[col]
+		idx[old] = removeID(idx[old], id)
+		if len(idx[old]) == 0 {
+			delete(idx, old)
+		}
+		idx[v] = append(idx[v], id)
+	}
+	row[col] = v
+}
+
+// Add adds delta to an integer column under the write lock and returns the
+// new value — the read-modify-write a view or report counter needs, which a
+// Get followed by an Update cannot do without losing concurrent increments.
+// A unique column is refused: a counter has no business being one, and a
+// sharded store could not check the new value against its other shards.
+func (db *DB) Add(tableName string, id int64, col string, delta int64) (int64, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, err := db.table(tableName)
+	if err != nil {
+		return 0, err
+	}
+	row, ok := t.rows[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s[%d]", ErrNoRow, tableName, id)
+	}
+	c, ok := t.cols[col]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s.%s", ErrBadColumn, t.name, col)
+	}
+	// The stored value is checked too: a RawPut row may hold anything.
+	cur, isInt := row[col].(int64)
+	if c.Type != TInt || !isInt {
+		return 0, fmt.Errorf("%w: %s.%s is %v holding %T, Add wants int", ErrTypeMismatch, t.name, col, c.Type, row[col])
+	}
+	if c.Unique {
+		return 0, fmt.Errorf("videodb: Add on unique column %s.%s", t.name, col)
+	}
+	n := cur + delta
+	t.set(row, id, col, n)
+	return n, nil
 }
 
 func removeID(ids []int64, id int64) []int64 {

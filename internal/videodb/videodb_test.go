@@ -3,6 +3,7 @@ package videodb
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,77 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	rows, _ = db.Select("users", "blocked", false)
 	if len(rows) != 0 {
 		t.Fatalf("stale index entry: %v", rows)
+	}
+}
+
+func TestAdd(t *testing.T) {
+	db := New()
+	if err := db.CreateTable("videos",
+		Column{Name: "title", Type: TString},
+		Column{Name: "views", Type: TInt},
+		Column{Name: "bucket", Type: TInt, Indexed: true},
+		Column{Name: "serial", Type: TInt, Unique: true},
+	); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := db.Insert("videos", Row{"title": "a", "serial": int64(1)})
+	if n, err := db.Add("videos", id, "views", 2); err != nil || n != 2 {
+		t.Fatalf("Add = %d, %v, want 2", n, err)
+	}
+	if n, err := db.Add("videos", id, "views", -1); err != nil || n != 1 {
+		t.Fatalf("Add = %d, %v, want 1", n, err)
+	}
+	if row, _ := db.Get("videos", id); row["views"] != int64(1) {
+		t.Fatalf("stored views = %v", row["views"])
+	}
+	// An indexed column moves between its index buckets.
+	if _, err := db.Add("videos", id, "bucket", 7); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := db.Select("videos", "bucket", int64(7)); len(rows) != 1 {
+		t.Fatalf("index not updated: %v", rows)
+	}
+	if rows, _ := db.Select("videos", "bucket", int64(0)); len(rows) != 0 {
+		t.Fatalf("stale index entry: %v", rows)
+	}
+	if _, err := db.Add("videos", id, "title", 1); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("string column: %v", err)
+	}
+	if _, err := db.Add("videos", id, "nope", 1); !errors.Is(err, ErrBadColumn) {
+		t.Fatalf("unknown column: %v", err)
+	}
+	if _, err := db.Add("videos", id+1, "views", 1); !errors.Is(err, ErrNoRow) {
+		t.Fatalf("missing row: %v", err)
+	}
+	if _, err := db.Add("ghosts", id, "views", 1); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("missing table: %v", err)
+	}
+	if _, err := db.Add("videos", id, "serial", 1); err == nil {
+		t.Fatal("Add on a unique column accepted")
+	}
+	// A drifted row holding the wrong type is refused, not overwritten.
+	raw, _ := db.RawPut("videos", Row{"views": "many"})
+	if _, err := db.Add("videos", raw, "views", 1); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("malformed stored value: %v", err)
+	}
+
+	// Concurrent increments all count.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if _, err := db.Add("videos", id, "views", 1); err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if row, _ := db.Get("videos", id); row["views"] != int64(2001) {
+		t.Fatalf("views after 2000 concurrent Adds = %v, want 2001", row["views"])
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"videocloud/internal/fusebridge"
 	"videocloud/internal/hdfs"
 	"videocloud/internal/video"
+	"videocloud/internal/videodb"
 )
 
 // Allocation regression gate for the /stream hot path (make tier1 runs it via
@@ -36,7 +38,10 @@ func (d *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 // for the same request through the ingress was 44).
 const streamAllocsWholeFile = 38
 
-func TestAllocStreamHandler(t *testing.T) {
+// allocSite builds the site the allocation gates measure and publishes one
+// 24 s clip on it.
+func allocSite(t *testing.T) (*Site, int64) {
+	t.Helper()
 	cluster := hdfs.NewCluster(4, 4<<20)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 3)
 	if err != nil {
@@ -61,6 +66,11 @@ func TestAllocStreamHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	site.DrainTranscodes()
+	return site, id
+}
+
+func TestAllocStreamHandler(t *testing.T) {
+	site, id := allocSite(t)
 
 	const window = 64 << 10
 	const segBytes = 1_000_000 // 8 s at 1 Mbps, plus GOP framing
@@ -101,5 +111,50 @@ func TestAllocStreamHandler(t *testing.T) {
 	if straddling > inside+open {
 		t.Errorf("a window straddling two segments allocates %.0f times, want at most %.0f (one segment's %.0f + one more open's %.0f)",
 			straddling, inside+open, inside, open)
+	}
+}
+
+// TestAllocPageHandlers gates what a whole page request allocates — through
+// the middleware, the handler, the store reads and the page writer — on the
+// three pages a viewing session opens. The template interpreter these pages
+// used to run cost 291 (home), 211 (search) and 409 (watch) per request in
+// the benchmark's in-process figures.
+func TestAllocPageHandlers(t *testing.T) {
+	site, id := allocSite(t)
+	// Five neighbours, so the watch page lists five related titles and the
+	// home page six recent ones, and a comment under the clip.
+	short, err := video.Generate(video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000}, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, take := range []string{"alpha", "bravo", "charlie", "delta", "echo"} {
+		if _, err := site.ProcessUpload(context.Background(), site.AdminID(), "clip take "+take, "d", short); err != nil {
+			t.Fatal(err)
+		}
+	}
+	site.DrainTranscodes()
+	if _, err := site.DB().Insert("comments", videodb.Row{"video_id": id, "user_id": site.AdminID(), "text": "first"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, want string
+		budget           float64
+	}{
+		{"home", "/", "Recent uploads", 40},
+		{"search", "/search?q=bravo", "Results for", 90},
+		{"watch", fmt.Sprintf("/watch/%d", id), "Related videos", 120},
+	} {
+		rec := httptest.NewRecorder()
+		site.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Fatalf("%s: status %d, body lacks %q:\n%s", tc.name, rec.Code, tc.want, rec.Body)
+		}
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		w := &nullWriter{hdr: make(http.Header)}
+		got := testing.AllocsPerRun(200, func() { site.ServeHTTP(w, req) })
+		t.Logf("%s: %.0f allocs per warm request (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s allocates %.0f times per request, want at most %.0f", tc.name, got, tc.budget)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package web
 
 import (
 	"sync"
+
+	"videocloud/internal/metrics"
 )
 
 // homeRecent is how many recent uploads the home page lists.
@@ -20,13 +22,13 @@ const homeRecent = 10
 // running their own — the thundering herd a viral upload used to trigger
 // collapses to exactly one ScanLast per invalidation per replica.
 //
-// View-count drift in the cached list is acceptable because the home page
-// renders titles only.
+// The list holds ids and titles, all the home page renders, so nothing in it
+// goes stale between invalidations.
 type hotCache struct {
 	mu sync.Mutex
 	// recent is valid when it is non-nil and recentGen matches the fleet
 	// generation it was built at (scanRecent never returns nil).
-	recent    []videoView
+	recent    []videoLink
 	recentGen int64
 	// filling marks an in-flight rebuild; fillDone is closed when it
 	// lands. Waiters re-check the generation on wake (the fill they
@@ -35,12 +37,27 @@ type hotCache struct {
 	fillDone chan struct{}
 
 	usernames map[int64]string
+
+	// Instruments, resolved once so a page takes no registry lock.
+	recentHits, recentWaits, recentMisses, recentScans *metrics.Counter
+	usernameHits, usernameMisses                       *metrics.Counter
+}
+
+func newHotCache(reg *metrics.Registry) hotCache {
+	return hotCache{
+		recentHits:     reg.Counter("cache_recent_hits"),
+		recentWaits:    reg.Counter("cache_recent_waits"),
+		recentMisses:   reg.Counter("cache_recent_misses"),
+		recentScans:    reg.Counter("cache_recent_scans"),
+		usernameHits:   reg.Counter("cache_username_hits"),
+		usernameMisses: reg.Counter("cache_username_misses"),
+	}
 }
 
 // recentVideos returns the home page's recent-uploads list, rebuilding at
 // most once per invalidation generation regardless of how many requests miss
 // concurrently. Callers must not mutate the returned slice.
-func (s *Site) recentVideos() []videoView {
+func (s *Site) recentVideos() []videoLink {
 	c := &s.cache
 	gen := s.state.recentGen.Load()
 	c.mu.Lock()
@@ -48,7 +65,7 @@ func (s *Site) recentVideos() []videoView {
 		if c.recent != nil && c.recentGen == gen {
 			out := c.recent
 			c.mu.Unlock()
-			s.reg.Counter("cache_recent_hits").Inc()
+			c.recentHits.Inc()
 			return out
 		}
 		if !c.filling {
@@ -58,7 +75,7 @@ func (s *Site) recentVideos() []videoView {
 		// rather than scanning again.
 		done := c.fillDone
 		c.mu.Unlock()
-		s.reg.Counter("cache_recent_waits").Inc()
+		c.recentWaits.Inc()
 		<-done
 		gen = s.state.recentGen.Load()
 		c.mu.Lock()
@@ -68,7 +85,7 @@ func (s *Site) recentVideos() []videoView {
 	done := c.fillDone
 	c.mu.Unlock()
 
-	s.reg.Counter("cache_recent_misses").Inc()
+	c.recentMisses.Inc()
 	out := s.scanRecent()
 
 	c.mu.Lock()
@@ -84,12 +101,12 @@ func (s *Site) recentVideos() []videoView {
 // materialisation the pre-PR-7 path paid. It remains the correctness
 // reference and the benchmark baseline; cache_recent_scans counts every
 // execution so tests can assert single-flight behaviour.
-func (s *Site) scanRecent() []videoView {
-	s.reg.Counter("cache_recent_scans").Inc()
+func (s *Site) scanRecent() []videoLink {
+	s.cache.recentScans.Inc()
 	rows, _ := s.db.ScanLast("videos", homeRecent)
-	out := make([]videoView, 0, len(rows))
+	out := make([]videoLink, 0, len(rows))
 	for _, row := range rows {
-		out = append(out, s.videoView(row))
+		out = append(out, videoLinkOf(row))
 	}
 	return out
 }
@@ -110,10 +127,10 @@ func (s *Site) userName(id int64, fallback string) string {
 	name, ok := c.usernames[id]
 	c.mu.Unlock()
 	if ok {
-		s.reg.Counter("cache_username_hits").Inc()
+		c.usernameHits.Inc()
 		return name
 	}
-	s.reg.Counter("cache_username_misses").Inc()
+	c.usernameMisses.Inc()
 	u, err := s.db.Get("users", id)
 	if err != nil {
 		return fallback

@@ -91,7 +91,7 @@ func TestRecentVideosSingleFlight(t *testing.T) {
 	const herd = 50
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	lists := make([][]videoView, herd)
+	lists := make([][]videoLink, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -229,4 +229,48 @@ func TestStreamPacer(t *testing.T) {
 	// Nil pacer is free.
 	var np *pacer
 	np.acquire(1 << 30)
+}
+
+// TestConcurrentWatchesCountExactly is the lost-update regression test: view
+// and report counters are incremented in the store, so two replicas serving
+// the same title at once count every request (a Get followed by an Update of
+// n+1 left 3 806 of 4 000 views).
+func TestConcurrentWatchesCountExactly(t *testing.T) {
+	sites := newFleet(t, 2, 4)
+	id := uploadTestVideo(t, sites[0], "counted video", 9)
+	const watches, reports = 2000, 200
+	var wg sync.WaitGroup
+	for _, s := range sites {
+		wg.Add(1)
+		go func(s *Site) {
+			defer wg.Done()
+			for i := 0; i < watches+reports; i++ {
+				method, path, want := "GET", fmt.Sprintf("/watch/%d", id), http.StatusOK
+				if i >= watches {
+					method, path, want = "POST", path+"/report", http.StatusSeeOther
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+				if rec.Code != want {
+					t.Errorf("%s %s: status %d, want %d", method, path, rec.Code, want)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	row, err := sites[0].DB().Get("videos", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row["views"] != int64(len(sites)*watches) || row["reports"] != int64(len(sites)*reports) {
+		t.Fatalf("after %d watches and %d reports: views = %v, reports = %v",
+			len(sites)*watches, len(sites)*reports, row["views"], row["reports"])
+	}
+	// The last page served shows the count it made.
+	rec := httptest.NewRecorder()
+	sites[1].ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/watch/%d", id), nil))
+	if want := fmt.Sprintf("%d views", len(sites)*watches+1); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("watch page lacks %q", want)
+	}
 }

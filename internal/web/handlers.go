@@ -87,6 +87,8 @@ func rowBool(row videodb.Row, col string) bool {
 	return v
 }
 
+// render writes one page: the body is built whole in a pooled buffer, so the
+// response carries its length and nothing is sent before the page exists.
 func (s *Site) render(w http.ResponseWriter, r *http.Request, v view) {
 	if u := s.currentUser(r); u != nil {
 		v.User = rowString(u, "username")
@@ -95,24 +97,38 @@ func (s *Site) render(w http.ResponseWriter, r *http.Request, v view) {
 	if v.Title == "" {
 		v.Title = v.Page
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTpl.ExecuteTemplate(w, "shell", v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	p := pagePool.Get().(*page)
+	p.b = p.b[:0]
+	p.shell(&v)
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(p.b)))
+	w.Write(p.b)
+	if cap(p.b) <= maxPooledPage {
+		pagePool.Put(p)
 	}
 }
 
-func (s *Site) videoView(row videodb.Row) videoView {
-	title := rowString(row, "title")
-	if title == "" {
-		title = "(untitled)"
+// rowTitle is a video row's title as every listing shows it.
+func rowTitle(row videodb.Row) string {
+	if title := rowString(row, "title"); title != "" {
+		return title
 	}
+	return "(untitled)"
+}
+
+func videoLinkOf(row videodb.Row) videoLink {
+	return videoLink{ID: rowInt(row, "id"), Title: rowTitle(row)}
+}
+
+func (s *Site) videoView(row videodb.Row) videoView {
 	// Tolerant read: rows from older binaries have no status column and
 	// render as ready.
 	status, _ := row["status"].(string)
 	return videoView{
 		Status:      status,
 		ID:          rowInt(row, "id"),
-		Title:       title,
+		Title:       rowTitle(row),
 		Description: rowString(row, "description"),
 		Uploader:    s.userName(rowInt(row, "uploader_id"), "unknown"),
 		Duration:    rowInt(row, "duration_seconds"),
@@ -136,7 +152,7 @@ func (s *Site) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.FormValue("q")
 	v := view{Page: "home", Title: "Search", Query: q}
 	if q != "" {
-		s.reg.Counter("searches").Inc()
+		s.searches.Inc()
 		v.Hits = s.searchByIndex(q)
 	}
 	s.render(w, r, v)
@@ -381,10 +397,12 @@ func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := rowInt(row, "id")
-	views := rowInt(row, "views")
-	s.db.Update("videos", id, videodb.Row{"views": views + 1})
-	row["views"] = views + 1
 	v := view{Page: "watch", Title: rowString(row, "title"), Video: s.videoView(row)}
+	// Counted in the store, under its lock: concurrent viewers all count.
+	// A drifted row that holds no integer keeps its placeholder.
+	if views, err := s.db.Add("videos", id, "views", 1); err == nil {
+		v.Video.Views = views
+	}
 	v.Qualities = strings.Split(rowString(row, "renditions"), ",")
 	if u := s.currentUser(r); u != nil {
 		v.Owner = u["id"] == row["uploader_id"] || rowBool(u, "admin")
@@ -392,7 +410,7 @@ func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// Related videos (§IV-A "related ranking methods").
 	for _, hit := range s.Index().MoreLikeThis(id, 5) {
 		if rel, err := s.db.Get("videos", hit.Doc); err == nil {
-			v.Related = append(v.Related, s.videoView(rel))
+			v.Related = append(v.Related, videoLinkOf(rel))
 		}
 	}
 	comments, _ := s.db.Select("comments", "video_id", id)
@@ -436,7 +454,7 @@ func (s *Site) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.db.Update("videos", rowInt(row, "id"), videodb.Row{"reports": rowInt(row, "reports") + 1})
+	s.db.Add("videos", rowInt(row, "id"), "reports", 1)
 	s.reg.Counter("reports").Inc()
 	http.Redirect(w, r, fmt.Sprintf("/watch/%d", rowInt(row, "id")), http.StatusSeeOther)
 }

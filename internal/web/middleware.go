@@ -29,13 +29,20 @@ var (
 	}()
 )
 
+const hexDigits = "0123456789abcdef"
+
 // nextRequestID returns a 16-hex-char per-request ID.
 func nextRequestID() string {
 	x := ridSalt ^ (ridSeq.Add(1) * 0x9e3779b97f4a7c15)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return fmt.Sprintf("%016x", x)
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hexDigits[x&15]
+		x >>= 4
+	}
+	return string(b[:])
 }
 
 // ridKey keys the request ID in a request context.

@@ -1,13 +1,16 @@
 package web
 
-import "html/template"
+import (
+	"bytes"
+	"html/template"
+	"testing"
+)
 
-// The page templates reproduce the structure of Figures 17-23: a shared
-// shell with navigation, then per-page bodies. CSS3/jQuery niceties of the
-// original reduce to a stylesheet block; the information architecture —
-// search box front and centre, register/login/upload/player/admin pages —
-// is the paper's.
-var pageTpl = template.Must(template.New("shell").Parse(`
+// oracleTpl is the html/template the site executed on every page request
+// before the writers in pages.go replaced it, text unchanged. It is the
+// reference the writers are compared against byte for byte: a mismatch is a
+// writer bug, never a reason to edit this template.
+var oracleTpl = template.Must(template.New("shell").Parse(`
 {{define "shell"}}<!DOCTYPE html>
 <html><head><title>{{.Title}} — VideoCloud</title>
 <style>
@@ -126,44 +129,117 @@ nav a{margin-right:1em} .error{color:#b00} .hit{margin:.6em 0}
 {{end}}
 `))
 
-// view is the template context for every page.
-type view struct {
-	Page      string
-	Title     string
-	User      string
-	Admin     bool
-	Error     string
-	Query     string
-	Hits      []videoView
-	Recent    []videoView
-	Video     videoView
-	Owner     bool
-	Qualities []string
-	Related   []videoView
-	Comments  []commentView
-	Users     []userView
+// pageNames are the seven pages plus one no template branch names, which
+// renders the bare shell.
+var pageNames = []string{"home", "register", "login", "upload", "watch", "my", "admin", "nowhere"}
+
+// comparePage renders v with the writers and with the oracle and fails on the
+// first differing byte.
+func comparePage(t testing.TB, v view) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := oracleTpl.ExecuteTemplate(&want, "shell", v); err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	p := &page{}
+	p.shell(&v)
+	got, exp := p.b, want.Bytes()
+	if bytes.Equal(got, exp) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(exp) && got[i] == exp[i] {
+		i++
+	}
+	from := max(i-60, 0)
+	t.Fatalf("page %q differs from the template at byte %d (writer %d bytes, oracle %d)\nwriter: …%q\noracle: …%q\nview: %+v",
+		v.Page, i, len(got), len(exp), got[from:min(i+60, len(got))], exp[from:min(i+60, len(exp))], v)
 }
 
-type videoView struct {
-	ID          int64
-	Title       string
-	Description string
-	Uploader    string
-	Duration    int64
-	Views       int64
-	Reports     int64
-	// Status is the conversion lifecycle state ("processing", "ready",
-	// "failed"); empty for rows predating the status column, which render
-	// as ready.
-	Status string
+// sampleViews returns views covering every branch the pages take — anonymous,
+// signed in, admin, owner; the three conversion states and the legacy empty
+// one; empty, single and multi-entry lists; an error banner — with s planted
+// in every string field.
+func sampleViews(s string) []view {
+	video := func(status string) videoView {
+		return videoView{ID: 7, Title: s, Description: "about " + s, Uploader: s, Duration: 32, Views: 1234, Reports: 2, Status: status}
+	}
+	hits := []videoView{video("ready"), {ID: 8, Title: "second " + s, Description: s, Views: 0, Reports: 11}, {ID: 1 << 40, Title: "(untitled)"}}
+	links := []videoLink{{ID: 3, Title: s}, {ID: 4, Title: s + s}}
+	comments := []commentView{{User: s, Text: s}, {User: "anonymous", Text: "plain " + s}}
+	users := []userView{{Name: s}, {Name: "blocked " + s, Blocked: true}}
+	return []view{
+		{},
+		{Title: s},
+		{Title: s, Error: s},
+		{Title: s, Query: s},
+		{Title: s, Query: s, Hits: hits[:1]},
+		{Title: s, Query: s, Hits: hits, Recent: links, User: s},
+		{Title: s, Recent: links[:1]},
+		{Title: s, Recent: links, User: s, Admin: true},
+		{Title: s, Video: video("processing")},
+		{Title: s, Video: video("failed"), User: s},
+		{Title: s, Video: video("ready"), Qualities: []string{s}},
+		{Title: s, Video: video(""), Qualities: []string{"720p", s}, Related: links[:1], Comments: comments[:1]},
+		{Title: s, Video: video("ready"), Qualities: []string{"720p", "360p", s}, Related: links, Comments: comments,
+			User: s, Owner: true, Error: s},
+		{Title: s, Video: video(s), Qualities: []string{""}, User: s, Admin: true, Owner: true},
+		{Title: s, Hits: hits[1:], Users: users[:1], User: s, Admin: true},
+		{Title: s, Hits: hits, Users: users, User: s, Admin: true, Error: s},
+	}
 }
 
-type commentView struct {
-	User string
-	Text string
+// hostileStrings try to break out of every context a value lands in: element
+// text, the RCDATA title, quoted attribute values, and the query of an href.
+var hostileStrings = []string{
+	"",
+	"plain title",
+	"<script>alert(1)</script>",
+	`" onmouseover="alert(1)`,
+	`' onfocus='alert(1)`,
+	"rock & roll",
+	"1+1=2",
+	"nul\x00byte",
+	"日本語 ünïcödé ⏳",
+	"720p&hd #1 50%",
+	"</title></textarea><!-- --><b>",
+	"javascript:alert(1)",
+	"%41%zz%",
+	"line\nbreak\ttab\r",
+	"bad utf8 \xff\xc3< \xe2\x82",
+	"  ﷐￾",
+	"{{.Title}}",
 }
 
-type userView struct {
-	Name    string
-	Blocked bool
+func TestPagesMatchTemplate(t *testing.T) {
+	for _, s := range hostileStrings {
+		for _, v := range sampleViews(s) {
+			for _, name := range pageNames {
+				v.Page = name
+				comparePage(t, v)
+			}
+		}
+	}
+}
+
+// FuzzPageMatchesTemplate fuzzes the string fields of one busy view of each
+// page against the oracle (make fuzzshort runs it for ten seconds).
+func FuzzPageMatchesTemplate(f *testing.F) {
+	for i, s := range hostileStrings {
+		f.Add(uint8(i), s, "about "+s, "360p")
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, title, text, quality string) {
+		v := view{
+			Page: pageNames[int(pick)%len(pageNames)], Title: title, User: text, Error: text, Query: title,
+			Admin: pick&8 != 0, Owner: pick&16 != 0,
+			Hits:      []videoView{{ID: 1, Title: title, Description: text, Views: int64(pick)}},
+			Recent:    []videoLink{{ID: 2, Title: title}},
+			Video:     videoView{ID: int64(pick), Title: title, Description: text, Uploader: quality, Status: []string{"", "processing", "failed", text}[pick>>6]},
+			Qualities: []string{quality, title},
+			Related:   []videoLink{{ID: 3, Title: text}},
+			Comments:  []commentView{{User: title, Text: text}},
+			Users:     []userView{{Name: title, Blocked: pick&32 != 0}},
+		}
+		comparePage(t, v)
+	})
 }

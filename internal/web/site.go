@@ -150,6 +150,7 @@ type Site struct {
 	inflightNow  atomic.Int64
 	maxInFlight  int64
 	cache        hotCache
+	searches     *metrics.Counter
 
 	// streamPacer caps this replica's streaming egress; nil = unpaced.
 	streamPacer *pacer
@@ -233,6 +234,7 @@ func (cfg *Config) validate() error {
 
 // assemble builds the per-replica half of a Site around shared fleet state.
 func assemble(cfg Config, state *fleetState) *Site {
+	reg := metrics.NewRegistry()
 	s := &Site{
 		state:       state,
 		db:          state.db,
@@ -241,7 +243,9 @@ func assemble(cfg Config, state *fleetState) *Site {
 		pool:        newFarmPool(cfg.Farm),
 		target:      cfg.Target,
 		specs:       append([]video.Spec{cfg.Target}, cfg.Renditions...),
-		reg:         metrics.NewRegistry(),
+		reg:         reg,
+		cache:       newHotCache(reg),
+		searches:    reg.Counter("searches"),
 		tracer:      cfg.Tracer,
 		streamPacer: newPacer(cfg.StreamRateBytesPerSec),
 		edge:        edge.New(edge.Config{CapacityBytes: cfg.EdgeCacheBytes}),
