@@ -46,10 +46,14 @@ fuzzshort:
 # under the race detector — part of the tier-1 gate. The HDFS repair tests
 # ride along five times over: the healer is the one place in hdfs where a
 # test outcome depends on goroutine timing, so a flaky convergence test shows
-# up here rather than once a week.
+# up here rather than once a week. So do the orchestrator's placement tests:
+# evacuation, consolidation, re-aim and rebalancing all go through one
+# destination function and one evacuation pass, and the randomized soak checks
+# their invariants; on virtual time five rounds cost a second or two.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
+	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),
 # so the root ./... patterns never compile it: vet and short-test it here so

@@ -497,9 +497,16 @@ func (vc *VideoCloud) RollingMaintenance() (*MaintenanceReport, error) {
 		}
 		vc.cloud.WaitIdle()
 		rep.Migrations += started
+		// A guest that came up here mid-evacuation, or whose migration
+		// failed, may still be resident: then the host was not serviced.
+		resident := vc.cloud.StuckEvacuations() > 0
 		// (Patch + reboot happens here in real life.)
 		if err := vc.cloud.Enable(h.Name); err != nil {
 			return rep, err
+		}
+		if resident {
+			rep.Skipped = append(rep.Skipped, h.Name)
+			continue
 		}
 		rep.HostsServiced = append(rep.HostsServiced, h.Name)
 	}

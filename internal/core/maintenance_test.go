@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"videocloud/internal/nebula"
 	"videocloud/internal/stream"
@@ -70,5 +71,31 @@ func TestRollingMaintenanceSkipsUnevacuatableHosts(t *testing.T) {
 		if h.Disabled() {
 			t.Fatalf("%s left disabled (report %+v)", h.Name, rep)
 		}
+	}
+}
+
+// A host whose guests could not leave was not serviced, even though its
+// evacuation started cleanly: here every copy misses a 1ms deadline.
+func TestRollingMaintenanceReportsResidentsAsSkipped(t *testing.T) {
+	vc := boot(t, Config{PhysicalHosts: 5, DataVMs: 3,
+		Recovery: nebula.RecoveryOptions{MigrationDeadline: time.Millisecond}})
+	rep, err := vc.RollingMaintenance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	occupied := map[string]bool{}
+	for _, vm := range vc.Status().VMs {
+		if vm.State != nebula.Running {
+			t.Fatalf("%s state = %v after maintenance", vm.Name, vm.State)
+		}
+		occupied[vm.Host] = true
+	}
+	for _, h := range rep.HostsServiced {
+		if occupied[h] {
+			t.Fatalf("%s reported serviced with its guests still on it: %+v", h, rep)
+		}
+	}
+	if len(rep.Skipped) != len(occupied) {
+		t.Fatalf("skipped %v, want the %d occupied hosts", rep.Skipped, len(occupied))
 	}
 }

@@ -34,7 +34,6 @@ type ElasticController struct {
 	ticker   *simtime.Event
 	fleet    []int        // tracked instance IDs, oldest first
 	attached map[int]bool // OnReady fired; instance is in service
-	drainSet map[int]bool // instance is draining (excluded from capacity)
 
 	lastOut, lastIn time.Duration // virtual time of the last action per direction
 	lastDir         int           // +1 out, -1 in, 0 none yet
@@ -163,7 +162,6 @@ func NewElasticController(cloud *Cloud, opts ElasticOptions) (*ElasticController
 		cloud:    cloud,
 		opts:     opts,
 		attached: make(map[int]bool),
-		drainSet: make(map[int]bool),
 	}, nil
 }
 
@@ -207,7 +205,7 @@ func (e *ElasticController) step() {
 	e.reconcileLocked()
 
 	load := e.opts.Signal(now)
-	serving, booting := e.servingLocked()
+	serving, booting, draining := e.fleetCountsLocked()
 	capacity := e.opts.BaseCapacity + e.opts.InstanceCapacity*float64(serving+booting)
 	util := math.Inf(1)
 	if capacity > 0 {
@@ -217,7 +215,7 @@ func (e *ElasticController) step() {
 	}
 	sample := ElasticSample{
 		At: now, Load: load, Instances: serving + booting,
-		Draining: len(e.drainSet), Util: util, Decision: "hold",
+		Draining: draining, Util: util, Decision: "hold",
 	}
 
 	// Failure-aware guard: while detection/recovery is in progress, freeze.
@@ -293,14 +291,10 @@ func (e *ElasticController) step() {
 			sample.Decision = fmt.Sprintf("in-%d", drained)
 		}
 	}
-	sample.Instances, _ = e.servingAndBootingTotal()
+	// Re-count after the decision, for the recorded sample.
+	serving, booting, _ = e.fleetCountsLocked()
+	sample.Instances = serving + booting
 	e.history = append(e.history, sample)
-}
-
-// servingAndBootingTotal re-counts after a decision, for the recorded sample.
-func (e *ElasticController) servingAndBootingTotal() (int, int) {
-	s, b := e.servingLocked()
-	return s + b, b
 }
 
 // reconcileLocked folds instance state back into the controller: newly
@@ -320,10 +314,9 @@ func (e *ElasticController) reconcileLocked() {
 					e.opts.OnRetire(rec.Name())
 				}
 			}
-			delete(e.drainSet, id)
 			continue
 		}
-		if rec.State == Running && !e.attached[id] && !e.drainSet[id] {
+		if rec.State == Running && !e.attached[id] {
 			e.attached[id] = true
 			if e.opts.OnReady != nil {
 				e.opts.OnReady(rec.Name())
@@ -334,13 +327,18 @@ func (e *ElasticController) reconcileLocked() {
 	e.fleet = kept
 }
 
-// servingLocked counts fleet instances providing capacity (Running and not
-// draining) and instances still on their way up.
-func (e *ElasticController) servingLocked() (serving, booting int) {
+// fleetCountsLocked counts fleet instances providing capacity (Running and
+// not draining), instances still on their way up, and instances with a drain
+// in progress — read off the cloud's own drain book, which is the only one.
+func (e *ElasticController) fleetCountsLocked() (serving, booting, draining int) {
 	c := e.cloud
 	for _, id := range e.fleet {
 		rec := c.vms[id]
-		if rec == nil || e.drainSet[id] {
+		if rec == nil {
+			continue
+		}
+		if c.draining[id] != nil {
+			draining++
 			continue
 		}
 		switch rec.State {
@@ -350,7 +348,7 @@ func (e *ElasticController) servingLocked() (serving, booting int) {
 			booting++
 		}
 	}
-	return serving, booting
+	return serving, booting, draining
 }
 
 // reclaimDrainingLocked cancels up to limit in-progress drains, newest
@@ -361,14 +359,10 @@ func (e *ElasticController) reclaimDrainingLocked(limit int) int {
 	reclaimed := 0
 	for i := len(e.fleet) - 1; i >= 0 && reclaimed < limit; i-- {
 		id := e.fleet[i]
-		if !e.drainSet[id] {
-			continue
-		}
 		rec := c.vms[id]
 		if rec == nil || !c.cancelDrainLocked(rec) {
-			continue
+			continue // not draining
 		}
-		delete(e.drainSet, id)
 		e.attached[id] = true
 		c.reg.Counter("elastic_reclaims").Inc()
 		if e.opts.OnReady != nil {
@@ -387,15 +381,14 @@ func (e *ElasticController) drainNewestLocked(limit int) int {
 	for i := len(e.fleet) - 1; i >= 0 && drained < limit; i-- {
 		id := e.fleet[i]
 		rec := c.vms[id]
-		if rec == nil || rec.State != Running || !e.attached[id] || e.drainSet[id] {
+		if rec == nil || rec.State != Running || !e.attached[id] {
 			continue
 		}
 		opts := e.opts.Drain
-		opts.OnRetire = e.retireHookLocked(id, e.opts.Drain.OnRetire)
+		opts.OnRetire = e.retireHook(e.opts.Drain.OnRetire)
 		if err := c.drainLocked(rec, opts); err != nil {
 			continue
 		}
-		e.drainSet[id] = true
 		delete(e.attached, id)
 		c.reg.Counter("elastic_scale_in").Inc()
 		drained++
@@ -403,11 +396,9 @@ func (e *ElasticController) drainNewestLocked(limit int) int {
 	return drained
 }
 
-// retireHookLocked chains controller bookkeeping onto a drain's OnRetire:
-// the instance leaves the drain set and the user hooks fire.
-func (e *ElasticController) retireHookLocked(id int, user func(string)) func(string) {
+// retireHook chains the controller's OnRetire after a drain's own.
+func (e *ElasticController) retireHook(user func(string)) func(string) {
 	return func(name string) {
-		delete(e.drainSet, id)
 		if user != nil {
 			user(name)
 		}
@@ -455,11 +446,11 @@ func (e *ElasticController) Stats() ElasticStats {
 	c := e.cloud
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	serving, booting := e.servingLocked()
+	serving, booting, draining := e.fleetCountsLocked()
 	st := ElasticStats{
 		Instances: serving,
 		Booting:   booting,
-		Draining:  len(e.drainSet),
+		Draining:  draining,
 		ScaleOuts: c.reg.Counter("elastic_scale_out").Value(),
 		ScaleIns:  c.reg.Counter("elastic_scale_in").Value(),
 		Freezes:   c.reg.Counter("elastic_freezes").Value(),

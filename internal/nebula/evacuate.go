@@ -17,7 +17,8 @@ import (
 // VM off it, choosing destinations with the active placement policy. It
 // returns the number of migrations started; drive the simulation (WaitIdle)
 // to let them finish. VMs for which no destination fits stay put and are
-// reported in the error; the host remains disabled either way.
+// reported in the error; the host remains disabled either way, and every
+// scheduling pass runs the same evacuation again until nothing is left.
 func (c *Cloud) Evacuate(hostName string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -27,35 +28,59 @@ func (c *Cloud) Evacuate(hostName string) (int, error) {
 	}
 	h.SetDisabled(true)
 	c.reg.Counter("hosts_disabled").Inc()
-
-	var stuck []string
-	started := 0
-	for _, rec := range c.recordsOnHost(hostName) {
-		if rec.State != Running {
-			continue
-		}
-		target := place(c.policy, c.candidateHosts(rec, c.otherHosts(h)), c.vmConfig(rec))
-		if target == nil {
-			stuck = append(stuck, rec.Name())
-			c.stuckEvac[rec.ID] = hostName
-			c.reg.Counter("evacuations_stuck").Inc()
-			continue
-		}
-		if err := c.liveMigrateLocked(rec, target); err != nil {
-			stuck = append(stuck, rec.Name())
-			c.stuckEvac[rec.ID] = hostName
-			c.reg.Counter("evacuations_stuck").Inc()
-			continue
-		}
-		started++
-	}
+	started, stuck := c.evacuateLocked(h)
 	if len(stuck) > 0 {
-		// The scheduler keeps retrying these whenever capacity frees (see
-		// retryStuckEvacuationsLocked); the error reports the initial gap.
+		c.reg.Counter("evacuations_stuck").Add(int64(len(stuck)))
 		return started, fmt.Errorf("nebula: evacuation of %q left %v in place (no capacity)",
 			hostName, stuck)
 	}
 	return started, nil
+}
+
+// needsEvacuationLocked is the maintenance deficit, derived rather than
+// queued: a record still has to leave exactly when it is Running on a
+// Disabled host. However it got there — no room when Evacuate ran, a boot or
+// resume that finished afterwards, a migration that failed — the next
+// scheduling pass sees it, and nothing has to remember it in between.
+func (c *Cloud) needsEvacuationLocked(rec *VMRecord) bool {
+	if rec.State != Running {
+		return false
+	}
+	h := c.hostByName[rec.HostName]
+	return h != nil && h.Disabled()
+}
+
+// evacuateLocked is the one evacuation pass: every record that still has to
+// leave h is live-migrated to the destination the active policy picks. It
+// returns the migrations started and the names of the VMs left in place.
+func (c *Cloud) evacuateLocked(h *virt.Host) (started int, stuck []string) {
+	for _, rec := range c.recordsOnHost(h.Name) {
+		if !c.needsEvacuationLocked(rec) {
+			continue
+		}
+		target := c.destinationLocked(rec, c.hosts, c.policy)
+		if target == nil || c.liveMigrateLocked(rec, target, migratePlaced) != nil {
+			stuck = append(stuck, rec.Name())
+			continue
+		}
+		started++
+	}
+	return started, stuck
+}
+
+// StuckEvacuations returns how many VMs still have to leave a host in
+// maintenance and are not on their way: they wait for capacity, or for the
+// next pass to retry a migration that failed.
+func (c *Cloud) StuckEvacuations() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, rec := range c.vms {
+		if c.needsEvacuationLocked(rec) {
+			n++
+		}
+	}
+	return n
 }
 
 // Enable takes a host out of maintenance mode.
@@ -81,16 +106,6 @@ func (c *Cloud) recordsOnHost(hostName string) []*VMRecord {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (c *Cloud) otherHosts(h *virt.Host) []*virt.Host {
-	out := make([]*virt.Host, 0, len(c.hosts)-1)
-	for _, cand := range c.hosts {
-		if cand != h {
-			out = append(out, cand)
-		}
-	}
 	return out
 }
 
@@ -137,27 +152,20 @@ func (c *Cloud) Consolidate() ConsolidationPlan {
 			if rec.State != Running {
 				continue
 			}
-			// Fullest other host that fits, but never one emptier
+			// Fullest host that may take it, but never one emptier
 			// than the source (that would fight consolidation).
 			// Ties break toward the lexically smaller host name so
 			// equally loaded hosts drain in one direction instead
 			// of ping-ponging between passes.
-			cands := PackingPolicy{}.Rank(c.otherHosts(h), c.vmConfig(rec))
-			var target *virt.Host
-			for _, cand := range cands {
-				if !cand.CanFit(c.vmConfig(rec)) {
-					continue
-				}
+			var fuller []*virt.Host
+			for _, cand := range c.hosts {
 				cf, hf := cand.FreeMemory(), h.FreeMemory()
 				if cf < hf || (cf == hf && cand.Name < h.Name) {
-					target = cand
-					break
+					fuller = append(fuller, cand)
 				}
 			}
-			if target == nil {
-				continue
-			}
-			if err := c.liveMigrateLocked(rec, target); err != nil {
+			target := c.destinationLocked(rec, fuller, PackingPolicy{})
+			if target == nil || c.liveMigrateLocked(rec, target, migratePlaced) != nil {
 				continue
 			}
 			plan.Moves = append(plan.Moves, ConsolidationMove{

@@ -114,10 +114,11 @@ type VMRecord struct {
 	// Restarts counts automatic recoveries after host failures.
 	Restarts int
 
-	migRetries  int           // consecutive rescheduled-migration attempts
+	migRetries  int           // consecutive re-aimed migration attempts
+	migReason   migrateReason // why the current (or last) migration was started
+	migratingTo string        // destination host while Migrating, else ""
 	recovering  bool          // requeued by recovery; next Running closes MTTR
 	failedAt    time.Duration // virtual time of the host failure that requeued it
-	rebalancing bool          // current migration was started by the Rebalancer
 
 	admitted     bool          // holds a TenantGate VM slot until terminal
 	runningSince time.Duration // start of the current Running interval
@@ -154,8 +155,7 @@ type Cloud struct {
 	ipNext     int
 	monitor    *Monitor
 	schedKick  bool
-	stuckEvac  map[int]string // record ID → host an evacuation left it on
-	tracer     *trace.Tracer  // nil disables lifecycle tracing
+	tracer     *trace.Tracer // nil disables lifecycle tracing
 
 	draining      map[int]*drainJob // record ID → in-progress graceful drain
 	lastFailureAt time.Duration     // virtual time of the most recent host failure
@@ -183,7 +183,6 @@ func New(opts Options) *Cloud {
 		vms:        make(map[int]*VMRecord),
 		groups:     make(map[string][]int),
 		ipNext:     1,
-		stuckEvac:  make(map[int]string),
 		draining:   make(map[int]*drainJob),
 	}
 	if opts.Recovery.MigrationDeadline > 0 {
@@ -406,9 +405,17 @@ func (c *Cloud) PendingCount() int {
 
 func (c *Cloud) setState(rec *VMRecord, to VMState) {
 	c.accountTransition(rec, to)
-	rec.StateLog = append(rec.StateLog, Transition{At: c.sim.Now(), From: rec.State, To: to})
+	from := rec.State
+	rec.StateLog = append(rec.StateLog, Transition{At: c.sim.Now(), From: from, To: to})
 	rec.State = to
 	c.traceTransition(rec, to)
+	// A guest that was booting, suspended or draining while its host went
+	// into maintenance has just become something the evacuation pass moves.
+	// A failed migration lands here too but must not kick: nothing changed
+	// that would make the next attempt succeed, and the pass would spin.
+	if from != Migrating && c.needsEvacuationLocked(rec) {
+		c.kickScheduler()
+	}
 }
 
 // traceTransition maintains the record's lifecycle trace across a state
@@ -462,7 +469,7 @@ func episodeName(rec *VMRecord, to VMState) string {
 		return "nebula.recovery"
 	case to == Draining:
 		return "vm.drain"
-	case to == Migrating && rec.rebalancing:
+	case to == Migrating && rec.migReason == migrateRebalance:
 		return "vm.rebalance"
 	case to == Migrating:
 		return "nebula.migration"
@@ -487,8 +494,9 @@ func (c *Cloud) kickScheduler() {
 	})
 }
 
-// schedulePass tries to place every pending instance, FIFO, then re-attempts
-// evacuations that were left stuck for lack of capacity.
+// schedulePass tries to place every pending instance, FIFO, then moves
+// whatever still has to leave a host in maintenance now that capacity may
+// have changed.
 func (c *Cloud) schedulePass() {
 	var still []int
 	for _, id := range c.pending {
@@ -501,36 +509,12 @@ func (c *Cloud) schedulePass() {
 		}
 	}
 	c.pending = still
-	c.retryStuckEvacuationsLocked()
-}
-
-// candidateHosts filters a host pool by the record's anti-affinity
-// constraint: hosts already holding another *anti-affine* member of the
-// same group are excluded, while ordinary members (a front-end VM, say)
-// may share. Records without Group+AntiAffinity pass the pool through.
-func (c *Cloud) candidateHosts(rec *VMRecord, pool []*virt.Host) []*virt.Host {
-	if !rec.Template.AntiAffinity || rec.Template.Group == "" {
-		return pool
-	}
-	taken := map[string]bool{}
-	for _, id := range c.groups[rec.Template.Group] {
-		other := c.vms[id]
-		if other == nil || other.ID == rec.ID || other.HostName == "" ||
-			!other.Template.AntiAffinity {
-			continue
-		}
-		switch other.State {
-		case Prolog, Boot, Running, Migrating, Suspended, Draining:
-			taken[other.HostName] = true
+	for _, h := range c.hosts {
+		if h.Disabled() {
+			started, _ := c.evacuateLocked(h)
+			c.reg.Counter("evacuations_retried").Add(int64(started))
 		}
 	}
-	var out []*virt.Host
-	for _, h := range pool {
-		if !taken[h.Name] {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // vmConfig builds the hypervisor config for a record.
@@ -552,19 +536,12 @@ func (c *Cloud) vmConfig(rec *VMRecord) virt.VMConfig {
 // deploy runs placement and, on success, starts the prolog→boot→running
 // pipeline. It reports whether the record left Pending.
 func (c *Cloud) deploy(rec *VMRecord) bool {
-	cfg := c.vmConfig(rec)
-	pool := c.candidateHosts(rec, c.hosts)
-	var host *virt.Host
-	if oa, ok := c.policy.(ownerAware); ok && rec.Template.Owner != "" {
-		host = placeOwned(oa, pool, cfg, c.ownerCountsLocked(rec.Template.Owner))
-	} else {
-		host = place(c.policy, pool, cfg)
-	}
+	host := c.destinationLocked(rec, c.hosts, c.policy)
 	if host == nil {
 		c.reg.Counter("placement_deferrals").Inc()
 		return false
 	}
-	vm, err := c.driver.Create(host, cfg)
+	vm, err := c.driver.Create(host, c.vmConfig(rec))
 	if err != nil {
 		// Lost a race against capacity; stay pending.
 		c.reg.Counter("placement_deferrals").Inc()
@@ -726,19 +703,32 @@ func (c *Cloud) LiveMigrate(id int, dstHost string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchHost, dstHost)
 	}
-	return c.liveMigrateLocked(rec, dst)
+	return c.liveMigrateLocked(rec, dst, migratePlaced)
 }
 
+// migrateReason is why a live migration was started. It names the lifecycle
+// trace and decides what a failed copy means.
+type migrateReason int
+
+const (
+	// migratePlaced: an operator or a placement pass (evacuation,
+	// consolidation, re-aim) wants the VM on another host; a failure is
+	// retried where that can help (see rescheduleMigrationLocked).
+	migratePlaced migrateReason = iota
+	// migrateRebalance: the Rebalancer's optional move; a failure is counted
+	// and dropped, the next pass measures the spread afresh.
+	migrateRebalance
+)
+
 // liveMigrateLocked starts a live migration with c.mu held.
-func (c *Cloud) liveMigrateLocked(rec *VMRecord, dst *virt.Host) error {
+func (c *Cloud) liveMigrateLocked(rec *VMRecord, dst *virt.Host, why migrateReason) error {
 	if rec.State != Running {
 		return fmt.Errorf("%w: migrate from %v", ErrBadState, rec.State)
 	}
 	err := c.driver.Migrate(rec.VM, dst, func(rep migrate.Report) {
 		r := rep
 		rec.LastMigration = &r
-		wasRebalance := rec.rebalancing
-		rec.rebalancing = false
+		rec.migratingTo = ""
 		if rep.Success {
 			rec.HostName = dst.Name
 			rec.migRetries = 0
@@ -753,7 +743,7 @@ func (c *Cloud) liveMigrateLocked(rec *VMRecord, dst *virt.Host) error {
 			rec.span.SetError(fmt.Errorf("migration failed: %s", rep.Reason))
 			c.setState(rec, Running) // still live on the source
 			c.reg.Counter("migrations_failed").Inc()
-			if wasRebalance {
+			if why == migrateRebalance {
 				c.reg.Counter("rebalance_migrations_failed").Inc()
 			} else {
 				c.rescheduleMigrationLocked(rec, dst)
@@ -764,6 +754,7 @@ func (c *Cloud) liveMigrateLocked(rec *VMRecord, dst *virt.Host) error {
 		return err
 	}
 	src := rec.HostName
+	rec.migReason, rec.migratingTo = why, dst.Name
 	c.setState(rec, Migrating)
 	if rec.span != nil {
 		rec.span.Annotate("src", src)

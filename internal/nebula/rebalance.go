@@ -10,8 +10,11 @@ import (
 
 // Rebalancer periodically measures per-host load spread and live-migrates
 // VMs off hot hosts onto cold ones — the OpenNebula load-balancing study
-// (arXiv:1406.5759) applied to the paper's testbed, reusing the migrate +
-// evacuate plumbing. Chaos-hardened the same way as the elastic controller:
+// (arXiv:1406.5759) applied to the paper's testbed. It is the scheduler asked
+// a third question, not a third scheduler: whether a VM may go to the cold
+// host is destinationLocked's answer over a pool of one, as evacuation and
+// consolidation ask it over theirs. Chaos-hardened the same way as the
+// elastic controller:
 //
 //   - a migration Budget caps moves per pass (migrations are not free);
 //   - a move is only taken if it strictly shrinks the hot/cold gap, so two
@@ -60,7 +63,7 @@ func (r *Rebalancer) Start(interval time.Duration) {
 	if r.ticker != nil {
 		r.ticker.Cancel()
 	}
-	r.ticker = c.sim.Every(interval, r.passLocked)
+	r.ticker = c.sim.Every(interval, func() { r.runPassLocked() })
 }
 
 // Stop halts periodic passes (in-flight migrations complete).
@@ -83,9 +86,6 @@ func (r *Rebalancer) PassNow() int {
 	return r.runPassLocked()
 }
 
-// passLocked is the periodic tick.
-func (r *Rebalancer) passLocked() { r.runPassLocked() }
-
 // hostLoad is one host's reserved-memory fraction.
 type hostLoad struct {
 	h    *virt.Host
@@ -102,7 +102,7 @@ func (r *Rebalancer) runPassLocked() int {
 	}
 	started := 0
 	for started < r.Budget {
-		loads := r.activeLoadsLocked()
+		loads := c.hostLoadsLocked()
 		if len(loads) < 2 {
 			break
 		}
@@ -129,9 +129,9 @@ func (r *Rebalancer) runPassLocked() int {
 	return started
 }
 
-// activeLoadsLocked returns the load fraction of every schedulable host.
-func (r *Rebalancer) activeLoadsLocked() []hostLoad {
-	c := r.cloud
+// hostLoadsLocked returns the load fraction of every schedulable host, in
+// pool order.
+func (c *Cloud) hostLoadsLocked() []hostLoad {
 	loads := make([]hostLoad, 0, len(c.hosts))
 	for _, h := range c.hosts {
 		if h.Failed() || h.Disabled() || h.MemoryBytes <= 0 {
@@ -154,29 +154,14 @@ func (r *Rebalancer) moveOneLocked(hot, cold hostLoad, gap float64) bool {
 		if rec.State != Running || c.draining[rec.ID] != nil {
 			continue
 		}
-		cfg := c.vmConfig(rec)
-		if !cold.h.CanFit(cfg) {
-			continue
-		}
 		m := float64(rec.Template.MemoryBytes)
 		newHot := hot.frac - m/float64(hot.h.MemoryBytes)
 		newCold := cold.frac + m/float64(cold.h.MemoryBytes)
 		if newGap := newCold - newHot; newGap >= gap || -newGap >= gap {
 			continue // the move would not strictly shrink the spread
 		}
-		// Respect anti-affinity the same way the scheduler does.
-		allowed := false
-		for _, cand := range c.candidateHosts(rec, []*virt.Host{cold.h}) {
-			if cand == cold.h {
-				allowed = true
-			}
-		}
-		if !allowed {
-			continue
-		}
-		rec.rebalancing = true
-		if err := c.liveMigrateLocked(rec, cold.h); err != nil {
-			rec.rebalancing = false
+		target := c.destinationLocked(rec, []*virt.Host{cold.h}, c.policy)
+		if target == nil || c.liveMigrateLocked(rec, target, migrateRebalance) != nil {
 			continue
 		}
 		c.reg.Counter("rebalance_migrations").Inc()
@@ -190,22 +175,12 @@ func (r *Rebalancer) moveOneLocked(hot, cold hostLoad, gap float64) bool {
 func (c *Cloud) HostLoadSpread() (min, max, spread float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first := true
-	for _, h := range c.hosts {
-		if h.Failed() || h.Disabled() || h.MemoryBytes <= 0 {
-			continue
+	for i, l := range c.hostLoadsLocked() {
+		if i == 0 || l.frac < min {
+			min = l.frac
 		}
-		_, usedMem, _ := h.Usage()
-		f := float64(usedMem) / float64(h.MemoryBytes)
-		if first {
-			min, max, first = f, f, false
-			continue
-		}
-		if f < min {
-			min = f
-		}
-		if f > max {
-			max = f
+		if i == 0 || l.frac > max {
+			max = l.frac
 		}
 	}
 	return min, max, max - min

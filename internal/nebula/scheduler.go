@@ -101,9 +101,11 @@ func (p FixedPolicy) Rank(candidates []*virt.Host, req virt.VMConfig) []*virt.Ho
 	return nil
 }
 
-// place filters hosts that can fit req and applies the policy. It returns
-// nil when no host fits.
-func place(policy Policy, hosts []*virt.Host, req virt.VMConfig) *virt.Host {
+// place filters hosts that can fit req (CanFit also rejects failed and
+// disabled hosts) and applies the policy. A non-nil ownerVMs — the request's
+// tenant footprint, per-host VM counts — joins the ranking inputs of an
+// owner-aware policy. It returns nil when no host fits.
+func place(policy Policy, hosts []*virt.Host, req virt.VMConfig, ownerVMs map[string]int) *virt.Host {
 	var candidates []*virt.Host
 	for _, h := range hosts {
 		if h.CanFit(req) {
@@ -113,28 +115,47 @@ func place(policy Policy, hosts []*virt.Host, req virt.VMConfig) *virt.Host {
 	if len(candidates) == 0 {
 		return nil
 	}
-	ranked := policy.Rank(candidates, req)
+	var ranked []*virt.Host
+	if oa, ok := policy.(ownerAware); ok && ownerVMs != nil {
+		ranked = oa.RankForOwner(candidates, req, ownerVMs)
+	} else {
+		ranked = policy.Rank(candidates, req)
+	}
 	if len(ranked) == 0 {
 		return nil
 	}
 	return ranked[0]
 }
 
-// placeOwned is place for owner-aware policies: the request's tenant
-// footprint (per-host VM counts) joins the ranking inputs.
-func placeOwned(policy ownerAware, hosts []*virt.Host, req virt.VMConfig, ownerVMs map[string]int) *virt.Host {
-	var candidates []*virt.Host
-	for _, h := range hosts {
-		if h.CanFit(req) {
-			candidates = append(candidates, h)
+// destinationLocked is the orchestrator's one placement decision: the hosts
+// of pool the record may occupy, and the best of them under policy (nil when
+// there is none). A record may not go where it already is, nor — if it is an
+// anti-affine member of a group — where another anti-affine member of that
+// group is or is migrating to, while ordinary members (a front-end VM, say)
+// may share; the host must fit it; and an owned record is ranked by its
+// tenant's footprint when the policy looks at one. First placement,
+// evacuation, migration re-aim, consolidation and rebalancing differ only in
+// the pool and the policy they ask with, so none of them repeats a rule.
+func (c *Cloud) destinationLocked(rec *VMRecord, pool []*virt.Host, policy Policy) *virt.Host {
+	taken := map[string]bool{rec.HostName: true}
+	if rec.Template.AntiAffinity {
+		for _, id := range c.groups[rec.Template.Group] {
+			other := c.vms[id]
+			if other != nil && other.ID != rec.ID && other.Template.AntiAffinity && other.State.occupiesHost() {
+				taken[other.HostName] = true
+				taken[other.migratingTo] = true
+			}
 		}
 	}
-	if len(candidates) == 0 {
-		return nil
+	var allowed []*virt.Host
+	for _, h := range pool {
+		if !taken[h.Name] {
+			allowed = append(allowed, h)
+		}
 	}
-	ranked := policy.RankForOwner(candidates, req, ownerVMs)
-	if len(ranked) == 0 {
-		return nil
+	var ownerVMs map[string]int
+	if rec.Template.Owner != "" {
+		ownerVMs = c.ownerCountsLocked(rec.Template.Owner)
 	}
-	return ranked[0]
+	return place(policy, allowed, c.vmConfig(rec), ownerVMs)
 }

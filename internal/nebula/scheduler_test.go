@@ -37,7 +37,7 @@ func req(mem int64) virt.VMConfig {
 
 func TestPackingPrefersFullestHost(t *testing.T) {
 	hosts := poolOfHosts(t, 8*gb, 2*gb, 16*gb)
-	got := place(PackingPolicy{}, hosts, req(1*gb))
+	got := place(PackingPolicy{}, hosts, req(1*gb), nil)
 	if got == nil || got.Name != "b" {
 		t.Fatalf("packing chose %v, want b (2GB free)", got)
 	}
@@ -45,7 +45,7 @@ func TestPackingPrefersFullestHost(t *testing.T) {
 
 func TestStripingPrefersEmptiestHost(t *testing.T) {
 	hosts := poolOfHosts(t, 8*gb, 2*gb, 16*gb)
-	got := place(StripingPolicy{}, hosts, req(1*gb))
+	got := place(StripingPolicy{}, hosts, req(1*gb), nil)
 	if got == nil || got.Name != "c" {
 		t.Fatalf("striping chose %v, want c (16GB free)", got)
 	}
@@ -54,12 +54,12 @@ func TestStripingPrefersEmptiestHost(t *testing.T) {
 func TestPlacementFiltersInfeasible(t *testing.T) {
 	hosts := poolOfHosts(t, 8*gb, 2*gb, 16*gb)
 	// 12GB only fits on c even though packing prefers fuller hosts.
-	got := place(PackingPolicy{}, hosts, req(12*gb))
+	got := place(PackingPolicy{}, hosts, req(12*gb), nil)
 	if got == nil || got.Name != "c" {
 		t.Fatalf("chose %v, want c", got)
 	}
 	// Nothing fits 64GB.
-	if got := place(PackingPolicy{}, hosts, req(64*gb)); got != nil {
+	if got := place(PackingPolicy{}, hosts, req(64*gb), nil); got != nil {
 		t.Fatalf("placed impossible request on %v", got.Name)
 	}
 }
@@ -67,7 +67,7 @@ func TestPlacementFiltersInfeasible(t *testing.T) {
 func TestPlacementSkipsFailedHosts(t *testing.T) {
 	hosts := poolOfHosts(t, 8*gb, 16*gb)
 	hosts[1].Fail()
-	got := place(StripingPolicy{}, hosts, req(1*gb))
+	got := place(StripingPolicy{}, hosts, req(1*gb), nil)
 	if got == nil || got.Name != "a" {
 		t.Fatalf("chose %v, want a (b failed)", got)
 	}
@@ -82,7 +82,7 @@ func TestLoadAwareUsesCPUDemand(t *testing.T) {
 	}
 	vm.Workload = virt.UniformWriter{Rate: mb, Util: 1.0}
 	vm.Start()
-	got := place(LoadAwarePolicy{}, hosts, req(1*gb))
+	got := place(LoadAwarePolicy{}, hosts, req(1*gb), nil)
 	if got == nil || got.Name != "b" {
 		t.Fatalf("load-aware chose %v, want idle host b", got)
 	}
@@ -90,15 +90,15 @@ func TestLoadAwareUsesCPUDemand(t *testing.T) {
 
 func TestFixedPolicyPins(t *testing.T) {
 	hosts := poolOfHosts(t, 8*gb, 16*gb)
-	got := place(FixedPolicy{Host: "a"}, hosts, req(1*gb))
+	got := place(FixedPolicy{Host: "a"}, hosts, req(1*gb), nil)
 	if got == nil || got.Name != "a" {
 		t.Fatalf("fixed chose %v", got)
 	}
-	if got := place(FixedPolicy{Host: "zz"}, hosts, req(1*gb)); got != nil {
+	if got := place(FixedPolicy{Host: "zz"}, hosts, req(1*gb), nil); got != nil {
 		t.Fatalf("fixed to absent host placed on %v", got.Name)
 	}
 	// Pinned host too small -> no placement even though others fit.
-	if got := place(FixedPolicy{Host: "a"}, hosts, req(12*gb)); got != nil {
+	if got := place(FixedPolicy{Host: "a"}, hosts, req(12*gb), nil); got != nil {
 		t.Fatalf("fixed overrode capacity: %v", got.Name)
 	}
 }

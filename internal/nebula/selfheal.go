@@ -128,16 +128,13 @@ func (c *Cloud) recoveryActiveLocked(hold time.Duration) bool {
 	if c.sawFailure && c.sim.Now()-c.lastFailureAt < hold {
 		return true
 	}
-	if len(c.stuckEvac) > 0 {
-		return true
-	}
 	for host, n := range c.monitor.missed {
 		if n > 0 && !c.monitor.handled[host] {
 			return true // detection mid-count: a host has gone quiet
 		}
 	}
 	for _, rec := range c.vms {
-		if rec.recovering {
+		if rec.recovering || c.needsEvacuationLocked(rec) {
 			return true
 		}
 	}
@@ -185,11 +182,15 @@ func (c *Cloud) requeueWithBackoffLocked(rec *VMRecord, reason string) {
 	})
 }
 
-// rescheduleMigrationLocked runs in a migration's failure callback: if the
-// destination died mid-copy, the guest (still live on the source) is
-// re-aimed at a fresh destination, up to MigrationRetries consecutive
-// attempts.
-func (c *Cloud) rescheduleMigrationLocked(rec *VMRecord, deadDst *virt.Host) {
+// rescheduleMigrationLocked runs in a placed migration's failure callback, the
+// guest still live on the source. Two failures are worth another attempt at
+// once: the destination died mid-copy, so a fresh one may do, and the source
+// is in maintenance, so the guest has to leave whatever the copy ran into.
+// Either way at most MigrationRetries consecutive attempts are made; after
+// that a guest on a maintenance host waits, still counted by
+// StuckEvacuations, for the scheduling pass the next capacity change kicks —
+// a failure kicks none, so a copy that can never succeed cannot spin.
+func (c *Cloud) rescheduleMigrationLocked(rec *VMRecord, dst *virt.Host) {
 	if rec.State != Running || rec.VM == nil {
 		return
 	}
@@ -197,62 +198,23 @@ func (c *Cloud) rescheduleMigrationLocked(rec *VMRecord, deadDst *virt.Host) {
 	if src == nil || src.Failed() {
 		return // the source died too; host-failure recovery owns this VM
 	}
-	if !deadDst.Failed() || rec.migRetries >= c.opts.Recovery.MigrationRetries {
+	retried := "evacuations_retried"
+	if dst.Failed() {
+		retried = "migrations_rescheduled"
+	} else if !src.Disabled() {
+		rec.migRetries = 0
+		return // a live destination refused a move nothing requires
+	}
+	if rec.migRetries >= c.opts.Recovery.MigrationRetries {
 		rec.migRetries = 0
 		return
 	}
 	rec.migRetries++
-	// place() skips failed and disabled hosts, so the dead destination is
-	// excluded automatically.
-	target := place(c.policy, c.candidateHosts(rec, c.otherHosts(src)), c.vmConfig(rec))
+	target := c.destinationLocked(rec, c.hosts, c.policy)
 	if target == nil {
 		return
 	}
-	if err := c.liveMigrateLocked(rec, target); err == nil {
-		c.reg.Counter("migrations_rescheduled").Inc()
+	if err := c.liveMigrateLocked(rec, target, migratePlaced); err == nil {
+		c.reg.Counter(retried).Inc()
 	}
-}
-
-// retryStuckEvacuationsLocked runs at the end of every scheduling pass: VMs
-// an evacuation could not move (no capacity at the time) are retried now
-// that capacity may have freed. A record leaves the stuck set when its
-// migration starts, its host leaves maintenance, or it stops Running.
-func (c *Cloud) retryStuckEvacuationsLocked() {
-	if len(c.stuckEvac) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(c.stuckEvac))
-	for id := range c.stuckEvac {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		rec := c.vms[id]
-		host := c.stuckEvac[id]
-		if rec == nil || rec.State != Running || rec.HostName != host {
-			delete(c.stuckEvac, id)
-			continue
-		}
-		h := c.hostByName[host]
-		if h == nil || !h.Disabled() {
-			delete(c.stuckEvac, id) // maintenance over; nothing to finish
-			continue
-		}
-		target := place(c.policy, c.candidateHosts(rec, c.otherHosts(h)), c.vmConfig(rec))
-		if target == nil {
-			continue // still no room; stay in the set
-		}
-		if err := c.liveMigrateLocked(rec, target); err == nil {
-			delete(c.stuckEvac, id)
-			c.reg.Counter("evacuations_retried").Inc()
-		}
-	}
-}
-
-// StuckEvacuations returns how many VMs are waiting for capacity to finish
-// an evacuation.
-func (c *Cloud) StuckEvacuations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stuckEvac)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestCloudSoak drives the orchestrator with randomized operation sequences
-// (submit, shutdown, migrate, suspend/resume, host fail, evacuate,
+// (submit — a share of it into one anti-affine group — shutdown, migrate,
+// suspend/resume, evacuate with the host sometimes left in maintenance,
 // consolidate) and checks global invariants after every settle:
 //
 //	I1: committed host resources equal the sum of resident VM configs —
@@ -17,7 +18,12 @@ import (
 //	I2: no host exceeds its physical capacity;
 //	I3: every Running record's guest is Running on the host the record
 //	    names;
-//	I4: a record in Done/Failed holds no guest and no capacity.
+//	I4: a record in Done/Failed holds no guest and no capacity;
+//	I5: no two anti-affine members of a group share a host, whichever of
+//	    placement, evacuation and consolidation moved them last;
+//	I6: every Running record on a Disabled host is counted by
+//	    StuckEvacuations, and none remains that some host in service could
+//	    take — the maintenance deficit is worked off, not forgotten.
 func TestCloudSoak(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -38,6 +44,9 @@ func soakOnce(t *testing.T, seed int64) {
 			tpl.VCPUs = 1 + rng.Intn(2)
 			tpl.MemoryBytes = int64(1+rng.Intn(3)) * gb
 			tpl.Requeue = rng.Intn(2) == 0
+			if rng.Intn(4) == 0 {
+				tpl.Group, tpl.AntiAffinity = "dn", true
+			}
 			if id, err := c.Submit(tpl); err == nil {
 				ids = append(ids, id)
 			}
@@ -48,7 +57,12 @@ func soakOnce(t *testing.T, seed int64) {
 		case 4: // migrate a random VM to a random host
 			if len(ids) > 0 {
 				hosts := c.Hosts()
-				c.LiveMigrate(ids[rng.Intn(len(ids))], hosts[rng.Intn(len(hosts))].Name)
+				id, dst := ids[rng.Intn(len(ids))], hosts[rng.Intn(len(hosts))].Name
+				// An operator names the host and is not second-guessed,
+				// so I5 only holds if this one respects the group.
+				if rec, _ := c.VM(id); !rec.Template.AntiAffinity {
+					c.LiveMigrate(id, dst)
+				}
 			}
 		case 5: // suspend/resume
 			if len(ids) > 0 {
@@ -68,8 +82,10 @@ func soakOnce(t *testing.T, seed int64) {
 				c.Enable(h.Name)
 			} else if rng.Intn(3) == 0 {
 				c.Evacuate(h.Name)
-				c.WaitIdle()
-				c.Enable(h.Name)
+				if rng.Intn(2) == 0 { // else a later draw re-enables it
+					c.WaitIdle()
+					c.Enable(h.Name)
+				}
 			}
 		case 7: // consolidation pass
 			if rng.Intn(2) == 0 {
@@ -94,8 +110,32 @@ func checkInvariants(t *testing.T, c *Cloud, step int) {
 		disk  int64
 	}
 	want := map[string]usage{}
+	stranded := 0
+	members := map[string]string{} // group/host → anti-affine member seen there
 	c.mu.Lock()
 	for _, rec := range c.vms {
+		if rec.Template.AntiAffinity && rec.State.occupiesHost() {
+			key := rec.Template.Group + "/" + rec.HostName
+			if other, dup := members[key]; dup {
+				c.mu.Unlock()
+				t.Fatalf("step %d: anti-affine %s and %s share %s", step, other, rec.Name(), rec.HostName)
+			}
+			members[key] = rec.Name()
+		}
+	}
+	for _, rec := range c.vms {
+		if rec.State == Running && c.hostByName[rec.HostName].Disabled() {
+			stranded++
+			for _, h := range c.hosts {
+				if rec.Template.AntiAffinity && members[rec.Template.Group+"/"+h.Name] != "" {
+					continue
+				}
+				if h.CanFit(c.vmConfig(rec)) { // never its own host: that one is disabled
+					c.mu.Unlock()
+					t.Fatalf("step %d: %s left on disabled %s though %s can take it", step, rec.Name(), rec.HostName, h.Name)
+				}
+			}
+		}
 		switch rec.State {
 		case Prolog, Boot, Running, Suspended, Migrating, Shutdown:
 			if rec.VM == nil {
@@ -125,6 +165,9 @@ func checkInvariants(t *testing.T, c *Cloud, step int) {
 	}
 	hosts := append([]*virt.Host(nil), c.hosts...)
 	c.mu.Unlock()
+	if got := c.StuckEvacuations(); got != stranded {
+		t.Fatalf("step %d: StuckEvacuations = %d, %d Running records are on disabled hosts", step, got, stranded)
+	}
 
 	for _, h := range hosts {
 		vcpus, mem, disk := h.Usage()

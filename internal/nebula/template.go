@@ -83,6 +83,17 @@ const (
 	Draining
 )
 
+// occupiesHost reports whether a record in this state is resident on the
+// host it names — what anti-affinity and a tenant's footprint count. Pending
+// has no host yet; Shutdown, Done and Failed are leaving or gone.
+func (s VMState) occupiesHost() bool {
+	switch s {
+	case Prolog, Boot, Running, Migrating, Suspended, Draining:
+		return true
+	}
+	return false
+}
+
 // String implements fmt.Stringer.
 func (s VMState) String() string {
 	switch s {

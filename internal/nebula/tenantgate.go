@@ -71,11 +71,7 @@ type ownerAware interface {
 func (c *Cloud) ownerCountsLocked(owner string) map[string]int {
 	counts := make(map[string]int)
 	for _, rec := range c.vms {
-		if rec.Template.Owner != owner || rec.HostName == "" {
-			continue
-		}
-		switch rec.State {
-		case Prolog, Boot, Running, Migrating, Suspended, Draining:
+		if rec.Template.Owner == owner && rec.State.occupiesHost() {
 			counts[rec.HostName]++
 		}
 	}
