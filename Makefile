@@ -49,11 +49,14 @@ fuzzshort:
 # up here rather than once a week. So do the orchestrator's placement tests:
 # evacuation, consolidation, re-aim and rebalancing all go through one
 # destination function and one evacuation pass, and the randomized soak checks
-# their invariants; on virtual time five rounds cost a second or two.
+# their invariants; on virtual time five rounds cost a second or two. And the
+# web tier's title lifecycle: whether a delete meets a row before or after its
+# publisher does depends on worker/deleter interleaving.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
+	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete' ./internal/web/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),
 # so the root ./... patterns never compile it: vet and short-test it here so

@@ -49,9 +49,6 @@ type Config struct {
 	// CapacityBytes bounds resident cached bytes (keys and bookkeeping are
 	// not counted; entries dominate).
 	CapacityBytes int64
-	// SketchCounters sizes the frequency sketch (default CapacityBytes/4096,
-	// minimum 1024 — roughly one counter per cacheable object).
-	SketchCounters int
 	// Now is a clock hook for TTL tests; defaults to time.Now.
 	Now func() time.Time
 }
@@ -77,9 +74,10 @@ type entry struct {
 
 // flight is one in-progress origin fill that later arrivals join.
 type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done  chan struct{}
+	data  []byte
+	err   error
+	stale bool // invalidated while in flight: serve the waiters, cache nothing
 }
 
 // Cache is a size-bounded, popularity-admission, single-flight cache.
@@ -99,14 +97,11 @@ type Cache struct {
 // New builds a cache; a non-positive capacity yields a cache that admits
 // nothing (every request fills from origin), which keeps callers branchless.
 func New(cfg Config) *Cache {
-	counters := cfg.SketchCounters
-	if counters <= 0 {
-		counters = int(cfg.CapacityBytes / 4096)
-	}
 	c := &Cache{
 		cap:     cfg.CapacityBytes,
 		entries: make(map[string]*entry),
-		sketch:  newSketch(counters),
+		// Roughly one counter per cacheable object (newSketch keeps a floor).
+		sketch:  newSketch(int(cfg.CapacityBytes / 4096)),
 		flights: make(map[string]*flight),
 		now:     cfg.Now,
 	}
@@ -180,19 +175,25 @@ func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() ([]byte, er
 	delete(c.flights, key)
 	if f.err == nil {
 		c.stats.Fills++
-		c.admitLocked(key, h, f.data, ttl)
+		if !f.stale {
+			c.admitLocked(key, h, f.data, ttl)
+		}
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.data, SourceFill, f.err
 }
 
-// Invalidate drops key if resident (used when a cached object is replaced
-// out of band; the normal live path relies on TTL instead).
+// Invalidate drops key if resident, and keeps a fill of it that is in flight
+// from caching what it read before the invalidation (used when the cached
+// object is deleted at origin; the live path relies on TTL instead).
 func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.removeLocked(e)
+	}
+	if f, ok := c.flights[key]; ok {
+		f.stale = true
 	}
 	c.mu.Unlock()
 }

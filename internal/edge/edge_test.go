@@ -188,6 +188,18 @@ func TestInvalidate(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("entry survived Invalidate")
 	}
+	// A fill in flight across the invalidation read the object before it went
+	// away: its caller is served, the cache keeps nothing.
+	data, src, err := c.GetOrFill("a", 0, func() ([]byte, error) {
+		c.Invalidate("a")
+		return make([]byte, 10), nil
+	})
+	if err != nil || src != SourceFill || len(data) != 10 {
+		t.Fatalf("fill across Invalidate: src=%v err=%v", src, err)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a fill that raced Invalidate was cached")
+	}
 }
 
 func TestSketchAging(t *testing.T) {

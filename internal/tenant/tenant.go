@@ -198,14 +198,6 @@ func (t *Tenant) Quota() Quota {
 	return t.quota
 }
 
-// SetQuota replaces the tenant's quota. Existing reservations are kept even
-// if they now exceed the new limits; only new admissions are denied.
-func (t *Tenant) SetQuota(q Quota) {
-	t.mu.Lock()
-	t.quota = q
-	t.mu.Unlock()
-}
-
 // ReserveVM admits one VM instance or fails with a QuotaError. Admission is
 // atomic: the slot is held from the moment this returns nil until
 // ReleaseVM, so racing boots cannot overshoot MaxVMs.

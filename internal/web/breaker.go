@@ -14,9 +14,11 @@ const (
 	breakerOpen     = 2
 )
 
+// The breaker trips after breakerThreshold consecutive storage failures on
+// the streaming path and stays open for breakerCooldown before it probes.
 const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 5 * time.Second
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
 )
 
 // breaker is a three-state circuit breaker guarding the HDFS data path of
@@ -27,9 +29,7 @@ const (
 // the site degrades instead of collapsing. After a cooldown one trial
 // request probes the store; success re-closes the breaker.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injectable for tests
+	now func() time.Time // injectable for tests
 
 	opened   *metrics.Counter // closed/half-open -> open transitions
 	reclosed *metrics.Counter // half-open -> closed recoveries
@@ -43,21 +43,13 @@ type breaker struct {
 	probing  bool // a half-open trial is in flight
 }
 
-func newBreaker(reg *metrics.Registry, threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
+func newBreaker(reg *metrics.Registry) *breaker {
 	return &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		now:       time.Now,
-		opened:    reg.Counter("breaker_opened"),
-		reclosed:  reg.Counter("breaker_reclosed"),
-		rejected:  reg.Counter("breaker_rejected"),
-		state:     reg.Gauge("breaker_state"),
+		now:      time.Now,
+		opened:   reg.Counter("breaker_opened"),
+		reclosed: reg.Counter("breaker_reclosed"),
+		rejected: reg.Counter("breaker_rejected"),
+		state:    reg.Gauge("breaker_state"),
 	}
 }
 
@@ -70,7 +62,7 @@ func (b *breaker) Allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.now().Sub(b.openedAt) < breakerCooldown {
 			b.rejected.Inc()
 			return false
 		}
@@ -108,7 +100,7 @@ func (b *breaker) Failure() {
 	switch b.st {
 	case breakerClosed:
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.trip()
 		}
 	case breakerHalfOpen:
@@ -139,7 +131,7 @@ func (b *breaker) RetryAfterSeconds() int {
 	if b.st != breakerOpen {
 		return 1
 	}
-	left := b.cooldown - b.now().Sub(b.openedAt)
+	left := breakerCooldown - b.now().Sub(b.openedAt)
 	secs := int((left + time.Second - 1) / time.Second)
 	return max(secs, 1)
 }

@@ -28,8 +28,8 @@ func TestBreakerTripsOnStorageOutage(t *testing.T) {
 	}
 
 	// Every attempt fails with 503 and a Retry-After hint; after
-	// BreakerThreshold of them the breaker is open.
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	// breakerThreshold of them the breaker is open.
+	for i := 0; i < breakerThreshold; i++ {
 		resp, _ := b.get(streamPath)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("attempt %d: status = %d, want 503", i, resp.StatusCode)
@@ -39,7 +39,7 @@ func TestBreakerTripsOnStorageOutage(t *testing.T) {
 		}
 	}
 	if st := site.BreakerStats(); st.State != "open" || st.Opened != 1 {
-		t.Fatalf("breaker = %+v, want open after %d failures", st, defaultBreakerThreshold)
+		t.Fatalf("breaker = %+v, want open after %d failures", st, breakerThreshold)
 	}
 
 	// Open breaker: requests are rejected without reaching the store.
@@ -77,7 +77,7 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
 		cluster.DataNode(n).SetDown(true)
 	}
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		b.get(streamPath)
 	}
 	if st := site.BreakerStats(); st.State != "open" {
@@ -94,7 +94,7 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
 		cluster.DataNode(n).SetDown(false)
 	}
-	now = now.Add(defaultBreakerCooldown + time.Second)
+	now = now.Add(breakerCooldown + time.Second)
 	resp, _ := b.get(streamPath)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("probe status = %d, want success", resp.StatusCode)
@@ -122,12 +122,12 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
 		cluster.DataNode(n).SetDown(true)
 	}
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		b.get(streamPath)
 	}
 	// Cooldown passes but the store is still down: the probe fails and the
 	// breaker re-opens.
-	now = now.Add(defaultBreakerCooldown + time.Second)
+	now = now.Add(breakerCooldown + time.Second)
 	b.get(streamPath)
 	st := site.BreakerStats()
 	if st.State != "open" || st.Opened != 2 {
@@ -149,7 +149,7 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 	if err := site.store.Remove(segmentPath(id, "720p", 0)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2*defaultBreakerThreshold; i++ {
+	for i := 0; i < 2*breakerThreshold; i++ {
 		resp, _ := b.get(fmt.Sprintf("/stream/%d", id))
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("missing-file status = %d, want 500", resp.StatusCode)
@@ -211,7 +211,7 @@ func TestStreamChecksTheRequestedBlock(t *testing.T) {
 		fmt.Sprintf("bytes=%d-%d", seg5-100, seg5+99),  // straddling: only its second object is dead
 	}
 	errsBefore := site.Metrics().Counter("stream_storage_errors").Value()
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		resp := rangeGet(windows[i%len(windows)])
 		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 			t.Fatalf("attempt %d: status %d, Retry-After %q; want 503 with a hint",
@@ -221,8 +221,8 @@ func TestStreamChecksTheRequestedBlock(t *testing.T) {
 			t.Fatalf("503 carries media headers: %v", resp.Header)
 		}
 	}
-	if got := site.Metrics().Counter("stream_storage_errors").Value() - errsBefore; got != defaultBreakerThreshold {
-		t.Fatalf("stream_storage_errors rose by %d, want %d", got, defaultBreakerThreshold)
+	if got := site.Metrics().Counter("stream_storage_errors").Value() - errsBefore; got != breakerThreshold {
+		t.Fatalf("stream_storage_errors rose by %d, want %d", got, breakerThreshold)
 	}
 	if st := site.BreakerStats(); st.State != "open" || st.Opened != 1 {
 		t.Fatalf("breaker = %+v, want open: each failed window is a breaker failure", st)

@@ -151,12 +151,9 @@ func (s *Site) userName(id int64, fallback string) string {
 // invalidateUser drops one username entry from every replica's cache (admin
 // block path — moderation must be visible fleet-wide immediately).
 func (s *Site) invalidateUser(id int64) {
-	s.state.cmu.Lock()
-	caches := s.state.caches
-	s.state.cmu.Unlock()
-	for _, c := range caches {
-		c.mu.Lock()
-		delete(c.usernames, id)
-		c.mu.Unlock()
+	for _, r := range s.state.frontends() {
+		r.cache.mu.Lock()
+		delete(r.cache.usernames, id)
+		r.cache.mu.Unlock()
 	}
 }

@@ -29,10 +29,10 @@ import (
 // cache, so under fan-out the hot titles cost origin (HDFS for segments, the
 // database for playlists) roughly one read per object per frontend instead
 // of one per viewer. Playlists are cached with the live-edge TTL (they
-// change: live channels grow, titles disappear); segments are write-once and
-// cached without one. Warm segment hits and stream windows go out on the same
-// zero-copy vectored-write path: cache memory → net.Buffers → socket, no
-// per-request copy.
+// change: live channels grow); segments are write-once and cached without
+// one; unpublish purges both from every replica (publish.go). Warm segment
+// hits and stream windows go out on the same zero-copy vectored-write path:
+// cache memory → net.Buffers → socket, no per-request copy.
 
 // Cached segments and assembled renditions must satisfy the zero-copy serving
 // contract.
@@ -288,7 +288,7 @@ func (s *Site) readSegmentOrigin(r *http.Request) ([]byte, error) {
 		return nil, errNotSegmented
 	}
 	k, err := strconv.Atoi(r.PathValue("k"))
-	if err != nil || k < 0 || int64(k) >= d.segments {
+	if err != nil || k < 0 || int64(k) >= d.segments || !canonicalNumber(r.PathValue("k")) {
 		return nil, fmt.Errorf("web: segment %q out of range: %w", r.PathValue("k"), errNotSegmented)
 	}
 	if !s.hdfsBreaker.Allow() {

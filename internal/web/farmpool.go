@@ -228,12 +228,6 @@ func (s *Site) ExpelFarmNode(name string) int {
 // poll's signal.
 func (s *Site) FarmNodeInFlight(name string) int { return s.pool.nodeInFlight(name) }
 
-// FarmNodes reports the pool's node rows for dashboards.
-func (s *Site) FarmNodes() []FarmNodeStat {
-	rows, _ := s.pool.snapshot()
-	return rows
-}
-
 // TranscodeLoad is the elasticity signal: jobs waiting in the intake queue
 // plus conversions executing right now (uploads and live pushes alike).
 func (s *Site) TranscodeLoad() int {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"videocloud/internal/search"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
@@ -324,7 +323,7 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 //
 // ctx carries the request's trace span; the queue, farm, and store spans all
 // become children of it.
-func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, description string, data []byte) (int64, error) {
+func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, description string, data []byte) (id int64, err error) {
 	psp := trace.FromContext(ctx).StartChild("video.probe")
 	info, err := video.Probe(data)
 	if err != nil {
@@ -343,8 +342,13 @@ func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, descr
 	if err != nil {
 		return 0, err
 	}
+	defer func() {
+		if err != nil {
+			adm.release() // nothing was queued: the upload consumed nothing
+		}
+	}()
 	isp := trace.FromContext(ctx).StartChild("db.insert")
-	id, err := s.db.Insert("videos", videodb.Row{
+	id, err = s.db.Insert("videos", videodb.Row{
 		"title": title, "description": description,
 		"uploader_id":      uploaderID,
 		"duration_seconds": int64(info.DurationSeconds),
@@ -354,32 +358,31 @@ func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, descr
 	if err != nil {
 		isp.SetError(err)
 		isp.End()
-		adm.release()
 		return 0, err
 	}
 	isp.End()
 	trace.FromContext(ctx).AnnotateInt("video_id", id)
-	s.noteVideoTenant(id, adm.ten.Name())
-	if qerr := s.enqueueTranscode(ctx, transcodeJob{
-		videoID: id, title: title, description: description,
-		data: data, enqueued: time.Now(), adm: adm,
-	}); qerr != nil {
+	if err = s.enqueueTranscode(ctx, transcodeJob{videoID: id, data: data, enqueued: time.Now(), adm: adm}); err != nil {
 		// Throttled or shut down: no one will ever convert the row, so
-		// remove it and return the reservations.
+		// remove it.
 		s.db.Delete("videos", id)
-		s.noteVideoTenant(id, "")
-		adm.release()
-		return 0, qerr
+		return 0, err
 	}
 	return id, nil
 }
 
 // ---- watch & stream (Figure 23) ----
 
+// canonicalNumber reports whether s, which strconv has parsed, is also what
+// strconv prints for that number. Edge-cache keys are built from the URL's
+// text (delivery.go), so a title's numbers must have one spelling for
+// unpublish to purge every cached copy of it.
+func canonicalNumber(s string) bool { return s == "0" || s[0] >= '1' && s[0] <= '9' }
+
 func (s *Site) videoByRequest(r *http.Request) (videodb.Row, error) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("web: bad video id: %v", err)
+	if err != nil || !canonicalNumber(r.PathValue("id")) {
+		return nil, fmt.Errorf("web: bad video id %q", r.PathValue("id"))
 	}
 	sp := trace.FromContext(r.Context()).StartChild("db.get")
 	row, err := s.db.Get("videos", id)
@@ -494,42 +497,16 @@ func (s *Site) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeAuthzError(w, err)
 		return
 	}
-	// A processing row names neither its objects nor its stored bytes yet:
-	// deleting it now would race the worker's publish and leak both. The
-	// publish (or the failure clean-up) settles the row first.
-	if status, _ := row["status"].(string); status == statusProcessing {
+	if err := s.unpublish(row); errors.Is(err, errBeingWritten) {
+		// The publish (or its failure clean-up, or the channel's end) settles
+		// what the row names first.
 		w.Header().Set("Retry-After", "2")
-		http.Error(w, "video is still processing", http.StatusConflict)
-		return
+		http.Error(w, err.Error(), http.StatusConflict)
+	} else if err != nil { // lost a race with another delete
+		http.NotFound(w, r)
+	} else {
+		http.Redirect(w, r, "/", http.StatusSeeOther)
 	}
-	id := rowInt(row, "id")
-	// Remove every stored object — each rendition's segments — so the
-	// tenant's byte reservation can be returned in full.
-	segs, _ := row["segments"].(int64)
-	for _, label := range strings.Split(rowString(row, "renditions"), ",") {
-		for k := int64(0); label != "" && k < segs; k++ {
-			s.store.Remove(segmentPath(id, label, int(k)))
-		}
-	}
-	// Return the stored-byte reservation to the owning tenant and meter
-	// the deletion; pre-tenant rows carry neither column and release zero.
-	if stored, _ := row["stored_bytes"].(int64); stored > 0 {
-		owner, _ := row["tenant"].(string)
-		if ten := s.tenants.Get(owner); ten != nil {
-			ten.ReleaseBytes(stored)
-		}
-		s.tenants.Meter(owner, tenant.KindBytesDeleted, float64(stored))
-	}
-	s.db.Delete("videos", id)
-	s.noteVideoTenant(id, "")
-	s.Index().Remove(id)
-	comments, _ := s.db.Select("comments", "video_id", id)
-	for _, c := range comments {
-		s.db.Delete("comments", rowInt(c, "id"))
-	}
-	s.invalidateRecent()
-	s.reg.Counter("videos_deleted").Inc()
-	http.Redirect(w, r, "/", http.StatusSeeOther)
 }
 
 func (s *Site) handleEdit(w http.ResponseWriter, r *http.Request) {
@@ -544,9 +521,8 @@ func (s *Site) handleEdit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "title required", http.StatusBadRequest)
 		return
 	}
-	desc := r.FormValue("description")
-	s.db.Update("videos", id, videodb.Row{"title": title, "description": desc})
-	s.Index().Add(search.Document{ID: id, Title: title, Body: desc})
+	s.db.Update("videos", id, videodb.Row{"title": title, "description": r.FormValue("description")})
+	s.reindex(id)
 	s.invalidateRecent()
 	http.Redirect(w, r, fmt.Sprintf("/watch/%d", id), http.StatusSeeOther)
 }

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"videocloud/internal/search"
-	"videocloud/internal/trace"
+	"videocloud/internal/tenant"
 	"videocloud/internal/video"
 	"videocloud/internal/videodb"
 )
@@ -14,31 +13,38 @@ import (
 // Live ingest: a channel is a catalog row in status "live" whose segment
 // index grows as the publisher pushes source chunks. Each push is converted
 // to every rendition by the farm (the same one-pass conversion uploads get),
-// renumbered onto the channel's global GOP timeline, and stored as the next
-// segment object — exactly the layout VOD segmentation produces, so the
-// playlist/segment handlers and the edge cache serve live and VOD
-// identically. Viewers at the live edge re-poll the media playlist (no end
-// marker while live); the edge cache's TTL bounds how stale their view is.
-// Ending the channel flips it to "ended": the playlist gains its end marker
-// and the accumulated segments remain watchable as VOD.
+// renumbered onto the channel's global GOP timeline, and published like an
+// upload's objects (publish.go: admitted against the channel's tenant,
+// metered, unwound on failure) as the next segment — exactly the layout VOD
+// segmentation produces, so the playlist/segment handlers and the edge cache
+// serve live and VOD identically. Viewers at the live edge re-poll the media
+// playlist (no end marker while live); the edge cache's TTL bounds how stale
+// their view is. Ending the channel flips it to "ended": the playlist gains
+// its end marker and the accumulated segments remain watchable as VOD.
 
-// CreateLiveChannel registers a live channel owned by uploaderID and
-// returns its video id. The channel starts with an empty segment index.
+// CreateLiveChannel registers a live channel owned by uploaderID, in the
+// context's tenant (default when it carries none), and returns its video id.
+// The channel starts with an empty segment index.
 func (s *Site) CreateLiveChannel(ctx context.Context, uploaderID int64, title, description string) (int64, error) {
 	if strings.TrimSpace(title) == "" {
 		return 0, fmt.Errorf("web: live channel needs a title")
+	}
+	ten, _, ok := tenant.FromContext(ctx)
+	if !ok {
+		ten = s.tenants.Default()
 	}
 	id, err := s.db.Insert("videos", videodb.Row{
 		"title": title, "description": description,
 		"uploader_id": uploaderID,
 		"status":      statusLive,
+		"tenant":      ten.Name(),
 		"renditions":  strings.Join(s.labels, ","),
 		"seg_seconds": int64(s.segSeconds),
 	})
 	if err != nil {
 		return 0, err
 	}
-	s.Index().Add(search.Document{ID: id, Title: title, Body: description})
+	s.reindex(id)
 	s.invalidateRecent()
 	s.reg.Counter("live_channels").Inc()
 	return id, nil
@@ -49,7 +55,7 @@ func (s *Site) CreateLiveChannel(ctx context.Context, uploaderID int64, title, d
 // and at most one segment long; a short chunk is allowed only as the final
 // push before EndLiveChannel (it becomes the channel's short last segment,
 // like VOD's remainder).
-func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (int, error) {
+func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (k int, err error) {
 	row, err := s.db.Get("videos", id)
 	if err != nil {
 		return 0, err
@@ -71,33 +77,36 @@ func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (int
 		return 0, fmt.Errorf("web: live chunk is %ds in %d GOPs; want a GOP-aligned chunk of at most %ds",
 			info.DurationSeconds, info.GOPs, s.segSeconds)
 	}
+	// Admitted like an upload, against the tenant the channel was created in.
+	owner, _ := row["tenant"].(string)
+	adm, err := s.admitUpload(s.tenants.Get(owner), len(chunk), info.DurationSeconds)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if err != nil {
+			adm.release()
+		}
+	}()
+	ctx = tenant.WithContext(ctx, adm.ten, tenant.RoleWriter) // the HDFS writes are the channel tenant's
 	results, err := s.convertPooled(ctx, chunk, s.specs)
 	if err != nil {
 		return 0, fmt.Errorf("web: live conversion failed: %w", err)
 	}
 	// The channel's global GOP clock: everything published so far, in GOPs.
 	firstGOP := int(duration) / s.target.GOPSeconds
-	k := int(segs)
-	sp := trace.FromContext(ctx).StartChild("store.live_segment")
-	for i, label := range s.labels {
-		out, rerr := video.Rebase(results[i].Output, firstGOP)
-		if rerr != nil {
-			sp.SetError(rerr)
-			sp.End()
-			return 0, fmt.Errorf("web: renumbering live segment: %w", rerr)
-		}
-		if werr := s.store.WriteFileCtx(ctx, segmentPath(id, label, k), out); werr != nil {
-			sp.SetError(werr)
-			sp.End()
-			return 0, fmt.Errorf("web: storing live segment: %w", werr)
+	k = int(segs)
+	outs := make([][]byte, len(results))
+	for i, res := range results {
+		if outs[i], err = video.Rebase(res.Output, firstGOP); err != nil {
+			return 0, fmt.Errorf("web: renumbering live segment: %w", err)
 		}
 	}
-	sp.End()
-	if uerr := s.db.Update("videos", id, videodb.Row{
+	if err = s.publish(ctx, adm, id, objectNames(id, s.labels, k, k+1), outs, videodb.Row{
 		"segments":         segs + 1,
 		"duration_seconds": duration + int64(info.DurationSeconds),
-	}); uerr != nil {
-		return 0, uerr
+	}); err != nil {
+		return 0, fmt.Errorf("web: storing live segment: %w", err)
 	}
 	s.reg.Counter("live_segments_published").Inc()
 	return k, nil

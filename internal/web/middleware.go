@@ -61,11 +61,11 @@ func requestIDFrom(ctx context.Context) string {
 	return "-"
 }
 
-// defaultMaxInFlight is the admission limit when Config.MaxInFlight is zero:
-// requests beyond it are shed with 503 instead of queueing unboundedly — the
-// serving tier degrades predictably when the paper's "heavy traffic" arrives
-// faster than the hardware can drain it.
-const defaultMaxInFlight = 256
+// maxInFlight is the admission limit: requests beyond it are shed with 503
+// instead of queueing unboundedly — the serving tier degrades predictably
+// when the paper's "heavy traffic" arrives faster than the hardware can
+// drain it.
+const maxInFlight = 256
 
 // routeMetrics holds the pre-resolved instruments for one route so the hot
 // path never takes the registry's name-lookup lock.
@@ -173,7 +173,7 @@ func (s *Site) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		rid := nextRequestID()
 		w.Header().Set("X-Request-ID", rid)
 		n := s.inflightNow.Add(1)
-		if n > s.maxInFlight {
+		if n > maxInFlight {
 			s.inflightNow.Add(-1)
 			shed.Inc()
 			http.Error(w, "server busy — try again shortly", http.StatusServiceUnavailable)

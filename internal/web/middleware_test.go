@@ -66,7 +66,7 @@ func TestAdmissionLimiterSheds(t *testing.T) {
 	b := newBrowser(t, site)
 
 	// Occupy every admission slot as if that many requests were in flight.
-	site.inflightNow.Add(site.maxInFlight)
+	site.inflightNow.Add(maxInFlight)
 	resp, _ := b.get("/")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-limit status = %d, want 503", resp.StatusCode)
@@ -79,7 +79,7 @@ func TestAdmissionLimiterSheds(t *testing.T) {
 		t.Fatalf("shed request still counted as handled (%d)", n)
 	}
 
-	site.inflightNow.Add(-site.maxInFlight)
+	site.inflightNow.Add(-maxInFlight)
 	if resp, _ := b.get("/"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery status = %d", resp.StatusCode)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"videocloud/internal/search"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
@@ -46,12 +45,10 @@ const (
 // worker's spans stay causally linked to the request while the job's
 // cancellation follows the queue lifetime, not the (long-gone) HTTP request.
 type transcodeJob struct {
-	ctx         context.Context
-	videoID     int64
-	title       string
-	description string
-	data        []byte
-	enqueued    time.Time
+	ctx      context.Context
+	videoID  int64
+	data     []byte
+	enqueued time.Time
 	// adm carries the upload's quota reservations (tenant identity, byte
 	// estimate, source seconds) across the async boundary — the context's
 	// tenant value does not survive trace.Reparent.
@@ -172,14 +169,16 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 		sp.Annotate("queue_wait", wait.String())
 	}
 	s.reg.Histogram("transcode_wait_seconds").ObserveExemplar(wait.Seconds(), sp.TraceID())
-	err := s.transcodeAndPublish(ctx, job.videoID, job.title, job.description, job.data, job.adm)
+	err := s.transcodeAndPublish(ctx, job.videoID, job.data, job.adm)
 	if err != nil {
 		sp.SetError(err)
 	}
 	sp.End()
 	if err != nil {
 		// Asynchronous failure: the uploader already got their id back, so
-		// the row stays, marked failed, and the watch page explains.
+		// the row stays, marked failed, and the watch page explains. Nothing
+		// was stored, so every reservation goes back.
+		job.adm.release()
 		q.failed.Add(1)
 		s.reg.Counter("transcode_failures").Inc()
 		log.Printf("web: async conversion of video %d failed: %v", job.videoID, err)
@@ -192,32 +191,18 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 }
 
 // transcodeAndPublish converts an inserted upload to the target plus every
-// rendition in ONE farm pass (single parse/split of the source), stores each
-// output once — as its delivery segments (delivery.go) — through the FUSE
-// mount, and publishes the row: renditions + segment index + status=ready,
-// search index, recent-list invalidation, metrics.
-//
-// Quota/ledger contract (adm): on any failure every reservation is released
-// here — the caller only marks the row failed. On success the byte
-// reservation is corrected to the exact stored size BEFORE the first write
-// (so the tenant's reservation always covers what HDFS actually holds:
-// overshoot is impossible by construction) and kept as the tenant's stored
-// usage; the ledger gets exactly one bytes_stored and one transcode_seconds
-// event.
-func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, description string, data []byte, adm *admission) error {
+// rendition in ONE farm pass (single parse/split of the source), cuts each
+// output into its delivery segments (delivery.go) — the only form a rendition
+// is stored in — and publishes them as the row's objects with the row's
+// renditions, segment index and status=ready (publish.go).
+func (s *Site) transcodeAndPublish(ctx context.Context, id int64, data []byte, adm *admission) error {
 	results, err := s.convertPooled(ctx, data, s.specs)
 	if err != nil {
-		adm.release()
 		return fmt.Errorf("web: conversion failed: %w", err)
 	}
-	// Stage every segment object before writing anything, so the exact
-	// stored size is known up front.
-	type object struct {
-		path string
-		data []byte
-	}
-	var files []object
-	var exactBytes int64
+	// Stage every segment before writing anything, so the exact stored size
+	// is known up front.
+	var staged [][]byte
 	segs := 0
 	for i, res := range results {
 		out, label := res.Output, s.labels[i]
@@ -233,76 +218,16 @@ func (s *Site) transcodeAndPublish(ctx context.Context, id int64, title, descrip
 			}
 		}
 		if serr != nil {
-			adm.release()
 			return fmt.Errorf("web: segmenting %s failed: %w", label, serr)
 		}
-		for k, piece := range pieces {
-			files = append(files, object{segmentPath(id, label, k), piece})
-			exactBytes += int64(len(piece))
-		}
+		staged = append(staged, pieces...)
 		segs = len(pieces)
 	}
-	// Correct the admission-time estimate to the exact footprint before any
-	// write. Failure here means the estimate lied low and the exact size
-	// busts the quota: nothing was stored, everything is released.
-	if adm.ten != nil {
-		if qerr := adm.ten.AdjustBytes(adm.estBytes, exactBytes); qerr != nil {
-			adm.release() // AdjustBytes restored the estimate on failure
-			return fmt.Errorf("web: publishing video %d: %w", id, qerr)
-		}
-		adm.estBytes = exactBytes
-	}
-	// written tracks files stored so far, so a partial failure (a later
-	// write or the row update) cleans them up instead of leaving orphaned
-	// objects in HDFS.
-	written := make([]string, 0, len(files))
-	unstore := func() {
-		for _, p := range written {
-			if rerr := s.store.Remove(p); rerr != nil {
-				log.Printf("web: removing partial upload %s: %v", p, rerr)
-			}
-		}
-	}
-	ssp := trace.FromContext(ctx).StartChild("store.objects")
-	for _, f := range files {
-		if werr := s.store.WriteFileCtx(ctx, f.path, f.data); werr != nil {
-			ssp.SetError(werr)
-			ssp.End()
-			unstore()
-			adm.release()
-			return fmt.Errorf("web: store %s failed: %w", f.path, werr)
-		}
-		written = append(written, f.path)
-	}
-	ssp.End()
-	psp := trace.FromContext(ctx).StartChild("db.publish")
-	row := videodb.Row{
+	if err = s.publish(ctx, adm, id, objectNames(id, s.labels, 0, segs), staged, videodb.Row{
 		"renditions": strings.Join(s.labels, ","), "status": statusReady,
 		"seg_seconds": int64(s.segSeconds), "segments": int64(segs),
-		"stored_bytes": exactBytes,
-	}
-	if adm.ten != nil {
-		row["tenant"] = adm.ten.Name()
-	}
-	// Index before the row flips to ready: a title that streams must already
-	// be searchable.
-	s.Index().Add(search.Document{ID: id, Title: title, Body: description})
-	if uerr := s.db.Update("videos", id, row); uerr != nil {
-		psp.SetError(uerr)
-		psp.End()
-		s.Index().Remove(id)
-		unstore()
-		adm.release()
-		return uerr
-	}
-	s.invalidateRecent()
-	psp.End()
-	// Publish succeeded: meter usage exactly once. The byte reservation is
-	// now exact and stays held until the video is deleted; the transcode
-	// window reservation is consumed.
-	if adm.ten != nil {
-		s.tenants.Meter(adm.ten.Name(), tenant.KindBytesStored, float64(exactBytes))
-		s.tenants.Meter(adm.ten.Name(), tenant.KindTranscodeSeconds, adm.srcSecs)
+	}); err != nil {
+		return err
 	}
 	res := results[0]
 	s.reg.Counter("uploads").Inc()

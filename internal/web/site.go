@@ -47,9 +47,6 @@ type Config struct {
 	Renditions []video.Spec
 	// AdminUser is created at startup with AdminPassword.
 	AdminUser, AdminPassword string
-	// MaxInFlight bounds concurrently admitted requests; excess load is
-	// shed with 503. Zero selects a default of 256.
-	MaxInFlight int
 	// TranscodeWorkers sizes the conversion pool (default 1): uploads return
 	// immediately with status "processing" while the pool converts in the
 	// background. Negative is rejected.
@@ -59,12 +56,6 @@ type Config struct {
 	// share blocks while the queue is full — backpressure, not unbounded
 	// buffering.
 	TranscodeQueueCap int
-	// BreakerThreshold trips the HDFS read breaker after this many
-	// consecutive storage failures on the streaming path (default 5);
-	// BreakerCooldown is how long it stays open before probing again
-	// (default 5s). See breaker.go.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Tracer, when non-nil and enabled, opens a root span per request in
 	// the middleware and threads it through the upload/stream paths down
 	// to HDFS block I/O. Nil disables tracing at zero cost.
@@ -74,8 +65,8 @@ type Config struct {
 	// Zero leaves streaming unpaced.
 	StreamRateBytesPerSec int64
 	// SegmentSeconds is the play length of delivery segments cut from each
-	// rendition at publish time (default 4; must be a multiple of the
-	// target's GOP cadence so segments end on GOP boundaries).
+	// rendition at publish time (default twice the target's GOP cadence; must
+	// be a multiple of it so segments end on GOP boundaries).
 	SegmentSeconds int
 	// EdgeCacheBytes sizes this replica's in-memory edge cache for playlist
 	// and segment responses (default 64 MiB). The cache is per-frontend, so
@@ -99,7 +90,7 @@ func QualityLabel(s video.Spec) string { return fmt.Sprintf("%dp", s.Res.H) }
 
 // fleetState is the metadata every replica of a serving fleet shares: the
 // (possibly sharded) database, the search index, the session and
-// verification-token tables, and the cache-invalidation fan-out. A
+// verification-token tables, and the replica list invalidations walk. A
 // single-replica site owns a private instance; NewReplica hands additional
 // frontends the same one, so a login on replica 0 is valid on replica 7 and
 // an upload through any replica invalidates every replica's hot cache.
@@ -123,10 +114,24 @@ type fleetState struct {
 	// per-replica locks.
 	recentGen atomic.Int64
 
-	// caches lists every replica's hotCache for targeted username
-	// invalidation (admin block fan-out).
-	cmu    sync.Mutex
-	caches []*hotCache
+	// rowMu orders the steps that change what a video row names against the
+	// steps that derive something from it (publish.go: publish's row half,
+	// unpublish, reindex). It stands in for the row transaction a real
+	// database gives.
+	rowMu sync.Mutex
+
+	// replicas lists every frontend of the fleet: what a replica caches on
+	// its own (usernames, edge copies, egress attribution) is invalidated by
+	// walking it.
+	cmu      sync.Mutex
+	replicas []*Site
+}
+
+// frontends returns every replica of the fleet.
+func (st *fleetState) frontends() []*Site {
+	st.cmu.Lock()
+	defer st.cmu.Unlock()
+	return st.replicas // append-only: the snapshot is safe to walk unlocked
 }
 
 // Site is one running frontend replica of the website. Replicas built with
@@ -136,8 +141,7 @@ type Site struct {
 	state  *fleetState
 	db     videodb.Store // == state.db, cached for the hot paths
 	store  *fusebridge.Mount
-	farm   video.Farm // static config; conversions snapshot via pool
-	pool   *farmPool  // runtime node set (elastic add/drain/remove)
+	pool   *farmPool // runtime node set (elastic add/drain/remove)
 	target video.Spec
 	specs  []video.Spec // the ladder every upload is converted to: target, then Renditions
 	labels []string     // QualityLabel of each spec, the order a row's renditions column lists
@@ -148,7 +152,6 @@ type Site struct {
 	// Serving-path state (middleware.go, cache.go).
 	routeMetrics []*routeMetrics
 	inflightNow  atomic.Int64
-	maxInFlight  int64
 	cache        hotCache
 	searches     *metrics.Counter
 
@@ -239,7 +242,6 @@ func assemble(cfg Config, state *fleetState) *Site {
 		state:       state,
 		db:          state.db,
 		store:       cfg.Store,
-		farm:        cfg.Farm,
 		pool:        newFarmPool(cfg.Farm),
 		target:      cfg.Target,
 		specs:       append([]video.Spec{cfg.Target}, cfg.Renditions...),
@@ -257,13 +259,9 @@ func assemble(cfg Config, state *fleetState) *Site {
 	for _, spec := range s.specs {
 		s.labels = append(s.labels, QualityLabel(spec))
 	}
-	s.maxInFlight = int64(cfg.MaxInFlight)
-	if s.maxInFlight == 0 {
-		s.maxInFlight = defaultMaxInFlight
-	}
-	s.hdfsBreaker = newBreaker(s.reg, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	s.hdfsBreaker = newBreaker(s.reg)
 	state.cmu.Lock()
-	state.caches = append(state.caches, &s.cache)
+	state.replicas = append(state.replicas, s)
 	state.cmu.Unlock()
 	s.mux = s.routes()
 	s.startTranscoders(cfg.TranscodeWorkers, cfg.TranscodeQueueCap)
@@ -392,13 +390,10 @@ func (s *Site) Documents() []search.Document {
 	rows, _ := s.db.Scan("videos", func(videodb.Row) bool { return true })
 	docs := make([]search.Document, 0, len(rows))
 	for _, row := range rows {
-		id, ok := row["id"].(int64)
-		if !ok {
+		if _, ok := row["id"].(int64); !ok {
 			continue // drifted row: nothing indexable
 		}
-		title, _ := row["title"].(string)
-		body, _ := row["description"].(string)
-		docs = append(docs, search.Document{ID: id, Title: title, Body: body})
+		docs = append(docs, documentOf(row))
 	}
 	return docs
 }

@@ -112,9 +112,10 @@ func (s *Site) writeTenantError(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// admission carries an upload's quota reservations from intake to publish:
+// admission carries a publisher's quota reservations from intake to publish:
 // estBytes storage (corrected to the exact stored size before any write)
-// and srcSecs of the hourly transcode window.
+// and srcSecs of the hourly transcode window, both held against ten (never
+// nil: admitUpload resolves anonymous callers to the default tenant).
 type admission struct {
 	ten      *tenant.Tenant
 	estBytes int64
@@ -123,9 +124,6 @@ type admission struct {
 
 // release returns every reservation (a failed upload consumed nothing).
 func (a *admission) release() {
-	if a == nil || a.ten == nil {
-		return
-	}
 	a.ten.ReleaseBytes(a.estBytes)
 	a.ten.ReleaseTranscode(a.srcSecs)
 	a.estBytes, a.srcSecs = 0, 0
@@ -139,10 +137,11 @@ func (s *Site) estimateStoredBytes(srcBytes int) int64 {
 	return (int64(srcBytes) + 64<<10) * int64(len(s.specs))
 }
 
-// admitUpload runs check-and-reserve quota admission for an upload by the
-// context's tenant (default when anonymous). The returned admission must
-// be released on failure; on publish the byte reservation is corrected to
-// the exact stored size and kept (it is the tenant's stored usage).
+// admitUpload runs check-and-reserve quota admission for an upload or a live
+// push by ten (default when nil: an anonymous caller). Whoever holds the
+// returned admission releases it on failure; on publish the byte reservation
+// is corrected to the exact stored size and kept (it is the tenant's stored
+// usage).
 func (s *Site) admitUpload(ten *tenant.Tenant, srcBytes int, srcSecs int) (*admission, error) {
 	if ten == nil {
 		ten = s.tenants.Default()
@@ -191,7 +190,7 @@ func (s *Site) tenantCounter(what, tenantName string) *metrics.Counter {
 
 // ownerTenant resolves which tenant owns video id, for egress attribution.
 // The answer is cached per replica so the warm segment path (edge-cache
-// hit) costs one map lookup, not a database read.
+// hit) costs one map lookup, not a database read; unpublish drops the entry.
 func (s *Site) ownerTenant(id int64) string {
 	s.tmu.Lock()
 	name, ok := s.videoTenant[id]
@@ -199,11 +198,8 @@ func (s *Site) ownerTenant(id int64) string {
 	if ok {
 		return name
 	}
-	name = tenant.DefaultName
 	if row, err := s.db.Get("videos", id); err == nil {
-		if t, _ := row["tenant"].(string); t != "" {
-			name = t
-		}
+		name, _ = row["tenant"].(string) // "" is the default tenant (meterEgress)
 	}
 	s.tmu.Lock()
 	if len(s.videoTenant) > 1<<16 { // bound the attribution cache
@@ -212,17 +208,6 @@ func (s *Site) ownerTenant(id int64) string {
 	s.videoTenant[id] = name
 	s.tmu.Unlock()
 	return name
-}
-
-// noteVideoTenant primes (or invalidates) the egress-attribution cache.
-func (s *Site) noteVideoTenant(id int64, tenantName string) {
-	s.tmu.Lock()
-	if tenantName == "" {
-		delete(s.videoTenant, id)
-	} else {
-		s.videoTenant[id] = tenantName
-	}
-	s.tmu.Unlock()
 }
 
 // meterEgress attributes n response-body bytes to the video owner's tenant
