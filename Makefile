@@ -36,9 +36,13 @@ alloccheck:
 # Ten seconds of fuzzing the page writers against the html/template oracle
 # they replaced (internal/web/pages_test.go): bodies must stay byte-identical.
 # A failing input is written under internal/web/testdata/fuzz and then fails
-# plain `go test` too.
+# plain `go test` too. Then ten seconds of scripted reads, faults and reopens
+# through the extent cache against the bytes written (internal/hdfs/fuzz_test.go):
+# fills land in arrays eviction recycles, so a view that outlives its reference
+# or a fill that keeps unverified bytes shows as a wrong byte here.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
+	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced

@@ -183,7 +183,7 @@ func logRouteDashboard(vc *core.VideoCloud) {
 			h.ReadLatency.P99*1000, h.WriteLatency.P99*1000)
 	}
 	if h.CacheHits > 0 || h.CacheFills > 0 {
-		// Every count on this line is in extents (2 MiB slices of a
+		// Every count on this line is in extents (256 KiB slices of a
 		// block), the unit the shared cache fills, pins and evicts.
 		log.Printf("blockcache hit/miss/wait=%d/%d/%d fill=%d evict=%d resident=%dMB extents=%d refs=%d",
 			h.CacheHits, h.CacheMisses, h.CacheWaits, h.CacheFills, h.CacheEvictions,

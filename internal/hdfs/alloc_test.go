@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Allocation regression gate for the range-read hot path (make tier1 runs
-// this via the alloccheck target). The invariant: a K-byte window read out
-// of an N-byte block allocates O(K) at the DataNode and one extent at the
-// client, never O(N) — the seed implementation copied and re-checksummed the
-// whole block per window, which made every 256 KiB player seek cost a
-// block-sized allocation.
+// Allocation regression gates for the range-read hot path (make tier1 runs
+// them via the alloccheck target). The invariant: a cold window costs neither
+// a block (the seed implementation copied and re-checksummed the whole block
+// per window, so every 256 KiB player seek allocated one) nor even an extent:
+// the DataNode copies into the caller's memory and the cache reuses the
+// arrays eviction gives back.
 
 func TestAllocReadRangeBounded(t *testing.T) {
 	if raceEnabled {
@@ -21,50 +21,89 @@ func TestAllocReadRangeBounded(t *testing.T) {
 	const window = 64 << 10
 	c := NewCluster(2, block)
 	cl := c.Client("")
-	data := payload(block, 42) // exactly one 8 MiB block
-	if err := cl.WriteFile("/big", data, 2); err != nil {
+	if err := cl.WriteFile("/big", payload(block, 42), 2); err != nil { // exactly one 8 MiB block
 		t.Fatal(err)
 	}
 	blocks, _ := cl.BlockLocations("/big")
 	id, dn := blocks[0].ID, c.DataNode(blocks[0].Locations[0])
-	r, err := cl.Open("/big")
+	dst := make([]byte, window)
+	i := 0
+	allocs := testing.AllocsPerRun(64, func() {
+		i++
+		off := (int64(i) * 3 * window) % (block - window)
+		if n, err := dn.ReadRange(id, off+int64(i%2)*100, dst); err != nil || n != window { // aligned and not
+			t.Fatalf("ReadRange: n=%d err=%v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DataNode.ReadRange into a caller buffer allocates %.1f times per op; want 0", allocs)
+	}
+}
+
+// TestAllocColdFill gates what a steady-state cold seek allocates: seeded
+// windows of one full extent each over 48 blocks against a 64-extent budget,
+// so every read is a miss that evicts, takes the evicted array and fills it.
+// What is left is the entry and the index slot of a block with no other
+// resident extent: at most 5 objects and 8 KiB, where a fill used to cost
+// nine objects and a zeroed extent.
+func TestAllocColdFill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const (
+		block  = 16 * extentSize
+		blocks = 48
+		budget = 64 * extentSize
+	)
+	c := NewCluster(2, block)
+	c.SetBlockCacheCapacity(budget)
+	cl := c.Client("")
+	w, err := cl.Create("/v", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, window)
-	offAt := func(i int) int64 { return (int64(i) * 3 * window) % (block - window) }
-	perOp := func(iters int, op func(i int)) int64 {
-		for i := 0; i < 4; i++ { // warm up histogram sample slices etc.
-			op(i)
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < iters; i++ {
-			op(i)
-		}
-		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc-before.TotalAlloc) / int64(iters)
-	}
-	// Generous ceiling: the window plus small per-fetch bookkeeping. The
-	// seed whole-block path allocated ~8 MiB per window here.
-	if got := perOp(64, func(i int) {
-		if _, err := dn.ReadRange(id, offAt(i), window); err != nil {
+	pattern := payload(block, 44)
+	for i := 0; i < blocks; i++ {
+		if _, err := w.Write(pattern); err != nil {
 			t.Fatal(err)
 		}
-	}); got > window*8 {
-		t.Fatalf("DataNode.ReadRange allocates %d B/op for a %d B window of a %d B block; want O(window)",
-			got, window, block)
 	}
-	// A cold window costs the extent it lands in (plus the same slack).
-	if got := perOp(16, func(i int) {
-		c.BlockCache().Invalidate(id)
-		if _, err := r.ReadAt(buf, offAt(i)); err != nil {
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Open("/v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, extentSize)
+	// A stride of 67 extents visits every extent of the file before it
+	// repeats one, so nothing read is still resident 768 reads later.
+	const extents = blocks * block / extentSize
+	i := int64(0)
+	coldRead := func() {
+		i++
+		if _, err := r.ReadAt(buf, (i*67%extents)*extentSize); err != nil {
 			t.Fatal(err)
 		}
-	}); got > extentSize+window*8 {
-		t.Fatalf("cold ReadAt allocates %d B/op for a %d B window of a %d B block; want one %d B extent",
-			got, window, block, extentSize)
+	}
+	for range 2 * budget / extentSize { // fill the budget, the pool and the histogram's samples
+		coldRead()
+	}
+	misses := c.Stats().CacheMisses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const iters = 256
+	allocs := testing.AllocsPerRun(iters, coldRead)
+	runtime.ReadMemStats(&after)
+	if got := c.Stats().CacheMisses - misses; got != iters+1 {
+		t.Fatalf("%d misses in %d reads; the gate measures cold fills only", got, iters+1)
+	}
+	perOp := int64(after.TotalAlloc-before.TotalAlloc) / (iters + 1)
+	t.Logf("cold fill: %.1f allocs, %d B per op", allocs, perOp)
+	if allocs > 5 || perOp > 8<<10 {
+		t.Fatalf("a steady-state cold fill allocates %.1f objects and %d B; want <= 5 and <= 8 KiB (one %d B extent is the regression)",
+			allocs, perOp, extentSize)
 	}
 }
 

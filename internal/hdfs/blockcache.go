@@ -1,11 +1,11 @@
 package hdfs
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"videocloud/internal/metrics"
+	"videocloud/internal/trace"
 )
 
 // extentSize is the cache's unit: a fixed, checksum-chunk-aligned slice of a
@@ -14,11 +14,14 @@ import (
 // DefaultChunkSize so that, at the default chunk size, a fill verifies
 // exactly the bytes it caches; with larger chunks a fill verifies the chunks
 // the extent overlaps. A cold seek costs one or two extents whatever the
-// block size (4 MiB in the benchmark, 64 MiB in stock Hadoop). Smaller
-// extents make the seek cheaper still — 256 KiB measured 0.29 ms against
-// 1.0 ms here — but the size lands in steps the repository's benchmark can
-// resolve; see CHANGES.md, PR 15, before shrinking it.
-const extentSize = 32 * DefaultChunkSize
+// block size (4 MiB in the benchmark, 64 MiB in stock Hadoop); at 256 KiB,
+// the player's window, that is under twice the bytes it asked for.
+const extentSize = 4 * DefaultChunkSize
+
+// extentPool holds the backing arrays of full extents no cache entry owns at
+// the moment. A fill takes one, eviction returns it: in steady state a cold
+// seek allocates, and zeroes, no buffer.
+var extentPool = sync.Pool{New: func() any { return new([extentSize]byte) }}
 
 // extentKey names one extent of one block.
 type extentKey struct {
@@ -39,19 +42,26 @@ func extentCount(blockLen int64) int64 { return (blockLen + extentSize - 1) / ex
 //
 // Three properties make it safe to hand out interior slices:
 //
-//   - Entry data is immutable. The cache owns the only reference to the
-//     backing array (fills come from DataNode.ReadRange, which returns a
-//     fresh copy whose checksum chunks were verified against their
-//     write-time sums), and nothing ever writes to it again.
+//   - Entry data is immutable while anyone can see it. A fill writes an array
+//     only the filler holds (DataNode.ReadRange copies into it and verifies
+//     the copy against the write-time chunk sums), the entry becomes visible
+//     after that, and nothing writes to the array again until the cache has
+//     taken it back.
 //   - Entries are reference-counted. A Reader retains a reference for every
 //     extent it has handed out slices of and releases them on Close; the
 //     outstanding-reference gauge must return to zero when serving is done.
-//   - Eviction never invalidates a slice. Evicting an entry only detaches it
-//     from the cache's index; holders keep their reference and the data stays
-//     reachable (and therefore valid) until the last reference is released
-//     and the garbage collector reclaims it. Pinned entries (refs > 0) are
-//     skipped by the evictor entirely, so the budget prefers to shed idle
-//     extents first.
+//   - The cache owns the arrays, and takes one back only when no view of it
+//     can exist. References are taken under the cache's lock, from the index
+//     or from the fill in flight; an entry is detached from the index under
+//     the same lock, and its array goes back to extentPool — to be
+//     overwritten by a later fill — only if its count is zero at that moment.
+//     The evictor detaches nothing else: pinned entries (refs > 0) are
+//     skipped, so the budget sheds idle extents first. An entry detached
+//     while pinned (Invalidate) keeps its array, valid until the last holder
+//     lets go and the garbage collector reclaims it. So does a block's short
+//     last extent, which is allocated at its exact size so the byte budget
+//     stays exact. A view used after its reference was released is a bug the
+//     -race gate makes loud (CacheEntry.reclaim).
 //
 // Fills are single-flight: concurrent requests for the same absent extent
 // share one replica fetch. The first caller fetches; later callers are
@@ -68,11 +78,13 @@ type BlockCache struct {
 	// blocks indexes resident entries by block, then extent index (nil =
 	// not resident), so a lookup is one map probe plus a slice index and
 	// dropping a freed block touches only its own extents.
-	blocks  map[BlockID]*cachedBlock
-	fills   map[extentKey]*cacheFill
-	lru     *list.List // front = most recently used; values are *CacheEntry
-	bytes   int64      // resident bytes
-	entries int        // resident entries
+	blocks map[BlockID]*cachedBlock
+	fills  map[extentKey]*CacheEntry // fetches in flight, not yet resident
+	// lru is the sentinel of the ring of resident entries: lru.next is the
+	// most recently used, lru.prev the least.
+	lru     CacheEntry
+	bytes   int64 // resident bytes
+	entries int   // resident entries
 }
 
 // cachedBlock holds one block's resident extents.
@@ -87,8 +99,17 @@ type CacheEntry struct {
 	owner *BlockCache
 	key   extentKey
 	data  []byte
+	buf   *[extentSize]byte // data's array when it is a pooled one
 	refs  atomic.Int64
-	elem  *list.Element // nil once evicted
+
+	prev, next *CacheEntry // LRU ring links while resident
+
+	// filled is held by the filler until data (or err) is set: joiners of the
+	// single-flight fetch wait on it holding a reference they took under the
+	// cache's lock, so the evictor never sees the entry unpinned while a
+	// joiner is about to use it.
+	filled sync.WaitGroup
+	err    error
 }
 
 // Release drops one reference on e.
@@ -98,27 +119,17 @@ func (e *CacheEntry) Release() {
 	}
 }
 
-// cacheFill is an in-flight single-flight fetch; done closes once entry/err
-// are set. waiters is the number of joiners whose references are pre-counted
-// into the entry before done closes, so the evictor can never observe the
-// entry unpinned while a waiter is about to use it.
-type cacheFill struct {
-	done    chan struct{}
-	waiters int64
-	entry   *CacheEntry
-	err     error
-}
-
 // newBlockCache builds a cache bounded to capacity resident bytes, counting
 // into the cluster registry.
 func newBlockCache(capacity int64, reg *metrics.Registry) *BlockCache {
-	return &BlockCache{
+	c := &BlockCache{
 		capacity: capacity,
 		reg:      reg,
 		blocks:   make(map[BlockID]*cachedBlock),
-		fills:    make(map[extentKey]*cacheFill),
-		lru:      list.New(),
+		fills:    make(map[extentKey]*CacheEntry),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Capacity returns the resident-byte budget.
@@ -159,64 +170,95 @@ func (c *BlockCache) firstAbsent(id BlockID, from, n int64) int64 {
 	return n
 }
 
-// GetOrFill returns a referenced entry for extent x of block id, fetching it
-// with fetch when absent. Concurrent callers for the same absent extent share
-// one fetch. The returned source is "hit", "wait" (joined an in-flight fill),
-// or "fill" (this caller ran the fetch). The caller must Release the entry.
-func (c *BlockCache) GetOrFill(id BlockID, x int64, fetch func() ([]byte, error)) (e *CacheEntry, source string, err error) {
+// GetOrFill returns a referenced entry for extent x of a block, fetching it
+// from a replica through cl (Client.fetchExtent; parent and readahead are
+// what that records) when absent: straight into an array from extentPool, or
+// an exact-size one for the block's short last extent. Concurrent callers for
+// the same absent extent share one fetch. A fetch that fails caches nothing
+// and the array goes back to the pool. The returned source is "hit", "wait"
+// (joined an in-flight fill), or "fill" (this caller ran the fetch). The
+// caller must Release the entry.
+func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string, info BlockInfo, x int64) (e *CacheEntry, source string, err error) {
+	key := extentKey{info.ID, x}
 	c.mu.Lock()
-	if e := c.lookupLocked(id, x); e != nil {
+	if e := c.lookupLocked(info.ID, x); e != nil {
 		e.refs.Add(1)
 		c.pinned.Add(1)
-		c.lru.MoveToFront(e.elem)
+		c.unlinkLocked(e)
+		c.pushFrontLocked(e)
 		c.mu.Unlock()
 		c.reg.Counter("blockcache_hits").Inc()
 		return e, "hit", nil
 	}
-	key := extentKey{id, x}
-	if f := c.fills[key]; f != nil {
-		f.waiters++
+	if e := c.fills[key]; e != nil {
+		e.refs.Add(1)
+		c.pinned.Add(1)
 		c.mu.Unlock()
 		c.reg.Counter("blockcache_waits").Inc()
-		<-f.done
-		if f.err != nil {
-			return nil, "wait", f.err
+		e.filled.Wait()
+		if e.err != nil {
+			c.Release(e)
+			return nil, "wait", e.err
 		}
-		// The reference was pre-counted into the entry by the filler.
-		return f.entry, "wait", nil
+		return e, "wait", nil
 	}
-	f := &cacheFill{done: make(chan struct{})}
-	c.fills[key] = f
+	// Born pinned by its filler, before anyone else can find it.
+	e = &CacheEntry{owner: c, key: key}
+	e.refs.Store(1)
+	c.pinned.Add(1)
+	e.filled.Add(1)
+	c.fills[key] = e
 	c.mu.Unlock()
 
 	c.reg.Counter("blockcache_misses").Inc()
-	data, ferr := fetch()
+	if length := info.Length - x*extentSize; length >= extentSize {
+		e.buf = extentPool.Get().(*[extentSize]byte)
+		e.data = e.buf[:]
+	} else {
+		e.data = make([]byte, length)
+	}
+	n, err := cl.fetchExtent(parent, readahead, info, x, e.data)
 
 	c.mu.Lock()
 	delete(c.fills, key)
-	if ferr != nil {
-		f.err = ferr
+	if err != nil {
 		c.mu.Unlock()
-		close(f.done)
-		return nil, "fill", ferr
+		e.err = err
+		e.reclaim()
+		e.filled.Done()
+		c.Release(e)
+		return nil, "fill", err
 	}
-	e = &CacheEntry{owner: c, key: key, data: data}
-	// One reference for the filler plus one per waiter, all counted before
-	// the entry becomes visible, so it is born pinned.
-	e.refs.Store(1 + f.waiters)
-	c.pinned.Add(1 + f.waiters)
-	f.entry = e
-	c.insertLocked(e)
+	e.data = e.data[:n]
+	c.insertLocked(e, extentCount(info.Length))
 	c.reg.Counter("blockcache_fills").Inc()
 	c.evictLocked()
 	c.mu.Unlock()
-	close(f.done)
+	e.filled.Done()
 	return e, "fill", nil
 }
 
+// reclaim takes back the array of an entry no view of which can exist — a
+// failed fill's, or one detached from the index at zero references — and
+// returns a pooled one to extentPool. Under the race detector it is
+// overwritten first, so a view used after its reference was released reads a
+// pattern no payload has (and races with this write) instead of passing for
+// valid bytes until the array is refilled.
+func (e *CacheEntry) reclaim() {
+	if e.buf != nil {
+		if raceEnabled {
+			for i := range e.buf {
+				e.buf[i] = 0xDB
+			}
+		}
+		extentPool.Put(e.buf)
+	}
+	e.buf, e.data = nil, nil
+}
+
 // Release drops one reference on e. Entries are never freed eagerly: a
-// released resident entry stays cached (now evictable), and a released
-// evicted entry simply becomes garbage once the last holder lets go.
+// released resident entry stays cached (now evictable), and an entry detached
+// while it was pinned simply becomes garbage once the last holder lets go.
 func (c *BlockCache) Release(e *CacheEntry) {
 	if e == nil {
 		return
@@ -230,59 +272,64 @@ func (c *BlockCache) Release(e *CacheEntry) {
 // temporarily exceeded while every resident extent is in use, which is
 // bounded by the working set of open readers.
 func (c *BlockCache) evictLocked() {
-	for c.bytes > c.capacity {
-		evicted := false
-		for el := c.lru.Back(); el != nil; {
-			prev := el.Prev()
-			e := el.Value.(*CacheEntry)
-			if e.refs.Load() == 0 {
-				c.removeLocked(e)
-				c.reg.Counter("blockcache_evictions").Inc()
-				evicted = true
-				break
-			}
-			el = prev
+	for e := c.lru.prev; c.bytes > c.capacity && e != &c.lru; {
+		prev := e.prev
+		if e.refs.Load() == 0 {
+			c.removeLocked(e)
+			c.reg.Counter("blockcache_evictions").Inc()
 		}
-		if !evicted {
-			return // everything resident is pinned
-		}
+		e = prev
 	}
 }
 
-// insertLocked makes a new entry resident at the front of the LRU list.
-func (c *BlockCache) insertLocked(e *CacheEntry) {
+// pushFrontLocked links e in as the most recently used entry.
+func (c *BlockCache) pushFrontLocked(e *CacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlinkLocked takes e out of the LRU ring.
+func (c *BlockCache) unlinkLocked(e *CacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// insertLocked makes a new entry of a block with n extents resident, most
+// recently used.
+func (c *BlockCache) insertLocked(e *CacheEntry, n int64) {
 	b := c.blocks[e.key.block]
 	if b == nil {
-		b = &cachedBlock{}
+		b = &cachedBlock{extents: make([]*CacheEntry, n)}
 		c.blocks[e.key.block] = b
-	}
-	for int64(len(b.extents)) <= e.key.index {
-		b.extents = append(b.extents, nil)
 	}
 	b.extents[e.key.index] = e
 	b.resident++
-	e.elem = c.lru.PushFront(e)
+	c.pushFrontLocked(e)
 	c.bytes += int64(len(e.data))
 	c.entries++
 }
 
-// removeLocked detaches a resident entry from the index and LRU list.
+// removeLocked detaches a resident entry from the index and LRU ring, and
+// takes its array back if nobody holds a reference: none can be taken once
+// the entry is out of the index.
 func (c *BlockCache) removeLocked(e *CacheEntry) {
 	b := c.blocks[e.key.block]
 	b.extents[e.key.index] = nil
 	if b.resident--; b.resident == 0 {
 		delete(c.blocks, e.key.block)
 	}
-	c.lru.Remove(e.elem)
-	e.elem = nil
+	c.unlinkLocked(e)
 	c.bytes -= int64(len(e.data))
 	c.entries--
+	if e.refs.Load() == 0 {
+		e.reclaim()
+	}
 }
 
 // Invalidate detaches every resident extent of the given blocks from the
-// cache regardless of pin state (holders keep valid data). Used when blocks
-// are reclaimed on file deletion, and by chaos tests to force a refill from
-// replicas.
+// cache regardless of pin state (holders keep valid data: a pinned entry's
+// array is not taken back). Used when blocks are reclaimed on file deletion,
+// and by chaos tests to force a refill from replicas.
 func (c *BlockCache) Invalidate(ids ...BlockID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -25,8 +25,8 @@ func newCachedCluster(t *testing.T, blockSize int64, fileBytes, rf int, budget i
 
 // TestReadAtShortCachedBlockDetected is the regression test for the silent
 // misalignment bug: a cached block shorter than the NameNode's recorded
-// length (a truncated cache entry) used to return a short chunk with a nil
-// error, and ReadAt advanced to the next block — every subsequent byte of
+// length (filled from truncated replicas) used to return a short chunk with a
+// nil error, and ReadAt advanced to the next block — every subsequent byte of
 // the response landed at the wrong offset. It must fail loudly with
 // io.ErrUnexpectedEOF instead.
 func TestReadAtShortCachedBlockDetected(t *testing.T) {
@@ -36,16 +36,14 @@ func TestReadAtShortCachedBlockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poison the cache: block 0 resident with only 600 of its 1024 bytes.
+	// Every replica of block 0 holds only 600 of its 1024 bytes, so that is
+	// what the fill makes resident.
 	const short = 600
-	bc := c.BlockCache()
-	e, source, err := bc.GetOrFill(blocks[0].ID, 0, func() ([]byte, error) {
-		return append([]byte(nil), data[:short]...), nil
-	})
-	if err != nil || source != "fill" {
-		t.Fatalf("poison fill: source=%q err=%v", source, err)
+	for _, loc := range blocks[0].Locations {
+		if err := c.DataNode(loc).Store(blocks[0].ID, data[:short]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.Release()
 
 	r, err := cl.Open("/f")
 	if err != nil {
@@ -172,6 +170,100 @@ func TestEvictionSparesInUseSlices(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	waitRefsZero(t, bc)
+}
+
+// TestRecycledExtentNeverAliasesLiveView is the ownership rule under churn:
+// fills reuse the arrays eviction takes back, so a pinned view must keep its
+// bytes while a three-extent budget evicts and refills around it, and once
+// its reader has closed and the extent has been evicted, whatever entry
+// inherits the array holds its own extent's bytes. Under -race the array is
+// poisoned on its way back, so the stale view no longer passes for payload.
+func TestRecycledExtentNeverAliasesLiveView(t *testing.T) {
+	const block = 4 * extentSize
+	c, cl, data := newCachedCluster(t, block, 2*block, 2, 3*extentSize)
+	bc := c.BlockCache()
+	pinner, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := pinner.AppendRangeSlices(nil, 0, extentSize) // all of extent 0 of block 0
+	if err != nil || len(views) != 1 {
+		t.Fatalf("%d views, err %v; want one view of extent 0", len(views), err)
+	}
+	view := views[0]
+	r, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, extentSize)
+	// heir returns the resident entry whose array is the one view aliases.
+	heir := func() *CacheEntry {
+		bc.mu.Lock()
+		defer bc.mu.Unlock()
+		for _, b := range bc.blocks {
+			for _, e := range b.extents {
+				if e != nil && &e.data[0] == &view[0] {
+					return e
+				}
+			}
+		}
+		return nil
+	}
+	// churn reads extents 1..7 of the file three times over through the
+	// three-extent budget, until stop says so.
+	churn := func(stop func() bool) {
+		t.Helper()
+		for i := int64(0); i < 21 && !stop(); i++ {
+			x := 1 + i%7
+			if _, err := r.ReadAt(buf, x*extentSize); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, data[x*extentSize:(x+1)*extentSize]) {
+				t.Fatalf("extent %d read wrong bytes out of a reused array", x)
+			}
+		}
+	}
+	churn(func() bool { return false })
+	if st := c.Stats(); st.CacheEvictions < 10 {
+		t.Fatalf("%d evictions under a three-extent budget, want the churn to evict throughout", st.CacheEvictions)
+	}
+	zero := extentKey{pinner.blocks[0].ID, 0}
+	if e := heir(); e == nil || e.key != zero || !bytes.Equal(view, data[:extentSize]) {
+		t.Fatal("a pinned view changed hands or bytes while the cache evicted and refilled around it")
+	}
+
+	pinner.Close()
+	// A one-byte budget sheds every idle extent, extent 0 among them, and
+	// nothing is filled before the stale view is looked at.
+	c.SetBlockCacheCapacity(1)
+	if bc.Entries() != 0 {
+		t.Fatalf("%d extents resident under a one-byte budget with no reader holding any", bc.Entries())
+	}
+	if raceEnabled && bytes.Count(view, []byte{0xDB}) != len(view) {
+		t.Error("a view used after release still reads as payload under -race: the array was not poisoned on its way to the pool")
+	}
+	c.SetBlockCacheCapacity(3 * extentSize)
+	var e *CacheEntry
+	churn(func() bool {
+		e = heir()
+		return e != nil && e.key != zero
+	})
+	switch {
+	case e != nil && e.key == zero:
+		t.Fatal("extent 0 still resident after its reader closed and the budget turned over")
+	case e != nil:
+		off := e.key.index * extentSize
+		if e.key.block != pinner.blocks[0].ID {
+			off += block
+		}
+		if !bytes.Equal(e.data, data[off:off+extentSize]) {
+			t.Errorf("extent at file offset %d inherited extent 0's array and holds the wrong bytes", off)
+		}
+	case !raceEnabled: // (under -race sync.Pool drops a share of what it is given)
+		t.Error("no later fill reused the array extent 0 gave back: eviction is not recycling")
 	}
 	waitRefsZero(t, bc)
 }

@@ -295,22 +295,25 @@ func (c *Client) ranksBefore(a string, la int64, b string, lb int64) bool {
 	return la < lb
 }
 
-// fetchExtent reads extent x of a block from a replica — the one
-// replica-iteration loop: rank replicas by the selection policy, track
-// per-node in-flight counts, fail over on any error, report corrupt replicas
-// to the NameNode (which drops them from the block map), and record read
-// latency. Each attempt is one DataNode.ReadRange, which verifies every
-// checksum chunk the extent overlaps. When parent records, the fetch emits an hdfs.read_block
-// span annotated with every failed replica and the eventual failover;
-// readahead ("cache_fill"/"prefetch") notes what asked for the extent.
-func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInfo, x int64) ([]byte, error) {
+// fetchExtent reads extent x of a block from a replica into dst, the array
+// the cache will keep, and returns the byte count — the one replica-iteration
+// loop: rank replicas by the selection policy, track per-node in-flight
+// counts, fail over on any error, report corrupt replicas to the NameNode
+// (which drops them from the block map), and record read latency. Each
+// attempt is one DataNode.ReadRange, which verifies every checksum chunk the
+// extent overlaps; a failed attempt's bytes are overwritten by the next one,
+// and on error dst holds nothing to keep. When parent records, the fetch
+// emits an hdfs.read_block span annotated with every failed replica and the
+// eventual failover; readahead ("cache_fill"/"prefetch") notes what asked for
+// the extent.
+func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInfo, x int64, dst []byte) (int, error) {
 	sp := parent.StartChild("hdfs.read_block")
 	if sp != nil {
 		sp.AnnotateInt("block", int64(info.ID))
 		sp.Annotate("readahead", readahead)
 	}
 	start := time.Now()
-	var lastErr error = fmt.Errorf("%w: block %d has no live replicas", ErrAllReplicasFailed, info.ID)
+	var lastErr error
 	var order [stackReplicas]string
 	for i, loc := range c.orderReplicas(order[:0], info.Locations) {
 		dn := c.cluster.DataNode(loc)
@@ -319,7 +322,7 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 		}
 		ctr := c.cluster.inflightFor(loc)
 		ctr.Add(1)
-		data, err := dn.ReadRange(info.ID, x*extentSize, extentSize)
+		n, err := dn.ReadRange(info.ID, x*extentSize, dst)
 		ctr.Add(-1)
 		if err == nil {
 			if i > 0 {
@@ -330,11 +333,11 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 			} else if sp.Recording() {
 				sp.Annotate("replica", loc)
 			}
-			c.cluster.reg.Counter("bytes_read").Add(int64(len(data)))
+			c.cluster.reg.Counter("bytes_read").Add(int64(n))
 			c.cluster.reg.Histogram("hdfs_read_seconds").
 				ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
 			sp.End()
-			return data, nil
+			return n, nil
 		}
 		if sp.Recording() {
 			sp.Annotate("replica_error", loc+": "+err.Error())
@@ -345,19 +348,20 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 		}
 		lastErr = err
 	}
+	if lastErr == nil {
+		lastErr = fmt.Errorf("%w: block %d has no live replicas", ErrAllReplicasFailed, info.ID)
+	}
 	err := fmt.Errorf("%w: block %d: %v", ErrAllReplicasFailed, info.ID, lastErr)
 	sp.SetError(err)
 	sp.End()
-	return nil, err
+	return 0, err
 }
 
 // extent returns a referenced shared-cache entry for extent x of a block,
 // filling it single-flight when absent. It is the only way bytes reach a
 // client. The caller must Release the entry.
 func (c *Client) extent(parent *trace.Span, readahead string, info BlockInfo, x int64) (*CacheEntry, error) {
-	e, source, err := c.cluster.cache.GetOrFill(info.ID, x, func() ([]byte, error) {
-		return c.fetchExtent(parent, readahead, info, x)
-	})
+	e, source, err := c.cluster.cache.GetOrFill(c, parent, readahead, info, x)
 	if err != nil {
 		return nil, err
 	}

@@ -72,25 +72,29 @@ func (dn *DataNode) SetChunkSize(sz int64) {
 
 // Store writes a block replica. The data is copied, and both the
 // whole-block and per-chunk checksums are computed up front so every later
-// read — full or ranged — verifies against write-time state.
+// read — full or ranged — verifies against write-time state. The copy and the
+// checksum passes run before the node's lock is taken: a block published here
+// does not stall the reads beside it.
 func (dn *DataNode) Store(id BlockID, data []byte) error {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	if dn.down {
+	dn.mu.RLock()
+	chunk, down := dn.chunk, dn.down
+	dn.mu.RUnlock()
+	if down {
 		return fmt.Errorf("%w: %s", ErrDown, dn.name)
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	bd := &blockData{data: cp, whole: crc32.ChecksumIEEE(cp), chunk: dn.chunk}
-	n := (int64(len(cp)) + bd.chunk - 1) / bd.chunk
+	bd := &blockData{data: cp, whole: crc32.ChecksumIEEE(cp), chunk: chunk}
+	n := (int64(len(cp)) + chunk - 1) / chunk
 	bd.sums = make([]uint32, n)
 	for i := int64(0); i < n; i++ {
-		lo := i * bd.chunk
-		hi := lo + bd.chunk
-		if hi > int64(len(cp)) {
-			hi = int64(len(cp))
-		}
-		bd.sums[i] = crc32.ChecksumIEEE(cp[lo:hi])
+		lo := i * chunk
+		bd.sums[i] = crc32.ChecksumIEEE(cp[lo:min(lo+chunk, int64(len(cp)))])
+	}
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	if dn.down {
+		return fmt.Errorf("%w: %s", ErrDown, dn.name)
 	}
 	dn.blocks[id] = bd
 	return nil
@@ -115,38 +119,44 @@ func (dn *DataNode) Read(id BlockID) ([]byte, error) {
 	return out, nil
 }
 
-// ReadRange returns up to length bytes of the block starting at off,
-// verifying only the checksum chunks overlapping [off, off+length) and
-// copying only that window — O(range) work regardless of block size. It is
-// the extent cache's fill, and so the only way bytes reach a client; a
-// checksum failure returns ErrChecksum — the trigger for the client's
-// replica failover and corruption report. Corruption outside the requested
-// chunks is not detected here, exactly as in HDFS's per-chunk verification;
-// whole-block reads and the next overlapping window catch it.
-func (dn *DataNode) ReadRange(id BlockID, off, length int64) ([]byte, error) {
-	if length < 0 {
-		return nil, fmt.Errorf("hdfs: negative range length %d", length)
-	}
+// ReadRange copies the block's bytes from off on into dst, as many as dst
+// holds and the block has, and returns the count — O(range) work regardless
+// of block size, into memory the caller owns. It is the extent cache's fill,
+// and so the only way bytes reach a client. It copies first and verifies the
+// copy: every checksum chunk wholly inside the window is summed from dst,
+// right after it lands and while it is cache-hot, so what is verified is what
+// the caller keeps and the stored bytes are walked once; a chunk only partly
+// inside the window (an edge of an unaligned window, or a chunk larger than
+// it) is summed from the stored bytes. A checksum failure returns ErrChecksum
+// — the trigger for the client's replica failover and corruption report —
+// and leaves dst holding bytes that must not be used. Corruption outside the
+// overlapped chunks is not detected here, exactly as in HDFS's per-chunk
+// verification; whole-block reads and the next overlapping window catch it.
+func (dn *DataNode) ReadRange(id BlockID, off int64, dst []byte) (int, error) {
 	dn.mu.RLock()
 	defer dn.mu.RUnlock()
 	bd, err := dn.locked(id)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	size := int64(len(bd.data))
 	if off < 0 || off > size {
-		return nil, fmt.Errorf("hdfs: offset %d out of block bounds %d", off, size)
+		return 0, fmt.Errorf("hdfs: offset %d out of block bounds %d", off, size)
 	}
-	end := min(off+length, size)
+	end := min(off+int64(len(dst)), size)
 	for ci := off / bd.chunk; ci*bd.chunk < end; ci++ {
-		lo := ci * bd.chunk
-		if crc32.ChecksumIEEE(bd.data[lo:min(lo+bd.chunk, size)]) != bd.sums[ci] {
-			return nil, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
+		lo, hi := ci*bd.chunk, min((ci+1)*bd.chunk, size)
+		from, to := max(lo, off), min(hi, end)
+		copy(dst[from-off:to-off], bd.data[from:to])
+		sum := bd.data[lo:hi]
+		if from == lo && to == hi {
+			sum = dst[lo-off : hi-off]
+		}
+		if crc32.ChecksumIEEE(sum) != bd.sums[ci] {
+			return 0, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
 		}
 	}
-	out := make([]byte, end-off)
-	copy(out, bd.data[off:end])
-	return out, nil
+	return int(end - off), nil
 }
 
 // locked fetches a block record; callers hold dn.mu.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -132,18 +134,19 @@ func TestReadRangeVerifiesOnlyOverlappedChunks(t *testing.T) {
 	if err := dn.CorruptAt(id, corruptOff); err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]byte, block)
 	for _, w := range []struct{ off, length int64 }{
 		{0, 4096}, {0, 2 * DefaultChunkSize}, {3 * DefaultChunkSize, DefaultChunkSize},
 	} {
-		got, err := dn.ReadRange(id, w.off, w.length)
-		if err != nil || !bytes.Equal(got, data[w.off:w.off+w.length]) {
+		n, err := dn.ReadRange(id, w.off, dst[:w.length])
+		if err != nil || !bytes.Equal(dst[:n], data[w.off:w.off+w.length]) {
 			t.Fatalf("clean-chunk window [%d,+%d): err=%v, identical=%v", w.off, w.length, err, err == nil)
 		}
 	}
 	for _, w := range []struct{ off, length int64 }{
 		{corruptOff - 1000, 4096}, {2*DefaultChunkSize - 1, 2}, {3*DefaultChunkSize - 1, 1}, {0, block},
 	} {
-		if _, err := dn.ReadRange(id, w.off, w.length); !errors.Is(err, ErrChecksum) {
+		if _, err := dn.ReadRange(id, w.off, dst[:w.length]); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("window [%d,+%d) over the corrupt chunk: err=%v, want ErrChecksum", w.off, w.length, err)
 		}
 	}
@@ -152,6 +155,109 @@ func TestReadRangeVerifiesOnlyOverlappedChunks(t *testing.T) {
 	}
 	if got := c.Metrics().Counter("corrupt_replicas_reported").Value(); got != 0 {
 		t.Fatalf("DataNode reads reported corruption themselves (%d); that is the client's job", got)
+	}
+}
+
+// readRangeOracle is the allocating DataNode.ReadRange this package shipped
+// before fills landed in cache-owned memory, kept verbatim as the reference:
+// verify every overlapped chunk from the stored bytes, then copy the window
+// into a fresh slice.
+func readRangeOracle(dn *DataNode, id BlockID, off, length int64) ([]byte, error) {
+	if length < 0 {
+		return nil, fmt.Errorf("hdfs: negative range length %d", length)
+	}
+	dn.mu.RLock()
+	defer dn.mu.RUnlock()
+	bd, err := dn.locked(id)
+	if err != nil {
+		return nil, err
+	}
+	size := int64(len(bd.data))
+	if off < 0 || off > size {
+		return nil, fmt.Errorf("hdfs: offset %d out of block bounds %d", off, size)
+	}
+	end := min(off+length, size)
+	for ci := off / bd.chunk; ci*bd.chunk < end; ci++ {
+		lo := ci * bd.chunk
+		if crc32.ChecksumIEEE(bd.data[lo:min(lo+bd.chunk, size)]) != bd.sums[ci] {
+			return nil, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
+		}
+	}
+	out := make([]byte, end-off)
+	copy(out, bd.data[off:end])
+	return out, nil
+}
+
+// TestReadRangeMatchesOracle drives 2 000 seeded (off, len(dst), chunk size)
+// triples through ReadRange and the oracle, on a clean replica and on one
+// with a flipped byte: the two must return identical bytes and the same class
+// of error — none, ErrChecksum, or out of bounds — whether a chunk is summed
+// from the copy (wholly inside the window) or from the stored bytes (an edge
+// of the window, or larger than it).
+func TestReadRangeMatchesOracle(t *testing.T) {
+	const block = 1<<20 + 12345 // the last chunk is short at every chunk size
+	data := payload(block, 33)
+	rng := rand.New(rand.NewSource(23))
+	class := func(err error) string {
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.Is(err, ErrChecksum):
+			return "checksum"
+		}
+		return "bounds"
+	}
+	chunks := []int64{4 << 10, DefaultChunkSize, extentSize, 1 << 20}
+	nodes := make(map[[2]int64]*DataNode) // chunk size, 0 clean / 1 corrupt
+	for _, chunk := range chunks {
+		for corrupt := int64(0); corrupt < 2; corrupt++ {
+			dn := NewDataNode("dn")
+			dn.SetChunkSize(chunk)
+			if err := dn.Store(1, data); err != nil {
+				t.Fatal(err)
+			}
+			if corrupt == 1 {
+				if err := dn.CorruptAt(1, block/3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nodes[[2]int64{chunk, corrupt}] = dn
+		}
+	}
+	dst := make([]byte, 2<<20)
+	classes := make(map[string]int)
+	for i := 0; i < 2000; i++ {
+		chunk := chunks[rng.Intn(len(chunks))]
+		dn := nodes[[2]int64{chunk, int64(i % 2)}]
+		off := rng.Int63n(block + 100) // a few past the end
+		switch i % 5 {
+		case 0:
+			off = rng.Int63n(block/chunk+1) * chunk // chunk-aligned, as fills are
+		case 1:
+			off = block/3 - rng.Int63n(2*chunk) // around the flipped byte
+		}
+		length := rng.Int63n(2*extentSize + 1)
+		switch {
+		case i%3 == 0:
+			length = []int64{0, 1, chunk, extentSize}[rng.Intn(4)]
+		case i%7 == 0:
+			length = rng.Int63n(int64(len(dst)) + 1) // up to past the block end
+		}
+		want, wantErr := readRangeOracle(dn, 1, off, length)
+		n, err := dn.ReadRange(1, off, dst[:length])
+		if class(err) != class(wantErr) {
+			t.Fatalf("ReadRange(off %d, len %d, chunk %d): err %v, oracle %v", off, length, chunk, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(dst[:n], want) {
+			t.Fatalf("ReadRange(off %d, len %d, chunk %d) returned %d bytes, oracle %d, identical: false", off, length, chunk, n, len(want))
+		}
+		if err != nil && n != 0 {
+			t.Fatalf("ReadRange(off %d, len %d, chunk %d) failed with n = %d, want 0", off, length, chunk, n)
+		}
+		classes[class(err)]++
+	}
+	if classes["ok"] < 500 || classes["checksum"] < 200 || classes["bounds"] == 0 {
+		t.Fatalf("outcome classes %v: the triples do not cover all three", classes)
 	}
 }
 

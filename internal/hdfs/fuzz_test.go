@@ -33,8 +33,10 @@ const (
 // FuzzReaderReadAt drives a script of reads and faults through the one read
 // path and checks every result against the bytes written — the model is the
 // in-memory slice, nothing else. The cluster keeps a three-extent cache budget
-// so eviction runs throughout; geom picks blocks that are (even) or are not
-// (odd) a whole number of extents, with a partial final block either way.
+// so eviction runs throughout — two extents when geom's second bit is set, so
+// that every miss evicts and the next fill lands in the array just given back;
+// geom picks blocks that are (even) or are not (odd) a whole number of
+// extents, with a partial final block either way.
 // Faults stay survivable by construction: every block has a replica on each of
 // three nodes, only dn0 is ever killed and only dn1 ever corrupted. After
 // Close the cache must hold no reference. Seeds cover block, extent and EOF
@@ -81,7 +83,7 @@ func FuzzReaderReadAt(f *testing.F) {
 		data := payloads[geom%2]
 		size := int64(len(data))
 		c := NewCluster(3, blockFor(geom))
-		c.SetBlockCacheCapacity(3 * extentSize)
+		c.SetBlockCacheCapacity((3 - int64(geom/2%2)) * extentSize)
 		cl := c.Client("")
 		if err := cl.WriteFile("/f", data, 3); err != nil {
 			t.Fatal(err)

@@ -433,12 +433,15 @@ func TestDataNodeDirectOps(t *testing.T) {
 	if _, err := dn.Read(99); !errors.Is(err, ErrNoBlock) {
 		t.Fatalf("missing block: %v", err)
 	}
-	if _, err := dn.ReadRange(1, 99, 5); err == nil {
+	part := make([]byte, 3)
+	if _, err := dn.ReadRange(1, 99, part); err == nil {
 		t.Fatal("out-of-range ReadRange accepted")
 	}
-	part, err := dn.ReadRange(1, 1, 3)
-	if err != nil || string(part) != "ell" {
-		t.Fatalf("ReadRange: %v %q", err, part)
+	if n, err := dn.ReadRange(1, 1, part); err != nil || string(part[:n]) != "ell" {
+		t.Fatalf("ReadRange: %v %q", err, part[:n])
+	}
+	if n, err := dn.ReadRange(1, 3, part); err != nil || string(part[:n]) != "lo" {
+		t.Fatalf("ReadRange past the block end: %v %q, want the 2 bytes there", err, part[:n])
 	}
 	dn.SetDown(true)
 	if _, err := dn.Read(1); !errors.Is(err, ErrDown) {
