@@ -39,10 +39,14 @@ alloccheck:
 # plain `go test` too. Then ten seconds of scripted reads, faults and reopens
 # through the extent cache against the bytes written (internal/hdfs/fuzz_test.go):
 # fills land in arrays eviction recycles, so a view that outlives its reference
-# or a fill that keeps unverified bytes shows as a wrong byte here.
+# or a fill that keeps unverified bytes shows as a wrong byte here. Then ten
+# seconds each of the two parsers /stream trusts: the layout that rebuilds a
+# container from a row's numbers, and the Range header.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
+	$(GO) test -run '^$$' -fuzz FuzzParseRange -fuzztime 10s ./internal/stream/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced
@@ -55,12 +59,14 @@ fuzzshort:
 # destination function and one evacuation pass, and the randomized soak checks
 # their invariants; on virtual time five rounds cost a second or two. And the
 # web tier's title lifecycle: whether a delete meets a row before or after its
-# publisher does depends on worker/deleter interleaving.
+# publisher does depends on worker/deleter interleaving. And the fleet's one
+# transcode queue: which replica's worker pops a job, and whether an upload or
+# Close reaches the queue first, depends on interleaving across replicas.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
-	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete' ./internal/web/
+	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose' ./internal/web/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),
 # so the root ./... patterns never compile it: vet and short-test it here so

@@ -25,6 +25,7 @@ import (
 
 	"videocloud/internal/core"
 	"videocloud/internal/hdfs"
+	"videocloud/internal/nebula"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
@@ -40,7 +41,7 @@ func main() {
 	admin := flag.String("admin", "admin", "admin account name")
 	adminPass := flag.String("admin-pass", "admin", "admin account password")
 	transcodeWorkers := flag.Int("transcode-workers", 0,
-		"upload conversion pool size (0 = default of 1)")
+		"upload conversion workers per frontend, on the fleet's one transcode queue (0 = default of 1)")
 	frontends := flag.Int("frontends", 1,
 		"web-server replicas behind the ingress balancer (1 = no ingress)")
 	dbShards := flag.Int("dbshards", 1,
@@ -126,12 +127,8 @@ func main() {
 	}
 	if *selfheal || *elasticMax > 0 {
 		// The heartbeat monitor and elastic control loop run in virtual
-		// time; pump the simulated clock at wall speed so they tick.
-		go func() {
-			for range time.Tick(100 * time.Millisecond) {
-				vc.Cloud().RunFor(100 * time.Millisecond)
-			}
-		}()
+		// time; pace the simulated clock at wall speed so they tick.
+		defer nebula.StartPacer(vc.Cloud(), 1).Stop()
 	}
 
 	seedCatalog(vc, *seed)

@@ -63,10 +63,10 @@ type Config struct {
 	Target video.Spec
 	// AdminUser/AdminPassword seed the site's administrator account.
 	AdminUser, AdminPassword string
-	// TranscodeWorkers sizes the site's upload conversion pool (default 1;
-	// see web.Config.TranscodeWorkers).
+	// TranscodeWorkers is each frontend's share of the upload conversion
+	// pool (default 1; see web.Config.TranscodeWorkers).
 	TranscodeWorkers int
-	// TranscodeQueueCap bounds the async transcode intake queue.
+	// TranscodeQueueCap bounds the fleet's one transcode intake queue.
 	TranscodeQueueCap int
 	// Frontends is the number of web-server replicas behind the ingress
 	// balancer (default 1: the paper's single web VM; >1 builds the
@@ -592,6 +592,7 @@ type RecoveryStatus struct {
 func (vc *VideoCloud) Status() Status {
 	videos, _ := vc.site.DB().Count("videos")
 	users, _ := vc.site.DB().Count("users")
+	ts := vc.tier.TranscodeStats()
 	st := Status{
 		Hosts:      len(vc.cloud.Hosts()),
 		VMs:        vc.cloud.Snapshot(),
@@ -601,7 +602,7 @@ func (vc *VideoCloud) Status() Status {
 		IndexDocs:  vc.site.Index().Docs(),
 		VirtualNow: vc.cloud.Now(),
 		Routes:     vc.site.RouteStats(),
-		Transcode:  vc.site.TranscodeStats(),
+		Transcode:  ts,
 		HDFS:       vc.hdfs.Stats(),
 		Recovery:   vc.recoveryStatus(),
 		Breaker:    vc.site.BreakerStats(),
@@ -620,7 +621,7 @@ func (vc *VideoCloud) Status() Status {
 		st.Fleet.SpreadRoutes = vc.reg.Counter("ingress_spread_routes").Value()
 	}
 	st.Edge = vc.edgeStats()
-	st.Elastic = vc.elasticStatus()
+	st.Elastic = vc.elasticStatus(ts)
 	st.Tenants = vc.cfg.Tenants.StatusAll()
 	return st
 }
@@ -662,12 +663,11 @@ func (vc *VideoCloud) recoveryStatus() RecoveryStatus {
 	}
 }
 
-// DrainTranscodes waits for every queued upload conversion to finish on
-// every frontend.
+// DrainTranscodes waits for every queued upload conversion to finish.
 func (vc *VideoCloud) DrainTranscodes() { vc.tier.DrainTranscodes() }
 
-// Close disarms self-healing and elasticity, then shuts down every
-// frontend's transcode pool after draining queued jobs.
+// Close disarms self-healing and elasticity, then shuts down the fleet's
+// transcode pool after draining queued jobs.
 func (vc *VideoCloud) Close() {
 	vc.StopSelfHealing()
 	vc.StopElastic()

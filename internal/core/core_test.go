@@ -16,6 +16,7 @@ import (
 	"videocloud/internal/stream"
 	"videocloud/internal/tenant"
 	"videocloud/internal/video"
+	"videocloud/internal/web"
 )
 
 func boot(t *testing.T, cfg Config) *VideoCloud {
@@ -105,7 +106,7 @@ func (s *session) uploadDirect(vc *VideoCloud, title string, seconds int, seed u
 // waits for the conversion, so the caller sees the published video.
 func (s *session) uploadAs(vc *VideoCloud, ten *tenant.Tenant, title string, seconds int, seed uint64) int64 {
 	s.t.Helper()
-	id := s.enqueueAs(vc, ten, title, seconds, seed)
+	id := s.enqueueAs(vc.Site(), ten, title, seconds, seed)
 	vc.DrainTranscodes()
 	return id
 }
@@ -113,7 +114,7 @@ func (s *session) uploadAs(vc *VideoCloud, ten *tenant.Tenant, title string, sec
 // enqueueAs is uploadAs without the wait (the row is still "processing"):
 // the context carries the tenant identity exactly as the web middleware
 // would attach it for a Bearer-token request.
-func (s *session) enqueueAs(vc *VideoCloud, ten *tenant.Tenant, title string, seconds int, seed uint64) int64 {
+func (s *session) enqueueAs(site *web.Site, ten *tenant.Tenant, title string, seconds int, seed uint64) int64 {
 	s.t.Helper()
 	src := video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 64_000}
 	data, err := video.Generate(src, seconds, seed)
@@ -124,7 +125,7 @@ func (s *session) enqueueAs(vc *VideoCloud, ten *tenant.Tenant, title string, se
 	if ten != nil {
 		ctx = tenant.WithContext(ctx, ten, tenant.RoleWriter)
 	}
-	id, err := vc.Site().ProcessUpload(ctx, 1, title, "uploaded in test", data)
+	id, err := site.ProcessUpload(ctx, 1, title, "uploaded in test", data)
 	if err != nil {
 		s.t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Elasticity wiring: the closed loop between the web tier's transcode load
 // and the IaaS layer's VM fleet. The nebula.ElasticController watches queue
 // depth + in-flight conversions (via Site.TranscodeLoad) and boots/retires
-// "farmnode" VMs; each VM that reaches Running joins every frontend's
-// conversion pool, and scale-down drains it — no new conversions, in-flight
-// ones finish (bounded by the drain deadline, past which they are expelled
-// and transparently retried on surviving nodes) — before the VM terminates.
+// "farmnode" VMs; each VM that reaches Running joins the fleet's conversion
+// pool, and scale-down drains it — no new conversions, in-flight ones finish
+// (bounded by the drain deadline, past which they are expelled and
+// transparently retried on surviving nodes) — before the VM terminates.
 // A nebula.Rebalancer keeps per-host load spread bounded with budgeted live
 // migrations. Both freeze while failure detection/recovery is in progress.
 package core
@@ -76,7 +76,7 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 		// capacity if demand still warrants it.
 		Requeue: false,
 	}
-	sites := vc.tier.Sites // immutable after New; hooks run under the cloud mutex
+	farm := vc.site // the farm is the fleet's: any replica's methods act on the one pool
 	ctrl, err := nebula.NewElasticController(vc.cloud, nebula.ElasticOptions{
 		Template: tpl,
 		Min:      cfg.MinFarmVMs, Max: cfg.MaxFarmVMs,
@@ -90,41 +90,13 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 		GuardHold: cfg.GuardHold,
 		Drain: nebula.DrainOptions{
 			Deadline: cfg.DrainDeadline,
-			InFlight: func(name string) int {
-				n := 0
-				for _, s := range sites {
-					n += s.FarmNodeInFlight(name)
-				}
-				return n
-			},
-			OnDrain: func(name string) {
-				for _, s := range sites {
-					s.DrainFarmNode(name)
-				}
-			},
-			OnExpire: func(name string) {
-				for _, s := range sites {
-					s.ExpelFarmNode(name)
-				}
-			},
+			InFlight: farm.FarmNodeInFlight,
+			OnDrain:  farm.DrainFarmNode,
+			OnExpire: func(name string) { farm.ExpelFarmNode(name) },
 		},
-		Signal: func(time.Duration) float64 {
-			load := 0
-			for _, s := range sites {
-				load += s.TranscodeLoad()
-			}
-			return float64(load)
-		},
-		OnReady: func(name string) {
-			for _, s := range sites {
-				s.AddFarmNode(name)
-			}
-		},
-		OnRetire: func(name string) {
-			for _, s := range sites {
-				s.RemoveFarmNode(name)
-			}
-		},
+		Signal:   func(time.Duration) float64 { return float64(farm.TranscodeLoad()) },
+		OnReady:  farm.AddFarmNode,
+		OnRetire: farm.RemoveFarmNode,
 	})
 	if err != nil {
 		return err
@@ -172,13 +144,12 @@ type ElasticStatus struct {
 	// Controller snapshots fleet size, utilization, and decision counters.
 	Controller nebula.ElasticStats
 	// QueueDepth / WaitP99Seconds / ActiveConversions are the scaler's
-	// input gauges, summed across frontends (the dashboard reads the same
-	// numbers the controller does).
+	// input gauges (the dashboard reads the same numbers the controller
+	// does).
 	QueueDepth        int
 	WaitP99Seconds    float64
 	ActiveConversions int
-	// FarmNodes is the conversion pool's per-node in-flight/draining view,
-	// aggregated across frontends.
+	// FarmNodes is the conversion pool's per-node in-flight/draining view.
 	FarmNodes []web.FarmNodeStat
 	// Drain outcome counters (orchestrator-wide, autoscaler included).
 	DrainsStarted, DrainsCompleted, DrainsCancelled, DrainsExpired int64
@@ -190,8 +161,9 @@ type ElasticStatus struct {
 	HostLoadSpread                                         float64
 }
 
-// elasticStatus builds the Status().Elastic block.
-func (vc *VideoCloud) elasticStatus() ElasticStatus {
+// elasticStatus builds the Status().Elastic block; ts is the fleet's
+// TranscodeStats, the numbers the controller's Signal reads.
+func (vc *VideoCloud) elasticStatus(ts web.TranscodeStats) ElasticStatus {
 	creg := vc.cloud.Metrics()
 	st := ElasticStatus{
 		Enabled:             vc.elastic != nil,
@@ -202,37 +174,15 @@ func (vc *VideoCloud) elasticStatus() ElasticStatus {
 		RebalancePasses:     creg.Counter("rebalance_passes").Value(),
 		RebalanceMigrations: creg.Counter("rebalance_migrations").Value(),
 		RebalanceSkipped:    creg.Counter("rebalance_skipped_guard").Value(),
+		QueueDepth:          ts.QueueDepth,
+		WaitP99Seconds:      ts.WaitP99Seconds,
+		ActiveConversions:   ts.ActiveConversions,
+		FarmNodes:           ts.Nodes,
+		Requeues:            ts.Requeues,
 	}
 	if vc.elastic != nil {
 		st.Controller = vc.elastic.Stats()
 	}
 	_, _, st.HostLoadSpread = vc.cloud.HostLoadSpread()
-
-	// Aggregate the signal gauges across frontends the same way the
-	// controller's hooks do.
-	perNode := make(map[string]*web.FarmNodeStat)
-	var order []string
-	for _, s := range vc.tier.Sites {
-		ts := s.TranscodeStats()
-		st.QueueDepth += ts.QueueDepth
-		st.ActiveConversions += ts.ActiveConversions
-		st.Requeues += ts.Requeues
-		if ts.WaitP99Seconds > st.WaitP99Seconds {
-			st.WaitP99Seconds = ts.WaitP99Seconds
-		}
-		for _, row := range ts.Nodes {
-			agg, ok := perNode[row.Node]
-			if !ok {
-				agg = &web.FarmNodeStat{Node: row.Node}
-				perNode[row.Node] = agg
-				order = append(order, row.Node)
-			}
-			agg.InFlight += row.InFlight
-			agg.Draining = agg.Draining || row.Draining
-		}
-	}
-	for _, name := range order {
-		st.FarmNodes = append(st.FarmNodes, *perNode[name])
-	}
 	return st
 }

@@ -46,7 +46,7 @@ func TestElasticChaos(t *testing.T) {
 		uploads, seconds = 8, 6
 	}
 	vc := boot(t, Config{
-		PhysicalHosts: 5, DataVMs: 3,
+		PhysicalHosts: 5, DataVMs: 3, Frontends: 2,
 		TranscodeWorkers: 2, TranscodeQueueCap: uploads + 4,
 		Trace: trace.Options{Enabled: true},
 	})
@@ -78,7 +78,7 @@ func TestElasticChaos(t *testing.T) {
 	s.loginAdmin()
 	var ids []int64
 	for i := 0; i < uploads; i++ {
-		ids = append(ids, s.enqueueAs(vc, nil, fmt.Sprintf("flash clip %d", i), seconds, uint64(200+i)))
+		ids = append(ids, s.enqueueAs(vc.Sites()[i%2], nil, fmt.Sprintf("flash clip %d", i), seconds, uint64(200+i)))
 	}
 	driveUntil(t, vc, 30*time.Second, "first elastic scale-out", func() bool {
 		return vc.Cloud().Metrics().Counter("elastic_scale_out").Value() >= 1
@@ -104,11 +104,7 @@ func TestElasticChaos(t *testing.T) {
 
 	// ---- ride it out: burst converts, guard clears, fleet scales back ----
 	driveUntil(t, vc, time.Minute, "transcode burst drained", func() bool {
-		load := 0
-		for _, site := range vc.Sites() {
-			load += site.TranscodeLoad()
-		}
-		return load == 0
+		return vc.Site().TranscodeLoad() == 0
 	})
 	vc.DrainTranscodes()
 	driveUntil(t, vc, time.Minute, "fleet drained back to Min", func() bool {
@@ -117,7 +113,7 @@ func TestElasticChaos(t *testing.T) {
 	})
 
 	// Zero lost, zero killed: every accepted upload is ready and streamable.
-	ts := vc.Site().TranscodeStats()
+	ts := vc.Status().Transcode
 	if ts.Failed != 0 || ts.Completed != int64(uploads) {
 		t.Fatalf("transcode stats = %+v, want %d completed, 0 failed", ts, uploads)
 	}

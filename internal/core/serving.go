@@ -10,10 +10,11 @@ import (
 )
 
 // ServingTier is the SaaS layer as deployed: one or more web replicas over
-// one shared fleet state (metadata store, search index, sessions), behind an
-// ingress balancer when there is more than one. It is the only place the
-// repository assembles replicas + ingress + shards; New builds the stack's
-// tier through it and the experiments stand theirs up the same way.
+// one shared fleet state (metadata store, search index, sessions, transcode
+// queue and farm), behind an ingress balancer when there is more than one. It
+// is the only place the repository assembles replicas + ingress + shards; New
+// builds the stack's tier through it and the experiments stand theirs up the
+// same way.
 type ServingTier struct {
 	// Sites lists every replica; Sites[0] is the primary the others were
 	// built from. All share one fleet state, so reads and writes through any
@@ -67,18 +68,35 @@ func (t *ServingTier) Handler() http.Handler {
 	return t.Sites[0]
 }
 
-// DrainTranscodes waits for every queued upload conversion to finish on
-// every frontend.
-func (t *ServingTier) DrainTranscodes() {
-	for _, s := range t.Sites {
-		s.DrainTranscodes()
-	}
-}
+// DrainTranscodes waits for every upload conversion the fleet has accepted to
+// finish. The queue is the fleet's, so any replica waits for all of it.
+func (t *ServingTier) DrainTranscodes() { t.Sites[0].DrainTranscodes() }
 
-// Close shuts down every frontend's transcode pool after draining queued
-// jobs.
-func (t *ServingTier) Close() {
-	for _, s := range t.Sites {
-		s.Close()
+// Close shuts the fleet's transcode pool down after draining queued jobs.
+func (t *ServingTier) Close() { t.Sites[0].Close() }
+
+// TranscodeStats describes the fleet's farm: the queue, workers and node set
+// once (every replica reports the same ones), and the job history summed over
+// the replicas that accepted the jobs — counts added, means weighted by
+// completed jobs, the wait tail as the worst replica's.
+func (t *ServingTier) TranscodeStats() web.TranscodeStats {
+	st := t.Sites[0].TranscodeStats()
+	for _, s := range t.Sites[1:] {
+		r := s.TranscodeStats()
+		st.Enqueued += r.Enqueued
+		st.Completed += r.Completed
+		st.Failed += r.Failed
+		st.Throttled += r.Throttled
+		st.Requeues += r.Requeues
+		st.WaitP99Seconds = max(st.WaitP99Seconds, r.WaitP99Seconds)
+		if st.Completed > 0 {
+			// Running weighted mean: a replica that completed nothing moves
+			// nothing, exactly.
+			f := float64(r.Completed) / float64(st.Completed)
+			st.WaitSeconds += (r.WaitSeconds - st.WaitSeconds) * f
+			st.WallSeconds += (r.WallSeconds - st.WallSeconds) * f
+			st.ModelledSpeedup += (r.ModelledSpeedup - st.ModelledSpeedup) * f
+		}
 	}
+	return st
 }

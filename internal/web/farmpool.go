@@ -10,10 +10,10 @@ import (
 )
 
 // farmPool manages the conversion farm's node set at runtime — the web-tier
-// half of elastic scaling. The nebula controller adds a node when its VM
-// reaches Running, marks it draining when scale-down begins (no new
-// conversions are assigned, in-flight ones finish), and removes it once the
-// drain completes. Expel is the drain-deadline/host-crash path: conversions
+// half of elastic scaling, one per fleet (fleetState). The nebula controller
+// adds a node when its VM reaches Running, marks it draining when scale-down
+// begins (no new conversions are assigned, in-flight ones finish), and removes
+// it once the drain completes. Expel is the drain-deadline/host-crash path: conversions
 // still using the node are cancelled with errFarmNodeExpelled so the
 // transcode layer retries them on the surviving nodes instead of failing the
 // upload — requeue, not drop.
@@ -202,22 +202,25 @@ type FarmNodeStat struct {
 	Draining bool
 }
 
-// ---- Site-level farm management API (the elastic controller's hooks) ----
+// ---- Farm management API (the elastic controller's hooks) ----
+//
+// The pool is the fleet's: each method acts on it through whichever replica
+// it is called on, so the controller calls one replica, once.
 
 // AddFarmNode adds (or un-drains) a conversion node at runtime.
-func (s *Site) AddFarmNode(name string) { s.pool.add(name) }
+func (s *Site) AddFarmNode(name string) { s.state.pool.add(name) }
 
 // DrainFarmNode stops assigning the node new conversions.
-func (s *Site) DrainFarmNode(name string) { s.pool.drain(name) }
+func (s *Site) DrainFarmNode(name string) { s.state.pool.drain(name) }
 
 // RemoveFarmNode removes a node whose drain completed.
-func (s *Site) RemoveFarmNode(name string) { s.pool.remove(name) }
+func (s *Site) RemoveFarmNode(name string) { s.state.pool.remove(name) }
 
 // ExpelFarmNode yanks a node immediately: conversions using it are cancelled
 // and transparently retried on the remaining nodes. Returns how many
 // conversions were interrupted.
 func (s *Site) ExpelFarmNode(name string) int {
-	n := s.pool.expel(name)
+	n := s.state.pool.expel(name)
 	if n > 0 {
 		s.reg.Counter("farm_expels").Add(int64(n))
 	}
@@ -226,10 +229,10 @@ func (s *Site) ExpelFarmNode(name string) int {
 
 // FarmNodeInFlight reports conversions currently using the node — the drain
 // poll's signal.
-func (s *Site) FarmNodeInFlight(name string) int { return s.pool.nodeInFlight(name) }
+func (s *Site) FarmNodeInFlight(name string) int { return s.state.pool.nodeInFlight(name) }
 
 // TranscodeLoad is the elasticity signal: jobs waiting in the intake queue
 // plus conversions executing right now (uploads and live pushes alike).
 func (s *Site) TranscodeLoad() int {
-	return s.pool.activeConversions() + s.queue.fq.Len()
+	return s.state.pool.activeConversions() + s.state.queue.fq.Len()
 }

@@ -15,6 +15,7 @@ import (
 
 	"videocloud/internal/fusebridge"
 	"videocloud/internal/hdfs"
+	"videocloud/internal/tenant"
 	"videocloud/internal/video"
 	"videocloud/internal/videodb"
 )
@@ -273,4 +274,140 @@ func TestConcurrentWatchesCountExactly(t *testing.T) {
 	if want := fmt.Sprintf("%d views", len(sites)*watches+1); !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("watch page lacks %q", want)
 	}
+}
+
+// TestFleetFairShare: the transcode queue is the fleet's, so TranscodeQueueCap
+// bounds the fleet's backlog and a tenant's fair share is a fraction of that
+// one bound, whichever replicas the ingress spread its uploads over. With a
+// queue per replica a lone tenant held frontends × (cap + workers) jobs, and a
+// bulk tenant kept a whole bound's worth on the replica its victim never used.
+func TestFleetFairShare(t *testing.T) {
+	const queueCap, offered, clipSeconds = 4, 24, 4
+	// Every conversion sends started once (one rendition: one segment-0 task),
+	// then parks on gate.
+	setup := func(t *testing.T) (srvs []*httptest.Server, sites []*Site, reg *tenant.Registry, started chan struct{}, open func()) {
+		gate := make(chan struct{})
+		var once sync.Once
+		open = func() { once.Do(func() { close(gate) }) }
+		started = make(chan struct{}, offered) // one send per accepted upload at most
+		reg = tenant.NewRegistry()
+		sites = asyncFleet(t, 2, Config{
+			Farm: video.Farm{Nodes: []string{"dn0", "dn1"}, FaultHook: func(_ string, segment int) error {
+				if segment == 0 {
+					started <- struct{}{}
+				}
+				<-gate
+				return nil
+			}},
+			Tenants:           reg,
+			TranscodeWorkers:  1,
+			TranscodeQueueCap: queueCap,
+		})
+		t.Cleanup(open) // runs before the fleet's Close: a failing test must still unpark the workers
+		for _, s := range sites {
+			srv := httptest.NewServer(s)
+			t.Cleanup(srv.Close)
+			srvs = append(srvs, srv)
+		}
+		return srvs, sites, reg, started, open
+	}
+	tenantToken := func(t *testing.T, reg *tenant.Registry, name string) string {
+		if _, err := reg.Create(name, 1, tenant.Quota{}); err != nil {
+			t.Fatal(err)
+		}
+		tok, err := reg.IssueToken(name, tenant.RoleWriter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	// offer posts one clip and reports whether it was accepted; a refusal must
+	// be a 429 with Retry-After.
+	seed := uint64(0)
+	offer := func(t *testing.T, srv *httptest.Server, token string) bool {
+		seed++
+		resp := tokenUpload(t, srv, token, fmt.Sprintf("clip %d", seed), clipSeconds, seed)
+		switch {
+		case resp.StatusCode == http.StatusSeeOther:
+			return true
+		case resp.StatusCode != http.StatusTooManyRequests:
+			t.Fatalf("upload %d: status %d, want 303 or 429", seed, resp.StatusCode)
+		case resp.Header.Get("Retry-After") == "":
+			t.Fatalf("upload %d: 429 without Retry-After", seed)
+		}
+		return false
+	}
+	// occupyWorkers gives each of the fleet's two workers a job to park on.
+	occupyWorkers := func(t *testing.T, srvs []*httptest.Server, token string, started chan struct{}) {
+		for _, srv := range srvs {
+			if !offer(t, srv, token) {
+				t.Fatal("upload to an idle fleet refused")
+			}
+			<-started
+		}
+	}
+	allReady := func(t *testing.T, sites []*Site, want int) {
+		sites[1].DrainTranscodes()
+		ready, err := sites[0].db.Select("videos", "status", statusReady)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, _ := sites[0].db.Count("videos"); len(ready) != want || rows != want {
+			t.Fatalf("%d rows, %d ready, want %d of each: a refused upload left a row or an accepted one was lost", rows, len(ready), want)
+		}
+	}
+
+	t.Run("lone tenant", func(t *testing.T) {
+		srvs, sites, reg, started, open := setup(t)
+		bulk := tenantToken(t, reg, "bulk")
+		occupyWorkers(t, srvs, bulk, started)
+		accepted := 2
+		for i := 2; i < offered; i++ {
+			if offer(t, srvs[i%2], bulk) {
+				accepted++
+			}
+		}
+		// What one frontend with two workers accepts: a full queue plus one
+		// job per worker.
+		if want := queueCap + len(sites); accepted != want {
+			t.Fatalf("fleet accepted %d of %d uploads from one tenant, want %d (TranscodeQueueCap + workers)", accepted, offered, want)
+		}
+		var throttled int64
+		for _, s := range sites {
+			throttled += s.TranscodeStats().Throttled
+		}
+		if throttled != int64(offered-accepted) {
+			t.Fatalf("%d refusals counted, want %d", throttled, offered-accepted)
+		}
+		if held := reg.Get("bulk").Reservations().TranscodeWindowSecs; held != float64(accepted*clipSeconds) {
+			t.Fatalf("tenant holds %v reserved source seconds, want %d: a refused upload kept its reservation", held, accepted*clipSeconds)
+		}
+		open()
+		allReady(t, sites, accepted)
+	})
+
+	t.Run("two tenants", func(t *testing.T) {
+		srvs, sites, reg, started, open := setup(t)
+		bulk, victim := tenantToken(t, reg, "bulk"), tenantToken(t, reg, "victim")
+		occupyWorkers(t, srvs, bulk, started)
+		// Both backlogged at equal weight: each one's share is half the fleet's
+		// bound. The bulk tenant uploads through both replicas, the victim
+		// through replica 1 only.
+		var bulkQueued, victimQueued int
+		for round := 0; round < offered/3; round++ {
+			if offer(t, srvs[1], victim) {
+				victimQueued++
+			}
+			for _, srv := range srvs {
+				if offer(t, srv, bulk) {
+					bulkQueued++
+				}
+			}
+		}
+		if bulkQueued != queueCap/2 || victimQueued != queueCap/2 {
+			t.Fatalf("queued: bulk %d, victim %d, want %d each (half the fleet's bound)", bulkQueued, victimQueued, queueCap/2)
+		}
+		open()
+		allReady(t, sites, 2+bulkQueued+victimQueued)
+	})
 }

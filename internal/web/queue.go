@@ -8,7 +8,6 @@ import (
 	"log"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"videocloud/internal/tenant"
@@ -45,6 +44,10 @@ const (
 // worker's spans stay causally linked to the request while the job's
 // cancellation follows the queue lifetime, not the (long-gone) HTTP request.
 type transcodeJob struct {
+	// site is the replica that accepted the upload. Whichever worker pops the
+	// job, that replica converts and publishes it: its registry, tracer and
+	// rendition ladder.
+	site     *Site
 	ctx      context.Context
 	videoID  int64
 	data     []byte
@@ -55,38 +58,42 @@ type transcodeJob struct {
 	adm *admission
 }
 
-// transcodeQueue is the bounded worker pool that drains async uploads.
-// Intake is a weighted start-time-fair queue: each tenant is a flow, so a
+// transcodeQueue is the fleet's one bounded intake and the workers that drain
+// it. Intake is a weighted start-time-fair queue: each tenant is a flow, so a
 // bulk tenant's backlog interleaves with — instead of running ahead of —
-// everyone else's, and a flow over its fair share is throttled with a
-// typed error (429) rather than crowding the queue.
+// everyone else's, and a flow over its fair share of the fleet's bound is
+// throttled with a typed error (429) rather than crowding the queue,
+// whichever replicas its uploads arrived through.
 type transcodeQueue struct {
 	fq       *tenant.FairQueue[transcodeJob]
-	nworkers int
 	baseCtx  context.Context // cancelled by Close after the drain
 	cancel   context.CancelFunc
-	mu       sync.Mutex     // guards closed and admission into pending
+	mu       sync.Mutex     // guards closed, nworkers and admission into pending
 	closed   bool           // set by Close; enqueueTranscode fails fast after
+	nworkers int            // across every replica
 	pending  sync.WaitGroup // jobs accepted but not yet published/failed
 	workers  sync.WaitGroup // worker goroutines
 	stop     sync.Once
-
-	enqueued  atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
 }
 
-// startTranscoders launches the conversion pool every upload goes through.
-func (s *Site) startTranscoders(workers, queueCap int) {
-	if workers == 0 {
-		workers = defaultTranscodeWorkers
-	}
+func newTranscodeQueue(queueCap int) *transcodeQueue {
 	if queueCap <= 0 {
 		queueCap = defaultTranscodeQueueCap
 	}
-	q := &transcodeQueue{fq: tenant.NewFairQueue[transcodeJob](queueCap), nworkers: workers}
+	q := &transcodeQueue{fq: tenant.NewFairQueue[transcodeJob](queueCap)}
 	q.baseCtx, q.cancel = context.WithCancel(context.Background())
-	s.queue = q
+	return q
+}
+
+// startWorkers adds one replica's workers to the pool every upload goes
+// through.
+func (q *transcodeQueue) startWorkers(workers int) {
+	if workers == 0 {
+		workers = defaultTranscodeWorkers
+	}
+	q.mu.Lock()
+	q.nworkers += workers
+	q.mu.Unlock()
 	for i := 0; i < workers; i++ {
 		q.workers.Add(1)
 		go func() {
@@ -96,13 +103,13 @@ func (s *Site) startTranscoders(workers, queueCap int) {
 				if !ok {
 					return
 				}
-				s.runTranscodeJob(job)
+				job.site.runTranscodeJob(job)
 			}
 		}()
 	}
 }
 
-// errSiteClosed rejects uploads that race Site.Close.
+// errSiteClosed rejects uploads that race Close (on any replica).
 var errSiteClosed = errors.New("web: site is shut down, not accepting uploads")
 
 // enqueueTranscode hands an upload to the pool. A tenant whose backlog has
@@ -113,7 +120,8 @@ var errSiteClosed = errors.New("web: site is shut down, not accepting uploads")
 // sending: admission into the pending group happens under the queue mutex,
 // so Close can wait out every accepted sender before it closes the queue.
 func (s *Site) enqueueTranscode(ctx context.Context, job transcodeJob) error {
-	q := s.queue
+	q := s.state.queue
+	job.site = s
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -148,14 +156,13 @@ func (s *Site) enqueueTranscode(ctx context.Context, job transcodeJob) error {
 		}
 		return errSiteClosed
 	}
-	q.enqueued.Add(1)
 	s.reg.Counter("transcode_jobs").Inc()
 	s.reg.Gauge("transcode_queue_depth").Set(int64(q.fq.Len()))
 	return nil
 }
 
 func (s *Site) runTranscodeJob(job transcodeJob) {
-	q := s.queue
+	q := s.state.queue
 	defer q.pending.Done()
 	defer trace.FromContext(job.ctx).Release() // matches enqueueTranscode's Hold
 	s.reg.Gauge("transcode_queue_depth").Set(int64(q.fq.Len()))
@@ -179,15 +186,12 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 		// the row stays, marked failed, and the watch page explains. Nothing
 		// was stored, so every reservation goes back.
 		job.adm.release()
-		q.failed.Add(1)
 		s.reg.Counter("transcode_failures").Inc()
 		log.Printf("web: async conversion of video %d failed: %v", job.videoID, err)
 		if uerr := s.db.Update("videos", job.videoID, videodb.Row{"status": statusFailed}); uerr != nil {
 			log.Printf("web: marking video %d failed: %v", job.videoID, uerr)
 		}
-		return
 	}
-	q.completed.Add(1)
 }
 
 // transcodeAndPublish converts an inserted upload to the target plus every
@@ -245,7 +249,7 @@ func (s *Site) transcodeAndPublish(ctx context.Context, id int64, data []byte, a
 // cancellation (site shutdown) still fails it.
 func (s *Site) convertPooled(ctx context.Context, data []byte, specs []video.Spec) ([]*video.FarmResult, error) {
 	for attempt := 0; ; attempt++ {
-		cctx, farm, release := s.pool.acquire(ctx)
+		cctx, farm, release := s.state.pool.acquire(ctx)
 		results, err := farm.ConvertMultiContext(cctx, data, specs...)
 		cause := context.Cause(cctx)
 		release()
@@ -262,19 +266,19 @@ func (s *Site) convertPooled(ctx context.Context, data []byte, specs []video.Spe
 	}
 }
 
-// DrainTranscodes blocks until every job accepted so far has been published
-// or marked failed. Experiments and tests call it to observe the steady
-// state.
-func (s *Site) DrainTranscodes() { s.queue.pending.Wait() }
+// DrainTranscodes blocks until every job the fleet has accepted so far,
+// through whichever replica, has been published or marked failed. Experiments
+// and tests call it to observe the steady state.
+func (s *Site) DrainTranscodes() { s.state.queue.pending.Wait() }
 
-// Close shuts the transcode pool down after draining queued jobs. Uploads
-// that race Close fail fast with an error instead of pushing into a closed
-// queue: Close marks the queue closed first, waits for every already
+// Close shuts the fleet's transcode pool down after draining queued jobs.
+// Uploads that race Close fail fast with an error instead of pushing into a
+// closed queue: Close marks the queue closed first, waits for every already
 // accepted job (including pushers still blocked on a full queue — workers
 // keep draining until the fair queue closes), and only then closes it.
-// It is idempotent.
+// It is idempotent, from one replica or from several.
 func (s *Site) Close() {
-	q := s.queue
+	q := s.state.queue
 	q.stop.Do(func() {
 		q.mu.Lock()
 		q.closed = true
@@ -287,17 +291,18 @@ func (s *Site) Close() {
 }
 
 // TranscodeStats summarises the conversion pool for dashboards
-// (core.Status carries it).
+// (core.Status carries the fleet's).
 type TranscodeStats struct {
-	// Workers is the pool size.
+	// Workers is the pool size, every replica's workers counted.
 	Workers int
-	// QueueCap is the intake bound; pushes past it are throttled or block.
+	// QueueCap is the fleet's intake bound; pushes past it are throttled or
+	// block.
 	QueueCap int
 	// QueueDepth is the number of jobs waiting right now.
 	QueueDepth int
-	// Enqueued / Completed / Failed count jobs over the site's lifetime;
-	// Throttled counts pushes refused by the weighted-fair gate (the tenant
-	// was over its share and told to retry, not blocked).
+	// Enqueued / Completed / Failed count the jobs one replica accepted over
+	// its lifetime; Throttled counts its pushes refused by the weighted-fair
+	// gate (the tenant was over its share and told to retry, not blocked).
 	Enqueued, Completed, Failed, Throttled int64
 	// WaitSeconds is the mean time jobs spent queued; WaitP99Seconds is the
 	// tail — the elasticity controller's latency-side gauge.
@@ -317,24 +322,30 @@ type TranscodeStats struct {
 	ModelledSpeedup float64
 }
 
-// TranscodeStats reports the pool's current state.
+// TranscodeStats reports the farm's current state (Workers, QueueCap,
+// QueueDepth, ActiveConversions, Nodes: the same from every replica) and the
+// history of the jobs this replica accepted, read from its own registry
+// (uploads counts published jobs).
 func (s *Site) TranscodeStats() TranscodeStats {
 	wait := s.reg.Histogram("transcode_wait_seconds").Snapshot()
-	q := s.queue
+	q := s.state.queue
+	q.mu.Lock()
+	workers := q.nworkers
+	q.mu.Unlock()
 	st := TranscodeStats{
-		Workers:         q.nworkers,
+		Workers:         workers,
 		QueueCap:        q.fq.Cap(),
 		QueueDepth:      q.fq.Len(),
-		Enqueued:        q.enqueued.Load(),
-		Completed:       q.completed.Load(),
-		Failed:          q.failed.Load(),
-		Throttled:       q.fq.Throttles(),
+		Enqueued:        s.reg.Counter("transcode_jobs").Value(),
+		Completed:       s.reg.Counter("uploads").Value(),
+		Failed:          s.reg.Counter("transcode_failures").Value(),
+		Throttled:       s.reg.Counter("transcode_throttled").Value(),
 		WaitSeconds:     wait.Mean,
 		WaitP99Seconds:  wait.P99,
 		WallSeconds:     s.reg.Histogram("conversion_wall_seconds").Mean(),
 		ModelledSpeedup: s.reg.Histogram("conversion_speedup").Mean(),
 		Requeues:        s.reg.Counter("transcode_requeues").Value(),
 	}
-	st.Nodes, st.ActiveConversions = s.pool.snapshot()
+	st.Nodes, st.ActiveConversions = s.state.pool.snapshot()
 	return st
 }

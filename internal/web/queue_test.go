@@ -20,26 +20,47 @@ import (
 // block on gate (close it to let conversions run) or fail via hook.
 func asyncSite(t testing.TB, workers, queueCap int, hook func(node string, segment int) error) *Site {
 	t.Helper()
+	return asyncFleet(t, 1, asyncConfig(workers, queueCap, hook))[0]
+}
+
+// asyncConfig is asyncSite's configuration: four farm nodes running hook and
+// a 720p+360p ladder.
+func asyncConfig(workers, queueCap int, hook func(node string, segment int) error) Config {
+	return Config{
+		Farm:              video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}, FaultHook: hook},
+		Renditions:        []video.Spec{{Codec: video.H264, Res: video.R360p, FPS: 30, GOPSeconds: 2, BitrateBps: 50_000}},
+		TranscodeWorkers:  workers,
+		TranscodeQueueCap: queueCap,
+	}
+}
+
+// asyncFleet builds frontends replicas of cfg over one four-DataNode mount
+// (Store, Target and the admin account are filled in here): each replica adds
+// cfg.TranscodeWorkers workers to the fleet's queue.
+func asyncFleet(t testing.TB, frontends int, cfg Config) []*Site {
+	t.Helper()
 	cluster := hdfs.NewCluster(4, 256*1024)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := New(Config{
-		Store:             mount,
-		Farm:              video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}, FaultHook: hook},
-		Target:            video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000},
-		Renditions:        []video.Spec{{Codec: video.H264, Res: video.R360p, FPS: 30, GOPSeconds: 2, BitrateBps: 50_000}},
-		AdminUser:         "admin",
-		AdminPassword:     "secret",
-		TranscodeWorkers:  workers,
-		TranscodeQueueCap: queueCap,
-	})
+	cfg.Store = mount
+	cfg.Target = video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 100_000}
+	cfg.AdminUser, cfg.AdminPassword = "admin", "secret"
+	primary, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(site.Close)
-	return site
+	t.Cleanup(primary.Close)
+	sites := []*Site{primary}
+	for len(sites) < frontends {
+		rep, err := NewReplica(cfg, primary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, rep)
+	}
+	return sites
 }
 
 func testUploadMedia(t testing.TB, seconds int, seed uint64) []byte {
@@ -336,6 +357,36 @@ func TestUploadAfterCloseFailsCleanly(t *testing.T) {
 		t.Fatalf("rejected upload left a row: %d -> %d", before, after)
 	}
 	site.Close() // still idempotent
+
+	// An upload through replica 1 racing the fleet's Close (called on replica
+	// 0) is either accepted, and then published before Close returns, or
+	// refused with errSiteClosed and no row.
+	for round := 0; round < 10; round++ {
+		sites := asyncFleet(t, 2, asyncConfig(1, 4, nil))
+		media := testUploadMedia(t, 4, uint64(round+1))
+		before, _ := sites[0].db.Count("videos")
+		var id int64
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			id, err = sites[1].ProcessUpload(context.Background(), sites[1].AdminID(), "racing", "", media)
+		}()
+		sites[0].Close()
+		<-done
+		sites[1].Close() // the queue is already closed: a no-op from any replica
+		after, _ := sites[0].db.Count("videos")
+		switch {
+		case err == nil:
+			if got := videoStatus(t, sites[0], id); got != statusReady || after != before+1 {
+				t.Fatalf("round %d: accepted upload is %q with %d -> %d rows after Close, want ready", round, got, before, after)
+			}
+		case !errors.Is(err, errSiteClosed):
+			t.Fatalf("round %d: upload racing Close: %v, want errSiteClosed", round, err)
+		case after != before:
+			t.Fatalf("round %d: refused upload left a row: %d -> %d", round, before, after)
+		}
+	}
 }
 
 // TestZeroGOPUploadRejected crafts the container that used to crash the

@@ -37,7 +37,7 @@ type Config struct {
 	// shared videodb.ShardedDB so every replica sees the same catalog.
 	DB videodb.Store
 	// Farm performs distributed conversion of uploads (required: at
-	// least one node).
+	// least one node). The fleet converts on the primary's.
 	Farm video.Farm
 	// Target is the playback encoding; zero selects the paper's H.264
 	// 720p at 2 Mbps with 2-second GOPs.
@@ -47,14 +47,15 @@ type Config struct {
 	Renditions []video.Spec
 	// AdminUser is created at startup with AdminPassword.
 	AdminUser, AdminPassword string
-	// TranscodeWorkers sizes the conversion pool (default 1): uploads return
-	// immediately with status "processing" while the pool converts in the
-	// background. Negative is rejected.
+	// TranscodeWorkers is how many conversion workers this frontend adds to
+	// the fleet's pool (default 1): uploads return immediately with status
+	// "processing" while the pool converts in the background. Negative is
+	// rejected.
 	TranscodeWorkers int
-	// TranscodeQueueCap bounds the intake queue (default 64). A tenant whose
-	// backlog reaches its fair share is told to retry (429); one under its
-	// share blocks while the queue is full — backpressure, not unbounded
-	// buffering.
+	// TranscodeQueueCap bounds the fleet's one intake queue (default 64; the
+	// primary's value, a replica's is not read). A tenant whose backlog reaches
+	// its fair share is told to retry (429); one under its share blocks while
+	// the queue is full — backpressure, not unbounded buffering.
 	TranscodeQueueCap int
 	// Tracer, when non-nil and enabled, opens a root span per request in
 	// the middleware and threads it through the upload/stream paths down
@@ -88,15 +89,24 @@ type Config struct {
 // QualityLabel names a rendition by its vertical resolution ("720p").
 func QualityLabel(s video.Spec) string { return fmt.Sprintf("%dp", s.Res.H) }
 
-// fleetState is the metadata every replica of a serving fleet shares: the
-// (possibly sharded) database, the search index, the session and
-// verification-token tables, and the replica list invalidations walk. A
-// single-replica site owns a private instance; NewReplica hands additional
-// frontends the same one, so a login on replica 0 is valid on replica 7 and
-// an upload through any replica invalidates every replica's hot cache.
+// fleetState is what every replica of a serving fleet shares: the (possibly
+// sharded) database, the search index, the session and verification-token
+// tables, the replica list invalidations walk, and the conversion farm — one
+// transcode queue and one node set behind the web tier, as in the paper's
+// Figures 14/16. A single-replica site owns a private instance; NewReplica
+// hands additional frontends the same one, so a login on replica 0 is valid on
+// replica 7, an upload through any replica invalidates every replica's hot
+// cache, and a tenant's fair share is a fraction of one bound however the
+// ingress spread its uploads.
 type fleetState struct {
 	db      videodb.Store
 	tenants *tenant.Registry
+
+	// queue is the intake every upload converts through (queue.go); pool is the
+	// farm's runtime node set (farmpool.go: elastic add/drain/remove). Both are
+	// built from the primary's Config; each replica adds its workers to queue.
+	queue *transcodeQueue
+	pool  *farmPool
 
 	mu    sync.Mutex
 	index *search.Index
@@ -136,12 +146,12 @@ func (st *fleetState) frontends() []*Site {
 
 // Site is one running frontend replica of the website. Replicas built with
 // NewReplica share a fleetState; everything else — route metrics, hot
-// caches, transcode pool, circuit breaker, stream pacer — is per-replica.
+// caches, edge cache, circuit breaker, stream pacer, and the counters of the
+// uploads it accepted — is per-replica.
 type Site struct {
 	state  *fleetState
 	db     videodb.Store // == state.db, cached for the hot paths
 	store  *fusebridge.Mount
-	pool   *farmPool // runtime node set (elastic add/drain/remove)
 	target video.Spec
 	specs  []video.Spec // the ladder every upload is converted to: target, then Renditions
 	labels []string     // QualityLabel of each spec, the order a row's renditions column lists
@@ -163,9 +173,6 @@ type Site struct {
 	edge       *edge.Cache
 	segSeconds int
 	liveTTL    time.Duration
-
-	// queue is the transcode pool every upload converts on (queue.go).
-	queue *transcodeQueue
 
 	// hdfsBreaker fails streaming fast while the store is down
 	// (breaker.go).
@@ -242,7 +249,6 @@ func assemble(cfg Config, state *fleetState) *Site {
 		state:       state,
 		db:          state.db,
 		store:       cfg.Store,
-		pool:        newFarmPool(cfg.Farm),
 		target:      cfg.Target,
 		specs:       append([]video.Spec{cfg.Target}, cfg.Renditions...),
 		reg:         reg,
@@ -264,7 +270,7 @@ func assemble(cfg Config, state *fleetState) *Site {
 	state.replicas = append(state.replicas, s)
 	state.cmu.Unlock()
 	s.mux = s.routes()
-	s.startTranscoders(cfg.TranscodeWorkers, cfg.TranscodeQueueCap)
+	state.queue.startWorkers(cfg.TranscodeWorkers)
 	return s
 }
 
@@ -288,6 +294,8 @@ func New(cfg Config) (*Site, error) {
 		tenants:  reg,
 		index:    search.NewIndex(),
 		sessions: make(map[[32]byte]int64),
+		queue:    newTranscodeQueue(cfg.TranscodeQueueCap),
+		pool:     newFarmPool(cfg.Farm),
 	}
 	s := assemble(cfg, state)
 	if err := s.createSchema(); err != nil {
@@ -304,10 +312,11 @@ func New(cfg Config) (*Site, error) {
 }
 
 // NewReplica builds an additional frontend over primary's fleet state: same
-// database, index, sessions, and admin account, but its own hot caches,
-// metrics, transcode pool, circuit breaker, and stream pacer. cfg must name
-// the same Store mount; schema creation and admin registration are skipped
-// (the primary already did both).
+// database, index, sessions, admin account, transcode queue and farm, but its
+// own hot caches, metrics, circuit breaker, and stream pacer, and
+// cfg.TranscodeWorkers more workers on the fleet's queue. cfg must name the
+// same Store mount; schema creation and admin registration are skipped (the
+// primary already did both).
 func NewReplica(cfg Config, primary *Site) (*Site, error) {
 	if primary == nil {
 		return nil, errors.New("web: NewReplica needs a primary site")
