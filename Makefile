@@ -31,7 +31,7 @@ race:
 	$(GO) test -race ./...
 
 alloccheck:
-	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/
+	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/ ./internal/metrics/
 
 # Ten seconds of fuzzing the page writers against the html/template oracle
 # they replaced (internal/web/pages_test.go): bodies must stay byte-identical.
@@ -41,12 +41,15 @@ alloccheck:
 # fills land in arrays eviction recycles, so a view that outlives its reference
 # or a fill that keeps unverified bytes shows as a wrong byte here. Then ten
 # seconds each of the two parsers /stream trusts: the layout that rebuilds a
-# container from a row's numbers, and the Range header.
+# container from a row's numbers, and the Range header. Then ten seconds of
+# arbitrary float64 bit patterns and split points through histogram merges:
+# the merged parts must equal the whole, bucket for bucket.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
 	$(GO) test -run '^$$' -fuzz FuzzParseRange -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzHistogramMerge -fuzztime 10s ./internal/metrics/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,
 # DataNode crash, block corruption, tracker death mid-job) at reduced
@@ -61,12 +64,15 @@ fuzzshort:
 # web tier's title lifecycle: whether a delete meets a row before or after its
 # publisher does depends on worker/deleter interleaving. And the fleet's one
 # transcode queue: which replica's worker pops a job, and whether an upload or
-# Close reaches the queue first, depends on interleaving across replicas.
+# Close reaches the queue first, depends on interleaving across replicas. And
+# the histogram every latency figure is read from: concurrent observations,
+# merges and snapshots must leave Count, Sum and the bucket totals exact.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
 	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose' ./internal/web/
+	$(GO) test -race -count=5 -run 'TestHistogramConcurrent' ./internal/metrics/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),
 # so the root ./... patterns never compile it: vet and short-test it here so

@@ -524,7 +524,8 @@ type Status struct {
 	IndexDocs  int
 	VirtualNow time.Duration
 	// Routes carries the serving tier's per-route request counts, status
-	// classes, in-flight gauges, and latency quantiles.
+	// classes, in-flight gauges, and latency quantiles, summed and merged over
+	// every frontend.
 	Routes []web.RouteStats
 	// Transcode reports the async conversion pool: workers, queue depth,
 	// job counts, queue wait, and measured wall-clock conversion time.
@@ -539,7 +540,8 @@ type Status struct {
 	// Heal reports the storage healer's detection/repair activity (zero
 	// while self-healing is disarmed).
 	Heal hdfs.HealStats
-	// Breaker reports the web tier's HDFS circuit breaker.
+	// Breaker reports the web tier's HDFS circuit breakers: counts summed over
+	// every frontend, the worst one's state.
 	Breaker web.BreakerStats
 	// Trace reports the distributed tracer: roots started/sampled, spans
 	// recorded/dropped, and stored-trace counts.
@@ -601,11 +603,11 @@ func (vc *VideoCloud) Status() Status {
 		Users:      users,
 		IndexDocs:  vc.site.Index().Docs(),
 		VirtualNow: vc.cloud.Now(),
-		Routes:     vc.site.RouteStats(),
+		Routes:     web.RouteStatsOf(vc.tier.Sites...),
 		Transcode:  ts,
 		HDFS:       vc.hdfs.Stats(),
 		Recovery:   vc.recoveryStatus(),
-		Breaker:    vc.site.BreakerStats(),
+		Breaker:    web.BreakerStatsOf(vc.tier.Sites...),
 		Trace:      vc.tracer.Stats(),
 	}
 	if vc.healer != nil {

@@ -76,27 +76,7 @@ func (t *ServingTier) DrainTranscodes() { t.Sites[0].DrainTranscodes() }
 func (t *ServingTier) Close() { t.Sites[0].Close() }
 
 // TranscodeStats describes the fleet's farm: the queue, workers and node set
-// once (every replica reports the same ones), and the job history summed over
-// the replicas that accepted the jobs — counts added, means weighted by
-// completed jobs, the wait tail as the worst replica's.
-func (t *ServingTier) TranscodeStats() web.TranscodeStats {
-	st := t.Sites[0].TranscodeStats()
-	for _, s := range t.Sites[1:] {
-		r := s.TranscodeStats()
-		st.Enqueued += r.Enqueued
-		st.Completed += r.Completed
-		st.Failed += r.Failed
-		st.Throttled += r.Throttled
-		st.Requeues += r.Requeues
-		st.WaitP99Seconds = max(st.WaitP99Seconds, r.WaitP99Seconds)
-		if st.Completed > 0 {
-			// Running weighted mean: a replica that completed nothing moves
-			// nothing, exactly.
-			f := float64(r.Completed) / float64(st.Completed)
-			st.WaitSeconds += (r.WaitSeconds - st.WaitSeconds) * f
-			st.WallSeconds += (r.WallSeconds - st.WallSeconds) * f
-			st.ModelledSpeedup += (r.ModelledSpeedup - st.ModelledSpeedup) * f
-		}
-	}
-	return st
-}
+// once, the job counts summed over the replicas that accepted the jobs, and
+// the wait, wall-time and speedup figures of the merge of every replica's
+// histograms.
+func (t *ServingTier) TranscodeStats() web.TranscodeStats { return web.TranscodeStatsOf(t.Sites...) }

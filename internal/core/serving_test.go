@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
@@ -123,5 +124,72 @@ func TestStatusUnchanged(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("Status() differs from the recorded one:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// Status describes the fleet, not replica 0: per-route counters and latency
+// histograms are summed and merged over every frontend, and the breaker
+// summary counts every frontend's trips and reports the worst state.
+func TestStatusDescribesFleet(t *testing.T) {
+	vc := boot(t, Config{Frontends: 2})
+	defer vc.Close()
+	id := newSession(t, vc).uploadDirect(vc, "fleet status", 10, 5)
+	srv := httptest.NewServer(vc.Sites()[1]) // replica 1 only, past the ingress
+	defer srv.Close()
+	get := func(path string) int {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const n = 7
+	for i := 0; i < n; i++ {
+		if code := get("/"); code != http.StatusOK {
+			t.Fatalf("home answered %d", code)
+		}
+	}
+	for _, rs := range vc.Status().Routes {
+		if rs.Route == "home" && (rs.Requests != n || rs.Latency.Count != n) {
+			t.Fatalf("Status().Routes home = %d requests, %d latencies; want %d of each", rs.Requests, rs.Latency.Count, n)
+		}
+	}
+
+	// Every DataNode down: replica 1's streams fail until its breaker trips,
+	// then are rejected while it stays open.
+	for _, name := range vc.DataVMNames() {
+		vc.HDFS().DataNode(name).SetDown(true)
+	}
+	for i := 0; i < 10; i++ {
+		if code := get(fmt.Sprintf("/stream/%d", id)); code != http.StatusServiceUnavailable {
+			t.Fatalf("stream %d with the store down answered %d", i, code)
+		}
+	}
+	if b := vc.Status().Breaker; b.Opened != 1 || b.State != "open" {
+		t.Fatalf("Status().Breaker = %+v, want one trip and state open", b)
+	}
+}
+
+// The fleet's transcode wait figures come from the merged distribution: one
+// 10 s wait on replica 0 beside 999 waits of 0.1 s on replica 1 is a fleet
+// p99 of 0.1 s, not the worst replica's 10 s, and a mean over all 1 000.
+func TestFleetTranscodeTailIsMerged(t *testing.T) {
+	vc := boot(t, Config{Frontends: 2})
+	defer vc.Close()
+	sites := vc.Sites()
+	sites[0].Metrics().Histogram("transcode_wait_seconds").Observe(10)
+	var sum1 float64
+	for i := 0; i < 999; i++ {
+		sites[1].Metrics().Histogram("transcode_wait_seconds").Observe(0.1)
+		sum1 += 0.1
+	}
+	ts := vc.tier.TranscodeStats()
+	if math.Abs(ts.WaitP99Seconds-0.1) > 0.1/32 {
+		t.Fatalf("fleet wait p99 = %g s, want 0.1 within 1/32", ts.WaitP99Seconds)
+	}
+	if want := (10 + sum1) / 1000; math.Abs(ts.WaitSeconds-want) > 1e-12*want {
+		t.Fatalf("fleet wait mean = %g s, want %g (all 1 000 waits)", ts.WaitSeconds, want)
 	}
 }

@@ -105,7 +105,7 @@ func E9EndToEnd() *metrics.Table {
 	check(fetched < size/2, "E9: seeking still fetched %d of %d bytes", fetched, size)
 	// The serving tier's own per-route instrumentation for the journey just
 	// driven (register, verify, login, search, stream).
-	for _, rs := range site.RouteStats() {
+	for _, rs := range web.RouteStatsOf(site) {
 		if rs.Requests == 0 {
 			continue
 		}

@@ -57,7 +57,7 @@ func E9bConcurrentLoad() *metrics.Table {
 	}
 	// Per-route serving-path metrics, as recorded by the site itself. The
 	// errors column carries the 5xx count; req_per_s does not apply.
-	for _, rs := range r.site.RouteStats() {
+	for _, rs := range web.RouteStatsOf(r.site) {
 		if rs.Requests == 0 {
 			continue
 		}

@@ -181,10 +181,9 @@ func (w *Writer) flushBlockSpan(data []byte, sp *trace.Span) error {
 	if sp.Recording() {
 		sp.AnnotateInt("replicas", int64(len(stored)))
 	}
-	c.cluster.reg.Counter("bytes_written").Add(int64(len(data)) * int64(len(stored)))
-	c.cluster.reg.Counter("blocks_written").Inc()
-	c.cluster.reg.Histogram("hdfs_write_seconds").
-		ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
+	c.cluster.bytesWritten.Add(int64(len(data)) * int64(len(stored)))
+	c.cluster.blocksWritten.Inc()
+	c.cluster.writeSeconds.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
 	return nil
 }
 
@@ -333,9 +332,8 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 			} else if sp.Recording() {
 				sp.Annotate("replica", loc)
 			}
-			c.cluster.reg.Counter("bytes_read").Add(int64(n))
-			c.cluster.reg.Histogram("hdfs_read_seconds").
-				ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
+			c.cluster.bytesRead.Add(int64(n))
+			c.cluster.readSeconds.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID())
 			sp.End()
 			return n, nil
 		}

@@ -2,19 +2,23 @@ package metrics
 
 import "testing"
 
-// The Snapshot fix: one lock acquisition and one sort for all three
-// quantiles, versus the old shape of a lock round-trip per accessor and a
-// fresh copy+sort per Quantile call. BenchmarkHistogramThreeQuantiles keeps
-// the old shape measurable so the win stays visible across PRs.
-
-func filledHistogram() *Histogram {
-	h := NewHistogram()
+// latencies returns a deterministic latency-like value stream: xorshift over
+// 0..100 ms in microsecond steps.
+func latencies() func() float64 {
 	x := uint64(0x2545f4914f6cdd1d)
-	for i := 0; i < reservoirCap; i++ {
+	return func() float64 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		h.Observe(float64(x%100000) / 1000)
+		return float64(x%100000) / 1e6
+	}
+}
+
+func filledHistogram() *Histogram {
+	h := NewHistogram()
+	next := latencies()
+	for i := 0; i < reservoirCap; i++ {
+		h.Observe(next())
 	}
 	return h
 }
@@ -31,18 +35,16 @@ func BenchmarkHistogramSnapshot(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramThreeQuantiles(b *testing.B) {
-	h := filledHistogram()
+// BenchmarkHistogramObserveParallel is the middleware's shape: every request
+// on every core records into its route's one histogram. With -cpu 2 or more
+// it measures the contended Observe.
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	h := NewHistogram()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := Snapshot{
-			Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
-			Min: h.Min(), Max: h.Max(),
-			P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
+	b.RunParallel(func(pb *testing.PB) {
+		next := latencies()
+		for pb.Next() {
+			h.Observe(next())
 		}
-		if s.Count == 0 {
-			b.Fatal("empty snapshot")
-		}
-	}
+	})
 }

@@ -3,14 +3,17 @@
 // and a registry that renders aligned text tables for the experiment
 // harnesses (EXPERIMENTS.md rows are produced through this package).
 //
-// All types are safe for concurrent use; the hot-path operations are a single
-// atomic add so they are cheap enough for per-block and per-request use.
+// All types are safe for concurrent use and cheap enough for per-block and
+// per-request use: a counter or gauge update is one atomic add, a histogram
+// observation one short critical section over a fixed bucket array.
+// Histograms merge (Histogram.Merge), so a distribution over many replicas
+// is the merge of theirs, not one replica's or the worst one's.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,20 +53,72 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram accumulates float64 observations and reports count, mean, min,
-// max and quantiles. Observations are retained exactly up to a cap, after
-// which reservoir sampling keeps an unbiased sample; count/sum/min/max remain
-// exact.
+// Histogram accumulates float64 observations in fixed log-linear buckets
+// (the HdrHistogram/DDSketch shape) and reports count, sum, mean, min, max,
+// quantiles and an exemplar.
+//
+// Layout: every power of two in [2^-32, 2^32) — 0.23 ns to 136 years when
+// the unit is seconds — is split into 16 equal-width sub-buckets, 1 024
+// buckets of int64 counts: 8 KiB per histogram, fixed at construction and
+// never grown. A value below the range (0 and negative values included) is
+// counted in the first bucket, one at or above it (+Inf included) in the
+// last; NaN is ignored.
+//
+// Accuracy: Count, Sum, Min and Max are exact. A quantile is interpolated
+// between the two ranks either side of it, as an exact sort would be, each
+// rank read as its bucket's midpoint clamped to [Min, Max] — the first rank
+// is Min and the last Max exactly, so p0 and p100 are exact. A bucket's
+// half-width is at most 1/32 of any value in it, so for observations inside
+// the range every quantile is within 1/32 of the exact one, relative to it.
+//
+// Merge adds one histogram into another: bucket counts, count and sum added,
+// the smaller min, the larger max, the larger exemplar. The result does not
+// depend on the order of observations or merges (Sum up to float rounding),
+// so a fleet's distribution is the merge of its replicas'.
+//
+// The zero value is an empty histogram ready to use. Each method is one short
+// critical section: Snapshot copies the state out and reads quantiles from
+// the copy, and Merge copies o out before it locks h, so no two histograms
+// are ever locked together.
 type Histogram struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	d  histData
+}
+
+// histData is a histogram's state; Snapshot and Merge copy it out whole.
+type histData struct {
 	count    int64
 	sum      float64
-	min      float64
-	max      float64
-	samples  []float64
-	capN     int
-	rngSeed  uint64
+	min, max float64
 	exemplar Exemplar
+	buckets  [numBuckets]int64
+}
+
+// The bucket layout: 2^subBits linear sub-buckets per power of two across
+// [2^minExp, 2^maxExp).
+const (
+	subBits    = 4
+	subBuckets = 1 << subBits
+	minExp     = -32
+	maxExp     = 32
+	numBuckets = (maxExp - minExp) * subBuckets
+)
+
+// bucketOf returns the bucket v is counted in: the float's exponent picks the
+// power of two and its top four mantissa bits the sub-bucket; values outside
+// the range go to the end buckets.
+func bucketOf(v float64) int {
+	if !(v >= 1.0/(1<<-minExp)) {
+		return 0
+	}
+	b := math.Float64bits(v)
+	return min((int(b>>52)-1023-minExp)<<subBits|int(b>>(52-subBits))&(subBuckets-1), numBuckets-1)
+}
+
+// bucketMid returns the midpoint of bucket i, 2^e·(1 + (s+½)/16).
+func bucketMid(i int) float64 {
+	e, s := i>>subBits+minExp, i&(subBuckets-1)
+	return math.Ldexp(float64(2*(subBuckets+s)+1), e-subBits-1)
 }
 
 // Exemplar links a histogram's worst observation to the trace that produced
@@ -74,134 +129,153 @@ type Exemplar struct {
 	TraceID uint64
 }
 
-// reservoirCap bounds per-histogram memory; 4096 samples give quantile error
-// well under the variation any experiment here cares about.
-const reservoirCap = 4096
+// outranks reports whether e replaces cur as a histogram's exemplar: it
+// carries a trace and is larger, equal values going to the larger trace ID
+// so the exemplar kept does not depend on observation or merge order.
+func (e Exemplar) outranks(cur Exemplar) bool {
+	if e.TraceID == 0 || cur.TraceID == 0 {
+		return e.TraceID != 0
+	}
+	return e.Value > cur.Value || e.Value == cur.Value && e.TraceID > cur.TraceID
+}
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{capN: reservoirCap, rngSeed: 0x9e3779b97f4a7c15}
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records v.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.observeLocked(v)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, 0) }
 
 // ObserveExemplar records v and, when traceID is nonzero and v is the
 // largest exemplar-carrying observation so far, remembers the (v, traceID)
 // pair — slow observations stay attributable to the trace that caused them.
 func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.observeLocked(v)
-	if traceID != 0 && (h.exemplar.TraceID == 0 || v >= h.exemplar.Value) {
-		h.exemplar = Exemplar{Value: v, TraceID: traceID}
-	}
-}
-
-func (h *Histogram) observeLocked(v float64) {
-	if h.capN == 0 { // zero value usable
-		h.capN = reservoirCap
-		h.rngSeed = 0x9e3779b97f4a7c15
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.samples) < h.capN {
-		h.samples = append(h.samples, v)
+	if math.IsNaN(v) {
 		return
 	}
-	// Reservoir replacement with a deterministic xorshift PRNG so metric
-	// output never perturbs experiment determinism.
-	h.rngSeed ^= h.rngSeed << 13
-	h.rngSeed ^= h.rngSeed >> 7
-	h.rngSeed ^= h.rngSeed << 17
-	if idx := h.rngSeed % uint64(h.count); idx < uint64(h.capN) {
-		h.samples[idx] = v
-	}
+	i := bucketOf(v)
+	h.mu.Lock()
+	h.d.buckets[i]++
+	h.d.add(1, v, v, v, Exemplar{Value: v, TraceID: traceID})
+	h.mu.Unlock()
 }
 
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
+// Merge adds every observation o holds into h (o is left unchanged). h and
+// o may be the same histogram.
+func (h *Histogram) Merge(o *Histogram) {
+	o.mu.Lock()
+	od := o.d
+	o.mu.Unlock()
+	if od.count == 0 {
+		return
+	}
+	h.mu.Lock()
+	for i, n := range od.buckets {
+		h.d.buckets[i] += n
+	}
+	h.d.add(od.count, od.sum, od.min, od.max, od.exemplar)
+	h.mu.Unlock()
+}
+
+// add folds n > 0 observations summing to sum, spanning [lo, hi], with
+// exemplar ex, into the exact fields; the caller has counted them in the
+// buckets.
+func (d *histData) add(n int64, sum, lo, hi float64, ex Exemplar) {
+	if d.count == 0 || lo < d.min {
+		d.min = lo
+	}
+	if d.count == 0 || hi > d.max {
+		d.max = hi
+	}
+	d.count += n
+	d.sum += sum
+	if ex.outranks(d.exemplar) {
+		d.exemplar = ex
+	}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.d.count
 }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum
+	return h.d.sum
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h.d.count == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.d.sum / float64(h.d.count)
 }
 
 // Min returns the smallest observation, or 0 if empty.
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.min
+	return h.d.min
 }
 
 // Max returns the largest observation, or 0 if empty.
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.max
+	return h.d.max
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained sample using
-// linear interpolation. Returns 0 for an empty histogram; NaN q panics.
+// Quantile returns the q-quantile (0 <= q <= 1), interpolated as described
+// on Histogram. Returns 0 for an empty histogram; q outside [0, 1] or NaN
+// panics.
 func (h *Histogram) Quantile(q float64) float64 {
 	if math.IsNaN(q) || q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: bad quantile %v", q))
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), h.samples...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
+	return h.d.quantile(q)
 }
 
-// quantileSorted interpolates the q-quantile from an already-sorted sample.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
+// quantile interpolates between the ranks either side of q·(count−1).
+func (d *histData) quantile(q float64) float64 {
+	if d.count == 0 {
 		return 0
 	}
-	if len(s) == 1 {
-		return s[0]
+	pos := q * float64(d.count-1)
+	lo := int64(pos)
+	v := d.rank(lo)
+	if frac := pos - float64(lo); frac > 0 {
+		v = v*(1-frac) + d.rank(lo+1)*frac
 	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
+	return v
+}
+
+// rank returns the r-th smallest observation (from 0) as the buckets know
+// it: exact for the first and the last, otherwise its bucket's midpoint
+// clamped to [min, max].
+func (d *histData) rank(r int64) float64 {
+	if r <= 0 {
+		return d.min
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	if r < d.count-1 {
+		var seen int64
+		for i, n := range d.buckets {
+			if seen += n; seen > r {
+				return min(max(bucketMid(i), d.min), d.max)
+			}
+		}
+	}
+	return d.max
 }
 
 // Snapshot is a point-in-time summary of a histogram.
@@ -213,26 +287,21 @@ type Snapshot struct {
 	Exemplar      Exemplar
 }
 
-// Snapshot returns a consistent summary. The reservoir is copied once under
-// a single lock acquisition and sorted once for all three quantiles (the old
-// path re-locked and re-sorted per quantile — eight lock round-trips and
-// three sorts per snapshot, which the route dashboard takes per histogram).
+// Snapshot returns a consistent summary, read from one copy of the state
+// taken under a single lock acquisition.
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
-	s := Snapshot{
-		Count: h.count, Sum: h.sum,
-		Min: h.min, Max: h.max,
-		Exemplar: h.exemplar,
-	}
-	sorted := append([]float64(nil), h.samples...)
+	d := h.d
 	h.mu.Unlock()
+	s := Snapshot{
+		Count: d.count, Sum: d.sum,
+		Min: d.min, Max: d.max,
+		P50: d.quantile(0.5), P90: d.quantile(0.9), P99: d.quantile(0.99),
+		Exemplar: d.exemplar,
+	}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
 	}
-	sort.Float64s(sorted)
-	s.P50 = quantileSorted(sorted, 0.5)
-	s.P90 = quantileSorted(sorted, 0.9)
-	s.P99 = quantileSorted(sorted, 0.99)
 	return s
 }
 
@@ -311,6 +380,6 @@ func (r *Registry) Dump() string {
 			"hist    %-40s n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g",
 			name, s.Count, s.Mean, s.P50, s.P99, s.Max))
 	}
-	sort.Strings(lines)
+	slices.Sort(lines)
 	return strings.Join(lines, "\n")
 }

@@ -145,17 +145,21 @@ type BreakerStats struct {
 	Opened, Reclosed, Rejected int64
 }
 
-// BreakerStats returns a snapshot of the streaming tier's HDFS breaker.
-func (s *Site) BreakerStats() BreakerStats {
-	b := s.hdfsBreaker
-	b.mu.Lock()
-	st := b.st
-	b.mu.Unlock()
-	names := map[int]string{breakerClosed: "closed", breakerHalfOpen: "half-open", breakerOpen: "open"}
-	return BreakerStats{
-		State:    names[st],
-		Opened:   b.opened.Value(),
-		Reclosed: b.reclosed.Value(),
-		Rejected: b.rejected.Value(),
+// BreakerStatsOf summarises the HDFS breakers of sites: counters summed, the
+// worst state reported (open over half-open over closed). Pass one replica
+// for its own breaker.
+func BreakerStatsOf(sites ...*Site) BreakerStats {
+	var st BreakerStats
+	worst := breakerClosed
+	for _, s := range sites {
+		b := s.hdfsBreaker
+		b.mu.Lock()
+		worst = max(worst, b.st)
+		b.mu.Unlock()
+		st.Opened += b.opened.Value()
+		st.Reclosed += b.reclosed.Value()
+		st.Rejected += b.rejected.Value()
 	}
+	st.State = [...]string{breakerClosed: "closed", breakerHalfOpen: "half-open", breakerOpen: "open"}[worst]
+	return st
 }

@@ -38,7 +38,7 @@ func TestBreakerTripsOnStorageOutage(t *testing.T) {
 			t.Fatalf("attempt %d: no Retry-After header", i)
 		}
 	}
-	if st := site.BreakerStats(); st.State != "open" || st.Opened != 1 {
+	if st := BreakerStatsOf(site); st.State != "open" || st.Opened != 1 {
 		t.Fatalf("breaker = %+v, want open after %d failures", st, breakerThreshold)
 	}
 
@@ -51,7 +51,7 @@ func TestBreakerTripsOnStorageOutage(t *testing.T) {
 	if got := site.Metrics().Counter("stream_storage_errors").Value(); got != before {
 		t.Fatal("open breaker still hit the store")
 	}
-	if st := site.BreakerStats(); st.Rejected == 0 {
+	if st := BreakerStatsOf(site); st.Rejected == 0 {
 		t.Fatalf("Rejected = %d, want > 0", st.Rejected)
 	}
 
@@ -80,7 +80,7 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	for i := 0; i < breakerThreshold; i++ {
 		b.get(streamPath)
 	}
-	if st := site.BreakerStats(); st.State != "open" {
+	if st := BreakerStatsOf(site); st.State != "open" {
 		t.Fatalf("breaker = %+v, want open", st)
 	}
 
@@ -99,7 +99,7 @@ func TestBreakerReclosesAfterRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("probe status = %d, want success", resp.StatusCode)
 	}
-	st := site.BreakerStats()
+	st := BreakerStatsOf(site)
 	if st.State != "closed" || st.Reclosed != 1 {
 		t.Fatalf("breaker = %+v, want closed with one reclose", st)
 	}
@@ -129,7 +129,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	// breaker re-opens.
 	now = now.Add(breakerCooldown + time.Second)
 	b.get(streamPath)
-	st := site.BreakerStats()
+	st := BreakerStatsOf(site)
 	if st.State != "open" || st.Opened != 2 {
 		t.Fatalf("breaker = %+v, want re-opened (Opened=2)", st)
 	}
@@ -155,7 +155,7 @@ func TestBreakerIgnoresMissingFiles(t *testing.T) {
 			t.Fatalf("missing-file status = %d, want 500", resp.StatusCode)
 		}
 	}
-	if st := site.BreakerStats(); st.State != "closed" || st.Opened != 0 {
+	if st := BreakerStatsOf(site); st.State != "closed" || st.Opened != 0 {
 		t.Fatalf("breaker = %+v after missing-file requests, want closed", st)
 	}
 }
@@ -224,7 +224,7 @@ func TestStreamChecksTheRequestedBlock(t *testing.T) {
 	if got := site.Metrics().Counter("stream_storage_errors").Value() - errsBefore; got != breakerThreshold {
 		t.Fatalf("stream_storage_errors rose by %d, want %d", got, breakerThreshold)
 	}
-	if st := site.BreakerStats(); st.State != "open" || st.Opened != 1 {
+	if st := BreakerStatsOf(site); st.State != "open" || st.Opened != 1 {
 		t.Fatalf("breaker = %+v, want open: each failed window is a breaker failure", st)
 	}
 }

@@ -91,21 +91,28 @@ type RouteStats struct {
 	Latency metrics.Snapshot
 }
 
-// RouteStats returns per-route traffic summaries in registration order.
-func (s *Site) RouteStats() []RouteStats {
-	out := make([]RouteStats, 0, len(s.routeMetrics))
-	for _, rm := range s.routeMetrics {
-		out = append(out, RouteStats{
-			Route:     rm.route,
-			Requests:  rm.requests.Value(),
-			InFlight:  rm.inflight.Value(),
-			Panics:    rm.panics.Value(),
-			Status2xx: rm.status[2].Value(),
-			Status3xx: rm.status[3].Value(),
-			Status4xx: rm.status[4].Value(),
-			Status5xx: rm.status[5].Value(),
-			Latency:   rm.latency.Snapshot(),
-		})
+// RouteStatsOf returns the per-route traffic of sites, in registration order:
+// counters summed, latency histograms merged. Pass one replica for its own
+// view, a fleet's replicas for the fleet's. Every replica registers the same
+// routes in the same order (routes()).
+func RouteStatsOf(sites ...*Site) []RouteStats {
+	out := make([]RouteStats, len(sites[0].routeMetrics))
+	for i, first := range sites[0].routeMetrics {
+		rs := RouteStats{Route: first.route}
+		var latency metrics.Histogram
+		for _, s := range sites {
+			rm := s.routeMetrics[i]
+			rs.Requests += rm.requests.Value()
+			rs.InFlight += rm.inflight.Value()
+			rs.Panics += rm.panics.Value()
+			rs.Status2xx += rm.status[2].Value()
+			rs.Status3xx += rm.status[3].Value()
+			rs.Status4xx += rm.status[4].Value()
+			rs.Status5xx += rm.status[5].Value()
+			latency.Merge(rm.latency)
+		}
+		rs.Latency = latency.Snapshot()
+		out[i] = rs
 	}
 	return out
 }

@@ -27,7 +27,7 @@ func TestRouteMetricsRecorded(t *testing.T) {
 	}
 
 	stats := map[string]RouteStats{}
-	for _, rs := range site.RouteStats() {
+	for _, rs := range RouteStatsOf(site) {
 		stats[rs.Route] = rs
 	}
 	for _, route := range []string{"home", "search", "upload", "stream"} {
@@ -107,7 +107,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatal("panic counter not incremented")
 	}
 	// Latency and status class are still recorded for the panicked request.
-	for _, rs := range site.RouteStats() {
+	for _, rs := range RouteStatsOf(site) {
 		if rs.Route == "boom" {
 			if rs.Status5xx != 1 || rs.Latency.Count != 1 || rs.InFlight != 0 {
 				t.Fatalf("panicked request misaccounted: %+v", rs)

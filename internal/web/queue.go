@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"videocloud/internal/metrics"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
 	"videocloud/internal/video"
@@ -300,9 +301,10 @@ type TranscodeStats struct {
 	QueueCap int
 	// QueueDepth is the number of jobs waiting right now.
 	QueueDepth int
-	// Enqueued / Completed / Failed count the jobs one replica accepted over
-	// its lifetime; Throttled counts its pushes refused by the weighted-fair
-	// gate (the tenant was over its share and told to retry, not blocked).
+	// Enqueued / Completed / Failed count the jobs the summarised replicas
+	// accepted over their lifetime; Throttled counts their pushes refused by
+	// the weighted-fair gate (the tenant was over its share and told to retry,
+	// not blocked).
 	Enqueued, Completed, Failed, Throttled int64
 	// WaitSeconds is the mean time jobs spent queued; WaitP99Seconds is the
 	// tail — the elasticity controller's latency-side gauge.
@@ -322,30 +324,35 @@ type TranscodeStats struct {
 	ModelledSpeedup float64
 }
 
-// TranscodeStats reports the farm's current state (Workers, QueueCap,
+// TranscodeStatsOf reports the farm's current state (Workers, QueueCap,
 // QueueDepth, ActiveConversions, Nodes: the same from every replica) and the
-// history of the jobs this replica accepted, read from its own registry
-// (uploads counts published jobs).
-func (s *Site) TranscodeStats() TranscodeStats {
-	wait := s.reg.Histogram("transcode_wait_seconds").Snapshot()
-	q := s.state.queue
-	q.mu.Lock()
-	workers := q.nworkers
-	q.mu.Unlock()
-	st := TranscodeStats{
-		Workers:         workers,
-		QueueCap:        q.fq.Cap(),
-		QueueDepth:      q.fq.Len(),
-		Enqueued:        s.reg.Counter("transcode_jobs").Value(),
-		Completed:       s.reg.Counter("uploads").Value(),
-		Failed:          s.reg.Counter("transcode_failures").Value(),
-		Throttled:       s.reg.Counter("transcode_throttled").Value(),
-		WaitSeconds:     wait.Mean,
-		WaitP99Seconds:  wait.P99,
-		WallSeconds:     s.reg.Histogram("conversion_wall_seconds").Mean(),
-		ModelledSpeedup: s.reg.Histogram("conversion_speedup").Mean(),
-		Requeues:        s.reg.Counter("transcode_requeues").Value(),
+// history of the jobs sites accepted: counters summed over their registries
+// (uploads counts published jobs), the wait, wall-time and speedup figures
+// read from the merge of their histograms — a mean weighted by observations,
+// a p99 of the merged distribution. core.Status passes the fleet.
+func TranscodeStatsOf(sites ...*Site) TranscodeStats {
+	var st TranscodeStats
+	var wait, wall, speedup metrics.Histogram
+	for _, s := range sites {
+		st.Enqueued += s.reg.Counter("transcode_jobs").Value()
+		st.Completed += s.reg.Counter("uploads").Value()
+		st.Failed += s.reg.Counter("transcode_failures").Value()
+		st.Throttled += s.reg.Counter("transcode_throttled").Value()
+		st.Requeues += s.reg.Counter("transcode_requeues").Value()
+		wait.Merge(s.reg.Histogram("transcode_wait_seconds"))
+		wall.Merge(s.reg.Histogram("conversion_wall_seconds"))
+		speedup.Merge(s.reg.Histogram("conversion_speedup"))
 	}
-	st.Nodes, st.ActiveConversions = s.state.pool.snapshot()
+	q := sites[0].state.queue
+	q.mu.Lock()
+	st.Workers = q.nworkers
+	q.mu.Unlock()
+	st.QueueCap, st.QueueDepth = q.fq.Cap(), q.fq.Len()
+	st.WaitSeconds, st.WaitP99Seconds = wait.Mean(), wait.Quantile(0.99)
+	st.WallSeconds, st.ModelledSpeedup = wall.Mean(), speedup.Mean()
+	st.Nodes, st.ActiveConversions = sites[0].state.pool.snapshot()
 	return st
 }
+
+// TranscodeStats reports the farm and the jobs this replica accepted.
+func (s *Site) TranscodeStats() TranscodeStats { return TranscodeStatsOf(s) }
