@@ -62,7 +62,9 @@ fuzzshort:
 # destination function and one evacuation pass, and the randomized soak checks
 # their invariants; on virtual time five rounds cost a second or two. And the
 # web tier's title lifecycle: whether a delete meets a row before or after its
-# publisher does depends on worker/deleter interleaving. And the fleet's one
+# publisher does depends on worker/deleter interleaving. And the fleet state
+# pages read: the recent list each change rebuilds under the row lock while
+# home requests load it, and the username map replicas fill. And the fleet's one
 # transcode queue: which replica's worker pops a job, and whether an upload or
 # Close reaches the queue first, depends on interleaving across replicas. And
 # the histogram every latency figure is read from: concurrent observations,
@@ -71,7 +73,7 @@ chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
-	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose' ./internal/web/
+	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose|TestHomeListsOnlyPublished|TestRecentListRebuiltOncePerChange|TestUsernameResolvedOncePerFleet' ./internal/web/
 	$(GO) test -race -count=5 -run 'TestHistogramConcurrent' ./internal/metrics/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),

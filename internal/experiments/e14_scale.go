@@ -60,18 +60,18 @@ func runScaleRow(f *rig, viewers int) scaleRow {
 }
 
 // flashRow is the flash-crowd phase's measurement: concurrent home traffic
-// racing repeated invalidations, with the single-flight rebuild collapse.
+// racing uploads that change the recent list, and the rebuilds they cost.
 type flashRow struct {
-	homeRequests, errors, invalidations, rebuilds int64
+	homeRequests, errors, published, rebuilds int64
 }
 
 // runFlashCrowd hammers the fleet's home page and one viral title while
-// uploads keep invalidating the recent list. Every replica's rebuild count
-// must collapse to at most one scan per invalidation generation — the
-// single-flight guarantee — instead of one per concurrent miss.
+// uploads keep changing the recent list. The list is rebuilt where the
+// catalog changes, so the fleet rebuilds it at most once per upload
+// published, however many home requests and frontends there are.
 func runFlashCrowd(f *rig, viewers int) flashRow {
 	scans0 := f.counterSum("cache_recent_scans")
-	inv0 := f.counterSum("cache_recent_invalidations")
+	pub0 := f.counterSum("uploads")
 
 	uploads := make(chan error, 1)
 	go func() {
@@ -101,12 +101,12 @@ func runFlashCrowd(f *rig, viewers int) flashRow {
 	if err := <-uploads; err != nil {
 		panic(fmt.Sprintf("experiments: flash-crowd upload: %v", err))
 	}
-	f.site.DrainTranscodes() // each publish is one invalidation; count them all
+	f.site.DrainTranscodes() // each publish is one rebuild; count them all
 	return flashRow{
-		homeRequests:  rep.Home.Count,
-		errors:        rep.Errors,
-		invalidations: f.counterSum("cache_recent_invalidations") - inv0,
-		rebuilds:      f.counterSum("cache_recent_scans") - scans0,
+		homeRequests: rep.Home.Count,
+		errors:       rep.Errors,
+		published:    f.counterSum("uploads") - pub0,
+		rebuilds:     f.counterSum("cache_recent_scans") - scans0,
 	}
 }
 
@@ -114,9 +114,9 @@ func runFlashCrowd(f *rig, viewers int) flashRow {
 // fleet — the "million users" axis the paper's single web VM cannot reach.
 // Each frontend's streaming egress is NIC-capped, so aggregate throughput
 // should grow near-linearly 1→4→8 while client latency stays flat or
-// improves; a flash crowd with concurrent invalidations then shows the
-// single-flight home cache rebuilding once per invalidation per replica
-// rather than once per concurrent miss.
+// improves; a flash crowd with concurrent uploads then shows the fleet's
+// recent list rebuilt once per upload published rather than per home
+// request or per replica.
 func E14ServingScale() *metrics.Table {
 	t := metrics.NewTable("E14 — serving fleet scale-out",
 		"frontends", "viewers", "requests", "errors", "MBps", "vs_1fe",
@@ -154,15 +154,13 @@ func E14ServingScale() *metrics.Table {
 		"E14: stream p99 degraded %.1fms -> %.1fms scaling out", base.streamP99, top.streamP99)
 
 	t.AddRow("· flash", top.frontends, flash.homeRequests, flash.errors,
-		"", "", flash.invalidations, flash.rebuilds)
+		"", "", flash.published, flash.rebuilds)
 	check(flash.errors == 0, "E14: flash crowd produced %d errors", flash.errors)
-	// Single-flight bound: each of the F replicas rebuilds at most once per
-	// invalidation generation (+1 for its initial cold fill), no matter how
-	// many requests missed concurrently.
-	bound := int64(top.frontends) * (flash.invalidations + 1)
-	check(flash.rebuilds <= bound,
-		"E14: %d rebuilds for %d invalidations on %d replicas (bound %d): stampede not collapsed",
-		flash.rebuilds, flash.invalidations, top.frontends, bound)
+	// The recent list is fleet state rebuilt by the publish that changes it:
+	// home requests and frontends add no rebuilds.
+	check(flash.rebuilds <= flash.published,
+		"E14: %d rebuilds for %d uploads published on %d replicas: home traffic rebuilt the list",
+		flash.rebuilds, flash.published, top.frontends)
 	check(flash.homeRequests >= 4*flash.rebuilds,
 		"E14: only %d home requests for %d rebuilds — herd not demonstrated",
 		flash.homeRequests, flash.rebuilds)

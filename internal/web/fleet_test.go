@@ -73,50 +73,68 @@ func uploadTestVideo(t testing.TB, s *Site, title string, seed uint64) int64 {
 	return id
 }
 
-// TestRecentVideosSingleFlight is the miss-stampede regression test: after
-// one invalidation, 50 concurrent home-page requests must trigger exactly
-// one catalog scan, not 50 (run under -race in tier-1).
-func TestRecentVideosSingleFlight(t *testing.T) {
-	sites := newFleet(t, 1, 1)
-	site := sites[0]
-	for i := 0; i < 3; i++ {
-		uploadTestVideo(t, site, fmt.Sprintf("video %d", i), uint64(i+1))
+// counterSum totals one per-replica counter over sites.
+func counterSum(sites []*Site, name string) (n int64) {
+	for _, s := range sites {
+		n += s.Metrics().Counter(name).Value()
 	}
-	scans := site.Metrics().Counter("cache_recent_scans")
-	// Warm once, then invalidate: the next wave all misses at the same
-	// generation.
-	site.recentVideos()
-	base := scans.Value()
-	site.invalidateRecent()
+	return n
+}
 
+// TestRecentListRebuiltOncePerChange pins where the recent list is built:
+// once per change to the catalog, fleet-wide, and never by a home request.
+// 50 concurrent home requests across two replicas cost no scan; a publish, an
+// edit and a delete cost exactly one each, not one per replica (run under
+// -race in tier-1).
+func TestRecentListRebuiltOncePerChange(t *testing.T) {
+	sites := newFleet(t, 2, 2)
+	for i := 0; i < 3; i++ {
+		uploadTestVideo(t, sites[i%2], fmt.Sprintf("video %d", i), uint64(i+1))
+	}
+	base := counterSum(sites, "cache_recent_scans")
 	const herd = 50
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	lists := make([][]videoLink, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(s *Site) {
 			defer wg.Done()
 			<-start
-			lists[i] = site.recentVideos()
-		}(i)
+			rec := do(s, "GET", "/", "", nil)
+			if n := strings.Count(rec.Body.String(), `<div class="hit">`); rec.Code != http.StatusOK || n != 3 {
+				t.Errorf("home: status %d listing %d videos, want 200 listing 3", rec.Code, n)
+			}
+		}(sites[i%2])
 	}
 	close(start)
 	wg.Wait()
-	if got := scans.Value() - base; got != 1 {
-		t.Fatalf("%d concurrent misses ran %d scans, want exactly 1", herd, got)
+	if got := counterSum(sites, "cache_recent_scans") - base; got != 0 {
+		t.Fatalf("%d concurrent home requests ran %d scans, want 0", herd, got)
 	}
-	for i, l := range lists {
-		if len(l) != 3 {
-			t.Fatalf("goroutine %d saw %d videos, want 3", i, len(l))
+
+	op := operatorToken(t, sites[0].tenants)
+	var id int64
+	for _, step := range []struct {
+		name string
+		run  func()
+	}{
+		{"publish", func() { id = uploadTestVideo(t, sites[1], "fourth", 4) }},
+		{"edit", func() {
+			if rec := do(sites[0], "POST", fmt.Sprintf("/watch/%d/edit", id), op, url.Values{"title": {"fourth, edited"}}); rec.Code != http.StatusSeeOther {
+				t.Fatalf("edit: %d", rec.Code)
+			}
+		}},
+		{"delete", func() {
+			if rec := do(sites[1], "POST", fmt.Sprintf("/watch/%d/delete", id), op, nil); rec.Code != http.StatusSeeOther {
+				t.Fatalf("delete: %d", rec.Code)
+			}
+		}},
+	} {
+		before := counterSum(sites, "cache_recent_scans")
+		step.run()
+		if got := counterSum(sites, "cache_recent_scans") - before; got != 1 {
+			t.Errorf("%s ran %d scans fleet-wide, want 1", step.name, got)
 		}
-	}
-	// A second invalidation permits exactly one more rebuild.
-	site.invalidateRecent()
-	site.recentVideos()
-	site.recentVideos()
-	if got := scans.Value() - base; got != 2 {
-		t.Fatalf("after second invalidation: %d scans total, want 2", got)
 	}
 }
 
@@ -170,23 +188,22 @@ func TestFleetSharedMetadata(t *testing.T) {
 	}
 }
 
-// TestFleetInvalidationBroadcast verifies one replica's upload stales every
-// replica's home cache, and an admin block on one replica drops the
-// username from all replicas' caches.
+// TestFleetInvalidationBroadcast verifies one replica's upload is on every
+// replica's home page, and a user an admin blocks through one replica is
+// still named under their videos on every replica.
 func TestFleetInvalidationBroadcast(t *testing.T) {
 	sites := newFleet(t, 2, 2)
 	a, b := sites[0], sites[1]
 	uploadTestVideo(t, a, "first", 11)
 
-	// Warm both replicas' home caches.
 	if got := len(a.recentVideos()); got != 1 {
-		t.Fatalf("replica a warm: %d videos", got)
+		t.Fatalf("replica a: %d videos", got)
 	}
 	if got := len(b.recentVideos()); got != 1 {
-		t.Fatalf("replica b warm: %d videos", got)
+		t.Fatalf("replica b: %d videos", got)
 	}
 
-	// Upload through replica a; replica b's cache must rebuild.
+	// Upload through replica a; replica b lists it too.
 	uploadTestVideo(t, a, "second", 12)
 	if got := len(b.recentVideos()); got != 2 {
 		t.Fatalf("replica b served stale recent list: %d videos, want 2", got)
@@ -195,21 +212,54 @@ func TestFleetInvalidationBroadcast(t *testing.T) {
 		t.Fatalf("replica a served stale recent list: %d videos, want 2", got)
 	}
 
-	// Warm username caches on both replicas, then block the user through a.
-	if name := a.userName(1, "?"); name != "admin" {
-		t.Fatalf("username on a: %q", name)
+	// Both replicas render carol's name, then the admin blocks carol through
+	// a: blocking changes what a user may do, not what the user is called.
+	carol, err := a.register("carol", "pw", "carol@example.org", false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if name := b.userName(1, "?"); name != "admin" {
-		t.Fatalf("username on b: %q", name)
+	id, err := a.ProcessUpload(context.Background(), carol, "carol's clip", "", testUploadMedia(t, 4, 13))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a.invalidateUser(1)
-	for _, s := range sites {
-		s.cache.mu.Lock()
-		_, cached := s.cache.usernames[1]
-		s.cache.mu.Unlock()
-		if cached {
-			t.Fatal("invalidateUser left a replica's cache entry behind")
+	a.DrainTranscodes()
+	named := func(when string) {
+		t.Helper()
+		for i, s := range sites {
+			if rec := do(s, "GET", fmt.Sprintf("/watch/%d", id), "", nil); !strings.Contains(rec.Body.String(), "uploaded by carol") {
+				t.Fatalf("%s: replica %d's watch page (%d) does not name the uploader", when, i, rec.Code)
+			}
 		}
+	}
+	named("before the block")
+	tok, err := a.login("admin", "secret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/admin/block", strings.NewReader(url.Values{"username": {"carol"}}.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.AddCookie(&http.Cookie{Name: "session", Value: tok})
+	rec := httptest.NewRecorder()
+	a.ServeHTTP(rec, req)
+	if row, _ := b.db.Get("users", carol); rec.Code != http.StatusSeeOther || !rowBool(row, "blocked") {
+		t.Fatalf("block: %d, row %v", rec.Code, row)
+	}
+	named("after the block")
+}
+
+// TestUsernameResolvedOncePerFleet: the username map is the fleet's, so the
+// first replica to render an uploader resolves the name for every replica.
+func TestUsernameResolvedOncePerFleet(t *testing.T) {
+	sites := newFleet(t, 2, 1)
+	id := uploadTestVideo(t, sites[0], "whose video", 5)
+	base := counterSum(sites, "cache_username_misses")
+	for i, s := range sites {
+		if rec := do(s, "GET", fmt.Sprintf("/watch/%d", id), "", nil); !strings.Contains(rec.Body.String(), "uploaded by admin") {
+			t.Fatalf("replica %d's watch page (%d) does not name the uploader", i, rec.Code)
+		}
+	}
+	if got := counterSum(sites, "cache_username_misses") - base; got != 1 {
+		t.Fatalf("two replicas rendering one uploader resolved the name %d times, want 1", got)
 	}
 }
 

@@ -140,8 +140,8 @@ func (s *Site) videoView(row videodb.Row) videoView {
 
 func (s *Site) handleHome(w http.ResponseWriter, r *http.Request) {
 	v := view{Page: "home", Title: "Search"}
-	// Most recent first, capped at 10, served from the hot-path cache
-	// instead of a per-request table scan.
+	// Most recent first, capped at 10: the fleet's list, rebuilt where the
+	// catalog changes rather than scanned per request.
 	v.Recent = s.recentVideos()
 	s.render(w, r, v)
 }
@@ -523,7 +523,6 @@ func (s *Site) handleEdit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.db.Update("videos", id, videodb.Row{"title": title, "description": r.FormValue("description")})
 	s.reindex(id)
-	s.invalidateRecent()
 	http.Redirect(w, r, fmt.Sprintf("/watch/%d", id), http.StatusSeeOther)
 }
 
@@ -581,10 +580,6 @@ func (s *Site) handleBlock(w http.ResponseWriter, r *http.Request) {
 	targetID := rowInt(target, "id")
 	blocked := r.FormValue("blocked") != "false"
 	s.db.Update("users", targetID, videodb.Row{"blocked": blocked})
-	// Moderation must be visible immediately: drop the target's cached
-	// username and the recent list it may appear in.
-	s.invalidateUser(targetID)
-	s.invalidateRecent()
 	if blocked {
 		// Kill the blocked user's sessions fleet-wide.
 		s.state.mu.Lock()

@@ -35,6 +35,7 @@ func TestMalformedRowDoesNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	site.reindex(id) // rows reach the recent list through the catalog's change paths
 	b := newBrowser(t, site)
 
 	// Home page: the malformed row is in the recent list.
@@ -152,8 +153,8 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation checks the recent-list cache stays correct across
-// upload, edit, and delete — the explicit invalidation rules.
+// TestCacheInvalidation checks the recent list stays correct across upload,
+// edit, and delete — the catalog changes that rebuild it.
 func TestCacheInvalidation(t *testing.T) {
 	site, _ := newSite(t)
 	b := newBrowser(t, site)
@@ -165,13 +166,6 @@ func TestCacheInvalidation(t *testing.T) {
 	watch := b.upload("Cache probe", "v1", 8, 11)
 	if _, body := b.get("/"); !strings.Contains(body, "Cache probe") {
 		t.Fatal("upload did not invalidate the recent list")
-	}
-	// Repeated home hits are served from the cache.
-	before := site.Metrics().Counter("cache_recent_hits").Value()
-	b.get("/")
-	b.get("/")
-	if got := site.Metrics().Counter("cache_recent_hits").Value(); got < before+2 {
-		t.Fatalf("home not served from cache (%d -> %d hits)", before, got)
 	}
 
 	if resp, _ := b.post(watch+"/edit", map[string][]string{
@@ -219,46 +213,48 @@ func seedCatalogRows(t testing.TB, site *Site, n int) {
 	}
 }
 
-// TestHomeCacheSpeedup is the acceptance benchmark: at 1k videos the cached
-// recent list must beat the per-request table scan by at least 5x.
+// TestHomeCacheSpeedup is the acceptance benchmark: at 1k videos loading the
+// fleet's recent list must beat rebuilding it per request by at least 5x.
 func TestHomeCacheSpeedup(t *testing.T) {
 	site, _ := newSite(t)
 	seedCatalogRows(t, site, 1000)
 
 	scan := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			site.scanRecent()
+			site.refreshRecent()
 		}
 	})
-	site.recentVideos() // warm
+	if got := len(site.recentVideos()); got != homeRecent {
+		t.Fatalf("rebuilt list holds %d videos, want %d", got, homeRecent)
+	}
 	cached := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			site.recentVideos()
 		}
 	})
 	speedup := float64(scan.NsPerOp()) / float64(cached.NsPerOp())
-	t.Logf("scan %v/op, cached %v/op, speedup %.0fx", scan.NsPerOp(), cached.NsPerOp(), speedup)
+	t.Logf("rebuild %v/op, load %v/op, speedup %.0fx", scan.NsPerOp(), cached.NsPerOp(), speedup)
 	if speedup < 5 {
-		t.Fatalf("cached home only %.1fx faster than the table scan", speedup)
+		t.Fatalf("loading the recent list only %.1fx faster than rebuilding it", speedup)
 	}
 }
 
-// BenchmarkHomeScan measures the pre-cache home page path (full videodb
-// scan + view construction) at 1k videos.
+// BenchmarkHomeScan measures what a home request would pay if it rebuilt the
+// recent list (bounded reverse scan + link construction) at 1k videos.
 func BenchmarkHomeScan(b *testing.B) {
 	site, _ := newSite(b)
 	seedCatalogRows(b, site, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		site.scanRecent()
+		site.refreshRecent()
 	}
 }
 
-// BenchmarkHomeCached measures the read-through cache hit path.
+// BenchmarkHomeCached measures what a home request pays: one atomic load.
 func BenchmarkHomeCached(b *testing.B) {
 	site, _ := newSite(b)
 	seedCatalogRows(b, site, 1000)
-	site.recentVideos()
+	site.refreshRecent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		site.recentVideos()

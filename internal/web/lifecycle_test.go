@@ -16,6 +16,7 @@ import (
 
 	"videocloud/internal/fusebridge"
 	"videocloud/internal/hdfs"
+	"videocloud/internal/search"
 	"videocloud/internal/tenant"
 	"videocloud/internal/video"
 	"videocloud/internal/videodb"
@@ -309,6 +310,131 @@ func TestEditWhileProcessingSurvivesPublish(t *testing.T) {
 	}
 }
 
+// publishedFixture builds a two-replica fleet holding three uploads: a
+// published, a failed (injected conversion fault) and a processing one (its
+// conversion parked on the farm hook until the test ends).
+func publishedFixture(t *testing.T) (sites []*Site, op string, ready, failed, processing int64) {
+	t.Helper()
+	const convert, fail, park = 0, 1, 2
+	var mode atomic.Int32
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var parkOnce sync.Once
+	reg := tenant.NewRegistry()
+	sites, _ = lifecycleFleet(t, 2, reg, func(string, int) error {
+		switch mode.Load() {
+		case fail:
+			return errors.New("injected conversion fault")
+		case park:
+			parkOnce.Do(func() { close(parked) })
+			<-gate
+		}
+		return nil
+	})
+	t.Cleanup(func() { close(gate) }) // runs before the fleet's Close
+	upload := func(title string, seed uint64) int64 {
+		id, err := sites[0].ProcessUpload(context.Background(), sites[0].AdminID(), title, "", testUploadMedia(t, 4, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	ready = upload("alpha", 1)
+	sites[0].DrainTranscodes()
+	mode.Store(fail)
+	failed = upload("bravo", 2)
+	sites[0].DrainTranscodes()
+	mode.Store(park)
+	processing = upload("charlie", 3)
+	<-parked
+	for id, want := range map[int64]string{ready: statusReady, failed: statusFailed, processing: statusProcessing} {
+		if got := videoStatus(t, sites[0], id); got != want {
+			t.Fatalf("video %d is %q, want %q", id, got, want)
+		}
+	}
+	return sites, operatorToken(t, reg), ready, failed, processing
+}
+
+// TestHomeListsOnlyPublished: the home page lists what search finds. The list
+// used to be the newest rows of any status, so after an unrelated edit both
+// replicas listed an upload whose conversion failed and one still converting.
+func TestHomeListsOnlyPublished(t *testing.T) {
+	sites, op, a, b, c := publishedFixture(t)
+	if rec := do(sites[1], "POST", fmt.Sprintf("/watch/%d/edit", a), op, url.Values{"title": {"alpha renamed"}}); rec.Code != http.StatusSeeOther {
+		t.Fatalf("edit: %d", rec.Code)
+	}
+	for i, s := range sites {
+		body := do(s, "GET", "/", "", nil).Body.String()
+		if !strings.Contains(body, fmt.Sprintf(`<a href="/watch/%d">alpha renamed</a>`, a)) {
+			t.Errorf("replica %d's home page does not list video %d by its new title", i, a)
+		}
+		for id, status := range map[int64]string{b: statusFailed, c: statusProcessing} {
+			if strings.Contains(body, fmt.Sprintf(`<a href="/watch/%d">`, id)) {
+				t.Errorf("replica %d's home page lists %s video %d", i, status, id)
+			}
+		}
+	}
+}
+
+// TestReindexExportsOnlyPublished: the periodic re-index rebuilds the index
+// from Documents(). It used to export every row, so after the swap a failed
+// upload was searchable and a processing one was found before it played.
+func TestReindexExportsOnlyPublished(t *testing.T) {
+	sites, _, a, _, _ := publishedFixture(t)
+	site := sites[0]
+	docs := site.Documents()
+	ix := search.NewIndex()
+	for _, d := range docs {
+		ix.Add(d)
+	}
+	site.ReplaceIndex(ix)
+	if len(docs) != 1 || docs[0].ID != a {
+		t.Errorf("Documents() exports %v, want only video %d", docs, a)
+	}
+	for title, want := range map[string]int{"alpha": 1, "bravo": 0, "charlie": 0} {
+		if hits := site.Index().Search(title, 5); len(hits) != want {
+			t.Errorf("after the re-index, search %q finds %v, want %d hits", title, hits, want)
+		}
+	}
+}
+
+// scanFaultDB wraps the metadata store (the Config.DB seam) to fail the next
+// ScanLast once armed.
+type scanFaultDB struct {
+	videodb.Store
+	armed atomic.Bool
+}
+
+func (d *scanFaultDB) ScanLast(table string, n int) ([]videodb.Row, error) {
+	if d.armed.CompareAndSwap(true, false) {
+		return nil, errors.New("injected scan fault")
+	}
+	return d.Store.ScanLast(table, n)
+}
+
+// TestFailedRebuildKeepsRecentList: a rebuild whose scan fails keeps the list
+// it had. The rebuild used to drop the error and keep an empty list, so one
+// failed scan blanked the home page until the catalog next changed.
+func TestFailedRebuildKeepsRecentList(t *testing.T) {
+	db := &scanFaultDB{Store: videodb.New()}
+	cfg := asyncConfig(1, 8, nil)
+	cfg.DB = db
+	site := asyncFleet(t, 1, cfg)[0]
+	for i, title := range []string{"earlier", "later"} {
+		db.armed.Store(i == 1) // the second upload's rebuild fails
+		if _, err := site.ProcessUpload(context.Background(), site.AdminID(), title, "", testUploadMedia(t, 4, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		site.DrainTranscodes()
+	}
+	body := do(site, "GET", "/", "", nil).Body.String()
+	if db.armed.Load() {
+		t.Fatal("no scan met the injected fault")
+	}
+	if !strings.Contains(body, ">earlier</a>") {
+		t.Fatalf("home page lost the earlier title to a failed rebuild:\n%s", body)
+	}
+}
+
 // TestTitleLifecycleSoak drives a random mix of uploads, live channels,
 // edits, deletes and fetches through two replicas, with conversions failing
 // and object paths blocked along the way, and checks after every settle that
@@ -488,7 +614,7 @@ func mustScan(t *testing.T, s *Site) []videodb.Row {
 	return rows
 }
 
-// checkLifecycle asserts L1–L5 on a settled fleet.
+// checkLifecycle asserts L1–L6 on a settled fleet.
 func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *tenant.Registry, titles map[int64]*soakTitle, gone []*soakTitle) {
 	t.Helper()
 	site := sites[0]
@@ -497,6 +623,7 @@ func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *t
 	want := map[string]bool{}
 	storedOf := map[string]int64{}
 	indexed := 0
+	var public []int64
 	for _, row := range rows {
 		id, segs := rowInt(row, "id"), rowInt(row, "segments")
 		status, _ := row["status"].(string)
@@ -514,6 +641,7 @@ func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *t
 		switch status {
 		case statusReady, statusLive, statusEnded:
 			indexed++
+			public = append(public, id)
 			if hits := site.Index().Search(titles[id].title, 5); len(hits) != 1 || hits[0].Doc != id {
 				t.Errorf("L4: search %q finds %v, want %s video %d", titles[id].title, hits, status, id)
 			}
@@ -537,6 +665,24 @@ func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *t
 	}
 	if docs := site.Index().Docs(); docs != indexed {
 		t.Errorf("L4: index holds %d documents, %d rows are published", docs, indexed)
+	}
+	if docs := len(site.Documents()); docs != indexed {
+		t.Errorf("L4: the re-index corpus holds %d documents, %d rows are published", docs, indexed)
+	}
+	// L6: every replica's home page lists the newest min(10, published)
+	// published rows, newest first, by current title.
+	sort.Slice(public, func(i, j int) bool { return public[i] > public[j] })
+	var wantHome strings.Builder
+	for _, id := range public[:min(len(public), homeRecent)] {
+		fmt.Fprintf(&wantHome, `<div class="hit"><a href="/watch/%d">%s</a></div>`, id, titles[id].title)
+	}
+	for i, s := range sites {
+		body := do(s, "GET", "/", "", nil).Body.String()
+		_, listed, _ := strings.Cut(body, "<h2>Recent uploads</h2>\n")
+		listed, _, _ = strings.Cut(listed, "\n")
+		if listed != wantHome.String() {
+			t.Errorf("L6: replica %d's home page lists\n%s\nwant\n%s", i, listed, wantHome.String())
+		}
 	}
 	// L2 and L5: reservation == Σ stored_bytes == ledger net, no overshoot.
 	for _, ten := range reg.Tenants() {

@@ -45,7 +45,6 @@ func (s *Site) CreateLiveChannel(ctx context.Context, uploaderID int64, title, d
 		return 0, err
 	}
 	s.reindex(id)
-	s.invalidateRecent()
 	s.reg.Counter("live_channels").Inc()
 	return id, nil
 }

@@ -16,12 +16,13 @@ import (
 
 // The title lifecycle. A catalog row names things that live outside it: its
 // segment objects in HDFS (renditions × segments), its tenant's byte
-// reservation and ledger entries (stored_bytes), its search document and the
-// copies of its playlists and segments in every replica's edge cache. publish
-// is the one step that makes them — the transcode worker calls it with a
-// whole ladder's objects, a live push with one object per rendition — and
-// unpublish the one step that unmakes them. A row being written (processing,
-// live) is not deletable: what it names is still changing.
+// reservation and ledger entries (stored_bytes), its search document and
+// place in the home page's recent list, and the copies of its playlists and
+// segments in every replica's edge cache. publish is the one step that makes
+// them — the transcode worker calls it with a whole ladder's objects, a live
+// push with one object per rendition — and unpublish the one step that
+// unmakes them. A row being written (processing, live) is not deletable: what
+// it names is still changing.
 
 // errBeingWritten refuses an unpublish that would race a publisher (409).
 var errBeingWritten = errors.New("web: video is still being written")
@@ -62,20 +63,21 @@ func documentOf(row videodb.Row) search.Document {
 	return search.Document{ID: rowInt(row, "id"), Title: title, Body: body}
 }
 
-// reindex makes id's search document what its row says: the current title
-// and description of a published row, nothing for one that is missing,
-// processing or failed. The row is read and the index written under the
-// fleet's row lock, so of two racing calls the later one reads the later row:
-// a publisher cannot overwrite an edit with the title it read before it.
+// reindex makes id's search document and the recent list what its row says:
+// the current title and description of a published row, nothing for one that
+// is missing, processing or failed. The row is read and the index written
+// under the fleet's row lock, so of two racing calls the later one reads the
+// later row: a publisher cannot overwrite an edit with the title it read
+// before it.
 func (s *Site) reindex(id int64) {
 	s.state.rowMu.Lock()
 	defer s.state.rowMu.Unlock()
-	row, err := s.db.Get("videos", id)
-	if status, _ := row["status"].(string); err != nil || status == statusProcessing || status == statusFailed {
+	if row, err := s.db.Get("videos", id); err == nil && published(row) {
+		s.Index().Add(documentOf(row))
+	} else {
 		s.Index().Remove(id)
-		return
 	}
-	s.Index().Add(documentOf(row))
+	s.refreshRecent()
 }
 
 // publish stores data[i] as names[i] and makes row id name them by applying
@@ -125,7 +127,9 @@ func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []st
 		// Index, from the row, before the row flips to ready: a title that
 		// streams must already be searchable.
 		s.Index().Add(documentOf(row))
-		err = s.db.Update("videos", id, changes)
+		if err = s.db.Update("videos", id, changes); err == nil {
+			s.refreshRecent()
+		}
 	}
 	s.state.rowMu.Unlock()
 	psp.SetError(err)
@@ -135,7 +139,6 @@ func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []st
 		s.removeObjects(names)
 		return err
 	}
-	s.invalidateRecent()
 	s.tenants.Meter(adm.ten.Name(), tenant.KindBytesStored, float64(exact))
 	s.tenants.Meter(adm.ten.Name(), tenant.KindTranscodeSeconds, adm.srcSecs)
 	return nil
@@ -153,7 +156,9 @@ func (s *Site) unpublish(row videodb.Row) error {
 	s.state.rowMu.Lock()
 	row, err := s.db.Get("videos", id) // a publish may have committed since the caller's read
 	if err == nil {
-		err = s.db.Delete("videos", id)
+		if err = s.db.Delete("videos", id); err == nil {
+			s.refreshRecent()
+		}
 	}
 	s.state.rowMu.Unlock()
 	if err != nil {
@@ -197,7 +202,6 @@ func (s *Site) unpublish(row videodb.Row) error {
 	for _, c := range comments {
 		s.db.Delete("comments", rowInt(c, "id"))
 	}
-	s.invalidateRecent()
 	s.reg.Counter("videos_deleted").Inc()
 	return nil
 }

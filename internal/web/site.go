@@ -90,14 +90,15 @@ type Config struct {
 func QualityLabel(s video.Spec) string { return fmt.Sprintf("%dp", s.Res.H) }
 
 // fleetState is what every replica of a serving fleet shares: the (possibly
-// sharded) database, the search index, the session and verification-token
-// tables, the replica list invalidations walk, and the conversion farm — one
-// transcode queue and one node set behind the web tier, as in the paper's
-// Figures 14/16. A single-replica site owns a private instance; NewReplica
-// hands additional frontends the same one, so a login on replica 0 is valid on
-// replica 7, an upload through any replica invalidates every replica's hot
-// cache, and a tenant's fair share is a fraction of one bound however the
-// ingress spread its uploads.
+// sharded) database, the search index and the home page's recent list derived
+// from it, the username map, the session and verification-token tables, the
+// replica list invalidations walk, and the conversion farm — one transcode
+// queue and one node set behind the web tier, as in the paper's Figures 14/16.
+// A single-replica site owns a private instance; NewReplica hands additional
+// frontends the same one, so a login on replica 0 is valid on replica 7, an
+// upload published through any replica is on every replica's home page, and a
+// tenant's fair share is a fraction of one bound however the ingress spread
+// its uploads.
 type fleetState struct {
 	db      videodb.Store
 	tenants *tenant.Registry
@@ -118,21 +119,20 @@ type fleetState struct {
 	verifyTokens map[[32]byte]int64 // sha256(emailed verification link) -> user id
 	adminID      int64
 
-	// recentGen is bumped on every recent-list invalidation; each
-	// replica's hotCache tags its cached list with the generation it was
-	// built at, so one bump invalidates the whole fleet without touching
-	// per-replica locks.
-	recentGen atomic.Int64
-
 	// rowMu orders the steps that change what a video row names against the
 	// steps that derive something from it (publish.go: publish's row half,
 	// unpublish, reindex). It stands in for the row transaction a real
 	// database gives.
 	rowMu sync.Mutex
 
+	// recent is the home page's list, derived under rowMu wherever the
+	// catalog changes what is public; usernames maps user id -> username,
+	// each key written once (cache.go).
+	recent    atomic.Pointer[[]videoLink]
+	usernames sync.Map
+
 	// replicas lists every frontend of the fleet: what a replica caches on
-	// its own (usernames, edge copies, egress attribution) is invalidated by
-	// walking it.
+	// its own (edge copies, egress attribution) is invalidated by walking it.
 	cmu      sync.Mutex
 	replicas []*Site
 }
@@ -145,9 +145,9 @@ func (st *fleetState) frontends() []*Site {
 }
 
 // Site is one running frontend replica of the website. Replicas built with
-// NewReplica share a fleetState; everything else — route metrics, hot
-// caches, edge cache, circuit breaker, stream pacer, and the counters of the
-// uploads it accepted — is per-replica.
+// NewReplica share a fleetState; everything else — route metrics, edge
+// cache, circuit breaker, stream pacer, and the counters of the uploads it
+// accepted — is per-replica.
 type Site struct {
 	state  *fleetState
 	db     videodb.Store // == state.db, cached for the hot paths
@@ -159,11 +159,13 @@ type Site struct {
 	mux    *http.ServeMux
 	tracer *trace.Tracer // nil-safe: all span operations no-op when nil
 
-	// Serving-path state (middleware.go, cache.go).
-	routeMetrics []*routeMetrics
-	inflightNow  atomic.Int64
-	cache        hotCache
-	searches     *metrics.Counter
+	// Serving-path state (middleware.go) and the instruments of the fleet's
+	// recent list and username map (cache.go), resolved once so a page takes
+	// no registry lock.
+	routeMetrics                              []*routeMetrics
+	inflightNow                               atomic.Int64
+	searches                                  *metrics.Counter
+	recentScans, usernameHits, usernameMisses *metrics.Counter
 
 	// streamPacer caps this replica's streaming egress; nil = unpaced.
 	streamPacer *pacer
@@ -246,21 +248,23 @@ func (cfg *Config) validate() error {
 func assemble(cfg Config, state *fleetState) *Site {
 	reg := metrics.NewRegistry()
 	s := &Site{
-		state:       state,
-		db:          state.db,
-		store:       cfg.Store,
-		target:      cfg.Target,
-		specs:       append([]video.Spec{cfg.Target}, cfg.Renditions...),
-		reg:         reg,
-		cache:       newHotCache(reg),
-		searches:    reg.Counter("searches"),
-		tracer:      cfg.Tracer,
-		streamPacer: newPacer(cfg.StreamRateBytesPerSec),
-		edge:        edge.New(edge.Config{CapacityBytes: cfg.EdgeCacheBytes}),
-		segSeconds:  cfg.SegmentSeconds,
-		liveTTL:     cfg.LiveEdgeTTL,
-		tenants:     state.tenants,
-		videoTenant: make(map[int64]string),
+		state:          state,
+		db:             state.db,
+		store:          cfg.Store,
+		target:         cfg.Target,
+		specs:          append([]video.Spec{cfg.Target}, cfg.Renditions...),
+		reg:            reg,
+		searches:       reg.Counter("searches"),
+		recentScans:    reg.Counter("cache_recent_scans"),
+		usernameHits:   reg.Counter("cache_username_hits"),
+		usernameMisses: reg.Counter("cache_username_misses"),
+		tracer:         cfg.Tracer,
+		streamPacer:    newPacer(cfg.StreamRateBytesPerSec),
+		edge:           edge.New(edge.Config{CapacityBytes: cfg.EdgeCacheBytes}),
+		segSeconds:     cfg.SegmentSeconds,
+		liveTTL:        cfg.LiveEdgeTTL,
+		tenants:        state.tenants,
+		videoTenant:    make(map[int64]string),
 	}
 	for _, spec := range s.specs {
 		s.labels = append(s.labels, QualityLabel(spec))
@@ -301,6 +305,7 @@ func New(cfg Config) (*Site, error) {
 	if err := s.createSchema(); err != nil {
 		return nil, err
 	}
+	s.refreshRecent()
 	adminID, err := s.register(cfg.AdminUser, cfg.AdminPassword, "admin@videocloud", true)
 	if err != nil {
 		return nil, err
@@ -312,8 +317,8 @@ func New(cfg Config) (*Site, error) {
 }
 
 // NewReplica builds an additional frontend over primary's fleet state: same
-// database, index, sessions, admin account, transcode queue and farm, but its
-// own hot caches, metrics, circuit breaker, and stream pacer, and
+// database, index, recent list, sessions, admin account, transcode queue and
+// farm, but its own edge cache, metrics, circuit breaker, and stream pacer, and
 // cfg.TranscodeWorkers more workers on the fleet's queue. cfg must name the
 // same Store mount; schema creation and admin registration are skipped (the
 // primary already did both).
@@ -393,10 +398,11 @@ func (s *Site) ReplaceIndex(ix *search.Index) {
 	s.reg.Counter("index_refreshes").Inc()
 }
 
-// Documents exports every video as an indexable document, the corpus the
-// periodic MapReduce re-index consumes.
+// Documents exports every published video as an indexable document, the
+// corpus the periodic MapReduce re-index consumes: the rows reindex keeps in
+// the live index, so a swapped-in index finds no more than the one it replaces.
 func (s *Site) Documents() []search.Document {
-	rows, _ := s.db.Scan("videos", func(videodb.Row) bool { return true })
+	rows, _ := s.db.Scan("videos", published)
 	docs := make([]search.Document, 0, len(rows))
 	for _, row := range rows {
 		if _, ok := row["id"].(int64); !ok {
