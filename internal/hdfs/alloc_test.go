@@ -41,19 +41,23 @@ func TestAllocReadRangeBounded(t *testing.T) {
 }
 
 // TestAllocColdFill gates what a steady-state cold seek allocates: seeded
-// windows of one full extent each over 48 blocks against a 64-extent budget,
-// so every read is a miss that evicts, takes the evicted array and fills it.
-// What is left is the entry and the index slot of a block with no other
-// resident extent: at most 5 objects and 8 KiB, where a fill used to cost
-// nine objects and a zeroed extent.
+// windows of one extent each over 48 blocks against a 64-extent budget, so
+// every read is a miss that evicts, takes the evicted array and fills it. A
+// block is 15¾ extents, so one fill in sixteen lands on a block's short last
+// extent, as the last extent of every segment does when a segment is smaller
+// than a block. What is left is the entry and the index slot of a block with
+// no other resident extent: at most 5 objects and 8 KiB, where a fill used to
+// cost nine objects and a zeroed extent, and a short last extent its own
+// array.
 func TestAllocColdFill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	const (
-		block  = 16 * extentSize
-		blocks = 48
-		budget = 64 * extentSize
+		perBlock = 16 // extents in a block, the last one short
+		block    = (perBlock-1)*extentSize + 3*DefaultChunkSize
+		blocks   = 48
+		budget   = 64 * extentSize
 	)
 	c := NewCluster(2, block)
 	c.SetBlockCacheCapacity(budget)
@@ -79,28 +83,35 @@ func TestAllocColdFill(t *testing.T) {
 	buf := make([]byte, extentSize)
 	// A stride of 67 extents visits every extent of the file before it
 	// repeats one, so nothing read is still resident 768 reads later.
-	const extents = blocks * block / extentSize
-	i := int64(0)
+	const extents = blocks * perBlock
+	i, short := int64(0), 0
 	coldRead := func() {
 		i++
-		if _, err := r.ReadAt(buf, (i*67%extents)*extentSize); err != nil {
+		k := i * 67 % extents
+		x := k % perBlock
+		n := min(extentSize, block-x*extentSize)
+		if n < extentSize {
+			short++
+		}
+		if _, err := r.ReadAt(buf[:n], k/perBlock*block+x*extentSize); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for range 2 * budget / extentSize { // fill the budget, the pool and the histogram's samples
 		coldRead()
 	}
-	misses := c.Stats().CacheMisses
+	misses, short := c.Stats().CacheMisses, 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const iters = 256
 	allocs := testing.AllocsPerRun(iters, coldRead)
 	runtime.ReadMemStats(&after)
-	if got := c.Stats().CacheMisses - misses; got != iters+1 {
-		t.Fatalf("%d misses in %d reads; the gate measures cold fills only", got, iters+1)
+	if got := c.Stats().CacheMisses - misses; got != iters+1 || short < iters/perBlock {
+		t.Fatalf("%d misses, %d of them short last extents, in %d reads; the gate measures cold fills only, some of them short",
+			got, short, iters+1)
 	}
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / (iters + 1)
-	t.Logf("cold fill: %.1f allocs, %d B per op", allocs, perOp)
+	t.Logf("cold fill: %.1f allocs, %d B per op, %d short last extents of %d fills", allocs, perOp, short, iters+1)
 	if allocs > 5 || perOp > 8<<10 {
 		t.Fatalf("a steady-state cold fill allocates %.1f objects and %d B; want <= 5 and <= 8 KiB (one %d B extent is the regression)",
 			allocs, perOp, extentSize)

@@ -18,9 +18,10 @@ import (
 // the player's window, that is under twice the bytes it asked for.
 const extentSize = 4 * DefaultChunkSize
 
-// extentPool holds the backing arrays of full extents no cache entry owns at
-// the moment. A fill takes one, eviction returns it: in steady state a cold
-// seek allocates, and zeroes, no buffer.
+// extentPool holds the backing arrays of extents no cache entry owns at the
+// moment. A fill takes one, a block's short last extent included, and
+// eviction returns it: in steady state a cold seek allocates, and zeroes, no
+// buffer.
 var extentPool = sync.Pool{New: func() any { return new([extentSize]byte) }}
 
 // extentKey names one extent of one block.
@@ -58,10 +59,11 @@ func extentCount(blockLen int64) int64 { return (blockLen + extentSize - 1) / ex
 //     The evictor detaches nothing else: pinned entries (refs > 0) are
 //     skipped, so the budget sheds idle extents first. An entry detached
 //     while pinned (Invalidate) keeps its array, valid until the last holder
-//     lets go and the garbage collector reclaims it. So does a block's short
-//     last extent, which is allocated at its exact size so the byte budget
-//     stays exact. A view used after its reference was released is a bug the
-//     -race gate makes loud (CacheEntry.reclaim).
+//     lets go and the garbage collector reclaims it. Every entry holds a
+//     whole array, a block's short last extent too, so the budget charges
+//     each one extentSize: the memory it holds, not the bytes it caches. A
+//     view used after its reference was released is a bug the -race gate
+//     makes loud (CacheEntry.reclaim).
 //
 // Fills are single-flight: concurrent requests for the same absent extent
 // share one replica fetch. The first caller fetches; later callers are
@@ -83,7 +85,7 @@ type BlockCache struct {
 	// lru is the sentinel of the ring of resident entries: lru.next is the
 	// most recently used, lru.prev the least.
 	lru     CacheEntry
-	bytes   int64 // resident bytes
+	bytes   int64 // resident bytes, by the arrays entries hold
 	entries int   // resident entries
 }
 
@@ -98,8 +100,7 @@ type cachedBlock struct {
 type CacheEntry struct {
 	owner *BlockCache
 	key   extentKey
-	data  []byte
-	buf   *[extentSize]byte // data's array when it is a pooled one
+	data  []byte // a prefix of an array from extentPool
 	refs  atomic.Int64
 
 	prev, next *CacheEntry // LRU ring links while resident
@@ -172,9 +173,9 @@ func (c *BlockCache) firstAbsent(id BlockID, from, n int64) int64 {
 
 // GetOrFill returns a referenced entry for extent x of a block, fetching it
 // from a replica through cl (Client.fetchExtent; parent and readahead are
-// what that records) when absent: straight into an array from extentPool, or
-// an exact-size one for the block's short last extent. Concurrent callers for
-// the same absent extent share one fetch. A fetch that fails caches nothing
+// what that records) when absent: straight into an array from extentPool,
+// sliced to its length for the block's short last extent. Concurrent callers
+// for the same absent extent share one fetch. A fetch that fails caches nothing
 // and the array goes back to the pool. The returned source is "hit", "wait"
 // (joined an in-flight fill), or "fill" (this caller ran the fetch). The
 // caller must Release the entry.
@@ -211,12 +212,7 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 	c.mu.Unlock()
 
 	c.reg.Counter("blockcache_misses").Inc()
-	if length := info.Length - x*extentSize; length >= extentSize {
-		e.buf = extentPool.Get().(*[extentSize]byte)
-		e.data = e.buf[:]
-	} else {
-		e.data = make([]byte, length)
-	}
+	e.data = extentPool.Get().(*[extentSize]byte)[:min(info.Length-x*extentSize, extentSize)]
 	n, err := cl.fetchExtent(parent, readahead, info, x, e.data)
 
 	c.mu.Lock()
@@ -240,20 +236,19 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 
 // reclaim takes back the array of an entry no view of which can exist — a
 // failed fill's, or one detached from the index at zero references — and
-// returns a pooled one to extentPool. Under the race detector it is
-// overwritten first, so a view used after its reference was released reads a
-// pattern no payload has (and races with this write) instead of passing for
-// valid bytes until the array is refilled.
+// returns it to extentPool. Under the race detector it is overwritten first,
+// so a view used after its reference was released reads a pattern no payload
+// has (and races with this write) instead of passing for valid bytes until
+// the array is refilled.
 func (e *CacheEntry) reclaim() {
-	if e.buf != nil {
-		if raceEnabled {
-			for i := range e.buf {
-				e.buf[i] = 0xDB
-			}
+	buf := (*[extentSize]byte)(e.data[:extentSize])
+	if raceEnabled {
+		for i := range buf {
+			buf[i] = 0xDB
 		}
-		extentPool.Put(e.buf)
 	}
-	e.buf, e.data = nil, nil
+	extentPool.Put(buf)
+	e.data = nil
 }
 
 // Release drops one reference on e. Entries are never freed eagerly: a
@@ -305,7 +300,7 @@ func (c *BlockCache) insertLocked(e *CacheEntry, n int64) {
 	b.extents[e.key.index] = e
 	b.resident++
 	c.pushFrontLocked(e)
-	c.bytes += int64(len(e.data))
+	c.bytes += int64(cap(e.data))
 	c.entries++
 }
 
@@ -319,7 +314,7 @@ func (c *BlockCache) removeLocked(e *CacheEntry) {
 		delete(c.blocks, e.key.block)
 	}
 	c.unlinkLocked(e)
-	c.bytes -= int64(len(e.data))
+	c.bytes -= int64(cap(e.data))
 	c.entries--
 	if e.refs.Load() == 0 {
 		e.reclaim()

@@ -2,8 +2,13 @@ package hdfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -100,5 +105,101 @@ func TestConcurrentReadersDuringFailure(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// stamped is generation gen of block id's payload: 8-byte words id<<48 |
+// gen<<24 | i, so any word-aligned window names the replica it came from.
+// Lengths vary with gen, over five mapping classes, most of them unaligned.
+func stamped(id BlockID, gen uint64) []byte {
+	b := make([]byte, int(1+gen%5)*DefaultChunkSize-int(gen%3)*1000)
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(id)<<48|gen<<24|uint64(i/8))
+	}
+	return b
+}
+
+// checkStamped reports whether b, read from offset off (word-aligned) of block
+// id, is a window of one whole generation of id's payload.
+func checkStamped(id BlockID, off int64, b []byte) error {
+	gen := binary.LittleEndian.Uint64(b) >> 24 & (1<<24 - 1)
+	want := stamped(id, gen)
+	if off+int64(len(b)) > int64(len(want)) || !bytes.Equal(b, want[off:off+int64(len(b))]) {
+		return fmt.Errorf("block %d: %d B at %d are no generation's bytes (first word %#x)", id, len(b), off, binary.LittleEndian.Uint64(b))
+	}
+	return nil
+}
+
+// TestReplicaLifetimeSoak stores, overwrites, deletes and reads the same block
+// ids from several goroutines, collecting between rounds, so replica memory
+// released by one round is reused under the readers of the next: every read
+// that succeeds returns one whole generation of its id — not a mix, not
+// another id's bytes, not the pattern a released mapping carries under -race —
+// and a deleted id reads as ErrNoBlock. make chaosshort runs it under -race.
+func TestReplicaLifetimeSoak(t *testing.T) {
+	const (
+		ids     = 6
+		workers = 4
+		rounds  = 10
+		ops     = 120
+	)
+	dn := NewDataNode("dn")
+	var gen atomic.Uint64
+	for round := range rounds {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				dst := make([]byte, 3*DefaultChunkSize)
+				for range ops {
+					id := BlockID(rng.Intn(ids))
+					switch rng.Intn(5) {
+					case 0:
+						if err := dn.Store(id, stamped(id, gen.Add(1))); err != nil {
+							t.Error(err)
+						}
+					case 1:
+						dn.Delete(id)
+					case 2:
+						b, err := dn.Read(id)
+						if err == nil {
+							err = checkStamped(id, 0, b)
+						}
+						if err != nil && !errors.Is(err, ErrNoBlock) {
+							t.Error(err)
+						}
+					default:
+						off := int64(rng.Intn(5*DefaultChunkSize/8)) * 8
+						n, err := dn.ReadRange(id, off, dst[:8*(1+rng.Intn(len(dst)/8))])
+						if err == nil && n > 0 {
+							err = checkStamped(id, off, dst[:n])
+						}
+						if err != nil && !errors.Is(err, ErrNoBlock) && (n > 0 || errors.Is(err, ErrChecksum)) {
+							t.Error(err) // past the end of a shorter generation is no error
+						}
+					}
+				}
+			}(rand.New(rand.NewSource(int64(round*workers + w))))
+		}
+		wg.Wait()
+		runtime.GC()
+		deleted := BlockID(round % ids)
+		dn.Delete(deleted)
+		for id := BlockID(0); id < ids; id++ {
+			b, err := dn.Read(id)
+			if id == deleted || !dn.Has(id) {
+				if _, rerr := dn.ReadRange(id, 0, make([]byte, 8)); !errors.Is(err, ErrNoBlock) || !errors.Is(rerr, ErrNoBlock) {
+					t.Fatalf("round %d: deleted block %d reads as %v / %v; want ErrNoBlock", round, id, err, rerr)
+				}
+				continue
+			}
+			if err == nil {
+				err = checkStamped(id, 0, b)
+			}
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 	}
 }

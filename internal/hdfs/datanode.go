@@ -27,6 +27,13 @@ const DefaultChunkSize = 64 << 10
 // backing O(range) verification for extent fills (ReadRange). The chunk size
 // is recorded per block so a cluster-wide chunk-size change never
 // invalidates already-stored replicas.
+//
+// The bytes are not on the Go heap (replicamem_unix.go): they are replica
+// memory, which goes back to the pool when the record becomes unreachable.
+// So data is read and written only by DataNode methods holding dn.mu with
+// the record in dn.blocks — or by Store before it is published — and never
+// leaves them: callers get copies (Read) or bytes copied into their own
+// memory (ReadRange).
 type blockData struct {
 	data  []byte
 	whole uint32
@@ -70,11 +77,12 @@ func (dn *DataNode) SetChunkSize(sz int64) {
 	dn.mu.Unlock()
 }
 
-// Store writes a block replica. The data is copied, and both the
-// whole-block and per-chunk checksums are computed up front so every later
-// read — full or ranged — verifies against write-time state. The copy and the
-// checksum passes run before the node's lock is taken: a block published here
-// does not stall the reads beside it.
+// Store writes a block replica. The data is copied into replica memory, and
+// both the whole-block and per-chunk checksums are computed up front so every
+// later read — full or ranged — verifies against write-time state. The copy
+// and the checksum passes run before the node's lock is taken, on a record
+// nobody else can reach yet: a block published here does not stall the reads
+// beside it. A replica it overwrites is only unlinked.
 func (dn *DataNode) Store(id BlockID, data []byte) error {
 	dn.mu.RLock()
 	chunk, down := dn.chunk, dn.down
@@ -82,14 +90,17 @@ func (dn *DataNode) Store(id BlockID, data []byte) error {
 	if down {
 		return fmt.Errorf("%w: %s", ErrDown, dn.name)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	bd := &blockData{data: cp, whole: crc32.ChecksumIEEE(cp), chunk: chunk}
-	n := (int64(len(cp)) + chunk - 1) / chunk
-	bd.sums = make([]uint32, n)
-	for i := int64(0); i < n; i++ {
-		lo := i * chunk
-		bd.sums[i] = crc32.ChecksumIEEE(cp[lo:min(lo+chunk, int64(len(cp)))])
+	bd, err := newBlockData(len(data), chunk)
+	if err != nil {
+		return err
+	}
+	copy(bd.data, data)
+	bd.whole = crc32.ChecksumIEEE(bd.data)
+	size := int64(len(bd.data))
+	bd.sums = make([]uint32, (size+chunk-1)/chunk)
+	for i := range bd.sums {
+		lo := int64(i) * chunk
+		bd.sums[i] = crc32.ChecksumIEEE(bd.data[lo:min(lo+chunk, size)])
 	}
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -171,7 +182,8 @@ func (dn *DataNode) locked(id BlockID) (*blockData, error) {
 	return bd, nil
 }
 
-// Delete removes a block replica; absent blocks are a no-op.
+// Delete removes a block replica; absent blocks are a no-op. It only unlinks
+// the record: its memory goes back to the pool once nothing reaches it.
 func (dn *DataNode) Delete(id BlockID) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()

@@ -171,6 +171,10 @@ func TestExtentFillFailsOverOnCorruptChunk(t *testing.T) {
 // resident or referenced, and the array went back to the pool — the next fill
 // allocates none.
 func TestCorruptFillCachesNothing(t *testing.T) {
+	// sync.Pool keeps what a P puts in that P's private slot, which a Get
+	// on another P does not see: with one P, "the next fill allocates none"
+	// depends on the code, not on where the scheduler ran the goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const block = 4 * extentSize
 	c, cl, data := newCachedCluster(t, block, block, 2, 0)
 	bc := c.BlockCache()
