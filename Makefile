@@ -44,15 +44,16 @@ alloccheck:
 # through the extent cache against the bytes written (internal/hdfs/fuzz_test.go):
 # fills land in arrays eviction recycles, so a view that outlives its reference
 # or a fill that keeps unverified bytes shows as a wrong byte here. Then ten
-# seconds each of the two parsers /stream trusts: the layout that rebuilds a
-# container from a row's numbers, and the Range header. Then ten seconds of
+# seconds of the layout /stream trusts to rebuild a container from a row's
+# numbers, and ten of media responses held to http.ServeContent over
+# arbitrary sizes, Range and If-Range headers. Then ten seconds of
 # arbitrary float64 bit patterns and split points through histogram merges:
 # the merged parts must equal the whole, bucket for bucket.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
-	$(GO) test -run '^$$' -fuzz FuzzParseRange -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzServeMatchesServeContent -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMerge -fuzztime 10s ./internal/metrics/
 
 # Short-mode chaos soak: the seeded fault-injection run (host crash,

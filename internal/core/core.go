@@ -37,6 +37,10 @@ import (
 
 const gb = int64(1) << 30
 
+// blockSize is the HDFS block size: Hadoop's 64 MiB scaled down to 4 MiB to
+// keep simulated uploads cheap.
+const blockSize = 4 << 20
+
 // Config sizes the deployment. The zero value builds the paper's small
 // testbed: four physical nodes, three DataNode VMs, one web VM.
 type Config struct {
@@ -50,17 +54,9 @@ type Config struct {
 	HostMemoryBytes int64
 	// Replication is the HDFS replication factor (default min(3, DataVMs)).
 	Replication int
-	// BlockSize is the HDFS block size (default 4 MiB here — scaled down
-	// from Hadoop's 64 MiB to keep simulated uploads cheap; override for
-	// fidelity).
-	BlockSize int64
 	// BlockCacheBytes budgets the shared, refcounted HDFS extent cache every
 	// read goes through (<= 0 selects hdfs.DefaultBlockCacheBytes).
 	BlockCacheBytes int64
-	// Policy is the Capacity Manager policy (default striping).
-	Policy nebula.Policy
-	// Target is the playback encoding (default: web package's H.264/720p).
-	Target video.Spec
 	// AdminUser/AdminPassword seed the site's administrator account.
 	AdminUser, AdminPassword string
 	// TranscodeWorkers is each frontend's share of the upload conversion
@@ -129,9 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.Replication > c.DataVMs {
 		c.Replication = c.DataVMs
 	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 4 << 20
-	}
 	if c.Frontends == 0 {
 		c.Frontends = 1
 	}
@@ -184,7 +177,7 @@ func New(cfg Config) (*VideoCloud, error) {
 	vc.tracer = trace.New(cfg.Trace)
 
 	// ---- IaaS: hosts + image + service group ----
-	vc.cloud = nebula.New(nebula.Options{Policy: cfg.Policy, Recovery: cfg.Recovery})
+	vc.cloud = nebula.New(nebula.Options{Recovery: cfg.Recovery})
 	// Attach the tracer before the service group is submitted so the boot
 	// of every service VM is captured as a nebula.vm trace.
 	vc.cloud.SetTracer(vc.tracer)
@@ -239,7 +232,7 @@ func New(cfg Config) (*VideoCloud, error) {
 	vc.dataVMIDs = ids[2:]
 
 	// ---- PaaS: HDFS + MapReduce on the data VMs ----
-	vc.hdfs = hdfs.NewCluster(0, cfg.BlockSize)
+	vc.hdfs = hdfs.NewCluster(0, blockSize)
 	vc.hdfs.SetBlockCacheCapacity(cfg.BlockCacheBytes)
 	// Every HDFS write is attributed to the writing context's tenant in
 	// the ledger (uploads thread the tenant through web → queue → store).
@@ -278,7 +271,6 @@ func New(cfg Config) (*VideoCloud, error) {
 		Tenants:               cfg.Tenants,
 		Store:                 vc.mount,
 		Farm:                  video.Farm{Nodes: trackers},
-		Target:                cfg.Target,
 		AdminUser:             cfg.AdminUser,
 		AdminPassword:         cfg.AdminPassword,
 		TranscodeWorkers:      cfg.TranscodeWorkers,

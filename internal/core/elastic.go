@@ -32,12 +32,11 @@ type ElasticConfig struct {
 	// DrainDeadline bounds graceful scale-down; past it in-flight
 	// conversions are expelled and retried elsewhere (default 30s virtual).
 	DrainDeadline time.Duration
-	// OutCooldown / InCooldown / GuardHold / MaxStep / HiLoad / LoLoad pass
-	// through to nebula.ElasticOptions (see its docs for defaults).
+	// OutCooldown / InCooldown / GuardHold / MaxStep pass through to
+	// nebula.ElasticOptions (see its docs for defaults).
 	OutCooldown, InCooldown time.Duration
 	GuardHold               time.Duration
 	MaxStep                 int
-	HiLoad, LoLoad          float64
 	// RebalanceInterval enables the host-load rebalancer when positive.
 	RebalanceInterval time.Duration
 	// RebalanceSpread is the max−min host memory-fraction gap the
@@ -84,9 +83,8 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 		// The static data VMs convert too; their capacity is the base the
 		// fleet adds to, so an idle system scales to MinFarmVMs, not Max.
 		BaseCapacity: cfg.InstanceCapacity * float64(len(vc.dataVMIDs)),
-		HiLoad:       cfg.HiLoad, LoLoad: cfg.LoLoad,
-		MaxStep:     cfg.MaxStep,
-		OutCooldown: cfg.OutCooldown, InCooldown: cfg.InCooldown,
+		MaxStep:      cfg.MaxStep,
+		OutCooldown:  cfg.OutCooldown, InCooldown: cfg.InCooldown,
 		GuardHold: cfg.GuardHold,
 		Drain: nebula.DrainOptions{
 			Deadline: cfg.DrainDeadline,

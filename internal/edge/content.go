@@ -1,30 +1,21 @@
 package edge
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// Content adapts a cached blob to the serving interfaces the streaming path
-// expects: io.ReadSeeker for the generic fallback and the slice-append
-// contract for the zero-copy vectored-write path (it satisfies
-// stream.SliceRanger without importing stream). A warm edge hit therefore
-// writes cache memory straight to the socket, exactly like an origin block
-// hit does. Reset lets a handler reuse one Content per request without
-// allocating.
+// Content adapts a cached blob to the slice-append contract of the zero-copy
+// serving path (it satisfies stream.SliceRanger without importing stream). A
+// warm edge hit therefore writes cache memory straight to the response, exactly
+// like an origin block hit does. Reset lets a handler reuse one Content per
+// request without allocating.
 type Content struct {
 	data []byte
-	pos  int64
 }
 
 // NewContent wraps cached bytes.
 func NewContent(data []byte) *Content { return &Content{data: data} }
 
-// Reset re-points the adapter at new bytes and rewinds it.
-func (c *Content) Reset(data []byte) {
-	c.data = data
-	c.pos = 0
-}
+// Reset re-points the adapter at new bytes.
+func (c *Content) Reset(data []byte) { c.data = data }
 
 // Size reports the blob length.
 func (c *Content) Size() int64 { return int64(len(c.data)) }
@@ -44,32 +35,4 @@ func (c *Content) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, 
 		return dst, nil
 	}
 	return append(dst, c.data[off:end]), nil
-}
-
-func (c *Content) Read(p []byte) (int, error) {
-	if c.pos >= int64(len(c.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, c.data[c.pos:])
-	c.pos += int64(n)
-	return n, nil
-}
-
-func (c *Content) Seek(off int64, whence int) (int64, error) {
-	var pos int64
-	switch whence {
-	case io.SeekStart:
-		pos = off
-	case io.SeekCurrent:
-		pos = c.pos + off
-	case io.SeekEnd:
-		pos = int64(len(c.data)) + off
-	default:
-		return 0, fmt.Errorf("edge: bad whence %d", whence)
-	}
-	if pos < 0 {
-		return 0, fmt.Errorf("edge: negative seek %d", pos)
-	}
-	c.pos = pos
-	return pos, nil
 }

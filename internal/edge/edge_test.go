@@ -234,14 +234,6 @@ func TestContentRangeSlices(t *testing.T) {
 	if _, err = c.AppendRangeSlices(nil, 11, 1); err == nil {
 		t.Fatal("offset past EOF accepted")
 	}
-	buf := make([]byte, 4)
-	n, _ := c.Read(buf)
-	if n != 4 || string(buf) != "0123" {
-		t.Fatalf("Read: %d %q", n, buf)
-	}
-	if pos, _ := c.Seek(-2, 2); pos != 8 {
-		t.Fatalf("SeekEnd: %d", pos)
-	}
 	c.Reset([]byte("ab"))
 	if c.Size() != 2 {
 		t.Fatal("Reset did not swap data")

@@ -226,13 +226,6 @@ func (f *file) Stat() (fs.FileInfo, error) {
 func (f *file) Read(p []byte) (int, error)                { return f.r.Read(p) }
 func (f *file) Seek(off int64, whence int) (int64, error) { return f.r.Seek(off, whence) }
 func (f *file) ReadAt(p []byte, off int64) (int, error)   { return f.r.ReadAt(p, off) }
-func (f *file) Size() int64                               { return f.r.Size() }
-
-// AppendRangeSlices forwards the zero-copy range API (stream.SliceRanger),
-// so HTTP serving through the fs.FS view also avoids per-request buffers.
-func (f *file) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
-	return f.r.AppendRangeSlices(dst, off, length)
-}
 
 // Close releases the reader's shared block-cache references.
 func (f *file) Close() error { return f.r.Close() }

@@ -12,8 +12,7 @@ import (
 
 func TestIfRangeStaysOnSlicePath(t *testing.T) {
 	data := payload(100000)
-	var reasons []string
-	srv := serveWithHook(t, data, &reasons)
+	srv := serveMem(t, data)
 
 	// First request learns the validator.
 	resp, err := http.Get(srv.URL)
@@ -27,7 +26,7 @@ func TestIfRangeStaysOnSlicePath(t *testing.T) {
 		t.Fatalf("no strong ETag on sliced content, got %q", etag)
 	}
 
-	// Matching If-Range: the Range is honoured, zero-copy, no fallback.
+	// Matching If-Range: the Range is honoured.
 	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
 	req.Header.Set("Range", "bytes=100-299")
 	req.Header.Set("If-Range", etag)
@@ -44,7 +43,7 @@ func TestIfRangeStaysOnSlicePath(t *testing.T) {
 		t.Fatal("matching If-Range: body mismatch")
 	}
 
-	// Stale If-Range: Range ignored, full 200 — still no fallback.
+	// Stale If-Range: Range ignored, full 200.
 	req, _ = http.NewRequest(http.MethodGet, srv.URL, nil)
 	req.Header.Set("Range", "bytes=100-299")
 	req.Header.Set("If-Range", "\"deadbeefdeadbeef\"")
@@ -60,43 +59,34 @@ func TestIfRangeStaysOnSlicePath(t *testing.T) {
 	if !bytes.Equal(body, data) {
 		t.Fatal("stale If-Range: expected the full representation")
 	}
-	if len(reasons) != 0 {
-		t.Fatalf("If-Range requests fell back: %v", reasons)
-	}
 
-	// Multi-range still falls back, and the hook sees it.
+	// Multi-range is ignored like a stale If-Range: the full 200.
 	req, _ = http.NewRequest(http.MethodGet, srv.URL, nil)
 	req.Header.Set("Range", "bytes=0-9,20-29")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusPartialContent {
-		t.Fatalf("multi-range: status %d", resp.StatusCode)
-	}
-	if len(reasons) != 1 || reasons[0] != "range-spec" {
-		t.Fatalf("fallback reasons = %v, want [range-spec]", reasons)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
+		t.Fatalf("multi-range: status %d, %d bytes; want 200 and the full representation", resp.StatusCode, len(body))
 	}
 }
 
-// serveWithHook serves data from an in-memory slicer through
-// ServeWithFallback, appending fallback reasons to out.
-func serveWithHook(t *testing.T, data []byte, out *[]string) *httptest.Server {
+// serveMem serves data from an in-memory slicer through Serve.
+func serveMem(t *testing.T, data []byte) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c := &memSlicer{data: data}
-		ServeWithFallback(w, r, "v.vcf", c, func(reason string) { *out = append(*out, reason) })
+		Serve(w, r, "v.vcf", &memSlicer{data: data})
 	}))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-// memSlicer is a minimal in-memory SliceRanger + ReadSeeker.
+// memSlicer is a minimal in-memory SliceRanger.
 type memSlicer struct {
 	data []byte
-	pos  int64
 }
 
 func (m *memSlicer) Size() int64 { return int64(len(m.data)) }
@@ -110,45 +100,6 @@ func (m *memSlicer) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte
 		end = int64(len(m.data))
 	}
 	return append(dst, m.data[off:end]), nil
-}
-
-func (m *memSlicer) Read(p []byte) (int, error) {
-	if m.pos >= int64(len(m.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.data[m.pos:])
-	m.pos += int64(n)
-	return n, nil
-}
-
-func (m *memSlicer) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-		m.pos = off
-	case io.SeekCurrent:
-		m.pos += off
-	case io.SeekEnd:
-		m.pos = int64(len(m.data)) + off
-	}
-	return m.pos, nil
-}
-
-func TestFallbackReasonNotSliceable(t *testing.T) {
-	var reasons []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ServeWithFallback(w, r, "v.vcf", bytes.NewReader(payload(1000)),
-			func(reason string) { reasons = append(reasons, reason) })
-	}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if len(reasons) != 1 || reasons[0] != "not-sliceable" {
-		t.Fatalf("reasons = %v, want [not-sliceable]", reasons)
-	}
 }
 
 // brokenSlicer is content whose metadata is fine and whose bytes past
@@ -168,8 +119,8 @@ func (b *brokenSlicer) AppendRangeSlices(dst [][]byte, off, length int64) ([][]b
 
 // TestSliceErrorLeavesResponseUntouched pins the order of the slice path:
 // the window is resolved before the status line, so content that cannot
-// produce it yields an error with nothing written (ServeWithFallback) or a
-// 500 (Serve) — never 206 headers and an aborted body. HEAD reads no bytes
+// produce it yields an error with nothing written, which a caller answers
+// with a 500 — never 206 headers and an aborted body. HEAD reads no bytes
 // and still answers from metadata.
 func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
 	content := func() *brokenSlicer {
@@ -179,7 +130,7 @@ func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
 	req.Header.Set("Range", "bytes=600-699")
 
 	rec := httptest.NewRecorder()
-	if err := ServeWithFallback(rec, req, "v.vcf", content(), nil); err == nil {
+	if _, err := Serve(rec, req, "v.vcf", content()); err == nil {
 		t.Fatal("unreadable window served without an error")
 	}
 	if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
@@ -187,7 +138,9 @@ func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	Serve(rec, req, "v.vcf", content())
+	if _, err := Serve(rec, req, "v.vcf", content()); err != nil {
+		http.Error(rec, err.Error(), http.StatusInternalServerError)
+	}
 	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Range") != "" {
 		t.Fatalf("Serve on an unreadable window: status %d, Content-Range %q; want 500 and none",
 			rec.Code, rec.Header().Get("Content-Range"))
@@ -197,7 +150,7 @@ func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
 	ok := httptest.NewRequest(http.MethodGet, "/v", nil)
 	ok.Header.Set("Range", "bytes=100-199")
 	rec = httptest.NewRecorder()
-	if err := ServeWithFallback(rec, ok, "v.vcf", content(), nil); err != nil {
+	if _, err := Serve(rec, ok, "v.vcf", content()); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Code != http.StatusPartialContent || !bytes.Equal(rec.Body.Bytes(), payload(1000)[100:200]) {
@@ -207,7 +160,7 @@ func TestSliceErrorLeavesResponseUntouched(t *testing.T) {
 	head := httptest.NewRequest(http.MethodHead, "/v", nil)
 	head.Header.Set("Range", "bytes=600-699")
 	rec = httptest.NewRecorder()
-	if err := ServeWithFallback(rec, head, "v.vcf", content(), nil); err != nil || rec.Code != http.StatusPartialContent {
+	if _, err := Serve(rec, head, "v.vcf", content()); err != nil || rec.Code != http.StatusPartialContent {
 		t.Fatalf("HEAD: status %d, err %v; want 206 from metadata alone", rec.Code, err)
 	}
 }

@@ -16,13 +16,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // SliceRanger is content that can expose a byte range as views of its
 // backing storage instead of copying through a read buffer — the HDFS
-// reader implements it by slicing shared-cache block data. Serve uses it
-// for the zero-copy response path.
+// reader implements it by slicing shared-cache block data. It is what Serve
+// answers from.
 type SliceRanger interface {
 	Size() int64
 	// AppendRangeSlices appends views covering [off, off+length) (clamped
@@ -31,79 +30,78 @@ type SliceRanger interface {
 	AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error)
 }
 
-// Serve writes content with full Range support (206 partial content,
-// Accept-Ranges, If-Range) — the paper's draggable-time-bar mechanism.
+// Serve answers a GET or HEAD with content — the paper's draggable time bar —
+// and returns the media body bytes it wrote.
 //
-// Content implementing SliceRanger takes the zero-copy path: the requested
-// window is resolved to views of cached block data and written with a
-// single readv-style vectored write (net.Buffers), so no serving buffer
-// ever holds a copy of the bytes. Single-range If-Range requests stay on
-// that path: sliced content gets a strong ETag (derived from name and
-// size), a matching validator serves the range, a stale one serves the full
-// representation — both zero-copy, per RFC 7233. Only what the slice path
-// does not speak (multi-range requests, malformed specs, plain
-// io.ReadSeeker content) falls back to the standard library's ServeContent.
+// One Range policy: a single "bytes=" range that parseRange accepts is
+// answered 206, or 416 when none of it lies in the file. Every other Range —
+// several ranges, a malformed spec, an unknown unit — is ignored and the full
+// representation goes out as 200, which RFC 9110 §14.2 permits (and, for an
+// unknown unit, requires). So is a Range whose If-Range is not the current
+// validator, a strong ETag derived from name and size: the client's offsets
+// refer to another version (§13.1.5).
 //
-// The slice path resolves the requested window before it commits to a
-// status, so storage that cannot produce the window answers 500 instead of
-// 200/206 headers and an aborted body.
-func Serve(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker) {
-	if err := ServeWithFallback(w, r, name, content, nil); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// The window is resolved to views of the content's storage before any header
+// is set. Content that cannot produce it yields a non-nil error with the
+// response untouched, and the caller picks the failure response (a server with
+// a storage circuit breaker answers 503 + Retry-After). The views go out
+// without a copy through net.Buffers, which writes them one Write per view to
+// an http.ResponseWriter (it becomes a single writev only on a bare net.Conn).
+func Serve(w http.ResponseWriter, r *http.Request, name string, content SliceRanger) (int64, error) {
+	size := content.Size()
+	etag := contentETag(name, size)
+	off, length, ranged := window(r, etag, size)
+	h := w.Header()
+	if off < 0 {
+		h.Set("ETag", etag)
+		// The unsatisfied-range form of Content-Range (RFC 9110 §14.4).
+		h.Set("Content-Range", "bytes */"+strconv.FormatInt(size, 10))
+		http.Error(w, "invalid range: failed to overlap", http.StatusRequestedRangeNotSatisfiable)
+		return 0, nil
 	}
+	var views [][]byte
+	if r.Method != http.MethodHead && length > 0 {
+		// The content's metadata may be reachable while the bytes of this
+		// window are not (a block whose every replica is down): find out
+		// while the status line can still say so.
+		var err error
+		if views, err = content.AppendRangeSlices(nil, off, length); err != nil {
+			return 0, err
+		}
+	}
+	// The paper streams H.264 in an MP4 container to Flowplayer, so the
+	// response carries the real media type (not the internal .vcf container
+	// extension).
+	h.Set("Content-Type", "video/mp4")
+	h.Set("ETag", etag)
+	status := http.StatusOK
+	if ranged {
+		status = http.StatusPartialContent
+		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
+	}
+	h.Set("Accept-Ranges", "bytes")
+	h.Set("Content-Length", strconv.FormatInt(length, 10))
+	w.WriteHeader(status)
+	// A failed write is a client that went away; the response is committed
+	// and the content was fine, so it is not the caller's error.
+	bufs := net.Buffers(views)
+	n, _ := bufs.WriteTo(w)
+	return n, nil
 }
 
-// ServeWithFallback is Serve with a hook: onFallback (when non-nil) is
-// called with a short reason just before a request leaves the zero-copy
-// slice path for the copying ServeContent path, so servers can keep the
-// fallback rate visible in their stats.
-//
-// A non-nil error means the content could not produce the requested window
-// and nothing has been written — no status, no body, no header this
-// function set — so the caller picks the failure response (a server with a
-// storage circuit breaker answers 503 + Retry-After).
-func ServeWithFallback(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker, onFallback func(reason string)) error {
-	// The paper streams H.264 in an MP4 container to Flowplayer, so the
-	// response carries the real media type (not the internal .vcf
-	// container extension).
-	w.Header().Set("Content-Type", "video/mp4")
-	fallback := func(reason string) {
-		if onFallback != nil {
-			onFallback(reason)
-		}
-		http.ServeContent(w, r, name, time.Time{}, content)
+// window picks the bytes a request is answered with: the single range it asks
+// for (ranged; off is -1 when it is unsatisfiable), else the whole
+// representation — for no Range, a Range parseRange does not accept, and a
+// stale If-Range alike.
+func window(r *http.Request, etag string, size int64) (off, length int64, ranged bool) {
+	spec, ir := r.Header.Get("Range"), r.Header.Get("If-Range")
+	if spec == "" || ir != "" && ir != etag {
+		return 0, size, false
 	}
-	sr, ok := content.(SliceRanger)
-	if !ok {
-		fallback("not-sliceable")
-		return nil
+	if off, length, ok := parseRange(spec, size); ok {
+		return off, length, true
 	}
-	etag := w.Header().Get("ETag")
-	ownETag := etag == ""
-	if ownETag {
-		etag = contentETag(name, sr.Size())
-		w.Header().Set("ETag", etag)
-	}
-	// RFC 7233 §3.2: a matching If-Range validator honours the Range; a
-	// stale one means the client's byte offsets refer to an old version, so
-	// the Range is ignored and the current full representation is sent.
-	// Both outcomes stay on the slice path.
-	ignoreRange := false
-	if ir := r.Header.Get("If-Range"); ir != "" && ir != etag {
-		ignoreRange = true
-	}
-	reason, err := serveSlices(w, r, sr, ignoreRange)
-	if err != nil {
-		w.Header().Del("Content-Type")
-		if ownETag {
-			w.Header().Del("ETag")
-		}
-		return err
-	}
-	if reason != "" {
-		fallback(reason)
-	}
-	return nil
+	return 0, size, false
 }
 
 // contentETag derives a strong validator from what identifies a served
@@ -119,63 +117,10 @@ func contentETag(name string, size int64) string {
 	return fmt.Sprintf("\"%016x\"", h.Sum64())
 }
 
-// serveSlices answers GET/HEAD with an optional single Range out of a
-// SliceRanger, returning "" when it handled the request. Requests it does
-// not speak (multi-range, malformed specs, non-bytes units) return a short
-// reason and fall back to ServeContent. ignoreRange serves the full
-// representation regardless of any Range header (the If-Range-mismatch
-// case). The window is resolved to slices before any header is set: an error
-// from the content is returned with the response untouched.
-func serveSlices(w http.ResponseWriter, r *http.Request, sr SliceRanger, ignoreRange bool) (string, error) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		return "method", nil
-	}
-	size := sr.Size()
-	off, length := int64(0), size
-	status := http.StatusOK
-	if spec := r.Header.Get("Range"); spec != "" && !ignoreRange {
-		var ok bool
-		off, length, ok = parseRange(spec, size)
-		if !ok {
-			return "range-spec", nil
-		}
-		if off < 0 {
-			// Syntactically valid but unsatisfiable (start past EOF, or
-			// any range against an empty file).
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
-			http.Error(w, "requested range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
-			return "", nil
-		}
-		status = http.StatusPartialContent
-	}
-	var slices [][]byte
-	if r.Method == http.MethodGet && length > 0 {
-		// The content's metadata may be reachable while the bytes of this
-		// window are not (a block whose every replica is down): find out
-		// while the status line can still say so.
-		var err error
-		if slices, err = sr.AppendRangeSlices(nil, off, length); err != nil {
-			return "", err
-		}
-	}
-	if status == http.StatusPartialContent {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
-	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-	w.WriteHeader(status)
-	// One vectored write: on a TCP connection net.Buffers becomes writev,
-	// handing every cached extent slice to the kernel without concatenating
-	// them into a response buffer.
-	bufs := net.Buffers(slices)
-	bufs.WriteTo(w)
-	return "", nil
-}
-
 // parseRange parses a single-range "bytes=" spec against size, returning
-// the window and ok=false for specs this path does not serve (multi-range,
-// non-bytes units, syntax errors) — those fall back to ServeContent. A
-// syntactically valid but unsatisfiable range returns off=-1 with ok=true.
+// the window and ok=false for specs Serve ignores (multi-range, non-bytes
+// units, syntax errors). A syntactically valid but unsatisfiable range
+// returns off=-1 with ok=true.
 func parseRange(spec string, size int64) (off, length int64, ok bool) {
 	const prefix = "bytes="
 	if !strings.HasPrefix(spec, prefix) || strings.ContainsAny(spec, ", ") {
@@ -188,7 +133,7 @@ func parseRange(spec string, size int64) (off, length int64, ok bool) {
 	if startStr == "" {
 		// Suffix form "-n": the final n bytes.
 		n, err := strconv.ParseInt(endStr, 10, 64)
-		if err != nil || n < 0 {
+		if err != nil || endStr[0] == '-' { // "-0" too
 			return 0, 0, false
 		}
 		if n == 0 || size == 0 {

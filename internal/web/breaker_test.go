@@ -16,48 +16,82 @@ import (
 // A storage outage on the streaming path must surface as 503 + Retry-After,
 // trip the breaker after the threshold, and short-circuit later requests
 // without touching HDFS — while the metadata pages keep serving.
+// Every Range a client can send takes that path: a multi-range request is
+// answered like no Range at all, so it too resolves the window first.
 func TestBreakerTripsOnStorageOutage(t *testing.T) {
-	site, cluster := newSite(t)
-	b := newBrowser(t, site)
-	b.registerAndLogin("alice", "hunter2")
-	watch := b.upload("clip", "d", 4, 7)
-	streamPath := "/stream/" + strings.TrimPrefix(watch, "/watch/")
+	for _, input := range []string{"no Range", "multi-range"} {
+		t.Run(input, func(t *testing.T) {
+			site, cluster := newSite(t)
+			b := newBrowser(t, site)
+			b.registerAndLogin("alice", "hunter2")
+			watch := b.upload("clip", "d", 4, 7)
+			streamPath := "/stream/" + strings.TrimPrefix(watch, "/watch/")
+			spec := ""
+			if input == "multi-range" {
+				head, err := b.c.Head(b.srv.URL + streamPath) // reads no block
+				if err != nil {
+					t.Fatal(err)
+				}
+				head.Body.Close()
+				mid := head.ContentLength / 2
+				spec = fmt.Sprintf("bytes=0-9,%d-%d", mid, mid+999)
+			}
+			get := func() *http.Response {
+				t.Helper()
+				req, _ := http.NewRequest(http.MethodGet, b.srv.URL+streamPath, nil)
+				if spec != "" {
+					req.Header.Set("Range", spec)
+				}
+				resp, err := b.c.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+					t.Fatalf("%s: body after status %d: %v", input, resp.StatusCode, err)
+				}
+				resp.Body.Close()
+				return resp
+			}
 
-	for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
-		cluster.DataNode(n).SetDown(true)
-	}
+			for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
+				cluster.DataNode(n).SetDown(true)
+			}
 
-	// Every attempt fails with 503 and a Retry-After hint; after
-	// breakerThreshold of them the breaker is open.
-	for i := 0; i < breakerThreshold; i++ {
-		resp, _ := b.get(streamPath)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("attempt %d: status = %d, want 503", i, resp.StatusCode)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("attempt %d: no Retry-After header", i)
-		}
-	}
-	if st := BreakerStatsOf(site); st.State != "open" || st.Opened != 1 {
-		t.Fatalf("breaker = %+v, want open after %d failures", st, breakerThreshold)
-	}
+			// Every attempt fails with 503 and a Retry-After hint; after
+			// breakerThreshold of them the breaker is open.
+			for i := 0; i < breakerThreshold; i++ {
+				resp := get()
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("attempt %d: status = %d, want 503", i, resp.StatusCode)
+				}
+				if resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("attempt %d: no Retry-After header", i)
+				}
+			}
+			if st := BreakerStatsOf(site); st.State != "open" || st.Opened != 1 {
+				t.Fatalf("breaker = %+v, want open after %d failures", st, breakerThreshold)
+			}
+			if got := site.Metrics().Counter("stream_storage_errors").Value(); got != breakerThreshold {
+				t.Fatalf("stream_storage_errors = %d, want %d", got, breakerThreshold)
+			}
 
-	// Open breaker: requests are rejected without reaching the store.
-	before := site.Metrics().Counter("stream_storage_errors").Value()
-	resp, _ := b.get(streamPath)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("short-circuit status = %d", resp.StatusCode)
-	}
-	if got := site.Metrics().Counter("stream_storage_errors").Value(); got != before {
-		t.Fatal("open breaker still hit the store")
-	}
-	if st := BreakerStatsOf(site); st.Rejected == 0 {
-		t.Fatalf("Rejected = %d, want > 0", st.Rejected)
-	}
+			// Open breaker: requests are rejected without reaching the store.
+			before := site.Metrics().Counter("stream_storage_errors").Value()
+			if resp := get(); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("short-circuit status = %d", resp.StatusCode)
+			}
+			if got := site.Metrics().Counter("stream_storage_errors").Value(); got != before {
+				t.Fatal("open breaker still hit the store")
+			}
+			if st := BreakerStatsOf(site); st.Rejected == 0 {
+				t.Fatalf("Rejected = %d, want > 0", st.Rejected)
+			}
 
-	// Degradation, not collapse: the watch page still renders from the DB.
-	if resp, _ := b.get(watch); resp.StatusCode != http.StatusOK {
-		t.Fatalf("watch page status = %d during outage", resp.StatusCode)
+			// Degradation, not collapse: the watch page still renders from the DB.
+			if resp, _ := b.get(watch); resp.StatusCode != http.StatusOK {
+				t.Fatalf("watch page status = %d during outage", resp.StatusCode)
+			}
+		})
 	}
 }
 

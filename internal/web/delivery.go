@@ -31,8 +31,9 @@ import (
 // of one per viewer. Playlists are cached with the live-edge TTL (they
 // change: live channels grow); segments are write-once and cached without
 // one; unpublish purges both from every replica (publish.go). Warm segment
-// hits and stream windows go out on the same zero-copy vectored-write path:
-// cache memory → net.Buffers → socket, no per-request copy.
+// hits and stream windows leave through the one media response function,
+// stream.Serve: cache memory → net.Buffers → response writer, one Write per
+// view and no per-request copy, whatever Range the client sends.
 
 // Cached segments and assembled renditions must satisfy the zero-copy serving
 // contract.
@@ -260,20 +261,16 @@ func (s *Site) serveSegment(w http.ResponseWriter, r *http.Request, name string,
 	}
 }
 
-// serveMedia writes content on the zero-copy slice path (stream.Serve),
-// paced through the replica's NIC-model token bucket, and returns the body
-// bytes written: the publisher's tenant pays for delivery. Requests the slice
-// path does not speak (multi-range) take the copying ServeContent path; the
-// counter keeps that rate visible in stats. A non-nil error means the content
-// could not produce the window and nothing has been written.
-func (s *Site) serveMedia(w http.ResponseWriter, r *http.Request, name string, content io.ReadSeeker) (int64, error) {
-	mw := &meteredWriter{ResponseWriter: w}
-	var out http.ResponseWriter = mw
+// serveMedia writes content with stream.Serve, paced through the replica's
+// NIC-model token bucket, and returns the media body bytes written: the
+// publisher's tenant pays for delivery, and for nothing else (a 416's error
+// text, a HEAD). A non-nil error means the content could not produce the
+// window and nothing has been written.
+func (s *Site) serveMedia(w http.ResponseWriter, r *http.Request, name string, content stream.SliceRanger) (int64, error) {
 	if s.streamPacer != nil {
-		out = pacedWriter{ResponseWriter: mw, p: s.streamPacer}
+		w = pacedWriter{ResponseWriter: w, p: s.streamPacer}
 	}
-	err := stream.ServeWithFallback(out, r, name, content, func(string) { s.reg.Counter("stream_fallback_total").Inc() })
-	return mw.n, err
+	return stream.Serve(w, r, name, content)
 }
 
 // readSegmentOrigin is the miss path: validate against the catalog, then
@@ -358,7 +355,7 @@ func (s *Site) streamRendition(w http.ResponseWriter, r *http.Request, d deliver
 	}
 	ctx := r.Context()
 	f := &renditionFile{ctx: ctx, store: s.store, healthy: s.hdfsBreaker, id: d.id, label: label, lay: lay}
-	f.seq, f.open = *io.NewSectionReader(f, 0, lay.Size), f.first[:0]
+	f.open = f.first[:0]
 	defer f.Close() // releases the block-cache references behind the response's slices
 	ssp := trace.FromContext(ctx).StartChild("stream.serve")
 	ssp.Annotate("path", name)
@@ -393,7 +390,6 @@ type renditionFile struct {
 	id      int64
 	label   string
 	lay     video.Layout
-	seq     io.SectionReader // the whole file as a stream, over ReadAt
 	open    []openSegment
 	first   [2]openSegment // backs open: a Range window rarely touches more
 }
@@ -423,7 +419,7 @@ func (f *renditionFile) segment(k int) (*hdfs.Reader, error) {
 
 // AppendRangeSlices implements stream.SliceRanger with hdfs.Reader's
 // contract: views of [off, off+length) clamped to EOF, io.EOF at or past it.
-// Callers (stream's slice path, the section reader) pass off >= 0.
+// Its one caller, stream.Serve, passes off >= 0.
 func (f *renditionFile) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error) {
 	if off >= f.lay.Size {
 		return dst, io.EOF
@@ -452,19 +448,6 @@ func (f *renditionFile) AppendRangeSlices(dst [][]byte, off, length int64) ([][]
 	}
 	f.healthy.Success()
 	return dst, nil
-}
-
-// Read and Seek serve the copying fallback (multi-range requests) through an
-// io.SectionReader over ReadAt.
-func (f *renditionFile) Read(p []byte) (int, error)                { return f.seq.Read(p) }
-func (f *renditionFile) Seek(off int64, whence int) (int64, error) { return f.seq.Seek(off, whence) }
-
-func (f *renditionFile) ReadAt(p []byte, off int64) (n int, err error) {
-	views, err := f.AppendRangeSlices(nil, off, int64(len(p)))
-	for _, v := range views {
-		n += copy(p[n:], v)
-	}
-	return n, err
 }
 
 // Close releases every opened object's cache references.

@@ -62,9 +62,9 @@ func (p *pacer) acquire(n int) {
 }
 
 // pacedWriter throttles response writes through the replica's pacer.
-// net.Buffers.WriteTo falls back to sequential Write calls on a wrapped
-// ResponseWriter, so the zero-copy slice path stays intact — each cached
-// block slice is just metered before it leaves.
+// net.Buffers.WriteTo makes one Write call per view on any ResponseWriter,
+// so the zero-copy slice path stays intact — each cached block slice is just
+// metered before it leaves.
 type pacedWriter struct {
 	http.ResponseWriter
 	p *pacer

@@ -5,7 +5,9 @@
 // information in the database (videodb), uploads stored through the FUSE
 // mount into HDFS (fusebridge), distributed FFmpeg conversion on upload
 // (video.Farm), Nutch-style index search (search.Index), and seekable
-// H.264 playback over HTTP ranges (stream.Serve).
+// H.264 playback over HTTP ranges: /stream and /segment both answer through
+// stream.Serve, which serves one byte range or the whole representation
+// straight from cache memory.
 package web
 
 import (

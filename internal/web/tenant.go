@@ -224,25 +224,6 @@ func (s *Site) meterEgress(tenantName string, n int64) {
 	s.tenantCounter("egress_bytes", tenantName).Add(n)
 }
 
-// meteredWriter counts response-body bytes for egress attribution while
-// passing writes (and Flush, for streaming) straight through.
-type meteredWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (m *meteredWriter) Write(b []byte) (int, error) {
-	n, err := m.ResponseWriter.Write(b)
-	m.n += int64(n)
-	return n, err
-}
-
-func (m *meteredWriter) Flush() {
-	if f, ok := m.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // resolveBearer authenticates an Authorization: Bearer header against the
 // tenant registry. ok=false with a written response means the request was
 // rejected (401); a request without the header passes through untouched.

@@ -20,7 +20,7 @@ import (
 
 // newTenantSite builds a Site wired to a shared tenant registry, mirroring
 // how core passes its registry into the web tier.
-func newTenantSite(t testing.TB, reg *tenant.Registry) *Site {
+func newTenantSite(t testing.TB, reg *tenant.Registry) (*Site, *hdfs.Cluster) {
 	t.Helper()
 	cluster := hdfs.NewCluster(4, 256*1024)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 2)
@@ -39,7 +39,7 @@ func newTenantSite(t testing.TB, reg *tenant.Registry) *Site {
 		t.Fatal(err)
 	}
 	t.Cleanup(site.Close)
-	return site
+	return site, cluster
 }
 
 // tokenRequest issues req with an optional Bearer token and returns the
@@ -102,7 +102,7 @@ func TestWebRouteAuthMatrix(t *testing.T) {
 	acmeR, _ := reg.IssueToken("acme", tenant.RoleReader)
 	globexW, _ := reg.IssueToken("globex", tenant.RoleWriter)
 
-	site := newTenantSite(t, reg)
+	site, _ := newTenantSite(t, reg)
 	srv := httptest.NewServer(site)
 	t.Cleanup(srv.Close)
 
@@ -320,18 +320,50 @@ func TestDeleteDuringTranscodeLeaksNothing(t *testing.T) {
 
 // TestSessionUploadMetersDefaultTenant checks the pre-tenant surface is
 // unchanged: a session user with no tenant column lands in the default
-// tenant, whose quota is unlimited, and the ledger still accounts for it.
+// tenant, whose quota is unlimited, and the ledger still accounts for it —
+// egress included, which is the media bytes a stream sends and nothing else.
 func TestSessionUploadMetersDefaultTenant(t *testing.T) {
 	reg := tenant.NewRegistry()
-	site := newTenantSite(t, reg)
+	site, cluster := newTenantSite(t, reg)
 	b := newBrowser(t, site)
 	b.registerAndLogin("carol", "pw")
-	b.upload("session clip", "no tenant column", 10, 7)
+	watch := b.upload("session clip", "no tenant column", 10, 7)
 	u := reg.Ledger().Usage(tenant.DefaultName)
 	if u.BytesStored == 0 || u.TranscodeSeconds != 10 {
 		t.Fatalf("default-tenant usage = %+v, want stored>0 and 10 transcode seconds", u)
 	}
 	if got := reg.Default().Reservations().StorageBytes; got == 0 {
 		t.Fatal("default tenant holds no storage reservation after session upload")
+	}
+
+	stream := "/stream/" + strings.TrimPrefix(watch, "/watch/")
+	egress := func(method, spec string, wantStatus int) float64 {
+		t.Helper()
+		before := reg.Ledger().Usage(tenant.DefaultName).BytesEgressed
+		req := httptest.NewRequest(method, stream, nil)
+		if spec != "" {
+			req.Header.Set("Range", spec)
+		}
+		rec := httptest.NewRecorder()
+		site.ServeHTTP(rec, req)
+		if rec.Code != wantStatus {
+			t.Fatalf("%s Range %q: status %d, want %d", method, spec, rec.Code, wantStatus)
+		}
+		return reg.Ledger().Usage(tenant.DefaultName).BytesEgressed - before
+	}
+	if got := egress("GET", "bytes=0-99", http.StatusPartialContent); got != 100 {
+		t.Fatalf("a 100-byte window meters %v egress bytes, want 100", got)
+	}
+	if got := egress("GET", "bytes=999999999-", http.StatusRequestedRangeNotSatisfiable); got != 0 {
+		t.Fatalf("a 416 meters %v egress bytes, want 0", got)
+	}
+	if got := egress("HEAD", "", http.StatusOK); got != 0 {
+		t.Fatalf("a HEAD meters %v egress bytes, want 0", got)
+	}
+	for _, n := range []string{"dn0", "dn1", "dn2", "dn3"} {
+		cluster.DataNode(n).SetDown(true)
+	}
+	if got := egress("GET", "bytes=100-199", http.StatusServiceUnavailable); got != 0 {
+		t.Fatalf("a refused window meters %v egress bytes, want 0", got)
 	}
 }
