@@ -1,7 +1,7 @@
 // Package chaos is a deterministic, seed-reproducible fault injector for the
-// whole stack: it can crash or hang a nebula host, silently kill an HDFS
-// DataNode, corrupt a stored block replica, partition or delay simnet links,
-// fail transcode-farm workers, and declare MapReduce task trackers dead. Every
+// whole stack: it can crash a nebula host, silently kill an HDFS DataNode,
+// corrupt a stored block replica, partition simnet links, fail transcode-farm
+// workers, and declare MapReduce task trackers dead. Every
 // injection is recorded as a Fault whose detection and healing are later
 // stamped by the self-healing layers (nebula.Monitor, hdfs.Healer, ...), so a
 // chaos run produces per-fault-class detection-latency and MTTR numbers —
@@ -30,11 +30,9 @@ type Class string
 // The fault classes the injector can produce.
 const (
 	HostCrash       Class = "host_crash"       // silent host death (heartbeat-detected)
-	HostHang        Class = "host_hang"        // host alive but unresponsive
 	DataNodeCrash   Class = "datanode_crash"   // silent DataNode death (healer-detected)
 	BlockCorruption Class = "block_corruption" // one replica's bytes flipped
 	LinkPartition   Class = "link_partition"   // simnet host cut off
-	LinkDelay       Class = "link_delay"       // simnet latency raised
 	WorkerCrash     Class = "worker_crash"     // transcode farm worker fails a segment
 	TrackerDeath    Class = "tracker_death"    // MapReduce task tracker dies
 	TaskCrash       Class = "task_crash"       // one MapReduce task attempt fails
@@ -93,9 +91,6 @@ func New(seed int64, t Targets) *Injector {
 	}
 }
 
-// Seed returns the seed the injector was built with.
-func (in *Injector) Seed() int64 { return in.seed }
-
 // simNow reads the simulated clock, when a cloud is attached.
 func (in *Injector) simNow() time.Duration {
 	if in.t.Cloud == nil {
@@ -148,20 +143,6 @@ func (in *Injector) CrashRandomHost() (*Fault, error) {
 		return nil, err
 	}
 	return in.record(HostCrash, name), nil
-}
-
-// HangHost makes the named host stop answering heartbeats while its VMs
-// keep running — the gray failure a liveness check must still fence.
-func (in *Injector) HangHost(name string) (*Fault, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.t.Cloud == nil {
-		return nil, ErrNoTarget
-	}
-	if err := in.t.Cloud.Monitor().SetUnresponsive(name, true); err != nil {
-		return nil, err
-	}
-	return in.record(HostHang, name), nil
 }
 
 // pickHostLocked chooses a random non-failed host.
@@ -277,19 +258,6 @@ func (in *Injector) HealPartition(name string) error {
 	}
 	in.HealedByTarget(LinkPartition, name)
 	return nil
-}
-
-// DelayLink raises the host's link latency.
-func (in *Injector) DelayLink(name string, latency time.Duration) (*Fault, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.t.Network == nil {
-		return nil, ErrNoTarget
-	}
-	if err := in.t.Network.SetLatency(name, latency); err != nil {
-		return nil, err
-	}
-	return in.record(LinkDelay, name), nil
 }
 
 // ---- transcode farm and MapReduce faults ----

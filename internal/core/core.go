@@ -22,7 +22,6 @@ import (
 	"videocloud/internal/edge"
 	"videocloud/internal/fusebridge"
 	"videocloud/internal/hdfs"
-	"videocloud/internal/ingress"
 	"videocloud/internal/mapred"
 	"videocloud/internal/metrics"
 	"videocloud/internal/migrate"
@@ -295,9 +294,6 @@ func (vc *VideoCloud) Cloud() *nebula.Cloud { return vc.cloud }
 // HDFS returns the storage cluster.
 func (vc *VideoCloud) HDFS() *hdfs.Cluster { return vc.hdfs }
 
-// Engine returns the MapReduce engine.
-func (vc *VideoCloud) Engine() *mapred.Engine { return vc.engine }
-
 // Mount returns the FUSE mount the site stores uploads in.
 func (vc *VideoCloud) Mount() *fusebridge.Mount { return vc.mount }
 
@@ -308,16 +304,9 @@ func (vc *VideoCloud) Site() *web.Site { return vc.site }
 // Sites returns every web replica in the serving fleet.
 func (vc *VideoCloud) Sites() []*web.Site { return vc.tier.Sites }
 
-// Ingress returns the fleet's load balancer, nil for a single-frontend
-// deployment.
-func (vc *VideoCloud) Ingress() *ingress.Balancer { return vc.tier.Ingress }
-
 // Handler returns the serving tier as an http.Handler: the ingress balancer
 // when a fleet is deployed, the lone site otherwise.
 func (vc *VideoCloud) Handler() http.Handler { return vc.tier.Handler() }
-
-// Metrics returns stack-level counters.
-func (vc *VideoCloud) Metrics() *metrics.Registry { return vc.reg }
 
 // Tenants returns the multi-tenant control plane (tokens, quotas, ledger).
 func (vc *VideoCloud) Tenants() *tenant.Registry { return vc.cfg.Tenants }
@@ -453,9 +442,6 @@ func (vc *VideoCloud) StopSelfHealing() {
 		vc.healer = nil
 	}
 }
-
-// Healer returns the storage tier's healing loop, nil while disarmed.
-func (vc *VideoCloud) Healer() *hdfs.Healer { return vc.healer }
 
 // MaintenanceReport summarises a RollingMaintenance pass.
 type MaintenanceReport struct {

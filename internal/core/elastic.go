@@ -127,12 +127,6 @@ func (vc *VideoCloud) StopElastic() {
 	}
 }
 
-// Elastic returns the running controller, nil while disarmed.
-func (vc *VideoCloud) Elastic() *nebula.ElasticController { return vc.elastic }
-
-// Rebalancer returns the running rebalancer, nil while disarmed.
-func (vc *VideoCloud) Rebalancer() *nebula.Rebalancer { return vc.rebalancer }
-
 // ElasticStatus summarises the elasticity subsystem for dashboards: the
 // controller's fleet view, the signal it reads (queue depth + wait tail +
 // per-node in-flight), drain outcomes, and rebalancer activity.

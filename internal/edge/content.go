@@ -14,9 +14,6 @@ type Content struct {
 // NewContent wraps cached bytes.
 func NewContent(data []byte) *Content { return &Content{data: data} }
 
-// Reset re-points the adapter at new bytes.
-func (c *Content) Reset(data []byte) { c.data = data }
-
 // Size reports the blob length.
 func (c *Content) Size() int64 { return int64(len(c.data)) }
 

@@ -5,20 +5,18 @@
 //
 // A Mount maps a directory-like namespace onto a subtree of HDFS: the
 // website writes uploads through ordinary file operations and the bytes land
-// in replicated HDFS blocks. The read side implements io/fs.FS (verified
-// against testing/fstest), so any Go code that consumes a filesystem —
-// including net/http file serving — can run directly against HDFS.
+// in replicated HDFS blocks. The read side is OpenSeeker: random access
+// through an hdfs.Reader, which the streaming layer serves Range requests
+// from.
 package fusebridge
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	gopath "path"
 	"strings"
-	"time"
 
 	"videocloud/internal/hdfs"
 )
@@ -42,7 +40,8 @@ func New(client *hdfs.Client, root string, replication int) (*Mount, error) {
 	return &Mount{client: client, root: gopath.Clean(root), replication: replication}, nil
 }
 
-// abs converts a mount-relative fs.FS name to an absolute HDFS path.
+// abs converts a mount-relative name (fs.ValidPath rules) to an absolute
+// HDFS path.
 func (m *Mount) abs(name string) (string, error) {
 	if !fs.ValidPath(name) {
 		return "", fmt.Errorf("fusebridge: invalid path %q", name)
@@ -51,28 +50,6 @@ func (m *Mount) abs(name string) (string, error) {
 		return m.root, nil
 	}
 	return m.root + "/" + name, nil
-}
-
-// Open implements fs.FS. Files resolve status and block layout in a single
-// batched NameNode call (Client.Open); only the directory branch pays a
-// second round trip for the listing.
-func (m *Mount) Open(name string) (fs.File, error) {
-	p, err := m.abs(name)
-	if err != nil {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrInvalid}
-	}
-	r, err := m.client.Open(p)
-	if errors.Is(err, hdfs.ErrIsDirectory) {
-		entries, lerr := m.client.List(p)
-		if lerr != nil {
-			return nil, &fs.PathError{Op: "open", Path: name, Err: mapErr(lerr)}
-		}
-		return &dirFile{name: gopath.Base(name), entries: entries}, nil
-	}
-	if err != nil {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: mapErr(err)}
-	}
-	return &file{name: gopath.Base(name), st: r.Stat(), r: r}, nil
 }
 
 func mapErr(err error) error {
@@ -110,22 +87,8 @@ func (m *Mount) WriteFileCtx(ctx context.Context, name string, data []byte) erro
 	return m.client.WriteFileCtx(ctx, p, data, m.replication)
 }
 
-// Create opens a streaming writer at name. The file becomes visible when
-// the writer is closed.
-func (m *Mount) Create(name string) (io.WriteCloser, error) {
-	p, err := m.abs(name)
-	if err != nil {
-		return nil, err
-	}
-	return m.client.Create(p, m.replication)
-}
-
-// ReadFile returns the full content of name.
-func (m *Mount) ReadFile(name string) ([]byte, error) {
-	return m.ReadFileCtx(context.Background(), name)
-}
-
-// ReadFileCtx is ReadFile linked to the trace span in ctx.
+// ReadFileCtx returns the full content of name, linked to the trace span in
+// ctx.
 func (m *Mount) ReadFileCtx(ctx context.Context, name string) ([]byte, error) {
 	p, err := m.abs(name)
 	if err != nil {
@@ -192,89 +155,6 @@ func (m *Mount) OpenSeekerCtx(ctx context.Context, name string) (*hdfs.Reader, e
 		return nil, mapPathErr("open", name, err)
 	}
 	return r, nil
-}
-
-// ---- fs.File implementations ----
-
-type fileInfo struct {
-	name string
-	size int64
-	dir  bool
-}
-
-func (fi fileInfo) Name() string       { return fi.name }
-func (fi fileInfo) Size() int64        { return fi.size }
-func (fi fileInfo) ModTime() time.Time { return time.Time{} }
-func (fi fileInfo) IsDir() bool        { return fi.dir }
-func (fi fileInfo) Sys() any           { return nil }
-func (fi fileInfo) Mode() fs.FileMode {
-	if fi.dir {
-		return fs.ModeDir | 0o755
-	}
-	return 0o644
-}
-
-type file struct {
-	name string
-	st   hdfs.FileStatus
-	r    *hdfs.Reader
-}
-
-func (f *file) Stat() (fs.FileInfo, error) {
-	return fileInfo{name: f.name, size: f.st.Size}, nil
-}
-func (f *file) Read(p []byte) (int, error)                { return f.r.Read(p) }
-func (f *file) Seek(off int64, whence int) (int64, error) { return f.r.Seek(off, whence) }
-func (f *file) ReadAt(p []byte, off int64) (int, error)   { return f.r.ReadAt(p, off) }
-
-// Close releases the reader's shared block-cache references.
-func (f *file) Close() error { return f.r.Close() }
-
-type dirFile struct {
-	name    string
-	entries []hdfs.FileStatus
-	pos     int
-}
-
-func (d *dirFile) Stat() (fs.FileInfo, error) {
-	return fileInfo{name: d.name, dir: true}, nil
-}
-
-func (d *dirFile) Read([]byte) (int, error) {
-	return 0, &fs.PathError{Op: "read", Path: d.name, Err: errors.New("is a directory")}
-}
-
-func (d *dirFile) Close() error { return nil }
-
-type dirEntry struct{ fileInfo }
-
-func (e dirEntry) Type() fs.FileMode          { return e.Mode().Type() }
-func (e dirEntry) Info() (fs.FileInfo, error) { return e.fileInfo, nil }
-
-// ReadDir implements fs.ReadDirFile.
-func (d *dirFile) ReadDir(n int) ([]fs.DirEntry, error) {
-	rest := d.entries[d.pos:]
-	if n <= 0 {
-		d.pos = len(d.entries)
-		out := make([]fs.DirEntry, len(rest))
-		for i, st := range rest {
-			out[i] = dirEntry{fileInfo{name: gopath.Base(st.Path), size: st.Size, dir: st.IsDir}}
-		}
-		return out, nil
-	}
-	if len(rest) == 0 {
-		return nil, io.EOF
-	}
-	if n > len(rest) {
-		n = len(rest)
-	}
-	out := make([]fs.DirEntry, n)
-	for i := 0; i < n; i++ {
-		st := rest[i]
-		out[i] = dirEntry{fileInfo{name: gopath.Base(st.Path), size: st.Size, dir: st.IsDir}}
-	}
-	d.pos += n
-	return out, nil
 }
 
 // Walk lists every file under dir (recursively), mount-relative, sorted by

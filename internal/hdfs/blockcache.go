@@ -69,7 +69,11 @@ func extentCount(blockLen int64) int64 { return (blockLen + extentSize - 1) / ex
 // share one replica fetch. The first caller fetches; later callers are
 // counted as waits and receive a reference to the same entry.
 type BlockCache struct {
-	reg *metrics.Registry
+	// Counters in the cluster registry, resolved once: a hit records
+	// without taking the registry's lock.
+	ctr struct {
+		hits, waits, misses, fills, evictions, invalidations *metrics.Counter
+	}
 
 	// pinned counts outstanding references across all entries, resident or
 	// evicted — the gauge tests use to prove readers release everything.
@@ -125,19 +129,17 @@ func (e *CacheEntry) Release() {
 func newBlockCache(capacity int64, reg *metrics.Registry) *BlockCache {
 	c := &BlockCache{
 		capacity: capacity,
-		reg:      reg,
 		blocks:   make(map[BlockID]*cachedBlock),
 		fills:    make(map[extentKey]*CacheEntry),
 	}
+	c.ctr.hits = reg.Counter("blockcache_hits")
+	c.ctr.waits = reg.Counter("blockcache_waits")
+	c.ctr.misses = reg.Counter("blockcache_misses")
+	c.ctr.fills = reg.Counter("blockcache_fills")
+	c.ctr.evictions = reg.Counter("blockcache_evictions")
+	c.ctr.invalidations = reg.Counter("blockcache_invalidations")
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
-}
-
-// Capacity returns the resident-byte budget.
-func (c *BlockCache) Capacity() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
 }
 
 // setCapacity changes the resident-byte budget, shedding idle extents that
@@ -188,14 +190,14 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 		c.unlinkLocked(e)
 		c.pushFrontLocked(e)
 		c.mu.Unlock()
-		c.reg.Counter("blockcache_hits").Inc()
+		c.ctr.hits.Inc()
 		return e, "hit", nil
 	}
 	if e := c.fills[key]; e != nil {
 		e.refs.Add(1)
 		c.pinned.Add(1)
 		c.mu.Unlock()
-		c.reg.Counter("blockcache_waits").Inc()
+		c.ctr.waits.Inc()
 		e.filled.Wait()
 		if e.err != nil {
 			c.Release(e)
@@ -211,7 +213,7 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 	c.fills[key] = e
 	c.mu.Unlock()
 
-	c.reg.Counter("blockcache_misses").Inc()
+	c.ctr.misses.Inc()
 	e.data = extentPool.Get().(*[extentSize]byte)[:min(info.Length-x*extentSize, extentSize)]
 	n, err := cl.fetchExtent(parent, readahead, info, x, e.data)
 
@@ -227,7 +229,7 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 	}
 	e.data = e.data[:n]
 	c.insertLocked(e, extentCount(info.Length))
-	c.reg.Counter("blockcache_fills").Inc()
+	c.ctr.fills.Inc()
 	c.evictLocked()
 	c.mu.Unlock()
 	e.filled.Done()
@@ -271,7 +273,7 @@ func (c *BlockCache) evictLocked() {
 		prev := e.prev
 		if e.refs.Load() == 0 {
 			c.removeLocked(e)
-			c.reg.Counter("blockcache_evictions").Inc()
+			c.ctr.evictions.Inc()
 		}
 		e = prev
 	}
@@ -336,7 +338,7 @@ func (c *BlockCache) Invalidate(ids ...BlockID) {
 		for _, e := range b.extents {
 			if e != nil {
 				c.removeLocked(e)
-				c.reg.Counter("blockcache_invalidations").Inc()
+				c.ctr.invalidations.Inc()
 			}
 		}
 	}

@@ -134,7 +134,9 @@ func TestConcurrentReadersShareSingleFill(t *testing.T) {
 // a reader holds zero-copy slices of extent 0: the evictor must shed only
 // unpinned extents — of the same block and of the next — the handed-out
 // slice must stay byte-correct through the churn, and closing the reader
-// must release every reference.
+// must release every reference. Deleting the file then invalidates what is
+// still resident, and every data-path counter Stats reports is the
+// registry's counter of the same name.
 func TestEvictionSparesInUseSlices(t *testing.T) {
 	const block = 4 * extentSize
 	c, cl, data := newCachedCluster(t, block, 2*block, 2, extentSize)
@@ -172,6 +174,34 @@ func TestEvictionSparesInUseSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRefsZero(t, bc)
+
+	if err := cl.Remove("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if c.reg.Counter("blockcache_invalidations").Value() == 0 {
+		t.Fatal("deleting a resident file invalidated nothing")
+	}
+	st = c.Stats()
+	for name, got := range map[string]int64{
+		"blockcache_hits":             st.CacheHits,
+		"blockcache_waits":            st.CacheWaits,
+		"blockcache_misses":           st.CacheMisses,
+		"blockcache_fills":            st.CacheFills,
+		"blockcache_evictions":        st.CacheEvictions,
+		"blockcache_invalidations":    bc.ctr.invalidations.Value(),
+		"replica_select_local":        st.ReplicaLocal,
+		"replica_select_least_loaded": st.ReplicaLeastLoaded,
+		"replica_select_first":        st.ReplicaFirst,
+		"replica_failovers":           st.ReplicaFailovers,
+		"corrupt_replicas_reported":   st.CorruptReported,
+	} {
+		if want := c.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s: Stats reports %d, the registry %d", name, got, want)
+		}
+	}
+	if st.CacheMisses == 0 || st.ReplicaFirst+st.ReplicaLeastLoaded == 0 {
+		t.Fatalf("scripted reads recorded no misses or replica picks: %+v", st)
+	}
 }
 
 // TestRecycledExtentNeverAliasesLiveView is the ownership rule under churn:

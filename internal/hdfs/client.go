@@ -50,20 +50,6 @@ type Writer struct {
 	span *trace.Span
 }
 
-// Create opens a new file for writing with the given replication factor.
-func (c *Client) Create(path string, replication int) (*Writer, error) {
-	return c.CreateCtx(context.Background(), path, replication)
-}
-
-// CreateCtx is Create linked to the trace span in ctx: every flushed block
-// records an hdfs.write_block child span.
-func (c *Client) CreateCtx(ctx context.Context, path string, replication int) (*Writer, error) {
-	if err := c.cluster.nn.Create(path, replication); err != nil {
-		return nil, err
-	}
-	return &Writer{client: c, path: path, span: trace.FromContext(ctx)}, nil
-}
-
 // Write implements io.Writer, flushing whole blocks as they fill. The
 // returned count is exactly the bytes of p accepted — committed to the
 // cluster or still buffered; bytes lost in a failed pipeline flush are not
@@ -276,11 +262,11 @@ func (c *Client) orderReplicas(dst, locs []string) []string {
 	}
 	switch pick := ranked[0]; {
 	case c.localNode != "" && pick == c.localNode:
-		c.cluster.reg.Counter("replica_select_local").Inc()
+		c.cluster.replicaLocal.Inc()
 	case pick != locs[0] && load[0] < firstLoad:
-		c.cluster.reg.Counter("replica_select_least_loaded").Inc()
+		c.cluster.replicaLeastLoaded.Inc()
 	default:
-		c.cluster.reg.Counter("replica_select_first").Inc()
+		c.cluster.replicaFirst.Inc()
 	}
 	return out
 }
@@ -325,7 +311,7 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 		ctr.Add(-1)
 		if err == nil {
 			if i > 0 {
-				c.cluster.reg.Counter("replica_failovers").Inc()
+				c.cluster.replicaFailovers.Inc()
 				if sp.Recording() {
 					sp.Annotate("failover", fmt.Sprintf("retry served by %s after %d failed replica(s)", loc, i))
 				}
@@ -342,7 +328,7 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 		}
 		if errors.Is(err, ErrChecksum) {
 			c.cluster.nn.ReportCorrupt(loc, info.ID)
-			c.cluster.reg.Counter("corrupt_replicas_reported").Inc()
+			c.cluster.corruptReported.Inc()
 		}
 		lastErr = err
 	}
@@ -528,7 +514,6 @@ func (c *Client) open(path string) (*Reader, error) {
 		blocks: blocks,
 		starts: starts,
 		size:   size,
-		st:     st,
 	}, nil
 }
 

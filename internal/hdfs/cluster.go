@@ -24,10 +24,13 @@ type Cluster struct {
 	nn  *NameNode
 	reg *metrics.Registry
 
-	// The data path's instruments in reg, resolved once: every extent fill
-	// and block flush records into them without taking the registry's lock.
-	bytesRead, bytesWritten, blocksWritten *metrics.Counter
-	readSeconds, writeSeconds              *metrics.Histogram
+	// The data path's instruments in reg, resolved once: every extent fill,
+	// replica pick and block flush records into them without taking the
+	// registry's lock.
+	bytesRead, bytesWritten, blocksWritten         *metrics.Counter
+	readSeconds, writeSeconds                      *metrics.Histogram
+	replicaLocal, replicaLeastLoaded, replicaFirst *metrics.Counter
+	replicaFailovers, corruptReported              *metrics.Counter
 
 	chunkSize atomic.Int64
 
@@ -88,8 +91,15 @@ func NewCluster(n int, blockSize int64) *Cluster {
 		blocksWritten: reg.Counter("blocks_written"),
 		readSeconds:   reg.Histogram("hdfs_read_seconds"),
 		writeSeconds:  reg.Histogram("hdfs_write_seconds"),
-		nodes:         make(map[string]*DataNode),
-		inflight:      make(map[string]*atomic.Int64),
+
+		replicaLocal:       reg.Counter("replica_select_local"),
+		replicaLeastLoaded: reg.Counter("replica_select_least_loaded"),
+		replicaFirst:       reg.Counter("replica_select_first"),
+		replicaFailovers:   reg.Counter("replica_failovers"),
+		corruptReported:    reg.Counter("corrupt_replicas_reported"),
+
+		nodes:    make(map[string]*DataNode),
+		inflight: make(map[string]*atomic.Int64),
 	}
 	c.cache = newBlockCache(DefaultBlockCacheBytes, c.reg)
 	c.chunkSize.Store(DefaultChunkSize)
@@ -101,25 +111,6 @@ func NewCluster(n int, blockSize int64) *Cluster {
 
 // NameNode returns the master.
 func (c *Cluster) NameNode() *NameNode { return c.nn }
-
-// Metrics returns cluster counters (bytes written/read, repairs, extent
-// cache, prefetch and replica-selection activity) and latency histograms.
-func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
-
-// SetChunkSize sets the checksum chunk granularity used for blocks stored
-// from now on (already-stored replicas keep their layout). sz <= 0
-// restores DefaultChunkSize.
-func (c *Cluster) SetChunkSize(sz int64) {
-	if sz <= 0 {
-		sz = DefaultChunkSize
-	}
-	c.chunkSize.Store(sz)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, dn := range c.nodes {
-		dn.SetChunkSize(sz)
-	}
-}
 
 // ChunkSize returns the checksum chunk granularity for new blocks.
 func (c *Cluster) ChunkSize() int64 { return c.chunkSize.Load() }
@@ -177,26 +168,6 @@ func (c *Cluster) AddDataNodeRack(name, rack string) *DataNode {
 	c.mu.Unlock()
 	c.nn.RegisterDataNodeRack(name, 1<<40, rack)
 	return dn
-}
-
-// KillRack takes down every datanode on a rack (a switch or PDU failure)
-// and triggers the NameNode's handling for each.
-func (c *Cluster) KillRack(rack string) int {
-	c.mu.RLock()
-	var names []string
-	for name := range c.nodes {
-		names = append(names, name)
-	}
-	c.mu.RUnlock()
-	killed := 0
-	for _, name := range names {
-		if c.nn.Rack(name) == rack {
-			if err := c.KillDataNode(name); err == nil {
-				killed++
-			}
-		}
-	}
-	return killed
 }
 
 // DataNodeNames returns every datanode's name, sorted — the enumeration the
@@ -267,7 +238,7 @@ func (c *Cluster) transferBlock(id BlockID, from, to string) (int64, error) {
 	if err != nil {
 		if errors.Is(err, ErrChecksum) {
 			c.nn.ReportCorrupt(from, id)
-			c.reg.Counter("corrupt_replicas_reported").Inc()
+			c.corruptReported.Inc()
 		}
 		return 0, err
 	}
@@ -386,11 +357,11 @@ type Stats struct {
 // Stats snapshots the data-path metrics.
 func (c *Cluster) Stats() Stats {
 	return Stats{
-		CacheHits:      c.reg.Counter("blockcache_hits").Value(),
-		CacheMisses:    c.reg.Counter("blockcache_misses").Value(),
-		CacheWaits:     c.reg.Counter("blockcache_waits").Value(),
-		CacheFills:     c.reg.Counter("blockcache_fills").Value(),
-		CacheEvictions: c.reg.Counter("blockcache_evictions").Value(),
+		CacheHits:      c.cache.ctr.hits.Value(),
+		CacheMisses:    c.cache.ctr.misses.Value(),
+		CacheWaits:     c.cache.ctr.waits.Value(),
+		CacheFills:     c.cache.ctr.fills.Value(),
+		CacheEvictions: c.cache.ctr.evictions.Value(),
 		CacheBytes:     c.cache.Bytes(),
 		CacheEntries:   int64(c.cache.Entries()),
 		CacheRefs:      c.cache.Refs(),
@@ -399,12 +370,12 @@ func (c *Cluster) Stats() Stats {
 		BytesWritten:        c.bytesWritten.Value(),
 		BlocksWritten:       c.blocksWritten.Value(),
 		BlocksReplicated:    c.reg.Counter("blocks_replicated").Value(),
-		CorruptReported:     c.reg.Counter("corrupt_replicas_reported").Value(),
+		CorruptReported:     c.corruptReported.Value(),
 		ReadaheadPrefetches: c.reg.Counter("readahead_prefetches").Value(),
-		ReplicaLocal:        c.reg.Counter("replica_select_local").Value(),
-		ReplicaLeastLoaded:  c.reg.Counter("replica_select_least_loaded").Value(),
-		ReplicaFirst:        c.reg.Counter("replica_select_first").Value(),
-		ReplicaFailovers:    c.reg.Counter("replica_failovers").Value(),
+		ReplicaLocal:        c.replicaLocal.Value(),
+		ReplicaLeastLoaded:  c.replicaLeastLoaded.Value(),
+		ReplicaFirst:        c.replicaFirst.Value(),
+		ReplicaFailovers:    c.replicaFailovers.Value(),
 		ReadLatency:         c.readSeconds.Snapshot(),
 		WriteLatency:        c.writeSeconds.Snapshot(),
 	}

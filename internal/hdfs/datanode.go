@@ -190,14 +190,6 @@ func (dn *DataNode) Delete(id BlockID) {
 	delete(dn.blocks, id)
 }
 
-// Has reports whether the node stores the block.
-func (dn *DataNode) Has(id BlockID) bool {
-	dn.mu.RLock()
-	defer dn.mu.RUnlock()
-	_, ok := dn.blocks[id]
-	return ok
-}
-
 // BlockIDs returns the stored block IDs, sorted.
 func (dn *DataNode) BlockIDs() []BlockID {
 	dn.mu.RLock()

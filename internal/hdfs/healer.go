@@ -44,9 +44,6 @@ type HealerConfig struct {
 	// OnDataNodeDead, if set, observes each death declaration with the
 	// time since the node was first seen down.
 	OnDataNodeDead func(node string, sinceDown time.Duration)
-	// OnBlockHealed, if set, observes each block restored to target
-	// replication with the time since it was first queued.
-	OnBlockHealed func(id BlockID, sinceQueued time.Duration)
 }
 
 func (c HealerConfig) withDefaults() HealerConfig {
@@ -292,9 +289,6 @@ func (h *Healer) settle(id BlockID, alreadyHealthy bool) {
 	since := time.Since(st.firstQueued)
 	h.c.reg.Counter("blocks_healed").Inc()
 	h.c.reg.Histogram("re_replication_seconds").Observe(since.Seconds())
-	if h.cfg.OnBlockHealed != nil {
-		h.cfg.OnBlockHealed(id, since)
-	}
 }
 
 // retryLater schedules a block's next attempt with exponential backoff.

@@ -42,7 +42,6 @@ type Reader struct {
 	blocks []BlockInfo
 	starts []int64 // starts[i] = file offset of blocks[i]
 	size   int64
-	st     FileStatus
 	pos    int64
 	// span, when non-nil (OpenCtx under a sampled trace), parents the
 	// hdfs.read_block / hdfs.prefetch spans this reader's fetches emit.
@@ -61,9 +60,6 @@ const readaheadTriggerDenom = 4
 
 // Size returns the file length.
 func (r *Reader) Size() int64 { return r.size }
-
-// Stat returns the file's NameNode status as recorded at open time.
-func (r *Reader) Stat() FileStatus { return r.st }
 
 // Read implements io.Reader. The prefetch is armed before the current
 // window is fetched so the next block transfers while this one is served.
@@ -158,11 +154,6 @@ func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, e
 	}
 	err := r.walk(off, length, true, func(sl []byte) { dst = append(dst, sl) })
 	return dst, err
-}
-
-// RangeSlices is AppendRangeSlices into a fresh slice set.
-func (r *Reader) RangeSlices(off, length int64) ([][]byte, error) {
-	return r.AppendRangeSlices(nil, off, length)
 }
 
 // walk is the one read path: it visits, in file order, the cached extents

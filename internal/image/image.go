@@ -11,7 +11,6 @@ package image
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -66,18 +65,6 @@ func (img *Image) Backing() *Image {
 	img.mu.RLock()
 	defer img.mu.RUnlock()
 	return img.backing
-}
-
-// AllocatedBytes returns the bytes physically stored by this image alone:
-// the full size for raw images, only locally written blocks for clones.
-// This is what provisioning has to copy or create.
-func (img *Image) AllocatedBytes() int64 {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
-	if img.Format == Raw {
-		return img.Size
-	}
-	return int64(len(img.written)) * BlockSize
 }
 
 // pristine fills dst with the deterministic base content of block idx.
@@ -273,16 +260,4 @@ func (c *Catalog) Delete(name string) error {
 	}
 	delete(c.images, name)
 	return nil
-}
-
-// List returns all image names, sorted.
-func (c *Catalog) List() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.images))
-	for name := range c.images {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -203,13 +203,6 @@ func (h *Histogram) Count() int64 {
 	return h.d.count
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.d.sum
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
@@ -218,20 +211,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.d.sum / float64(h.d.count)
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.d.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.d.max
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1), interpolated as described

@@ -62,20 +62,6 @@ type drainJob struct {
 	started time.Duration
 }
 
-// Drain gracefully retires a running instance: it enters Draining, new work
-// stops being assigned (opts.OnDrain), in-flight work finishes (polled via
-// opts.InFlight, bounded by opts.Deadline), then the VM shuts down. Progress
-// runs in virtual time; drive with RunFor/WaitIdle.
-func (c *Cloud) Drain(id int, opts DrainOptions) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.vms[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchVM, id)
-	}
-	return c.drainLocked(rec, opts)
-}
-
 // drainLocked starts a graceful retirement with c.mu held.
 func (c *Cloud) drainLocked(rec *VMRecord, opts DrainOptions) error {
 	if rec.State != Running {
@@ -169,11 +155,4 @@ func (c *Cloud) expireDrainOnFailureLocked(rec *VMRecord) {
 	if job.opts.OnRetire != nil {
 		job.opts.OnRetire(rec.Name())
 	}
-}
-
-// DrainingCount returns how many instances are currently draining.
-func (c *Cloud) DrainingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.draining)
 }

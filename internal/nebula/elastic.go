@@ -425,14 +425,6 @@ func (e *ElasticController) noteDirectionLocked(dir int, now time.Duration) {
 	e.lastDirAt = now
 }
 
-// Fleet returns the tracked instance IDs (including draining ones).
-func (e *ElasticController) Fleet() []int {
-	c := e.cloud
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), e.fleet...)
-}
-
 // History returns all decision samples.
 func (e *ElasticController) History() []ElasticSample {
 	c := e.cloud

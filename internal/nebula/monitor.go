@@ -1,7 +1,6 @@
 package nebula
 
 import (
-	"fmt"
 	"time"
 
 	"videocloud/internal/metrics"
@@ -69,17 +68,6 @@ func (m *Monitor) Enable(interval time.Duration) {
 	m.ticker = c.sim.Every(interval, m.sampleLocked)
 }
 
-// Disable stops sampling.
-func (m *Monitor) Disable() {
-	c := m.cloud
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m.ticker != nil {
-		m.ticker.Cancel()
-		m.ticker = nil
-	}
-}
-
 // EnableFailureDetection starts the heartbeat loop using the cloud's
 // RecoveryOptions (interval, miss threshold). Like Enable, the periodic
 // event keeps the queue non-empty: call DisableFailureDetection before
@@ -110,24 +98,6 @@ func (m *Monitor) DisableFailureDetection() {
 		m.hbTicker = nil
 	}
 }
-
-// SetUnresponsive hang-injects a host: the machine keeps its guests running
-// but stops answering heartbeats, the gray-failure case a crash test alone
-// misses. The monitor must detect and fence it like a crash.
-func (m *Monitor) SetUnresponsive(host string, v bool) error {
-	c := m.cloud
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.hostByName[host]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchHost, host)
-	}
-	m.unresponsive[host] = v
-	return nil
-}
-
-// markHandledLocked records that a host's failure is already being recovered
-// (e.g. an operator called FailHost), so the detector does not double-fire.
-func (m *Monitor) markHandledLocked(host string) { m.handled[host] = true }
 
 // heartbeatLocked is one detection tick: every host answers unless it is
 // failed or hang-injected; MissThreshold consecutive silent ticks declare
@@ -201,20 +171,6 @@ func (m *Monitor) Samples() []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Sample(nil), m.samples...)
-}
-
-// HostSeries returns the observations for one host.
-func (m *Monitor) HostSeries(host string) []Sample {
-	c := m.cloud
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Sample
-	for _, s := range m.samples {
-		if s.Host == host {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // UtilizationTable renders the latest sample per host, the Sunstone-style

@@ -33,10 +33,9 @@ import (
 
 // Errors returned by cloud operations.
 var (
-	ErrNoSuchVM    = errors.New("nebula: no such VM")
-	ErrNoSuchHost  = errors.New("nebula: no such host")
-	ErrBadState    = errors.New("nebula: operation invalid in VM state")
-	ErrNoPlacement = errors.New("nebula: no host can fit the request")
+	ErrNoSuchVM   = errors.New("nebula: no such VM")
+	ErrNoSuchHost = errors.New("nebula: no such host")
+	ErrBadState   = errors.New("nebula: operation invalid in VM state")
 )
 
 // Options configures a Cloud. The zero value selects the paper's deployment:
@@ -194,9 +193,6 @@ func New(opts Options) *Cloud {
 	return c
 }
 
-// Sim exposes the simulation kernel (read-only use: Now()).
-func (c *Cloud) Sim() *simtime.Simulator { return c.sim }
-
 // Network exposes the simulated fabric.
 func (c *Cloud) Network() *simnet.Network { return c.net }
 
@@ -205,12 +201,6 @@ func (c *Cloud) Catalog() *image.Catalog { return c.catalog }
 
 // Metrics exposes orchestrator counters.
 func (c *Cloud) Metrics() *metrics.Registry { return c.reg }
-
-// Policy returns the active Capacity Manager policy.
-func (c *Cloud) Policy() Policy { return c.policy }
-
-// Driver returns the active hypervisor driver.
-func (c *Cloud) Driver() Driver { return c.driver }
 
 // Monitor returns the host-monitoring subsystem.
 func (c *Cloud) Monitor() *Monitor { return c.monitor }
@@ -223,13 +213,6 @@ func (c *Cloud) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	c.tracer = t
 	c.mu.Unlock()
-}
-
-// Tracer returns the attached tracer (nil when lifecycle tracing is off).
-func (c *Cloud) Tracer() *trace.Tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tracer
 }
 
 // Now returns current virtual time.
@@ -278,17 +261,6 @@ func (c *Cloud) Hosts() []*virt.Host {
 	out := append([]*virt.Host(nil), c.hosts...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Host returns a host by name.
-func (c *Cloud) Host(name string) (*virt.Host, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hostByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchHost, name)
-	}
-	return h, nil
 }
 
 // Submit queues a template for deployment and returns the instance ID.
@@ -864,22 +836,5 @@ func (c *Cloud) beginShutdownLocked(rec *VMRecord) error {
 		c.reg.Counter("vms_done").Inc()
 		c.kickScheduler() // capacity freed
 	})
-	return nil
-}
-
-// FailHost crash-injects a physical node and immediately runs recovery, as
-// if the failure had just been detected: its VMs fail, and templates
-// submitted with Requeue are resubmitted for placement elsewhere (with
-// restart backoff and cap — see RecoveryOptions). Contrast CrashHost, which
-// kills the node silently and leaves detection to the heartbeat monitor.
-func (c *Cloud) FailHost(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hostByName[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchHost, name)
-	}
-	c.monitor.markHandledLocked(name)
-	c.handleHostFailureLocked(h)
 	return nil
 }

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -181,29 +180,6 @@ func (ix *Index) Search(query string, limit int) []Hit {
 		hits = hits[:limit]
 	}
 	return hits
-}
-
-// Merge folds other's postings into ix (used to combine MapReduce-built
-// partial indexes). Documents present in both panic: partitions must be
-// disjoint.
-func (ix *Index) Merge(other *Index) {
-	other.mu.RLock()
-	defer other.mu.RUnlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for id, n := range other.docLen {
-		if _, dup := ix.docLen[id]; dup {
-			panic(fmt.Sprintf("search: merge with overlapping document %d", id))
-		}
-		ix.docLen[id] = n
-		ix.docs++
-	}
-	for id, tf := range other.docTerms {
-		ix.docTerms[id] = tf
-	}
-	for term, list := range other.postings {
-		ix.postings[term] = append(ix.postings[term], list...)
-	}
 }
 
 // MoreLikeThis returns up to limit documents most similar to doc id, best

@@ -33,26 +33,6 @@ func (ix *Index) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeIndex reconstructs an index from a segment.
-func DecodeIndex(data []byte) (*Index, error) {
-	var wire segmentWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("search: decode segment: %w", err)
-	}
-	ix := NewIndex()
-	if wire.Postings != nil {
-		ix.postings = wire.Postings
-	}
-	if wire.DocLen != nil {
-		ix.docLen = wire.DocLen
-	}
-	if wire.DocTerms != nil {
-		ix.docTerms = wire.DocTerms
-	}
-	ix.docs = wire.Docs
-	return ix, nil
-}
-
 // SaveSegment writes the index as an HDFS file with the given replication.
 func (ix *Index) SaveSegment(client *hdfs.Client, path string, replication int) error {
 	data, err := ix.Encode()
@@ -66,13 +46,4 @@ func (ix *Index) SaveSegment(client *hdfs.Client, path string, replication int) 
 		}
 	}
 	return client.WriteFile(path, data, replication)
-}
-
-// LoadSegment reads an index segment from HDFS.
-func LoadSegment(client *hdfs.Client, path string) (*Index, error) {
-	data, err := client.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeIndex(data)
 }

@@ -22,18 +22,9 @@ import (
 	"videocloud/internal/simtime"
 )
 
-// Common sizes and rates, in the base units used throughout the package:
-// bytes and bytes per second.
-const (
-	KB = 1 << 10
-	MB = 1 << 20
-	GB = 1 << 30
-
-	// Gbps converts a gigabit-per-second figure to bytes per second.
-	Gbps = 1e9 / 8
-	// Mbps converts a megabit-per-second figure to bytes per second.
-	Mbps = 1e6 / 8
-)
+// Gbps converts a gigabit-per-second figure to bytes per second, the base
+// rate unit used throughout the package.
+const Gbps = 1e9 / 8
 
 // ErrUnknownHost is returned when a transfer names a host that was never
 // added to the network.
@@ -109,9 +100,6 @@ func (f *Flow) Cancel() bool {
 	return true
 }
 
-// Rate returns the flow's current fair-share rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Network is the fabric connecting all hosts. It must be driven by a single
 // goroutine together with its simtime.Simulator.
 type Network struct {
@@ -133,9 +121,6 @@ func New(sim *simtime.Simulator) *Network {
 	}
 }
 
-// Metrics exposes the network's registry (flow counts, bytes, durations).
-func (n *Network) Metrics() *metrics.Registry { return n.reg }
-
 // AddHost registers a host. Duplicate names and non-positive bandwidths are
 // programming errors and panic.
 func (n *Network) AddHost(name string, egress, ingress float64, latency time.Duration) *Host {
@@ -156,31 +141,8 @@ func (n *Network) AddHost(name string, egress, ingress float64, latency time.Dur
 	return h
 }
 
-// AddUniformHosts registers count hosts named prefix0..prefixN-1 with
-// identical NICs, the common testbed shape in the paper's cluster.
-func (n *Network) AddUniformHosts(prefix string, count int, bandwidth float64, latency time.Duration) []*Host {
-	hosts := make([]*Host, count)
-	for i := range hosts {
-		hosts[i] = n.AddHost(fmt.Sprintf("%s%d", prefix, i), bandwidth, bandwidth, latency)
-	}
-	return hosts
-}
-
 // Host returns a registered host, or nil.
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
-
-// Hosts returns all hosts sorted by name.
-func (n *Network) Hosts() []*Host {
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ActiveFlows returns the number of flows currently moving bytes.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // Partition isolates a host from the fabric: every active flow touching it
 // freezes at rate zero (no progress, no completion) and new transfers stall
@@ -224,20 +186,6 @@ func (n *Network) Heal(name string) error {
 func (n *Network) Partitioned(name string) bool {
 	h, ok := n.hosts[name]
 	return ok && n.partitioned[h]
-}
-
-// SetLatency changes a host's one-way propagation delay for transfers issued
-// after the call — the chaos injector's "delay a link" fault.
-func (n *Network) SetLatency(name string, latency time.Duration) error {
-	h, ok := n.hosts[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownHost, name)
-	}
-	if latency < 0 {
-		return fmt.Errorf("simnet: host %q negative latency", name)
-	}
-	h.Latency = latency
-	return nil
 }
 
 // EstimateTransfer returns the contention-free time to move bytes from src

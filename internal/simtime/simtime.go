@@ -25,9 +25,6 @@ type Event struct {
 	sim      *Simulator
 }
 
-// At reports the virtual time the event is (or was) scheduled to fire.
-func (e *Event) At() time.Duration { return e.at }
-
 // Cancel removes the event from the queue. Cancelling an event that already
 // fired or was already cancelled is a no-op. Cancel reports whether the event
 // was still pending.
@@ -62,9 +59,6 @@ func NewSimulator() *Simulator {
 // epoch.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Pending returns the number of events waiting in the queue.
-func (s *Simulator) Pending() int { return s.queue.Len() }
-
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (fn runs at the current time, after already-queued events for that
 // time). The returned Event may be cancelled.
@@ -76,18 +70,6 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
 		delay = 0
 	}
 	return s.scheduleAt(s.now+delay, fn, 0)
-}
-
-// ScheduleAt runs fn at absolute virtual time at. Times in the past are
-// clamped to now.
-func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
-	if fn == nil {
-		panic("simtime: ScheduleAt with nil fn")
-	}
-	if at < s.now {
-		at = s.now
-	}
-	return s.scheduleAt(at, fn, 0)
 }
 
 // Every runs fn every period of virtual time, starting one period from now,

@@ -24,9 +24,6 @@ import (
 type ABRPlayer struct {
 	// HTTP defaults to http.DefaultClient.
 	HTTP *http.Client
-	// MaxSegments bounds the session; 0 plays until the VOD end marker
-	// (a live session without the bound follows until the channel ends).
-	MaxSegments int
 	// LiveWindow is how many segments behind the live edge playback starts
 	// (default 3, like HLS's three-target-durations rule).
 	LiveWindow int
@@ -62,15 +59,6 @@ type ABRReport struct {
 	MaxLiveLag int
 	// EndReached reports that the playlist's end marker was consumed.
 	EndReached bool
-}
-
-// RebufferRatio is stall time over total session time (played + stalled).
-func (r *ABRReport) RebufferRatio() float64 {
-	total := r.PlayedSeconds + r.RebufferSeconds
-	if total <= 0 {
-		return 0
-	}
-	return r.RebufferSeconds / total
 }
 
 func (p *ABRPlayer) client() *http.Client {
@@ -135,9 +123,6 @@ func (p *ABRPlayer) Play(masterURL string) (*ABRReport, error) {
 	var estBps, buffer float64
 	emptyPolls := 0
 	for {
-		if p.MaxSegments > 0 && rep.Segments >= p.MaxSegments {
-			return rep, nil
-		}
 		if next >= len(pl.Segments) {
 			if !pl.Live {
 				rep.EndReached = true

@@ -129,17 +129,3 @@ func TestABRFollowsLiveEdge(t *testing.T) {
 		t.Errorf("fell %d segments behind the live edge", rep.MaxLiveLag)
 	}
 }
-
-func TestABRMaxSegmentsBound(t *testing.T) {
-	origin := newABROrigin(4, 10, false)
-	srv := httptest.NewServer(origin)
-	defer srv.Close()
-	p := &ABRPlayer{MaxSegments: 3}
-	rep, err := p.Play(srv.URL + "/playlist/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Segments != 3 || rep.EndReached {
-		t.Errorf("bounded session: %d segments (end=%v), want exactly 3", rep.Segments, rep.EndReached)
-	}
-}

@@ -207,20 +207,3 @@ func (q *FairQueue[T]) Full() bool {
 	defer q.mu.Unlock()
 	return q.size >= q.capacity
 }
-
-// Backlog returns the named flow's queued-item count.
-func (q *FairQueue[T]) Backlog(flowName string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if f := q.flows[flowName]; f != nil {
-		return len(f.entries)
-	}
-	return 0
-}
-
-// Throttles returns how many pushes were refused with a ThrottleError.
-func (q *FairQueue[T]) Throttles() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.throttles
-}

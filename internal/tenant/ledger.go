@@ -97,12 +97,6 @@ func NewLedger() *Ledger {
 	}
 }
 
-func (l *Ledger) setClock(fn func() time.Time) {
-	l.mu.Lock()
-	l.clock = fn
-	l.mu.Unlock()
-}
-
 // Append records one metered event. Amounts <= 0 are dropped (nothing was
 // consumed), keeping totals monotone non-decreasing.
 func (l *Ledger) Append(tenantName string, kind Kind, amount float64) {
@@ -163,11 +157,4 @@ func (l *Ledger) Events() []Event {
 	out = append(out, l.ring[l.next:]...)
 	out = append(out, l.ring[:l.next]...)
 	return out
-}
-
-// Seq returns the number of events ever appended.
-func (l *Ledger) Seq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }

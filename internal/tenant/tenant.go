@@ -400,14 +400,6 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// SetClock injects a time source (tests drive quota windows with it).
-func (r *Registry) SetClock(fn func() time.Time) {
-	r.mu.Lock()
-	r.clock = fn
-	r.mu.Unlock()
-	r.ledger.setClock(fn)
-}
-
 func (r *Registry) now() time.Time {
 	r.mu.Lock()
 	fn := r.clock

@@ -6,11 +6,6 @@ import (
 	"sort"
 )
 
-// ExportJSON marshals traces in the native span format (indented, stable).
-func ExportJSON(traces []*Trace) ([]byte, error) {
-	return json.MarshalIndent(traces, "", "  ")
-}
-
 // chromeEvent is one entry in Chrome's trace-event format (the JSON array
 // flavor loadable in chrome://tracing and Perfetto). Timestamps and
 // durations are microseconds.

@@ -48,9 +48,6 @@ func (tr *Trace) RootSpan() (SpanData, bool) {
 	return SpanData{}, false
 }
 
-// HasError reports whether any span in the trace recorded an error.
-func (tr *Trace) HasError() bool { return tr.Err }
-
 // traceBuf accumulates a trace's ended spans while any span is still open.
 // open counts the root plus every started child; the trace flushes to a
 // ring only when the root has ended AND open reaches zero, so async work
@@ -204,22 +201,6 @@ func (t *Tracer) Trace(id uint64) *Trace {
 		}
 	}
 	return nil
-}
-
-// ActiveTraces snapshots traces still in flight (e.g. running VM
-// lifecycles): the spans that have ended so far, plus the open-span count.
-func (t *Tracer) ActiveTraces() []*Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Trace, 0, len(t.active))
-	for _, buf := range t.active {
-		out = append(out, buf.snapshot())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TraceID < out[j].TraceID })
-	return out
 }
 
 // Stats is the tracer's aggregate health, surfaced via core.Status().Trace.

@@ -286,22 +286,6 @@ func (s *Span) TraceID() uint64 {
 	return s.traceID
 }
 
-// SpanID returns the span's ID, or 0 for a no-op span.
-func (s *Span) SpanID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.spanID
-}
-
-// Name returns the span's name ("" for a no-op span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // StartChild starts a child span. This is the explicit-linkage path for hot
 // loops that do not thread a context. Returns nil on a no-op receiver.
 func (s *Span) StartChild(name string) *Span {

@@ -310,18 +310,6 @@ func TestExportersValidJSON(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("want the error trace retained, got %d", len(traces))
 	}
-	native, err := ExportJSON(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Trace
-	if err := json.Unmarshal(native, &back); err != nil {
-		t.Fatalf("native export does not round-trip: %v", err)
-	}
-	if len(back) != 1 || len(back[0].Spans) != 2 {
-		t.Fatalf("round-tripped %d traces / %d spans", len(back), len(back[0].Spans))
-	}
-
 	chrome, err := ExportChrome(traces)
 	if err != nil {
 		t.Fatal(err)

@@ -77,12 +77,6 @@ func NewShardedFrom(shards []Store) *ShardedDB {
 	}
 }
 
-// Shards returns the shard count.
-func (s *ShardedDB) Shards() int { return len(s.shards) }
-
-// Shard exposes shard i (experiments inspect per-shard balance).
-func (s *ShardedDB) Shard(i int) Store { return s.shards[i] }
-
 // SetMetrics points per-shard latency histograms (videodb_shard<i>_seconds)
 // and scatter counters at reg. Call before serving traffic.
 func (s *ShardedDB) SetMetrics(reg *metrics.Registry) {

@@ -2,7 +2,6 @@ package virt
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 )
 
@@ -38,17 +37,8 @@ func NewGuestMemory(bytes int64) *GuestMemory {
 // Pages returns the total number of guest pages.
 func (m *GuestMemory) Pages() int { return m.pages }
 
-// Bytes returns the total memory size in bytes.
-func (m *GuestMemory) Bytes() int64 { return int64(m.pages) * PageSize }
-
 // DirtyCount returns the number of pages dirtied since the last clear.
 func (m *GuestMemory) DirtyCount() int { return m.dirtyCount }
-
-// IsDirty reports whether page p is dirty. Out-of-range pages panic.
-func (m *GuestMemory) IsDirty(p int) bool {
-	m.check(p)
-	return m.dirty[p/64]&(1<<(p%64)) != 0
-}
 
 // MarkDirty marks page p dirty. Marking an already-dirty page is a no-op,
 // which is exactly the writable-working-set property.
@@ -87,16 +77,6 @@ func (m *GuestMemory) ClearDirty() int {
 		m.dirty[i] = 0
 	}
 	m.dirtyCount = 0
-	return n
-}
-
-// recount recomputes dirtyCount from the bitmap; used by property tests to
-// validate the incremental counter.
-func (m *GuestMemory) recount() int {
-	n := 0
-	for _, w := range m.dirty {
-		n += bits.OnesCount64(w)
-	}
 	return n
 }
 

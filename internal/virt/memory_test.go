@@ -183,30 +183,20 @@ func TestPropertyDirtyGrowthBounded(t *testing.T) {
 }
 
 func TestWorkloadsApplyDirty(t *testing.T) {
-	cases := []struct {
-		w       Workload
-		minRate int64
-	}{
-		{IdleWorkload{}, 1},
-		{UniformWriter{Rate: 10 * 1 << 20}, 1 << 20},
-		{HotspotWriter{Rate: 10 * 1 << 20}, 1 << 20},
-		{&StreamingServer{StreamRate: 5 * 1 << 20}, 1 << 20},
-	}
-	for _, tc := range cases {
+	for _, w := range []Workload{
+		IdleWorkload{},
+		UniformWriter{Rate: 10 * 1 << 20},
+		HotspotWriter{Rate: 10 * 1 << 20},
+		&StreamingServer{StreamRate: 5 * 1 << 20},
+	} {
 		m := NewGuestMemory(64 << 20) // 64 MiB
 		rng := rand.New(rand.NewSource(7))
-		tc.w.ApplyDirty(m, time.Second, rng)
-		if tc.w.Name() == "" {
-			t.Fatal("empty workload name")
-		}
-		if u := tc.w.CPUUtil(); u < 0 || u > 1 {
-			t.Fatalf("%s: CPUUtil %v out of range", tc.w.Name(), u)
-		}
-		if tc.w.DirtyBytesPerSec() < tc.minRate {
-			t.Fatalf("%s: DirtyBytesPerSec %d below %d", tc.w.Name(), tc.w.DirtyBytesPerSec(), tc.minRate)
+		w.ApplyDirty(m, time.Second, rng)
+		if u := w.CPUUtil(); u < 0 || u > 1 {
+			t.Fatalf("%T: CPUUtil %v out of range", w, u)
 		}
 		if m.DirtyCount() == 0 {
-			t.Fatalf("%s: 1s of workload dirtied nothing", tc.w.Name())
+			t.Fatalf("%T: 1s of workload dirtied nothing", w)
 		}
 	}
 }

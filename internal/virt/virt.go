@@ -184,9 +184,6 @@ func (v *VM) Host() *Host {
 	return v.host
 }
 
-// Rand returns the VM's deterministic RNG (seeded from the VM name).
-func (v *VM) Rand() *rand.Rand { return v.rng }
-
 // SetContext stores orchestrator-delivered contextualization data, the
 // OpenNebula "context information delivery" of §III-A (IP addresses,
 // certificates, licences).
@@ -259,14 +256,6 @@ func (v *VM) Fail() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.state = StateFailed
-}
-
-// setState is used by the migration engine, which owns the
-// Running<->Migrating transitions.
-func (v *VM) setState(s VMState) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.state = s
 }
 
 // BeginMigration marks the VM migrating; only running VMs can live-migrate.
@@ -368,17 +357,6 @@ func NewHost(name string, cores int, coreRate float64, memoryBytes, diskBytes in
 		reservations: make(map[string]VMConfig),
 		cpuOC:        1.0,
 	}
-}
-
-// SetCPUOvercommit allows factor× vCPU oversubscription (OpenNebula's
-// default deployments overcommit CPU but not memory). factor < 1 panics.
-func (h *Host) SetCPUOvercommit(factor float64) {
-	if factor < 1 {
-		panic(fmt.Sprintf("virt: overcommit factor %v < 1", factor))
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.cpuOC = factor
 }
 
 // Failed reports whether the host has been crash-injected.
@@ -510,28 +488,6 @@ func (h *Host) DestroyVM(name string) error {
 	return nil
 }
 
-// AdoptVM attaches an existing VM (arriving via migration) to this host,
-// reserving its resources. The VM keeps its memory image and state.
-func (h *Host) AdoptVM(vm *VM) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cfg := vm.Config
-	if _, dup := h.vms[cfg.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateVM, cfg.Name)
-	}
-	if !h.fitsLocked(cfg) {
-		return fmt.Errorf("%w: adopt %q on %q", ErrInsufficientCapacity, cfg.Name, h.Name)
-	}
-	h.vms[cfg.Name] = vm
-	h.usedVCPU += cfg.VCPUs
-	h.usedMem += cfg.MemoryBytes
-	h.usedDisk += cfg.DiskBytes
-	vm.mu.Lock()
-	vm.host = h
-	vm.mu.Unlock()
-	return nil
-}
-
 // ReleaseVM removes a VM from this host's books without changing the VM
 // (the source side of a completed migration).
 func (h *Host) ReleaseVM(name string) error {
@@ -602,13 +558,6 @@ func (h *Host) CancelReservation(name string) error {
 	h.usedMem -= cfg.MemoryBytes
 	h.usedDisk -= cfg.DiskBytes
 	return nil
-}
-
-// VM returns the named VM or nil.
-func (h *Host) VM(name string) *VM {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.vms[name]
 }
 
 // VMs returns this host's VMs sorted by name.

@@ -10,14 +10,9 @@ import (
 // each elapsed interval of virtual time; the scheduler and the E5
 // virtualization-overhead experiment read its CPU demand.
 type Workload interface {
-	// Name identifies the workload in reports.
-	Name() string
 	// CPUUtil is the fraction of the VM's vCPUs the workload keeps busy,
 	// in [0,1].
 	CPUUtil() float64
-	// DirtyBytesPerSec is the nominal page-write rate. The effective
-	// dirty-page growth is lower once the working set saturates.
-	DirtyBytesPerSec() int64
 	// ApplyDirty marks pages in mem for dt of guest run time.
 	ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand)
 }
@@ -26,18 +21,15 @@ type Workload interface {
 // migration (converges immediately) and placement experiments.
 type IdleWorkload struct{}
 
-// Name implements Workload.
-func (IdleWorkload) Name() string { return "idle" }
+// idleDirtyBytesPerSec is an idle guest's kernel housekeeping.
+const idleDirtyBytesPerSec = 64 * 1024
 
 // CPUUtil implements Workload.
 func (IdleWorkload) CPUUtil() float64 { return 0.02 }
 
-// DirtyBytesPerSec implements Workload.
-func (IdleWorkload) DirtyBytesPerSec() int64 { return 64 * 1024 } // kernel housekeeping
-
 // ApplyDirty implements Workload.
-func (w IdleWorkload) ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand) {
-	writes := int(float64(w.DirtyBytesPerSec()) * dt.Seconds() / PageSize)
+func (IdleWorkload) ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand) {
+	writes := int(idleDirtyBytesPerSec * dt.Seconds() / PageSize)
 	mem.DirtyRandom(writes, rng)
 }
 
@@ -49,9 +41,6 @@ type UniformWriter struct {
 	Util float64
 }
 
-// Name implements Workload.
-func (w UniformWriter) Name() string { return "uniform-writer" }
-
 // CPUUtil implements Workload.
 func (w UniformWriter) CPUUtil() float64 {
 	if w.Util == 0 {
@@ -59,9 +48,6 @@ func (w UniformWriter) CPUUtil() float64 {
 	}
 	return w.Util
 }
-
-// DirtyBytesPerSec implements Workload.
-func (w UniformWriter) DirtyBytesPerSec() int64 { return w.Rate }
 
 // ApplyDirty implements Workload.
 func (w UniformWriter) ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand) {
@@ -79,9 +65,6 @@ type HotspotWriter struct {
 	Util        float64
 }
 
-// Name implements Workload.
-func (w HotspotWriter) Name() string { return "hotspot-writer" }
-
 // CPUUtil implements Workload.
 func (w HotspotWriter) CPUUtil() float64 {
 	if w.Util == 0 {
@@ -89,9 +72,6 @@ func (w HotspotWriter) CPUUtil() float64 {
 	}
 	return w.Util
 }
-
-// DirtyBytesPerSec implements Workload.
-func (w HotspotWriter) DirtyBytesPerSec() int64 { return w.Rate }
 
 // ApplyDirty implements Workload.
 func (w HotspotWriter) ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand) {
@@ -114,14 +94,8 @@ type StreamingServer struct {
 	cursor     int
 }
 
-// Name implements Workload.
-func (w *StreamingServer) Name() string { return "streaming-server" }
-
 // CPUUtil implements Workload.
 func (w *StreamingServer) CPUUtil() float64 { return 0.35 }
-
-// DirtyBytesPerSec implements Workload.
-func (w *StreamingServer) DirtyBytesPerSec() int64 { return w.StreamRate + w.StreamRate/10 }
 
 // ApplyDirty implements Workload.
 func (w *StreamingServer) ApplyDirty(mem *GuestMemory, dt time.Duration, rng *rand.Rand) {

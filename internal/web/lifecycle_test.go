@@ -249,7 +249,7 @@ func TestLiveChannelStorageAdmittedAndAccounted(t *testing.T) {
 	var stored int64
 	names, _ := mount.Walk("segments")
 	for _, name := range names {
-		data, err := mount.ReadFile(name)
+		data, err := mount.ReadFileCtx(context.Background(), name)
 		if err != nil || !strings.HasPrefix(name, fmt.Sprintf("segments/%d-", id)) {
 			t.Fatalf("object %s: err %v", name, err)
 		}

@@ -415,19 +415,9 @@ func (s *Site) Documents() []search.Document {
 	return docs
 }
 
-// AdminID returns the administrator account's user id (shared fleet-wide).
-func (s *Site) AdminID() int64 {
-	s.state.mu.Lock()
-	defer s.state.mu.Unlock()
-	return s.state.adminID
-}
-
 // Metrics exposes this replica's counters (each fleet frontend keeps its
 // own registry — per-replica latency is the scaling experiment's signal).
 func (s *Site) Metrics() *metrics.Registry { return s.reg }
-
-// Tracer exposes the site's tracer (nil when tracing is not configured).
-func (s *Site) Tracer() *trace.Tracer { return s.tracer }
 
 // EdgeStats snapshots this replica's edge-cache behaviour (core.Status and
 // the delivery experiments read it).

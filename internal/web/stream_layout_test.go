@@ -89,7 +89,7 @@ func TestStoredOnce(t *testing.T) {
 		for label, whole := range want {
 			renditionBytes += int64(len(whole))
 			for k := 0; k < video.SegmentCount(seconds, site.segSeconds); k++ {
-				obj, err := site.store.ReadFile(segmentPath(id, label, k))
+				obj, err := site.store.ReadFileCtx(context.Background(), segmentPath(id, label, k))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,10 +17,6 @@ import (
 // abstraction unifying session users and API tokens, quota admission for
 // uploads, egress attribution, and bounded per-tenant instruments.
 
-// Tenants exposes the fleet's tenant registry (core wires quotas, tokens,
-// and the usage ledger through it).
-func (s *Site) Tenants() *tenant.Registry { return s.tenants }
-
 // errNeedAuth maps to 401 (no credentials at all); errForbidden maps to
 // 403 (credentials that don't authorize this object).
 var (

@@ -30,8 +30,6 @@ type EdgeLoadOptions struct {
 	// ZipfS is the popularity exponent (defaults to 1.1 when 0 — segment
 	// fan-out is the heavy-skew regime).
 	ZipfS float64
-	// MaxSegmentsPerSession bounds each session; 0 plays titles to the end.
-	MaxSegmentsPerSession int
 	// Seed makes title choice deterministic.
 	Seed int64
 }
@@ -91,7 +89,7 @@ func RunEdgeLoad(o EdgeLoadOptions) *EdgeLoadReport {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := &stream.ABRPlayer{MaxSegments: o.MaxSegmentsPerSession}
+			p := &stream.ABRPlayer{}
 			for id := range work {
 				r, err := p.Play(fmt.Sprintf("%s/playlist/%d", o.BaseURL, id))
 				mu.Lock()

@@ -60,14 +60,6 @@ type LoadReport struct {
 	Stream metrics.Snapshot
 }
 
-// ThroughputBps is the aggregate video egress rate the fleet sustained.
-func (r LoadReport) ThroughputBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.StreamBytes) / r.Elapsed.Seconds()
-}
-
 // RunLoad drives Viewers concurrent closed-loop players against BaseURL.
 // Each loop iteration is one session: load the home page, pick a title by
 // Zipf popularity (or join the flash crowd), load its watch page, then fetch

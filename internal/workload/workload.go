@@ -58,9 +58,6 @@ func (z *Zipf) Pick(rng *rand.Rand) int {
 	return lo
 }
 
-// N returns the number of items.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Interarrival draws an exponential inter-arrival time for a Poisson
 // process with the given rate (events/second).
 func Interarrival(rng *rand.Rand, ratePerSec float64) time.Duration {
