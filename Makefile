@@ -74,11 +74,13 @@ fuzzshort:
 # Close reaches the queue first, depends on interleaving across replicas. And
 # the histogram every latency figure is read from: concurrent observations,
 # merges and snapshots must leave Count, Sum and the bucket totals exact. And
-# replica memory: whether a released mapping is reused under a reader depends
-# on when the collector runs, and under -race a released one is poisoned.
+# pooled memory: whether a released replica mapping is reused under a reader
+# depends on when the collector runs, whether a pinned extent's array goes back
+# on its last Release or at eviction depends on which comes first, and under
+# -race a released one is poisoned.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
-	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance|TestReplicaLifetimeSoak' ./internal/hdfs/
+	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance|TestReplicaLifetimeSoak|TestExtentLifetimeSoak' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
 	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose|TestHomeListsOnlyPublished|TestRecentListRebuiltOncePerChange|TestUsernameResolvedOncePerFleet' ./internal/web/
 	$(GO) test -race -count=5 -run 'TestHistogramConcurrent' ./internal/metrics/

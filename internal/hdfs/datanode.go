@@ -28,13 +28,14 @@ const DefaultChunkSize = 64 << 10
 // is recorded per block so a cluster-wide chunk-size change never
 // invalidates already-stored replicas.
 //
-// The bytes are not on the Go heap (replicamem_unix.go): they are replica
-// memory, which goes back to the pool when the record becomes unreachable.
-// So data is read and written only by DataNode methods holding dn.mu with
-// the record in dn.blocks — or by Store before it is published — and never
-// leaves them: callers get copies (Read) or bytes copied into their own
-// memory (ReadRange).
+// The bytes are not on the Go heap (replicamem.go): they are a prefix of the
+// pooled mapping mem, which goes back to the pool when the record, and with
+// it mem, becomes unreachable. So data is read and written only by DataNode
+// methods holding dn.mu with the record in dn.blocks — or by Store before it
+// is published — and never leaves them: callers get copies (Read) or bytes
+// copied into their own memory (ReadRange).
 type blockData struct {
+	mem   *memBuf
 	data  []byte
 	whole uint32
 	sums  []uint32

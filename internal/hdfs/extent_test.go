@@ -171,10 +171,6 @@ func TestExtentFillFailsOverOnCorruptChunk(t *testing.T) {
 // resident or referenced, and the array went back to the pool — the next fill
 // allocates none.
 func TestCorruptFillCachesNothing(t *testing.T) {
-	// sync.Pool keeps what a P puts in that P's private slot, which a Get
-	// on another P does not see: with one P, "the next fill allocates none"
-	// depends on the code, not on where the scheduler ran the goroutine.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const block = 4 * extentSize
 	c, cl, data := newCachedCluster(t, block, block, 2, 0)
 	bc := c.BlockCache()
@@ -218,9 +214,9 @@ func TestCorruptFillCachesNothing(t *testing.T) {
 	if _, err := r.RangeSlices(2*extentSize, 4096); !errors.Is(err, ErrAllReplicasFailed) {
 		t.Fatalf("slices of an extent corrupt on every replica: err = %v, want ErrAllReplicasFailed", err)
 	}
-	if bc.Entries() != 1 || bc.Bytes() != extentSize || bc.firstAbsent(id, 2, 3) != 2 || counter("blockcache_fills") != 1 {
-		t.Fatalf("after failed fills: %d extents / %d bytes resident, %d fills counted; want the one good extent",
-			bc.Entries(), bc.Bytes(), counter("blockcache_fills"))
+	if bc.Entries() != 1 || bc.Bytes() != extentSize || bc.held.Load() != 1 || bc.firstAbsent(id, 2, 3) != 2 || counter("blockcache_fills") != 1 {
+		t.Fatalf("after failed fills: %d extents / %d bytes resident, %d arrays held, %d fills counted; want the one good extent",
+			bc.Entries(), bc.Bytes(), bc.held.Load(), counter("blockcache_fills"))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -2,8 +2,7 @@
 
 package hdfs
 
-// newBlockData returns a record whose data holds n bytes. Without the
-// anonymous mappings of replicamem_unix.go, replicas live on the Go heap.
-func newBlockData(n int, chunk int64) (*blockData, error) {
-	return &blockData{data: make([]byte, n), chunk: chunk}, nil
-}
+// mapMemory returns n bytes for memPool. Without the anonymous mappings of
+// replicamem_unix.go, replicas and cached extents live on the Go heap, pooled
+// the same way.
+func mapMemory(n int) ([]byte, error) { return make([]byte, n), nil }
