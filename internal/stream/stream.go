@@ -252,6 +252,14 @@ func (p *Player) FetchRange(url string, start, end int64) ([]byte, error) {
 	if resp.StatusCode != http.StatusPartialContent {
 		return nil, fmt.Errorf("%w: %d for range %d-%d", ErrBadStatus, resp.StatusCode, start, end)
 	}
+	if n := resp.ContentLength; n >= 0 && n <= end-start+1 {
+		// One array of the window's size, not io.ReadAll's doublings.
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, fmt.Errorf("stream: range %d-%d: %w", start, end, err)
+		}
+		return data, nil
+	}
 	return io.ReadAll(resp.Body)
 }
 
