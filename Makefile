@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 alloccheck:
-	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/ ./internal/metrics/
+	$(GO) test -run 'TestAlloc' ./internal/video/ ./internal/hdfs/ ./internal/trace/ ./internal/ingress/ ./internal/edge/ ./internal/tenant/ ./internal/web/ ./internal/metrics/ ./internal/videodb/
 
 # Ten seconds of fuzzing the page writers against the html/template oracle
 # they replaced (internal/web/pages_test.go): bodies must stay byte-identical.
@@ -69,7 +69,8 @@ fuzzshort:
 # web tier's title lifecycle: whether a delete meets a row before or after its
 # publisher does depends on worker/deleter interleaving. And the fleet state
 # pages read: the recent list each change rebuilds under the row lock while
-# home requests load it, and the username map replicas fill. And the fleet's one
+# home requests load it, the related lists a change drops while watch pages
+# fill them, and the username map replicas fill. And the fleet's one
 # transcode queue: which replica's worker pops a job, and whether an upload or
 # Close reaches the queue first, depends on interleaving across replicas. And
 # the histogram every latency figure is read from: concurrent observations,
@@ -82,7 +83,7 @@ chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
 	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance|TestReplicaLifetimeSoak|TestExtentLifetimeSoak' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
-	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose|TestHomeListsOnlyPublished|TestRecentListRebuiltOncePerChange|TestUsernameResolvedOncePerFleet' ./internal/web/
+	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose|TestHomeListsOnlyPublished|TestRecentListRebuiltOncePerChange|TestRelatedMatchesUncached|TestRelatedFillRacingEditNeverServed|TestUsernameResolvedOncePerFleet' ./internal/web/
 	$(GO) test -race -count=5 -run 'TestHistogramConcurrent' ./internal/metrics/
 
 # The benchmark is its own module (bench/go.mod replaces videocloud => ../),

@@ -1,9 +1,9 @@
 // ShardedDB scales the metadata tier horizontally: rows are hashed across N
 // independent DB shards by primary key, so writes and id-addressed reads
-// touch exactly one shard while search/home/scan queries fan out across all
-// of them with bounded concurrency. This is the million-user growth path of
-// the paper's single MySQL instance — the same schema, cut into hash
-// buckets a fleet of frontends can hammer without convoying on one lock.
+// touch exactly one shard while search/home/scan queries visit all of them in
+// turn. This is the million-user growth path of the paper's single MySQL
+// instance — the same schema, cut into hash buckets a fleet of frontends can
+// hammer without convoying on one lock.
 //
 // Placement is a pure function of the row id (splitmix64 mod shard count),
 // so a restart — or a second process building the same store — reproduces
@@ -13,20 +13,16 @@
 package videodb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"videocloud/internal/metrics"
 )
-
-// fanIn bounds concurrent per-shard queries during scatter-gather.
-// Four in flight keeps tail latency low without stampeding a large shard set
-// from every request.
-const fanIn = 4
 
 // ShardedDB routes Store operations across N DB shards. Safe for concurrent
 // use.
@@ -321,56 +317,35 @@ func (s *ShardedDB) Delete(table string, id int64) error {
 	return s.owner(id).Delete(table, id)
 }
 
-// scatter runs fn against every shard with bounded concurrency and collects
-// per-shard results. Any shard error fails the whole operation — partial
-// fan-in results are never returned as if they were complete.
-func (s *ShardedDB) scatter(fn func(i int, sh Store) ([]Row, error)) ([][]Row, error) {
+// scatter runs fn against every shard in turn, on the calling goroutine, and
+// merges their rows into one id-sorted slice. The shards are in-process maps,
+// so a leg costs less than the goroutine, semaphore slot and wake-up a
+// concurrent fan-out would pay for it. Any shard error fails the whole
+// operation — partial fan-in results are never returned as if they were
+// complete.
+func (s *ShardedDB) scatter(fn func(sh Store) ([]Row, error)) ([]Row, error) {
 	if s.scatters != nil {
 		s.scatters.Inc()
 	}
-	results := make([][]Row, len(s.shards))
-	errs := make([]error, len(s.shards))
-	sem := make(chan struct{}, fanIn)
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			results[i], errs[i] = fn(i, s.shards[i])
-			s.observe(i, start)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	var out []Row
+	for i, sh := range s.shards {
+		start := time.Now()
+		rows, err := fn(sh)
+		s.observe(i, start)
 		if err != nil {
 			if s.scatterErrs != nil {
 				s.scatterErrs.Inc()
 			}
 			return nil, err
 		}
+		out = append(out, rows...)
 	}
-	return results, nil
-}
-
-// mergeByID flattens per-shard result sets into one id-sorted slice.
-func mergeByID(parts [][]Row) []Row {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]Row, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := out[i]["id"].(int64)
-		b, _ := out[j]["id"].(int64)
-		return a < b
+	slices.SortFunc(out, func(a, b Row) int {
+		x, _ := a["id"].(int64)
+		y, _ := b["id"].(int64)
+		return cmp.Compare(x, y)
 	})
-	return out
+	return out, nil
 }
 
 // Select fans col == value out across shards (id lookups route directly).
@@ -387,13 +362,9 @@ func (s *ShardedDB) Select(table, col string, value any) ([]Row, error) {
 			return []Row{row}, nil
 		}
 	}
-	parts, err := s.scatter(func(_ int, sh Store) ([]Row, error) {
+	return s.scatter(func(sh Store) ([]Row, error) {
 		return sh.Select(table, col, value)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeByID(parts), nil
 }
 
 // SelectOne returns the lowest-id row matching col == value, or ErrNoRow.
@@ -410,13 +381,9 @@ func (s *ShardedDB) SelectOne(table, col string, value any) (Row, error) {
 
 // Scan fans the predicate out across shards and merges by id.
 func (s *ShardedDB) Scan(table string, pred func(Row) bool) ([]Row, error) {
-	parts, err := s.scatter(func(_ int, sh Store) ([]Row, error) {
+	return s.scatter(func(sh Store) ([]Row, error) {
 		return sh.Scan(table, pred)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeByID(parts), nil
 }
 
 // ScanLast asks every shard for its n newest rows and keeps the n globally
@@ -425,13 +392,12 @@ func (s *ShardedDB) ScanLast(table string, n int) ([]Row, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	parts, err := s.scatter(func(_ int, sh Store) ([]Row, error) {
+	merged, err := s.scatter(func(sh Store) ([]Row, error) {
 		return sh.ScanLast(table, n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := mergeByID(parts)
 	if len(merged) > n {
 		merged = merged[len(merged)-n:]
 	}
@@ -444,13 +410,9 @@ func (s *ShardedDB) ScanLast(table string, n int) ([]Row, error) {
 
 // ScanSubstring fans the LIKE '%needle%' baseline out across shards.
 func (s *ShardedDB) ScanSubstring(table, col, needle string) ([]Row, error) {
-	parts, err := s.scatter(func(_ int, sh Store) ([]Row, error) {
+	return s.scatter(func(sh Store) ([]Row, error) {
 		return sh.ScanSubstring(table, col, needle)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeByID(parts), nil
 }
 
 // Count sums row counts across shards.

@@ -411,11 +411,7 @@ func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
 		v.Owner = u["id"] == row["uploader_id"] || rowBool(u, "admin")
 	}
 	// Related videos (§IV-A "related ranking methods").
-	for _, hit := range s.Index().MoreLikeThis(id, 5) {
-		if rel, err := s.db.Get("videos", hit.Doc); err == nil {
-			v.Related = append(v.Related, videoLinkOf(rel))
-		}
-	}
+	v.Related = s.relatedVideos(id)
 	comments, _ := s.db.Select("comments", "video_id", id)
 	for _, c := range comments {
 		v.Comments = append(v.Comments, commentView{

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -445,6 +446,12 @@ func TestTitleLifecycleSoak(t *testing.T) {
 	}
 }
 
+// soakReel describes the soak's serial-th title in words a third of the others
+// share, so watch pages list related titles (L7). An edit clears it.
+func soakReel(serial int) string {
+	return []string{"harbour dawn", "harbour storm", "city dawn"}[serial%3]
+}
+
 type soakTitle struct {
 	id      int64
 	title   string
@@ -511,7 +518,7 @@ func soakTitles(t *testing.T, seed int64) {
 				block(segmentPath(lastID+1, "360p", rng.Intn(2)))
 			}
 			st := &soakTitle{title: newTitle(), maxSegs: 2}
-			id, err := site.ProcessUpload(ctxOf(tname), site.AdminID(), st.title, "", testUploadMedia(t, 4+2*rng.Intn(3), uint64(serial)))
+			id, err := site.ProcessUpload(ctxOf(tname), site.AdminID(), st.title, soakReel(serial), testUploadMedia(t, 4+2*rng.Intn(3), uint64(serial)))
 			if errors.Is(err, tenant.ErrQuotaExceeded) {
 				seen["upload refused"]++
 				return
@@ -523,7 +530,7 @@ func soakTitles(t *testing.T, seed int64) {
 			seen["upload"]++
 		case n < 4: // live channel
 			st := &soakTitle{title: newTitle(), live: true}
-			id, err := site.CreateLiveChannel(ctxOf(tname), site.AdminID(), st.title, "")
+			id, err := site.CreateLiveChannel(ctxOf(tname), site.AdminID(), st.title, soakReel(serial))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -614,7 +621,7 @@ func mustScan(t *testing.T, s *Site) []videodb.Row {
 	return rows
 }
 
-// checkLifecycle asserts L1–L6 on a settled fleet.
+// checkLifecycle asserts L1–L7 on a settled fleet.
 func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *tenant.Registry, titles map[int64]*soakTitle, gone []*soakTitle) {
 	t.Helper()
 	site := sites[0]
@@ -682,6 +689,28 @@ func checkLifecycle(t *testing.T, sites []*Site, mount *fusebridge.Mount, reg *t
 		listed, _, _ = strings.Cut(listed, "\n")
 		if listed != wantHome.String() {
 			t.Errorf("L6: replica %d's home page lists\n%s\nwant\n%s", i, listed, wantHome.String())
+		}
+	}
+	// L7: every replica's watch page lists only published titles among its
+	// related titles, under their current titles: what the uncached
+	// computation lists.
+	isPublic := make(map[int64]bool, len(public))
+	for _, id := range public {
+		isPublic[id] = true
+	}
+	for _, row := range rows {
+		id := rowInt(row, "id")
+		for i, s := range sites {
+			listed := relatedOnPage(do(s, "GET", fmt.Sprintf("/watch/%d", id), "", nil).Body.String())
+			for _, m := range watchLinkRE.FindAllStringSubmatch(listed, -1) {
+				rid, _ := strconv.ParseInt(m[1], 10, 64)
+				if st := titles[rid]; !isPublic[rid] || st == nil || m[2] != st.title {
+					t.Errorf("L7: replica %d's watch page for %d lists %s as %q", i, id, m[1], m[2])
+				}
+			}
+			if want := linksHTML(uncachedRelated(s, id)); listed != want {
+				t.Errorf("L7: replica %d's watch page for %d lists\n%s\nuncached\n%s", i, id, listed, want)
+			}
 		}
 	}
 	// L2 and L5: reservation == Σ stored_bytes == ledger net, no overshoot.

@@ -178,7 +178,10 @@ func (s *Site) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	globalInflight := s.reg.Gauge("http_inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		rid := nextRequestID()
-		w.Header().Set("X-Request-ID", rid)
+		// Stored under its canonical key, which is what Header().Set would
+		// spend an allocation per request working out; Header.Get finds it
+		// under any spelling.
+		w.Header()["X-Request-Id"] = []string{rid}
 		n := s.inflightNow.Add(1)
 		if n > maxInFlight {
 			s.inflightNow.Add(-1)

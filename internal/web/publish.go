@@ -63,12 +63,12 @@ func documentOf(row videodb.Row) search.Document {
 	return search.Document{ID: rowInt(row, "id"), Title: title, Body: body}
 }
 
-// reindex makes id's search document and the recent list what its row says:
-// the current title and description of a published row, nothing for one that
-// is missing, processing or failed. The row is read and the index written
-// under the fleet's row lock, so of two racing calls the later one reads the
-// later row: a publisher cannot overwrite an edit with the title it read
-// before it.
+// reindex makes id's search document, the recent list and the related lists
+// what its row says: the current title and description of a published row,
+// nothing for one that is missing, processing or failed. The row is read and
+// the index written under the fleet's row lock, so of two racing calls the
+// later one reads the later row: a publisher cannot overwrite an edit with
+// the title it read before it.
 func (s *Site) reindex(id int64) {
 	s.state.rowMu.Lock()
 	defer s.state.rowMu.Unlock()
@@ -78,6 +78,7 @@ func (s *Site) reindex(id int64) {
 		s.Index().Remove(id)
 	}
 	s.refreshRecent()
+	s.state.dropRelated()
 }
 
 // publish stores data[i] as names[i] and makes row id name them by applying
@@ -130,6 +131,7 @@ func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []st
 		if err = s.db.Update("videos", id, changes); err == nil {
 			s.refreshRecent()
 		}
+		s.state.dropRelated()
 	}
 	s.state.rowMu.Unlock()
 	psp.SetError(err)
@@ -145,9 +147,10 @@ func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []st
 }
 
 // unpublish takes row and everything it names out of the system; row is the
-// caller's read of it. The row goes first, under the row lock: after that no
-// publish can commit to it and no cache fill can validate against it, so what
-// is purged and removed next stays gone.
+// caller's read of it. The row and its search document go first, under the
+// row lock, and the lists derived from them are rebuilt after both: after
+// that no publish can commit to it and no cache fill can validate against
+// it, so what is purged and removed next stays gone.
 func (s *Site) unpublish(row videodb.Row) error {
 	if beingWritten(row) {
 		return errBeingWritten
@@ -157,14 +160,15 @@ func (s *Site) unpublish(row videodb.Row) error {
 	row, err := s.db.Get("videos", id) // a publish may have committed since the caller's read
 	if err == nil {
 		if err = s.db.Delete("videos", id); err == nil {
+			s.Index().Remove(id)
 			s.refreshRecent()
+			s.state.dropRelated()
 		}
 	}
 	s.state.rowMu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.Index().Remove(id)
 	renditions, _ := row["renditions"].(string)
 	labels := strings.Split(renditions, ",")
 	segs, _ := row["segments"].(int64)

@@ -92,10 +92,11 @@ type Config struct {
 func QualityLabel(s video.Spec) string { return fmt.Sprintf("%dp", s.Res.H) }
 
 // fleetState is what every replica of a serving fleet shares: the (possibly
-// sharded) database, the search index and the home page's recent list derived
-// from it, the username map, the session and verification-token tables, the
-// replica list invalidations walk, and the conversion farm — one transcode
-// queue and one node set behind the web tier, as in the paper's Figures 14/16.
+// sharded) database, the search index, the home page's recent list and the
+// watch pages' related lists derived from them, the username map, the session
+// and verification-token tables, the replica list invalidations walk, and the
+// conversion farm — one transcode queue and one node set behind the web tier,
+// as in the paper's Figures 14/16.
 // A single-replica site owns a private instance; NewReplica hands additional
 // frontends the same one, so a login on replica 0 is valid on replica 7, an
 // upload published through any replica is on every replica's home page, and a
@@ -133,6 +134,14 @@ type fleetState struct {
 	recent    atomic.Pointer[[]videoLink]
 	usernames sync.Map
 
+	// related maps a title id to its watch page's related titles, filled on
+	// the title's first watch under the generation relGen had then, and
+	// dropped (relGen moves on) wherever the index or a public row changes
+	// (cache.go).
+	relMu   sync.Mutex
+	relGen  uint64
+	related map[int64]relatedLinks
+
 	// replicas lists every frontend of the fleet: what a replica caches on
 	// its own (edge copies, egress attribution) is invalidated by walking it.
 	cmu      sync.Mutex
@@ -162,12 +171,13 @@ type Site struct {
 	tracer *trace.Tracer // nil-safe: all span operations no-op when nil
 
 	// Serving-path state (middleware.go) and the instruments of the fleet's
-	// recent list and username map (cache.go), resolved once so a page takes
-	// no registry lock.
-	routeMetrics                              []*routeMetrics
-	inflightNow                               atomic.Int64
-	searches                                  *metrics.Counter
-	recentScans, usernameHits, usernameMisses *metrics.Counter
+	// recent list, related lists and username map (cache.go), resolved once
+	// so a page takes no registry lock.
+	routeMetrics                 []*routeMetrics
+	inflightNow                  atomic.Int64
+	searches                     *metrics.Counter
+	recentScans, relatedFills    *metrics.Counter
+	usernameHits, usernameMisses *metrics.Counter
 
 	// streamPacer caps this replica's streaming egress; nil = unpaced.
 	streamPacer *pacer
@@ -258,6 +268,7 @@ func assemble(cfg Config, state *fleetState) *Site {
 		reg:            reg,
 		searches:       reg.Counter("searches"),
 		recentScans:    reg.Counter("cache_recent_scans"),
+		relatedFills:   reg.Counter("cache_related_fills"),
 		usernameHits:   reg.Counter("cache_username_hits"),
 		usernameMisses: reg.Counter("cache_username_misses"),
 		tracer:         cfg.Tracer,
@@ -299,6 +310,7 @@ func New(cfg Config) (*Site, error) {
 		db:       db,
 		tenants:  reg,
 		index:    search.NewIndex(),
+		related:  make(map[int64]relatedLinks),
 		sessions: make(map[[32]byte]int64),
 		queue:    newTranscodeQueue(cfg.TranscodeQueueCap),
 		pool:     newFarmPool(cfg.Farm),
@@ -397,6 +409,7 @@ func (s *Site) ReplaceIndex(ix *search.Index) {
 	s.state.mu.Lock()
 	s.state.index = ix
 	s.state.mu.Unlock()
+	s.state.dropRelated()
 	s.reg.Counter("index_refreshes").Inc()
 }
 
