@@ -31,6 +31,9 @@ import (
 
 const gb = int64(1) << 30
 
+// Stalled request headers and idle keep-alive connections are cut off.
+const readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+
 func main() {
 	hosts := flag.Int("hosts", 4, "number of simulated physical hosts")
 	listen := flag.String("listen", ":9680", "management API listen address")
@@ -58,7 +61,9 @@ func main() {
 	defer pacer.Stop()
 	log.Printf("onecloud: %d hosts, image %q registered, API on %s (time x%g)",
 		*hosts, "ubuntu-10.04", *listen, *scale)
-	log.Fatal(http.ListenAndServe(*listen, nebula.NewAPI(cloud)))
+	srv := &http.Server{Addr: *listen, Handler: nebula.NewAPI(cloud),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	log.Fatal(srv.ListenAndServe())
 }
 
 // runDemo scripts the paper's screenshots: deploy two VMs, show the

@@ -31,6 +31,10 @@ import (
 	"videocloud/internal/video"
 )
 
+// Stalled request headers and idle keep-alive connections are cut off.
+// There is no write timeout: a whole-file /stream is legitimately long.
+const readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+
 func main() {
 	listen := flag.String("listen", ":8080", "website listen address")
 	hosts := flag.Int("hosts", 4, "simulated physical hosts")
@@ -155,7 +159,9 @@ func main() {
 		}()
 	}
 	log.Printf("videocloud: site on %s (admin account %q)", *listen, *admin)
-	log.Fatal(http.ListenAndServe(*listen, vc.Handler()))
+	srv := &http.Server{Addr: *listen, Handler: vc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	log.Fatal(srv.ListenAndServe())
 }
 
 // logRouteDashboard prints one line per route that has seen traffic — the
@@ -173,9 +179,9 @@ func logRouteDashboard(vc *core.VideoCloud) {
 	}
 	h := st.HDFS
 	if h.BytesRead > 0 || h.BytesWritten > 0 {
-		log.Printf("hdfs read=%dMB write=%dMB prefetch=%d "+
+		log.Printf("hdfs read=%dMB write=%dMB "+
 			"pick local/load/first=%d/%d/%d failover=%d rd_p99=%.2fms wr_p99=%.2fms",
-			h.BytesRead>>20, h.BytesWritten>>20, h.ReadaheadPrefetches,
+			h.BytesRead>>20, h.BytesWritten>>20,
 			h.ReplicaLocal, h.ReplicaLeastLoaded, h.ReplicaFirst, h.ReplicaFailovers,
 			h.ReadLatency.P99*1000, h.WriteLatency.P99*1000)
 	}

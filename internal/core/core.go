@@ -509,8 +509,8 @@ type Status struct {
 	// job counts, queue wait, and measured wall-clock conversion time.
 	Transcode web.TranscodeStats
 	// HDFS reports the data-path counters: bytes moved, extent-cache
-	// hit/miss/fill and prefetch counts, replica-selection policy
-	// decisions, failovers, and read/write latency quantiles.
+	// hit/miss/fill counts, replica-selection policy decisions, failovers,
+	// and read/write latency quantiles.
 	HDFS hdfs.Stats
 	// Recovery reports the orchestrator's failure-detection and
 	// auto-restart activity.

@@ -100,8 +100,7 @@ func E13CriticalPath() *metrics.Table {
 }
 
 // waitForRoot polls the tracer's rings for a completed trace by root name —
-// async children (readahead prefetches) can hold the flush briefly past the
-// HTTP response.
+// async children (queue work) can hold the flush past the HTTP response.
 func waitForRoot(tracer *trace.Tracer, root string) *trace.Trace {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -117,9 +116,9 @@ func waitForRoot(tracer *trace.Tracer, root string) *trace.Trace {
 	}
 }
 
-// largestRoot waits for every in-flight trace to flush (background
-// prefetches hold traces open briefly past the HTTP response), then returns
-// the longest completed trace with the given root name.
+// largestRoot waits for every in-flight trace to flush (async queue work
+// holds traces open past the HTTP response), then returns the longest
+// completed trace with the given root name.
 func largestRoot(tracer *trace.Tracer, root string) *trace.Trace {
 	deadline := time.Now().Add(5 * time.Second)
 	for tracer.Stats().ActiveTraces > 0 {

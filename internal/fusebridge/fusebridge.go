@@ -5,9 +5,9 @@
 //
 // A Mount maps a directory-like namespace onto a subtree of HDFS: the
 // website writes uploads through ordinary file operations and the bytes land
-// in replicated HDFS blocks. The read side is OpenSeeker: random access
-// through an hdfs.Reader, which the streaming layer serves Range requests
-// from.
+// in replicated HDFS blocks. The read side is OpenSeeker: an hdfs.Reader,
+// an io.ReaderAt plus zero-copy range views, which the streaming layer
+// serves Range requests from.
 package fusebridge
 
 import (
@@ -136,15 +136,15 @@ func (m *Mount) Exists(name string) bool {
 	return err == nil
 }
 
-// OpenSeeker opens name for random access (io.ReadSeeker + io.ReaderAt),
-// the interface the streaming layer needs for Range requests.
+// OpenSeeker opens name for random access (io.ReaderAt plus zero-copy range
+// views), what the streaming layer needs for Range requests.
 func (m *Mount) OpenSeeker(name string) (*hdfs.Reader, error) {
 	return m.OpenSeekerCtx(context.Background(), name)
 }
 
 // OpenSeekerCtx is OpenSeeker linked to the trace span in ctx: block range
-// reads and prefetches through the returned reader record spans annotated
-// with the extent-cache outcome under the caller's trace.
+// reads through the returned reader record spans annotated with the
+// extent-cache outcome under the caller's trace.
 func (m *Mount) OpenSeekerCtx(ctx context.Context, name string) (*hdfs.Reader, error) {
 	p, err := m.abs(name)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"io/fs"
 	"testing"
 
@@ -67,7 +66,7 @@ func TestFSInterface(t *testing.T) {
 	}
 }
 
-func TestSeekThroughMount(t *testing.T) {
+func TestReadAtThroughMount(t *testing.T) {
 	m := newMount(t)
 	data := make([]byte, 200000)
 	for i := range data {
@@ -78,15 +77,13 @@ func TestSeekThroughMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Seek(150000, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
+	defer r.Close()
 	buf := make([]byte, 100)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := r.ReadAt(buf, 150000); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, data[150000:150100]) {
-		t.Fatal("seek read wrong bytes")
+		t.Fatal("mid-file read returned wrong bytes")
 	}
 }
 

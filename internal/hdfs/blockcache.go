@@ -170,29 +170,15 @@ func (c *BlockCache) lookupLocked(id BlockID, x int64) *CacheEntry {
 	return nil
 }
 
-// firstAbsent returns the lowest extent index in [from, n) of block id that
-// is not resident, or n when all are. It is a residency check only: nothing
-// is referenced, touched in the LRU order or counted as a hit.
-func (c *BlockCache) firstAbsent(id BlockID, from, n int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for x := from; x < n; x++ {
-		if c.lookupLocked(id, x) == nil {
-			return x
-		}
-	}
-	return n
-}
-
 // GetOrFill returns a referenced entry for extent x of a block, fetching it
-// from a replica through cl (Client.fetchExtent; parent and readahead are
-// what that records) when absent: straight into an array from the pool,
-// sliced to its length for the block's short last extent. Concurrent callers
-// for the same absent extent share one fetch. A fetch that fails caches nothing
+// from a replica through cl (Client.fetchExtent, recording under parent)
+// when absent: straight into an array from the pool, sliced to its length
+// for the block's short last extent. Concurrent callers for the same absent
+// extent share one fetch. A fetch that fails caches nothing
 // and the array goes back to the pool. The returned source is "hit", "wait"
 // (joined an in-flight fill), or "fill" (this caller ran the fetch). The
 // caller must Release the entry.
-func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string, info BlockInfo, x int64) (e *CacheEntry, source string, err error) {
+func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, info BlockInfo, x int64) (e *CacheEntry, source string, err error) {
 	key := extentKey{info.ID, x}
 	c.mu.Lock()
 	if e := c.lookupLocked(info.ID, x); e != nil {
@@ -229,7 +215,7 @@ func (c *BlockCache) GetOrFill(cl *Client, parent *trace.Span, readahead string,
 	if err == nil {
 		c.held.Add(1)
 		var n int
-		n, err = cl.fetchExtent(parent, readahead, info, x, e.mem.b[:min(info.Length-x*extentSize, extentSize)])
+		n, err = cl.fetchExtent(parent, info, x, e.mem.b[:min(info.Length-x*extentSize, extentSize)])
 		e.data = e.mem.b[:n]
 	}
 

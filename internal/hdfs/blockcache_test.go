@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // newCachedCluster builds a cluster with the shared block cache enabled —
@@ -75,17 +74,30 @@ func TestReadAtShortCachedBlockDetected(t *testing.T) {
 	}
 }
 
-// waitRefsZero waits for the cache's outstanding-reference gauge to drain
-// (prefetch fills hold transient references from background goroutines).
-func waitRefsZero(t *testing.T, bc *BlockCache) {
+// checkRefsZero fails unless the cache's outstanding-reference gauge is
+// zero. Nothing in hdfs reads in the background, so once every reader has
+// closed and every read has returned the gauge is exact: no wait.
+func checkRefsZero(t *testing.T, bc *BlockCache) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for bc.Refs() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cache refs stuck at %d after readers closed", bc.Refs())
-		}
-		time.Sleep(time.Millisecond)
+	if n := bc.Refs(); n != 0 {
+		t.Fatalf("cache refs stuck at %d after readers closed", n)
 	}
+}
+
+// residentAt reports whether the extent holding offset off of /f is
+// resident: a one-byte read through a fresh reader that misses nothing.
+func residentAt(t *testing.T, c *Cluster, cl *Client, off int64) bool {
+	t.Helper()
+	r, err := cl.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	misses := c.Stats().CacheMisses
+	if _, err := r.ReadAt(make([]byte, 1), off); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats().CacheMisses == misses
 }
 
 // TestConcurrentReadersShareSingleFill streams one file through N
@@ -112,8 +124,8 @@ func TestConcurrentReadersShareSingleFill(t *testing.T) {
 				return
 			}
 			defer r.Close()
-			got, err := io.ReadAll(r)
-			if err != nil {
+			got := make([]byte, len(data))
+			if _, err := r.ReadAt(got, 0); err != nil {
 				errs <- err
 				return
 			}
@@ -135,7 +147,7 @@ func TestConcurrentReadersShareSingleFill(t *testing.T) {
 	if served := st.CacheHits + st.CacheWaits; served == 0 {
 		t.Fatal("no reads were served by the shared cache")
 	}
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 }
 
 // TestEvictionSparesInUseSlices runs the cache at a one-extent budget while
@@ -175,13 +187,13 @@ func TestEvictionSparesInUseSlices(t *testing.T) {
 		t.Fatal("pinned slice content changed while the cache evicted around it")
 	}
 	// The pinned extent survived residency; refs drain on close.
-	if bc.firstAbsent(r.blocks[0].ID, 0, 1) != 1 {
+	if !residentAt(t, c, cl, 0) {
 		t.Fatal("pinned extent 0 was evicted while referenced")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 
 	if err := cl.Remove("/f"); err != nil {
 		t.Fatal(err)
@@ -306,7 +318,7 @@ func TestRecycledExtentNeverAliasesLiveView(t *testing.T) {
 		}
 	}
 	bc.mu.Unlock()
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 }
 
 // TestReleaseEvictsDownToBudget: open readers pin more extents than a
@@ -336,7 +348,7 @@ func TestReleaseEvictsDownToBudget(t *testing.T) {
 	for _, r := range readers {
 		r.Close()
 	}
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 	if got := bc.Bytes(); got > bc.Capacity() {
 		t.Fatalf("%d bytes resident after every reader closed; the budget is %d", got, bc.Capacity())
 	}
@@ -380,7 +392,7 @@ func TestDeleteInvalidatesCache(t *testing.T) {
 			bc.Entries(), bc.Bytes(), entries, resident)
 	}
 	r.Close()
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 	next := payload(2*block, 11)
 	if err := cl.WriteFile("/f", next, 2); err != nil {
 		t.Fatal(err)
@@ -423,7 +435,7 @@ func TestSetBlockCacheCapacityResizesInPlace(t *testing.T) {
 	if c.BlockCache() != bc || bc.Capacity() != 2*extentSize {
 		t.Fatal("shrinking replaced the cache or did not take")
 	}
-	if bc.Entries() != 2 || bc.firstAbsent(r.blocks[0].ID, 0, 1) != 1 {
+	if bc.Entries() != 2 || !residentAt(t, c, cl, 0) {
 		t.Fatalf("%d extents resident after shrinking to two, want 2 including the pinned one", bc.Entries())
 	}
 	if !bytes.Equal(joinViews(views), data[:4096]) {
@@ -436,5 +448,5 @@ func TestSetBlockCacheCapacityResizesInPlace(t *testing.T) {
 		}
 	}
 	r.Close()
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 }

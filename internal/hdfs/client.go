@@ -289,13 +289,11 @@ func (c *Client) ranksBefore(a string, la int64, b string, lb int64) bool {
 // extent overlaps; a failed attempt's bytes are overwritten by the next one,
 // and on error dst holds nothing to keep. When parent records, the fetch
 // emits an hdfs.read_block span annotated with every failed replica and the
-// eventual failover; readahead ("cache_fill"/"prefetch") notes what asked for
-// the extent.
-func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInfo, x int64, dst []byte) (int, error) {
+// eventual failover.
+func (c *Client) fetchExtent(parent *trace.Span, info BlockInfo, x int64, dst []byte) (int, error) {
 	sp := parent.StartChild("hdfs.read_block")
 	if sp != nil {
 		sp.AnnotateInt("block", int64(info.ID))
-		sp.Annotate("readahead", readahead)
 	}
 	start := time.Now()
 	var lastErr error
@@ -344,8 +342,8 @@ func (c *Client) fetchExtent(parent *trace.Span, readahead string, info BlockInf
 // extent returns a referenced shared-cache entry for extent x of a block,
 // filling it single-flight when absent. It is the only way bytes reach a
 // client. The caller must Release the entry.
-func (c *Client) extent(parent *trace.Span, readahead string, info BlockInfo, x int64) (*CacheEntry, error) {
-	e, source, err := c.cluster.cache.GetOrFill(c, parent, readahead, info, x)
+func (c *Client) extent(parent *trace.Span, info BlockInfo, x int64) (*CacheEntry, error) {
+	e, source, err := c.cluster.cache.GetOrFill(c, parent, info, x)
 	if err != nil {
 		return nil, err
 	}
@@ -474,9 +472,9 @@ func (c *Client) Open(path string) (*Reader, error) {
 	return c.OpenCtx(context.Background(), path)
 }
 
-// OpenCtx is Open linked to the trace span in ctx: range reads and
-// prefetches through the returned Reader record hdfs.read_block spans
-// annotated with the cache outcome (hit, wait, or the filling replica).
+// OpenCtx is Open linked to the trace span in ctx: range reads through the
+// returned Reader record hdfs.read_block spans annotated with the cache
+// outcome (hit, wait, or the filling replica).
 func (c *Client) OpenCtx(ctx context.Context, path string) (*Reader, error) {
 	sp := trace.FromContext(ctx).StartChild("hdfs.open")
 	if sp != nil {

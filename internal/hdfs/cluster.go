@@ -322,9 +322,6 @@ type Stats struct {
 	BlocksReplicated int64
 	CorruptReported  int64
 
-	// Background next-block fills launched by sequential readers.
-	ReadaheadPrefetches int64
-
 	// Replica-selection policy outcomes: reads that went to the client's
 	// own node, reads steered to a less-loaded replica, reads that kept
 	// the NameNode's default order, and mid-read failovers.
@@ -338,7 +335,7 @@ type Stats struct {
 	// resident cache, lookups that ran a replica range fetch, lookups that
 	// joined another caller's in-flight fetch (single-flight), extents
 	// shed by the budget, and the live resident/pin state. A lookup counts
-	// only when it serves bytes; prefetch residency checks do not.
+	// only when it serves bytes.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheWaits     int64
@@ -366,17 +363,16 @@ func (c *Cluster) Stats() Stats {
 		CacheEntries:   int64(c.cache.Entries()),
 		CacheRefs:      c.cache.Refs(),
 
-		BytesRead:           c.bytesRead.Value(),
-		BytesWritten:        c.bytesWritten.Value(),
-		BlocksWritten:       c.blocksWritten.Value(),
-		BlocksReplicated:    c.reg.Counter("blocks_replicated").Value(),
-		CorruptReported:     c.corruptReported.Value(),
-		ReadaheadPrefetches: c.reg.Counter("readahead_prefetches").Value(),
-		ReplicaLocal:        c.replicaLocal.Value(),
-		ReplicaLeastLoaded:  c.replicaLeastLoaded.Value(),
-		ReplicaFirst:        c.replicaFirst.Value(),
-		ReplicaFailovers:    c.replicaFailovers.Value(),
-		ReadLatency:         c.readSeconds.Snapshot(),
-		WriteLatency:        c.writeSeconds.Snapshot(),
+		BytesRead:          c.bytesRead.Value(),
+		BytesWritten:       c.bytesWritten.Value(),
+		BlocksWritten:      c.blocksWritten.Value(),
+		BlocksReplicated:   c.reg.Counter("blocks_replicated").Value(),
+		CorruptReported:    c.corruptReported.Value(),
+		ReplicaLocal:       c.replicaLocal.Value(),
+		ReplicaLeastLoaded: c.replicaLeastLoaded.Value(),
+		ReplicaFirst:       c.replicaFirst.Value(),
+		ReplicaFailovers:   c.replicaFailovers.Value(),
+		ReadLatency:        c.readSeconds.Snapshot(),
+		WriteLatency:       c.writeSeconds.Snapshot(),
 	}
 }

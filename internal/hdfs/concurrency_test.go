@@ -394,7 +394,7 @@ func TestExtentLifetimeSoak(t *testing.T) {
 			}
 			sr.r.Close()
 		}
-		waitRefsZero(t, bc)
+		checkRefsZero(t, bc)
 		if held, resident := bc.held.Load(), bc.Entries(); held != int64(resident) {
 			t.Fatalf("round %d: with every reader closed the cache holds %d arrays for %d resident extents", round, held, resident)
 		}

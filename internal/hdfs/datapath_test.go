@@ -330,60 +330,6 @@ func TestWriterBufferReusedAcrossBlocks(t *testing.T) {
 	}
 }
 
-// ---- readahead ----
-
-// TestReadaheadPipelinesSequentialReads: a sequential Read across four
-// two-extent blocks launches next-block prefetches, and between the reader
-// and its prefetches every extent is fetched from a replica exactly once.
-func TestReadaheadPipelinesSequentialReads(t *testing.T) {
-	const block = extentSize + 64<<10
-	c := NewCluster(3, block)
-	cl := c.Client("")
-	data := payload(3*block+block/2, 26)
-	if err := cl.WriteFile("/f", data, 2); err != nil {
-		t.Fatal(err)
-	}
-	r, err := cl.Open("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("sequential read with readahead: %v", err)
-	}
-	if c.Metrics().Counter("readahead_prefetches").Value() == 0 {
-		t.Fatal("sequential consumption launched no prefetch")
-	}
-	st := c.Stats()
-	if extents := int64(3*2 + 1); st.CacheFills != extents || st.BytesRead != int64(len(data)) {
-		t.Fatalf("fills = %d, bytes read = %d; want each of %d extents (%d bytes) fetched exactly once",
-			st.CacheFills, st.BytesRead, extents, len(data))
-	}
-	r.Close()
-	waitRefsZero(t, c.BlockCache())
-}
-
-func TestReadaheadNotTriggeredByRandomReadAt(t *testing.T) {
-	c := NewCluster(3, testBlock)
-	cl := c.Client("")
-	if err := cl.WriteFile("/f", payload(4*testBlock, 27), 2); err != nil {
-		t.Fatal(err)
-	}
-	r, err := cl.Open("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	for i := 0; i < 4; i++ { // window at each block's head — never the tail
-		if _, err := r.ReadAt(buf, int64(i)*testBlock); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Metrics().Counter("readahead_prefetches").Value(); got != 0 {
-		t.Fatalf("random ReadAt launched %d prefetches, want 0", got)
-	}
-}
-
 // ---- wall-clock gate: parallel block fan-out ----
 
 // TestMeasuredParallelReadSpeedup is the wall-clock gate of ISSUE 3:
@@ -474,13 +420,9 @@ func TestConcurrentStreamingWithDownAndCorruptReplicas(t *testing.T) {
 			}
 			buf := make([]byte, 8192)
 			for pass := 0; pass < 3; pass++ {
-				if _, err := r.Seek(0, io.SeekStart); err != nil {
-					errs <- err
-					return
-				}
 				var off int64
 				for {
-					n, err := r.Read(buf)
+					n, err := r.ReadAt(buf, off)
 					if n > 0 {
 						if !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
 							errs <- fmt.Errorf("reader %d: wrong bytes at %d", g, off)

@@ -95,7 +95,7 @@ func TestExtentWindowsByteIdentical(t *testing.T) {
 			if st := c.Stats(); st.CacheEvictions == 0 || st.CorruptReported != 0 {
 				t.Fatalf("stats %+v: want evictions under a three-extent budget and no corruption reports", st)
 			}
-			waitRefsZero(t, c.BlockCache())
+			checkRefsZero(t, c.BlockCache())
 		})
 	}
 }
@@ -214,7 +214,7 @@ func TestCorruptFillCachesNothing(t *testing.T) {
 	if _, err := r.RangeSlices(2*extentSize, 4096); !errors.Is(err, ErrAllReplicasFailed) {
 		t.Fatalf("slices of an extent corrupt on every replica: err = %v, want ErrAllReplicasFailed", err)
 	}
-	if bc.Entries() != 1 || bc.Bytes() != extentSize || bc.held.Load() != 1 || bc.firstAbsent(id, 2, 3) != 2 || counter("blockcache_fills") != 1 {
+	if bc.Entries() != 1 || bc.Bytes() != extentSize || bc.held.Load() != 1 || counter("blockcache_fills") != 1 {
 		t.Fatalf("after failed fills: %d extents / %d bytes resident, %d arrays held, %d fills counted; want the one good extent",
 			bc.Entries(), bc.Bytes(), bc.held.Load(), counter("blockcache_fills"))
 	}
@@ -229,7 +229,7 @@ func TestCorruptFillCachesNothing(t *testing.T) {
 		t.Fatalf("the fill after a failed one allocated %d B: the rejected array did not go back to the pool", got)
 	}
 	r.Close()
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 }
 
 // TestConcurrentReadersOfOneColdExtentFillOnce releases N readers onto the
@@ -275,7 +275,7 @@ func TestConcurrentReadersOfOneColdExtentFillOnce(t *testing.T) {
 	if st.CacheHits+st.CacheWaits != readers-1 {
 		t.Fatalf("hits %d + waits %d, want the other %d readers", st.CacheHits, st.CacheWaits, readers-1)
 	}
-	waitRefsZero(t, c.BlockCache())
+	checkRefsZero(t, c.BlockCache())
 }
 
 // TestReadAmplificationGate is the deterministic form of the vod-cold

@@ -307,7 +307,7 @@ func TestChecksumDetectionAndRepair(t *testing.T) {
 	}
 }
 
-func TestReaderSeekAndReadAt(t *testing.T) {
+func TestReaderReadAt(t *testing.T) {
 	c := NewCluster(3, testBlock)
 	cl := c.Client("")
 	data := payload(3*testBlock+100, 13)
@@ -319,40 +319,29 @@ func TestReaderSeekAndReadAt(t *testing.T) {
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d", r.Size())
 	}
-	// Sequential read of everything.
-	all, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(all, data) {
-		t.Fatalf("sequential read: %v", err)
+	// The whole file in one window.
+	all := make([]byte, len(data))
+	if _, err := r.ReadAt(all, 0); err != nil || !bytes.Equal(all, data) {
+		t.Fatalf("whole-file read: %v", err)
 	}
-	// Seek to a mid-block offset (a time-bar drag) and read across a
-	// block boundary.
+	// A mid-block offset (a time-bar drag), read across a block boundary.
 	off := int64(testBlock + testBlock/2)
-	if _, err := r.Seek(off, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, testBlock) // spans into block 3
-	n, err := io.ReadFull(r, buf)
+	n, err := r.ReadAt(buf, off)
 	if err != nil {
-		t.Fatalf("read after seek: %v (n=%d)", err, n)
+		t.Fatalf("mid-block read: %v (n=%d)", err, n)
 	}
 	if !bytes.Equal(buf, data[off:off+int64(testBlock)]) {
-		t.Fatal("seeked read returned wrong bytes")
+		t.Fatal("mid-block read returned wrong bytes")
 	}
-	// SeekEnd.
-	if _, err := r.Seek(-10, io.SeekEnd); err != nil {
-		t.Fatal(err)
-	}
-	tail, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(tail, data[len(data)-10:]) {
+	// The last ten bytes.
+	tail := make([]byte, 10)
+	if _, err := r.ReadAt(tail, int64(len(data)-10)); err != nil || !bytes.Equal(tail, data[len(data)-10:]) {
 		t.Fatalf("tail read: %v", err)
 	}
 	// EOF past end.
 	if _, err := r.ReadAt(buf, int64(len(data))); err != io.EOF {
 		t.Fatalf("ReadAt past EOF: %v", err)
-	}
-	// Negative seek rejected.
-	if _, err := r.Seek(-1, io.SeekStart); err == nil {
-		t.Fatal("negative seek accepted")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"videocloud/internal/trace"
 )
 
-// Reader reads an HDFS file with io.Reader/io.Seeker/io.ReaderAt semantics;
-// it backs both sequential consumption (MapReduce splits, the FUSE bridge)
-// and the seekable-playback path of the video site (HTTP Range requests).
+// Reader reads an HDFS file by ranges: io.ReaderAt copies and zero-copy
+// views. It backs the seekable-playback path of the video site (HTTP Range
+// requests) and MapReduce input splits.
 //
 // Every byte comes out of the cluster's shared extent cache (fixed extentSize
 // slices of a block): the first reader of an extent runs one single-flight,
@@ -25,26 +25,20 @@ import (
 // extent overlaps; corruption elsewhere in the block is caught by the fill
 // (or whole-block DataNode.Read) that next overlaps it.
 //
-// Sequential Reads get readahead: once a read touches the tail of a block,
-// the next block's extents are filled in the background, so block N+1
-// transfers while block N is being consumed. Random ReadAt windows bypass
-// the trigger.
-//
 // A short block — fewer bytes than the NameNode's recorded length, from a
 // truncated cache entry or replica — fails the read with
 // io.ErrUnexpectedEOF instead of silently misaligning later bytes.
 //
-// ReadAt and AppendRangeSlices are safe for concurrent use; Read and Seek
-// share the position and are not. Close releases every cache reference the
-// reader holds; slices obtained before Close stay valid until then.
+// ReadAt and AppendRangeSlices are safe for concurrent use. Close releases
+// every cache reference the reader holds; slices obtained before Close stay
+// valid until then.
 type Reader struct {
 	client *Client
 	blocks []BlockInfo
 	starts []int64 // starts[i] = file offset of blocks[i]
 	size   int64
-	pos    int64
 	// span, when non-nil (OpenCtx under a sampled trace), parents the
-	// hdfs.read_block / hdfs.prefetch spans this reader's fetches emit.
+	// hdfs.read_block spans this reader's fetches emit.
 	span *trace.Span
 
 	mu       sync.Mutex
@@ -52,48 +46,12 @@ type Reader struct {
 	closed   bool
 }
 
-// readaheadTriggerDenom arms prefetch of the next block when a sequential
-// read touches the last 1/readaheadTriggerDenom of the current one: a
-// consumer that deep is very likely to continue, while a random player
-// window usually isn't, so seeks don't waste whole-block fetches.
-const readaheadTriggerDenom = 4
-
 // Size returns the file length.
 func (r *Reader) Size() int64 { return r.size }
 
-// Read implements io.Reader. The prefetch is armed before the current
-// window is fetched so the next block transfers while this one is served.
-func (r *Reader) Read(p []byte) (int, error) {
-	r.maybePrefetch(r.pos, int64(len(p)))
-	n, err := r.ReadAt(p, r.pos)
-	r.pos += int64(n)
-	return n, err
-}
-
-// Seek implements io.Seeker.
-func (r *Reader) Seek(offset int64, whence int) (int64, error) {
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = r.pos + offset
-	case io.SeekEnd:
-		abs = r.size + offset
-	default:
-		return 0, fmt.Errorf("hdfs: bad whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("hdfs: negative seek position %d", abs)
-	}
-	r.pos = abs
-	return abs, nil
-}
-
 // Close releases the reader's shared-cache references. Slices returned by
 // AppendRangeSlices must not be used after Close. Reads after Close still
-// work (they fall back to acquire-copy-release), so a late Range request on
-// a recycled fs.File fails loudly nowhere — but they retain nothing.
+// work, falling back to acquire-copy-release, but they retain nothing.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -162,7 +120,7 @@ func (r *Reader) AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, e
 // under that reference; any other is looked up — or filled, single-flight —
 // in the shared cache. With retain the reader keeps the new reference until
 // Close, so the emitted views outlive the call; without it the reference is
-// dropped as soon as emit returns (a sequential scan never pins more than one
+// dropped as soon as emit returns (a ReadAt never pins more than one
 // extent). An extent holding fewer bytes than the block's recorded length
 // ends the walk with io.ErrUnexpectedEOF after its bytes are emitted.
 func (r *Reader) walk(off, length int64, retain bool, emit func(sl []byte)) error {
@@ -180,7 +138,7 @@ func (r *Reader) walk(off, length int64, retain bool, emit func(sl []byte)) erro
 			held := e != nil
 			if !held {
 				var err error
-				if e, err = r.client.extent(r.span, "cache_fill", info, x); err != nil {
+				if e, err = r.client.extent(r.span, info, x); err != nil {
 					return err
 				}
 			}
@@ -237,60 +195,4 @@ func (r *Reader) retainEntry(e *CacheEntry) (retained, closed bool) {
 	}
 	r.retained[e.key] = e
 	return true, false
-}
-
-// maybePrefetch arms readahead for the block after the one a prospective
-// sequential read of [off, off+n) ends in, when that read reaches the
-// block's trigger tail.
-func (r *Reader) maybePrefetch(off, n int64) {
-	if len(r.blocks) < 2 {
-		return
-	}
-	end := off + n
-	if end > r.size {
-		end = r.size
-	}
-	if end <= off {
-		return
-	}
-	j := r.blockIndex(end - 1)
-	if j+1 >= len(r.blocks) {
-		return
-	}
-	b := r.blocks[j]
-	tail := r.starts[j] + b.Length - b.Length/readaheadTriggerDenom
-	if end-1 < tail {
-		return
-	}
-	r.prefetch(j + 1)
-}
-
-// prefetch warms every extent of block bi in the shared cache. Residency is
-// checked first — uncounted, it serves no bytes — so repeat triggers on the
-// same block tail cost one lock hop; each extent's fill is single-flight
-// across all readers.
-func (r *Reader) prefetch(bi int) {
-	bc := r.client.cluster.cache
-	info := r.blocks[bi]
-	n := extentCount(info.Length)
-	first := bc.firstAbsent(info.ID, 0, n)
-	if first == n {
-		return
-	}
-	r.client.cluster.reg.Counter("readahead_prefetches").Inc()
-	psp := r.span.StartChild("hdfs.prefetch")
-	if psp != nil {
-		psp.AnnotateInt("block", int64(info.ID))
-	}
-	go func() {
-		for x := first; x < n; x = bc.firstAbsent(info.ID, x+1, n) {
-			e, err := r.client.extent(psp, "prefetch", info, x)
-			if err != nil {
-				psp.SetError(err)
-				break
-			}
-			e.Release()
-		}
-		psp.End()
-	}()
 }

@@ -249,7 +249,7 @@ func TestShedExtentsGiveTheirPagesBack(t *testing.T) {
 	for _, r := range readers {
 		r.Close()
 	}
-	waitRefsZero(t, bc)
+	checkRefsZero(t, bc)
 	rss1 := rssAnon(t)
 	shed := pinned - 2
 	if got := bare() - bare0; got != shed-1 {

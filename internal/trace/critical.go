@@ -32,9 +32,9 @@ type PathSummary struct {
 }
 
 // cpNode is a span plus its effective end: the latest wall end among the
-// span and all its descendants. Async children (queue work, prefetches) may
-// outlive their parent; the effective end extends the parent's window so
-// their time still lands on the path.
+// span and all its descendants. Async children (queue work) may outlive
+// their parent; the effective end extends the parent's window so their time
+// still lands on the path.
 type cpNode struct {
 	SpanData
 	effEnd   time.Duration

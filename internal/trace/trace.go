@@ -403,7 +403,7 @@ func (s *Span) EndAtSim(d time.Duration) {
 
 // End completes the span and records it into its trace. Ending the root
 // does not flush the trace until every child has ended, so spans completing
-// after the root (async queue work, prefetches) still land in the trace.
+// after the root (async queue work) still land in the trace.
 // End is idempotent.
 func (s *Span) End() {
 	if s == nil || s.tracer == nil {

@@ -351,8 +351,6 @@ var surfaceAllowlist = map[string]string{
 	"fusebridge.Mount.Exists":    "web's partial-store tests look for orphans; TestPartialStoreFailureCleansUp",
 	"fusebridge.Mount.Mkdir":     "web's partial-store tests block a rendition path with a directory; TestPartialStoreFailureCleansUp",
 	"hdfs.Cluster.BlockCache":    "core's soak checks every cache reference is released; TestChaosSoak",
-	"hdfs.Reader.Read":           "sequential reads with readahead, no longer on the serving path; FuzzReaderReadAt, fusebridge's TestSeekThroughMount",
-	"hdfs.Reader.Seek":           "sequential reads with readahead, no longer on the serving path; FuzzReaderReadAt, fusebridge's TestSeekThroughMount",
 	"image.Image.Backing":        "nebula's tests check a deployed disk is a COW clone; TestSubmitDeployLifecycle",
 	"ingress.Balancer.Backends":  "core's tests check the fleet's shape; TestServingTierShape",
 	"metrics.Histogram.Count":    "nebula, videodb and web tests count observations; TestRouteMetricsRecorded",
