@@ -128,6 +128,30 @@ func TestSegmentRangeRequestsZeroCopy(t *testing.T) {
 	}
 }
 
+// TestSegmentMissCountedOnce: a /segment request looks the edge up once. The
+// handler used to try Get and then GetOrFill, so a miss was counted twice —
+// understating the hit ratio — and bumped the key's admission count twice,
+// inflating a cold segment's claim against the LRU victim.
+func TestSegmentMissCountedOnce(t *testing.T) {
+	site, _ := newSite(t)
+	id, err := site.ProcessUpload(context.Background(), site.AdminID(), "clip", "d", testUploadMedia(t, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.DrainTranscodes()
+	key := fmt.Sprintf("seg/%d/720p/1", id)
+	misses, freq := site.EdgeStats().Misses, site.edge.Frequency(key)
+	if rec := do(site, "GET", fmt.Sprintf("/segment/%d/720p/1", id), "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("segment: %d %s", rec.Code, rec.Body)
+	}
+	if d := site.EdgeStats().Misses - misses; d != 1 {
+		t.Errorf("one cold segment request counted %d misses, want 1", d)
+	}
+	if d := site.edge.Frequency(key) - freq; d != 1 {
+		t.Errorf("one cold segment request raised the key's admission count by %d, want 1", d)
+	}
+}
+
 func TestDeliveryRejectsUnknownObjects(t *testing.T) {
 	site, _ := newSite(t)
 	b := newBrowser(t, site)
