@@ -7,10 +7,8 @@
 package stream
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -107,14 +105,29 @@ func window(r *http.Request, etag string, size int64) (off, length int64, ranged
 // contentETag derives a strong validator from what identifies a served
 // representation's bytes: the name the caller gives it and its size (a
 // published rendition's segment objects are written once and never rewritten
-// in place).
+// in place). It is FNV-1a over the name and the size's eight big-endian
+// bytes, quoted in sixteen hex digits, hashed and formatted in place so that
+// the string is its one allocation.
 func contentETag(name string, size int64) string {
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(size))
-	h.Write(b[:])
-	return fmt.Sprintf("\"%016x\"", h.Sum64())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+		digits   = "0123456789abcdef"
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ uint64(byte(size>>shift))) * prime64
+	}
+	var tag [18]byte
+	tag[0], tag[17] = '"', '"'
+	for i := 16; i > 0; i-- {
+		tag[i] = digits[h&15]
+		h >>= 4
+	}
+	return string(tag[:])
 }
 
 // parseRange parses a single-range "bytes=" spec against size, returning

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,15 +38,18 @@ func (d *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 // inside one segment, and a /segment edge hit. The last commit that counted
 // egress through a wrapping writer measured 43 and 30; the response path
 // reports its body bytes itself now, and the middleware stores X-Request-Id
-// under its canonical key, one allocation fewer each.
+// under its canonical key, one allocation fewer each. The ETag is hashed and
+// formatted in place (three fewer each), and a segment hit serves the edge
+// entry's own Content (one fewer).
 const (
-	streamWindowAllocs  = 41
-	segmentWindowAllocs = 28
+	streamWindowAllocs  = 38
+	segmentWindowAllocs = 24
 )
 
-// allocSite builds the site the allocation gates measure and publishes one
-// 24 s clip on it.
-func allocSite(t *testing.T) (*Site, int64) {
+// allocSite builds the site the allocation gates measure, with an edge cache
+// of edgeBytes (0: the default), and publishes one 24 s clip on it: three
+// 1 MB segments.
+func allocSite(t *testing.T, edgeBytes int64) (*Site, int64) {
 	t.Helper()
 	cluster := hdfs.NewCluster(4, 4<<20)
 	mount, err := fusebridge.New(cluster.Client(""), "/site", 3)
@@ -57,6 +61,7 @@ func allocSite(t *testing.T) (*Site, int64) {
 		Farm:           video.Farm{Nodes: []string{"dn0", "dn1", "dn2", "dn3"}},
 		Target:         video.Spec{Codec: video.H264, Res: video.R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000},
 		SegmentSeconds: 8,
+		EdgeCacheBytes: edgeBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +80,7 @@ func allocSite(t *testing.T) (*Site, int64) {
 }
 
 func TestAllocStreamHandler(t *testing.T) {
-	site, id := allocSite(t)
+	site, id := allocSite(t, 0)
 
 	const window = 64 << 10
 	const segBytes = 1_000_000 // 8 s at 1 Mbps, plus GOP framing
@@ -124,6 +129,50 @@ func TestAllocStreamHandler(t *testing.T) {
 	}
 }
 
+// TestAllocSegmentFillBytes gates what an edge fill costs the heap. Three
+// segments cycle through an edge with room for two, so every request misses
+// and fills. A fill pins the segment's block-cache extents instead of copying
+// them into a fresh array, which cost about 1 MB a fill: what is left is the
+// reader, its views and the entry.
+func TestAllocSegmentFillBytes(t *testing.T) {
+	const (
+		fills        = 30
+		maxFillBytes = 16 << 10
+	)
+	site, id := allocSite(t, 2_100_000)
+	w := &nullWriter{hdr: make(http.Header)}
+	reqs := make([]*http.Request, 3)
+	for k := range reqs {
+		reqs[k] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/segment/%d/720p/%d", id, k), nil)
+	}
+	serve := func(i int) {
+		clear(w.hdr)
+		site.ServeHTTP(w, reqs[i%len(reqs)])
+		if w.status != http.StatusOK {
+			t.Fatalf("segment %d: status %d", i%len(reqs), w.status)
+		}
+	}
+	for i := range len(reqs) { // warm the route's instruments and the caches behind the edge
+		serve(i)
+	}
+	origin := site.reg.Counter("edge_segment_origin")
+	before := origin.Value()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range fills {
+		serve(i)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := origin.Value() - before; got != fills {
+		t.Fatalf("%d of %d requests filled from origin, want every one", got, fills)
+	}
+	perFill := (m1.TotalAlloc - m0.TotalAlloc) / fills
+	t.Logf("%d heap bytes per edge fill", perFill)
+	if perFill > maxFillBytes {
+		t.Errorf("an edge fill allocates %d heap bytes, want at most %d", perFill, maxFillBytes)
+	}
+}
+
 // TestAllocPageHandlers gates what a whole page request allocates — through
 // the middleware, the handler, the store reads and the page writer — on the
 // three pages a viewing session opens. The template interpreter these pages
@@ -132,7 +181,7 @@ func TestAllocStreamHandler(t *testing.T) {
 // related titles per request (a MoreLikeThis query and five row reads) cost
 // 55; a warm one reads them from the fleet's map.
 func TestAllocPageHandlers(t *testing.T) {
-	site, id := allocSite(t)
+	site, id := allocSite(t, 0)
 	// Five neighbours, so the watch page lists five related titles and the
 	// home page six recent ones, and a comment under the clip.
 	short, err := video.Generate(video.Spec{Codec: video.MPEG4, Res: video.R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000}, 8, 4)
