@@ -40,3 +40,38 @@ func TestAllocWarmEdgeHitZeroCopy(t *testing.T) {
 		t.Fatalf("warm edge hit allocates %v times/op; want 0", got)
 	}
 }
+
+// TestAllocWarmPinnedHitZeroCopy is the same gate on the path segments take:
+// an Acquire hit on pinned content, resolving its views to response slices,
+// and the Release that drops the response's reference.
+func TestAllocWarmPinnedHitZeroCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	c := New(Config{CapacityBytes: 1 << 20})
+	views := [][]byte{make([]byte, 256<<10), make([]byte, 100<<10)}
+	fill := func() (*Content, error) { return Pin(views, new(closeCounter), 512<<10), nil }
+	content, _, err := c.Acquire("seg/1/720p/0", fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content.Release()
+	var slices [][]byte
+	hit := func() {
+		content, src, err := c.Acquire("seg/1/720p/0", fill)
+		if err != nil || src != SourceHit {
+			t.Fatalf("warm entry: src=%v err=%v", src, err)
+		}
+		slices, err = content.AppendRangeSlices(slices[:0], 0, content.Size())
+		content.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm up: grow the slice header once
+		hit()
+	}
+	if got := testing.AllocsPerRun(512, hit); got != 0 {
+		t.Fatalf("warm pinned edge hit allocates %v times/op; want 0", got)
+	}
+}

@@ -68,6 +68,15 @@ func (r *Reader) Close() error {
 	return nil
 }
 
+// PinnedBytes reports the cache memory the reader's references hold: the
+// whole array of every extent it has handed out views of, a short extent's
+// too.
+func (r *Reader) PinnedBytes() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return int64(len(r.retained)) * extentSize
+}
+
 // blockIndex returns the index of the block containing file offset off
 // (len(r.blocks) when off is at or past EOF).
 func (r *Reader) blockIndex(off int64) int {
