@@ -100,7 +100,7 @@ func BenchmarkWriteFile(b *testing.B) {
 // BenchmarkStreamSeek replays a Flowplayer session over a multi-block file:
 // drag the time bar to a pseudo-random offset and resolve one 256 KiB Range
 // window to views of cached extents (Reader.AppendRangeSlices — what
-// stream.Serve hands to the response writer), a reader per window as
+// stream.ServeTagged hands to the response writer), a reader per window as
 // the site opens one per request. cold runs against a one-extent budget, so
 // nearly every window fills the one or two extents it overlaps; warm has the
 // file resident and performs no data copy at all — B/op tracks bookkeeping,

@@ -494,25 +494,25 @@ func (c *Client) OpenCtx(ctx context.Context, path string) (*Reader, error) {
 func (c *Client) open(path string) (*Reader, error) {
 	// One batched NameNode round trip resolves status and block layout
 	// together — the open-for-streaming path used to pay two.
-	st, blocks, err := c.cluster.nn.FileBlocks(path)
+	// A file of one block — every segment object — keeps its layout in the
+	// reader's own allocation.
+	r := &Reader{client: c}
+	st, blocks, err := c.cluster.nn.FileBlocks(path, r.inlineBlocks[:])
 	if err != nil {
 		return nil, err
 	}
 	if st.IsDir {
 		return nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
 	}
-	starts := make([]int64, len(blocks))
-	var size int64
-	for i, b := range blocks {
-		starts[i] = size
-		size += b.Length
+	r.blocks, r.starts = blocks, r.inlineStarts[:0]
+	if len(blocks) > len(r.inlineStarts) {
+		r.starts = make([]int64, 0, len(blocks))
 	}
-	return &Reader{
-		client: c,
-		blocks: blocks,
-		starts: starts,
-		size:   size,
-	}, nil
+	for _, b := range blocks {
+		r.starts = append(r.starts, r.size)
+		r.size += b.Length
+	}
+	return r, nil
 }
 
 // BlockLocations exposes a file's block layout — what the MapReduce

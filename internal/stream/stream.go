@@ -28,16 +28,18 @@ type SliceRanger interface {
 	AppendRangeSlices(dst [][]byte, off, length int64) ([][]byte, error)
 }
 
-// Serve answers a GET or HEAD with content — the paper's draggable time bar —
-// and returns the media body bytes it wrote.
+// ServeTagged answers a GET or HEAD with content — the paper's draggable time
+// bar — and returns the media body bytes it wrote. etag is the content's
+// current strong validator, ETag of the name that identifies its bytes and
+// its size; a caller that serves the same representation many times
+// computes it once.
 //
 // One Range policy: a single "bytes=" range that parseRange accepts is
 // answered 206, or 416 when none of it lies in the file. Every other Range —
 // several ranges, a malformed spec, an unknown unit — is ignored and the full
 // representation goes out as 200, which RFC 9110 §14.2 permits (and, for an
-// unknown unit, requires). So is a Range whose If-Range is not the current
-// validator, a strong ETag derived from name and size: the client's offsets
-// refer to another version (§13.1.5).
+// unknown unit, requires). So is a Range whose If-Range is not etag: the
+// client's offsets refer to another version (§13.1.5).
 //
 // The window is resolved to views of the content's storage before any header
 // is set. Content that cannot produce it yields a non-nil error with the
@@ -45,9 +47,8 @@ type SliceRanger interface {
 // a storage circuit breaker answers 503 + Retry-After). The views go out
 // without a copy through net.Buffers, which writes them one Write per view to
 // an http.ResponseWriter (it becomes a single writev only on a bare net.Conn).
-func Serve(w http.ResponseWriter, r *http.Request, name string, content SliceRanger) (int64, error) {
+func ServeTagged(w http.ResponseWriter, r *http.Request, etag string, content SliceRanger) (int64, error) {
 	size := content.Size()
-	etag := contentETag(name, size)
 	off, length, ranged := window(r, etag, size)
 	h := w.Header()
 	if off < 0 {
@@ -61,30 +62,60 @@ func Serve(w http.ResponseWriter, r *http.Request, name string, content SliceRan
 	if r.Method != http.MethodHead && length > 0 {
 		// The content's metadata may be reachable while the bytes of this
 		// window are not (a block whose every replica is down): find out
-		// while the status line can still say so.
+		// while the status line can still say so. HDFS-backed content hands
+		// out a view per 256 KiB extent, so room for that and one more at
+		// each end keeps the slice from growing.
 		var err error
-		if views, err = content.AppendRangeSlices(nil, off, length); err != nil {
+		if views, err = content.AppendRangeSlices(make([][]byte, 0, length>>18+2), off, length); err != nil {
 			return 0, err
 		}
 	}
-	// The paper streams H.264 in an MP4 container to Flowplayer, so the
-	// response carries the real media type (not the internal .vcf container
-	// extension).
-	h.Set("Content-Type", "video/mp4")
-	h.Set("ETag", etag)
 	status := http.StatusOK
 	if ranged {
 		status = http.StatusPartialContent
-		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
 	}
-	h.Set("Accept-Ranges", "bytes")
-	h.Set("Content-Length", strconv.FormatInt(length, 10))
+	setMediaHeaders(h, etag, off, length, size, ranged)
 	w.WriteHeader(status)
 	// A failed write is a client that went away; the response is committed
 	// and the content was fine, so it is not the caller's error.
 	bufs := net.Buffers(views)
 	n, _ := bufs.WriteTo(w)
 	return n, nil
+}
+
+// setMediaHeaders sets a media response's headers in two allocations: one
+// array backs every value, and one string holds the window's numbers. Each
+// value is a full slice expression of the array, so a later Add to one
+// header copies instead of overwriting its neighbour, and no response shares
+// a value slice with another. The keys are in canonical form, as Header.Set
+// would store them.
+func setMediaHeaders(h http.Header, etag string, off, length, size int64, ranged bool) {
+	var buf [96]byte
+	nums := buf[:0]
+	if ranged {
+		nums = append(nums, "bytes "...)
+		nums = strconv.AppendInt(nums, off, 10)
+		nums = append(nums, '-')
+		nums = strconv.AppendInt(nums, off+length-1, 10)
+		nums = append(nums, '/')
+		nums = strconv.AppendInt(nums, size, 10)
+	}
+	contentRange := len(nums)
+	nums = strconv.AppendInt(nums, length, 10)
+	str := string(nums)
+	// The paper streams H.264 in an MP4 container to Flowplayer, so the
+	// response carries the real media type (not the internal .vcf container
+	// extension).
+	v := new([5]string)
+	v[0], v[1], v[2], v[3] = "video/mp4", etag, "bytes", str[contentRange:]
+	h["Content-Type"] = v[0:1:1]
+	h["Etag"] = v[1:2:2]
+	h["Accept-Ranges"] = v[2:3:3]
+	h["Content-Length"] = v[3:4:4]
+	if ranged {
+		v[4] = str[:contentRange]
+		h["Content-Range"] = v[4:5:5]
+	}
 }
 
 // window picks the bytes a request is answered with: the single range it asks
@@ -102,13 +133,13 @@ func window(r *http.Request, etag string, size int64) (off, length int64, ranged
 	return 0, size, false
 }
 
-// contentETag derives a strong validator from what identifies a served
+// ETag derives a strong validator from what identifies a served
 // representation's bytes: the name the caller gives it and its size (a
 // published rendition's segment objects are written once and never rewritten
 // in place). It is FNV-1a over the name and the size's eight big-endian
 // bytes, quoted in sixteen hex digits, hashed and formatted in place so that
 // the string is its one allocation.
-func contentETag(name string, size int64) string {
+func ETag(name string, size int64) string {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -27,3 +27,20 @@ func TestAllocShardedSelect(t *testing.T) {
 		t.Errorf("an empty indexed Select over 4 shards allocates %.0f times, want at most %d", got, shardedSelectAllocs)
 	}
 }
+
+// TestAllocProject gates the projecting read the delivery handlers and the
+// page handlers make per request: the returned slice is its one allocation,
+// where Get's whole-row copy costs four.
+func TestAllocProject(t *testing.T) {
+	s := shardedVideos(t, 4, 40)
+	cols := []string{"id", "title", "uploader_id", "views"}
+	got := testing.AllocsPerRun(200, func() {
+		if vals, err := s.Project("videos", 7, cols); err != nil || vals[0] != int64(7) {
+			t.Fatalf("Project: %v, %v", vals, err)
+		}
+	})
+	t.Logf("a projection of 4 columns allocates %.0f times", got)
+	if got > 1 {
+		t.Errorf("a projection of 4 columns allocates %.0f times, want at most 1", got)
+	}
+}

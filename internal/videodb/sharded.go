@@ -275,6 +275,15 @@ func (s *ShardedDB) Get(table string, id int64) (Row, error) {
 	return row, err
 }
 
+// Project reads the row's named columns from its hash-owned shard.
+func (s *ShardedDB) Project(table string, id int64, cols []string) ([]any, error) {
+	shard := s.ShardOf(id)
+	start := time.Now()
+	vals, err := s.shards[shard].Project(table, id, cols)
+	s.observe(shard, start)
+	return vals, err
+}
+
 // Update modifies the row on its hash-owned shard, re-checking unique
 // columns fleet-wide first.
 func (s *ShardedDB) Update(table string, id int64, changes Row) error {

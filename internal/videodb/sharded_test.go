@@ -3,6 +3,7 @@ package videodb
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -433,5 +434,75 @@ func TestShardedConcurrent(t *testing.T) {
 	// Every increment counted: Add is a read-modify-write under the lock.
 	if row, _ := s.Get("videos", counted); row["views"] != int64(200) {
 		t.Fatalf("views after 200 concurrent Adds = %v", row["views"])
+	}
+}
+
+// TestProjectMatchesGet holds Project to Get, its oracle, on one store and a
+// sharded one: every projection of every row — including a column the row
+// lacks and a repeated one — reads what Get's copy holds, and writing to a
+// projection changes nothing stored.
+func TestProjectMatchesGet(t *testing.T) {
+	single := New()
+	if err := single.CreateTable("videos", videosSchema()...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := single.Insert("videos", Row{"title": fmt.Sprintf("video %d", i), "uploader_id": int64(i % 3), "views": int64(i * i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	projections := [][]string{
+		{"id", "title", "uploader_id", "views"},
+		{"views", "id"},
+		{"title", "no_such_column", "title"},
+		{},
+	}
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{{"DB", single}, {"ShardedDB", shardedVideos(t, 4, 20)}} {
+		rows, err := tc.store.Scan("videos", func(Row) bool { return true })
+		if err != nil || len(rows) != 20 {
+			t.Fatalf("%s: scan found %d rows, %v", tc.name, len(rows), err)
+		}
+		// Every projection is taken before any is checked, so one that
+		// shared its slice with a later one would read the later row.
+		type taken struct {
+			id   int64
+			cols []string
+			vals []any
+		}
+		var all []taken
+		for _, row := range rows {
+			for _, cols := range projections {
+				id := row["id"].(int64)
+				vals, err := tc.store.Project("videos", id, cols)
+				if err != nil {
+					t.Fatalf("%s: Project(%d, %q): %v", tc.name, id, cols, err)
+				}
+				all = append(all, taken{id, cols, vals})
+			}
+		}
+		for _, p := range all {
+			want, _ := tc.store.Get("videos", p.id)
+			if len(p.vals) != len(p.cols) {
+				t.Fatalf("%s: Project(%d, %q) = %v, want %d values", tc.name, p.id, p.cols, p.vals, len(p.cols))
+			}
+			for i, col := range p.cols {
+				if p.vals[i] != want[col] {
+					t.Fatalf("%s: Project(%d, %q)[%d] = %v, Get has %v", tc.name, p.id, p.cols, i, p.vals[i], want[col])
+				}
+				p.vals[i] = "overwritten"
+			}
+			if again, _ := tc.store.Get("videos", p.id); !maps.Equal(again, want) {
+				t.Fatalf("%s: writing to a projection of row %d changed it: %v, was %v", tc.name, p.id, again, want)
+			}
+		}
+		if _, err := tc.store.Project("videos", 999, []string{"id"}); !errors.Is(err, ErrNoRow) {
+			t.Fatalf("%s: Project of a missing row: %v, want ErrNoRow", tc.name, err)
+		}
+		if _, err := tc.store.Project("nope", 1, []string{"id"}); !errors.Is(err, ErrNoTable) {
+			t.Fatalf("%s: Project of a missing table: %v, want ErrNoTable", tc.name, err)
+		}
 	}
 }

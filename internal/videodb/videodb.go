@@ -68,6 +68,7 @@ type Store interface {
 	RawPut(table string, row Row) (int64, error)
 	RawPutAt(table string, id int64, row Row) error
 	Get(table string, id int64) (Row, error)
+	Project(table string, id int64, cols []string) ([]any, error)
 	Update(table string, id int64, changes Row) error
 	Add(table string, id int64, col string, delta int64) (int64, error)
 	Delete(table string, id int64) error
@@ -337,6 +338,29 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrNoRow, tableName, id)
 	}
 	return copyRow(row), nil
+}
+
+// Project returns the named columns of the row with the given id, in the
+// order cols names them; a column the row does not hold reads nil. Like Get
+// it returns a copy — changing the slice changes nothing stored — but it
+// copies only what the caller reads, in one allocation where a whole row
+// costs a map.
+func (db *DB) Project(tableName string, id int64, cols []string) ([]any, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, err := db.table(tableName)
+	if err != nil {
+		return nil, err
+	}
+	row, ok := t.rows[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s[%d]", ErrNoRow, tableName, id)
+	}
+	out := make([]any, len(cols))
+	for i, col := range cols {
+		out[i] = row[col]
+	}
+	return out, nil
 }
 
 func copyRow(r Row) Row {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -306,5 +309,69 @@ func TestABRSessionAgainstSite(t *testing.T) {
 	}
 	if !rep.EndReached || rep.Segments != 4 || rep.PlayedSeconds != 16 {
 		t.Fatalf("ABR session %+v", rep)
+	}
+}
+
+// TestRenditionMemoMatchesFresh holds the rendition memo to what /stream
+// computed per request before it, its oracle: video.SegmentLayout for the
+// layout, the whole-file copy's name, and ETag over that name and the
+// layout's size. The lookups draw from a random three-rung ladder, a few
+// titles and random catalog numbers, so the same (title, label) recurs with
+// other numbers and a memo whose key left an input out would answer stale.
+// Four goroutines share the memo, as a replica's requests do.
+func TestRenditionMemoMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	codecs := []video.Codec{video.H264, video.MPEG4, video.VP8, video.Theora}
+	resolutions := []video.Resolution{video.R360p, video.R480p, video.R720p, video.R1080p}
+	labels := []string{"a", "b", "c"}
+	ladder := make([]video.Spec, len(labels))
+	for i := range ladder {
+		ladder[i] = video.Spec{
+			Codec:      codecs[rng.IntN(len(codecs))],
+			Res:        resolutions[rng.IntN(len(resolutions))],
+			FPS:        []int{24, 25, 30}[rng.IntN(3)],
+			GOPSeconds: 1 + rng.IntN(4),
+			BitrateBps: 100_000 + rng.Int64N(4_000_000),
+		}
+	}
+	var memo renditionMemo
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for range 500 {
+				rung := rng.IntN(len(labels))
+				spec := ladder[rung]
+				key := renditionKey{
+					id:         1 + rng.Int64N(3),
+					duration:   rng.Int64N(121),
+					segSeconds: int64(spec.GOPSeconds * rng.IntN(5)),
+					label:      labels[rung],
+				}
+				got, err := memo.get(key, spec, rung == 0)
+				lay, wantErr := video.SegmentLayout(spec, int(key.duration), int(key.segSeconds))
+				if (err != nil) != (wantErr != nil) {
+					t.Errorf("%+v: memo error %v, SegmentLayout's %v", key, err, wantErr)
+					return
+				}
+				if err != nil {
+					continue
+				}
+				name := fmt.Sprintf("videos/%d-%s.vcf", key.id, key.label)
+				if rung == 0 {
+					name = fmt.Sprintf("videos/%d.vcf", key.id)
+				}
+				want := renditionMeta{lay: lay, name: name, etag: stream.ETag(name, lay.Size)}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v: memo has %+v, fresh is %+v", key, got, want)
+					return
+				}
+			}
+		}(rand.New(rand.NewPCG(3, uint64(g))))
+	}
+	wg.Wait()
+	if n := len(memo.m); n == 0 || n > maxRenditionMemo {
+		t.Fatalf("memo holds %d entries", n)
 	}
 }

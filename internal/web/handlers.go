@@ -58,14 +58,14 @@ func (s *Site) routes() *http.ServeMux {
 // access and fall back to the zero value so the page renders a placeholder
 // or a clean 500 instead.
 
-func logMalformed(row videodb.Row, col, want string) {
-	log.Printf("web: malformed row id=%v: column %q holds %T, want %s", row["id"], col, row[col], want)
+func logMalformed(id any, col string, v any, want string) {
+	log.Printf("web: malformed row id=%v: column %q holds %T, want %s", id, col, v, want)
 }
 
 func rowString(row videodb.Row, col string) string {
 	v, ok := row[col].(string)
 	if !ok {
-		logMalformed(row, col, "string")
+		logMalformed(row["id"], col, row[col], "string")
 	}
 	return v
 }
@@ -73,7 +73,7 @@ func rowString(row videodb.Row, col string) string {
 func rowInt(row videodb.Row, col string) int64 {
 	v, ok := row[col].(int64)
 	if !ok {
-		logMalformed(row, col, "int64")
+		logMalformed(row["id"], col, row[col], "int64")
 	}
 	return v
 }
@@ -81,10 +81,59 @@ func rowInt(row videodb.Row, col string) int64 {
 func rowBool(row videodb.Row, col string) bool {
 	v, ok := row[col].(bool)
 	if !ok {
-		logMalformed(row, col, "bool")
+		logMalformed(row["id"], col, row[col], "bool")
 	}
 	return v
 }
+
+// A projection is some columns of a title's row, read with videodb's
+// Project: vals[i] holds cols[i], and cols[0] is "id". Its accessors are the
+// tolerant reads rowString and rowInt are.
+type projection struct {
+	cols []string
+	vals []any
+}
+
+func (p projection) str(i int) string {
+	v, ok := p.vals[i].(string)
+	if !ok {
+		logMalformed(p.vals[0], p.cols[i], p.vals[i], "string")
+	}
+	return v
+}
+
+func (p projection) int(i int) int64 {
+	v, ok := p.vals[i].(int64)
+	if !ok {
+		logMalformed(p.vals[0], p.cols[i], p.vals[i], "int64")
+	}
+	return v
+}
+
+// project picks cols out of a row already read whole.
+func project(row videodb.Row, cols []string) projection {
+	p := projection{cols: cols, vals: make([]any, len(cols))}
+	for i, col := range cols {
+		p.vals[i] = row[col]
+	}
+	return p
+}
+
+// viewCols are the columns a title's pages show, indexed by the vc
+// constants: a watch page reads them all, a listing all but renditions.
+var viewCols = []string{"id", "status", "title", "description", "uploader_id", "duration_seconds", "views", "reports", "renditions"}
+
+const (
+	vcID = iota
+	vcStatus
+	vcTitle
+	vcDescription
+	vcUploader
+	vcDuration
+	vcViews
+	vcReports
+	vcRenditions
+)
 
 // render writes one page: the body is built whole in a pooled buffer, so the
 // response carries its length and nothing is sent before the page exists.
@@ -108,31 +157,32 @@ func (s *Site) render(w http.ResponseWriter, r *http.Request, v view) {
 	}
 }
 
-// rowTitle is a video row's title as every listing shows it.
-func rowTitle(row videodb.Row) string {
-	if title := rowString(row, "title"); title != "" {
-		return title
+// listedTitle is a title as every listing shows it.
+func listedTitle(title string) string {
+	if title == "" {
+		return "(untitled)"
 	}
-	return "(untitled)"
+	return title
 }
 
 func videoLinkOf(row videodb.Row) videoLink {
-	return videoLink{ID: rowInt(row, "id"), Title: rowTitle(row)}
+	return videoLink{ID: rowInt(row, "id"), Title: listedTitle(rowString(row, "title"))}
 }
 
-func (s *Site) videoView(row videodb.Row) videoView {
+// videoView reads a title's viewCols.
+func (s *Site) videoView(p projection) videoView {
 	// Tolerant read: rows from older binaries have no status column and
 	// render as ready.
-	status, _ := row["status"].(string)
+	status, _ := p.vals[vcStatus].(string)
 	return videoView{
 		Status:      status,
-		ID:          rowInt(row, "id"),
-		Title:       rowTitle(row),
-		Description: rowString(row, "description"),
-		Uploader:    s.userName(rowInt(row, "uploader_id"), "unknown"),
-		Duration:    rowInt(row, "duration_seconds"),
-		Views:       rowInt(row, "views"),
-		Reports:     rowInt(row, "reports"),
+		ID:          p.int(vcID),
+		Title:       listedTitle(p.str(vcTitle)),
+		Description: p.str(vcDescription),
+		Uploader:    s.userName(p.int(vcUploader), "unknown"),
+		Duration:    p.int(vcDuration),
+		Views:       p.int(vcViews),
+		Reports:     p.int(vcReports),
 	}
 }
 
@@ -169,10 +219,11 @@ func (s *Site) handleSuggest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Site) searchByIndex(q string) []videoView {
-	var out []videoView
-	for _, hit := range s.Index().Search(q, 25) {
-		if row, err := s.db.Get("videos", hit.Doc); err == nil {
-			out = append(out, s.videoView(row))
+	hits := s.Index().Search(q, 25)
+	out := make([]videoView, 0, len(hits))
+	for _, hit := range hits {
+		if vals, err := s.db.Project("videos", hit.Doc, viewCols); err == nil {
+			out = append(out, s.videoView(projection{viewCols, vals}))
 		}
 	}
 	return out
@@ -379,10 +430,19 @@ func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, descr
 // unpublish to purge every cached copy of it.
 func canonicalNumber(s string) bool { return s == "0" || s[0] >= '1' && s[0] <= '9' }
 
-func (s *Site) videoByRequest(r *http.Request) (videodb.Row, error) {
+// videoIDOf parses the request's {id}.
+func videoIDOf(r *http.Request) (int64, error) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil || !canonicalNumber(r.PathValue("id")) {
-		return nil, fmt.Errorf("web: bad video id %q", r.PathValue("id"))
+		return 0, fmt.Errorf("web: bad video id %q", r.PathValue("id"))
+	}
+	return id, nil
+}
+
+func (s *Site) videoByRequest(r *http.Request) (videodb.Row, error) {
+	id, err := videoIDOf(r)
+	if err != nil {
+		return nil, err
 	}
 	sp := trace.FromContext(r.Context()).StartChild("db.get")
 	row, err := s.db.Get("videos", id)
@@ -393,22 +453,38 @@ func (s *Site) videoByRequest(r *http.Request) (videodb.Row, error) {
 	return row, err
 }
 
+// projectByRequest reads cols of the request's {id}: what a page or a
+// delivery handler shows of a title, without copying the rest of its row.
+func (s *Site) projectByRequest(r *http.Request, cols []string) (projection, error) {
+	id, err := videoIDOf(r)
+	if err != nil {
+		return projection{}, err
+	}
+	sp := trace.FromContext(r.Context()).StartChild("db.get")
+	vals, err := s.db.Project("videos", id, cols)
+	if err != nil {
+		sp.SetError(err)
+	}
+	sp.End()
+	return projection{cols, vals}, err
+}
+
 func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
-	row, err := s.videoByRequest(r)
+	p, err := s.projectByRequest(r, viewCols)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	id := rowInt(row, "id")
-	v := view{Page: "watch", Title: rowString(row, "title"), Video: s.videoView(row)}
+	id := p.int(vcID)
+	v := view{Page: "watch", Title: p.str(vcTitle), Video: s.videoView(p)}
 	// Counted in the store, under its lock: concurrent viewers all count.
 	// A drifted row that holds no integer keeps its placeholder.
 	if views, err := s.db.Add("videos", id, "views", 1); err == nil {
 		v.Video.Views = views
 	}
-	v.Qualities = strings.Split(rowString(row, "renditions"), ",")
+	v.Qualities = strings.Split(p.str(vcRenditions), ",")
 	if u := s.currentUser(r); u != nil {
-		v.Owner = u["id"] == row["uploader_id"] || rowBool(u, "admin")
+		v.Owner = u["id"] == p.vals[vcUploader] || rowBool(u, "admin")
 	}
 	// Related videos (§IV-A "related ranking methods").
 	v.Related = s.relatedVideos(id)
@@ -533,7 +609,7 @@ func (s *Site) handleMy(w http.ResponseWriter, r *http.Request) {
 	rows, _ := s.db.Select("videos", "uploader_id", rowInt(user, "id"))
 	v := view{Page: "my", Title: "My videos"}
 	for _, row := range rows {
-		v.Hits = append(v.Hits, s.videoView(row))
+		v.Hits = append(v.Hits, s.videoView(project(row, viewCols)))
 	}
 	s.render(w, r, v)
 }
@@ -554,7 +630,7 @@ func (s *Site) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		return reports > 0
 	})
 	for _, row := range reported {
-		v.Hits = append(v.Hits, s.videoView(row))
+		v.Hits = append(v.Hits, s.videoView(project(row, viewCols)))
 	}
 	s.render(w, r, v)
 }

@@ -45,18 +45,33 @@ func nextRequestID() string {
 	return string(b[:])
 }
 
-// ridKey keys the request ID in a request context.
+// ridKey keys the request's state in its context.
 type ridKey struct{}
 
-func withRequestID(ctx context.Context, rid string) context.Context {
-	return context.WithValue(ctx, ridKey{}, rid)
+// requestState is what the middleware keeps for one request, in one
+// allocation. It is the request's context: it answers for its ID and passes
+// every other value, its deadline and its cancellation through to the
+// connection's context it wraps. It holds the status recorder the handler
+// writes through and the backing of the X-Request-Id header value.
+type requestState struct {
+	context.Context
+	id    string
+	idHdr [1]string
+	rec   statusRecorder
+}
+
+func (rs *requestState) Value(key any) any {
+	if key == (ridKey{}) {
+		return rs
+	}
+	return rs.Context.Value(key)
 }
 
 // requestIDFrom returns the request's ID ("-" when the middleware did not
 // run, e.g. direct handler tests).
 func requestIDFrom(ctx context.Context) string {
-	if rid, ok := ctx.Value(ridKey{}).(string); ok {
-		return rid
+	if rs, ok := ctx.Value(ridKey{}).(*requestState); ok {
+		return rs.id
 	}
 	return "-"
 }
@@ -167,6 +182,10 @@ func (w *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer, for
+// its write deadlines among others.
+func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps a handler with the serving-path middleware: admission
 // control (shed with 503 over the in-flight limit), per-request IDs echoed
 // as X-Request-ID, a root trace span per sampled request, per-route request/
@@ -176,12 +195,16 @@ func (s *Site) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	rm := s.metricsFor(route)
 	shed := s.reg.Counter("http_shed")
 	globalInflight := s.reg.Gauge("http_inflight")
+	spanName := "web." + route
 	return func(w http.ResponseWriter, r *http.Request) {
-		rid := nextRequestID()
+		rs := &requestState{Context: r.Context(), id: nextRequestID()}
+		rs.rec.ResponseWriter = w
+		rid := rs.id
 		// Stored under its canonical key, which is what Header().Set would
 		// spend an allocation per request working out; Header.Get finds it
 		// under any spelling.
-		w.Header()["X-Request-Id"] = []string{rid}
+		rs.idHdr[0] = rid
+		w.Header()["X-Request-Id"] = rs.idHdr[:]
 		n := s.inflightNow.Add(1)
 		if n > maxInFlight {
 			s.inflightNow.Add(-1)
@@ -192,14 +215,14 @@ func (s *Site) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		globalInflight.Set(n)
 		rm.inflight.Add(1)
 		rm.requests.Inc()
-		ctx, sp := s.tracer.StartSpan(withRequestID(r.Context(), rid), "web."+route)
+		ctx, sp := s.tracer.StartSpan(rs, spanName)
 		if sp != nil {
 			sp.Annotate("request_id", rid)
 			sp.Annotate("method", r.Method)
 			sp.Annotate("path", r.URL.Path)
 		}
 		r = r.WithContext(ctx)
-		sw := &statusRecorder{ResponseWriter: w}
+		sw := &rs.rec
 		start := time.Now()
 		defer func() {
 			if p := recover(); p != nil {

@@ -1,6 +1,9 @@
 package web
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -116,4 +119,120 @@ func TestPanicRecovery(t *testing.T) {
 		}
 	}
 	t.Fatal("no route stats for boom")
+}
+
+// TestResponseControllerReachesConnection: a handler behind the middleware,
+// and behind the stream pacer's writer too, sets its connection's write
+// deadline through http.ResponseController, which reaches the connection's
+// writer through each wrapper's Unwrap. Without it the controller answers
+// http.ErrNotSupported.
+func TestResponseControllerReachesConnection(t *testing.T) {
+	site, _ := newSite(t)
+	paced := newPacer(1 << 30)
+	for _, tc := range []struct {
+		route string
+		wrap  func(http.ResponseWriter) http.ResponseWriter
+	}{
+		{"deadline", func(w http.ResponseWriter) http.ResponseWriter { return w }},
+		{"paced_deadline", func(w http.ResponseWriter) http.ResponseWriter { return pacedWriter{ResponseWriter: w, p: paced} }},
+	} {
+		srv := httptest.NewServer(site.instrument(tc.route, func(w http.ResponseWriter, r *http.Request) {
+			w = tc.wrap(w)
+			if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			io.WriteString(w, "deadline set")
+		}))
+		resp, err := http.Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != "deadline set" {
+			t.Errorf("%s: SetWriteDeadline through the middleware: %d %s", tc.route, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestRequestStateIsTheRequestContext holds the middleware's per-request
+// state to the context.WithValue chain it replaced: it answers for the
+// request ID, passes every other value and its parent's deadline through,
+// and is canceled when its parent is, with a context derived from it.
+// Through instrument on a live connection, a handler sees the client going
+// away and the ID it was answered with.
+func TestRequestStateIsTheRequestContext(t *testing.T) {
+	type otherKey struct{}
+	deadline := time.Now().Add(time.Hour)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), otherKey{}, "kept"), deadline)
+	rs := &requestState{Context: parent, id: "0123456789abcdef"}
+	child, cancelChild := context.WithCancel(rs)
+	defer cancelChild()
+	if got := requestIDFrom(child); got != rs.id {
+		t.Fatalf("request ID through a derived context = %q, want %q", got, rs.id)
+	}
+	if got := child.Value(otherKey{}); got != "kept" {
+		t.Fatalf("a parent's value through the request state = %v", got)
+	}
+	if d, ok := rs.Deadline(); !ok || !d.Equal(deadline) {
+		t.Fatalf("deadline = %v, %v; want the parent's %v", d, ok, deadline)
+	}
+	if requestIDFrom(context.Background()) != "-" {
+		t.Fatal("a context without request state has an ID")
+	}
+	select {
+	case <-child.Done():
+		t.Fatal("canceled before its parent was")
+	default:
+	}
+	cancel()
+	for _, ctx := range []context.Context{rs, child} {
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("not canceled with its parent")
+		}
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			t.Fatalf("Err = %v, want context.Canceled", ctx.Err())
+		}
+	}
+
+	site, _ := newSite(t)
+	type seen struct {
+		id, header string
+		err        error
+	}
+	started, result := make(chan struct{}), make(chan seen, 1)
+	srv := httptest.NewServer(site.instrument("cancel", func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		got := seen{id: requestIDFrom(r.Context()), header: w.Header().Get("X-Request-Id")}
+		select {
+		case <-r.Context().Done():
+			got.err = r.Context().Err()
+		case <-time.After(10 * time.Second):
+		}
+		result <- got
+	}))
+	defer srv.Close()
+	ctx, cancelReq := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-started
+	cancelReq()
+	got := <-result
+	if !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("the handler's context after the client left: %v, want context.Canceled", got.err)
+	}
+	if len(got.id) != 16 || got.id != got.header {
+		t.Fatalf("request ID %q, X-Request-Id %q: want the same 16 hex digits", got.id, got.header)
+	}
 }

@@ -80,3 +80,6 @@ func (w pacedWriter) Flush() {
 		f.Flush()
 	}
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w pacedWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

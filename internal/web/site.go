@@ -6,8 +6,8 @@
 // mount into HDFS (fusebridge), distributed FFmpeg conversion on upload
 // (video.Farm), Nutch-style index search (search.Index), and seekable
 // H.264 playback over HTTP ranges: /stream and /segment both answer through
-// stream.Serve, which serves one byte range or the whole representation
-// straight from cache memory.
+// stream.ServeTagged, which serves one byte range or the whole
+// representation straight from cache memory.
 package web
 
 import (
@@ -183,10 +183,12 @@ type Site struct {
 	streamPacer *pacer
 
 	// Segmented-delivery state (delivery.go, live.go): the per-replica edge
-	// cache and the publish-time segmentation parameters.
+	// cache, the publish-time segmentation parameters and the memo of what
+	// serving a rendition's whole file needs.
 	edge       *edge.Cache
 	segSeconds int
 	liveTTL    time.Duration
+	renditions renditionMemo
 
 	// hdfsBreaker fails streaming fast while the store is down
 	// (breaker.go).
@@ -198,7 +200,7 @@ type Site struct {
 	// caches video id -> owning tenant for egress attribution on the warm
 	// segment path (no database read per cached hit).
 	tmu            sync.Mutex
-	tenantCounters map[string]*metrics.Counter
+	tenantCounters map[tenantCounterKey]*metrics.Counter
 	videoTenant    map[int64]string
 }
 

@@ -160,29 +160,35 @@ func (s *Site) admitUpload(ten *tenant.Tenant, srcBytes int, srcSecs int) (*admi
 // churn cannot grow the registry without bound.
 const maxTenantLabels = 32
 
+// tenantCounterKey names a per-tenant instrument in a replica's map: a
+// comparable struct, so a metered response builds no key string.
+type tenantCounterKey struct{ what, tenant string }
+
 // tenantCounter returns the bounded per-tenant instrument
 // "tenant_<name>_<what>".
 func (s *Site) tenantCounter(what, tenantName string) *metrics.Counter {
-	key := what + "\x00" + tenantName
+	key := tenantCounterKey{what, tenantName}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	if s.tenantCounters == nil {
-		s.tenantCounters = make(map[string]*metrics.Counter)
+		s.tenantCounters = make(map[tenantCounterKey]*metrics.Counter)
 	}
 	if c, ok := s.tenantCounters[key]; ok {
 		return c
 	}
 	if len(s.tenantCounters) >= maxTenantLabels {
-		tenantName = "other"
-		key = what + "\x00other"
+		key.tenant = "other"
 		if c, ok := s.tenantCounters[key]; ok {
 			return c
 		}
 	}
-	c := s.reg.Counter(fmt.Sprintf("tenant_%s_%s", tenantName, what))
+	c := s.reg.Counter(fmt.Sprintf("tenant_%s_%s", key.tenant, what))
 	s.tenantCounters[key] = c
 	return c
 }
+
+// tenantCol is the one column ownerTenant reads of a title.
+var tenantCol = []string{"tenant"}
 
 // ownerTenant resolves which tenant owns video id, for egress attribution.
 // The answer is cached per replica so the warm segment path (edge-cache
@@ -194,8 +200,8 @@ func (s *Site) ownerTenant(id int64) string {
 	if ok {
 		return name
 	}
-	if row, err := s.db.Get("videos", id); err == nil {
-		name, _ = row["tenant"].(string) // "" is the default tenant (meterEgress)
+	if vals, err := s.db.Project("videos", id, tenantCol); err == nil {
+		name, _ = vals[0].(string) // "" is the default tenant (meterEgress)
 	}
 	s.tmu.Lock()
 	if len(s.videoTenant) > 1<<16 { // bound the attribution cache

@@ -2,6 +2,7 @@ package web
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -365,5 +366,40 @@ func TestSessionUploadMetersDefaultTenant(t *testing.T) {
 	}
 	if got := egress("GET", "bytes=100-199", http.StatusServiceUnavailable); got != 0 {
 		t.Fatalf("a refused window meters %v egress bytes, want 0", got)
+	}
+}
+
+// TestTenantCounterOverflowsToOther: a replica keeps per-tenant instruments
+// for at most maxTenantLabels (what, tenant) pairs; a tenant past the bound
+// shares its what's "other" instrument, and a tenant already labelled keeps
+// its own.
+func TestTenantCounterOverflowsToOther(t *testing.T) {
+	site, _ := newSite(t)
+	reg := site.Metrics()
+	labelled := func() int {
+		site.tmu.Lock()
+		defer site.tmu.Unlock()
+		return len(site.tenantCounters)
+	}
+	for i := 0; labelled() < maxTenantLabels; i++ {
+		name := fmt.Sprintf("t%d", i)
+		if c := site.tenantCounter("egress_bytes", name); c != reg.Counter("tenant_"+name+"_egress_bytes") {
+			t.Fatalf("tenant %s under the bound shares an instrument", name)
+		}
+	}
+	if c := site.tenantCounter("egress_bytes", "late"); c != reg.Counter("tenant_other_egress_bytes") {
+		t.Fatal("a tenant past the bound has its own egress instrument, want the shared other")
+	}
+	if c := site.tenantCounter("requests", "later"); c != reg.Counter("tenant_other_requests") {
+		t.Fatal("a tenant past the bound has its own requests instrument, want the shared other")
+	}
+	if site.tenantCounter("egress_bytes", "late2") != site.tenantCounter("egress_bytes", "late") {
+		t.Fatal("two tenants past the bound do not share other")
+	}
+	if c := site.tenantCounter("egress_bytes", "t0"); c != reg.Counter("tenant_t0_egress_bytes") {
+		t.Fatal("a labelled tenant lost its instrument once the bound was reached")
+	}
+	if n := labelled(); n != maxTenantLabels+2 {
+		t.Fatalf("%d labels held, want the bound plus the two other instruments", n)
 	}
 }
