@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"videocloud/internal/metrics"
@@ -43,15 +44,7 @@ func E2ParallelTranscode() *metrics.Table {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: farm: %v", err))
 		}
-		identical := len(res.Output) == len(whole.Output)
-		if identical {
-			for i := range res.Output {
-				if res.Output[i] != whole.Output[i] {
-					identical = false
-					break
-				}
-			}
-		}
+		identical := bytes.Equal(res.Output, whole.Output)
 		check(identical, "E2: %d-node output differs from single-node conversion", n)
 		sp := res.Speedup()
 		wallMs := float64(res.WallDuration.Milliseconds())

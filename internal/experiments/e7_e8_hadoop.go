@@ -72,8 +72,10 @@ func E7HDFSReplication() *metrics.Table {
 	return t
 }
 
-// wordFile writes an ~nBytes text corpus and returns its true word counts.
-func wordFile(c *hdfs.Cluster, path string, nBytes int) map[string]int {
+// wordCorpus returns an ~nBytes text corpus and its true word counts. It
+// is seeded, so every call returns the same corpus: an experiment builds it
+// once and stores it in each cluster it runs.
+func wordCorpus(nBytes int) ([]byte, map[string]int) {
 	words := []string{"cloud", "video", "kvm", "hadoop", "nutch", "stream",
 		"virtual", "machine", "nebula", "ffmpeg"}
 	rng := rand.New(rand.NewSource(13))
@@ -90,10 +92,14 @@ func wordFile(c *hdfs.Cluster, path string, nBytes int) map[string]int {
 		}
 	}
 	b.WriteByte('\n')
-	if err := c.Client("").WriteFile(path, []byte(b.String()), 2); err != nil {
+	return []byte(b.String()), counts
+}
+
+// storeCorpus writes corpus to path in c with two replicas.
+func storeCorpus(c *hdfs.Cluster, path string, corpus []byte) {
+	if err := c.Client("").WriteFile(path, corpus, 2); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return counts
 }
 
 func wordCount(inputs []string) mapred.Job {
@@ -137,9 +143,10 @@ func E8MapReduceScaling() *metrics.Table {
 		TaskOverhead:  100 * time.Millisecond,
 		MapThroughput: 30e6, NetBandwidth: 40e6,
 	}
-	run := func(n int, disableLocality bool) (*mapred.JobResult, map[string]int) {
+	corpus, want := wordCorpus(corpusBytes)
+	run := func(n int, disableLocality bool) *mapred.JobResult {
 		c := hdfs.NewCluster(n, 1<<20)
-		want := wordFile(c, "/corpus.txt", corpusBytes)
+		storeCorpus(c, "/corpus.txt", corpus)
 		trackers := make([]string, n)
 		for i := range trackers {
 			trackers[i] = fmt.Sprintf("dn%d", i)
@@ -154,11 +161,11 @@ func E8MapReduceScaling() *metrics.Table {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		return res, want
+		return res
 	}
 	var base, prev float64
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		res, want := run(n, false)
+		res := run(n, false)
 		// Correctness at every scale.
 		got := map[string]int{}
 		for _, kv := range res.Output {
@@ -178,8 +185,8 @@ func E8MapReduceScaling() *metrics.Table {
 		t.AddRow(n, "on", len(res.MapTasks), local, secs(res.Duration), base/secs(res.Duration))
 	}
 	// Ablation: locality off at 8 trackers.
-	resOn, _ := run(8, false)
-	resOff, _ := run(8, true)
+	resOn := run(8, false)
+	resOff := run(8, true)
 	t.AddRow(8, "off", len(resOff.MapTasks),
 		float64(resOff.LocalMaps)/float64(len(resOff.MapTasks)),
 		secs(resOff.Duration), base/secs(resOff.Duration))

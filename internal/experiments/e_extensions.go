@@ -64,9 +64,10 @@ func E8bSpeculativeExecution() *metrics.Table {
 	t := metrics.NewTable("E8b — speculative execution vs a 4x-degraded node",
 		"cluster", "speculative", "backups", "job_s")
 	const corpusBytes = 16 << 20
+	corpus, _ := wordCorpus(corpusBytes)
 	run := func(degraded, speculative bool) *mapred.JobResult {
 		c := hdfs.NewCluster(4, 1<<20)
-		wordFile(c, "/corpus.txt", corpusBytes)
+		storeCorpus(c, "/corpus.txt", corpus)
 		cfg := mapred.Config{
 			TaskOverhead:  100 * time.Millisecond,
 			MapThroughput: 30e6, NetBandwidth: 40e6,

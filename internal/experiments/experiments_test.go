@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // wantRows is the row count each registered experiment's table must have;
 // -1 leaves it open (E13's layers depend on what the traced requests
@@ -30,10 +34,16 @@ var wantRows = map[string]int{
 	"E17": 5,
 }
 
+// goldenTables are the experiments every column of whose table is modelled,
+// so the table is the same on every run and host: TestRegistry compares it
+// byte for byte with testdata/<id>.golden, and a faster tier-1 cannot come
+// from shrinking one of them.
+var goldenTables = map[string]bool{"E6b": true, "E8": true, "E8b": true}
+
 // TestRegistry runs every registered experiment by id (`go test -run
 // 'TestRegistry/E15'`): the harness panics on a shape violation — the gates
-// live there and only there — and the table must have its title and the
-// recorded number of rows.
+// live there and only there — and the table must have its title, the
+// recorded number of rows and, for goldenTables, the recorded bytes.
 func TestRegistry(t *testing.T) {
 	for _, e := range Registry {
 		t.Run(e.ID, func(t *testing.T) {
@@ -52,6 +62,15 @@ func TestRegistry(t *testing.T) {
 			}
 			if want >= 0 && tbl.Rows() != want {
 				t.Fatalf("%s: %d rows, want %d\n%s", e.ID, tbl.Rows(), want, tbl)
+			}
+			if goldenTables[e.ID] {
+				golden, err := os.ReadFile(filepath.Join("testdata", e.ID+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tbl.String(); got != string(golden) {
+					t.Fatalf("%s: table differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s", e.ID, e.ID, got, golden)
+				}
 			}
 		})
 	}

@@ -9,6 +9,7 @@
 package image
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -107,26 +108,6 @@ func (img *Image) ReadBlock(idx int64) ([]byte, error) {
 	return out, nil
 }
 
-// WriteBlock stores new content for block idx in this image's local layer.
-// data must be exactly BlockSize bytes.
-func (img *Image) WriteBlock(idx int64, data []byte) error {
-	if idx < 0 || idx >= img.Blocks() {
-		return fmt.Errorf("image: block %d out of range [0,%d)", idx, img.Blocks())
-	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("image: write of %d bytes, want %d", len(data), BlockSize)
-	}
-	cp := make([]byte, BlockSize)
-	copy(cp, data)
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if img.written == nil {
-		img.written = make(map[int64][]byte)
-	}
-	img.written[idx] = cp
-	return nil
-}
-
 // Catalog is the image repository (OpenNebula's image datastore; OpenStack
 // calls the equivalent Glance).
 type Catalog struct {
@@ -179,52 +160,37 @@ func (c *Catalog) Clone(base, name string) (*Image, error) {
 	return img, nil
 }
 
-// FullClone creates an independent raw copy of base, materialising every
-// block (including COW-inherited ones). It is the expensive provisioning
-// path E6b compares against Clone.
+// FullClone creates an independent raw copy of base, the expensive
+// provisioning path E6b compares against Clone. The copy takes the pristine
+// content of base's chain from the chain's root seed and a copy of every
+// block written anywhere in the chain, the nearest layer's write winning, so
+// it costs the written blocks, not the image's size. The catalog lists the
+// copy only once it is complete.
 func (c *Catalog) FullClone(base, name string) (*Image, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	parent, ok := c.images[base]
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, base)
 	}
 	if _, dup := c.images[name]; dup {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicate, name)
 	}
-	img := &Image{Name: name, Format: Raw, Size: parent.Size, seed: parent.seed}
-	c.images[name] = img
-	c.mu.Unlock()
-
-	// Materialise blocks that differ from the seed-pristine content
-	// anywhere in parent's chain.
-	for idx := int64(0); idx < parent.Blocks(); idx++ {
-		b, err := parent.ReadBlock(idx)
-		if err != nil {
-			return nil, err
-		}
-		want := make([]byte, BlockSize)
-		img.pristine(idx, want)
-		if !equalBlocks(b, want) {
-			if err := img.WriteBlock(idx, b); err != nil {
-				return nil, err
+	img := &Image{Name: name, Format: Raw, Size: parent.Size, written: make(map[int64][]byte)}
+	for layer := parent; layer != nil; {
+		layer.mu.RLock()
+		for idx, b := range layer.written {
+			if _, nearer := img.written[idx]; !nearer {
+				img.written[idx] = bytes.Clone(b)
 			}
 		}
+		img.seed = layer.seed
+		next := layer.backing
+		layer.mu.RUnlock()
+		layer = next
 	}
+	c.images[name] = img
 	return img, nil
-}
-
-func equalBlocks(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the named image.
