@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"videocloud/internal/core"
-	"videocloud/internal/hdfs"
 	"videocloud/internal/nebula"
 	"videocloud/internal/tenant"
 	"videocloud/internal/trace"
@@ -116,7 +115,7 @@ func main() {
 	}
 
 	if *selfheal {
-		vc.StartSelfHealing(hdfs.HealerConfig{})
+		vc.StartSelfHealing()
 		log.Printf("videocloud: self-healing armed (host heartbeats + HDFS healer)")
 	}
 	if *elasticMax > 0 {

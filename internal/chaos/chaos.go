@@ -280,8 +280,8 @@ func (in *Injector) WorkerCrashHook(p float64, limit int) func(node string, segm
 	}
 }
 
-// TaskCrashHook returns a mapred.Config.TaskFaultHook that fails attempts
-// with probability p, at most limit times total.
+// TaskCrashHook returns a task-fault hook for mapred.Engine.InjectFaults
+// that fails attempts with probability p, at most limit times total.
 func (in *Injector) TaskCrashHook(p float64, limit int) func(phase, tracker string, taskID, attempt int) error {
 	return func(phase, tracker string, taskID, attempt int) error {
 		in.mu.Lock()
@@ -313,7 +313,7 @@ func (in *Injector) ReviveTracker(name string) {
 	in.HealedByTarget(TrackerDeath, name)
 }
 
-// TrackerAlive is the liveness oracle to plug into mapred.Config.
+// TrackerAlive is the liveness oracle to plug into mapred.Engine.InjectFaults.
 func (in *Injector) TrackerAlive(name string) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -12,7 +12,6 @@ import (
 
 	"videocloud/internal/chaos"
 	"videocloud/internal/hdfs"
-	"videocloud/internal/mapred"
 	"videocloud/internal/nebula"
 	"videocloud/internal/stream"
 	"videocloud/internal/tenant"
@@ -90,45 +89,36 @@ func TestChaosSoak(t *testing.T) {
 		uploads, seconds = 3, 8
 	}
 
-	// Two paying tenants own the soak's catalog; after every fault below the
-	// usage ledger must still balance to the byte for both of them.
-	tenants := tenant.NewRegistry()
-	tenA, err := tenants.Create("soak-a", 2, tenant.Quota{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenB, err := tenants.Create("soak-b", 1, tenant.Quota{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The injector is created after boot (it needs the assembled stack), but
-	// the MapReduce engine's fault knobs are boot-time config — so the
-	// oracle and hook late-bind through these variables.
-	var in *chaos.Injector
-	var taskHook func(phase, tracker string, taskID, attempt int) error
 	vc := boot(t, Config{
-		PhysicalHosts: 5, DataVMs: 4, Replication: 3,
-		Tenants: tenants,
+		PhysicalHosts: 5, DataVMs: 4,
 		// Always-on tracing: every failed-then-recovered operation below must
 		// come out of the soak as a stored trace carrying its fault story.
 		Trace: trace.Options{Enabled: true},
-		MapRed: mapred.Config{
-			TrackerAlive: func(tr string) bool {
-				return in == nil || in.TrackerAlive(tr)
-			},
-			TaskFaultHook: func(phase, tr string, id, attempt int) error {
-				if taskHook == nil {
-					return nil
-				}
-				return taskHook(phase, tr, id, attempt)
-			},
-		},
 	})
 	defer vc.Close()
-	in = chaos.New(soakSeed(), chaos.Targets{
+	in := chaos.New(soakSeed(), chaos.Targets{
 		Cloud: vc.Cloud(), Cluster: vc.HDFS(), Network: vc.Cloud().Network(),
 	})
+	// The injector's tracker oracle rules MapReduce liveness; the task-crash
+	// hook is armed later, before the re-index job, through taskHook.
+	var taskHook func(phase, tracker string, taskID, attempt int) error
+	vc.engine.InjectFaults(in.TrackerAlive, func(phase, tr string, id, attempt int) error {
+		if taskHook == nil {
+			return nil
+		}
+		return taskHook(phase, tr, id, attempt)
+	})
+
+	// Two paying tenants own the soak's catalog; after every fault below the
+	// usage ledger must still balance to the byte for both of them.
+	tenA, err := vc.Tenants().Create("soak-a", 2, tenant.Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenB, err := vc.Tenants().Create("soak-b", 1, tenant.Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// ---- workload: upload the catalog, snapshot the stored bytes ----
 	s := newSession(t, vc)
@@ -167,12 +157,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	vc.StartSelfHealing(hdfs.HealerConfig{
-		Interval: 5 * time.Millisecond,
-		OnDataNodeDead: func(node string, since time.Duration) {
-			in.DetectedByTarget(chaos.DataNodeCrash, node)
-		},
-	})
+	vc.StartSelfHealing()
 	defer vc.StopSelfHealing()
 
 	// ---- fault 1: silent host crash ----
@@ -213,7 +198,13 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Detection is the healer's MarkDead: the NameNode stops counting the
+	// node alive.
 	waitUntil(t, 10*time.Second, "datanode death detection", func() bool {
+		return !vc.HDFS().NameNode().IsAlive(f2.Target)
+	})
+	in.MarkDetected(f2)
+	waitUntil(t, 10*time.Second, "datanode death counted", func() bool {
 		return vc.Healer().Stats().DataNodesDetectedDead >= 1
 	})
 	waitUntil(t, 30*time.Second, "re-replication after datanode crash", func() bool {

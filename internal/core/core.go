@@ -41,18 +41,16 @@ const gb = int64(1) << 30
 const blockSize = 4 << 20
 
 // Config sizes the deployment. The zero value builds the paper's small
-// testbed: four physical nodes, three DataNode VMs, one web VM.
+// testbed: four physical nodes, three DataNode VMs, one web VM. Every
+// field is one some deployment sets (cmd/videocloud, the experiments, the
+// benchmark); the rest of the testbed is fixed: 8-core, 16 GiB hosts, HDFS
+// replication min(3, DataVMs), the tenant registry VideoCloud.Tenants
+// returns, and nebula's, hdfs's and mapred's recovery constants.
 type Config struct {
 	// PhysicalHosts is the size of the host pool (default 4).
 	PhysicalHosts int
 	// DataVMs is the number of DataNode/TaskTracker VMs (default 3).
 	DataVMs int
-	// HostCores / HostMemoryBytes size each physical node (default
-	// 8 cores / 16 GiB).
-	HostCores       int
-	HostMemoryBytes int64
-	// Replication is the HDFS replication factor (default min(3, DataVMs)).
-	Replication int
 	// BlockCacheBytes budgets the shared, refcounted HDFS extent cache every
 	// read goes through (<= 0 selects hdfs.DefaultBlockCacheBytes).
 	BlockCacheBytes int64
@@ -61,8 +59,6 @@ type Config struct {
 	// TranscodeWorkers is each frontend's share of the upload conversion
 	// pool (default 1; see web.Config.TranscodeWorkers).
 	TranscodeWorkers int
-	// TranscodeQueueCap bounds the fleet's one transcode intake queue.
-	TranscodeQueueCap int
 	// Frontends is the number of web-server replicas behind the ingress
 	// balancer (default 1: the paper's single web VM; >1 builds the
 	// scale-out serving fleet E14 measures).
@@ -83,27 +79,22 @@ type Config struct {
 	// LiveEdgeTTL bounds how stale a cached playlist may be — the live
 	// viewer's segment-discovery latency (default 200ms).
 	LiveEdgeTTL time.Duration
-	// Recovery tunes host failure detection and VM auto-restart (zero
-	// values select the nebula defaults; arm detection with
-	// StartSelfHealing).
-	Recovery nebula.RecoveryOptions
-	// MapRed tunes the MapReduce engine, including its fault-tolerance
-	// knobs (task retries, tracker liveness) — the chaos soak plugs its
-	// injector in here.
-	MapRed mapred.Config
 	// Trace configures the distributed tracer shared by every layer (web
 	// middleware roots, transcode queue, farm, HDFS I/O, MapReduce
 	// attempts, VM lifecycles). The zero value builds a disabled tracer
 	// that costs nothing until Tracer().SetEnabled(true).
 	Trace trace.Options
-	// Tenants is the multi-tenant control plane: API tokens, quotas,
-	// weighted-fair shares, and the usage ledger. Nil builds a fresh
-	// registry holding only the default (unlimited) tenant, so a
-	// single-tenant deployment pays nothing. The registry is threaded
-	// through every layer: web admission and WFQ, HDFS write metering,
-	// and VM quota gating in the orchestrator.
-	Tenants *tenant.Registry
 }
+
+// Each physical node's size: 8 cores and 16 GiB.
+const (
+	hostCores       = 8
+	hostMemoryBytes = 16 * gb
+)
+
+// replication is the HDFS replication factor: Hadoop's 3, or every DataNode
+// when there are fewer.
+func (c Config) replication() int { return min(3, c.DataVMs) }
 
 func (c Config) withDefaults() Config {
 	if c.PhysicalHosts == 0 {
@@ -112,26 +103,11 @@ func (c Config) withDefaults() Config {
 	if c.DataVMs == 0 {
 		c.DataVMs = 3
 	}
-	if c.HostCores == 0 {
-		c.HostCores = 8
-	}
-	if c.HostMemoryBytes == 0 {
-		c.HostMemoryBytes = 16 * gb
-	}
-	if c.Replication == 0 {
-		c.Replication = 3
-	}
-	if c.Replication > c.DataVMs {
-		c.Replication = c.DataVMs
-	}
 	if c.Frontends == 0 {
 		c.Frontends = 1
 	}
 	if c.MetadataShards == 0 {
 		c.MetadataShards = 1
-	}
-	if c.Tenants == nil {
-		c.Tenants = tenant.NewRegistry()
 	}
 	return c
 }
@@ -148,6 +124,12 @@ type VideoCloud struct {
 	reg    *metrics.Registry
 	healer *hdfs.Healer
 	tracer *trace.Tracer
+	// tenants is the multi-tenant control plane: API tokens, quotas,
+	// weighted-fair shares, and the usage ledger. It starts with only the
+	// default (unlimited) tenant, so a single-tenant deployment pays
+	// nothing, and is threaded through every layer: web admission and WFQ,
+	// HDFS write metering, and VM quota gating in the orchestrator.
+	tenants *tenant.Registry
 
 	elastic    *nebula.ElasticController
 	rebalancer *nebula.Rebalancer
@@ -172,21 +154,21 @@ var ErrNotReady = errors.New("core: service group did not become ready")
 // MapReduce over the same VMs, the FUSE mount, and the website.
 func New(cfg Config) (*VideoCloud, error) {
 	cfg = cfg.withDefaults()
-	vc := &VideoCloud{cfg: cfg, reg: metrics.NewRegistry()}
+	vc := &VideoCloud{cfg: cfg, reg: metrics.NewRegistry(), tenants: tenant.NewRegistry()}
 	vc.tracer = trace.New(cfg.Trace)
 
 	// ---- IaaS: hosts + image + service group ----
-	vc.cloud = nebula.New(nebula.Options{Recovery: cfg.Recovery})
+	vc.cloud = nebula.New(nebula.Options{})
 	// Attach the tracer before the service group is submitted so the boot
 	// of every service VM is captured as a nebula.vm trace.
 	vc.cloud.SetTracer(vc.tracer)
 	// Owned VM submissions (Template.Owner != "") pass quota admission and
 	// meter vm-seconds into the tenant ledger. The stack's own service
 	// group is unowned infrastructure and bypasses the gate.
-	vc.cloud.SetTenantGate(tenant.VMGate{Reg: cfg.Tenants})
+	vc.cloud.SetTenantGate(tenant.VMGate{Reg: vc.tenants})
 	for i := 1; i <= cfg.PhysicalHosts; i++ {
 		name := fmt.Sprintf("node%d", i)
-		if _, err := vc.cloud.AddHost(name, cfg.HostCores, 1e9, cfg.HostMemoryBytes, 500*gb); err != nil {
+		if _, err := vc.cloud.AddHost(name, hostCores, 1e9, hostMemoryBytes, 500*gb); err != nil {
 			return nil, err
 		}
 	}
@@ -235,7 +217,7 @@ func New(cfg Config) (*VideoCloud, error) {
 	vc.hdfs.SetBlockCacheCapacity(cfg.BlockCacheBytes)
 	// Every HDFS write is attributed to the writing context's tenant in
 	// the ledger (uploads thread the tenant through web → queue → store).
-	reg := cfg.Tenants
+	reg := vc.tenants
 	vc.hdfs.SetWriteMeter(func(ctx context.Context, path string, n int64) {
 		name := ""
 		if ten, _, ok := tenant.FromContext(ctx); ok {
@@ -256,24 +238,23 @@ func New(cfg Config) (*VideoCloud, error) {
 		vc.hdfs.AddDataNodeRack(rec.Name(), "/"+rec.HostName)
 		trackers = append(trackers, rec.Name())
 	}
-	vc.engine, err = mapred.NewEngine(vc.hdfs, trackers, cfg.MapRed)
+	vc.engine, err = mapred.NewEngine(vc.hdfs, trackers, mapred.Config{})
 	if err != nil {
 		return nil, err
 	}
-	vc.mount, err = fusebridge.New(vc.hdfs.Client(""), "/videocloud", cfg.Replication)
+	vc.mount, err = fusebridge.New(vc.hdfs.Client(""), "/videocloud", cfg.replication())
 	if err != nil {
 		return nil, err
 	}
 
 	// ---- SaaS: the website, converting uploads on the data VMs ----
 	webCfg := web.Config{
-		Tenants:               cfg.Tenants,
+		Tenants:               vc.tenants,
 		Store:                 vc.mount,
 		Farm:                  video.Farm{Nodes: trackers},
 		AdminUser:             cfg.AdminUser,
 		AdminPassword:         cfg.AdminPassword,
 		TranscodeWorkers:      cfg.TranscodeWorkers,
-		TranscodeQueueCap:     cfg.TranscodeQueueCap,
 		StreamRateBytesPerSec: cfg.StreamRateBytesPerSec,
 		SegmentSeconds:        cfg.SegmentSeconds,
 		EdgeCacheBytes:        cfg.EdgeCacheBytes,
@@ -309,7 +290,7 @@ func (vc *VideoCloud) Sites() []*web.Site { return vc.tier.Sites }
 func (vc *VideoCloud) Handler() http.Handler { return vc.tier.Handler() }
 
 // Tenants returns the multi-tenant control plane (tokens, quotas, ledger).
-func (vc *VideoCloud) Tenants() *tenant.Registry { return vc.cfg.Tenants }
+func (vc *VideoCloud) Tenants() *tenant.Registry { return vc.tenants }
 
 // Tracer returns the stack-wide distributed tracer.
 func (vc *VideoCloud) Tracer() *trace.Tracer { return vc.tracer }
@@ -402,7 +383,7 @@ func (vc *VideoCloud) reindexSpan(ctx context.Context, docs []search.Document) (
 	vc.reindexGen++
 	dir := fmt.Sprintf("/corpus/gen-%d", vc.reindexGen)
 	shard := len(docs)/len(vc.dataVMIDs) + 1
-	paths, err := search.WriteCorpus(vc.hdfs.Client(""), dir, docs, shard, vc.cfg.Replication)
+	paths, err := search.WriteCorpus(vc.hdfs.Client(""), dir, docs, shard, vc.cfg.replication())
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +391,7 @@ func (vc *VideoCloud) reindexSpan(ctx context.Context, docs []search.Document) (
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.SaveSegment(vc.hdfs.Client(""), "/videocloud-index/segment", vc.cfg.Replication); err != nil {
+	if err := ix.SaveSegment(vc.hdfs.Client(""), "/videocloud-index/segment", vc.cfg.replication()); err != nil {
 		return nil, err
 	}
 	vc.site.ReplaceIndex(ix)
@@ -420,17 +401,17 @@ func (vc *VideoCloud) reindexSpan(ctx context.Context, docs []search.Document) (
 }
 
 // StartSelfHealing arms both recovery loops: the orchestrator's heartbeat
-// host-failure detector (virtual time; tuned by Config.Recovery) and the
-// storage tier's liveness/re-replication healer (wall clock; tuned by hcfg).
-// While armed, the heartbeat is a periodic simulation event, so drive the
-// cloud with RunFor rather than WaitIdle. Idempotent: re-arming restarts
-// the HDFS healer with the new config.
-func (vc *VideoCloud) StartSelfHealing(hcfg hdfs.HealerConfig) {
+// host-failure detector (virtual time) and the storage tier's
+// liveness/re-replication healer (wall clock). Their timing and budgets are
+// nebula's and hdfs's constants. While armed, the heartbeat is a periodic
+// simulation event, so drive the cloud with RunFor rather than WaitIdle.
+// Idempotent: re-arming restarts the HDFS healer.
+func (vc *VideoCloud) StartSelfHealing() {
 	vc.cloud.Monitor().EnableFailureDetection()
 	if vc.healer != nil {
 		vc.healer.Stop()
 	}
-	vc.healer = vc.hdfs.StartHealer(hcfg)
+	vc.healer = vc.hdfs.StartHealer()
 	vc.reg.Counter("selfheal_armed").Inc()
 }
 
@@ -602,7 +583,7 @@ func (vc *VideoCloud) Status() Status {
 	}
 	st.Edge = vc.edgeStats()
 	st.Elastic = vc.elasticStatus(ts)
-	st.Tenants = vc.cfg.Tenants.StatusAll()
+	st.Tenants = vc.tenants.StatusAll()
 	return st
 }
 

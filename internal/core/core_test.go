@@ -319,7 +319,7 @@ func TestDataNodeRacksArePhysicalHosts(t *testing.T) {
 }
 
 func TestConfigScaling(t *testing.T) {
-	vc := boot(t, Config{PhysicalHosts: 6, DataVMs: 5, Replication: 3})
+	vc := boot(t, Config{PhysicalHosts: 6, DataVMs: 5})
 	st := vc.Status()
 	if len(st.DataNodes) != 5 || st.Hosts != 6 {
 		t.Fatalf("status = %+v", st)
@@ -330,8 +330,8 @@ func TestConfigScaling(t *testing.T) {
 }
 
 func TestBootFailsWhenCapacityInsufficient(t *testing.T) {
-	// One tiny host cannot fit the group.
-	_, err := New(Config{PhysicalHosts: 1, DataVMs: 8, HostCores: 2, HostMemoryBytes: 4 * gb})
+	// One host cannot fit the group.
+	_, err := New(Config{PhysicalHosts: 1, DataVMs: 8})
 	if err == nil {
 		t.Fatal("impossible deployment booted")
 	}

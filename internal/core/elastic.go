@@ -18,33 +18,28 @@ import (
 	"videocloud/internal/web"
 )
 
-// ElasticConfig tunes the elastic transcode fleet. Zero values select the
-// documented defaults.
+// ElasticConfig bounds the elastic transcode fleet. The control loop's
+// cooldowns, step, guard hold and drain deadline are nebula.ElasticOptions'
+// and nebula.DrainOptions' defaults, and the rebalancer's are nebula's.
 type ElasticConfig struct {
 	// MinFarmVMs / MaxFarmVMs bound the elastic fleet on top of the static
 	// data VMs (defaults 0 / 2×PhysicalHosts).
 	MinFarmVMs, MaxFarmVMs int
-	// InstanceCapacity is the transcode demand (queued + in-flight
-	// conversions) one farm VM absorbs (default 2).
-	InstanceCapacity float64
-	// Interval is the control-loop tick in virtual time (default 500ms).
-	Interval time.Duration
-	// DrainDeadline bounds graceful scale-down; past it in-flight
-	// conversions are expelled and retried elsewhere (default 30s virtual).
-	DrainDeadline time.Duration
-	// OutCooldown / InCooldown / GuardHold / MaxStep pass through to
-	// nebula.ElasticOptions (see its docs for defaults).
-	OutCooldown, InCooldown time.Duration
-	GuardHold               time.Duration
-	MaxStep                 int
 	// RebalanceInterval enables the host-load rebalancer when positive.
 	RebalanceInterval time.Duration
-	// RebalanceSpread is the max−min host memory-fraction gap the
-	// rebalancer tolerates (default 0.25); RebalanceBudget caps live
-	// migrations per pass (default 2).
-	RebalanceSpread float64
-	RebalanceBudget int
+
+	// rebalanceSpread is the max−min host memory-fraction gap the
+	// rebalancer tolerates: 0 selects its default, a test tightens it.
+	rebalanceSpread float64
 }
+
+const (
+	// farmVMCapacity is the transcode demand (queued + in-flight
+	// conversions) one farm VM absorbs.
+	farmVMCapacity = 2
+	// elasticInterval is the control-loop tick in virtual time.
+	elasticInterval = 500 * time.Millisecond
+)
 
 // FarmVMPrefix names elastic transcode VMs (instances are farmnode-<id>).
 const FarmVMPrefix = "farmnode"
@@ -58,12 +53,6 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 	}
 	if cfg.MaxFarmVMs == 0 {
 		cfg.MaxFarmVMs = 2 * vc.cfg.PhysicalHosts
-	}
-	if cfg.InstanceCapacity == 0 {
-		cfg.InstanceCapacity = 2
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 500 * time.Millisecond
 	}
 
 	tpl := nebula.Template{
@@ -79,15 +68,11 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 	ctrl, err := nebula.NewElasticController(vc.cloud, nebula.ElasticOptions{
 		Template: tpl,
 		Min:      cfg.MinFarmVMs, Max: cfg.MaxFarmVMs,
-		InstanceCapacity: cfg.InstanceCapacity,
+		InstanceCapacity: farmVMCapacity,
 		// The static data VMs convert too; their capacity is the base the
 		// fleet adds to, so an idle system scales to MinFarmVMs, not Max.
-		BaseCapacity: cfg.InstanceCapacity * float64(len(vc.dataVMIDs)),
-		MaxStep:      cfg.MaxStep,
-		OutCooldown:  cfg.OutCooldown, InCooldown: cfg.InCooldown,
-		GuardHold: cfg.GuardHold,
+		BaseCapacity: farmVMCapacity * float64(len(vc.dataVMIDs)),
 		Drain: nebula.DrainOptions{
-			Deadline: cfg.DrainDeadline,
 			InFlight: farm.FarmNodeInFlight,
 			OnDrain:  farm.DrainFarmNode,
 			OnExpire: func(name string) { farm.ExpelFarmNode(name) },
@@ -99,15 +84,12 @@ func (vc *VideoCloud) StartElastic(cfg ElasticConfig) error {
 	if err != nil {
 		return err
 	}
-	if err := ctrl.Start(cfg.Interval); err != nil {
+	if err := ctrl.Start(elasticInterval); err != nil {
 		return err
 	}
 	vc.elastic = ctrl
 	if cfg.RebalanceInterval > 0 {
-		vc.rebalancer = nebula.NewRebalancer(vc.cloud, cfg.RebalanceSpread, cfg.RebalanceBudget)
-		if cfg.GuardHold > 0 {
-			vc.rebalancer.GuardHold = cfg.GuardHold
-		}
+		vc.rebalancer = nebula.NewRebalancer(vc.cloud, cfg.rebalanceSpread)
 		vc.rebalancer.Start(cfg.RebalanceInterval)
 	}
 	vc.reg.Counter("elastic_armed").Inc()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"videocloud/internal/hdfs"
 	"videocloud/internal/trace"
 )
 
@@ -47,30 +46,23 @@ func TestElasticChaos(t *testing.T) {
 	}
 	vc := boot(t, Config{
 		PhysicalHosts: 5, DataVMs: 3, Frontends: 2,
-		TranscodeWorkers: 2, TranscodeQueueCap: uploads + 4,
-		Trace: trace.Options{Enabled: true},
+		TranscodeWorkers: 2,
+		Trace:            trace.Options{Enabled: true},
 	})
 	defer vc.Close()
 
 	if err := vc.StartElastic(ElasticConfig{
 		MinFarmVMs: 0, MaxFarmVMs: 4,
-		InstanceCapacity:  2,
-		Interval:          250 * time.Millisecond,
-		OutCooldown:       time.Second,
-		InCooldown:        5 * time.Second,
-		GuardHold:         10 * time.Second,
-		DrainDeadline:     20 * time.Second,
-		MaxStep:           2,
 		RebalanceInterval: time.Second,
-		RebalanceSpread:   0.1,
-		RebalanceBudget:   2,
+		// The default 0.25 gap tolerates the spread a fresh host leaves.
+		rebalanceSpread: 0.1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := vc.StartElastic(ElasticConfig{}); err == nil {
 		t.Fatal("double StartElastic accepted")
 	}
-	vc.StartSelfHealing(hdfs.HealerConfig{Interval: 5 * time.Millisecond})
+	vc.StartSelfHealing()
 	defer vc.StopSelfHealing()
 
 	// ---- flash crowd: a 10x upload burst hits the async intake ----

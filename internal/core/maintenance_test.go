@@ -77,8 +77,8 @@ func TestRollingMaintenanceSkipsUnevacuatableHosts(t *testing.T) {
 // A host whose guests could not leave was not serviced, even though its
 // evacuation started cleanly: here every copy misses a 1ms deadline.
 func TestRollingMaintenanceReportsResidentsAsSkipped(t *testing.T) {
-	vc := boot(t, Config{PhysicalHosts: 5, DataVMs: 3,
-		Recovery: nebula.RecoveryOptions{MigrationDeadline: time.Millisecond}})
+	vc := boot(t, Config{PhysicalHosts: 5, DataVMs: 3})
+	vc.Cloud().SetMigrationDeadline(time.Millisecond)
 	rep, err := vc.RollingMaintenance()
 	if err != nil {
 		t.Fatal(err)

@@ -70,8 +70,6 @@ type Config struct {
 	// at least half the memory its pin holds (keys and bookkeeping are not
 	// counted; entries dominate).
 	CapacityBytes int64
-	// Now is a clock hook for TTL tests; defaults to time.Now.
-	Now func() time.Time
 }
 
 // Stats is a point-in-time snapshot of cache behaviour.
@@ -112,7 +110,7 @@ type Cache struct {
 	head    entry // sentinel: head.next is MRU, head.prev is LRU
 	sketch  *cmSketch
 	flights map[string]*flight
-	now     func() time.Time
+	now     func() time.Time // time.Now; a TTL test steps its own clock
 	stats   Stats
 }
 
@@ -125,10 +123,7 @@ func New(cfg Config) *Cache {
 		// Roughly one counter per cacheable object (newSketch keeps a floor).
 		sketch:  newSketch(int(cfg.CapacityBytes / 4096)),
 		flights: make(map[string]*flight),
-		now:     cfg.Now,
-	}
-	if c.now == nil {
-		c.now = time.Now
+		now:     time.Now,
 	}
 	c.head.next = &c.head
 	c.head.prev = &c.head

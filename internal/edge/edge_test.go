@@ -91,7 +91,8 @@ func TestSingleFlightCollapsesConcurrentMisses(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	clock := time.Unix(0, 0)
-	c := New(Config{CapacityBytes: 1 << 20, Now: func() time.Time { return clock }})
+	c := New(Config{CapacityBytes: 1 << 20})
+	c.now = func() time.Time { return clock }
 	c.GetOrFill("live", 50*time.Millisecond, fillWith(make([]byte, 10)))
 	if _, ok := c.Get("live"); !ok {
 		t.Fatal("fresh TTL entry missing")

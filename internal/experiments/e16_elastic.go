@@ -337,7 +337,7 @@ func runElasticity() ElasticReport {
 		panic(err)
 	}
 	_, _, rep.SpreadBefore = c2.HostLoadSpread()
-	reb := nebula.NewRebalancer(c2, 0.15, 2)
+	reb := nebula.NewRebalancer(c2, 0.15)
 	for pass := 0; pass < 8; pass++ {
 		moved := reb.PassNow()
 		c2.WaitIdle()

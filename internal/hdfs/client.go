@@ -369,14 +369,6 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 	return c.ReadFileCtx(context.Background(), path)
 }
 
-// ReadFileInto is ReadFile reusing dst's backing array when it is large
-// enough (growing it otherwise) — the steady-state form for callers that
-// re-read files in a loop (MapReduce splits, transcode inputs), which
-// otherwise pay a full buffer allocation and zeroing per read.
-func (c *Client) ReadFileInto(path string, dst []byte) ([]byte, error) {
-	return c.readFileInto(context.Background(), path, dst)
-}
-
 // ReadFileCtx is ReadFile under an hdfs.read_file span parented from ctx;
 // each block fetch nests an hdfs.read_block child recording per-replica
 // errors and failovers.

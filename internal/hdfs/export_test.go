@@ -10,6 +10,14 @@ import (
 	"videocloud/internal/trace"
 )
 
+// ReadFileInto is ReadFile reusing dst's backing array when it is large
+// enough (growing it otherwise) — the steady-state form for callers that
+// re-read files in a loop, which otherwise pay a full buffer allocation and
+// zeroing per read.
+func (c *Client) ReadFileInto(path string, dst []byte) ([]byte, error) {
+	return c.readFileInto(context.Background(), path, dst)
+}
+
 // Capacity returns the resident-byte budget.
 func (c *BlockCache) Capacity() int64 {
 	c.mu.Lock()

@@ -22,48 +22,22 @@ import (
 // (Cluster.replicate) by the same code RepairAll uses — and re-absorbs
 // rejoining nodes' replicas.
 
-// HealerConfig tunes the background healing loop. Zero values select the
-// defaults documented per field. All times are wall clock — the storage
-// tier runs on real goroutines, not the virtual-time kernel.
-type HealerConfig struct {
-	// Interval is the poll period for liveness and repair scans
-	// (default 20ms).
-	Interval time.Duration
-	// MissThreshold is how many consecutive down polls declare a DataNode
-	// dead (default 3).
-	MissThreshold int
-	// Concurrency bounds parallel repair copies (default 4).
-	Concurrency int
-	// MaxAttempts caps repair attempts per block before giving up until
-	// the next under-replication scan re-queues it (default 5).
-	MaxAttempts int
-	// Backoff delays a block's retry after a failed copy, doubling per
-	// attempt (default 50ms).
-	Backoff time.Duration
-
-	// OnDataNodeDead, if set, observes each death declaration with the
-	// time since the node was first seen down.
-	OnDataNodeDead func(node string, sinceDown time.Duration)
-}
-
-func (c HealerConfig) withDefaults() HealerConfig {
-	if c.Interval == 0 {
-		c.Interval = 20 * time.Millisecond
-	}
-	if c.MissThreshold == 0 {
-		c.MissThreshold = 3
-	}
-	if c.Concurrency == 0 {
-		c.Concurrency = 4
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 5
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	return c
-}
+// The healing loop's timing and budgets. All times are wall clock — the
+// storage tier runs on real goroutines, not the virtual-time kernel.
+const (
+	// healerInterval is the poll period for liveness and repair scans.
+	healerInterval = 20 * time.Millisecond
+	// deadPolls consecutive down polls declare a DataNode dead.
+	deadPolls = 3
+	// repairConcurrency bounds parallel repair copies.
+	repairConcurrency = 4
+	// repairAttempts caps repair attempts per block before giving up until
+	// the next under-replication scan re-queues it.
+	repairAttempts = 5
+	// repairBackoff delays a block's retry after a failed copy, doubling
+	// per attempt.
+	repairBackoff = 50 * time.Millisecond
+)
 
 // repairState tracks one under-replicated block through the healer.
 type repairState struct {
@@ -76,8 +50,12 @@ type repairState struct {
 // Healer is the background failure detector and re-replication worker for
 // one cluster. Create with Cluster.StartHealer, stop with Stop.
 type Healer struct {
-	c   *Cluster
-	cfg HealerConfig
+	c *Cluster
+	// interval, polls and backoff are healerInterval, deadPolls and
+	// repairBackoff; the package's tests shorten them.
+	interval time.Duration
+	polls    int
+	backoff  time.Duration
 
 	stop chan struct{}
 	done chan struct{}
@@ -92,9 +70,14 @@ type Healer struct {
 // StartHealer launches the healing loop and returns its handle. The caller
 // owns the handle and must Stop it; running two healers on one cluster is
 // safe but pointless.
-func (c *Cluster) StartHealer(cfg HealerConfig) *Healer {
+func (c *Cluster) StartHealer() *Healer {
+	return c.startHealer(healerInterval, deadPolls, repairBackoff)
+}
+
+// startHealer is StartHealer with the loop's timing as parameters.
+func (c *Cluster) startHealer(interval time.Duration, polls int, backoff time.Duration) *Healer {
 	h := &Healer{
-		c: c, cfg: cfg.withDefaults(),
+		c: c, interval: interval, polls: polls, backoff: backoff,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		downPolls: make(map[string]int),
@@ -132,7 +115,7 @@ func (h *Healer) Stop() {
 
 func (h *Healer) run() {
 	defer close(h.done)
-	ticker := time.NewTicker(h.cfg.Interval)
+	ticker := time.NewTicker(h.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -146,7 +129,7 @@ func (h *Healer) run() {
 	}
 }
 
-// pollLiveness is one detection tick: a node down for MissThreshold
+// pollLiveness is one detection tick: a node down for h.polls
 // consecutive polls is declared dead to the NameNode (its blocks turn up in
 // the next under-replication scan); a node back up while the NameNode thinks
 // it dead is rejoined and its surviving replicas re-announced.
@@ -177,7 +160,7 @@ func (h *Healer) pollLiveness() {
 				h.firstDown[name] = time.Now()
 			}
 			h.downPolls[name]++
-			declared := h.downPolls[name] >= h.cfg.MissThreshold
+			declared := h.downPolls[name] >= h.polls
 			var sinceDown time.Duration
 			if declared {
 				sinceDown = time.Since(h.firstDown[name])
@@ -187,9 +170,6 @@ func (h *Healer) pollLiveness() {
 				nn.MarkDead(name)
 				h.c.reg.Counter("datanodes_detected_dead").Inc()
 				h.c.reg.Histogram("dn_detect_seconds").Observe(sinceDown.Seconds())
-				if h.cfg.OnDataNodeDead != nil {
-					h.cfg.OnDataNodeDead(name, sinceDown)
-				}
 			}
 		case !down && !alive:
 			// Rejoin: re-register and announce surviving replicas so the
@@ -220,7 +200,7 @@ func (h *Healer) gatherWork() {
 }
 
 // dispatchRepairs starts repair copies for due blocks, bounded by
-// cfg.Concurrency across ticks.
+// repairConcurrency across ticks.
 func (h *Healer) dispatchRepairs() {
 	now := time.Now()
 	h.mu.Lock()
@@ -230,7 +210,7 @@ func (h *Healer) dispatchRepairs() {
 			inFlight++
 		}
 	}
-	budget := h.cfg.Concurrency - inFlight
+	budget := repairConcurrency - inFlight
 	var due []BlockID
 	for id, st := range h.pending {
 		if !st.inFlight && !st.nextTry.After(now) {
@@ -306,13 +286,13 @@ func (h *Healer) retryLater(id BlockID, countAttempt bool) {
 	st.inFlight = false
 	if countAttempt {
 		st.attempts++
-		if st.attempts >= h.cfg.MaxAttempts {
+		if st.attempts >= repairAttempts {
 			delete(h.pending, id)
 			h.c.reg.Counter("repairs_abandoned").Inc()
 			return
 		}
 	}
-	backoff := h.cfg.Backoff << st.attempts
+	backoff := h.backoff << st.attempts
 	if backoff > 5*time.Second || backoff <= 0 {
 		backoff = 5 * time.Second
 	}

@@ -8,11 +8,7 @@ import (
 
 // fastHealer returns a healer tuned for test latency.
 func fastHealer(c *Cluster) *Healer {
-	return c.StartHealer(HealerConfig{
-		Interval:      2 * time.Millisecond,
-		MissThreshold: 2,
-		Backoff:       5 * time.Millisecond,
-	})
+	return c.startHealer(2*time.Millisecond, 2, 5*time.Millisecond)
 }
 
 // waitUntil polls cond for up to 5s of wall clock.

@@ -58,54 +58,11 @@ type Image struct {
 	clones  int
 }
 
-// Blocks returns the number of blocks in the image.
-func (img *Image) Blocks() int64 { return img.Size / BlockSize }
-
 // Backing returns the backing image for COW clones, nil for raw images.
 func (img *Image) Backing() *Image {
 	img.mu.RLock()
 	defer img.mu.RUnlock()
 	return img.backing
-}
-
-// pristine fills dst with the deterministic base content of block idx.
-func (img *Image) pristine(idx int64, dst []byte) {
-	// xorshift64* keyed by (seed, block): stable, cheap, and distinct per
-	// block so tests can detect cross-block mixups.
-	x := img.seed ^ uint64(idx+1)*0x2545f4914f6cdd1d
-	for i := 0; i < len(dst); i += 8 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		v := x
-		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] = byte(v)
-			v >>= 8
-		}
-	}
-}
-
-// ReadBlock returns the content of block idx, following the backing chain
-// for blocks this image has not written locally.
-func (img *Image) ReadBlock(idx int64) ([]byte, error) {
-	if idx < 0 || idx >= img.Blocks() {
-		return nil, fmt.Errorf("image: block %d out of range [0,%d)", idx, img.Blocks())
-	}
-	img.mu.RLock()
-	if b, ok := img.written[idx]; ok {
-		out := make([]byte, BlockSize)
-		copy(out, b)
-		img.mu.RUnlock()
-		return out, nil
-	}
-	backing := img.backing
-	img.mu.RUnlock()
-	if backing != nil {
-		return backing.ReadBlock(idx)
-	}
-	out := make([]byte, BlockSize)
-	img.pristine(idx, out)
-	return out, nil
 }
 
 // Catalog is the image repository (OpenNebula's image datastore; OpenStack

@@ -28,14 +28,12 @@ func checkCounts(t *testing.T, res *JobResult, want map[string]int) {
 // Transient task crashes (first attempt of every map) must be retried and
 // leave the result untouched.
 func TestTaskRetrySurvivesTransientFaults(t *testing.T) {
-	c, e := rig(t, 4, Config{
-		TrackerMaxFailures: 1000, // faults here are not the trackers' fault
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
-			if phase == "map" && attempt == 0 {
-				return errors.New("injected crash")
-			}
-			return nil
-		},
+	c, e := rig(t, 4, Config{trackerMaxFailures: 1000}) // faults here are not the trackers' fault
+	e.InjectFaults(nil, func(phase, tracker string, taskID, attempt int) error {
+		if phase == "map" && attempt == 0 {
+			return errors.New("injected crash")
+		}
+		return nil
 	})
 	want := corpus(t, c, "/in/a.txt", 2000)
 	res, err := e.Run(wordCountJob([]string{"/in/a.txt"}, ""))
@@ -49,14 +47,11 @@ func TestTaskRetrySurvivesTransientFaults(t *testing.T) {
 }
 
 // A task that fails every attempt must abort the job with ErrTaskFailed once
-// MaxTaskAttempts is spent — not loop forever.
+// maxTaskAttempts is spent — not loop forever.
 func TestTaskAttemptsExhausted(t *testing.T) {
-	c, e := rig(t, 3, Config{
-		MaxTaskAttempts:    3,
-		TrackerMaxFailures: 1000,
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
-			return errors.New("poison split")
-		},
+	c, e := rig(t, 3, Config{maxTaskAttempts: 3, trackerMaxFailures: 1000})
+	e.InjectFaults(nil, func(phase, tracker string, taskID, attempt int) error {
+		return errors.New("poison split")
 	})
 	corpus(t, c, "/in/a.txt", 200)
 	_, err := e.Run(wordCountJob([]string{"/in/a.txt"}, ""))
@@ -68,15 +63,12 @@ func TestTaskAttemptsExhausted(t *testing.T) {
 // A tracker whose attempts keep failing must be blacklisted; the job then
 // completes on the remaining trackers.
 func TestTrackerBlacklisted(t *testing.T) {
-	c, e := rig(t, 4, Config{
-		TrackerMaxFailures: 2,
-		MaxTaskAttempts:    6,
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
-			if tracker == "dn0" {
-				return errors.New("flaky node")
-			}
-			return nil
-		},
+	c, e := rig(t, 4, Config{trackerMaxFailures: 2, maxTaskAttempts: 6})
+	e.InjectFaults(nil, func(phase, tracker string, taskID, attempt int) error {
+		if tracker == "dn0" {
+			return errors.New("flaky node")
+		}
+		return nil
 	})
 	want := corpus(t, c, "/in/a.txt", 3000)
 	res, err := e.Run(wordCountJob([]string{"/in/a.txt"}, "/out"))
@@ -106,9 +98,9 @@ func TestDeadTrackerStrandsCompletedMaps(t *testing.T) {
 	// first attempt has completed on it, so stranded output exists.
 	var dn1Dead bool
 	dn1Attempts := 0
-	cfg := Config{
-		TrackerAlive: func(tr string) bool { return !(tr == "dn1" && dn1Dead) },
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
+	c, e := rig(t, 4, Config{})
+	e.InjectFaults(func(tr string) bool { return !(tr == "dn1" && dn1Dead) },
+		func(phase, tracker string, taskID, attempt int) error {
 			// Observe progress only; never inject a failure.
 			if phase == "map" && tracker == "dn1" {
 				dn1Attempts++
@@ -117,9 +109,7 @@ func TestDeadTrackerStrandsCompletedMaps(t *testing.T) {
 				}
 			}
 			return nil
-		},
-	}
-	c, e := rig(t, 4, cfg)
+		})
 	want := corpus(t, c, "/in/a.txt", 4000)
 	res, err := e.Run(wordCountJob([]string{"/in/a.txt"}, ""))
 	if err != nil {
@@ -143,14 +133,12 @@ func TestDeadTrackerStrandsCompletedMaps(t *testing.T) {
 
 // Reduce attempts are retried like map attempts.
 func TestReduceRetry(t *testing.T) {
-	c, e := rig(t, 3, Config{
-		TrackerMaxFailures: 1000,
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
-			if phase == "reduce" && attempt == 0 {
-				return errors.New("reduce crash")
-			}
-			return nil
-		},
+	c, e := rig(t, 3, Config{trackerMaxFailures: 1000})
+	e.InjectFaults(nil, func(phase, tracker string, taskID, attempt int) error {
+		if phase == "reduce" && attempt == 0 {
+			return errors.New("reduce crash")
+		}
+		return nil
 	})
 	want := corpus(t, c, "/in/a.txt", 1000)
 	res, err := e.Run(wordCountJob([]string{"/in/a.txt"}, ""))
@@ -165,9 +153,8 @@ func TestReduceRetry(t *testing.T) {
 
 // With every tracker gone the job must fail fast with a typed error.
 func TestNoLiveTrackers(t *testing.T) {
-	c, e := rig(t, 3, Config{
-		TrackerAlive: func(string) bool { return false },
-	})
+	c, e := rig(t, 3, Config{})
+	e.InjectFaults(func(string) bool { return false }, nil)
 	corpus(t, c, "/in/a.txt", 100)
 	_, err := e.Run(wordCountJob([]string{"/in/a.txt"}, ""))
 	if !errors.Is(err, ErrNoLiveTrackers) {
@@ -180,9 +167,9 @@ func TestNoLiveTrackers(t *testing.T) {
 func TestStrandedRerunWritesCorrectPartFiles(t *testing.T) {
 	var dead bool
 	dn2Attempts := 0
-	cfg := Config{
-		TrackerAlive: func(tr string) bool { return !(tr == "dn2" && dead) },
-		TaskFaultHook: func(phase, tracker string, taskID, attempt int) error {
+	c, e := rig(t, 4, Config{})
+	e.InjectFaults(func(tr string) bool { return !(tr == "dn2" && dead) },
+		func(phase, tracker string, taskID, attempt int) error {
 			if phase == "map" && tracker == "dn2" {
 				dn2Attempts++
 				if dn2Attempts == 2 {
@@ -190,9 +177,7 @@ func TestStrandedRerunWritesCorrectPartFiles(t *testing.T) {
 				}
 			}
 			return nil
-		},
-	}
-	c, e := rig(t, 4, cfg)
+		})
 	want := corpus(t, c, "/in/a.txt", 3000)
 	res, err := e.Run(wordCountJob([]string{"/in/a.txt"}, "/out"))
 	if err != nil {

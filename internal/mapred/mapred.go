@@ -59,13 +59,8 @@ type Job struct {
 
 // Config tunes the engine.
 type Config struct {
-	// SlotsPerTracker is the number of concurrent map/reduce slots per
-	// node (Hadoop default 2).
-	SlotsPerTracker int
 	// MapThroughput is modelled map processing speed, bytes/second/slot.
 	MapThroughput float64
-	// ReduceThroughput is modelled reduce speed, bytes/second/slot.
-	ReduceThroughput float64
 	// NetBandwidth models cross-node reads (non-local splits) and
 	// shuffle transfer, bytes/second.
 	NetBandwidth float64
@@ -83,35 +78,31 @@ type Config struct {
 	// wins and the other is killed.
 	SpeculativeExecution bool
 
-	// --- fault tolerance (Hadoop's JobTracker recovery model) ---
-
-	// MaxTaskAttempts caps attempts per task before the whole job fails
-	// (Hadoop's mapred.map.max.attempts, default 4).
-	MaxTaskAttempts int
-	// TrackerMaxFailures blacklists a tracker once this many of its task
-	// attempts fail; a blacklisted tracker gets no new tasks but its
-	// completed map output stays fetchable (default 3).
-	TrackerMaxFailures int
-	// TrackerAlive, when set, is polled at every scheduling decision; a
-	// tracker reported dead loses its slots AND its completed map output,
-	// so finished maps stranded on it are re-run (in Hadoop, intermediate
-	// output lives on the tracker's local disk and dies with it).
-	TrackerAlive func(tracker string) bool
-	// TaskFaultHook, when set, runs before each task attempt executes;
-	// a non-nil return fails that attempt. phase is "map" or "reduce".
-	// This is the chaos-injection point for task crashes.
-	TaskFaultHook func(phase, tracker string, taskID, attempt int) error
+	// Zero selects maxTaskAttempts / trackerMaxFailures; tests move them.
+	maxTaskAttempts    int
+	trackerMaxFailures int
 }
 
+// The engine's fixed slot model and fault tolerance (Hadoop's JobTracker
+// recovery model).
+const (
+	// slotsPerTracker is the number of concurrent map/reduce slots per node
+	// (Hadoop default 2).
+	slotsPerTracker = 2
+	// reduceThroughput is modelled reduce speed, bytes/second/slot.
+	reduceThroughput = 80e6
+	// maxTaskAttempts caps attempts per task before the whole job fails
+	// (Hadoop's mapred.map.max.attempts).
+	maxTaskAttempts = 4
+	// trackerMaxFailures blacklists a tracker once this many of its task
+	// attempts fail; a blacklisted tracker gets no new tasks but its
+	// completed map output stays fetchable.
+	trackerMaxFailures = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.SlotsPerTracker == 0 {
-		c.SlotsPerTracker = 2
-	}
 	if c.MapThroughput == 0 {
 		c.MapThroughput = 60e6
-	}
-	if c.ReduceThroughput == 0 {
-		c.ReduceThroughput = 80e6
 	}
 	if c.NetBandwidth == 0 {
 		c.NetBandwidth = 100e6
@@ -119,11 +110,11 @@ func (c Config) withDefaults() Config {
 	if c.TaskOverhead == 0 {
 		c.TaskOverhead = 1 * time.Second
 	}
-	if c.MaxTaskAttempts == 0 {
-		c.MaxTaskAttempts = 4
+	if c.maxTaskAttempts == 0 {
+		c.maxTaskAttempts = maxTaskAttempts
 	}
-	if c.TrackerMaxFailures == 0 {
-		c.TrackerMaxFailures = 3
+	if c.trackerMaxFailures == 0 {
+		c.trackerMaxFailures = trackerMaxFailures
 	}
 	return c
 }
@@ -174,14 +165,19 @@ type Engine struct {
 	cluster  *hdfs.Cluster
 	trackers []string
 	cfg      Config
+
+	// Fault seams (InjectFaults): nil means every tracker is alive and
+	// every attempt runs clean.
+	trackerAlive  func(tracker string) bool
+	taskFaultHook func(phase, tracker string, taskID, attempt int) error
 }
 
 // Errors returned by the engine.
 var (
 	ErrNoTrackers = errors.New("mapred: no task trackers")
 	ErrNoInput    = errors.New("mapred: no input splits")
-	// ErrTaskFailed wraps a job failure caused by a task exhausting
-	// MaxTaskAttempts.
+	// ErrTaskFailed wraps a job failure caused by a task exhausting its
+	// attempts.
 	ErrTaskFailed = errors.New("mapred: task exceeded max attempts")
 	// ErrNoLiveTrackers means every tracker died or was blacklisted
 	// before the job could finish.
@@ -195,6 +191,17 @@ func NewEngine(cluster *hdfs.Cluster, trackers []string, cfg Config) (*Engine, e
 		return nil, ErrNoTrackers
 	}
 	return &Engine{cluster: cluster, trackers: append([]string(nil), trackers...), cfg: cfg.withDefaults()}, nil
+}
+
+// InjectFaults plugs the fault-injection seams in; call it before Run.
+// alive, when non-nil, is polled at every scheduling decision: a tracker
+// reported dead loses its slots AND its completed map output, so finished
+// maps stranded on it are re-run (in Hadoop, intermediate output lives on
+// the tracker's local disk and dies with it). hook, when non-nil, runs
+// before each task attempt executes; a non-nil return fails that attempt.
+// phase is "map" or "reduce".
+func (e *Engine) InjectFaults(alive func(tracker string) bool, hook func(phase, tracker string, taskID, attempt int) error) {
+	e.trackerAlive, e.taskFaultHook = alive, hook
 }
 
 // split is one map input: a block of an input file.
@@ -283,7 +290,7 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 	recordFailure := func(tr string) {
 		res.FailedAttempts++
 		failures[tr]++
-		if failures[tr] >= e.cfg.TrackerMaxFailures && !blacklisted[tr] {
+		if failures[tr] >= e.cfg.trackerMaxFailures && !blacklisted[tr] {
 			blacklisted[tr] = true
 			res.BlacklistedTrackers = append(res.BlacklistedTrackers, tr)
 		}
@@ -291,11 +298,11 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 	// strandSweep detects newly-dead trackers and re-queues every completed
 	// map that ran on one: its intermediate output died with the node.
 	strandSweep := func() {
-		if e.cfg.TrackerAlive == nil {
+		if e.trackerAlive == nil {
 			return
 		}
 		for _, tr := range e.trackers {
-			if dead[tr] || e.cfg.TrackerAlive(tr) {
+			if dead[tr] || e.trackerAlive(tr) {
 				continue
 			}
 			dead[tr] = true
@@ -349,12 +356,12 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 			asp.AnnotateInt("attempt", int64(attempt))
 			asp.SetSimStart(s.free)
 		}
-		if hook := e.cfg.TaskFaultHook; hook != nil {
+		if hook := e.taskFaultHook; hook != nil {
 			if herr := hook("map", s.tracker, id, attempt); herr != nil {
 				s.free += cost // the failed attempt held its slot
 				recordFailure(s.tracker)
 				asp.SetError(herr)
-				if attempts[sp] >= e.cfg.MaxTaskAttempts {
+				if attempts[sp] >= e.cfg.maxTaskAttempts {
 					asp.EndAtSim(s.free)
 					return nil, fmt.Errorf("mapred: map task %d of %q failed %d attempts (%v): %w",
 						id, sp.path, attempts[sp], herr, ErrTaskFailed)
@@ -438,9 +445,9 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 		var s *slot
 		var rsp *trace.Span
 		for attempt := 0; ; attempt++ {
-			if e.cfg.TrackerAlive != nil {
+			if e.trackerAlive != nil {
 				for _, tr := range e.trackers {
-					if !dead[tr] && !e.cfg.TrackerAlive(tr) {
+					if !dead[tr] && !e.trackerAlive(tr) {
 						dead[tr] = true
 						res.LostTrackers = append(res.LostTrackers, tr)
 						jsp.Annotate("lost_tracker", tr)
@@ -460,13 +467,13 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 				rsp.AnnotateInt("attempt", int64(attempt))
 				rsp.SetSimStart(s.free)
 			}
-			if hook := e.cfg.TaskFaultHook; hook != nil {
+			if hook := e.taskFaultHook; hook != nil {
 				if herr := hook("reduce", s.tracker, p, attempt); herr != nil {
-					s.free += scaleBySpeed(e.cfg.TaskOverhead+bytesTime(inBytes, e.cfg.ReduceThroughput), s.speed) +
+					s.free += scaleBySpeed(e.cfg.TaskOverhead+bytesTime(inBytes, reduceThroughput), s.speed) +
 						bytesTime(inBytes, e.cfg.NetBandwidth)
 					recordFailure(s.tracker)
 					rsp.SetError(herr)
-					if attempt+1 >= e.cfg.MaxTaskAttempts {
+					if attempt+1 >= e.cfg.maxTaskAttempts {
 						rsp.EndAtSim(s.free)
 						return nil, fmt.Errorf("mapred: reduce task %d failed %d attempts (%v): %w",
 							p, attempt+1, herr, ErrTaskFailed)
@@ -495,7 +502,7 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 		}
 		outBytes := pairsBytes(outPairs)
 
-		cost := scaleBySpeed(e.cfg.TaskOverhead+bytesTime(inBytes, e.cfg.ReduceThroughput), s.speed) +
+		cost := scaleBySpeed(e.cfg.TaskOverhead+bytesTime(inBytes, reduceThroughput), s.speed) +
 			bytesTime(inBytes, e.cfg.NetBandwidth) + // shuffle fetch
 			bytesTime(outBytes, e.cfg.NetBandwidth) // HDFS write
 		start := s.free
@@ -534,13 +541,13 @@ func (e *Engine) run(job Job, jsp *trace.Span) (*JobResult, error) {
 }
 
 func (e *Engine) newSlots() []*slot {
-	slots := make([]*slot, 0, len(e.trackers)*e.cfg.SlotsPerTracker)
+	slots := make([]*slot, 0, len(e.trackers)*slotsPerTracker)
 	for _, tr := range e.trackers {
 		speed := 1.0
 		if s, ok := e.cfg.TrackerSpeeds[tr]; ok && s > 0 {
 			speed = s
 		}
-		for i := 0; i < e.cfg.SlotsPerTracker; i++ {
+		for i := 0; i < slotsPerTracker; i++ {
 			slots = append(slots, &slot{tracker: tr, speed: speed})
 		}
 	}

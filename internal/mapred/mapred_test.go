@@ -329,7 +329,7 @@ func TestPropertyScheduleSanity(t *testing.T) {
 		// Tasks on the same tracker must not overlap more than the
 		// slot count allows; verify per-slot non-overlap by checking
 		// that at any task start, running tasks on that tracker are
-		// < SlotsPerTracker... simplified: total busy time per tracker
+		// < slotsPerTracker... simplified: total busy time per tracker
 		// fits within (slots * makespan).
 		busy := map[string]time.Duration{}
 		for _, ts := range res.MapTasks {

@@ -77,7 +77,7 @@ func TestDeadlineBoundsNonConvergingRun(t *testing.T) {
 	var rep Report
 	got := false
 	err := r.mig.Migrate(vm, r.dst, Config{
-		Algorithm: PreCopy, MaxRounds: 1 << 20, Deadline: 20 * time.Second,
+		Algorithm: PreCopy, Deadline: 20 * time.Second, maxRounds: 1 << 20,
 	}, func(rp Report) { rep = rp; got = true })
 	if err != nil {
 		t.Fatal(err)

@@ -70,46 +70,33 @@ var (
 // running on the source.
 var ErrDeadline = errors.New("migrate: deadline exceeded")
 
-// Config tunes a migration. Zero values select defaults.
+// Config tunes a migration.
 type Config struct {
 	Algorithm Algorithm
-	// MaxRounds bounds pre-copy iterations (default 30, as in Xen).
-	MaxRounds int
-	// DowntimeTarget: pre-copy stops iterating once the residual dirty
-	// set can be moved within this budget (default 30ms).
-	DowntimeTarget time.Duration
-	// ResumeOverhead is the fixed cost of reactivating the VM on the
-	// destination: device re-attach, unsolicited ARP (default 20ms).
-	ResumeOverhead time.Duration
-	// PageHeaderBytes is per-page wire metadata (default 16).
-	PageHeaderBytes int
-	// DeviceStateBytes is the vCPU+device snapshot size (default 2 MiB).
-	DeviceStateBytes int64
 	// Deadline bounds the whole migration in virtual time (0 = unbounded).
 	// If it expires before switchover the in-flight transfer is cancelled
 	// and the run aborts with Report.Err == ErrDeadline; once the VM has
 	// switched to the destination the deadline no longer applies.
 	Deadline time.Duration
+
+	maxRounds int // 0 selects maxPreCopyRounds; a test raises it
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 30
-	}
-	if c.DowntimeTarget == 0 {
-		c.DowntimeTarget = 30 * time.Millisecond
-	}
-	if c.ResumeOverhead == 0 {
-		c.ResumeOverhead = 20 * time.Millisecond
-	}
-	if c.PageHeaderBytes == 0 {
-		c.PageHeaderBytes = 16
-	}
-	if c.DeviceStateBytes == 0 {
-		c.DeviceStateBytes = 2 << 20
-	}
-	return c
-}
+// The migration model's fixed costs.
+const (
+	// maxPreCopyRounds bounds pre-copy iterations, as in Xen.
+	maxPreCopyRounds = 30
+	// downtimeTarget: pre-copy stops iterating once the residual dirty set
+	// can be moved within this budget.
+	downtimeTarget = 30 * time.Millisecond
+	// resumeOverhead is the fixed cost of reactivating the VM on the
+	// destination: device re-attach, unsolicited ARP.
+	resumeOverhead = 20 * time.Millisecond
+	// pageHeaderBytes is per-page wire metadata.
+	pageHeaderBytes = 16
+	// deviceStateBytes is the vCPU+device snapshot size.
+	deviceStateBytes = 2 << 20
+)
 
 // RoundStat records one pre-copy iteration.
 type RoundStat struct {
@@ -161,7 +148,9 @@ func New(sim *simtime.Simulator, net *simnet.Network) *Migrator {
 // the migration starts are reported through done with Success=false.
 // The caller drives the simulation (sim.Run) to completion.
 func (m *Migrator) Migrate(vm *virt.VM, dst *virt.Host, cfg Config, done func(Report)) error {
-	cfg = cfg.withDefaults()
+	if cfg.maxRounds == 0 {
+		cfg.maxRounds = maxPreCopyRounds
+	}
 	src := vm.Host()
 	if src == nil {
 		return ErrNoHost
@@ -235,7 +224,7 @@ func (r *migration) deadlineExpired() {
 }
 
 func (r *migration) pageWire(pages int) int64 {
-	return int64(pages) * int64(virt.PageSize+r.cfg.PageHeaderBytes)
+	return int64(pages) * int64(virt.PageSize+pageHeaderBytes)
 }
 
 func (r *migration) finish(rep Report) {
@@ -317,9 +306,9 @@ func (r *migration) preCopyRound(round int) {
 			return
 		}
 		switch {
-		case est+r.cfg.ResumeOverhead <= r.cfg.DowntimeTarget:
+		case est+resumeOverhead <= downtimeTarget:
 			r.stopAndCopyFinal("converged")
-		case round >= r.cfg.MaxRounds:
+		case round >= r.cfg.maxRounds:
 			r.stopAndCopyFinal("max-rounds")
 		case round >= 3 && remaining >= pages:
 			// The writable working set is not shrinking: dirty rate
@@ -344,7 +333,7 @@ func (r *migration) stopAndCopyFinal(reason string) {
 		return
 	}
 	pages := r.vm.Mem.ClearDirty()
-	bytes := r.pageWire(pages) + r.cfg.DeviceStateBytes
+	bytes := r.pageWire(pages) + deviceStateBytes
 	pauseStart := r.m.sim.Now()
 	// Guest paused: no RunFor during this transfer.
 	f, err := r.m.net.Transfer(r.src.Name, r.dst.Name, bytes, func(res simnet.Result) {
@@ -357,8 +346,8 @@ func (r *migration) stopAndCopyFinal(reason string) {
 			Round: len(r.rounds) + 1, Pages: pages, Bytes: bytes,
 			Duration: r.m.sim.Now() - pauseStart,
 		})
-		downtime := r.m.sim.Now() - pauseStart + r.cfg.ResumeOverhead
-		r.m.sim.Schedule(r.cfg.ResumeOverhead, func() {
+		downtime := r.m.sim.Now() - pauseStart + resumeOverhead
+		r.m.sim.Schedule(resumeOverhead, func() {
 			if r.ended {
 				return
 			}
@@ -388,14 +377,14 @@ func (r *migration) startStopAndCopy() {
 func (r *migration) startPostCopy() {
 	// Phase 1: move device state only; the VM is down just for this.
 	pauseStart := r.m.sim.Now()
-	f, err := r.m.net.Transfer(r.src.Name, r.dst.Name, r.cfg.DeviceStateBytes, func(res simnet.Result) {
+	f, err := r.m.net.Transfer(r.src.Name, r.dst.Name, deviceStateBytes, func(res simnet.Result) {
 		if r.ended {
 			return
 		}
 		r.flow = nil
-		r.totalBytes += r.cfg.DeviceStateBytes
-		downtime := r.m.sim.Now() - pauseStart + r.cfg.ResumeOverhead
-		r.m.sim.Schedule(r.cfg.ResumeOverhead, func() {
+		r.totalBytes += deviceStateBytes
+		downtime := r.m.sim.Now() - pauseStart + resumeOverhead
+		r.m.sim.Schedule(resumeOverhead, func() {
 			if r.ended {
 				return
 			}

@@ -41,9 +41,11 @@ type DrainOptions struct {
 	// OnExpire fires if the deadline passes with work still in flight (or
 	// the instance's host dies mid-drain): cancel and requeue that work.
 	OnExpire func(name string)
-	// OnRetire fires when the instance leaves service for good — after a
-	// completed or expired drain, just before shutdown begins.
-	OnRetire func(name string)
+
+	// onRetire fires when the instance leaves service for good — after a
+	// completed or expired drain, just before shutdown begins. The elastic
+	// controller chains its own OnRetire here.
+	onRetire func(name string)
 }
 
 func (o DrainOptions) withDefaults() DrainOptions {
@@ -111,12 +113,12 @@ func (c *Cloud) scheduleDrainPoll(rec *VMRecord, job *drainJob) {
 	})
 }
 
-// finishDrainLocked retires a drained instance: it leaves service (OnRetire)
+// finishDrainLocked retires a drained instance: it leaves service (onRetire)
 // and shuts down.
 func (c *Cloud) finishDrainLocked(rec *VMRecord, job *drainJob) {
 	delete(c.draining, rec.ID)
-	if job.opts.OnRetire != nil {
-		job.opts.OnRetire(rec.Name())
+	if job.opts.onRetire != nil {
+		job.opts.onRetire(rec.Name())
 	}
 	if err := c.beginShutdownLocked(rec); err != nil {
 		// The guest is unreachable (host died between poll and shutdown);
@@ -152,7 +154,7 @@ func (c *Cloud) expireDrainOnFailureLocked(rec *VMRecord) {
 	if job.opts.OnExpire != nil {
 		job.opts.OnExpire(rec.Name())
 	}
-	if job.opts.OnRetire != nil {
-		job.opts.OnRetire(rec.Name())
+	if job.opts.onRetire != nil {
+		job.opts.onRetire(rec.Name())
 	}
 }

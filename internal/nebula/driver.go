@@ -93,13 +93,6 @@ func (d *hypervisorDriver) Destroy(host *virt.Host, name string) error {
 	return host.DestroyVM(name)
 }
 
-// SetMigrationDeadline bounds every migration this driver starts (see
-// migrate.Config.Deadline). The Cloud plumbs RecoveryOptions.MigrationDeadline
-// here during New.
-func (d *hypervisorDriver) SetMigrationDeadline(deadline time.Duration) {
-	d.migCfg.Deadline = deadline
-}
-
 // Migrate implements Driver.
 func (d *hypervisorDriver) Migrate(vm *virt.VM, dst *virt.Host, done func(migrate.Report)) error {
 	return d.migrator.Migrate(vm, dst, d.migCfg, done)

@@ -385,7 +385,7 @@ func (e *ElasticController) drainNewestLocked(limit int) int {
 			continue
 		}
 		opts := e.opts.Drain
-		opts.OnRetire = e.retireHook(e.opts.Drain.OnRetire)
+		opts.onRetire = e.retireHook(e.opts.Drain.onRetire)
 		if err := c.drainLocked(rec, opts); err != nil {
 			continue
 		}

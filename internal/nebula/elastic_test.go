@@ -48,7 +48,7 @@ func TestDrainCompletesInFlightThenShutsDown(t *testing.T) {
 		},
 		OnDrain:  func(name string) { events = append(events, "drain:"+name) },
 		OnExpire: func(name string) { events = append(events, "expire:"+name) },
-		OnRetire: func(name string) { events = append(events, "retire:"+name) },
+		onRetire: func(name string) { events = append(events, "retire:"+name) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestDrainDeadlineExpiresAndRequeues(t *testing.T) {
 			expired = append(expired, name)
 			expiredAt = sim.Now()
 		},
-		OnRetire: func(name string) { retired = append(retired, name) },
+		onRetire: func(name string) { retired = append(retired, name) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDrainExpiresOnHostFailure(t *testing.T) {
 		Deadline: time.Minute,
 		InFlight: func(string) int { return 2 },
 		OnExpire: func(name string) { expired = append(expired, name) },
-		OnRetire: func(name string) { retired = append(retired, name) },
+		onRetire: func(name string) { retired = append(retired, name) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestRebalancerSpreadsLoadOntoNewHost(t *testing.T) {
 		t.Fatalf("pre-rebalance spread = %.3f, want an imbalance", spread)
 	}
 
-	r := NewRebalancer(c, 0.2, 2)
+	r := NewRebalancer(c, 0.2)
 	moves := 0
 	for pass := 0; pass < 5; pass++ {
 		n := r.PassNow()
@@ -497,7 +497,7 @@ func TestRebalancerGuardSkipsDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunFor(3 * time.Second) // detection fires
-	r := NewRebalancer(c, 0.01, 2)
+	r := NewRebalancer(c, 0.01)
 	if n := r.PassNow(); n != 0 {
 		t.Fatalf("rebalanced during recovery: %d moves", n)
 	}

@@ -59,7 +59,7 @@ func (c *Cloud) Host(name string) (*virt.Host, error) {
 // FailHost crash-injects a physical node and immediately runs recovery, as
 // if the failure had just been detected: its VMs fail, and templates
 // submitted with Requeue are resubmitted for placement elsewhere (with
-// restart backoff and cap — see RecoveryOptions). Contrast CrashHost, which
+// restart backoff and cap — see selfheal.go). Contrast CrashHost, which
 // kills the node silently and leaves detection to the heartbeat monitor.
 func (c *Cloud) FailHost(name string) error {
 	c.mu.Lock()

@@ -27,7 +27,7 @@ type Sample struct {
 // the simulation queue non-empty).
 //
 // It is also the failure detector: EnableFailureDetection polls a heartbeat
-// from every host each interval, and a host that misses MissThreshold
+// from every host each interval, and a host that misses missThreshold
 // consecutive beats — crashed (CrashHost) or hung (SetUnresponsive) — is
 // declared failed and handed to the recovery engine (selfheal.go).
 type Monitor struct {
@@ -68,8 +68,8 @@ func (m *Monitor) Enable(interval time.Duration) {
 	m.ticker = c.sim.Every(interval, m.sampleLocked)
 }
 
-// EnableFailureDetection starts the heartbeat loop using the cloud's
-// RecoveryOptions (interval, miss threshold). Like Enable, the periodic
+// EnableFailureDetection starts the heartbeat loop (heartbeatInterval,
+// missThreshold). Like Enable, the periodic
 // event keeps the queue non-empty: call DisableFailureDetection before
 // WaitIdle.
 func (m *Monitor) EnableFailureDetection() {
@@ -85,7 +85,7 @@ func (m *Monitor) EnableFailureDetection() {
 			m.lastSeen[h.Name] = now
 		}
 	}
-	m.hbTicker = c.sim.Every(c.opts.Recovery.HeartbeatInterval, m.heartbeatLocked)
+	m.hbTicker = c.sim.Every(heartbeatInterval, m.heartbeatLocked)
 }
 
 // DisableFailureDetection stops the heartbeat loop.
@@ -100,12 +100,12 @@ func (m *Monitor) DisableFailureDetection() {
 }
 
 // heartbeatLocked is one detection tick: every host answers unless it is
-// failed or hang-injected; MissThreshold consecutive silent ticks declare
+// failed or hang-injected; missThreshold consecutive silent ticks declare
 // the host failed and trigger recovery.
 func (m *Monitor) heartbeatLocked() {
 	c := m.cloud
 	now := c.sim.Now()
-	threshold := c.opts.Recovery.MissThreshold
+	threshold := missThreshold
 	for _, h := range c.hosts {
 		if m.handled[h.Name] {
 			continue

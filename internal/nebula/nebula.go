@@ -39,49 +39,24 @@ var (
 )
 
 // Options configures a Cloud. The zero value selects the paper's deployment:
-// KVM driver, striping placement, GbE hosts, a 10 GbE front-end holding the
-// image datastore.
+// KVM driver and striping placement.
 type Options struct {
 	// Policy is the Capacity Manager policy (default StripingPolicy).
 	Policy Policy
 	// Driver constructs the hypervisor driver (default NewKVMDriver).
 	Driver func(*migrate.Migrator) Driver
-	// HostBandwidth is per-node NIC speed in bytes/s (default 1 GbE).
-	HostBandwidth float64
-	// FrontendBandwidth is the image-repository NIC (default 10 GbE).
-	FrontendBandwidth float64
-	// Latency is per-NIC propagation delay (default 100µs).
-	Latency time.Duration
-	// COWStageBytes is the metadata moved when provisioning a COW clone
-	// (default 4 MiB: the qcow2 header plus L1/L2 tables).
-	COWStageBytes int64
-	// Recovery tunes heartbeat failure detection and automatic VM
-	// recovery (selfheal.go). Zero values select defaults.
-	Recovery RecoveryOptions
 }
 
-func (o Options) withDefaults() Options {
-	if o.Policy == nil {
-		o.Policy = StripingPolicy{}
-	}
-	if o.Driver == nil {
-		o.Driver = NewKVMDriver
-	}
-	if o.HostBandwidth == 0 {
-		o.HostBandwidth = 1 * simnet.Gbps
-	}
-	if o.FrontendBandwidth == 0 {
-		o.FrontendBandwidth = 10 * simnet.Gbps
-	}
-	if o.Latency == 0 {
-		o.Latency = 100 * time.Microsecond
-	}
-	if o.COWStageBytes == 0 {
-		o.COWStageBytes = 4 << 20
-	}
-	o.Recovery = o.Recovery.withDefaults()
-	return o
-}
+// The testbed's fabric: GbE hosts and a 10 GbE front-end holding the image
+// datastore.
+const (
+	hostBandwidth     = 1 * simnet.Gbps  // per-node NIC, bytes/s
+	frontendBandwidth = 10 * simnet.Gbps // the image repository's NIC
+	nicLatency        = 100 * time.Microsecond
+	// cowStageBytes is the metadata moved when provisioning a COW clone:
+	// the qcow2 header plus L1/L2 tables.
+	cowStageBytes = 4 << 20
+)
 
 // FrontendName is the simnet name of the front-end node that runs the
 // orchestrator core and stores the image datastore.
@@ -142,7 +117,6 @@ type Cloud struct {
 	mig     *migrate.Migrator
 	driver  Driver
 	policy  Policy
-	opts    Options
 	reg     *metrics.Registry
 
 	hosts      []*virt.Host
@@ -157,6 +131,7 @@ type Cloud struct {
 	tracer     *trace.Tracer // nil disables lifecycle tracing
 
 	draining      map[int]*drainJob // record ID → in-progress graceful drain
+	restartBudget int               // automatic restarts per VM: maxRestarts, lowered by a test
 	lastFailureAt time.Duration     // virtual time of the most recent host failure
 	sawFailure    bool              // lastFailureAt is meaningful (failures at t=0 count)
 	gate          TenantGate        // nil = no tenant admission/metering
@@ -164,10 +139,15 @@ type Cloud struct {
 
 // New creates a cloud with a front-end node and an empty host pool.
 func New(opts Options) *Cloud {
-	opts = opts.withDefaults()
+	if opts.Policy == nil {
+		opts.Policy = StripingPolicy{}
+	}
+	if opts.Driver == nil {
+		opts.Driver = NewKVMDriver
+	}
 	sim := simtime.NewSimulator()
 	net := simnet.New(sim)
-	net.AddHost(FrontendName, opts.FrontendBandwidth, opts.FrontendBandwidth, opts.Latency)
+	net.AddHost(FrontendName, frontendBandwidth, frontendBandwidth, nicLatency)
 	mig := migrate.New(sim, net)
 	c := &Cloud{
 		sim: sim, net: net,
@@ -175,22 +155,28 @@ func New(opts Options) *Cloud {
 		mig:     mig,
 		driver:  opts.Driver(mig),
 		policy:  opts.Policy,
-		opts:    opts,
 		reg:     metrics.NewRegistry(),
 
-		hostByName: make(map[string]*virt.Host),
-		vms:        make(map[int]*VMRecord),
-		groups:     make(map[string][]int),
-		ipNext:     1,
-		draining:   make(map[int]*drainJob),
-	}
-	if opts.Recovery.MigrationDeadline > 0 {
-		if dd, ok := c.driver.(interface{ SetMigrationDeadline(time.Duration) }); ok {
-			dd.SetMigrationDeadline(opts.Recovery.MigrationDeadline)
-		}
+		hostByName:    make(map[string]*virt.Host),
+		vms:           make(map[int]*VMRecord),
+		groups:        make(map[string][]int),
+		ipNext:        1,
+		draining:      make(map[int]*drainJob),
+		restartBudget: maxRestarts,
 	}
 	c.monitor = newMonitor(c)
 	return c
+}
+
+// SetMigrationDeadline bounds every live migration the driver starts from
+// now on in virtual time (0, the default, leaves them unbounded; see
+// migrate.Config.Deadline).
+func (c *Cloud) SetMigrationDeadline(deadline time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d, ok := c.driver.(*hypervisorDriver); ok {
+		d.migCfg.Deadline = deadline
+	}
 }
 
 // Network exposes the simulated fabric.
@@ -247,7 +233,7 @@ func (c *Cloud) AddHost(name string, cores int, coreRate float64, memBytes, disk
 		return nil, fmt.Errorf("nebula: duplicate host %q", name)
 	}
 	h := virt.NewHost(name, cores, coreRate, memBytes, diskBytes, 0)
-	c.net.AddHost(name, c.opts.HostBandwidth, c.opts.HostBandwidth, c.opts.Latency)
+	c.net.AddHost(name, hostBandwidth, hostBandwidth, nicLatency)
 	c.hosts = append(c.hosts, h)
 	c.hostByName[name] = h
 	c.kickScheduler() // new capacity may unblock queued VMs
@@ -538,7 +524,7 @@ func (c *Cloud) deploy(rec *VMRecord) bool {
 			c.fail(rec, fmt.Sprintf("clone: %v", cerr))
 			return true
 		}
-		stageBytes = c.opts.COWStageBytes
+		stageBytes = cowStageBytes
 	}
 	rec.DiskImage = diskName
 	c.setState(rec, Prolog)

@@ -122,10 +122,8 @@ func TestEvacuateMovesGuestResumedAfterwards(t *testing.T) {
 // stay on the books, be retried a bounded number of times, and be picked up
 // again when capacity next changes — without spinning WaitIdle meanwhile.
 func TestFailedEvacuationMigrationStaysCountedAndIsRetried(t *testing.T) {
-	c := testCloud(t, 2, Options{
-		Policy:   FixedPolicy{Host: "node1"},
-		Recovery: RecoveryOptions{MigrationDeadline: time.Millisecond},
-	})
+	c := testCloud(t, 2, Options{Policy: FixedPolicy{Host: "node1"}})
+	c.SetMigrationDeadline(time.Millisecond)
 	id, _ := c.Submit(webTemplate("web"))
 	c.WaitIdle()
 	c.policy = StripingPolicy{}
@@ -142,9 +140,9 @@ func TestFailedEvacuationMigrationStaysCountedAndIsRetried(t *testing.T) {
 		t.Fatalf("StuckEvacuations = %d, want the failed evacuee counted", n)
 	}
 	reg := c.Metrics()
-	attempts := int64(1 + c.opts.Recovery.MigrationRetries)
+	attempts := int64(1 + migrationRetries)
 	if got := reg.Counter("migrations_failed").Value(); got != attempts {
-		t.Fatalf("migrations_failed = %d, want %d (one start + MigrationRetries)", got, attempts)
+		t.Fatalf("migrations_failed = %d, want %d (one start + migrationRetries)", got, attempts)
 	}
 
 	// A capacity event with the fault still present: one more bounded burst.
@@ -157,7 +155,7 @@ func TestFailedEvacuationMigrationStaysCountedAndIsRetried(t *testing.T) {
 	}
 
 	// Fault gone: the next capacity event finishes the evacuation.
-	c.Driver().(interface{ SetMigrationDeadline(time.Duration) }).SetMigrationDeadline(0)
+	c.SetMigrationDeadline(0)
 	if _, err := c.AddHost("node4", 8, 1e9, 16*gb, 500*gb); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // consolidation ask it over theirs. Chaos-hardened the same way as the
 // elastic controller:
 //
-//   - a migration Budget caps moves per pass (migrations are not free);
+//   - a migration budget caps moves per pass (migrations are not free);
 //   - a move is only taken if it strictly shrinks the hot/cold gap, so two
 //     equally loaded hosts can never ping-pong a VM between passes;
 //   - the failure-aware guard skips passes while failure detection or VM
@@ -26,32 +26,29 @@ import (
 // are fixed per template) and the binding resource for VM packing here.
 type Rebalancer struct {
 	cloud *Cloud
-	// Spread is the target max−min host load gap; passes only act above it
-	// (default 0.25).
-	Spread float64
-	// Budget caps live migrations per pass (default 2).
-	Budget int
-	// GuardHold freezes passes for this long after a host failure
-	// (default 5s of virtual time).
-	GuardHold time.Duration
+	// spread is the target max−min host load gap; passes only act above it.
+	spread float64
 
 	ticker *simtime.Event
 }
 
-// NewRebalancer binds a rebalancer with the given targets; zero values
-// select the documented defaults.
-func NewRebalancer(cloud *Cloud, spread float64, budget int) *Rebalancer {
-	r := &Rebalancer{cloud: cloud, Spread: spread, Budget: budget}
-	if r.Spread <= 0 {
-		r.Spread = 0.25
+const (
+	// rebalanceSpread is the default load gap a rebalancer tolerates.
+	rebalanceSpread = 0.25
+	// rebalanceBudget caps live migrations per pass.
+	rebalanceBudget = 2
+	// rebalanceGuardHold freezes passes for this long after a host failure
+	// (virtual time).
+	rebalanceGuardHold = 5 * time.Second
+)
+
+// NewRebalancer binds a rebalancer with the given target load gap; 0
+// selects rebalanceSpread.
+func NewRebalancer(cloud *Cloud, spread float64) *Rebalancer {
+	if spread <= 0 {
+		spread = rebalanceSpread
 	}
-	if r.Budget <= 0 {
-		r.Budget = 2
-	}
-	if r.GuardHold <= 0 {
-		r.GuardHold = 5 * time.Second
-	}
-	return r
+	return &Rebalancer{cloud: cloud, spread: spread}
 }
 
 // Start runs a pass every interval of virtual time. The periodic event keeps
@@ -96,12 +93,12 @@ type hostLoad struct {
 // budget, with c.mu held. Returns migrations started.
 func (r *Rebalancer) runPassLocked() int {
 	c := r.cloud
-	if c.recoveryActiveLocked(r.GuardHold) {
+	if c.recoveryActiveLocked(rebalanceGuardHold) {
 		c.reg.Counter("rebalance_skipped_guard").Inc()
 		return 0
 	}
 	started := 0
-	for started < r.Budget {
+	for started < rebalanceBudget {
 		loads := c.hostLoadsLocked()
 		if len(loads) < 2 {
 			break
@@ -115,7 +112,7 @@ func (r *Rebalancer) runPassLocked() int {
 		})
 		hot, cold := loads[0], loads[len(loads)-1]
 		gap := hot.frac - cold.frac
-		if gap <= r.Spread {
+		if gap <= r.spread {
 			break
 		}
 		if !r.moveOneLocked(hot, cold, gap) {

@@ -16,52 +16,23 @@ import (
 // live migration keep the video service running through node trouble
 // (§III-A, Figures 7–10); this is the policy layer that claim needs.
 
-// RecoveryOptions tunes failure detection and automatic recovery. The zero
-// value selects the defaults documented per field.
-type RecoveryOptions struct {
-	// HeartbeatInterval is the monitor's failure-detection sampling period
-	// (default 500ms of virtual time).
-	HeartbeatInterval time.Duration
-	// MissThreshold is how many consecutive missed heartbeats declare a
-	// host failed (default 3).
-	MissThreshold int
-	// MaxRestarts caps automatic restarts per VM across host failures;
-	// past it the record fails permanently (default 3).
-	MaxRestarts int
-	// RestartBackoff delays the Nth automatic restart by
-	// RestartBackoff·2^(N-1), capped at RestartBackoffCap (default 1s).
-	RestartBackoff time.Duration
-	// RestartBackoffCap bounds the exponential backoff (default 30s).
-	RestartBackoffCap time.Duration
-	// MigrationRetries is how many times a failed live migration is
-	// re-aimed at a fresh destination before giving up (default 2).
-	MigrationRetries int
-	// MigrationDeadline bounds every driver-started live migration in
-	// virtual time (default 0 = unbounded); see migrate.Config.Deadline.
-	MigrationDeadline time.Duration
-}
-
-func (r RecoveryOptions) withDefaults() RecoveryOptions {
-	if r.HeartbeatInterval == 0 {
-		r.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if r.MissThreshold == 0 {
-		r.MissThreshold = 3
-	}
-	if r.MaxRestarts == 0 {
-		r.MaxRestarts = 3
-	}
-	if r.RestartBackoff == 0 {
-		r.RestartBackoff = time.Second
-	}
-	if r.RestartBackoffCap == 0 {
-		r.RestartBackoffCap = 30 * time.Second
-	}
-	if r.MigrationRetries == 0 {
-		r.MigrationRetries = 2
-	}
-	return r
-}
+// Failure detection and automatic recovery, in virtual time.
+const (
+	// heartbeatInterval is the monitor's failure-detection sampling period.
+	heartbeatInterval = 500 * time.Millisecond
+	// missThreshold consecutive missed heartbeats declare a host failed.
+	missThreshold = 3
+	// maxRestarts caps automatic restarts per VM across host failures;
+	// past it the record fails permanently.
+	maxRestarts = 3
+	// The Nth automatic restart waits restartBackoff·2^(N-1), capped at
+	// restartBackoffCap.
+	restartBackoff    = time.Second
+	restartBackoffCap = 30 * time.Second
+	// migrationRetries is how many times a failed live migration is
+	// re-aimed at a fresh destination before giving up.
+	migrationRetries = 2
+)
 
 // CrashHost kills a physical node silently: its guests die, but the
 // orchestrator's records are not told. Recovery happens only when the
@@ -142,13 +113,12 @@ func (c *Cloud) recoveryActiveLocked(hold time.Duration) bool {
 }
 
 // requeueWithBackoffLocked resubmits a VM whose host died. The Nth restart
-// waits RestartBackoff·2^(N-1) (capped) before re-entering the scheduler —
-// a flapping host must not monopolize placement — and past MaxRestarts the
-// record fails permanently.
+// waits restartBackoff·2^(N-1) (capped) before re-entering the scheduler —
+// a flapping host must not monopolize placement — and past the restart
+// budget the record fails permanently.
 func (c *Cloud) requeueWithBackoffLocked(rec *VMRecord, reason string) {
 	rec.Restarts++
-	cfg := c.opts.Recovery
-	if rec.Restarts > cfg.MaxRestarts {
+	if rec.Restarts > c.restartBudget {
 		c.fail(rec, reason+" (restart budget exhausted)")
 		c.reg.Counter("vms_restart_exhausted").Inc()
 		return
@@ -169,9 +139,9 @@ func (c *Cloud) requeueWithBackoffLocked(rec *VMRecord, reason string) {
 	rec.span.Annotate("requeue", reason)
 	c.reg.Counter("vms_requeued").Inc()
 
-	delay := cfg.RestartBackoff << (rec.Restarts - 1)
-	if delay > cfg.RestartBackoffCap || delay <= 0 {
-		delay = cfg.RestartBackoffCap
+	delay := restartBackoff << (rec.Restarts - 1)
+	if delay > restartBackoffCap || delay <= 0 {
+		delay = restartBackoffCap
 	}
 	c.sim.Schedule(delay, func() {
 		if rec.State != Pending {
@@ -186,7 +156,7 @@ func (c *Cloud) requeueWithBackoffLocked(rec *VMRecord, reason string) {
 // guest still live on the source. Two failures are worth another attempt at
 // once: the destination died mid-copy, so a fresh one may do, and the source
 // is in maintenance, so the guest has to leave whatever the copy ran into.
-// Either way at most MigrationRetries consecutive attempts are made; after
+// Either way at most migrationRetries consecutive attempts are made; after
 // that a guest on a maintenance host waits, still counted by
 // StuckEvacuations, for the scheduling pass the next capacity change kicks —
 // a failure kicks none, so a copy that can never succeed cannot spin.
@@ -205,7 +175,7 @@ func (c *Cloud) rescheduleMigrationLocked(rec *VMRecord, dst *virt.Host) {
 		rec.migRetries = 0
 		return // a live destination refused a move nothing requires
 	}
-	if rec.migRetries >= c.opts.Recovery.MigrationRetries {
+	if rec.migRetries >= migrationRetries {
 		rec.migRetries = 0
 		return
 	}

@@ -102,7 +102,8 @@ func TestHeartbeatNoFalsePositives(t *testing.T) {
 // Restarts are capped: a VM whose hosts keep dying eventually fails for
 // good instead of looping forever.
 func TestRestartBudgetExhausted(t *testing.T) {
-	c := testCloud(t, 5, Options{Recovery: RecoveryOptions{MaxRestarts: 2}})
+	c := testCloud(t, 5, Options{})
+	c.restartBudget = 2
 	tpl := webTemplate("ha")
 	tpl.Requeue = true
 	id, _ := c.Submit(tpl)

@@ -27,15 +27,17 @@ func BenchmarkTraceDisabled(b *testing.B) {
 }
 
 func BenchmarkTraceSampled(b *testing.B) {
-	benchSpans(b, New(Options{Enabled: true, SampleRate: 0.01, SlowThreshold: time.Hour}))
+	tr := New(Options{Enabled: true, SampleRate: 0.01})
+	tr.slow = time.Hour
+	benchSpans(b, tr)
 }
 
 func BenchmarkTraceAlwaysOn(b *testing.B) {
-	benchSpans(b, New(Options{Enabled: true, SampleRate: 1, SlowThreshold: time.Hour}))
+	benchSpans(b, alwaysOn())
 }
 
 func BenchmarkTraceCriticalPath(b *testing.B) {
-	tr := New(Options{Enabled: true, SampleRate: 1, SlowThreshold: time.Hour})
+	tr := alwaysOn()
 	ctx, root := tr.StartSpan(context.Background(), "web.upload")
 	for i := 0; i < 16; i++ {
 		_, sp := tr.StartSpan(ctx, "hdfs.write_file")

@@ -30,7 +30,7 @@ import (
 )
 
 // Options configures a Tracer. The zero value with Enabled=false is a valid
-// no-op tracer; New applies defaults for the rest.
+// no-op tracer.
 type Options struct {
 	// Enabled arms the tracer. When false every StartSpan returns the
 	// context unchanged and a nil span (zero allocations).
@@ -39,42 +39,24 @@ type Options struct {
 	// [0,1]. 0 means "unset" and defaults to 1 (sample everything);
 	// error/slow traces are tail-retained regardless.
 	SampleRate float64
-	// SlowThreshold marks a trace slow (and therefore tail-retained) when
-	// the root span's wall duration meets it. Default 250ms.
-	SlowThreshold time.Duration
-	// Capacity bounds the recent-trace ring. Default 256.
-	Capacity int
-	// RetainedCapacity bounds the error/slow ring. Default 64.
-	RetainedCapacity int
-	// MaxSpansPerTrace caps recorded spans per trace; excess spans are
-	// counted as dropped rather than stored. Default 512.
-	MaxSpansPerTrace int
-	// Seed drives both trace-ID generation and the deterministic sampling
-	// decision. Default 1.
-	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SampleRate <= 0 {
-		o.SampleRate = 1
-	}
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = 250 * time.Millisecond
-	}
-	if o.Capacity <= 0 {
-		o.Capacity = 256
-	}
-	if o.RetainedCapacity <= 0 {
-		o.RetainedCapacity = 64
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = 512
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The trace store's fixed sizes.
+const (
+	// slowThreshold marks a trace slow (and therefore tail-retained) when
+	// the root span's wall duration meets it.
+	slowThreshold = 250 * time.Millisecond
+	// recentCapacity bounds the recent-trace ring; retainedCapacity the
+	// error/slow ring.
+	recentCapacity   = 256
+	retainedCapacity = 64
+	// maxSpansPerTrace caps recorded spans per trace; excess spans are
+	// counted as dropped rather than stored.
+	maxSpansPerTrace = 512
+	// seed drives both trace-ID generation and the deterministic sampling
+	// decision.
+	seed = 1
+)
 
 // Tracer owns the sampling decision and the bounded trace store. A nil
 // *Tracer is valid and permanently disabled.
@@ -104,16 +86,19 @@ type Tracer struct {
 // New builds a Tracer from opts. The returned tracer is always usable; with
 // Enabled=false it is a zero-alloc no-op until SetEnabled(true).
 func New(opts Options) *Tracer {
-	opts = opts.withDefaults()
+	rate := opts.SampleRate
+	if rate <= 0 {
+		rate = 1
+	}
 	t := &Tracer{
-		sampleAll: opts.SampleRate >= 1,
-		threshold: uint64(opts.SampleRate * math.MaxUint64),
-		seed:      opts.Seed,
-		slow:      opts.SlowThreshold,
-		maxSpans:  opts.MaxSpansPerTrace,
+		sampleAll: rate >= 1,
+		threshold: uint64(rate * math.MaxUint64),
+		seed:      seed,
+		slow:      slowThreshold,
+		maxSpans:  maxSpansPerTrace,
 		active:    make(map[uint64]*traceBuf),
-		recent:    newRing(opts.Capacity),
-		retained:  newRing(opts.RetainedCapacity),
+		recent:    newRing(recentCapacity),
+		retained:  newRing(retainedCapacity),
 	}
 	t.enabled.Store(opts.Enabled)
 	return t

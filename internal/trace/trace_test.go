@@ -10,8 +10,12 @@ import (
 	"time"
 )
 
+// alwaysOn samples every root and, with an hour's slow threshold, keeps
+// every clean trace in the recent ring.
 func alwaysOn() *Tracer {
-	return New(Options{Enabled: true, SampleRate: 1, SlowThreshold: time.Hour})
+	tr := New(Options{Enabled: true, SampleRate: 1})
+	tr.slow = time.Hour
+	return tr
 }
 
 func TestSpanTreeAndFlush(t *testing.T) {
@@ -91,7 +95,8 @@ func TestAsyncChildCompletesTrace(t *testing.T) {
 
 func TestSamplingDeterministicAndSentinel(t *testing.T) {
 	decide := func(seed uint64) []bool {
-		tr := New(Options{Enabled: true, SampleRate: 0.3, Seed: seed})
+		tr := New(Options{Enabled: true, SampleRate: 0.3})
+		tr.seed = seed
 		var out []bool
 		for i := 0; i < 64; i++ {
 			ctx, sp := tr.StartSpan(context.Background(), "web.stream")
@@ -122,12 +127,12 @@ func TestSamplingDeterministicAndSentinel(t *testing.T) {
 	if sampledCount == 0 || sampledCount == 64 {
 		t.Fatalf("rate 0.3 sampled %d/64 roots, want a strict subset", sampledCount)
 	}
-	st := New(Options{Enabled: true, SampleRate: 0.3, Seed: 7}).Stats()
+	st := New(Options{Enabled: true, SampleRate: 0.3}).Stats()
 	_ = st
 }
 
 func TestTailRetention(t *testing.T) {
-	tr := New(Options{Enabled: true, SampleRate: 1, SlowThreshold: time.Hour})
+	tr := alwaysOn()
 	// Error trace → retained ring.
 	_, sp := tr.StartSpan(context.Background(), "web.stream")
 	sp.SetError(errors.New("boom"))
@@ -145,7 +150,8 @@ func TestTailRetention(t *testing.T) {
 	}
 
 	// Slow trace → retained even without an error.
-	slow := New(Options{Enabled: true, SampleRate: 1, SlowThreshold: time.Nanosecond})
+	slow := New(Options{Enabled: true, SampleRate: 1})
+	slow.slow = time.Nanosecond
 	_, sp2 := slow.StartSpan(context.Background(), "web.upload")
 	time.Sleep(50 * time.Microsecond)
 	sp2.End()
@@ -155,7 +161,8 @@ func TestTailRetention(t *testing.T) {
 }
 
 func TestRingBoundedAndSpanCap(t *testing.T) {
-	tr := New(Options{Enabled: true, SampleRate: 1, Capacity: 4, MaxSpansPerTrace: 2, SlowThreshold: time.Hour})
+	tr := alwaysOn()
+	tr.recent, tr.maxSpans = newRing(4), 2
 	for i := 0; i < 10; i++ {
 		_, sp := tr.StartSpan(context.Background(), fmt.Sprintf("web.r%d", i))
 		for j := 0; j < 5; j++ {
@@ -172,7 +179,7 @@ func TestRingBoundedAndSpanCap(t *testing.T) {
 	}
 	for _, g := range recent {
 		if len(g.Spans) > 2 {
-			t.Fatalf("trace %s stored %d spans, want ≤ MaxSpansPerTrace=2", g.Root, len(g.Spans))
+			t.Fatalf("trace %s stored %d spans, want ≤ the span cap of 2", g.Root, len(g.Spans))
 		}
 		if g.Dropped == 0 {
 			t.Fatalf("trace %s dropped none, want drop accounting", g.Root)
@@ -339,7 +346,8 @@ func TestExportersValidJSON(t *testing.T) {
 }
 
 func TestConcurrentSpansRace(t *testing.T) {
-	tr := New(Options{Enabled: true, SampleRate: 0.5, Capacity: 8, SlowThreshold: time.Hour})
+	tr := New(Options{Enabled: true, SampleRate: 0.5})
+	tr.slow, tr.recent = time.Hour, newRing(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

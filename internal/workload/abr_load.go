@@ -23,10 +23,9 @@ type EdgeLoadOptions struct {
 	BaseURL string
 	// VideoIDs is the catalog, ordered most- to least-popular.
 	VideoIDs []int64
-	// Viewers is the closed-loop concurrency; Sessions is the total number
-	// of ABR sessions to run across them (defaults to Viewers).
-	Viewers  int
-	Sessions int
+	// Viewers is the closed-loop concurrency; each viewer runs one ABR
+	// session.
+	Viewers int
 	// ZipfS is the popularity exponent (defaults to 1.1 when 0 — segment
 	// fan-out is the heavy-skew regime).
 	ZipfS float64
@@ -61,14 +60,11 @@ func (r *EdgeLoadReport) RebufferRatio() float64 {
 	return r.RebufferSeconds / total
 }
 
-// RunEdgeLoad drives Viewers concurrent ABR players against BaseURL,
-// Sessions sessions in total, titles picked per session by Zipf popularity.
+// RunEdgeLoad drives Viewers concurrent ABR players against BaseURL, one
+// session each, titles picked per session by Zipf popularity.
 func RunEdgeLoad(o EdgeLoadOptions) *EdgeLoadReport {
 	if o.Viewers < 1 || len(o.VideoIDs) == 0 {
 		panic(fmt.Sprintf("workload: bad edge load options %+v", o))
-	}
-	if o.Sessions == 0 {
-		o.Sessions = o.Viewers
 	}
 	if o.ZipfS == 0 {
 		o.ZipfS = 1.1
@@ -76,9 +72,9 @@ func RunEdgeLoad(o EdgeLoadOptions) *EdgeLoadReport {
 	zipf := NewZipf(len(o.VideoIDs), o.ZipfS)
 	rep := &EdgeLoadReport{}
 	var mu sync.Mutex
-	work := make(chan int64, o.Sessions)
+	work := make(chan int64, o.Viewers)
 	rng := rand.New(rand.NewSource(o.Seed))
-	for i := 0; i < o.Sessions; i++ {
+	for i := 0; i < o.Viewers; i++ {
 		work <- o.VideoIDs[zipf.Pick(rng)]
 	}
 	close(work)

@@ -6,7 +6,9 @@ package videocloud
 // non-test file of internal/, cmd/, examples/, bench/ or the facade, or a
 // line in surfaceAllowlist that says why it stays. A hook only one
 // package's tests call belongs in that package's export_test.go; a name
-// nothing calls is deleted.
+// nothing calls is deleted. TestEveryOptionHasACaller holds the fields of
+// the Config and Options structs to a stricter rule: some non-test code
+// outside their own package must name them.
 
 import (
 	"fmt"
@@ -223,47 +225,67 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// used is the set of declarations some non-test file names. An unkeyed
-// composite literal names every field of its struct. A concrete method
-// also counts as used when an interface its type satisfies demands it: a
-// module interface, one asserted in a type switch or assertion, or one of
-// the standard library's listed in stdlibMethods. Whether the interface's
-// own method is called is then the interface's question.
-func (m *module) used() map[types.Object]bool {
-	used := map[types.Object]bool{}
-	for _, files := range m.files {
+// eachUse calls fn for every declaration a non-test file names: each
+// identifier's object, and every field of a struct an unkeyed composite
+// literal builds. path is the naming file's package and self the function
+// whose declaration holds the name (nil outside functions).
+func (m *module) eachUse(fn func(path string, self, obj types.Object)) {
+	for path, files := range m.files {
 		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok || len(lit.Elts) == 0 {
-					return true
+			for _, d := range f.Decls {
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = m.info.Defs[fd.Name]
 				}
-				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
-					return true
-				}
-				tv := m.info.Types[lit]
-				if tv.Type == nil {
-					return true
-				}
-				if st, ok := tv.Type.Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						used[st.Field(i)] = true
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if obj := m.info.Uses[n]; obj != nil {
+							fn(path, self, origin(obj))
+						}
+					case *ast.CompositeLit:
+						if len(n.Elts) == 0 {
+							return true
+						}
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+							return true
+						}
+						if tv := m.info.Types[n]; tv.Type != nil {
+							if st, ok := tv.Type.Underlying().(*types.Struct); ok {
+								for i := 0; i < st.NumFields(); i++ {
+									fn(path, self, st.Field(i))
+								}
+							}
+						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
+}
+
+// used is the set of declarations some non-test file names. A function's
+// reference to itself inside its own body (a recursive call) does not
+// count. A concrete method also counts as used when an interface its type
+// satisfies demands it: a module interface, one asserted in a type switch
+// or assertion, or one of the standard library's listed in stdlibMethods.
+// Whether the interface's own method is called is then the interface's
+// question.
+func (m *module) used() map[types.Object]bool {
+	used := map[types.Object]bool{}
 	ifaces := map[*types.Interface]bool{}
-	for _, obj := range m.info.Uses {
-		obj = origin(obj)
+	m.eachUse(func(_ string, self, obj types.Object) {
+		if obj == self {
+			return
+		}
 		used[obj] = true
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
 			if it, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
 				ifaces[it] = true
 			}
 		}
-	}
+	})
 	var named []*types.Named
 	for _, pkg := range m.pkgs {
 		if pkg == nil {
@@ -336,14 +358,14 @@ var surfaceAllowlist = map[string]string{
 	"video.Split":                        "Figure 16 (E2): films divided at GOP boundaries for parallel conversion; TestParallelConversionBitIdentical",
 	"video.Merge":                        "Figure 16 (E2): segments assembled in the integration stage; TestMergeOutOfOrderSegments, web's delivery tests",
 	"core.VideoCloud.RollingMaintenance": "Figures 8-10 (E1): the operational payoff of live migration, a host patched with the site up; TestRollingMaintenanceKeepsServiceUp",
+	"nebula.Options.Driver":              "§III-A pluggable Virtualized Access Drivers: a deployment picks its hypervisor; TestDriverVariants",
 
 	// Named by a later ROADMAP item, or run by a make target.
-	"hdfs.Client.ReadFileInto":     "ROADMAP item 5(b) moves steady-state re-reads onto it; BenchmarkReadFile",
-	"hdfs.NameNode.SaveImage":      "ROADMAP item 8 (restart loses nothing); TestCheckpointRestartRoundTrip",
-	"hdfs.Cluster.RestartNameNode": "ROADMAP item 8 (restart loses nothing); TestCheckpointRestartRoundTrip",
+	"hdfs.NameNode.SaveImage":      "ROADMAP item 11 (restart loses nothing); TestCheckpointRestartRoundTrip",
+	"hdfs.Cluster.RestartNameNode": "ROADMAP item 11 (restart loses nothing); TestCheckpointRestartRoundTrip",
 	"hdfs.Cluster.Balance":         "§III-B HDFS balancer, repeated by make chaosshort; TestBalanceEvensStorage",
 	"hdfs.Cluster.Decommission":    "§III-B HDFS decommissioning, repeated by make chaosshort; TestDecommissionGraceful",
-	"nebula.API.SetAuth":           "ROADMAP item 9 fuzzes the nebula JSON API's Bearer auth; TestAPIAuth",
+	"nebula.API.SetAuth":           "ROADMAP item 12(c) fuzzes the nebula JSON API's Bearer auth; TestAPIAuth",
 
 	// Standard-library hooks: the library calls them, and the scan stubs it out.
 	"web.statusRecorder.Unwrap": "http.ResponseController reaches the connection through the middleware; TestResponseControllerReachesConnection",
@@ -352,22 +374,24 @@ var surfaceAllowlist = map[string]string{
 
 	// Cross-package test hooks: another package's tests call them, and Go
 	// test files cannot be imported.
-	"chaos":                        "the fault-injection harness core's soak drives (TestChaosSoak); ROADMAP items 6 and 9 extend it",
-	"edge.Cache.Frequency":         "web's tests read a segment key's admission count; TestSegmentMissCountedOnce",
-	"fusebridge.Mount.ReadFileCtx": "web's tests read stored objects past the edge cache; TestStoredOnce, TestEdgeEntryLifetimeSoak",
-	"fusebridge.Mount.Walk":        "web's soak walks HDFS for orphans; TestTitleLifecycleSoak",
-	"fusebridge.Mount.Exists":      "web's partial-store tests look for orphans; TestPartialStoreFailureCleansUp",
-	"fusebridge.Mount.Mkdir":       "web's partial-store tests block a rendition path with a directory; TestPartialStoreFailureCleansUp",
-	"hdfs.Cluster.BlockCache":      "core's soak checks every cache reference is released; TestChaosSoak",
-	"image.Image.Backing":          "nebula's tests check a deployed disk is a COW clone; TestSubmitDeployLifecycle",
-	"ingress.Balancer.Backends":    "core's tests check the fleet's shape; TestServingTierShape",
-	"metrics.Histogram.Count":      "nebula, videodb and web tests count observations; TestRouteMetricsRecorded",
-	"metrics.Table.Rows":           "experiments' registry test checks every table has rows; TestRegistry",
-	"nebula.Cloud.Network":         "chaos and core's soak partition hosts through it; TestPartitionFaultLifecycle",
-	"simnet.Network.Partitioned":   "chaos's tests check a partition took; TestPartitionFaultLifecycle",
-	"tenant.Ledger.Events":         "web's tests read the usage ledger's tail; TestLiveChannelStorageAdmittedAndAccounted",
-	"trace.Tracer.Trace":           "core's soak looks traces up by id; TestChaosSoak",
-	"videodb.Store.RawPut":         "web's hardening tests inject schema drift through the interface; TestMalformedRowDoesNotPanic",
+	"chaos":                             "the fault-injection harness core's soak drives (TestChaosSoak); ROADMAP items 6 and 9 extend it",
+	"edge.Cache.Frequency":              "web's tests read a segment key's admission count; TestSegmentMissCountedOnce",
+	"fusebridge.Mount.ReadFileCtx":      "web's tests read stored objects past the edge cache; TestStoredOnce, TestEdgeEntryLifetimeSoak",
+	"fusebridge.Mount.Walk":             "web's soak walks HDFS for orphans; TestTitleLifecycleSoak",
+	"fusebridge.Mount.Exists":           "web's partial-store tests look for orphans; TestPartialStoreFailureCleansUp",
+	"fusebridge.Mount.Mkdir":            "web's partial-store tests block a rendition path with a directory; TestPartialStoreFailureCleansUp",
+	"hdfs.Cluster.BlockCache":           "core's soak checks every cache reference is released; TestChaosSoak",
+	"image.Image.Backing":               "nebula's tests check a deployed disk is a COW clone; TestSubmitDeployLifecycle",
+	"ingress.Balancer.Backends":         "core's tests check the fleet's shape; TestServingTierShape",
+	"mapred.Engine.InjectFaults":        "core's soak kills trackers and crashes tasks through it; TestChaosSoak",
+	"metrics.Histogram.Count":           "nebula, videodb and web tests count observations; TestRouteMetricsRecorded",
+	"metrics.Table.Rows":                "experiments' registry test checks every table has rows; TestRegistry",
+	"nebula.Cloud.Network":              "chaos and core's soak partition hosts through it; TestPartitionFaultLifecycle",
+	"nebula.Cloud.SetMigrationDeadline": "core's maintenance test makes every copy miss a 1 ms deadline; TestRollingMaintenanceReportsResidentsAsSkipped",
+	"simnet.Network.Partitioned":        "chaos's tests check a partition took; TestPartitionFaultLifecycle",
+	"tenant.Ledger.Events":              "web's tests read the usage ledger's tail; TestLiveChannelStorageAdmittedAndAccounted",
+	"trace.Tracer.Trace":                "core's soak looks traces up by id; TestChaosSoak",
+	"videodb.Store.RawPut":              "web's hardening tests inject schema drift through the interface; TestMalformedRowDoesNotPanic",
 }
 
 func TestNoTestOnlyExports(t *testing.T) {
@@ -391,12 +415,61 @@ func TestNoTestOnlyExports(t *testing.T) {
 				e.name, e.pos.Filename, e.pos.Line)
 		}
 	}
+	_, uncalled := m.options() // TestEveryOptionHasACaller's lines
 	for name := range surfaceAllowlist {
+		_, option := uncalled[name]
 		switch {
 		case !exported[name]:
 			t.Errorf("allowlist line %q names nothing that exists", name)
-		case !testOnly[name]:
+		case !testOnly[name] && !option:
 			t.Errorf("allowlist line %q is stale: non-test code uses it now", name)
 		}
 	}
+}
+
+// options lists the option fields: the exported fields of every exported
+// internal/ struct type whose name ends in Config or Options, the knobs a
+// deployment sets. uncalled holds those no non-test code outside the
+// field's own package names, by selector, composite-literal key or unkeyed
+// literal: read only by their package's defaults, every deployment runs
+// them at one value.
+func (m *module) options() (fields []export, uncalled map[string]export) {
+	outside := map[types.Object]bool{}
+	m.eachUse(func(path string, _, obj types.Object) {
+		if obj.Pkg() != nil && obj.Pkg().Path() != path {
+			outside[obj] = true
+		}
+	})
+	uncalled = map[string]export{}
+	for _, e := range m.exports() {
+		parts := strings.Split(e.name, ".")
+		if len(parts) != 3 || !(strings.HasSuffix(parts[1], "Config") || strings.HasSuffix(parts[1], "Options")) {
+			continue
+		}
+		if v, ok := e.obj.(*types.Var); !ok || !v.IsField() {
+			continue
+		}
+		fields = append(fields, e)
+		if !outside[e.obj] {
+			uncalled[e.name] = e
+		}
+	}
+	return fields, uncalled
+}
+
+// TestEveryOptionHasACaller keeps every option field one that some
+// deployment sets: cmd/, examples/, bench/, the experiments or another
+// package. An option only its package's defaults and tests set is a
+// constant, or an unexported field its tests set; one that stays needs a
+// surfaceAllowlist line with its reason and its test. It logs the option
+// count that make loc prints.
+func TestEveryOptionHasACaller(t *testing.T) {
+	fields, uncalled := loadModule(t, ".").options()
+	for name, e := range uncalled {
+		if surfaceAllowlist[name] == "" {
+			t.Errorf("%s (%s:%d) is set by no non-test code outside its package: make it a constant or an unexported field its tests set, or allowlist it with a reason",
+				name, e.pos.Filename, e.pos.Line)
+		}
+	}
+	t.Logf("options: %d", len(fields))
 }

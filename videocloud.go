@@ -43,8 +43,9 @@ func New(cfg Config) (*System, error) { return core.New(cfg) }
 
 // ---- IaaS layer (use when only the cloud substrate is needed) ----
 
-// IaaSOptions configures a standalone cloud (hypervisor driver, placement
-// policy, network speeds).
+// IaaSOptions configures a standalone cloud: its hypervisor driver and
+// placement policy. The fabric is fixed at GbE hosts and a 10 GbE
+// front-end.
 type IaaSOptions = nebula.Options
 
 // Template describes a VM to deploy.
