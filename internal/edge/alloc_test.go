@@ -50,7 +50,7 @@ func TestAllocWarmPinnedHitZeroCopy(t *testing.T) {
 	}
 	c := New(Config{CapacityBytes: 1 << 20})
 	views := [][]byte{make([]byte, 256<<10), make([]byte, 100<<10)}
-	fill := func() (*Content, error) { return Pin(views, new(closeCounter), 512<<10), nil }
+	fill := func() (*Content, error) { return Pin(views, new(closeCounter), 512<<10, ""), nil }
 	content, _, err := c.Acquire("seg/1/720p/0", fill)
 	if err != nil {
 		t.Fatal(err)

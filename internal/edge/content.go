@@ -17,6 +17,7 @@ type Content struct {
 	charge int64     // what the cache's budget charges: size, or more for a pin (see Pin)
 	pin    io.Closer // nil for owned bytes, which need no reference count
 	refs   atomic.Int32
+	etag   string
 }
 
 // NewContent wraps owned bytes.
@@ -32,10 +33,12 @@ func NewContent(data []byte) *Content {
 // what resident entries pin stays within twice the budget: no more than the
 // heap copies they replace could occupy under the collector's default
 // headroom, and a segment that fills at least half its extents (a 1 MB one
-// fills four 256 KiB extents) is charged exactly its length. The content
-// carries one reference, the caller's; the last Release closes the pin.
-func Pin(views [][]byte, pin io.Closer, held int64) *Content {
-	c := &Content{views: views, pin: pin}
+// fills four 256 KiB extents) is charged exactly its length. etag is the
+// content's validator, worked out once here so that no hit computes it. The
+// content carries one reference, the caller's; the last Release closes the
+// pin.
+func Pin(views [][]byte, pin io.Closer, held int64, etag string) *Content {
+	c := &Content{views: views, pin: pin, etag: etag}
 	for _, v := range views {
 		c.size += int64(len(v))
 	}
@@ -58,6 +61,9 @@ func (c *Content) Release() {
 		c.pin.Close()
 	}
 }
+
+// ETag is the validator the content was pinned with.
+func (c *Content) ETag() string { return c.etag }
 
 // Size reports the content length.
 func (c *Content) Size() int64 { return c.size }

@@ -32,6 +32,7 @@ package edge
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"time"
 )
@@ -161,7 +162,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // Concurrent misses on one key share a single fill. ttl > 0 marks the entry
 // as expiring (live-edge objects); ttl == 0 marks it immutable. The returned
 // Source says which path served this call. Like Get, the returned bytes are
-// shared and read-only. A key whose content is pinned answers an error.
+// shared and read-only. A key whose content is pinned answers an error. The
+// cache keeps its own copy of key, made on a miss.
 func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() ([]byte, error)) ([]byte, Source, error) {
 	content, src, err := c.lookup(key, ttl, func() (*Content, error) {
 		data, err := fill()
@@ -184,7 +186,9 @@ func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() ([]byte, er
 // the caller, who must Release it once the views are written out. On a miss
 // fill makes the content (typically Pin, carrying the filler's reference),
 // single-flight like GetOrFill. A purge or eviction while the caller holds
-// its reference leaves the views valid until that Release.
+// its reference leaves the views valid until that Release. Like GetOrFill it
+// keeps a copy of key only on a miss, so the caller may build key in memory
+// it reuses once the call returns, and a hit copies nothing.
 func (c *Cache) Acquire(key string, fill func() (*Content, error)) (*Content, Source, error) {
 	return c.lookup(key, 0, fill)
 }
@@ -214,20 +218,23 @@ func (c *Cache) lookup(key string, ttl time.Duration, fill func() (*Content, err
 		<-f.done
 		return f.c, SourceJoin, f.err
 	}
+	// The caller's key may view memory it reuses once the call returns: what
+	// the cache keeps is a copy, made here, on the miss.
+	owned := strings.Clone(key)
 	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
+	c.flights[owned] = f
 	c.stats.Misses++
 	c.mu.Unlock()
 
 	content, err := fill()
 
 	c.mu.Lock()
-	delete(c.flights, key)
+	delete(c.flights, owned)
 	if err == nil {
 		c.stats.Fills++
 		content.retain(f.joiners)
 		if !f.stale {
-			c.admitLocked(key, h, content, ttl)
+			c.admitLocked(owned, h, content, ttl)
 		}
 	}
 	f.c, f.err = content, err

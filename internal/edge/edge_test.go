@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func fillWith(data []byte) func() ([]byte, error) {
@@ -252,7 +253,7 @@ func pinned(pin *closeCounter, views ...string) func() (*Content, error) {
 		for i, v := range views {
 			vs[i] = []byte(v)
 		}
-		return Pin(vs, pin, 0), nil
+		return Pin(vs, pin, 0, ""), nil
 	}
 }
 
@@ -347,7 +348,7 @@ func TestPinnedEntryLifetime(t *testing.T) {
 func TestPinnedChargedByPinnedMemory(t *testing.T) {
 	c := New(Config{CapacityBytes: 100})
 	small := func(pin *closeCounter, held int64) func() (*Content, error) {
-		return func() (*Content, error) { return Pin([][]byte{[]byte("0123")}, pin, held), nil }
+		return func() (*Content, error) { return Pin([][]byte{[]byte("0123")}, pin, held, ""), nil }
 	}
 	a, b := new(closeCounter), new(closeCounter)
 	got, _, _ := c.Acquire("a", small(a, 120))
@@ -361,7 +362,7 @@ func TestPinnedChargedByPinnedMemory(t *testing.T) {
 		t.Fatalf("after b: used %d, %d evictions, a closed %d times; want 60, 1, 1", s.UsedBytes, s.Evictions, a.n.Load())
 	}
 	// Content filling at least half of what it pins is charged its length.
-	if got := Pin([][]byte{[]byte("0123")}, b, 8); got.charge != 4 {
+	if got := Pin([][]byte{[]byte("0123")}, b, 8, ""); got.charge != 4 {
 		t.Fatalf("charge %d, want the length 4", got.charge)
 	}
 }
@@ -434,5 +435,35 @@ func TestPinnedFillInvalidatedInFlight(t *testing.T) {
 	}
 	if n != joiners+1 || pin.n.Load() != 1 || c.Stats().Entries != 0 {
 		t.Fatalf("%d holders, pin closed %d times, %d entries; want %d, 1, 0", n, pin.n.Load(), c.Stats().Entries, joiners+1)
+	}
+}
+
+// TestKeyCopiedWhenKept: a caller may build its key in memory it reuses
+// once the call returns, as the segment handler builds it on its stack. The
+// cache keeps its own copy, so what the caller writes there next does not
+// rename what was cached.
+func TestKeyCopiedWhenKept(t *testing.T) {
+	c := New(Config{CapacityBytes: 1 << 20})
+	buf := []byte("seg/1/720p/0")
+	view := unsafe.String(unsafe.SliceData(buf), len(buf))
+	content, src, err := c.Acquire(view, pinned(new(closeCounter), "abcd"))
+	if err != nil || src != SourceFill {
+		t.Fatalf("fill: src=%v err=%v", src, err)
+	}
+	content.Release()
+	if _, _, err := c.GetOrFill(view[:len(view)-2], 0, fillWith([]byte("playlist"))); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "seg/9/999p/9")
+	content, src, err = c.Acquire("seg/1/720p/0", func() (*Content, error) {
+		t.Fatal("a cached key went to origin after the caller reused its memory")
+		return nil, nil
+	})
+	if err != nil || src != SourceHit {
+		t.Fatalf("hit: src=%v err=%v", src, err)
+	}
+	content.Release()
+	if data, ok := c.Get("seg/1/720p"); !ok || string(data) != "playlist" {
+		t.Fatalf("owned entry under the caller's old key: %q, %v", data, ok)
 	}
 }

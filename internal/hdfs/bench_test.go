@@ -38,11 +38,11 @@ func BenchmarkReadRange(b *testing.B) {
 
 // BenchmarkReadFile reads an 8-block file whose block fetches fan out over
 // up to GOMAXPROCS workers — compare -cpu 1 vs -cpu 4 for the parallel
-// speedup. The loop reuses its destination buffer (ReadFileInto), the
-// steady-state form of repeated full-file readers. cold drops the file's
-// extents before every read, so each is chunk-verified against its replica
-// and copied into the cache and then the buffer; warm is one copy out of
-// resident verified data — no replica access, no checksum pass.
+// speedup. Each read returns a fresh buffer, as ReadFile does for every
+// caller, and allocs/op reports it. cold drops the file's extents before
+// every read, so each is chunk-verified against its replica and copied into
+// the cache and then the buffer; warm is one copy out of resident verified
+// data — no replica access, no checksum pass.
 func BenchmarkReadFile(b *testing.B) {
 	const blockSize = 4 << 20
 	const blocks = 8
@@ -57,7 +57,6 @@ func BenchmarkReadFile(b *testing.B) {
 	for i, info := range infos {
 		ids[i] = info.ID
 	}
-	buf := make([]byte, len(data))
 	for _, cold := range []bool{true, false} {
 		b.Run(map[bool]string{true: "cold", false: "warm"}[cold], func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
@@ -66,9 +65,7 @@ func BenchmarkReadFile(b *testing.B) {
 				if cold {
 					c.BlockCache().Invalidate(ids...)
 				}
-				var err error
-				buf, err = cl.ReadFileInto("/f", buf)
-				if err != nil {
+				if _, err := cl.ReadFile("/f"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -373,15 +373,11 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 // each block fetch nests an hdfs.read_block child recording per-replica
 // errors and failovers.
 func (c *Client) ReadFileCtx(ctx context.Context, path string) ([]byte, error) {
-	return c.readFileInto(ctx, path, nil)
-}
-
-func (c *Client) readFileInto(ctx context.Context, path string, dst []byte) ([]byte, error) {
 	sp := trace.FromContext(ctx).StartChild("hdfs.read_file")
 	if sp != nil {
 		sp.Annotate("path", path)
 	}
-	data, err := c.readFileSpan(path, dst, sp)
+	data, err := c.readFileSpan(path, sp)
 	if err != nil {
 		sp.SetError(err)
 	} else if sp.Recording() {
@@ -391,7 +387,7 @@ func (c *Client) readFileInto(ctx context.Context, path string, dst []byte) ([]b
 	return data, err
 }
 
-func (c *Client) readFileSpan(path string, dst []byte, sp *trace.Span) ([]byte, error) {
+func (c *Client) readFileSpan(path string, sp *trace.Span) ([]byte, error) {
 	r, err := c.open(path)
 	if err != nil {
 		return nil, err
@@ -400,11 +396,7 @@ func (c *Client) readFileSpan(path string, dst []byte, sp *trace.Span) ([]byte, 
 		return nil, nil
 	}
 	r.span = sp
-	out := dst
-	if int64(cap(out)) < r.size {
-		out = make([]byte, r.size)
-	}
-	out = out[:r.size]
+	out := make([]byte, r.size)
 	if workers := readWorkers(len(r.blocks)); workers > 1 {
 		if err := r.readBlocksParallel(out, workers); err != nil {
 			return nil, err

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -45,8 +44,9 @@ type SliceRanger interface {
 // is set. Content that cannot produce it yields a non-nil error with the
 // response untouched, and the caller picks the failure response (a server with
 // a storage circuit breaker answers 503 + Retry-After). The views go out
-// without a copy through net.Buffers, which writes them one Write per view to
-// an http.ResponseWriter (it becomes a single writev only on a bare net.Conn).
+// without a copy, one Write per view: what net.Buffers does on an
+// http.ResponseWriter (it makes a single writev only on a bare net.Conn),
+// without boxing the views to get there.
 func ServeTagged(w http.ResponseWriter, r *http.Request, etag string, content SliceRanger) (int64, error) {
 	size := content.Size()
 	off, length, ranged := window(r, etag, size)
@@ -78,8 +78,14 @@ func ServeTagged(w http.ResponseWriter, r *http.Request, etag string, content Sl
 	w.WriteHeader(status)
 	// A failed write is a client that went away; the response is committed
 	// and the content was fine, so it is not the caller's error.
-	bufs := net.Buffers(views)
-	n, _ := bufs.WriteTo(w)
+	var n int64
+	for _, v := range views {
+		m, err := w.Write(v)
+		n += int64(m)
+		if err != nil {
+			break
+		}
+	}
 	return n, nil
 }
 

@@ -8,10 +8,12 @@ import (
 	"io/fs"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"videocloud/internal/edge"
 	"videocloud/internal/fusebridge"
@@ -26,6 +28,9 @@ import (
 // one rendition's time-indexed segments, /segment/{id}/{quality}/{k} serves
 // segment k's bytes, and /stream/{id}[?quality=] serves the whole-file
 // container those objects were cut from, assembled per window (renditionFile).
+// Each route parses its own path (mediaTail), and Site.ServeHTTP calls it
+// without the mux's matching (mediaRoute), so routing a warm request
+// allocates nothing.
 // Playlist and segment responses are served through the replica's edge
 // cache, so under fan-out the hot titles cost origin (HDFS for segments, the
 // database for playlists) roughly one read per object per frontend instead
@@ -33,8 +38,8 @@ import (
 // change: live channels grow); segments are write-once and cached without
 // one; unpublish purges both from every replica (publish.go). Warm segment
 // hits and stream windows leave through the one media response function,
-// stream.ServeTagged: cache memory → net.Buffers → response writer, one
-// Write per view and no per-request copy, whatever Range the client sends.
+// stream.ServeTagged: cache memory → response writer, one Write per view and
+// no per-request copy, whatever Range the client sends.
 
 // Cached segments and assembled renditions must satisfy the zero-copy serving
 // contract.
@@ -88,13 +93,12 @@ const (
 	dcRenditions
 )
 
-// deliveryByRequest resolves the request's {id} to a servable row for
-// /stream, /playlist and /segment alike. The error is user-facing via
-// deliveryError; id and live are set whenever the row exists and has left
-// processing.
-func (s *Site) deliveryByRequest(r *http.Request) (deliveryRow, error) {
+// deliveryByID resolves title id to a servable row for /stream, /playlist
+// and /segment alike. The error is user-facing via deliveryError; id and live
+// are set whenever the row exists and has left processing.
+func (s *Site) deliveryByID(ctx context.Context, id int64) (deliveryRow, error) {
 	var d deliveryRow
-	p, err := s.projectByRequest(r, deliveryCols)
+	p, err := s.project(ctx, id, deliveryCols)
 	if err != nil {
 		return d, err
 	}
@@ -117,6 +121,65 @@ func (s *Site) deliveryByRequest(r *http.Request) (deliveryRow, error) {
 	return d, nil
 }
 
+// mediaTail splits a media request's path after its first segment, the
+// route's name, into the values the route's ServeMux patterns of old
+// (/stream/{id}, /playlist/{id}[/{quality}], /segment/{id}/{quality}/{k})
+// gave their wildcards, split as ServeMux splits: on the escaped path, each
+// segment unescaped, none empty (so no trailing slash) and none a lone
+// escaped slash. n is how many there are, or 0 when the path has more than
+// three or one that no wildcard matched. A path the client did not escape
+// is split as it stands, without an allocation.
+func mediaTail(r *http.Request) (tail [3]string, n int) {
+	path, escaped := r.URL.Path, r.URL.RawPath != ""
+	if escaped {
+		path = r.URL.EscapedPath()
+	}
+	_, rest, _ := strings.Cut(strings.TrimPrefix(path, "/"), "/")
+	for {
+		seg, more, found := strings.Cut(rest, "/")
+		if escaped {
+			if u, err := url.PathUnescape(seg); err == nil {
+				seg = u
+			}
+		}
+		if n == len(tail) || seg == "" || seg == "/" {
+			return tail, 0
+		}
+		tail[n] = seg
+		n++
+		if !found {
+			return tail, n
+		}
+		rest = more
+	}
+}
+
+// segmentKey is the edge-cache key of segment k of a title's rendition
+// label, seg/<id>/<label>/<k>, and playlistKey that of its ladder, pl/<id>,
+// or of one rendition's segment index, pl/<id>/<label>. Unpublish purges by
+// the same functions. Each appends to buf and returns a string that views
+// buf's bytes: a handler passes a stack array, so a hit spends no allocation
+// on its key (the cache copies a key it keeps, edge.Cache.Acquire).
+func segmentKey(buf []byte, id int64, label string, k int) string {
+	buf = append(playlistAppend(append(buf, "seg/"...), id, label), '/')
+	return bytesView(strconv.AppendInt(buf, int64(k), 10))
+}
+
+func playlistKey(buf []byte, id int64, label string) string {
+	return bytesView(playlistAppend(append(buf, "pl/"...), id, label))
+}
+
+func playlistAppend(buf []byte, id int64, label string) []byte {
+	buf = strconv.AppendInt(buf, id, 10)
+	if label != "" {
+		buf = append(append(buf, '/'), label...)
+	}
+	return buf
+}
+
+// bytesView is b as a string without a copy; b must not change after.
+func bytesView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 func (s *Site) deliveryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errStoreUnavailable):
@@ -136,14 +199,14 @@ func (s *Site) deliveryError(w http.ResponseWriter, err error) {
 // before anything was written to the client, and classifies it for
 // deliveryError: a missing or misshapen object is the row's problem, not the
 // store's, and must not trip the breaker.
-func (s *Site) storeFailure(r *http.Request, name string, err error) error {
+func (s *Site) storeFailure(ctx context.Context, name string, err error) error {
 	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errNotSegmented) {
 		s.hdfsBreaker.Success()
 		return errNotSegmented
 	}
 	s.hdfsBreaker.Failure()
 	s.reg.Counter("stream_storage_errors").Inc()
-	log.Printf("web: storage failure reading %s (request %s): %v", name, requestIDFrom(r.Context()), err)
+	log.Printf("web: storage failure reading %s (request %s): %v", name, requestIDFrom(ctx), err)
 	return errStoreUnavailable
 }
 
@@ -157,71 +220,81 @@ func (s *Site) specForLabel(label string) (video.Spec, bool) {
 	return video.Spec{}, false
 }
 
-// servePlaylist answers a playlist request through the edge cache; on a miss
-// build renders it from the resolved row. Playlists are cached with the
-// live-edge TTL: a live channel's omits the end marker and keeps growing, so
-// viewers discover fresh segments within LiveEdgeTTL without every poll
-// hitting the database.
-func (s *Site) servePlaylist(w http.ResponseWriter, r *http.Request, key string, build func(deliveryRow) ([]byte, error)) {
-	s.reg.Counter("edge_playlist_requests").Inc()
-	data, src, err := s.edge.GetOrFill(key, s.liveTTL, func() ([]byte, error) {
-		d, err := s.deliveryByRequest(r)
+// handlePlaylist serves /playlist/{id}, the title's rendition ladder, and
+// /playlist/{id}/{quality}, one rendition's segment index, through the edge
+// cache; on a miss the playlist is rendered from the resolved row. Playlists
+// are cached with the live-edge TTL: a live channel's omits the end marker
+// and keeps growing, so viewers discover fresh segments within LiveEdgeTTL
+// without every poll hitting the database.
+func (s *Site) handlePlaylist(w http.ResponseWriter, r *http.Request) {
+	tail, n := mediaTail(r)
+	if n != 1 && n != 2 {
+		http.NotFound(w, r)
+		return
+	}
+	s.plRequests.Inc()
+	id, err := parseVideoID(tail[0])
+	if err != nil {
+		s.deliveryError(w, err)
+		return
+	}
+	label := tail[1] // "" for the ladder
+	var kb [64]byte
+	data, src, err := s.edge.GetOrFill(playlistKey(kb[:0], id, label), s.liveTTL, func() ([]byte, error) {
+		d, err := s.deliveryByID(r.Context(), id)
 		if err != nil {
 			return nil, err
 		}
-		return build(d)
+		if label == "" {
+			return s.masterPlaylist(d)
+		}
+		return mediaPlaylist(d, label)
 	})
 	if err != nil {
 		s.deliveryError(w, err)
 		return
 	}
 	if src == edge.SourceFill {
-		s.reg.Counter("edge_playlist_origin").Inc()
+		s.plOrigin.Inc()
 	}
 	w.Header().Set("Content-Type", stream.PlaylistContentType)
 	w.Write(data)
 }
 
-// handlePlaylistMaster serves /playlist/{id}: the title's rendition ladder.
-func (s *Site) handlePlaylistMaster(w http.ResponseWriter, r *http.Request) {
-	s.servePlaylist(w, r, "pl/"+r.PathValue("id"), func(d deliveryRow) ([]byte, error) {
-		var m stream.MasterPlaylist
-		for _, label := range strings.Split(d.labels, ",") {
-			spec, ok := s.specForLabel(label)
-			if !ok {
-				continue // label from a config this replica doesn't know
-			}
-			m.Renditions = append(m.Renditions, stream.Rendition{
-				Label:        label,
-				BandwidthBps: spec.BitrateBps,
-				URL:          fmt.Sprintf("/playlist/%d/%s", d.id, label),
-			})
+// masterPlaylist renders a title's rendition ladder.
+func (s *Site) masterPlaylist(d deliveryRow) ([]byte, error) {
+	var m stream.MasterPlaylist
+	for _, label := range strings.Split(d.labels, ",") {
+		spec, ok := s.specForLabel(label)
+		if !ok {
+			continue // label from a config this replica doesn't know
 		}
-		if len(m.Renditions) == 0 {
-			return nil, errNotSegmented
-		}
-		return m.Marshal(), nil
-	})
+		m.Renditions = append(m.Renditions, stream.Rendition{
+			Label:        label,
+			BandwidthBps: spec.BitrateBps,
+			URL:          fmt.Sprintf("/playlist/%d/%s", d.id, label),
+		})
+	}
+	if len(m.Renditions) == 0 {
+		return nil, errNotSegmented
+	}
+	return m.Marshal(), nil
 }
 
-// handlePlaylistMedia serves /playlist/{id}/{quality}: one rendition's
-// segment index.
-func (s *Site) handlePlaylistMedia(w http.ResponseWriter, r *http.Request) {
-	label := r.PathValue("quality")
-	s.servePlaylist(w, r, "pl/"+r.PathValue("id")+"/"+label, func(d deliveryRow) ([]byte, error) {
-		if !hasLabel(d.labels, label) {
-			return nil, errNotSegmented
-		}
-		m := stream.MediaPlaylist{TargetDuration: int(d.segSeconds), Live: d.live}
-		for k := 0; k < int(d.segments); k++ {
-			m.Segments = append(m.Segments, stream.SegmentRef{
-				Index:           k,
-				DurationSeconds: video.SegmentPlaySeconds(int(d.duration), int(d.segSeconds), k),
-				URL:             fmt.Sprintf("/segment/%d/%s/%d", d.id, label, k),
-			})
-		}
-		return m.Marshal(), nil
-	})
+// mediaPlaylist renders one rendition's segment index.
+func mediaPlaylist(d deliveryRow, label string) ([]byte, error) {
+	if !hasLabel(d.labels, label) {
+		return nil, errNotSegmented
+	}
+	m := stream.MediaPlaylist{TargetDuration: int(d.segSeconds), Live: d.live}
+	for k := 0; k < int(d.segments); k++ {
+		m.Segments = append(m.Segments, stream.SegmentRef{
+			Index:           k,
+			DurationSeconds: video.SegmentPlaySeconds(int(d.duration), int(d.segSeconds), k),
+			URL:             fmt.Sprintf("/segment/%d/%s/%d", d.id, label, k),
+		})
+	}
+	return m.Marshal(), nil
 }
 
 // hasLabel reports whether a renditions column lists label.
@@ -238,17 +311,36 @@ func hasLabel(labels, label string) bool {
 
 // handleSegment serves /segment/{id}/{quality}/{k} through the edge cache,
 // one lookup per request: the warm path touches neither the database nor
-// HDFS, cache lookup then the zero-copy slice write. Only a miss validates
-// the request against the catalog and pins the segment object's extents in
-// the HDFS block cache (single-flight, so a flash crowd on an uncached
-// segment costs one read). The response holds a reference on the entry until
-// its body is written, so an eviction or purge meanwhile leaves its views
-// valid.
+// HDFS, cache lookup then the zero-copy slice write, with the ETag the entry
+// was filled with. Only a miss validates the request against the catalog
+// and pins the segment object's extents in the HDFS block cache
+// (single-flight, so a flash crowd on an uncached segment costs one read).
+// The response holds a reference on the entry until its body is written, so
+// an eviction or purge meanwhile leaves its views valid. Egress is
+// attributed to the video owner's tenant via the per-replica attribution
+// cache, so warm edge hits stay off the database.
 func (s *Site) handleSegment(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("edge_segment_requests").Inc()
-	key := "seg/" + r.PathValue("id") + "/" + r.PathValue("quality") + "/" + r.PathValue("k")
+	tail, n := mediaTail(r)
+	if n != 3 {
+		http.NotFound(w, r)
+		return
+	}
+	s.segRequests.Inc()
+	id, err := parseVideoID(tail[0])
+	if err != nil {
+		s.deliveryError(w, err)
+		return
+	}
+	label := tail[1]
+	k, err := strconv.Atoi(tail[2])
+	if err != nil || !canonicalNumber(tail[2]) {
+		s.deliveryError(w, fmt.Errorf("web: bad segment index %q: %w", tail[2], errNotSegmented))
+		return
+	}
+	var kb [64]byte
+	key := segmentKey(kb[:0], id, label, k)
 	content, src, err := s.edge.Acquire(key, func() (*edge.Content, error) {
-		return s.pinSegmentOrigin(r)
+		return s.pinSegmentOrigin(r.Context(), key, id, label, k)
 	})
 	if err != nil {
 		s.deliveryError(w, err)
@@ -256,24 +348,15 @@ func (s *Site) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer content.Release()
 	if src == edge.SourceFill {
-		s.reg.Counter("edge_segment_origin").Inc()
+		s.segOrigin.Inc()
 	}
-	s.serveSegment(w, r, key, content)
-}
-
-// serveSegment writes a cached segment. Egress is attributed to the video
-// owner's tenant via the per-replica attribution cache, so warm edge hits
-// stay off the database.
-func (s *Site) serveSegment(w http.ResponseWriter, r *http.Request, name string, content *edge.Content) {
 	// Cached content always resolves a window parseRange accepted.
-	n, err := s.serveMedia(w, r, stream.ETag(name, content.Size()), content)
+	written, err := s.serveMedia(w, r, content.ETag(), content)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if id, err := strconv.ParseInt(r.PathValue("id"), 10, 64); err == nil {
-		s.meterEgress(s.ownerTenant(id), n)
-	}
+	s.meterEgress(s.ownerTenant(id), written)
 }
 
 // serveMedia writes content, whose validator is etag, with
@@ -289,46 +372,54 @@ func (s *Site) serveMedia(w http.ResponseWriter, r *http.Request, etag string, c
 	return stream.ServeTagged(w, r, etag, content)
 }
 
-// pinSegmentOrigin is the miss path: validate against the catalog, then
-// resolve the whole segment object to block-cache views under the streaming
-// circuit breaker, before any status line, so an outage still answers 503.
-// The content keeps the object's reader open, holding the extents it views,
-// and copies nothing; the edge's budget counts at least half those extents'
-// whole arrays (edge.Pin).
-func (s *Site) pinSegmentOrigin(r *http.Request) (*edge.Content, error) {
-	d, err := s.deliveryByRequest(r)
+// pinSegmentOrigin is the miss path for the segment cached under key:
+// validate against the catalog, then resolve the whole segment object to
+// block-cache views under the streaming circuit breaker, before any status
+// line, so an outage still answers 503. The content keeps the object's
+// reader open, holding the extents it views, and copies nothing; the edge's
+// budget counts at least half those extents' whole arrays (edge.Pin). Its
+// ETag is the key's, taken here once for every hit.
+func (s *Site) pinSegmentOrigin(ctx context.Context, key string, id int64, label string, k int) (*edge.Content, error) {
+	d, err := s.deliveryByID(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	label := r.PathValue("quality")
 	if !hasLabel(d.labels, label) {
 		return nil, errNotSegmented
 	}
-	k, err := strconv.Atoi(r.PathValue("k"))
-	if err != nil || k < 0 || int64(k) >= d.segments || !canonicalNumber(r.PathValue("k")) {
-		return nil, fmt.Errorf("web: segment %q out of range: %w", r.PathValue("k"), errNotSegmented)
+	if int64(k) >= d.segments {
+		return nil, fmt.Errorf("web: segment %d out of range: %w", k, errNotSegmented)
 	}
 	if !s.hdfsBreaker.Allow() {
 		return nil, errStoreUnavailable
 	}
 	name := segmentPath(d.id, label, k)
-	rd, err := s.store.OpenSeekerCtx(r.Context(), name)
+	rd, err := s.store.OpenSeekerCtx(ctx, name)
 	if err != nil {
-		return nil, s.storeFailure(r, name, err)
+		return nil, s.storeFailure(ctx, name, err)
 	}
 	views, err := rd.AppendRangeSlices(nil, 0, rd.Size())
 	if err != nil {
 		rd.Close()
-		return nil, s.storeFailure(r, name, err)
+		return nil, s.storeFailure(ctx, name, err)
 	}
 	s.hdfsBreaker.Success()
-	return edge.Pin(views, rd, rd.PinnedBytes()), nil
+	return edge.Pin(views, rd, rd.PinnedBytes(), stream.ETag(key, rd.Size())), nil
 }
 
 // handleStream serves /stream/{id}[?quality=label]: the rendition's whole-file
 // container with full Range support, the paper's draggable time bar.
 func (s *Site) handleStream(w http.ResponseWriter, r *http.Request) {
-	d, err := s.deliveryByRequest(r)
+	tail, n := mediaTail(r)
+	if n != 1 {
+		http.NotFound(w, r)
+		return
+	}
+	id, err := parseVideoID(tail[0])
+	var d deliveryRow
+	if err == nil {
+		d, err = s.deliveryByID(r.Context(), id)
+	}
 	if d.live {
 		// A channel still publishing has no stable size or ETag to range
 		// over; ended, it streams like any title.
@@ -390,10 +481,10 @@ func (s *Site) streamRendition(w http.ResponseWriter, r *http.Request, d deliver
 	n, err := s.serveMedia(w, r, meta.etag, f)
 	ssp.SetError(err)
 	if err != nil {
-		return s.storeFailure(r, meta.name, err)
+		return s.storeFailure(ctx, meta.name, err)
 	}
 	s.hdfsBreaker.Success() // for responses that read nothing: HEAD, 416
-	s.reg.Counter("stream_requests").Inc()
+	s.streamRequests.Inc()
 	s.meterEgress(d.tenant, n)
 	return nil
 }

@@ -8,8 +8,10 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"videocloud/internal/metrics"
 	"videocloud/internal/tenant"
@@ -31,18 +33,50 @@ var (
 
 const hexDigits = "0123456789abcdef"
 
-// nextRequestID returns a 16-hex-char per-request ID.
+// idBlock holds the digits of 4096 request IDs, each slot written once by
+// the request that takes it and only read after. An ID is a string viewing
+// its slot, so a request spends no allocation on it. The slots are not in the
+// request's own state on purpose: an ID outlives its request wherever it is
+// kept (net/http's pooled header writers hold on to the last values they
+// wrote), and a view of the state would keep the state alive with the
+// connection and the server its context leads to — every retired fleet of
+// a process that boots several. A kept ID holds 64 KiB.
+type idBlock struct {
+	next atomic.Int64
+	ids  [4096][16]byte
+}
+
+var idBlocks atomic.Pointer[idBlock]
+
+// nextRequestID returns a 16-hex-digit per-request ID.
 func nextRequestID() string {
 	x := ridSalt ^ (ridSeq.Add(1) * 0x9e3779b97f4a7c15)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	var b [16]byte
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = hexDigits[x&15]
-		x >>= 4
+	for {
+		b := idBlocks.Load()
+		if i := b.take(); i >= 0 {
+			id := &b.ids[i]
+			for j := len(id) - 1; j >= 0; j-- {
+				id[j] = hexDigits[x&15]
+				x >>= 4
+			}
+			return unsafe.String(&id[0], len(id))
+		}
+		idBlocks.CompareAndSwap(b, new(idBlock))
 	}
-	return string(b[:])
+}
+
+// take claims a free slot of b, or answers -1 when b is nil or full.
+func (b *idBlock) take() int64 {
+	if b == nil {
+		return -1
+	}
+	if i := b.next.Add(1) - 1; i < int64(len(b.ids)) {
+		return i
+	}
+	return -1
 }
 
 // ridKey keys the request's state in its context.
@@ -51,13 +85,15 @@ type ridKey struct{}
 // requestState is what the middleware keeps for one request, in one
 // allocation. It is the request's context: it answers for its ID and passes
 // every other value, its deadline and its cancellation through to the
-// connection's context it wraps. It holds the status recorder the handler
-// writes through and the backing of the X-Request-Id header value.
+// connection's context it wraps. It holds the request handlers are given,
+// the status recorder they write through and the backing of the
+// X-Request-Id header value.
 type requestState struct {
 	context.Context
 	id    string
 	idHdr [1]string
 	rec   statusRecorder
+	req   http.Request // what handlers are given: the connection's request over this state (or a span's context on it)
 }
 
 func (rs *requestState) Value(key any) any {
@@ -217,11 +253,16 @@ func (s *Site) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		rm.requests.Inc()
 		ctx, sp := s.tracer.StartSpan(rs, spanName)
 		if sp != nil {
-			sp.Annotate("request_id", rid)
+			// A copy: a retained trace would keep the ID's whole block.
+			sp.Annotate("request_id", strings.Clone(rid))
 			sp.Annotate("method", r.Method)
 			sp.Annotate("path", r.URL.Path)
 		}
-		r = r.WithContext(ctx)
+		// Handlers see the request with the state as its context. The copy
+		// lands in the state's own field: WithContext is inlined, so its
+		// new Request stays on the stack and costs no allocation.
+		rs.req = *r.WithContext(ctx)
+		r = &rs.req
 		sw := &rs.rec
 		start := time.Now()
 		defer func() {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"strconv"
 	"strings"
 
 	"videocloud/internal/search"
@@ -176,12 +175,11 @@ func (s *Site) unpublish(row videodb.Row) error {
 	// the keys delivery.go fills (segments carry no TTL: unpurged, a deleted
 	// title would stream from each frontend that warmed it), and its
 	// egress-attribution entry.
-	sid := strconv.FormatInt(id, 10)
-	keys := []string{"pl/" + sid}
+	keys := []string{playlistKey(nil, id, "")}
 	for _, label := range labels {
-		keys = append(keys, "pl/"+sid+"/"+label)
+		keys = append(keys, playlistKey(nil, id, label))
 		for k := 0; k < int(segs); k++ {
-			keys = append(keys, "seg/"+sid+"/"+label+"/"+strconv.Itoa(k))
+			keys = append(keys, segmentKey(nil, id, label, k))
 		}
 	}
 	for _, r := range s.state.frontends() {

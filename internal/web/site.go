@@ -169,6 +169,9 @@ type Site struct {
 	reg    *metrics.Registry
 	mux    *http.ServeMux
 	tracer *trace.Tracer // nil-safe: all span operations no-op when nil
+	// mediaRoutes holds the media routes' handlers by route name, for
+	// ServeHTTP to call without the mux (mediaRoute).
+	mediaRoutes map[string]http.HandlerFunc
 
 	// Serving-path state (middleware.go) and the instruments of the fleet's
 	// recent list, related lists and username map (cache.go), resolved once
@@ -178,6 +181,12 @@ type Site struct {
 	searches                     *metrics.Counter
 	recentScans, relatedFills    *metrics.Counter
 	usernameHits, usernameMisses *metrics.Counter
+
+	// The media routes' counters (delivery.go), resolved once like the
+	// route instruments so a warm media request takes no registry lock.
+	segRequests, segOrigin *metrics.Counter
+	plRequests, plOrigin   *metrics.Counter
+	streamRequests         *metrics.Counter
 
 	// streamPacer caps this replica's streaming egress; nil = unpaced.
 	streamPacer *pacer
@@ -273,6 +282,11 @@ func assemble(cfg Config, state *fleetState) *Site {
 		relatedFills:   reg.Counter("cache_related_fills"),
 		usernameHits:   reg.Counter("cache_username_hits"),
 		usernameMisses: reg.Counter("cache_username_misses"),
+		segRequests:    reg.Counter("edge_segment_requests"),
+		segOrigin:      reg.Counter("edge_segment_origin"),
+		plRequests:     reg.Counter("edge_playlist_requests"),
+		plOrigin:       reg.Counter("edge_playlist_origin"),
+		streamRequests: reg.Counter("stream_requests"),
 		tracer:         cfg.Tracer,
 		streamPacer:    newPacer(cfg.StreamRateBytesPerSec),
 		edge:           edge.New(edge.Config{CapacityBytes: cfg.EdgeCacheBytes}),
@@ -442,7 +456,13 @@ func (s *Site) EdgeStats() edge.Stats { return s.edge.Stats() }
 func (s *Site) Target() video.Spec { return s.target }
 
 // ServeHTTP implements http.Handler.
-func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h, ok := s.mediaRoutes[mediaRoute(r)]; ok {
+		h(w, r)
+		return
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // ---- accounts & sessions ----
 

@@ -268,13 +268,24 @@ func (m *module) eachUse(fn func(path string, self, obj types.Object)) {
 // used is the set of declarations some non-test file names. A function's
 // reference to itself inside its own body (a recursive call) does not
 // count. A concrete method also counts as used when an interface its type
-// satisfies demands it: a module interface, one asserted in a type switch
-// or assertion, or one of the standard library's listed in stdlibMethods.
-// Whether the interface's own method is called is then the interface's
-// question.
+// satisfies demands it: a module interface, one whose method is called (an
+// interface asserted in a type switch or assertion among them), or one of
+// the standard library's listed in stdlibMethods. Whether the interface's
+// own method is called is then the interface's question. A call through an
+// interface inside the method's own body demands nothing of the method: it
+// is the method forwarding to something else that has its name.
 func (m *module) used() map[types.Object]bool {
 	used := map[types.Object]bool{}
-	ifaces := map[*types.Interface]bool{}
+	// callers[it] are the functions whose bodies call a method of it; nil
+	// stands for a module interface's declaration and a call outside any
+	// function.
+	callers := map[*types.Interface]map[types.Object]bool{}
+	demand := func(it *types.Interface, self types.Object) {
+		if callers[it] == nil {
+			callers[it] = map[types.Object]bool{}
+		}
+		callers[it][self] = true
+	}
 	m.eachUse(func(_ string, self, obj types.Object) {
 		if obj == self {
 			return
@@ -282,7 +293,7 @@ func (m *module) used() map[types.Object]bool {
 		used[obj] = true
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
 			if it, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
-				ifaces[it] = true
+				demand(it, self)
 			}
 		}
 	})
@@ -297,7 +308,7 @@ func (m *module) used() map[types.Object]bool {
 				continue
 			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				ifaces[it] = true
+				demand(it, nil)
 			} else if n, ok := tn.Type().(*types.Named); ok {
 				named = append(named, n)
 			}
@@ -311,8 +322,8 @@ func (m *module) used() map[types.Object]bool {
 			if arity, ok := stdlibMethods[fn.Name()]; ok && arity == [2]int{sig.Params().Len(), sig.Results().Len()} {
 				used[fn] = true
 			}
-			for it := range ifaces {
-				if !used[fn] && types.Implements(ptr, it) {
+			for it, from := range callers {
+				if !used[fn] && (len(from) > 1 || !from[fn]) && types.Implements(ptr, it) {
 					for j := 0; j < it.NumMethods(); j++ {
 						used[fn] = used[fn] || it.Method(j).Name() == fn.Name()
 					}
@@ -392,6 +403,69 @@ var surfaceAllowlist = map[string]string{
 	"tenant.Ledger.Events":              "web's tests read the usage ledger's tail; TestLiveChannelStorageAdmittedAndAccounted",
 	"trace.Tracer.Trace":                "core's soak looks traces up by id; TestChaosSoak",
 	"videodb.Store.RawPut":              "web's hardening tests inject schema drift through the interface; TestMalformedRowDoesNotPanic",
+}
+
+// forwardingFixture is a module for the scan: drv.Cloud forwards two of its
+// methods to whatever driver it holds through anonymous interfaces.
+// SetDeadline's one mention of its name is the assertion in its own body,
+// which *Cloud also satisfies; Stop is asserted the same way from Close.
+var forwardingFixture = map[string]string{
+	"internal/drv/drv.go": `package drv
+
+type Cloud struct{ driver any }
+
+func New(driver any) *Cloud { return &Cloud{driver: driver} }
+
+func (c *Cloud) SetDeadline(d int) {
+	if s, ok := c.driver.(interface{ SetDeadline(int) }); ok {
+		s.SetDeadline(d)
+	}
+}
+
+func (c *Cloud) Stop() {}
+
+func (c *Cloud) Close() {
+	if s, ok := c.driver.(interface{ Stop() }); ok {
+		s.Stop()
+	}
+}
+`,
+	"cmd/app/main.go": `package main
+
+import "videocloud/internal/drv"
+
+func main() { drv.New(nil).Close() }
+`,
+}
+
+// TestUsedIgnoresForwardingInOwnBody runs the scan on forwardingFixture. No
+// code calls drv.Cloud.SetDeadline, but counting the assertion in its own
+// body passed it; drv.Cloud.Stop, asserted from Close, stays used.
+func TestUsedIgnoresForwardingInOwnBody(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range forwardingFixture {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := loadModule(t, root)
+	used := m.used()
+	want := map[string]bool{"drv.Cloud.SetDeadline": false, "drv.Cloud.Stop": true, "drv.Cloud.Close": true, "drv.New": true}
+	for _, e := range m.exports() {
+		if w, ok := want[e.name]; ok {
+			if used[e.obj] != w {
+				t.Errorf("%s: used = %v, want %v", e.name, used[e.obj], w)
+			}
+			delete(want, e.name)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s: not among the fixture's exports", name)
+	}
 }
 
 func TestNoTestOnlyExports(t *testing.T) {
