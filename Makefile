@@ -42,7 +42,10 @@ alloccheck:
 # A failing input is written under internal/web/testdata/fuzz and then fails
 # plain `go test` too. Then ten seconds of arbitrary methods and paths through
 # the media routes' own path parsing against the ServeMux wildcard patterns it
-# replaced (internal/web/mediaroute_test.go). Then ten seconds of scripted reads, faults and reopens
+# replaced (internal/web/mediaroute_test.go). Then ten seconds of arbitrary
+# queries, Content-Types and bodies through the /upload receive against the
+# ParseMultipartForm code it replaced (internal/web/upload_test.go): the same
+# video bytes, text fields and answer. Then ten seconds of scripted reads, faults and reopens
 # through the extent cache against the bytes written (internal/hdfs/fuzz_test.go):
 # fills land in arrays eviction recycles, so a view that outlives its reference
 # or a fill that keeps unverified bytes shows as a wrong byte here. Then ten
@@ -54,6 +57,7 @@ alloccheck:
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzPageMatchesTemplate -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzMediaRoute -fuzztime 10s ./internal/web/
+	$(GO) test -run '^$$' -fuzz FuzzUploadForm -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
 	$(GO) test -run '^$$' -fuzz FuzzServeMatchesServeContent -fuzztime 10s ./internal/stream/

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -203,6 +204,39 @@ func TestReplicaLifetimeSoak(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+	}
+}
+
+// TestReplicaMemoryGivenBackWithoutCollection: with the collector off, so no
+// finalizer runs, storing, overwriting and deleting many replicas maps no new
+// memory after the first: Delete and an overwriting Store give the mapping
+// back themselves, and the next Store of its class takes it.
+func TestReplicaMemoryGivenBackWithoutCollection(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const blocks = 64
+	src := payload(3*DefaultChunkSize+100, 27)
+	dn := NewDataNode("dn")
+	if err := dn.Store(0, src); err != nil {
+		t.Fatal(err)
+	}
+	dn.Delete(0)
+	mapped := mappedBytes()
+	for i := range BlockID(blocks) {
+		for range 2 { // the second Store overwrites the first
+			if err := dn.Store(i, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := dn.Read(i); err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("block %d: err %v, equal %v", i, err, bytes.Equal(got, src))
+		}
+		dn.Delete(i)
+	}
+	if grew := mappedBytes() - mapped; grew != 0 {
+		t.Fatalf("storing, overwriting and deleting %d replicas with the collector off mapped %d new bytes; want 0", blocks, grew)
+	}
+	if dn.Used() != 0 || len(dn.BlockIDs()) != 0 {
+		t.Fatalf("the node still holds %d bytes in %d blocks", dn.Used(), len(dn.BlockIDs()))
 	}
 }
 

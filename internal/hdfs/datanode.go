@@ -29,11 +29,12 @@ const DefaultChunkSize = 64 << 10
 // invalidates already-stored replicas.
 //
 // The bytes are not on the Go heap (replicamem.go): they are a prefix of the
-// pooled mapping mem, which goes back to the pool when the record, and with
-// it mem, becomes unreachable. So data is read and written only by DataNode
-// methods holding dn.mu with the record in dn.blocks — or by Store before it
-// is published — and never leaves them: callers get copies (Read) or bytes
-// copied into their own memory (ReadRange).
+// pooled mapping mem. data is read and written only by DataNode methods
+// holding dn.mu with the record in dn.blocks — or by Store before it is
+// published — and never leaves them: callers get copies (Read) or bytes
+// copied into their own memory (ReadRange). So a record that leaves
+// dn.blocks, or never enters it, gives mem straight back (release): no
+// reader can still see it.
 type blockData struct {
 	mem   *memBuf
 	data  []byte
@@ -83,7 +84,7 @@ func (dn *DataNode) SetChunkSize(sz int64) {
 // later read — full or ranged — verifies against write-time state. The copy
 // and the checksum passes run before the node's lock is taken, on a record
 // nobody else can reach yet: a block published here does not stall the reads
-// beside it. A replica it overwrites is only unlinked.
+// beside it. A replica it overwrites gives its memory back under the lock.
 func (dn *DataNode) Store(id BlockID, data []byte) error {
 	dn.mu.RLock()
 	chunk, down := dn.chunk, dn.down
@@ -106,7 +107,11 @@ func (dn *DataNode) Store(id BlockID, data []byte) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
 	if dn.down {
+		bd.release()
 		return fmt.Errorf("%w: %s", ErrDown, dn.name)
+	}
+	if old := dn.blocks[id]; old != nil {
+		old.release()
 	}
 	dn.blocks[id] = bd
 	return nil
@@ -183,12 +188,15 @@ func (dn *DataNode) locked(id BlockID) (*blockData, error) {
 	return bd, nil
 }
 
-// Delete removes a block replica; absent blocks are a no-op. It only unlinks
-// the record: its memory goes back to the pool once nothing reaches it.
+// Delete removes a block replica and gives its memory back to the pool;
+// absent blocks are a no-op.
 func (dn *DataNode) Delete(id BlockID) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
-	delete(dn.blocks, id)
+	if bd := dn.blocks[id]; bd != nil {
+		bd.release()
+		delete(dn.blocks, id)
+	}
 }
 
 // BlockIDs returns the stored block IDs, sorted.

@@ -330,6 +330,31 @@ func TestWriterBufferReusedAcrossBlocks(t *testing.T) {
 	}
 }
 
+// TestWriteFileKeepsNoCallerBytes: WriteFile hands the DataNodes
+// sub-slices of the caller's data, unstaged, so every replica must be a copy
+// taken before WriteFile returns: two full blocks and a partial tail read
+// back as written after the caller overwrites its slice.
+func TestWriteFileKeepsNoCallerBytes(t *testing.T) {
+	const bs = 1024
+	c := NewCluster(3, bs)
+	cl := c.Client("")
+	data := payload(2*bs+300, 26)
+	want := bytes.Clone(data)
+	if err := cl.WriteFile("/f", data, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xFF
+	}
+	got, err := cl.ReadFile("/f")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back after the caller overwrote its slice: err %v, equal %v", err, bytes.Equal(got, want))
+	}
+	if blocks, err := c.NameNode().GetBlockLocations("/f"); err != nil || len(blocks) != 3 {
+		t.Fatalf("the file has %d blocks (err %v); want two full blocks and a tail", len(blocks), err)
+	}
+}
+
 // ---- wall-clock gate: parallel block fan-out ----
 
 // TestMeasuredParallelReadSpeedup is the wall-clock gate of ISSUE 3:

@@ -21,14 +21,20 @@ import (
 // handle becomes unreachable, whatever cycle its owner was part of. The two
 // owners use that one rule differently:
 //
-//   - A replica is given back only by the finalizer. That is safe because its
-//     bytes never leave their record (blockData): every access goes through
-//     it, under the node's lock with the record in dn.blocks, callers get
-//     copies, and Delete or an overwriting Store only unlinks the record.
+//   - A replica is given back explicitly (blockData.release) when its record
+//     leaves dn.blocks — Delete, an overwriting Store — or never enters it,
+//     under the node's lock. That is safe because its bytes never leave their
+//     record: every access goes through it, under that lock with the record
+//     in dn.blocks, and callers get copies. The finalizer is the backstop for
+//     the replicas of a DataNode that becomes unreachable as a whole.
 //   - A cached extent is handed out as views, so the cache gives its array
 //     back explicitly (putMem) at each point where it knows no view can exist
 //     (BlockCache). The finalizer is the backstop for a cache that becomes
 //     unreachable as a whole, with a dropped Cluster.
+//
+// Either way a mapping given back explicitly stays referenced from the pool,
+// so its finalizer cannot run until a later owner drops it: no mapping is
+// given back twice.
 //
 // A mapping comes back with its pages, on the free list, unless its owner
 // says it will not need the memory again soon: the cache shedding more than
@@ -119,4 +125,14 @@ func newBlockData(n int, chunk int64) (*blockData, error) {
 	}
 	bd.mem, bd.data = m, m.b[:n]
 	return bd, nil
+}
+
+// release gives a record's mapping back with its pages, for the next replica
+// of its class. The record must be unreachable to readers: out of dn.blocks,
+// with dn.mu held, or never published.
+func (bd *blockData) release() {
+	if bd.mem != nil {
+		putMem(bd.mem, true)
+		bd.mem, bd.data = nil, nil
+	}
 }

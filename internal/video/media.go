@@ -186,7 +186,8 @@ func appendGOPHeader(dst []byte, index uint32, payloadLen int) []byte {
 }
 
 // fillPayload writes deterministic pseudo-data (splitmix-style seed mix
-// feeding an xorshift stream).
+// feeding an xorshift stream): each word of the stream, little-endian, and
+// the low bytes of one more word for a tail shorter than eight.
 func fillPayload(dst []byte, seed uint64) {
 	x := seed + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -195,14 +196,20 @@ func fillPayload(dst []byte, seed uint64) {
 	if x == 0 {
 		x = 0x9e3779b97f4a7c15
 	}
-	for i := 0; i < len(dst); i += 8 {
+	for len(dst) >= 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		v := x
-		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] = byte(v)
-			v >>= 8
+		binary.LittleEndian.PutUint64(dst, x)
+		dst = dst[8:]
+	}
+	if len(dst) > 0 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		for i := range dst {
+			dst[i] = byte(x)
+			x >>= 8
 		}
 	}
 }

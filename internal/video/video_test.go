@@ -391,3 +391,57 @@ func TestHeaderMetadataIsEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// fillPayloadByteLoop is fillPayload as first written, one byte per step of
+// the inner loop: the oracle the word-wise fill must match byte for byte.
+func fillPayloadByteLoop(dst []byte, seed uint64) {
+	x := seed + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x ^= x >> 31
+	if x == 0 {
+		x = 0x9e3779b97f4a7c15
+	}
+	for i := 0; i < len(dst); i += 8 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		v := x
+		for j := 0; j < 8 && i+j < len(dst); j++ {
+			dst[i+j] = byte(v)
+			v >>= 8
+		}
+	}
+}
+
+// TestFillPayloadMatchesByteLoop: every length from 0 to 64 and a few
+// MiB-sized ones, over many seeds (0 and the seed the mix sends to 0
+// among them), fill exactly the bytes the byte loop does and nothing past
+// the length.
+func TestFillPayloadMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seeds := []uint64{0, 1, ^uint64(0), 0x61c8864680b583eb}
+	for range 60 {
+		seeds = append(seeds, rng.Uint64())
+	}
+	check := func(n int, seed uint64) {
+		t.Helper()
+		got, want := make([]byte, n+8), make([]byte, n+8)
+		for i := range got {
+			got[i], want[i] = 0xA5, 0xA5
+		}
+		fillPayload(got[:n], seed)
+		fillPayloadByteLoop(want[:n], seed)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("length %d, seed %#x: the word-wise fill differs from the byte loop", n, seed)
+		}
+	}
+	for _, seed := range seeds {
+		for n := 0; n <= 64; n++ {
+			check(n, seed)
+		}
+	}
+	for i, n := range []int{1 << 20, 1<<20 + 3, 3<<20 - 5, 4 << 20} {
+		check(n, seeds[i])
+	}
+}

@@ -365,3 +365,52 @@ func TestAllocRenditionMemoPastBound(t *testing.T) {
 	}
 	t.Logf("miss %.0f, fresh %.0f allocations", miss, fresh)
 }
+
+// receivedBytes returns the fewest bytes allocated over three runs of
+// receive on a fresh request for body with the given Content-Length.
+func receivedBytes(t *testing.T, receive func(*http.Request), body []byte, contentLength int64) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	for range 3 {
+		req := uploadRequest("", uploadFormType, body)
+		req.ContentLength = contentLength
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		receive(req)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestAllocUploadReceive: receiving a 4 MB upload allocates at most 1.25
+// times the body — the video copied once, into a buffer sized from
+// Content-Length — where ParseMultipartForm, FormFile and ReadAll grew two
+// buffers by doubling. A Content-Length that claims 512 MiB for the same body
+// buys at most uploadPresizeBytes before the bytes arrive.
+func TestAllocUploadReceive(t *testing.T) {
+	src := strings.Repeat("VCF1 four megabytes of video ", 4<<20/29)
+	body := uploadForm(
+		[2]string{`Content-Disposition: form-data; name="title"`, "a title"},
+		[2]string{`Content-Disposition: form-data; name="description"`, "a description"},
+		[2]string{`Content-Disposition: form-data; name="video"; filename="clip.vcf"`, src},
+	)
+	receive := func(r *http.Request) {
+		u, err := receiveUpload(r)
+		if err != nil || string(u.video) != src || u.title != "a title" {
+			t.Fatalf("receive: err %v, %d video bytes, title %q", err, len(u.video), u.title)
+		}
+	}
+	got := receivedBytes(t, receive, body, int64(len(body)))
+	oracle := receivedBytes(t, func(r *http.Request) { receiveUploadOracle(r) }, body, int64(len(body)))
+	t.Logf("a %d-byte upload: receiveUpload allocates %d bytes (%.2fx the body), ParseMultipartForm+FormFile+ReadAll %d (%.2fx)",
+		len(body), got, float64(got)/float64(len(body)), oracle, float64(oracle)/float64(len(body)))
+	if limit := uint64(len(body)) * 5 / 4; got > limit {
+		t.Errorf("receiving a %d-byte upload allocated %d bytes; want at most %d", len(body), got, limit)
+	}
+	lying := receivedBytes(t, receive, body, maxUploadBytes)
+	t.Logf("the same body under a %d-byte Content-Length: %d bytes", maxUploadBytes, lying)
+	if limit := uint64(uploadPresizeBytes + len(body)*5/4); lying > limit {
+		t.Errorf("a Content-Length of %d bytes made the receive allocate %d bytes; want at most %d", maxUploadBytes, lying, limit)
+	}
+}

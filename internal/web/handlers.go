@@ -7,8 +7,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"mime"
+	"mime/multipart"
 	"net/http"
+	"net/url"
 	"path"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -352,29 +356,20 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Receiving the body is a real cost on large uploads; giving it a span
 	// keeps it out of the root's unattributed self-time.
 	bsp := trace.FromContext(r.Context()).StartChild("web.receive_body")
-	if err := r.ParseMultipartForm(maxUploadBytes); err != nil {
+	u, err := receiveUpload(r)
+	if err != nil {
 		bsp.SetError(err)
 		bsp.End()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	file, _, err := r.FormFile("video")
-	if err != nil {
-		bsp.End()
+	bsp.AnnotateInt("bytes", int64(len(u.video)))
+	bsp.End()
+	if u.video == nil {
 		http.Error(w, "missing video file", http.StatusBadRequest)
 		return
 	}
-	defer file.Close()
-	data, err := io.ReadAll(io.LimitReader(file, maxUploadBytes))
-	if err != nil {
-		bsp.SetError(err)
-		bsp.End()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	bsp.AnnotateInt("bytes", int64(len(data)))
-	bsp.End()
-	title := strings.TrimSpace(r.FormValue("title"))
+	title := strings.TrimSpace(u.title)
 	if title == "" {
 		http.Error(w, "title required", http.StatusBadRequest)
 		return
@@ -385,7 +380,7 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if _, _, ok := tenant.FromContext(ctx); !ok && p.ten != nil {
 		ctx = tenant.WithContext(ctx, p.ten, p.role)
 	}
-	id, err := s.ProcessUpload(ctx, p.userID, title, r.FormValue("description"), data)
+	id, err := s.ProcessUpload(ctx, p.userID, title, u.description, u.video)
 	if err != nil {
 		if s.writeTenantError(w, err) {
 			return
@@ -394,6 +389,129 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Redirect(w, r, fmt.Sprintf("/watch/%d", id), http.StatusSeeOther)
+}
+
+// The upload form's bounds. The video file may hold up to maxUploadBytes.
+// Every other part — title, description, and any field or file the site
+// does not read — counts against maxFormBytes together, and a form has at
+// most maxFormParts parts, as multipart.Reader.ReadForm allows.
+// uploadPresizeBytes caps how much of a claimed Content-Length is allocated
+// before the bytes arrive.
+const (
+	maxFormBytes       = 64 << 10
+	maxFormParts       = 1000
+	uploadPresizeBytes = 16 << 20
+)
+
+var (
+	errFormTooLarge  = errors.New("web: upload form fields too large")
+	errVideoTooLarge = errors.New("web: video file too large")
+)
+
+// upload is what /upload keeps of its form: the first file in the video
+// field (nil when there is none), and the first title and description, a
+// query parameter taking precedence over a form field as in
+// http.Request.FormValue.
+type upload struct {
+	video              []byte
+	title, description string
+}
+
+// receiveUpload reads an /upload body in one pass over its parts, copying the
+// video file once, into a buffer sized from Content-Length, and no other part
+// beyond the two text fields it keeps. It accepts what ParseMultipartForm
+// accepted, within the bounds above.
+func receiveUpload(r *http.Request) (upload, error) {
+	var u upload
+	ct, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if err != nil || ct != "multipart/form-data" {
+		return u, http.ErrNotMultipart
+	}
+	query, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		return u, err
+	}
+	boundary := params["boundary"]
+	if boundary == "" {
+		return u, http.ErrMissingBoundary
+	}
+	mr := multipart.NewReader(r.Body, boundary)
+	formLeft := int64(maxFormBytes)
+	haveTitle, haveDescription := false, false
+	for parts := 0; ; parts++ {
+		p, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return u, err
+		}
+		if parts == maxFormParts {
+			return u, multipart.ErrMessageTooLarge
+		}
+		name, file := p.FormName(), p.FileName() != ""
+		if name == "video" && file && u.video == nil {
+			if u.video, err = readVideo(p, r.ContentLength); err != nil {
+				return u, err
+			}
+			continue
+		}
+		var dst *string
+		switch {
+		case name == "title" && !file && !haveTitle:
+			dst, haveTitle = &u.title, true
+		case name == "description" && !file && !haveDescription:
+			dst, haveDescription = &u.description, true
+		}
+		var n int64
+		if dst != nil {
+			var b []byte
+			b, err = io.ReadAll(io.LimitReader(p, formLeft+1))
+			n, *dst = int64(len(b)), string(b)
+		} else {
+			n, err = io.CopyN(io.Discard, p, formLeft+1)
+			if err == io.EOF {
+				err = nil
+			}
+		}
+		if err != nil {
+			return u, err
+		}
+		if formLeft -= n; formLeft < 0 {
+			return u, errFormTooLarge
+		}
+	}
+	if v := query["title"]; len(v) > 0 {
+		u.title = v[0]
+	}
+	if v := query["description"]; len(v) > 0 {
+		u.description = v[0]
+	}
+	return u, nil
+}
+
+// readVideo reads a video part into one buffer: sized from the request's
+// Content-Length (the whole body, so it holds the part) up to
+// uploadPresizeBytes, and grown only when a part outruns it.
+func readVideo(p io.Reader, contentLength int64) ([]byte, error) {
+	p = io.LimitReader(p, maxUploadBytes+1)
+	buf := make([]byte, 0, min(max(contentLength, 512), uploadPresizeBytes))
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), maxUploadBytes+1-len(buf)))
+		}
+		n, err := p.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			if len(buf) > maxUploadBytes {
+				return nil, errVideoTooLarge
+			}
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // ProcessUpload runs the paper's upload pipeline (Figures 14 and 16): probe

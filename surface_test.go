@@ -385,7 +385,7 @@ var surfaceAllowlist = map[string]string{
 
 	// Cross-package test hooks: another package's tests call them, and Go
 	// test files cannot be imported.
-	"chaos":                             "the fault-injection harness core's soak drives (TestChaosSoak); ROADMAP items 6 and 9 extend it",
+	"chaos":                             "the fault-injection harness core's soak drives (TestChaosSoak); ROADMAP items 8 and 12 extend it",
 	"edge.Cache.Frequency":              "web's tests read a segment key's admission count; TestSegmentMissCountedOnce",
 	"fusebridge.Mount.ReadFileCtx":      "web's tests read stored objects past the edge cache; TestStoredOnce, TestEdgeEntryLifetimeSoak",
 	"fusebridge.Mount.Walk":             "web's soak walks HDFS for orphans; TestTitleLifecycleSoak",
