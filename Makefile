@@ -50,8 +50,10 @@ alloccheck:
 # fills land in arrays eviction recycles, so a view that outlives its reference
 # or a fill that keeps unverified bytes shows as a wrong byte here. Then ten
 # seconds of the layout /stream trusts to rebuild a container from a row's
-# numbers, and ten of media responses held to http.ServeContent over
-# arbitrary sizes, Range and If-Range headers. Then ten seconds of
+# numbers, ten of the segment objects publish writes as a header and a view
+# of the rendition held to the copies Segments cuts, and ten of media
+# responses held to http.ServeContent over arbitrary sizes, Range and If-Range
+# headers. Then ten seconds of
 # arbitrary float64 bit patterns and split points through histogram merges:
 # the merged parts must equal the whole, bucket for bucket.
 fuzzshort:
@@ -60,6 +62,7 @@ fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzUploadForm -fuzztime 10s ./internal/web/
 	$(GO) test -run '^$$' -fuzz FuzzReaderReadAt -fuzztime 10s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentObjects -fuzztime 10s ./internal/video/
 	$(GO) test -run '^$$' -fuzz FuzzServeMatchesServeContent -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMerge -fuzztime 10s ./internal/metrics/
 

@@ -69,9 +69,11 @@ func (m *Mount) WriteFile(name string, data []byte) error {
 	return m.WriteFileCtx(context.Background(), name, data)
 }
 
-// WriteFileCtx is WriteFile linked to the trace span in ctx: the store
-// records hdfs.write_file / hdfs.write_block spans under the caller's trace.
-func (m *Mount) WriteFileCtx(ctx context.Context, name string, data []byte) error {
+// WriteFileCtx is WriteFile of the concatenation of parts, linked to the
+// trace span in ctx: the store records hdfs.write_file / hdfs.write_block
+// spans under the caller's trace. The parts are stored without being joined
+// (hdfs.Client.WriteFileCtx).
+func (m *Mount) WriteFileCtx(ctx context.Context, name string, parts ...[]byte) error {
 	p, err := m.abs(name)
 	if err != nil {
 		return err
@@ -84,7 +86,7 @@ func (m *Mount) WriteFileCtx(ctx context.Context, name string, data []byte) erro
 			return rerr
 		}
 	}
-	return m.client.WriteFileCtx(ctx, p, data, m.replication)
+	return m.client.WriteFileCtx(ctx, p, m.replication, parts...)
 }
 
 // ReadFileCtx returns the full content of name, linked to the trace span in

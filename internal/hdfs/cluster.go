@@ -159,7 +159,6 @@ func (c *Cluster) AddDataNode(name string) *DataNode {
 // AddDataNodeRack creates and registers a datanode with rack topology.
 func (c *Cluster) AddDataNodeRack(name, rack string) *DataNode {
 	dn := NewDataNode(name)
-	dn.SetChunkSize(c.ChunkSize())
 	c.mu.Lock()
 	c.nodes[name] = dn
 	if c.inflight[name] == nil {
@@ -228,13 +227,15 @@ func (c *Cluster) ReviveDataNode(name string) error {
 // (repair and the balancer both move replicas through it), so it is also
 // where a corrupt source is caught: the replica is reported to the NameNode
 // — as Client.fetchExtent does on the read path — and the next PlanRepair
-// picks another source.
+// picks another source. The copy is verified chunk by chunk as it is taken
+// and lands straight in replica memory, and the destination keeps the
+// source's sums with it: nothing is summed twice.
 func (c *Cluster) transferBlock(id BlockID, from, to string) (int64, error) {
 	src, dst := c.DataNode(from), c.DataNode(to)
 	if src == nil || dst == nil {
 		return 0, fmt.Errorf("hdfs: transfer of block %d between unknown nodes %q->%q", id, from, to)
 	}
-	data, err := src.Read(id)
+	bd, err := src.transferCopy(id)
 	if err != nil {
 		if errors.Is(err, ErrChecksum) {
 			c.nn.ReportCorrupt(from, id)
@@ -242,10 +243,11 @@ func (c *Cluster) transferBlock(id BlockID, from, to string) (int64, error) {
 		}
 		return 0, err
 	}
-	if err := dst.Store(id, data); err != nil {
+	n := int64(len(bd.data))
+	if err := dst.put(id, bd); err != nil {
 		return 0, err
 	}
-	return int64(len(data)), nil
+	return n, nil
 }
 
 // replicate executes one planned repair copy and records the new replica.

@@ -5,6 +5,7 @@ package hdfs
 
 import (
 	"context"
+	"sync"
 
 	"videocloud/internal/metrics"
 	"videocloud/internal/trace"
@@ -21,19 +22,55 @@ func (c *BlockCache) Capacity() int64 {
 // cache, prefetch and replica-selection activity) and latency histograms.
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
-// SetChunkSize sets the checksum chunk granularity used for blocks stored
-// from now on (already-stored replicas keep their layout). sz <= 0
-// restores DefaultChunkSize.
+// SetChunkSize sets the checksum chunk granularity used for blocks written
+// from now on (already-stored replicas keep their layout). sz <= 0 restores
+// DefaultChunkSize.
 func (c *Cluster) SetChunkSize(sz int64) {
 	if sz <= 0 {
 		sz = DefaultChunkSize
 	}
 	c.chunkSize.Store(sz)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, dn := range c.nodes {
-		dn.SetChunkSize(sz)
+}
+
+// storeChunk holds the chunk size Store sums at, per node (SetChunkSize);
+// a node absent from it sums at DefaultChunkSize.
+var storeChunk sync.Map // *DataNode -> int64
+
+// SetChunkSize sets the checksum granularity Store sums blocks at; existing
+// replicas keep the layout they were written with. sz <= 0 restores the
+// default.
+func (dn *DataNode) SetChunkSize(sz int64) {
+	if sz <= 0 {
+		sz = DefaultChunkSize
 	}
+	storeChunk.Store(dn, sz)
+}
+
+// Store writes a block replica as the write pipeline does: the chunk sums
+// computed once (at the node's SetChunkSize), then the bytes copied.
+func (dn *DataNode) Store(id BlockID, data []byte) error {
+	chunk := int64(DefaultChunkSize)
+	if sz, ok := storeChunk.Load(dn); ok {
+		chunk = sz.(int64)
+	}
+	return dn.store(id, chunk, chunkSums(chunk, data), data)
+}
+
+// Read returns a copy of the block, every checksum chunk verified in the one
+// pass that copies it, as a transfer's copy is. A checksum failure returns
+// ErrChecksum.
+func (dn *DataNode) Read(id BlockID) ([]byte, error) {
+	dn.mu.RLock()
+	defer dn.mu.RUnlock()
+	bd, err := dn.locked(id)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(bd.data))
+	if err := dn.copyVerified(id, bd, 0, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // KillRack takes down every datanode on a rack (a switch or PDU failure)

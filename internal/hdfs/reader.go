@@ -23,7 +23,7 @@ import (
 // response, one view per extent touched — with the reader holding a
 // reference per extent until Close. A fill verifies the checksum chunks its
 // extent overlaps; corruption elsewhere in the block is caught by the fill
-// (or whole-block DataNode.Read) that next overlaps it.
+// (or the whole-block read of a replica transfer) that next overlaps it.
 //
 // A short block — fewer bytes than the NameNode's recorded length, from a
 // truncated cache entry or replica — fails the read with

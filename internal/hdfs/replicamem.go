@@ -22,7 +22,7 @@ import (
 // owners use that one rule differently:
 //
 //   - A replica is given back explicitly (blockData.release) when its record
-//     leaves dn.blocks — Delete, an overwriting Store — or never enters it,
+//     leaves dn.blocks — Delete, an overwriting store — or never enters it,
 //     under the node's lock. That is safe because its bytes never leave their
 //     record: every access goes through it, under that lock with the record
 //     in dn.blocks, and callers get copies. The finalizer is the backstop for

@@ -209,3 +209,52 @@ func FuzzSegmentLayout(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentObjects holds Layout.Objects to Segments: over container shapes
+// (duration, GOP cadence, segment length, GOP size) each object's parts, its
+// header and the view of its records, concatenate to Segments' object byte
+// for byte. A flipped byte (flip > 0 flips data[(flip-1) % len]) may make
+// Objects refuse the file, but never makes it cut something Segments would
+// not.
+func FuzzSegmentObjects(f *testing.F) {
+	f.Add(uint8(30), uint8(2), uint8(2), uint8(24), uint16(0))   // short last segment
+	f.Add(uint8(16), uint8(2), uint8(4), uint8(1), uint16(0))    // exact multiple
+	f.Add(uint8(5), uint8(3), uint8(1), uint8(200), uint16(0))   // short last GOP
+	f.Add(uint8(255), uint8(1), uint8(1), uint8(9), uint16(0))   // 255 one-GOP segments
+	f.Add(uint8(240), uint8(2), uint8(2), uint8(24), uint16(0))  // headers of differing lengths
+	f.Add(uint8(30), uint8(2), uint8(2), uint8(24), uint16(20))  // a flip in the header
+	f.Add(uint8(30), uint8(2), uint8(2), uint8(24), uint16(300)) // a flip in a record
+	f.Fuzz(func(t *testing.T, seconds, gopSeconds, segGOPs, gopBytes uint8, flip uint16) {
+		if seconds == 0 || gopSeconds == 0 || segGOPs == 0 || gopBytes == 0 || gopSeconds > 8 {
+			t.Skip()
+		}
+		segSeconds := int(segGOPs) * int(gopSeconds)
+		spec, whole, _ := renditionAndSegments(t, int(seconds), int(gopSeconds), int(segGOPs), int(gopBytes))
+		l, err := SegmentLayout(spec, int(seconds), segSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flip > 0 {
+			whole[int(flip-1)%len(whole)] ^= 0x20
+		}
+		objects, err := l.Objects(whole)
+		if err != nil {
+			if flip == 0 {
+				t.Fatalf("Objects refused an intact rendition: %v", err)
+			}
+			return
+		}
+		want, err := Segments(whole, segSeconds)
+		if err != nil {
+			t.Fatalf("Objects cut a file Segments refuses (%v)", err)
+		}
+		if len(objects) != len(want) {
+			t.Fatalf("Objects cut %d objects, Segments %d", len(objects), len(want))
+		}
+		for k, parts := range objects {
+			if got := bytes.Join(parts, nil); !bytes.Equal(got, want[k]) {
+				t.Fatalf("object %d: %d bytes in %d parts differ from Segments' %d bytes", k, len(got), len(parts), len(want[k]))
+			}
+		}
+	})
+}

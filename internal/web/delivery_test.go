@@ -142,7 +142,7 @@ func TestSegmentMissCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	site.DrainTranscodes()
-	key := fmt.Sprintf("seg/%d/720p/1", id)
+	key := segmentKey(nil, id, "720p", 1)
 	misses, freq := site.EdgeStats().Misses, site.edge.Frequency(key)
 	if rec := do(site, "GET", fmt.Sprintf("/segment/%d/720p/1", id), "", nil); rec.Code != http.StatusOK {
 		t.Fatalf("segment: %d %s", rec.Code, rec.Body)

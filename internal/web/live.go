@@ -95,11 +95,13 @@ func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (k i
 	// The channel's global GOP clock: everything published so far, in GOPs.
 	firstGOP := int(duration) / s.target.GOPSeconds
 	k = int(segs)
-	outs := make([][]byte, len(results))
+	outs := make([][][]byte, len(results))
 	for i, res := range results {
-		if outs[i], err = video.Rebase(res.Output, firstGOP); err != nil {
+		seg, err := video.Rebase(res.Output, firstGOP)
+		if err != nil {
 			return 0, fmt.Errorf("web: renumbering live segment: %w", err)
 		}
+		outs[i] = [][]byte{seg}
 	}
 	if err = s.publish(ctx, adm, id, objectNames(id, s.labels, k, k+1), outs, videodb.Row{
 		"segments":         segs + 1,

@@ -80,8 +80,9 @@ func (s *Site) reindex(id int64) {
 	s.state.dropRelated()
 }
 
-// publish stores data[i] as names[i] and makes row id name them by applying
-// changes (the new segment index; for an upload also its ready status).
+// publish stores the concatenation of objects[i]'s parts as names[i] and
+// makes row id name them by applying changes (the new segment index; for an
+// upload also its ready status).
 //
 // adm is the publisher's quota admission. Its byte reservation is corrected
 // to the exact size BEFORE the first write, so the tenant's reservation always
@@ -90,10 +91,12 @@ func (s *Site) reindex(id int64) {
 // ledger gets exactly one bytes_stored and one transcode_seconds event. On
 // failure nothing this call wrote remains and adm still holds what it
 // reserved: whoever admitted releases.
-func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []string, data [][]byte, changes videodb.Row) error {
+func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []string, objects [][][]byte, changes videodb.Row) error {
 	var exact int64
-	for _, d := range data {
-		exact += int64(len(d))
+	for _, parts := range objects {
+		for _, p := range parts {
+			exact += int64(len(p))
+		}
 	}
 	// Failure here means the admission-time estimate lied low and the exact
 	// size busts the quota (AdjustBytes keeps the estimate reserved).
@@ -103,7 +106,7 @@ func (s *Site) publish(ctx context.Context, adm *admission, id int64, names []st
 	adm.estBytes = exact
 	ssp := trace.FromContext(ctx).StartChild("store.objects")
 	for i, name := range names {
-		if err := s.store.WriteFileCtx(ctx, name, data[i]); err != nil {
+		if err := s.store.WriteFileCtx(ctx, name, objects[i]...); err != nil {
 			ssp.SetError(err)
 			ssp.End()
 			s.removeObjects(names[:i])

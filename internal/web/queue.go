@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -199,36 +198,35 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 // rendition in ONE farm pass (single parse/split of the source), cuts each
 // output into its delivery segments (delivery.go) — the only form a rendition
 // is stored in — and publishes them as the row's objects with the row's
-// renditions, segment index and status=ready (publish.go).
+// renditions, segment index and status=ready (publish.go). A segment object
+// is written as two parts, its own container header and the view of its GOP
+// records in the farm output, so a rendition's records are copied only into
+// their replicas.
 func (s *Site) transcodeAndPublish(ctx context.Context, id int64, data []byte, adm *admission) error {
 	results, err := s.convertPooled(ctx, data, s.specs)
 	if err != nil {
 		return fmt.Errorf("web: conversion failed: %w", err)
 	}
-	// Stage every segment before writing anything, so the exact stored size
+	// Cut every rendition before writing anything, so the exact stored size
 	// is known up front.
-	var staged [][]byte
+	var objects [][][]byte
 	segs := 0
 	for i, res := range results {
-		out, label := res.Output, s.labels[i]
-		pieces, serr := video.Segments(out, s.segSeconds)
+		// /stream rebuilds the container from the row's numbers alone; an
+		// upload whose header does not add up (GOP count against play time)
+		// is refused here rather than served askew.
+		lay, serr := video.SegmentLayout(s.specs[i], res.Info.DurationSeconds, s.segSeconds)
+		var objs [][][]byte
 		if serr == nil {
-			// /stream rebuilds the container from the row's numbers alone; an
-			// upload whose header does not add up (GOP count against play
-			// time) is refused here rather than served askew.
-			var lay video.Layout
-			lay, serr = video.SegmentLayout(s.specs[i], res.Info.DurationSeconds, s.segSeconds)
-			if serr == nil && (lay.Size != int64(len(out)) || !bytes.HasPrefix(out, lay.Header)) {
-				serr = errors.New("container header is inconsistent with its content")
-			}
+			objs, serr = lay.Objects(res.Output)
 		}
 		if serr != nil {
-			return fmt.Errorf("web: segmenting %s failed: %w", label, serr)
+			return fmt.Errorf("web: segmenting %s failed: %w", s.labels[i], serr)
 		}
-		staged = append(staged, pieces...)
-		segs = len(pieces)
+		objects = append(objects, objs...)
+		segs = len(objs)
 	}
-	if err = s.publish(ctx, adm, id, objectNames(id, s.labels, 0, segs), staged, videodb.Row{
+	if err = s.publish(ctx, adm, id, objectNames(id, s.labels, 0, segs), objects, videodb.Row{
 		"renditions": strings.Join(s.labels, ","), "status": statusReady,
 		"seg_seconds": int64(s.segSeconds), "segments": int64(segs),
 	}); err != nil {

@@ -179,3 +179,37 @@ func TestUploadFormBounds(t *testing.T) {
 		}
 	}
 }
+
+// countingReader counts the Read calls made on it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestUploadReceiveReadsInLargePieces: receiveUpload reads the body in
+// pieces of at least 64 KiB, so a 4 MiB upload is at most 4 MiB / 64 KiB + 8
+// reads of it, where multipart.Reader's own 4 KiB buffer alone made about
+// a thousand.
+func TestUploadReceiveReadsInLargePieces(t *testing.T) {
+	src := strings.Repeat("VCF1 four mebibytes of video ", 4<<20/29+1)[:4<<20]
+	body := uploadForm(
+		[2]string{`Content-Disposition: form-data; name="title"`, "a title"},
+		[2]string{`Content-Disposition: form-data; name="video"; filename="clip.vcf"`, src},
+	)
+	req := uploadRequest("", uploadFormType, body)
+	counted := &countingReader{r: req.Body}
+	req.Body = io.NopCloser(counted)
+	u, err := receiveUpload(req)
+	if err != nil || string(u.video) != src || u.title != "a title" {
+		t.Fatalf("receive: err %v, %d video bytes, title %q", err, len(u.video), u.title)
+	}
+	if limit := 4<<20/(64<<10) + 8; counted.reads > limit {
+		t.Errorf("receiving a 4 MiB upload read its body %d times; want at most %d", counted.reads, limit)
+	}
+	t.Logf("a %d-byte body read in %d calls", len(body), counted.reads)
+}
