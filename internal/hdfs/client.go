@@ -31,16 +31,11 @@ type Client struct {
 // ErrAllReplicasFailed is returned when no replica of a block is readable.
 var ErrAllReplicasFailed = errors.New("hdfs: all replicas failed")
 
-// Writer streams a file into HDFS, cutting it into blocks. Its internal
-// buffer is a single block-sized allocation reused for the writer's
-// lifetime, so steady-state multi-block writes cause no buffer churn.
-type Writer struct {
+// blockWriter runs the write pipeline of one file's blocks, in order.
+type blockWriter struct {
 	client  *Client
 	path    string
-	buf     []byte // len = bytes buffered, cap grows once to block size
 	flushed int
-	closed  bool
-	err     error
 	// flushHook, when set (tests only), runs before each block flush with
 	// the zero-based block index; an error fails that flush before it
 	// touches the cluster.
@@ -50,55 +45,6 @@ type Writer struct {
 	span *trace.Span
 }
 
-// Write implements io.Writer, flushing whole blocks as they fill. The
-// returned count is exactly the bytes of p accepted — committed to the
-// cluster or still buffered; bytes lost in a failed pipeline flush are not
-// reported as written.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	if w.closed {
-		return 0, fmt.Errorf("hdfs: write after close on %q", w.path)
-	}
-	bs := int(w.client.cluster.nn.BlockSize())
-	written := 0
-	for len(p) > 0 {
-		if cap(w.buf) < bs {
-			// Grow geometrically but never past one block: the buffer
-			// reaches block size once and is then reused forever.
-			need := len(w.buf) + len(p)
-			if need > bs {
-				need = bs
-			}
-			if cap(w.buf) < need {
-				newCap := 2 * cap(w.buf)
-				if newCap < need {
-					newCap = need
-				}
-				if newCap > bs {
-					newCap = bs
-				}
-				grown := make([]byte, len(w.buf), newCap)
-				copy(grown, w.buf)
-				w.buf = grown
-			}
-		}
-		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
-		w.buf = w.buf[:len(w.buf)+n]
-		p = p[n:]
-		if len(w.buf) == bs {
-			if err := w.flushBlock(w.buf); err != nil {
-				w.err = err
-				return written, err
-			}
-			w.buf = w.buf[:0]
-		}
-		written += n
-	}
-	return written, nil
-}
-
 // flushBlock runs the write pipeline for one block, the concatenation of
 // parts: allocate at the NameNode, sum the block's checksum chunks once, then
 // store on the targets — concurrently, since each in-process "forward" hop is
@@ -106,7 +52,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 // keeping those sums. Targets that fail are dropped; the block commits with
 // the replicas that succeeded, in pipeline order, and repair restores the
 // rest.
-func (w *Writer) flushBlock(parts ...[]byte) error {
+func (w *blockWriter) flushBlock(parts ...[]byte) error {
 	sp := w.span.StartChild("hdfs.write_block")
 	err := w.flushBlockSpan(sp, parts)
 	if err != nil {
@@ -116,7 +62,7 @@ func (w *Writer) flushBlock(parts ...[]byte) error {
 	return err
 }
 
-func (w *Writer) flushBlockSpan(sp *trace.Span, parts [][]byte) error {
+func (w *blockWriter) flushBlockSpan(sp *trace.Span, parts [][]byte) error {
 	c := w.client
 	idx := w.flushed
 	w.flushed++
@@ -178,25 +124,6 @@ func (w *Writer) flushBlockSpan(sp *trace.Span, parts [][]byte) error {
 	return nil
 }
 
-// Close flushes the final partial block and completes the file.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if len(w.buf) > 0 {
-		if err := w.flushBlock(w.buf); err != nil {
-			w.err = err
-			return err
-		}
-		w.buf = nil
-	}
-	return w.client.cluster.nn.CloseFile(w.path)
-}
-
 // WriteFile creates path with the given replication and writes data.
 func (c *Client) WriteFile(path string, data []byte, replication int) error {
 	return c.WriteFileCtx(context.Background(), path, replication, data)
@@ -228,13 +155,13 @@ func (c *Client) WriteFileCtx(ctx context.Context, path string, replication int,
 }
 
 // writeFileSpan flushes the caller's parts block by block as sub-slices of
-// them, without staging them in the Writer's buffer: every replica copies
-// them, so nothing keeps the caller's bytes past the call.
+// them, without staging them in a buffer: every replica copies them, so
+// nothing keeps the caller's bytes past the call.
 func (c *Client) writeFileSpan(path string, replication int, sp *trace.Span, parts [][]byte) error {
 	if err := c.cluster.nn.Create(path, replication); err != nil {
 		return err
 	}
-	w := &Writer{client: c, path: path, span: sp}
+	w := &blockWriter{client: c, path: path, span: sp}
 	bs := int(c.cluster.nn.BlockSize())
 	var block [][]byte // the pieces of the block being cut
 	n := 0             // their length
@@ -255,7 +182,7 @@ func (c *Client) writeFileSpan(path string, replication int, sp *trace.Span, par
 			return err
 		}
 	}
-	return w.Close()
+	return c.cluster.nn.CloseFile(path)
 }
 
 // stackReplicas sizes the on-stack scratch replica ranking works in: blocks

@@ -5,6 +5,7 @@ package hdfs
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"videocloud/internal/metrics"
@@ -106,6 +107,75 @@ func (r *Reader) RangeSlices(off, length int64) ([][]byte, error) {
 	return r.AppendRangeSlices(nil, off, length)
 }
 
+// Writer streams a file into HDFS through a buffer of one block, cutting it
+// into blocks as it fills: the io.Writer this package's tests write files of
+// many blocks with. The site writes whole objects (WriteFileCtx), which need
+// no staging buffer.
+type Writer struct {
+	*blockWriter
+	buf    []byte // len = bytes buffered, cap grows once to block size
+	closed bool
+	err    error
+}
+
+// Write implements io.Writer, flushing whole blocks as they fill. The
+// returned count is exactly the bytes of p accepted — committed to the
+// cluster or still buffered; bytes lost in a failed pipeline flush are not
+// reported as written.
+func (w *Writer) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	if w.closed {
+		return 0, fmt.Errorf("hdfs: write after close on %q", w.path)
+	}
+	bs := int(w.client.cluster.nn.BlockSize())
+	written := 0
+	for len(p) > 0 {
+		if cap(w.buf) < bs {
+			// Grow geometrically but never past one block: the buffer
+			// reaches block size once and is then reused forever.
+			need := min(len(w.buf)+len(p), bs)
+			if cap(w.buf) < need {
+				grown := make([]byte, len(w.buf), min(max(2*cap(w.buf), need), bs))
+				copy(grown, w.buf)
+				w.buf = grown
+			}
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+n]
+		p = p[n:]
+		if len(w.buf) == bs {
+			if err := w.flushBlock(w.buf); err != nil {
+				w.err = err
+				return written, err
+			}
+			w.buf = w.buf[:0]
+		}
+		written += n
+	}
+	return written, nil
+}
+
+// Close flushes the final partial block and completes the file.
+func (w *Writer) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	if len(w.buf) > 0 {
+		if err := w.flushBlock(w.buf); err != nil {
+			w.err = err
+			return err
+		}
+		w.buf = nil
+	}
+	return w.client.cluster.nn.CloseFile(w.path)
+}
+
 // Create opens a new file for writing with the given replication factor.
 func (c *Client) Create(path string, replication int) (*Writer, error) {
 	return c.CreateCtx(context.Background(), path, replication)
@@ -117,5 +187,5 @@ func (c *Client) CreateCtx(ctx context.Context, path string, replication int) (*
 	if err := c.cluster.nn.Create(path, replication); err != nil {
 		return nil, err
 	}
-	return &Writer{client: c, path: path, span: trace.FromContext(ctx)}, nil
+	return &Writer{blockWriter: &blockWriter{client: c, path: path, span: trace.FromContext(ctx)}}, nil
 }

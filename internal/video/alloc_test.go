@@ -1,6 +1,8 @@
 package video
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -91,4 +93,47 @@ func mustGenerate(t *testing.T, seconds int, seed uint64) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestAllocConvertReusesOutput: a conversion whose result was released
+// writes the next conversion's output into the buffer it gave back, so the
+// second of two conversions of the benchmark's shape (a 30 s, 1 Mbps source
+// to the 7.5 MB, 2 Mbps 720p rendition) allocates no output of its own. A
+// farm that makes every output fresh allocates (and zeroes) it each time.
+func TestAllocConvertReusesOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	src, err := Generate(Spec{Codec: MPEG4, Res: R480p, FPS: 30, GOPSeconds: 2, BitrateBps: 1_000_000}, 30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Spec{Codec: H264, Res: R720p, FPS: 30, GOPSeconds: 2, BitrateBps: 2_000_000}
+	farm := Farm{Nodes: []string{"a", "b"}}
+	convert := func() *FarmResult {
+		res, err := farm.ConvertMulti(src, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	first := convert()
+	want := append([]byte(nil), first.Output...)
+	first.Release()
+	if first.Output != nil {
+		t.Fatal("Release left the result's Output set")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second := convert()
+	runtime.ReadMemStats(&after)
+	defer second.Release()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second conversion: %d bytes allocated for a %d-byte output", got, len(second.Output))
+	if got > 1<<20 {
+		t.Errorf("the second conversion allocated %d bytes, want under 1 MiB: its %d-byte output was not the one the first gave back", got, len(second.Output))
+	}
+	if !bytes.Equal(second.Output, want) {
+		t.Error("a conversion into a reused buffer wrote different bytes")
+	}
 }

@@ -97,6 +97,101 @@ type FarmResult struct {
 	Segments     []SegmentStat
 }
 
+// Release gives the result's Output back to the farm, for a later conversion
+// to overwrite instead of zeroing a fresh buffer, and sets Output to nil.
+// Call it only once nothing reads Output or a view of it any more (the site
+// releases a result once its objects are stored: HDFS keeps none of the
+// bytes it is given). A result never released is left to the collector.
+func (r *FarmResult) Release() {
+	if r.Output != nil {
+		farmOutputs.Put(r.Output)
+		r.Output = nil
+	}
+}
+
+// farmOutputs holds the outputs results give back (Release): up to two, of
+// at most maxKeptOutput bytes each, one for each of the two transcode
+// workers the shipped fleet runs, converting a one-rendition ladder.
+var farmOutputs = NewBuffers(2, maxKeptOutput)
+
+// maxKeptOutput is a 4-minute rendition at the site's 2 Mbps target; a
+// longer one is left to the collector rather than held.
+const maxKeptOutput = 64 << 20
+
+// Buffers is a bounded free list of byte buffers, for a path that fills a
+// large buffer whole, uses it and lets go of it at a point it knows: a
+// buffer given back is the next one of its size taken, and is overwritten
+// rather than zeroed. It holds at most its slot count, so what it keeps live
+// is bounded; a sync.Pool keeps what it was given until two collections
+// pass, which a burst of puts turns into a peak of resident memory.
+type Buffers struct {
+	mu       sync.Mutex
+	free     [][]byte
+	slots    int
+	maxBytes int
+}
+
+// NewBuffers returns a free list that keeps up to slots buffers of at most
+// maxBytes capacity each.
+func NewBuffers(slots, maxBytes int) *Buffers {
+	return &Buffers{slots: slots, maxBytes: maxBytes}
+}
+
+// Get returns a buffer of length n, contents undefined: the smallest one
+// kept that holds n bytes, or else a new one.
+func (l *Buffers) Get(n int) []byte {
+	l.mu.Lock()
+	best := -1
+	for i, b := range l.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		l.mu.Unlock()
+		return make([]byte, n)
+	}
+	b := l.free[best]
+	last := len(l.free) - 1
+	l.free[best], l.free[last] = l.free[last], nil
+	l.free = l.free[:last]
+	l.mu.Unlock()
+	return b[:n]
+}
+
+// Put gives b back: nothing may read or write it, or any view of it, after.
+// A buffer over the size bound is dropped, and so is the smallest one when
+// every slot is taken. Under the race detector, which cannot see a view used
+// after Put, b is first overwritten with a pattern no payload has, so such a
+// use reads garbage instead of passing for valid bytes until b is reused.
+func (l *Buffers) Put(b []byte) {
+	b = b[:cap(b)]
+	if len(b) == 0 || len(b) > l.maxBytes {
+		return
+	}
+	if raceEnabled {
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < l.slots {
+		l.free = append(l.free, b)
+		return
+	}
+	small := -1
+	for i, f := range l.free {
+		if cap(f) < len(b) && (small < 0 || cap(f) < cap(l.free[small])) {
+			small = i
+		}
+	}
+	if small >= 0 {
+		l.free[small] = b
+	}
+}
+
 // Speedup returns SingleNodeDuration / Duration.
 func (r *FarmResult) Speedup() float64 {
 	if r.Duration == 0 {
@@ -189,9 +284,11 @@ func (f Farm) ConvertMultiContext(ctx context.Context, data []byte, targets ...S
 	}
 	bounds := partition(len(gops), len(f.Nodes)*perNode)
 
-	// Pre-size one output buffer per rendition; workers write converted
-	// GOPs directly at their computed offsets, so assembly needs no merge
-	// pass and no per-GOP allocation.
+	// One output buffer per rendition, from the free list results are
+	// released to; workers write converted GOPs directly at their computed
+	// offsets, so assembly needs no merge pass and no per-GOP allocation.
+	// Header and GOP records cover every byte, so a reused buffer's old
+	// contents never show.
 	outInfos := make([]Info, len(targets))
 	outs := make([][]byte, len(targets))
 	headerLens := make([]int, len(targets))
@@ -201,9 +298,8 @@ func (f Farm) ConvertMultiContext(ctx context.Context, data []byte, targets ...S
 			Spec: t, DurationSeconds: info.DurationSeconds,
 			GOPs: info.GOPs, FirstGOP: info.FirstGOP,
 		}
-		buf := appendHeader(make([]byte, 0, outInfos[ti].Size()), outInfos[ti])
-		headerLens[ti] = len(buf)
-		outs[ti] = buf[:outInfos[ti].Size()]
+		outs[ti] = farmOutputs.Get(int(outInfos[ti].Size()))
+		headerLens[ti] = len(appendHeader(outs[ti][:0], outInfos[ti]))
 		seeds[ti] = specSeed(t)
 	}
 
@@ -265,6 +361,9 @@ func (f Farm) ConvertMultiContext(ctx context.Context, data []byte, targets ...S
 	if err != nil {
 		csp.SetError(err)
 		csp.End()
+		for _, out := range outs { // every worker has returned
+			farmOutputs.Put(out)
+		}
 		return nil, err
 	}
 	csp.End()

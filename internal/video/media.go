@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
+	"sync"
 	"sync/atomic"
 )
 
@@ -135,10 +137,12 @@ func Generate(spec Spec, durationSeconds int, seed uint64) ([]byte, error) {
 	gops := gopCount(spec, durationSeconds)
 	info := Info{Spec: spec, DurationSeconds: durationSeconds, GOPs: gops}
 	out := appendHeader(make([]byte, 0, info.Size()), info)
-	payload := make([]byte, spec.gopBytes())
+	gopLen := int(spec.gopBytes())
 	for g := 0; g < gops; g++ {
-		fillPayload(payload, seed^uint64(g+1)*0x9e3779b97f4a7c15)
-		out = appendGOP(out, uint32(g), payload)
+		out = appendGOPHeader(out, uint32(g), gopLen)
+		n := len(out)
+		out = out[:n+gopLen]
+		fillPayload(out[n:], seed^uint64(g+1)*0x9e3779b97f4a7c15)
 	}
 	return out, nil
 }
@@ -187,7 +191,8 @@ func appendGOPHeader(dst []byte, index uint32, payloadLen int) []byte {
 
 // fillPayload writes deterministic pseudo-data (splitmix-style seed mix
 // feeding an xorshift stream): each word of the stream, little-endian, and
-// the low bytes of one more word for a tail shorter than eight.
+// the low bytes of one more word for a tail shorter than eight. A long dst
+// is written by fillLanes, which produces the same words.
 func fillPayload(dst []byte, seed uint64) {
 	x := seed + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -195,6 +200,10 @@ func fillPayload(dst []byte, seed uint64) {
 	x ^= x >> 31
 	if x == 0 {
 		x = 0x9e3779b97f4a7c15
+	}
+	if q := len(dst) / (8 * fillLaneCount * fillRound) * fillRound; q >= fillLaneMin {
+		x = fillLanes(dst[:8*fillLaneCount*q], x, q)
+		dst = dst[8*fillLaneCount*q:]
 	}
 	for len(dst) >= 8 {
 		x ^= x << 13
@@ -212,6 +221,99 @@ func fillPayload(dst []byte, seed uint64) {
 			x >>= 8
 		}
 	}
+}
+
+// fillLaneCount is how many lanes fillLanes runs side by side; each writes
+// fillRound words per round, and the fill takes lanes only for at least
+// fillLaneMin words a lane, below which the jumps cost more than the lanes
+// save.
+const (
+	fillLaneCount = 4
+	fillRound     = 32
+	fillLaneMin   = 8 * fillRound
+)
+
+// fillLanes writes the first fillLaneCount·q words of the stream whose state
+// is x into dst (that many words long), and returns the state after them.
+// xorshift64 is linear over GF(2): a step is a 64×64 bit matrix M, and word i
+// is M^(i+1)·x. So lane k, which writes words [k·q, (k+1)·q), starts from
+// M^(k·q)·x, reached by jumping q words at a time over xorshiftJumps
+// (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
+// Generators", 2008), and the lanes' steps, independent of each other,
+// overlap in one loop. dst's words need not be 8-aligned, so each round is
+// stored into an array on the stack and copied out from there.
+func fillLanes(dst []byte, x uint64, q int) uint64 {
+	x0 := x
+	x1 := xorshiftJump(x0, q)
+	x2 := xorshiftJump(x1, q)
+	x3 := xorshiftJump(x2, q)
+	const round = 8 * fillRound // bytes a lane writes per round
+	var blk [fillLaneCount * round]byte
+	lane := 8 * q
+	for off := 0; off < lane; off += round {
+		for j := 0; j < round; j += 8 {
+			x0 ^= x0 << 13
+			x1 ^= x1 << 13
+			x2 ^= x2 << 13
+			x3 ^= x3 << 13
+			x0 ^= x0 >> 7
+			x1 ^= x1 >> 7
+			x2 ^= x2 >> 7
+			x3 ^= x3 >> 7
+			x0 ^= x0 << 17
+			x1 ^= x1 << 17
+			x2 ^= x2 << 17
+			x3 ^= x3 << 17
+			binary.LittleEndian.PutUint64(blk[j:], x0)
+			binary.LittleEndian.PutUint64(blk[round+j:], x1)
+			binary.LittleEndian.PutUint64(blk[2*round+j:], x2)
+			binary.LittleEndian.PutUint64(blk[3*round+j:], x3)
+		}
+		copy(dst[off:off+round], blk[:round])
+		copy(dst[lane+off:lane+off+round], blk[round:2*round])
+		copy(dst[2*lane+off:2*lane+off+round], blk[2*round:3*round])
+		copy(dst[3*lane+off:3*lane+off+round], blk[3*round:])
+	}
+	return x3
+}
+
+// xorshiftJumps returns M^(2^i) for every i, M the xorshift64 step, each
+// as its columns: column j is M^(2^i) applied to bit j alone.
+var xorshiftJumps = sync.OnceValue(func() *[64][64]uint64 {
+	m := new([64][64]uint64)
+	for j := range m[0] {
+		x := uint64(1) << j
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		m[0][j] = x
+	}
+	for i := 1; i < len(m); i++ {
+		for j := range m[i] {
+			m[i][j] = applyBits(&m[i-1], m[i-1][j])
+		}
+	}
+	return m
+})
+
+// applyBits multiplies the bit vector v by the matrix whose columns are cols.
+func applyBits(cols *[64]uint64, v uint64) uint64 {
+	var r uint64
+	for ; v != 0; v &= v - 1 {
+		r ^= cols[bits.TrailingZeros64(v)]
+	}
+	return r
+}
+
+// xorshiftJump returns the xorshift64 state n steps after x.
+func xorshiftJump(x uint64, n int) uint64 {
+	jumps := xorshiftJumps()
+	for i := 0; n != 0; i, n = i+1, n>>1 {
+		if n&1 != 0 {
+			x = applyBits(&jumps[i], x)
+		}
+	}
+	return x
 }
 
 // parseCalls counts full container parses; tests use it to prove the farm's

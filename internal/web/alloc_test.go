@@ -230,7 +230,8 @@ const searchPath = "/search?q=take+bravo"
 // IDs cut from shared blocks, the request copy inside that state, the page's
 // two header values in one array, the watch page's qualities listed on the
 // stack and its comment ids sorted without sort.Slice's boxing: 3, 22 and 10.
-// The budgets are those plus two.
+// With the watch page parsing its own path outside the mux's matching, watch
+// 9. The budgets are those plus two.
 func TestAllocPageHandlers(t *testing.T) {
 	site, id := allocCatalog(t)
 	for _, tc := range []struct {
@@ -239,7 +240,7 @@ func TestAllocPageHandlers(t *testing.T) {
 	}{
 		{"home", "/", "Recent uploads", 5},
 		{"search", searchPath, "Results for", 24},
-		{"watch", fmt.Sprintf("/watch/%d", id), "Related videos", 12},
+		{"watch", fmt.Sprintf("/watch/%d", id), "Related videos", 11},
 	} {
 		rec := httptest.NewRecorder()
 		site.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
@@ -412,5 +413,30 @@ func TestAllocUploadReceive(t *testing.T) {
 	t.Logf("the same body under a %d-byte Content-Length: %d bytes", maxUploadBytes, lying)
 	if limit := uint64(uploadPresizeBytes + len(body)*5/4); lying > limit {
 		t.Errorf("a Content-Length of %d bytes made the receive allocate %d bytes; want at most %d", maxUploadBytes, lying, limit)
+	}
+}
+
+// TestAllocUploadReceiveReusesBody: a body the transcode job gave back is
+// the buffer the next upload is read into, so receiving a 4 MB upload after
+// one was given back allocates no buffer for its video. A receive that reads
+// into a fresh buffer each time allocates (and zeroes) the 4 MB.
+func TestAllocUploadReceiveReusesBody(t *testing.T) {
+	src := strings.Repeat("VCF1 four megabytes of video ", 4<<20/29)
+	body := uploadForm(
+		[2]string{`Content-Disposition: form-data; name="title"`, "a title"},
+		[2]string{`Content-Disposition: form-data; name="video"; filename="clip.vcf"`, src},
+	)
+	receive := func(r *http.Request) {
+		u, err := receiveUpload(r)
+		if err != nil || string(u.video) != src {
+			t.Fatalf("receive: err %v, %d video bytes", err, len(u.video))
+		}
+		uploadBodies.Put(u.video)
+	}
+	receive(uploadRequest("", uploadFormType, body))
+	got := receivedBytes(t, receive, body, int64(len(body)))
+	t.Logf("receiving a %d-byte upload after one was given back allocates %d bytes", len(body), got)
+	if got > 1<<20 {
+		t.Errorf("receiving a %d-byte upload after one was given back allocated %d bytes, want under 1 MiB", len(body), got)
 	}
 }

@@ -121,10 +121,10 @@ func (s *Site) deliveryByID(ctx context.Context, id int64) (deliveryRow, error) 
 	return d, nil
 }
 
-// mediaTail splits a media request's path after its first segment, the
-// route's name, into the values the route's ServeMux patterns of old
-// (/stream/{id}, /playlist/{id}[/{quality}], /segment/{id}/{quality}/{k})
-// gave their wildcards, split as ServeMux splits: on the escaped path, each
+// mediaTail splits a media or watch request's path after its first segment,
+// the route's name, into the values the route's ServeMux patterns of old
+// (/stream/{id}, /playlist/{id}[/{quality}], /segment/{id}/{quality}/{k},
+// /watch/{id}) gave their wildcards, split as ServeMux splits: on the escaped path, each
 // segment unescaped, none empty (so no trailing slash) and none a lone
 // escaped slash. n is how many there are, or 0 when the path has more than
 // three or one that no wildcard matched. A path the client did not escape

@@ -41,13 +41,15 @@ func (s *Site) routes() *http.ServeMux {
 	mux.HandleFunc("POST /logout", s.instrument("logout", s.handleLogout))
 	mux.HandleFunc("GET /upload", s.instrument("upload", s.handleUploadPage))
 	mux.HandleFunc("POST /upload", s.instrument("upload", s.handleUpload))
-	mux.HandleFunc("GET /watch/{id}", s.instrument("watch", s.handleWatch))
-	// The media routes parse their own paths (delivery.go mediaTail), and
-	// ServeHTTP calls them without the mux's matching (mediaRoute).
+	// The watch page and the media routes parse their own paths (delivery.go
+	// mediaTail), and ServeHTTP calls them without the mux's matching
+	// (mediaRoute). Routes are instrumented in the order status lists them.
+	watch := s.instrument("watch", s.handleWatch)
 	s.mediaRoutes = map[string]http.HandlerFunc{
 		"stream":   s.instrument("stream", s.handleStream),
 		"playlist": s.instrument("playlist", s.handlePlaylist),
 		"segment":  s.instrument("segment", s.handleSegment),
+		"watch":    watch,
 	}
 	for route, h := range s.mediaRoutes {
 		mux.HandleFunc("GET /"+route+"/", h)
@@ -62,15 +64,16 @@ func (s *Site) routes() *http.ServeMux {
 	return mux
 }
 
-// mediaRoute names the media route the mux sends r to when r is a GET or
-// HEAD of a clean path under /stream/, /playlist/ or /segment/, and is ""
-// for every other request. ServeHTTP calls such a route's handler directly:
+// mediaRoute names the route the mux sends r to when r is a GET or HEAD of a
+// clean path under /stream/, /playlist/, /segment/ or /watch/, and is "" for
+// every other request. ServeHTTP calls such a route's handler directly:
 // ServeMux spends three allocations matching a subtree pattern (a wildcard
 // probe, then the probe again on the path with a slash appended, its
 // trailing-slash redirect check), and those were the largest share of what
-// a warm segment request allocated. The rest — another method, a path the mux
-// cleans and redirects, a bare /segment — goes through the mux, to the same
-// handlers or to the answer the mux gives.
+// a warm segment request allocated; a watch page paid one matching its {id}.
+// The rest — another method, a path the mux cleans and redirects, a bare
+// /segment — goes through the mux, to the same handlers or to the answer the
+// mux gives.
 func mediaRoute(r *http.Request) string {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		return ""
@@ -373,6 +376,7 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	title := strings.TrimSpace(u.title)
 	if title == "" {
+		uploadBodies.Put(u.video)
 		http.Error(w, "title required", http.StatusBadRequest)
 		return
 	}
@@ -382,8 +386,11 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if _, _, ok := tenant.FromContext(ctx); !ok && p.ten != nil {
 		ctx = tenant.WithContext(ctx, p.ten, p.role)
 	}
-	id, err := s.ProcessUpload(ctx, p.userID, title, u.description, u.video)
+	// The transcode job gives the body back once it is converted; an upload
+	// refused before it is queued gives it back here.
+	id, err := s.processUpload(ctx, p.userID, title, u.description, u.video, true)
 	if err != nil {
+		uploadBodies.Put(u.video)
 		if s.writeTenantError(w, err) {
 			return
 		}
@@ -398,7 +405,7 @@ func (s *Site) handleUpload(w http.ResponseWriter, r *http.Request) {
 // does not read — counts against maxFormBytes together, and a form has at
 // most maxFormParts parts, as multipart.Reader.ReadForm allows.
 // uploadPresizeBytes caps how much of a claimed Content-Length is allocated
-// before the bytes arrive.
+// before the bytes arrive, and the size of a body kept for reuse.
 const (
 	maxFormBytes       = 64 << 10
 	maxFormParts       = 1000
@@ -427,12 +434,25 @@ const uploadReadBytes = 64 << 10
 
 var uploadReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, uploadReadBytes) }}
 
+// uploadBodies holds the video files /upload received and the transcode job
+// gave back once converted: two, the body being converted and the next one
+// arriving, for the next upload to read into without zeroing a new buffer.
+// Only bodies the site read itself go back; ProcessUpload's callers keep
+// theirs.
+var uploadBodies = video.NewBuffers(2, uploadPresizeBytes)
+
 // receiveUpload reads an /upload body in one pass over its parts, copying the
 // video file once, into a buffer sized from Content-Length, and no other part
 // beyond the two text fields it keeps. It accepts what ParseMultipartForm
-// accepted, within the bounds above.
-func receiveUpload(r *http.Request) (upload, error) {
-	var u upload
+// accepted, within the bounds above. The video file is from uploadBodies,
+// and goes back there when the form is refused.
+func receiveUpload(r *http.Request) (u upload, err error) {
+	defer func() {
+		if err != nil && u.video != nil {
+			uploadBodies.Put(u.video)
+			u.video = nil
+		}
+	}()
 	ct, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if err != nil || ct != "multipart/form-data" {
 		return u, http.ErrNotMultipart
@@ -506,27 +526,30 @@ func receiveUpload(r *http.Request) (upload, error) {
 	return u, nil
 }
 
-// readVideo reads a video part into one buffer: sized from the request's
-// Content-Length (the whole body, so it holds the part) up to
-// uploadPresizeBytes, and grown only when a part outruns it.
+// readVideo reads a video part into one buffer from uploadBodies: sized from
+// the request's Content-Length (the whole body, so it holds the part) up to
+// uploadPresizeBytes, and grown only when a part outruns it. A part it
+// refuses gives the buffer back.
 func readVideo(p io.Reader, contentLength int64) ([]byte, error) {
 	p = io.LimitReader(p, maxUploadBytes+1)
-	buf := make([]byte, 0, min(max(contentLength, 512), uploadPresizeBytes))
+	buf := uploadBodies.Get(int(min(max(contentLength, 512), uploadPresizeBytes)))[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, min(len(buf), maxUploadBytes+1-len(buf)))
 		}
 		n, err := p.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			if len(buf) > maxUploadBytes {
-				return nil, errVideoTooLarge
-			}
+		if err == nil {
+			continue
+		}
+		if err == io.EOF && len(buf) <= maxUploadBytes {
 			return buf, nil
 		}
-		if err != nil {
-			return nil, err
+		uploadBodies.Put(buf)
+		if err == io.EOF {
+			return nil, errVideoTooLarge
 		}
+		return nil, err
 	}
 }
 
@@ -543,8 +566,15 @@ func readVideo(p io.Reader, contentLength int64) ([]byte, error) {
 // tenant.ThrottleError and leaves no row behind.
 //
 // ctx carries the request's trace span; the queue, farm, and store spans all
-// become children of it.
+// become children of it. data stays the caller's: the site only reads it.
 func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, description string, data []byte) (id int64, err error) {
+	return s.processUpload(ctx, uploaderID, title, description, data, false)
+}
+
+// processUpload is ProcessUpload; recycle says data is a body /upload read
+// into a buffer of uploadBodies, which the transcode job gives back once it
+// has converted it. The caller keeps a body that is refused (an error).
+func (s *Site) processUpload(ctx context.Context, uploaderID int64, title, description string, data []byte, recycle bool) (id int64, err error) {
 	psp := trace.FromContext(ctx).StartChild("video.probe")
 	info, err := video.Probe(data)
 	if err != nil {
@@ -583,7 +613,7 @@ func (s *Site) ProcessUpload(ctx context.Context, uploaderID int64, title, descr
 	}
 	isp.End()
 	trace.FromContext(ctx).AnnotateInt("video_id", id)
-	if err = s.enqueueTranscode(ctx, transcodeJob{videoID: id, data: data, enqueued: time.Now(), adm: adm}); err != nil {
+	if err = s.enqueueTranscode(ctx, transcodeJob{videoID: id, data: data, recycle: recycle, enqueued: time.Now(), adm: adm}); err != nil {
 		// Throttled or shut down: no one will ever convert the row, so
 		// remove it.
 		s.db.Delete("videos", id)
@@ -609,7 +639,8 @@ func parseVideoID(seg string) (int64, error) {
 	return id, nil
 }
 
-// videoIDOf parses the request's {id}.
+// videoIDOf parses the request's {id}: the title a POST /watch/{id}/...
+// action names.
 func videoIDOf(r *http.Request) (int64, error) { return parseVideoID(r.PathValue("id")) }
 
 func (s *Site) videoByRequest(r *http.Request) (videodb.Row, error) {
@@ -638,13 +669,16 @@ func (s *Site) project(ctx context.Context, id int64, cols []string) (projection
 	return projection{cols, vals}, err
 }
 
+// handleWatch serves /watch/{id}, parsing its own path as the media routes
+// do: a path of any other shape is its 404.
 func (s *Site) handleWatch(w http.ResponseWriter, r *http.Request) {
-	id, err := videoIDOf(r)
+	tail, n := mediaTail(r)
+	id, err := parseVideoID(tail[0])
 	var p projection
-	if err == nil {
+	if err == nil && n == 1 {
 		p, err = s.project(r.Context(), id, viewCols)
 	}
-	if err != nil {
+	if err != nil || n != 1 {
 		http.NotFound(w, r)
 		return
 	}

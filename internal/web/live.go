@@ -92,6 +92,7 @@ func (s *Site) PushLiveSegment(ctx context.Context, id int64, chunk []byte) (k i
 	if err != nil {
 		return 0, fmt.Errorf("web: live conversion failed: %w", err)
 	}
+	defer releaseAll(results) // once the segment is stored, or refused
 	// The channel's global GOP clock: everything published so far, in GOPs.
 	firstGOP := int(duration) / s.target.GOPSeconds
 	k = int(segs)

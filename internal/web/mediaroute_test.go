@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// mediaShapes are the segment counts each media handler accepts from
-// mediaTail: /stream/{id}, /playlist/{id}[/{quality}] and
-// /segment/{id}/{quality}/{k}.
-var mediaShapes = map[string][]int{"stream": {1}, "playlist": {1, 2}, "segment": {3}}
+// mediaShapes are the segment counts each media handler and the watch page
+// accept from mediaTail: /stream/{id}, /playlist/{id}[/{quality}],
+// /segment/{id}/{quality}/{k} and /watch/{id}.
+var mediaShapes = map[string][]int{"stream": {1}, "playlist": {1, 2}, "segment": {3}, "watch": {1}}
 
 // routed is which media handler a request reached and the values it parsed
 // from the path; the zero value is "no media handler".
@@ -19,10 +19,10 @@ type routed struct {
 	vals  []string
 }
 
-// FuzzMediaRoute holds the media routes' own path parsing to the ServeMux
-// wildcard patterns it replaced. For an arbitrary method and request target,
-// the old patterns, on a mux built here, record the route and the
-// PathValues they matched. The new routing records the route and what
+// FuzzMediaRoute holds the media routes' and the watch page's own path
+// parsing to the ServeMux wildcard patterns it replaced. For an arbitrary
+// method and request target, the old patterns, on a mux built here, record
+// the route and the PathValues they matched. The new routing records the route and what
 // mediaTail parsed, where the handler accepts that many segments: the
 // direct dispatch ServeHTTP makes (mediaRoute), else the subtree patterns
 // routes() registers, on a mux. The two must agree on every request,
@@ -55,6 +55,16 @@ func FuzzMediaRoute(f *testing.F) {
 		{"GET", "/stream/./7"},
 		{"POST", "/stream/7"},
 		{"GET", "/watch/7"},
+		{"HEAD", "/watch/7"},
+		{"GET", "/watch/"},
+		{"GET", "/watch"},
+		{"GET", "/watch/7/"},
+		{"GET", "/watch/7/comment"},
+		{"POST", "/watch/7/comment"},
+		{"GET", "/watch/%37"},
+		{"GET", "/watch/a%2Fb"},
+		{"GET", "/watch/../stream/7"},
+		{"GET", "http://example.com/watch/7"},
 		{"GET", "http://example.com/segment/1/720p/0"},
 	} {
 		f.Add(seed[0], seed[1])
@@ -74,6 +84,7 @@ func FuzzMediaRoute(f *testing.F) {
 	old.HandleFunc("GET /playlist/{id}", record("playlist", "id"))
 	old.HandleFunc("GET /playlist/{id}/{quality}", record("playlist", "id", "quality"))
 	old.HandleFunc("GET /segment/{id}/{quality}/{k}", record("segment", "id", "quality", "k"))
+	old.HandleFunc("GET /watch/{id}", record("watch", "id"))
 
 	parsed := func(route string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {

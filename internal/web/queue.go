@@ -51,6 +51,7 @@ type transcodeJob struct {
 	ctx      context.Context
 	videoID  int64
 	data     []byte
+	recycle  bool // data is an uploadBodies buffer, given back once converted
 	enqueued time.Time
 	// adm carries the upload's quota reservations (tenant identity, byte
 	// estimate, source seconds) across the async boundary — the context's
@@ -176,7 +177,7 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 		sp.Annotate("queue_wait", wait.String())
 	}
 	s.reg.Histogram("transcode_wait_seconds").ObserveExemplar(wait.Seconds(), sp.TraceID())
-	err := s.transcodeAndPublish(ctx, job.videoID, job.data, job.adm)
+	err := s.transcodeAndPublish(ctx, job)
 	if err != nil {
 		sp.SetError(err)
 	}
@@ -201,12 +202,19 @@ func (s *Site) runTranscodeJob(job transcodeJob) {
 // renditions, segment index and status=ready (publish.go). A segment object
 // is written as two parts, its own container header and the view of its GOP
 // records in the farm output, so a rendition's records are copied only into
-// their replicas.
-func (s *Site) transcodeAndPublish(ctx context.Context, id int64, data []byte, adm *admission) error {
-	results, err := s.convertPooled(ctx, data, s.specs)
+// their replicas. The upload body goes back for reuse (job.recycle) once it
+// is converted, and the farm outputs once the objects cut from them are
+// stored: HDFS keeps none of the bytes it is given.
+func (s *Site) transcodeAndPublish(ctx context.Context, job transcodeJob) error {
+	id, adm, srcBytes := job.videoID, job.adm, len(job.data)
+	results, err := s.convertPooled(ctx, job.data, s.specs)
+	if job.recycle {
+		uploadBodies.Put(job.data)
+	}
 	if err != nil {
 		return fmt.Errorf("web: conversion failed: %w", err)
 	}
+	defer releaseAll(results)
 	// Cut every rendition before writing anything, so the exact stored size
 	// is known up front.
 	var objects [][][]byte
@@ -234,11 +242,18 @@ func (s *Site) transcodeAndPublish(ctx context.Context, id int64, data []byte, a
 	}
 	res := results[0]
 	s.reg.Counter("uploads").Inc()
-	s.reg.Counter("upload_bytes").Add(int64(len(data)))
+	s.reg.Counter("upload_bytes").Add(int64(srcBytes))
 	s.reg.Histogram("conversion_seconds").Observe(res.Duration.Seconds())
 	s.reg.Histogram("conversion_speedup").Observe(res.Speedup())
 	s.reg.Histogram("conversion_wall_seconds").Observe(res.WallDuration.Seconds())
 	return nil
+}
+
+// releaseAll gives a conversion's outputs back to the farm.
+func releaseAll(results []*video.FarmResult) {
+	for _, res := range results {
+		res.Release()
+	}
 }
 
 // convertPooled runs a farm conversion over the pool's current node set.
