@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"math/rand"
@@ -139,15 +140,14 @@ func BenchmarkFillPayload(b *testing.B) {
 	})
 }
 
-// fillOneChain is fillPayload without lanes: the same words, one step after
-// the other.
+// fillOneChain is fillPayload's word loop without lanes, as it was before
+// them: the same words, one step after the other.
 func fillOneChain(dst []byte, x uint64) {
 	for len(dst) >= 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		dst[0], dst[1], dst[2], dst[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
-		dst[4], dst[5], dst[6], dst[7] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+		binary.LittleEndian.PutUint64(dst, x)
 		dst = dst[8:]
 	}
 }
