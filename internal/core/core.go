@@ -627,10 +627,13 @@ func (vc *VideoCloud) recoveryStatus() RecoveryStatus {
 // DrainTranscodes waits for every queued upload conversion to finish.
 func (vc *VideoCloud) DrainTranscodes() { vc.tier.DrainTranscodes() }
 
-// Close disarms self-healing and elasticity, then shuts down the fleet's
-// transcode pool after draining queued jobs.
+// Close disarms self-healing and elasticity, shuts down the fleet's
+// transcode pool after draining queued jobs, and then closes HDFS, giving its
+// replicas' and cached extents' memory back for the next fleet the process
+// builds (hdfs.Cluster.Close): a closed fleet serves no stored bytes.
 func (vc *VideoCloud) Close() {
 	vc.StopSelfHealing()
 	vc.StopElastic()
 	vc.tier.Close()
+	vc.hdfs.Close()
 }

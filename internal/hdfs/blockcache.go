@@ -67,7 +67,8 @@ func extentCount(blockLen int64) int64 { return (blockLen + extentSize - 1) / ex
 //     entry holds a whole array, a block's short last extent too, so the
 //     budget charges each one extentSize: the memory it holds, not the bytes
 //     it caches. An array shed while resident bytes exceed the budget goes
-//     back without its pages. A cache dropped with its Cluster gives its
+//     back without its pages. A closed Cluster detaches every entry
+//     (Cluster.Close); a cache dropped with its Cluster unclosed gives its
 //     arrays back through the pool's finalizer. A view used after its
 //     reference was released is a bug the -race gate makes loud: the array
 //     is poisoned on its way back.
@@ -374,6 +375,17 @@ func (c *BlockCache) Invalidate(ids ...BlockID) {
 		}
 	}
 	c.over.Store(c.bytes > c.capacity)
+}
+
+// invalidateAll detaches every resident extent, as Invalidate does those of
+// the blocks it is given.
+func (c *BlockCache) invalidateAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.lru.prev != &c.lru {
+		c.removeLocked(c.lru.prev)
+	}
+	c.over.Store(false)
 }
 
 // Bytes returns the resident cached bytes.

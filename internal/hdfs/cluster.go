@@ -308,6 +308,26 @@ func (c *Cluster) Delete(path string) error {
 	return nil
 }
 
+// Close gives the memory of every replica the DataNodes hold and of every
+// extent the cache holds back to the pool now, rather than when the collector
+// finds the cluster unreachable and the handles' finalizers run. A process
+// that closes one cluster and builds another then stores the second one's
+// replicas in the first one's memory, however long something else keeps the
+// first reachable: one goroutine still unwinding when the collector runs is
+// enough to keep a whole cluster's replicas out of the pool until the next
+// cycle, and meanwhile its successor maps new ones. The cluster holds no
+// data afterwards, so a read fails; an extent a reader still pins goes back
+// at its last Release. Nothing may write to the cluster during or after
+// Close.
+func (c *Cluster) Close() {
+	c.cache.invalidateAll()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, dn := range c.nodes {
+		dn.releaseAll()
+	}
+}
+
 // Client returns a client whose writes prefer localNode for the first
 // replica and whose reads prefer a localNode replica when one exists
 // ("" for a remote client with no locality).

@@ -240,6 +240,67 @@ func TestReplicaMemoryGivenBackWithoutCollection(t *testing.T) {
 	}
 }
 
+// TestCloseGivesMemoryBackWithoutCollection: with the collector off, and the
+// first cluster still referenced, Close gives back every replica and cached
+// extent of it, so a second cluster of the same shape maps no new memory. A
+// view a reader pinned across Close keeps its bytes until the reader lets go,
+// and a read after Close fails.
+func TestCloseGivesMemoryBackWithoutCollection(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	files := make([][]byte, 3)
+	for i := range files {
+		files[i] = payload(2<<20+i*300<<10, int64(60+i))
+	}
+	build := func() (*Cluster, *Reader, [][]byte) {
+		c := NewCluster(3, 1<<20)
+		cl := c.Client("")
+		for i, data := range files {
+			path := fmt.Sprintf("/f%d", i)
+			if err := cl.WriteFile(path, data, 2); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cl.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: err %v, equal %v", path, err, bytes.Equal(got, data))
+			}
+		}
+		r, err := cl.Open("/f1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		views, err := r.AppendRangeSlices(nil, 100, 3*extentSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, r, views
+	}
+	first, r, views := build()
+	first.Close()
+	if got := bytes.Join(views, nil); !bytes.Equal(got, files[1][100:100+3*extentSize]) {
+		t.Fatal("a view pinned across Close changed before its reader let go")
+	}
+	r.Close()
+	if _, err := first.Client("").ReadFile("/f0"); err == nil {
+		t.Fatal("a read of a closed cluster succeeded")
+	}
+	for _, name := range first.DataNodeNames() {
+		if dn := first.DataNode(name); dn.Used() != 0 {
+			t.Fatalf("%s still holds %d bytes after Close", name, dn.Used())
+		}
+	}
+	if bc := first.BlockCache(); bc.Entries() != 0 || bc.held.Load() != 0 {
+		t.Fatalf("the closed cluster's cache holds %d extents and %d arrays", bc.Entries(), bc.held.Load())
+	}
+
+	mapped := mappedBytes()
+	second, r, _ := build()
+	r.Close()
+	if grew := mappedBytes() - mapped; grew != 0 {
+		t.Fatalf("a second cluster of the same shape, built with the closed one still referenced, mapped %d new bytes; want 0", grew)
+	}
+	second.Close()
+	runtime.KeepAlive(first)
+}
+
 // soakFile is generation gen of soak file f: 8-byte words f<<48 | gen<<24 | i,
 // so any word-aligned window names the file and generation it came from.
 func soakFile(f int, gen uint64, size int) []byte {

@@ -235,6 +235,16 @@ func (dn *DataNode) Delete(id BlockID) {
 	}
 }
 
+// releaseAll removes every replica and gives its memory back to the pool.
+func (dn *DataNode) releaseAll() {
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	for id, bd := range dn.blocks {
+		bd.release()
+		delete(dn.blocks, id)
+	}
+}
+
 // BlockIDs returns the stored block IDs, sorted.
 func (dn *DataNode) BlockIDs() []BlockID {
 	dn.mu.RLock()

@@ -25,8 +25,10 @@ import (
 //     leaves dn.blocks — Delete, an overwriting store — or never enters it,
 //     under the node's lock. That is safe because its bytes never leave their
 //     record: every access goes through it, under that lock with the record
-//     in dn.blocks, and callers get copies. The finalizer is the backstop for
-//     the replicas of a DataNode that becomes unreachable as a whole.
+//     in dn.blocks, and callers get copies. Cluster.Close gives back every
+//     replica of its DataNodes at once. The finalizer is the backstop for
+//     the replicas of a DataNode that becomes unreachable as a whole with
+//     its Cluster unclosed.
 //   - A cached extent is handed out as views, so the cache gives its array
 //     back explicitly (putMem) at each point where it knows no view can exist
 //     (BlockCache). The finalizer is the backstop for a cache that becomes
