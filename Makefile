@@ -2,7 +2,9 @@
 # detector is part of the gate so concurrency regressions in the serving
 # path (web.Site, caches, metrics) are caught before merge; the allocation
 # regression checks guard the conversion and HDFS range-read hot paths
-# (alloc tests skip under -race, so they get a dedicated non-race run).
+# (alloc tests skip under -race, so they get a dedicated non-race run), and
+# HDFS's TestAllocOneMappingPerBlock counts replica memory: a block of three
+# replicas holds one mapping, given back once, with its last replica.
 
 GO ?= go
 
@@ -52,9 +54,12 @@ alloccheck:
 # seconds of the layout /stream trusts to rebuild a container from a row's
 # numbers, ten of the segment objects publish writes as a header and a view
 # of the rendition held to the copies Segments cuts, ten of the striped CRC-64
-# a conversion seeds each GOP from held to hash/crc64, and ten of media
-# responses held to http.ServeContent over arbitrary sizes, Range and If-Range
-# headers. Then ten seconds of
+# a conversion seeds each GOP from held to hash/crc64, ten of the one pass
+# that copies a block into replica memory and sums its chunks, held over
+# arbitrary part splits and chunk sizes to the parts joined and to the sums
+# the pipeline computed before (internal/hdfs/checksum_test.go), and ten of
+# media responses held to http.ServeContent over arbitrary sizes, Range and
+# If-Range headers. Then ten seconds of
 # arbitrary float64 bit patterns and split points through histogram merges:
 # the merged parts must equal the whole, bucket for bucket.
 fuzzshort:
@@ -65,6 +70,7 @@ fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentLayout -fuzztime 10s ./internal/video/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentObjects -fuzztime 10s ./internal/video/
 	$(GO) test -run '^$$' -fuzz FuzzSignatureMatchesCRC64 -fuzztime 10s ./internal/video/
+	$(GO) test -run '^$$' -fuzz FuzzCopySumsMatchesChunkSums -fuzztime 10s ./internal/hdfs/
 	$(GO) test -run '^$$' -fuzz FuzzServeMatchesServeContent -fuzztime 10s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMerge -fuzztime 10s ./internal/metrics/
 
@@ -95,10 +101,13 @@ fuzzshort:
 # eviction, a purge or a response still writing it depends on interleaving.
 # So do the farm outputs and upload bodies a publish gives back for reuse:
 # under -race each is poisoned as it goes back, so a stored object that kept
-# a view of one reads garbage once the next title is converted.
+# a view of one reads garbage once the next title is converted. And a block's
+# replicas share one record: a fault injected into one gives it its own copy
+# under the lock of its node while the others serve reads and the healer
+# shares a sibling's record onward.
 chaosshort:
 	$(GO) test -race -short -count=1 -run 'TestChaosSoak|TestElasticChaos' ./internal/core/
-	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance|TestReplicaLifetimeSoak|TestExtentLifetimeSoak' ./internal/hdfs/
+	$(GO) test -race -count=5 -run 'TestHealer|TestRepair|TestDecommission|TestBalance|TestReplicaLifetimeSoak|TestExtentLifetimeSoak|TestSharedReplicaCorruptionCopiesOnWrite' ./internal/hdfs/
 	$(GO) test -race -count=5 -run 'TestEvacuat|TestConsolidat|TestStuck|TestMigrationRescheduled|TestRebalanc|TestCloudSoak' ./internal/nebula/
 	$(GO) test -race -count=5 -run 'TestTitleLifecycleSoak|TestLiveChannel|TestPartialStoreFailure|TestDelete|TestFleetFairShare|TestFarmPoolLifecycle|TestScaleDownMidBurst|TestUploadAfterClose|TestHomeListsOnlyPublished|TestRecentListRebuiltOncePerChange|TestRelatedMatchesUncached|TestRelatedFillRacingEditNeverServed|TestUsernameResolvedOncePerFleet|TestEdgeEntryLifetimeSoak|TestReusedBuffersKeepPublishedBytes' ./internal/web/
 	$(GO) test -race -count=5 -run 'TestHistogramConcurrent' ./internal/metrics/

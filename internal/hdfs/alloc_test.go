@@ -3,6 +3,7 @@ package hdfs
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -224,5 +225,102 @@ func TestAllocOrderReplicas(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Fatalf("orderReplicas allocates %.1f times per op; want <= 1", allocs)
+	}
+}
+
+// replicasByMapping counts, for every mapping the nodes' replicas hold, the
+// replicas that hold it.
+func replicasByMapping(c *Cluster) map[*memBuf]int {
+	held := make(map[*memBuf]int)
+	for _, name := range c.DataNodeNames() {
+		dn := c.DataNode(name)
+		dn.mu.RLock()
+		for _, bd := range dn.blocks {
+			held[bd.mem]++
+		}
+		dn.mu.RUnlock()
+	}
+	return held
+}
+
+// timesPooled returns how many times m is on the pool's lists.
+func timesPooled(m *memBuf) int {
+	p := &memPool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, lists := range [...]map[int][]*memBuf{p.free, p.bare} {
+		for _, f := range lists[len(m.b)] {
+			if f == m {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestAllocOneMappingPerBlock gates what a write costs in replica memory: a
+// block is copied once and its replicas share it. With the collector off, so
+// no finalizer gives anything back, a file of k blocks at replication 3 holds
+// k mappings, three replicas on each, not 3k, and maps at most k new ones.
+// Deleting the replicas node by node gives a block's mapping back only with
+// its last replica, and Cluster.Close gives each mapping back exactly once.
+func TestAllocOneMappingPerBlock(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const k, bs = 5, 4 * DefaultChunkSize
+	write := func() (*Cluster, []BlockInfo, map[*memBuf]int) {
+		t.Helper()
+		mapped := mappedBytes()
+		c := NewCluster(3, bs)
+		cl := c.Client("")
+		if err := cl.WriteFile("/f", payload(k*bs-100, 7), 3); err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := cl.BlockLocations("/f")
+		if err != nil || len(blocks) != k {
+			t.Fatalf("%d blocks (err %v); want %d", len(blocks), err, k)
+		}
+		held := replicasByMapping(c)
+		if len(held) != k {
+			t.Fatalf("%d blocks at replication 3 hold %d mappings; want one per block, %d", k, len(held), k)
+		}
+		for m, n := range held {
+			if n != 3 || timesPooled(m) != 0 {
+				t.Fatalf("a mapping is held by %d replicas and on the pool's lists %d times; want 3 and 0", n, timesPooled(m))
+			}
+		}
+		if grew := mappedBytes() - mapped; grew > k*bs {
+			t.Fatalf("writing %d blocks mapped %d new bytes; want at most one %d B mapping per block", k, grew, bs)
+		}
+		return c, blocks, held
+	}
+
+	c, blocks, held := write()
+	for i, name := range c.DataNodeNames() {
+		for _, b := range blocks {
+			c.DataNode(name).Delete(b.ID)
+		}
+		want := 0
+		if i == 2 {
+			want = 1
+		}
+		for m := range held {
+			if got := timesPooled(m); got != want {
+				t.Fatalf("after deleting the replicas on %d of 3 nodes a mapping is on the pool's lists %d times; want %d", i+1, got, want)
+			}
+		}
+	}
+
+	c, _, held = write()
+	c.Close()
+	for m := range held {
+		if got := timesPooled(m); got != 1 {
+			t.Fatalf("Close put a mapping on the pool's lists %d times; want once", got)
+		}
+	}
+	for _, name := range c.DataNodeNames() {
+		if used := c.DataNode(name).Used(); used != 0 {
+			t.Fatalf("%s still holds %d bytes after Close", name, used)
+		}
 	}
 }

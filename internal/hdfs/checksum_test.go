@@ -151,3 +151,64 @@ func TestWriteFilePartsKeepsNoCallerBytes(t *testing.T) {
 		t.Fatalf("stat: %+v, err %v; want %d bytes", st, err, len(want))
 	}
 }
+
+// chunkSums is the checksum ladder the write pipeline computed, from the
+// caller's parts before any replica copied them, until a block's copy and
+// its sums became one pass (copySums); it is kept as that pass's oracle: the
+// CRC32 of every chunk-sized piece of the concatenation of parts (the last
+// may be short), a chunk that straddles a part boundary summed across it.
+func chunkSums(chunk int64, parts ...[]byte) []uint32 {
+	sums := make([]uint32, 0, (totalLen(parts)+chunk-1)/chunk)
+	var crc uint32
+	var filled int64 // bytes of the current chunk summed so far
+	for _, p := range parts {
+		for len(p) > 0 {
+			n := min(int64(len(p)), chunk-filled)
+			crc = crc32.Update(crc, crc32.IEEETable, p[:n])
+			p, filled = p[n:], filled+n
+			if filled == chunk {
+				sums, crc, filled = append(sums, crc), 0, 0
+			}
+		}
+	}
+	if filled > 0 {
+		sums = append(sums, crc)
+	}
+	return sums
+}
+
+// FuzzCopySumsMatchesChunkSums cuts size bytes of payload into parts at the
+// fuzzed cut points (a repeated point, or one at either end, makes an empty
+// part) and runs the fused copy-and-sum pass at a fuzzed chunk size into
+// memory that holds other bytes: the copy must equal the parts joined, and
+// the sums must equal the oracle's for the same parts.
+func FuzzCopySumsMatchesChunkSums(f *testing.F) {
+	f.Add(int64(1), uint32(3*DefaultChunkSize+1000), uint32(DefaultChunkSize), []byte{0, 10, 10, 128, 255})
+	f.Add(int64(2), uint32(20_000), uint32(3000), []byte{12, 12, 12})
+	f.Add(int64(3), uint32(7), uint32(1), []byte{})
+	f.Add(int64(4), uint32(0), uint32(64), []byte{0, 255})
+	f.Add(int64(5), uint32(4096), uint32(4096), []byte{128})
+	f.Fuzz(func(t *testing.T, seed int64, size, chunk uint32, cuts []byte) {
+		n := int(size % (1 << 18))
+		ck := int64(chunk%(1<<17)) + 1
+		data := payload(n, seed)
+		at := make([]int, 0, len(cuts)+2)
+		for _, c := range cuts {
+			at = append(at, int(c)*n/255)
+		}
+		slices.Sort(at)
+		at = append(append([]int{0}, at...), n)
+		parts := make([][]byte, 0, len(at)-1)
+		for i := 1; i < len(at); i++ {
+			parts = append(parts, data[at[i-1]:at[i]])
+		}
+		dst := bytes.Repeat([]byte{0xDB}, n)
+		sums := copySums(dst, ck, parts...)
+		if !bytes.Equal(dst, bytes.Join(parts, nil)) {
+			t.Fatalf("%d B in %d parts at chunk %d: the copy differs from the parts joined", n, len(parts), ck)
+		}
+		if want := chunkSums(ck, parts...); !slices.Equal(sums, want) {
+			t.Fatalf("%d B in %d parts at chunk %d: %d sums %v; the oracle has %d %v", n, len(parts), ck, len(sums), sums, len(want), want)
+		}
+	})
+}

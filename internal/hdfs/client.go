@@ -46,12 +46,12 @@ type blockWriter struct {
 }
 
 // flushBlock runs the write pipeline for one block, the concatenation of
-// parts: allocate at the NameNode, sum the block's checksum chunks once, then
-// store on the targets — concurrently, since each in-process "forward" hop is
-// independent (a single target stores inline) — each copying the parts and
-// keeping those sums. Targets that fail are dropped; the block commits with
-// the replicas that succeeded, in pipeline order, and repair restores the
-// rest.
+// parts: allocate at the NameNode, copy the parts once into pooled memory,
+// summing each checksum chunk as it lands (newBlock), then give each target
+// a counted reference to that one record. Every DataNode is in this process,
+// so each in-process "forward" hop hands the same bytes on rather than
+// copying them. Targets that fail are dropped; the block commits with the
+// replicas that succeeded, in pipeline order, and repair restores the rest.
 func (w *blockWriter) flushBlock(parts ...[]byte) error {
 	sp := w.span.StartChild("hdfs.write_block")
 	err := w.flushBlockSpan(sp, parts)
@@ -80,34 +80,24 @@ func (w *blockWriter) flushBlockSpan(sp *trace.Span, parts [][]byte) error {
 		return err
 	}
 	sp.AnnotateInt("block", int64(info.ID))
-	chunk := c.cluster.ChunkSize()
-	sums := chunkSums(chunk, parts...)
-	ok := make([]bool, len(info.Locations))
-	store := func(i int, target string) {
-		dn := c.cluster.DataNode(target)
-		ok[i] = dn != nil && dn.store(info.ID, chunk, sums, parts...) == nil
-	}
-	if len(info.Locations) == 1 {
-		store(0, info.Locations[0])
-	} else {
-		var wg sync.WaitGroup
-		for i, target := range info.Locations {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				store(i, target)
-			}()
-		}
-		wg.Wait()
+	bd, err := newBlock(c.cluster.ChunkSize(), parts...)
+	if err != nil {
+		return err
 	}
 	stored := make([]string, 0, len(info.Locations))
-	for i, target := range info.Locations {
-		if ok[i] {
-			stored = append(stored, target)
-		} else if sp.Recording() {
+	for _, target := range info.Locations {
+		if dn := c.cluster.DataNode(target); dn != nil {
+			bd.retain()
+			if dn.put(info.ID, bd) == nil {
+				stored = append(stored, target)
+				continue
+			}
+		}
+		if sp.Recording() {
 			sp.Annotate("replica_failed", target)
 		}
 	}
+	bd.release() // the writer's reference: the record lives on in its replicas
 	if len(stored) == 0 {
 		return fmt.Errorf("hdfs: pipeline for block %d failed on all %d targets",
 			info.ID, len(info.Locations))
@@ -134,8 +124,8 @@ func (c *Client) WriteFile(path string, data []byte, replication int) error {
 // ctx; each flushed block nests an hdfs.write_block child under it. An
 // object given as parts (a header built for it and a view of a larger
 // buffer) is stored without first being joined: blocks and checksum chunks
-// are cut across part boundaries, and each replica copies the parts straight
-// into its memory.
+// are cut across part boundaries, and each block's parts are copied straight
+// into the memory its replicas share.
 func (c *Client) WriteFileCtx(ctx context.Context, path string, replication int, parts ...[]byte) error {
 	size := totalLen(parts)
 	sp := trace.FromContext(ctx).StartChild("hdfs.write_file")
@@ -155,7 +145,7 @@ func (c *Client) WriteFileCtx(ctx context.Context, path string, replication int,
 }
 
 // writeFileSpan flushes the caller's parts block by block as sub-slices of
-// them, without staging them in a buffer: every replica copies them, so
+// them, without staging them in a buffer: each block copies them once, so
 // nothing keeps the caller's bytes past the call.
 func (c *Client) writeFileSpan(path string, replication int, sp *trace.Span, parts [][]byte) error {
 	if err := c.cluster.nn.Create(path, replication); err != nil {

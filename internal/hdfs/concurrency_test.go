@@ -209,17 +209,22 @@ func TestReplicaLifetimeSoak(t *testing.T) {
 
 // TestReplicaMemoryGivenBackWithoutCollection: with the collector off, so no
 // finalizer runs, storing, overwriting and deleting many replicas maps no new
-// memory after the first: Delete and an overwriting Store give the mapping
-// back themselves, and the next Store of its class takes it.
+// memory once the pool holds the two mappings an overwrite needs at once (the
+// new replica's, made before the old one goes): Delete and an overwriting
+// Store give the mapping back themselves, and the next Store of its class
+// takes it.
 func TestReplicaMemoryGivenBackWithoutCollection(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const blocks = 64
 	src := payload(3*DefaultChunkSize+100, 27)
 	dn := NewDataNode("dn")
-	if err := dn.Store(0, src); err != nil {
-		t.Fatal(err)
+	for id := range BlockID(2) {
+		if err := dn.Store(id, src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dn.Delete(0)
+	dn.Delete(1)
 	mapped := mappedBytes()
 	for i := range BlockID(blocks) {
 		for range 2 { // the second Store overwrites the first

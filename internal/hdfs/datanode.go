@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by DataNode operations.
@@ -22,26 +23,33 @@ var (
 // Flowplayer seek actually asks for.
 const DefaultChunkSize = 64 << 10
 
-// blockData is one stored replica: the bytes plus one CRC32 per checksum
-// chunk, backing O(range) verification for extent fills (ReadRange) and
-// chunk-by-chunk verification of the whole-block read a transfer makes
-// (transferCopy). There is no whole-block CRC: every read verifies the
-// chunks it covers. The sums are
-// computed once per block, by the writer before the pipeline fans out
-// (chunkSums), and a transfer carries the source's verified sums to the
-// destination, so storing a replica is a copy only. sums is never written
-// after the record is made, so the records of one block's replicas share
-// it. The chunk size is recorded per block so a cluster-wide chunk-size
-// change never invalidates already-stored replicas.
+// blockData is one stored block: the bytes plus one CRC32 per checksum
+// chunk, backing O(range) verification for extent fills (ReadRange) and the
+// chunk-by-chunk check a transfer makes (transferRef). There is no
+// whole-block CRC: every read verifies the chunks it covers. The chunk size
+// is recorded per block so a cluster-wide chunk-size change never
+// invalidates already-stored replicas.
+//
+// A block is copied once; its replicas share it. Every DataNode lives in
+// this one process, so the write pipeline copies a block's bytes into pooled
+// memory once, summing each chunk as it lands (newBlock), and each target
+// keeps a counted reference to that one record; a transfer hands its
+// destination another reference to the verified source. refs counts the
+// replicas holding the record, plus a writer or transfer still handing it
+// out. data and sums are never written once the record is shared, so
+// readers on every node holding it read it under their own node's lock. The
+// one write, CorruptAt's fault injection, first gives a shared replica its
+// own copy, as KSM breaks a shared page on the first guest write.
 //
 // The bytes are not on the Go heap (replicamem.go): they are a prefix of the
-// pooled mapping mem. data is read and written only by DataNode methods
-// holding dn.mu with the record in dn.blocks — or by the store that makes it
-// before it is published — and never leaves them: callers get copies (a transfer's
-// record) or bytes copied into their own memory (ReadRange). So a record
-// that leaves dn.blocks, or never enters it, gives mem straight back
+// pooled mapping mem. data is read only by DataNode methods holding the
+// lock of a node whose dn.blocks holds the record, and never leaves them:
+// callers get bytes copied into their own memory (ReadRange) or a counted
+// reference (a transfer's). So the reference that leaves the last dn.blocks
+// holding the record, or that never enters one, gives mem straight back
 // (release): no reader can still see it.
 type blockData struct {
+	refs  atomic.Int32
 	mem   *memBuf
 	data  []byte
 	sums  []uint32
@@ -66,25 +74,27 @@ func NewDataNode(name string) *DataNode {
 // Name returns the node's cluster-unique name.
 func (dn *DataNode) Name() string { return dn.name }
 
-// chunkSums returns the CRC32 of every chunk-sized piece of the
-// concatenation of parts (the last may be short): the checksums a block is
-// stored with. A chunk that straddles a part boundary is summed across it.
-func chunkSums(chunk int64, parts ...[]byte) []uint32 {
-	sums := make([]uint32, 0, (totalLen(parts)+chunk-1)/chunk)
-	var crc uint32
-	var filled int64 // bytes of the current chunk summed so far
+// copySums copies the concatenation of parts into dst, which holds exactly
+// that many bytes, and returns the CRC32 of every chunk-sized piece of it
+// (the last may be short): the checksums a block is stored with. Each chunk
+// is summed from dst right after it lands, while it is cache-hot, so the
+// copy and the checksum are one pass over the bytes; a chunk that straddles
+// a part boundary is summed once its last part has landed.
+func copySums(dst []byte, chunk int64, parts ...[]byte) []uint32 {
+	sums := make([]uint32, 0, (int64(len(dst))+chunk-1)/chunk)
+	at, lo := 0, 0 // bytes copied; start of the chunk being filled
 	for _, p := range parts {
 		for len(p) > 0 {
-			n := min(int64(len(p)), chunk-filled)
-			crc = crc32.Update(crc, crc32.IEEETable, p[:n])
-			p, filled = p[n:], filled+n
-			if filled == chunk {
-				sums, crc, filled = append(sums, crc), 0, 0
+			n := copy(dst[at:min(lo+int(chunk), len(dst))], p)
+			p, at = p[n:], at+n
+			if at-lo == int(chunk) {
+				sums = append(sums, crc32.ChecksumIEEE(dst[lo:at]))
+				lo = at
 			}
 		}
 	}
-	if filled > 0 {
-		sums = append(sums, crc)
+	if at > lo {
+		sums = append(sums, crc32.ChecksumIEEE(dst[lo:at]))
 	}
 	return sums
 }
@@ -98,31 +108,23 @@ func totalLen(parts [][]byte) int64 {
 	return n
 }
 
-// store writes a block replica: the concatenation of parts, whose chunk
-// checksums at chunk bytes are sums (chunkSums, or a transfer's verified
-// source sums). The parts are copied straight into replica memory and
-// nothing is summed here: a replica's store is a copy only. The copy runs
-// before the node's lock is taken, on a record nobody else can reach yet, so
-// a block published here does not stall the reads beside it.
-func (dn *DataNode) store(id BlockID, chunk int64, sums []uint32, parts ...[]byte) error {
-	if dn.Down() {
-		return fmt.Errorf("%w: %s", ErrDown, dn.name)
-	}
+// newBlock returns an unpublished record holding the concatenation of parts,
+// summed at chunk bytes in the pass that copies it (copySums), with one
+// reference: the caller's, which it gives a target with each put after a
+// retain, and drops with release once every target has one.
+func newBlock(chunk int64, parts ...[]byte) (*blockData, error) {
 	bd, err := newBlockData(int(totalLen(parts)), chunk)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	at := 0
-	for _, p := range parts {
-		at += copy(bd.data[at:], p)
-	}
-	bd.sums = sums
-	return dn.put(id, bd)
+	bd.sums = copySums(bd.data, chunk, parts...)
+	return bd, nil
 }
 
-// put publishes a record made for this node, replacing (and giving back the
-// memory of) any replica of id already here; on a node that went down
-// meanwhile it gives the record's memory back instead.
+// put publishes a reference to a record on this node, replacing (and
+// releasing) any replica of id already here; on a node that went down
+// meanwhile it releases the reference instead. Either way the caller's
+// reference passes to put.
 func (dn *DataNode) put(id BlockID, bd *blockData) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -137,28 +139,29 @@ func (dn *DataNode) put(id BlockID, bd *blockData) error {
 	return nil
 }
 
-// transferCopy returns an unpublished record holding a copy of block id,
-// every chunk verified in the one pass that copies it, with the source's
-// sums and chunk size: what a transfer (the block-transfer read
-// re-replication, the healer and the balancer move replicas with) hands
-// to its destination's put. A checksum failure returns ErrChecksum.
-func (dn *DataNode) transferCopy(id BlockID) (*blockData, error) {
+// transferRef returns a new reference to block id's record, once every
+// chunk of it has been verified, for a transfer (Cluster.transferBlock,
+// which repair, the healer and the balancer move replicas with) to hand to
+// its destination's put: the destination shares the source's bytes and sums
+// rather than copying them. A checksum failure returns ErrChecksum, so a
+// corrupt replica, which CorruptAt has always given its own copy, is never
+// shared.
+func (dn *DataNode) transferRef(id BlockID) (*blockData, error) {
 	dn.mu.RLock()
 	defer dn.mu.RUnlock()
 	bd, err := dn.locked(id)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := newBlockData(len(bd.data), bd.chunk)
-	if err != nil {
-		return nil, err
+	size := int64(len(bd.data))
+	for ci, sum := range bd.sums {
+		lo := int64(ci) * bd.chunk
+		if crc32.ChecksumIEEE(bd.data[lo:min(lo+bd.chunk, size)]) != sum {
+			return nil, fmt.Errorf("%w: %d chunk %d on %s", ErrChecksum, id, ci, dn.name)
+		}
 	}
-	if err := dn.copyVerified(id, bd, 0, cp.data); err != nil {
-		cp.release()
-		return nil, err
-	}
-	cp.sums = bd.sums
-	return cp, nil
+	bd.retain()
+	return bd, nil
 }
 
 // ReadRange copies the block's bytes from off on into dst, as many as dst
@@ -224,8 +227,8 @@ func (dn *DataNode) locked(id BlockID) (*blockData, error) {
 	return bd, nil
 }
 
-// Delete removes a block replica and gives its memory back to the pool;
-// absent blocks are a no-op.
+// Delete removes a block replica and releases its reference: the memory goes
+// back to the pool with the block's last replica. Absent blocks are a no-op.
 func (dn *DataNode) Delete(id BlockID) {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -235,7 +238,7 @@ func (dn *DataNode) Delete(id BlockID) {
 	}
 }
 
-// releaseAll removes every replica and gives its memory back to the pool.
+// releaseAll removes every replica and releases its reference.
 func (dn *DataNode) releaseAll() {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -292,7 +295,9 @@ func (dn *DataNode) Corrupt(id BlockID) error {
 
 // CorruptAt flips the byte at off (negative means the block's midpoint)
 // without updating checksums, so tests can target a specific checksum
-// chunk.
+// chunk. A replica that shares its record with others is first given its own
+// copy, so the fault stays on this one replica, as a flipped bit on one
+// DataNode's disk would.
 func (dn *DataNode) CorruptAt(id BlockID, off int64) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -308,6 +313,17 @@ func (dn *DataNode) CorruptAt(id BlockID, off int64) error {
 	}
 	if off >= int64(len(bd.data)) {
 		return fmt.Errorf("hdfs: corrupt offset %d out of block bounds %d", off, len(bd.data))
+	}
+	if bd.refs.Load() > 1 {
+		own, err := newBlockData(len(bd.data), bd.chunk)
+		if err != nil {
+			return err
+		}
+		copy(own.data, bd.data)
+		own.sums = bd.sums
+		dn.blocks[id] = own
+		bd.release()
+		bd = own
 	}
 	bd.data[off] ^= 0xFF
 	return nil

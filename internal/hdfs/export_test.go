@@ -47,14 +47,19 @@ func (dn *DataNode) SetChunkSize(sz int64) {
 	storeChunk.Store(dn, sz)
 }
 
-// Store writes a block replica as the write pipeline does: the chunk sums
-// computed once (at the node's SetChunkSize), then the bytes copied.
+// Store writes a block replica as the write pipeline does: the bytes copied
+// once, each chunk summed as it lands (at the node's SetChunkSize), and the
+// record published.
 func (dn *DataNode) Store(id BlockID, data []byte) error {
 	chunk := int64(DefaultChunkSize)
 	if sz, ok := storeChunk.Load(dn); ok {
 		chunk = sz.(int64)
 	}
-	return dn.store(id, chunk, chunkSums(chunk, data), data)
+	bd, err := newBlock(chunk, data)
+	if err != nil {
+		return err
+	}
+	return dn.put(id, bd)
 }
 
 // Read returns a copy of the block, every checksum chunk verified in the one

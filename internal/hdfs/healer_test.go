@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -162,5 +163,83 @@ func TestHealerIdleOnHealthyCluster(t *testing.T) {
 	}
 	if st.PendingRepairs != 0 {
 		t.Fatalf("PendingRepairs = %d", st.PendingRepairs)
+	}
+}
+
+// TestSharedReplicaCorruptionCopiesOnWrite: the three replicas of a block
+// share one record, so a fault injected into one must first give it a copy
+// of its own. The two siblings keep their record, bytes and sums; a read
+// that tries the corrupt replica first fails over and reports it; the healer
+// re-replicates from a sibling, and the new replica shares the siblings'
+// record and reads back byte-identical. make chaosshort runs it under -race.
+func TestSharedReplicaCorruptionCopiesOnWrite(t *testing.T) {
+	const block = 3*DefaultChunkSize + 1000
+	c := NewCluster(4, block)
+	data := payload(block, 77)
+	if err := c.Client("").WriteFile("/f", data, 3); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := c.Client("").BlockLocations("/f")
+	if err != nil || len(blocks[0].Locations) != 3 {
+		t.Fatalf("layout %+v (err %v); want one block on three nodes", blocks, err)
+	}
+	id, locs := blocks[0].ID, blocks[0].Locations
+	record := func(name string) *blockData {
+		dn := c.DataNode(name)
+		dn.mu.RLock()
+		defer dn.mu.RUnlock()
+		return dn.blocks[id]
+	}
+	shared := record(locs[0])
+	if record(locs[1]) != shared || record(locs[2]) != shared {
+		t.Fatal("the three replicas of a freshly written block do not share one record")
+	}
+
+	bad, siblings := locs[1], []string{locs[0], locs[2]}
+	if err := c.DataNode(bad).CorruptAt(id, DefaultChunkSize+5); err != nil {
+		t.Fatal(err)
+	}
+	if own := record(bad); own == shared || own.mem == shared.mem {
+		t.Fatal("the corrupted replica still shares its siblings' memory")
+	}
+	for _, name := range siblings {
+		bd := record(name)
+		dn := c.DataNode(name)
+		dn.mu.RLock()
+		same := bd == shared && bytes.Equal(bd.data, data) && slices.Equal(bd.sums, freshSums(data, DefaultChunkSize))
+		dn.mu.RUnlock()
+		if !same {
+			t.Fatalf("sibling %s changed when %s was corrupted", name, bad)
+		}
+	}
+
+	if got, err := c.Client(bad).ReadFile("/f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read preferring the corrupt replica: err %v, equal %v", err, bytes.Equal(got, data))
+	}
+	if st := c.Stats(); st.ReplicaFailovers != 1 || st.CorruptReported != 1 {
+		t.Fatalf("%d failovers and %d corrupt replicas reported; want 1 and 1", st.ReplicaFailovers, st.CorruptReported)
+	}
+	if blocks, _ = c.Client("").BlockLocations("/f"); slices.Contains(blocks[0].Locations, bad) {
+		t.Fatalf("the corrupt replica on %s is still in the block map %v", bad, blocks[0].Locations)
+	}
+
+	h := fastHealer(c)
+	defer h.Stop()
+	waitUntil(t, "the corrupt replica re-replicated", func() bool {
+		return len(c.NameNode().UnderReplicatedAll()) == 0
+	})
+	blocks, _ = c.Client("").BlockLocations("/f")
+	for _, name := range blocks[0].Locations {
+		if record(name) != shared {
+			t.Fatalf("replica on %s does not share the siblings' record after the heal", name)
+		}
+		if got, err := c.DataNode(name).Read(id); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("replica on %s after the heal: err %v, equal %v", name, err, bytes.Equal(got, data))
+		}
+	}
+	c.BlockCache().Invalidate(id)
+	healed := blocks[0].Locations[len(blocks[0].Locations)-1]
+	if got, err := c.Client(healed).ReadFile("/f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the heal: err %v, equal %v", err, bytes.Equal(got, data))
 	}
 }

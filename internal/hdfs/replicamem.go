@@ -21,14 +21,16 @@ import (
 // handle becomes unreachable, whatever cycle its owner was part of. The two
 // owners use that one rule differently:
 //
-//   - A replica is given back explicitly (blockData.release) when its record
-//     leaves dn.blocks — Delete, an overwriting store — or never enters it,
-//     under the node's lock. That is safe because its bytes never leave their
-//     record: every access goes through it, under that lock with the record
-//     in dn.blocks, and callers get copies. Cluster.Close gives back every
-//     replica of its DataNodes at once. The finalizer is the backstop for
-//     the replicas of a DataNode that becomes unreachable as a whole with
-//     its Cluster unclosed.
+//   - A block's record is shared by its replicas, each holding a counted
+//     reference (blockData), and is given back explicitly (blockData.release)
+//     when its last reference goes: the last replica leaves dn.blocks
+//     (Delete, an overwriting put, Cluster.Close) under its node's lock, or a
+//     reference a put refused or a writer held is dropped with the record in
+//     no dn.blocks. That is safe because its bytes never leave their record:
+//     every access goes through it, under the lock of a node holding it, and
+//     callers get copies. The finalizer is the backstop for the blocks of
+//     DataNodes that become unreachable as a whole with their Cluster
+//     unclosed.
 //   - A cached extent is handed out as views, so the cache gives its array
 //     back explicitly (putMem) at each point where it knows no view can exist
 //     (BlockCache). The finalizer is the backstop for a cache that becomes
@@ -115,9 +117,11 @@ func reclaimMem(m *memBuf) {
 }
 
 // newBlockData returns a record whose data holds n bytes of pooled memory
-// (contents undefined: the caller overwrites all of them).
+// (contents undefined: the caller overwrites all of them), with one
+// reference, the caller's.
 func newBlockData(n int, chunk int64) (*blockData, error) {
 	bd := &blockData{chunk: chunk}
+	bd.refs.Store(1)
 	if n == 0 {
 		return bd, nil
 	}
@@ -129,11 +133,15 @@ func newBlockData(n int, chunk int64) (*blockData, error) {
 	return bd, nil
 }
 
-// release gives a record's mapping back with its pages, for the next replica
-// of its class. The record must be unreachable to readers: out of dn.blocks,
-// with dn.mu held, or never published.
+// retain adds a reference to a record, for one more replica to hold.
+func (bd *blockData) retain() { bd.refs.Add(1) }
+
+// release drops a reference to a record. The last one gives the mapping back
+// with its pages, for the next block of its class: by then the record is in
+// no dn.blocks, and the one holding it last dropped it under that node's
+// lock or never published it, so no reader can see it.
 func (bd *blockData) release() {
-	if bd.mem != nil {
+	if bd.refs.Add(-1) == 0 && bd.mem != nil {
 		putMem(bd.mem, true)
 		bd.mem, bd.data = nil, nil
 	}
